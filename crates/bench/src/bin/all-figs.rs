@@ -1,12 +1,11 @@
 //! Regenerates every evaluation figure via the parallel cell sweep.
 //!
 //! Tables go to stdout in presentation order (bit-identical at any thread
-//! count *and* under any gate mode — the simulator is deterministic per
-//! cell, the per-op and quantum gates are schedule-identical, and the
-//! speculative gate certifies or re-runs conservatively); progress and the
-//! summary go to stderr so stdout stays diffable. Scale via
+//! count *and* under either gate mode — the simulator is deterministic per
+//! cell and the per-op and quantum gates are schedule-identical); progress
+//! and the summary go to stderr so stdout stays diffable. Scale via
 //! `HASTM_BENCH_SCALE`, host threads via `HASTM_SWEEP_THREADS`
-//! (default: host parallelism), `--gate perop|quantum|spec` selects the
+//! (default: host parallelism), `--gate perop|quantum` selects the
 //! gate admission mode, and `--verify` re-runs every cell serially and
 //! asserts the parallel outputs match.
 
@@ -24,16 +23,15 @@ fn main() {
                 config.gate = match args.next().as_deref() {
                     Some("perop") => GateMode::PerOp,
                     Some("quantum") => GateMode::Quantum,
-                    Some("spec") => GateMode::Speculative,
                     other => {
-                        eprintln!("--gate takes perop|quantum|spec (got {other:?})");
+                        eprintln!("--gate takes perop|quantum (got {other:?})");
                         std::process::exit(2);
                     }
                 }
             }
             other => {
                 eprintln!(
-                    "usage: all-figs [--verify] [--serial] [--gate perop|quantum|spec]  \
+                    "usage: all-figs [--verify] [--serial] [--gate perop|quantum]  \
                      (unknown arg {other:?})"
                 );
                 std::process::exit(2);

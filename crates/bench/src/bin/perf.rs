@@ -1,13 +1,11 @@
 //! Performance baseline for the figure sweep: runs the full evaluation
 //! through the parallel sweep and emits machine-readable `BENCH.json`
-//! (schema 7: throughput totals — including solo-core vs multi-core cell
-//! throughput, where the scheduler's host-synchronization cost lives, and
-//! the multi-core speedup of the speculative gate over the quantum
-//! baseline — then per-figure rows for every figure that declares cells
-//! with speculation telemetry and dedup attribution, then a `native`
-//! section measuring the host-thread TL2 backend's committed txns/sec at
-//! 1/2/4/8 threads with the mark-bit filter on and off, then an `mvcc`
-//! section measuring the read-heavy mix under multi-version snapshot
+//! (schema 8: throughput totals — including solo-core vs multi-core cell
+//! throughput, where the scheduler's host-side cost lives — then per-figure
+//! rows for every figure that declares cells with dedup attribution, then a
+//! `native` section measuring the host-thread TL2 backend's committed
+//! txns/sec at 1/2/4/8 threads with the mark-bit filter on and off, then an
+//! `mvcc` section measuring the read-heavy mix under multi-version snapshot
 //! reads vs single-version — including the structural zero-RO-abort
 //! counters and the writer-side publication overhead — then an `oltp`
 //! section with serving-style metrics — p50/p99 latency, goodput,
@@ -15,8 +13,8 @@
 //! traffic mill on both backends, then a `phases` section comparing the
 //! naïve, watermark, and PhTM-style phased HASTM mode policies on the
 //! interference, uncontended, and OLTP regimes with per-phase cost-model
-//! counters), optionally gating against a stored baseline (schema 1
-//! through 7).
+//! counters), optionally gating against a stored baseline (schema 1 through
+//! 8).
 //!
 //! ```text
 //! perf [--out BENCH.json] [--check BASELINE.json] [--tolerance 0.25]
@@ -202,22 +200,16 @@ fn writer_overhead() -> WriterOverhead {
     }
 }
 
-/// Renders `BENCH.json` (schema 6). The `totals` object precedes the
+/// Renders `BENCH.json` (schema 8). The `totals` object precedes the
 /// `figures` array on purpose — and its scalar `cells_per_sec` precedes
 /// the `solo`/`multi` sub-objects — because the regression gate extracts
-/// `cells_per_sec` by first occurrence; schema-1..5 baselines therefore
-/// stay readable by `--check` and schema-6 files stay readable by older
-/// gates. The `native`, `mvcc`, and `oltp` row keys (and the speculation
-/// keys) deliberately avoid that substring for the same reason.
-///
-/// `report` is the quantum-gate sweep (the comparable baseline the
-/// regression gate reads); `spec_report` is the same sweep re-run under
-/// `GateMode::Speculative`, from which the speculation telemetry and the
-/// `multi.speedup_vs_quantum` ratio are taken.
+/// `cells_per_sec` by first occurrence; earlier-schema baselines therefore
+/// stay readable by `--check` and this file stays readable by older
+/// gates. The `native`, `mvcc`, and `oltp` row keys deliberately avoid
+/// that substring for the same reason.
 fn render_json(
     scale: Scale,
     report: &SweepReport,
-    spec_report: &SweepReport,
     native: &[NativeRow],
     mvcc: &[MvccRow],
     writer: &WriterOverhead,
@@ -230,7 +222,7 @@ fn render_json(
     let cycles_per_sec = report.simulated_cycles as f64 / wall_s.max(1e-9);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": 7,");
+    let _ = writeln!(s, "  \"schema\": 8,");
     let _ = writeln!(s, "  \"scale\": \"{}\",", scale_name(scale));
     let _ = writeln!(s, "  \"host_threads\": {},", report.threads);
     s.push_str("  \"totals\": {\n");
@@ -244,24 +236,12 @@ fn render_json(
         report.solo_cell_seconds,
         class_rate(report.solo_cells, report.solo_cell_seconds),
     );
-    // Speculative-vs-quantum multi-core throughput ratio, per summed
-    // single-cell wall time (the quantity the speculative gate exists to
-    // improve; ~1.0 on a single-CPU host where the sweep cannot overlap).
-    let speedup_vs_quantum = class_rate(spec_report.multi_cells, spec_report.multi_cell_seconds)
-        / class_rate(report.multi_cells, report.multi_cell_seconds).max(1e-9);
     let _ = writeln!(
         s,
-        "    \"multi\": {{ \"cells\": {}, \"cell_seconds\": {:.3}, \"cells_per_sec\": {:.3}, \"speedup_vs_quantum\": {speedup_vs_quantum:.3} }},",
+        "    \"multi\": {{ \"cells\": {}, \"cell_seconds\": {:.3}, \"cells_per_sec\": {:.3} }},",
         report.multi_cells,
         report.multi_cell_seconds,
         class_rate(report.multi_cells, report.multi_cell_seconds),
-    );
-    let _ = writeln!(
-        s,
-        "    \"speculation\": {{ \"spec_commit_rate\": {:.4}, \"rollback_rate\": {:.4}, \"rollback_cycles_wasted\": {} }},",
-        spec_report.spec.commit_rate(),
-        spec_report.spec.rollback_rate(),
-        spec_report.spec.rollback_cycles_wasted,
     );
     let _ = writeln!(s, "    \"simulated_cycles\": {},", report.simulated_cycles);
     let _ = writeln!(s, "    \"simulated_cycles_per_sec\": {cycles_per_sec:.1}");
@@ -277,24 +257,15 @@ fn render_json(
             .iter()
             .map(|n| format!("\"{n}\""))
             .collect();
-        let spec = spec_report
-            .figures
-            .iter()
-            .find(|f| f.name == fig.name)
-            .map(|f| f.spec)
-            .unwrap_or_default();
         let _ = writeln!(
             s,
-            "    {{ \"name\": \"{}\", \"cells\": {}, \"fresh_cells\": {}, \"wall_ms\": {:.3}, \"simulated_cycles\": {}, \"dedup_shared_with\": [{}], \"spec_commit_rate\": {:.4}, \"rollback_rate\": {:.4}, \"rollback_cycles_wasted\": {} }}{comma}",
+            "    {{ \"name\": \"{}\", \"cells\": {}, \"fresh_cells\": {}, \"wall_ms\": {:.3}, \"simulated_cycles\": {}, \"dedup_shared_with\": [{}] }}{comma}",
             fig.name,
             fig.cells,
             fig.fresh_cells,
             fig.cell_seconds * 1e3,
             fig.simulated_cycles,
             shared.join(", "),
-            spec.commit_rate(),
-            spec.rollback_rate(),
-            spec.rollback_cycles_wasted,
         );
     }
     s.push_str("  ],\n");
@@ -448,22 +419,6 @@ fn main() {
         config.threads
     );
     let report = sweep(scale, &config);
-    eprintln!("perf: re-sweeping under the speculative gate for the multi-core comparison...");
-    let spec_config = SweepConfig {
-        gate: hastm_sim::GateMode::Speculative,
-        ..config.clone()
-    };
-    let spec_report = sweep(scale, &spec_config);
-    eprintln!(
-        "perf: speculative multi-core {} cells → {:.2} cells/sec vs quantum {:.2} ({:.2}x); commit rate {:.1}%, rollback rate {:.1}%",
-        spec_report.multi_cells,
-        class_rate(spec_report.multi_cells, spec_report.multi_cell_seconds),
-        class_rate(report.multi_cells, report.multi_cell_seconds),
-        class_rate(spec_report.multi_cells, spec_report.multi_cell_seconds)
-            / class_rate(report.multi_cells, report.multi_cell_seconds).max(1e-9),
-        spec_report.spec.commit_rate() * 100.0,
-        spec_report.spec.rollback_rate() * 100.0,
-    );
     eprintln!("perf: measuring the native host-thread backend...");
     let native = native_rows();
     eprintln!("perf: measuring multi-version snapshot reads vs single-version...");
@@ -477,7 +432,6 @@ fn main() {
     let json = render_json(
         scale,
         &report,
-        &spec_report,
         &native,
         &mvcc,
         &writer,

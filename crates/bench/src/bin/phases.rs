@@ -4,11 +4,11 @@
 //! policies, with per-phase HyTM cost-model counters.
 //!
 //! ```text
-//! phases [--gate quantum|perop|spec]
+//! phases [--gate quantum|perop]
 //! ```
 //!
 //! The gate admission modes are schedule-identical, so the table must be
-//! bit-identical across all three `--gate` choices (the
+//! bit-identical across both `--gate` choices (the
 //! `phase_determinism` test enforces this). Scale via
 //! `HASTM_BENCH_SCALE=quick|standard|full`.
 
@@ -21,21 +21,20 @@ fn main() {
         match arg.as_str() {
             "--gate" => {
                 let v = it.next().unwrap_or_else(|| {
-                    eprintln!("phases: --gate needs a value (quantum|perop|spec)");
+                    eprintln!("phases: --gate needs a value (quantum|perop)");
                     std::process::exit(2);
                 });
                 gate = match v.as_str() {
                     "quantum" => GateMode::Quantum,
                     "perop" => GateMode::PerOp,
-                    "spec" => GateMode::Speculative,
                     other => {
-                        eprintln!("phases: unknown gate {other:?} (quantum|perop|spec)");
+                        eprintln!("phases: unknown gate {other:?} (quantum|perop)");
                         std::process::exit(2);
                     }
                 };
             }
             other => {
-                eprintln!("usage: phases [--gate quantum|perop|spec]  (unknown arg {other:?})");
+                eprintln!("usage: phases [--gate quantum|perop]  (unknown arg {other:?})");
                 std::process::exit(2);
             }
         }

@@ -21,8 +21,8 @@ use std::collections::{HashMap, HashSet};
 use hastm::Granularity;
 use hastm_sim::{CacheConfig, GateMode, MachineConfig};
 use hastm_workloads::{
-    analyze, generate_stream, run_kernel_gated, run_workload_spec, KernelParams, KernelResult,
-    Scheme, SpecTelemetry, Structure, WorkloadConfig, WorkloadResult, PROFILES,
+    analyze, generate_stream, run_kernel_gated, run_workload, KernelParams, KernelResult, Scheme,
+    Structure, WorkloadConfig, WorkloadResult, PROFILES,
 };
 
 use crate::table::{pct, ratio, Table};
@@ -185,14 +185,6 @@ pub fn run_cell(cell: &Cell) -> CellOutput {
 /// bit-equal across them — `crates/bench/tests/golden_parallel.rs` and the
 /// CI gate-determinism job assert exactly that.
 pub fn run_cell_gated(cell: &Cell, gate: GateMode) -> CellOutput {
-    run_cell_spec(cell, gate).0
-}
-
-/// [`run_cell_gated`], also returning the cell's speculation telemetry.
-/// The telemetry is a host-side observation (how the deterministic result
-/// was obtained), kept out of [`CellOutput`] so outputs stay bit-comparable
-/// across gate modes. Kernel cells are single-core and never speculate.
-pub fn run_cell_spec(cell: &Cell, gate: GateMode) -> (CellOutput, SpecTelemetry) {
     match *cell {
         Cell::Ds {
             structure,
@@ -220,8 +212,7 @@ pub fn run_cell_spec(cell: &Cell, gate: GateMode) -> (CellOutput, SpecTelemetry)
                 cfg.mode_policy_override =
                     Some(hastm::ModePolicy::AbortRatioWatermark { watermark: 0.1 });
             }
-            let (result, telemetry) = run_workload_spec(&cfg);
-            (CellOutput::Ds(result), telemetry)
+            CellOutput::Ds(run_workload(&cfg))
         }
         Cell::Kernel {
             scheme,
@@ -237,10 +228,7 @@ pub fn run_cell_spec(cell: &Cell, gate: GateMode) -> (CellOutput, SpecTelemetry)
                 ..KernelParams::default()
             };
             let stream = generate_stream(&params);
-            (
-                CellOutput::Kernel(run_kernel_gated(scheme, &stream, gate)),
-                SpecTelemetry::default(),
-            )
+            CellOutput::Kernel(run_kernel_gated(scheme, &stream, gate))
         }
     }
 }

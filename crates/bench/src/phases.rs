@@ -12,13 +12,13 @@
 //! Every point is a pure function of `(case, scale, gate)`: the simulator
 //! is deterministic and the gate admission modes are schedule-identical,
 //! so `crates/bench/tests/phase_determinism.rs` asserts bit-equal points
-//! across all three gates and across host-thread placements. Shared by
+//! across both gates and across host-thread placements. Shared by
 //! the `phases` table binary and the `perf` binary (BENCH.json `phases`
-//! section, schema 7).
+//! section).
 
 use hastm::{Granularity, ModePolicy, OracleMode, Phase, PhasedParams, TxnStats};
 use hastm_sim::GateMode;
-use hastm_workloads::{run_oltp_sim, run_workload_spec, Scheme, Structure, WorkloadConfig};
+use hastm_workloads::{run_oltp_sim, run_workload, Scheme, Structure, WorkloadConfig};
 
 use crate::figures::MachinePreset;
 use crate::oltp::mill_config;
@@ -207,7 +207,7 @@ pub fn run_phase_case(case: PhaseCase, scale: Scale, gate: GateMode) -> PhasePoi
             cfg.machine = machine.config();
             cfg.machine.gate = gate;
             cfg.mode_policy_override = Some(policy);
-            let (result, _) = run_workload_spec(&cfg);
+            let result = run_workload(&cfg);
             PhasePoint::from_txn(case, result.cycles, result.digest, &result.txn)
         }
     }

@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 use crossbeam::queue::SegQueue;
 use hastm_sim::GateMode;
 
-use hastm_workloads::SpecTelemetry;
-
-use crate::figures::{run_cell_gated, run_cell_spec, Cell, CellOutput, FIGURES};
+use crate::figures::{run_cell_gated, Cell, CellOutput, FIGURES};
 use crate::table::Table;
 use crate::Scale;
 
@@ -81,58 +79,6 @@ pub struct FigureRun {
     /// deduplicated cell with (the figures its `cell_seconds` is split
     /// against).
     pub dedup_shared_with: Vec<&'static str>,
-    /// Speculation telemetry summed over the declared cells (all-zero
-    /// unless the sweep ran under [`GateMode::Speculative`]).
-    pub spec: FigureSpec,
-}
-
-/// Per-figure speculation aggregates (see [`SpecTelemetry`]).
-#[derive(Copy, Clone, Debug, Default)]
-pub struct FigureSpec {
-    /// Declared cells that attempted speculation.
-    pub attempted_cells: usize,
-    /// Gated ops admitted speculatively across certified cells.
-    pub spec_ops: u64,
-    /// Total gated ops across certified cells.
-    pub total_ops: u64,
-    /// Cells whose speculative attempt was tainted and re-run under the
-    /// quantum gate.
-    pub rollbacks: usize,
-    /// Simulated cycles of the discarded attempts.
-    pub rollback_cycles_wasted: u64,
-}
-
-impl FigureSpec {
-    fn add(&mut self, t: &SpecTelemetry) {
-        if !t.attempted {
-            return;
-        }
-        self.attempted_cells += 1;
-        self.spec_ops += t.spec_ops;
-        self.total_ops += t.total_ops;
-        if t.rolled_back {
-            self.rollbacks += 1;
-            self.rollback_cycles_wasted += t.rollback_cycles_wasted;
-        }
-    }
-
-    /// Fraction of gated ops admitted speculatively and certified.
-    pub fn commit_rate(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.spec_ops as f64 / self.total_ops as f64
-        }
-    }
-
-    /// Fraction of speculation attempts that rolled back.
-    pub fn rollback_rate(&self) -> f64 {
-        if self.attempted_cells == 0 {
-            0.0
-        } else {
-            self.rollbacks as f64 / self.attempted_cells as f64
-        }
-    }
 }
 
 /// Outcome of a whole sweep.
@@ -159,9 +105,6 @@ pub struct SweepReport {
     pub multi_cells: usize,
     /// Summed wall seconds of the distinct multi-core cells.
     pub multi_cell_seconds: f64,
-    /// Speculation telemetry summed over the distinct executed cells
-    /// (all-zero unless the sweep ran under [`GateMode::Speculative`]).
-    pub spec: FigureSpec,
 }
 
 impl SweepReport {
@@ -222,7 +165,7 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
     let outputs = run_cells(&jobs, config.threads, config.gate);
 
     if config.verify {
-        for (cell, (output, _, _)) in jobs.iter().zip(&outputs) {
+        for (cell, (output, _)) in jobs.iter().zip(&outputs) {
             let serial = run_cell_gated(cell, config.gate);
             assert!(
                 serial == *output,
@@ -271,10 +214,8 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
         // Split each declared cell's wall time evenly across the figures
         // that declare it, so the per-figure times sum back to the total.
         let mut cell_seconds = 0.0;
-        let mut spec = FigureSpec::default();
         for &i in &fig_unique[pos] {
             cell_seconds += outputs[i].1 / claims[i] as f64;
-            spec.add(&outputs[i].2);
         }
         let dedup_shared_with: Vec<&'static str> = figures
             .iter()
@@ -295,14 +236,12 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
             simulated_cycles,
             cell_seconds,
             dedup_shared_with,
-            spec,
         });
     }
 
     let (mut solo_cells, mut solo_cell_seconds) = (0, 0.0);
     let (mut multi_cells, mut multi_cell_seconds) = (0, 0.0);
-    let mut spec = FigureSpec::default();
-    for (cell, (_, secs, telemetry)) in jobs.iter().zip(&outputs) {
+    for (cell, (_, secs)) in jobs.iter().zip(&outputs) {
         if cell.cores() > 1 {
             multi_cells += 1;
             multi_cell_seconds += secs;
@@ -310,7 +249,6 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
             solo_cells += 1;
             solo_cell_seconds += secs;
         }
-        spec.add(telemetry);
     }
 
     SweepReport {
@@ -318,28 +256,22 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
         threads: config.threads,
         wall: start.elapsed(),
         unique_cells: jobs.len(),
-        simulated_cycles: outputs.iter().map(|(o, _, _)| o.cycles()).sum(),
+        simulated_cycles: outputs.iter().map(|(o, _)| o.cycles()).sum(),
         solo_cells,
         solo_cell_seconds,
         multi_cells,
         multi_cell_seconds,
-        spec,
     }
 }
 
 /// Drains `jobs` from a shared queue on `threads` workers; returns each
-/// cell's output, its single-cell wall time, and its speculation
-/// telemetry, indexed like `jobs`.
-fn run_cells(
-    jobs: &[Cell],
-    threads: usize,
-    gate: GateMode,
-) -> Vec<(CellOutput, f64, SpecTelemetry)> {
+/// cell's output and its single-cell wall time, indexed like `jobs`.
+fn run_cells(jobs: &[Cell], threads: usize, gate: GateMode) -> Vec<(CellOutput, f64)> {
     let queue: SegQueue<usize> = SegQueue::new();
     for i in 0..jobs.len() {
         queue.push(i);
     }
-    let slots: Vec<Mutex<Option<(CellOutput, f64, SpecTelemetry)>>> =
+    let slots: Vec<Mutex<Option<(CellOutput, f64)>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     let workers = threads.min(jobs.len()).max(1);
     crossbeam::thread::scope(|scope| {
@@ -347,9 +279,9 @@ fn run_cells(
             scope.spawn(|_| {
                 while let Some(i) = queue.pop() {
                     let t0 = Instant::now();
-                    let (output, telemetry) = run_cell_spec(&jobs[i], gate);
+                    let output = run_cell_gated(&jobs[i], gate);
                     let secs = t0.elapsed().as_secs_f64();
-                    *slots[i].lock().expect("result slot") = Some((output, secs, telemetry));
+                    *slots[i].lock().expect("result slot") = Some((output, secs));
                 }
             });
         }

@@ -1,8 +1,8 @@
 //! Determinism of the phased-policy comparison: every `PhasePoint` is a
-//! pure function of `(case, scale)` — the three gate admission modes are
+//! pure function of `(case, scale)` — the two gate admission modes are
 //! schedule-identical, and host-thread placement of the sweep cannot leak
 //! into simulated results. A Phased run must therefore be bit-identical
-//! across `--gate quantum|perop|spec` and across 1/4/8 host sweep
+//! across `--gate quantum|perop` and across 1/4/8 host sweep
 //! threads; any drift means host concurrency or gate bookkeeping leaked
 //! into the simulated phase machine.
 
@@ -47,14 +47,9 @@ fn points_on_host_threads(threads: usize) -> Vec<PhasePoint> {
 fn phase_points_are_bit_identical_across_gate_modes() {
     let quantum = phase_points(SCALE, GateMode::Quantum);
     let perop = phase_points(SCALE, GateMode::PerOp);
-    let spec = phase_points(SCALE, GateMode::Speculative);
     assert_eq!(
         quantum, perop,
         "quantum and per-op gates produced different phase points"
-    );
-    assert_eq!(
-        quantum, spec,
-        "quantum and speculative gates produced different phase points"
     );
     // Non-vacuity: the phased rows actually exercised the controller.
     assert!(

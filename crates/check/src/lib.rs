@@ -23,10 +23,9 @@
 //!   simulated makespan), the property that makes seed replay meaningful;
 //! * **cross-scheduler equality** — the per-op and quantum gate admission
 //!   modes ([`hastm_sim::GateMode`]) are schedule-identical by
-//!   construction, and the speculative gate certifies (or rolls back to)
-//!   exactly the quantum schedule, so for every seed all three gate
-//!   variants of a combination must produce bit-equal fingerprints; any
-//!   divergence is reported as a failure of its own.
+//!   construction, so for every seed both gate variants of a combination
+//!   must produce bit-equal fingerprints; any divergence is reported as a
+//!   failure of its own.
 //!
 //! On failure the harness **shrinks** the trial to a minimal failing
 //! `ops`/`threads`/`seed` and prints an exact replay command
@@ -44,7 +43,7 @@ use hastm::{
 use hastm_locks::SpinLock;
 use hastm_sim::{
     FaultEvent, GateMode, IsaLevel, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent,
-    SchedulePolicy, SpecOutcome, TraceConfig, TraceLog, WorkerFn,
+    SchedulePolicy, TraceConfig, TraceLog, WorkerFn,
 };
 use hastm_workloads::{AnyMap, BTree, Bst, HashTable, Scheme, Structure, ThreadExec, TxMap};
 use rand::rngs::StdRng;
@@ -150,11 +149,11 @@ const HASTM_POLICIES: [ModePolicy; 5] = [
 impl Combo {
     /// The full matrix: every scheme × granularity × ISA level × gate
     /// mode, with [`Scheme::Hastm`] additionally swept over every mode
-    /// policy (144 single-version combinations), plus a
+    /// policy (96 single-version combinations), plus a
     /// [`Versioning::Multi`]`{k: 3}` twin of every STM-based quantum-gate
-    /// combination (36 more, 180 total). Gate variants of a combination
+    /// combination (36 more, 132 total). Gate variants of a combination
     /// are adjacent so the suite's cross-scheduler comparison sees the
-    /// whole triplet in the same seed pass; the multi-version twin rides
+    /// pair in the same seed pass; the multi-version twin rides
     /// directly after its quantum single-version original for the same
     /// reason.
     pub fn all() -> Vec<Combo> {
@@ -175,7 +174,7 @@ impl Combo {
         for &scheme in &Scheme::ALL {
             for granularity in [Granularity::Object, Granularity::CacheLine] {
                 for isa in [IsaLevel::Full, IsaLevel::Default] {
-                    for gate in [GateMode::Quantum, GateMode::PerOp, GateMode::Speculative] {
+                    for gate in [GateMode::Quantum, GateMode::PerOp] {
                         if scheme == Scheme::Hastm {
                             for policy in HASTM_POLICIES {
                                 push(Combo {
@@ -271,7 +270,6 @@ impl Combo {
         s.push_str(match self.gate {
             GateMode::PerOp => "perop",
             GateMode::Quantum => "quantum",
-            GateMode::Speculative => "spec",
         });
         if let Versioning::Multi { k } = self.versioning {
             s.push_str(&format!(":v{k}"));
@@ -333,7 +331,6 @@ impl Combo {
             let as_gate = match *part {
                 "perop" => Some(GateMode::PerOp),
                 "quantum" => Some(GateMode::Quantum),
-                "spec" => Some(GateMode::Speculative),
                 _ => None,
             };
             let as_versioning = part
@@ -702,11 +699,6 @@ pub struct Observation {
     pub breakdown: TimeBreakdown,
     /// The measured run's machine report (`None` until the run finishes).
     pub report: Option<RunReport>,
-    /// Speculative-gate verdict of the measured run (`None` unless the
-    /// trial's gate is [`GateMode::Speculative`]). A tainted (uncertified)
-    /// run is discarded by [`run_trial_observed`] and re-run under the
-    /// quantum gate, so fingerprints are always certified.
-    pub spec: Option<SpecOutcome>,
 }
 
 /// Folds one thread's executor statistics into a shared observation.
@@ -760,9 +752,6 @@ fn arm_plan(machine: &mut Machine, plan: &RunPlan) {
 fn disarm_plan(machine: &mut Machine, obs: &mut Observation) {
     obs.schedule = machine.take_schedule_log();
     obs.trace = machine.take_trace();
-    // Harvest the speculative verdict before any later (digest) run_one
-    // resets it.
-    obs.spec = machine.spec_outcome();
     machine.set_preemptions(Vec::new());
     machine.set_faults(Vec::new());
     machine.set_record_schedule(false);
@@ -1230,23 +1219,6 @@ pub fn run_trial_observed(
     trial: &Trial,
     plan: &RunPlan,
 ) -> (Result<Fingerprint, String>, Observation) {
-    let (res, obs) = run_trial_raw(trial, plan);
-    if obs.spec.is_none_or(|o| o.certified) {
-        return (res, obs);
-    }
-    // Speculative execution tainted: the run it produced is a valid but
-    // alternative schedule, so its fingerprint is not comparable to the
-    // quantum gate's. Discard everything and re-run conservatively — the
-    // same discard-and-redo contract `run_workload_spec` implements.
-    let mut quantum = *trial;
-    quantum.combo.gate = GateMode::Quantum;
-    run_trial_raw(&quantum, plan)
-}
-
-/// One uncertified execution of the trial: dispatches to the workload's
-/// runner with the trial's own gate, taint verdict left in
-/// [`Observation::spec`].
-fn run_trial_raw(trial: &Trial, plan: &RunPlan) -> (Result<Fingerprint, String>, Observation) {
     match trial.workload {
         Workload::Counter => run_counter(trial, plan),
         Workload::Map => run_map(trial, Structure::HashTable, plan),
@@ -1749,8 +1721,8 @@ mod tests {
         let all = Combo::all();
         assert_eq!(
             all.len(),
-            180,
-            "8 schemes, Hastm x5 policies, x2 gran x2 isa x3 gate, \
+            132,
+            "8 schemes, Hastm x5 policies, x2 gran x2 isa x2 gate, \
              + v3 twins of the 36 STM-based quantum combos"
         );
         assert_eq!(
@@ -1776,14 +1748,6 @@ mod tests {
         assert_eq!(
             Combo::parse("stm:obj:full:perop").unwrap().gate,
             GateMode::PerOp
-        );
-        assert_eq!(
-            Combo::parse("stm:obj:full:spec").unwrap().gate,
-            GateMode::Speculative
-        );
-        assert_eq!(
-            Combo::parse("stm:obj:full:spec").unwrap().slug(),
-            "stm:obj:full:spec"
         );
         let full = Combo::parse("hastm:line:default:naive:perop").unwrap();
         assert_eq!(full.gate, GateMode::PerOp);
@@ -1843,14 +1807,10 @@ mod tests {
             "seq:obj:full",
             "lock:obj:full",
             "stm:line:full",
-            // Per-op and speculative twins of two quantum combos:
-            // exercises the suite's cross-scheduler fingerprint comparison
-            // (any divergence would surface as a `gate divergence`
-            // failure). Under the fuzzed sched the speculative gate clamps
-            // to the per-op schedule, so this checks the clamp path; the
-            // engaged path gets its own `Sched::Det` test below.
+            // Per-op twins of two quantum combos: exercises the suite's
+            // cross-scheduler fingerprint comparison (any divergence
+            // would surface as a `gate divergence` failure).
             "stm:line:full:perop",
-            "stm:line:full:spec",
             // Multi-version twins of two quantum combos: exercises the
             // suite's single-vs-multi final-state comparison (a writer
             // divergence would surface as a `versioning divergence`
@@ -1860,7 +1820,6 @@ mod tests {
             "hastm-cautious:obj:full",
             "hastm:obj:full:watermark",
             "hastm:obj:full:watermark:perop",
-            "hastm:obj:full:watermark:spec",
             "hastm:line:default:naive",
             "hastm-noreuse:obj:full",
             "naive-aggressive:line:full",
@@ -1879,7 +1838,7 @@ mod tests {
             ..CheckConfig::default()
         };
         let report = run_suite(&cfg, |_, _| {});
-        assert_eq!(report.trials, 2 * 15 * 2);
+        assert_eq!(report.trials, 2 * 13 * 2);
         assert!(
             report.failures.is_empty(),
             "unexpected violations: {:#?}",
@@ -1946,49 +1905,6 @@ mod tests {
             report.failures.is_empty(),
             "versioning sweep diverged: {:#?}",
             report.failures
-        );
-    }
-
-    #[test]
-    fn speculative_gate_engages_under_det_sched_and_matches_quantum() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        // Only the deterministic sched lets the speculative gate engage
-        // (fuzz/PCT perturbation clamps it to the per-op schedule), so
-        // this is the path where certification and rollback really run.
-        let mut engaged = 0u64;
-        for seed in 0..4 {
-            let spec = Trial {
-                combo: Combo::parse("stm:line:full:spec").unwrap(),
-                workload: Workload::Counter,
-                seed,
-                threads: 3,
-                ops: 24,
-                sched: Sched::Det,
-            };
-            let quantum = Trial {
-                combo: Combo::parse("stm:line:full").unwrap(),
-                ..spec
-            };
-            // Raw run: the verdict must be present and speculation must
-            // actually attempt ops (the workers outnumber the minimal
-            // core, so clock-only ops speculate even when every memory
-            // probe is refused).
-            let (_, obs) = run_trial_raw(&spec, &RunPlan::default());
-            let outcome = obs.spec.expect("speculative trial reports a verdict");
-            assert!(outcome.total_ops > 0);
-            engaged += outcome.spec_ops;
-            // Certified-or-rerun contract: the public runner's fingerprint
-            // is always the quantum one, bit-exact.
-            let fp_spec = run_trial(&spec).expect("spec trial passes");
-            let fp_quantum = run_trial(&quantum).expect("quantum trial passes");
-            assert_eq!(
-                fp_spec, fp_quantum,
-                "seed {seed}: speculative fingerprint diverged from quantum"
-            );
-        }
-        assert!(
-            engaged > 0,
-            "speculation never attempted an op across 4 det-sched seeds"
         );
     }
 

@@ -1,7 +1,7 @@
 //! Command-line entry point for the differential-testing harness.
 //!
 //! ```text
-//! # Sweep the full 180-combination matrix across 100 seeds:
+//! # Sweep the full 132-combination matrix across 100 seeds:
 //! cargo run -p hastm-check --release -- --seeds 100
 //!
 //! # PCT sweep: 200 depth-3 schedules over every workload:
@@ -67,10 +67,10 @@ OPTIONS:
                      (suite mode sweeps all five; passing one restricts the
                      sim and native sweeps to it) [explore default: counter]
     --combo C        combination, e.g. hastm:obj:full:watermark:perop
-                     (gate suffix perop|quantum|spec optional, default
+                     (gate suffix perop|quantum optional, default
                      quantum; versioning suffix v<k> optional, default v1 =
                      single-version, v2+ = k-deep snapshot rings; see
-                     --list-combos for all 180; in suite mode restricts
+                     --list-combos for all 132; in suite mode restricts
                      the sim sweep to this single combination)
     --seed N         replay/explore seed                   [default: 0]
     --trace T        replay preemption trace, e.g. 12@1,30@0

@@ -117,14 +117,6 @@ impl Cache {
         self.sets[self.set_index(id)].iter().find(|l| l.id == id)
     }
 
-    /// The set index `id` maps to. LRU order is only ever compared within
-    /// one set, which is what makes the speculative scheduler's per-set
-    /// conflict granularity exact (see `hierarchy::SpecState`).
-    #[inline]
-    pub fn set_of(&self, id: LineId) -> usize {
-        self.set_index(id)
-    }
-
     /// Looks up a line, refreshing its LRU position on hit.
     #[inline]
     pub fn lookup(&mut self, id: LineId) -> Option<&mut Line> {
@@ -328,6 +320,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // the check is a `debug_assert!`
     #[should_panic(expected = "insert of resident")]
     fn double_insert_panics() {
         let mut c = tiny();

@@ -130,7 +130,7 @@ impl Default for CostModel {
 pub enum GateMode {
     /// Reference scheduler: every simulated operation re-enters the gate
     /// (acquire the state lock, check `(clock, core_id)` minimality,
-    /// release, hand off). One lock round-trip per operation.
+    /// release, hand off). One minimality scan per operation.
     PerOp,
     /// Run-until-overtaken quantum scheduler: an admitted core computes the
     /// second-smallest competitor `(clock, core_id)` bound once and then
@@ -140,31 +140,9 @@ pub enum GateMode {
     /// of the host synchronization cost. Under [`SchedulePolicy::Fuzzed`]
     /// the quantum is clamped to a single operation (per-core priority
     /// jitter is re-drawn after every op, so a precomputed bound would go
-    /// stale); fuzzed runs therefore behave exactly like `PerOp` plus the
-    /// targeted-handoff fast path.
+    /// stale); fuzzed runs therefore behave exactly like `PerOp`.
     #[default]
     Quantum,
-    /// Optimistic parallel discrete-event scheduler: a core that is *not*
-    /// the global minimum may still execute its next operation — without
-    /// waiting for its turn — when the operation provably cannot interact
-    /// with any other core's pending canonical operation: a pure L1 hit
-    /// (load on any resident state; store/RMW on an Exclusive/Modified
-    /// line), or a clock-only op. Each speculative op records a per-(core,
-    /// L1-set) high-water clock; every canonical remote cache mutation
-    /// (downgrade, invalidation, inclusive back-invalidation) checks the
-    /// victim set's high-water mark against its own `(clock, core)` and
-    /// *taints* the run if a speculative op may have observed cache state
-    /// out of canonical order. A tainted run completes (it is still a
-    /// valid execution of *some* legal schedule — every op is atomic under
-    /// the state lock) but its output must be discarded and the workload
-    /// re-run under [`GateMode::Quantum`]; a certified (untainted) run is
-    /// bit-identical to `Quantum` by construction. Speculation clamps off
-    /// — degenerating to per-op `Quantum` gating — whenever the schedule
-    /// is dynamic ([`SchedulePolicy::Fuzzed`] / [`SchedulePolicy::Pct`],
-    /// preemptions, faults) or when tracing / schedule recording /
-    /// `trace_addr` is armed, for the same reason those clamp the quantum:
-    /// side channels must observe the per-op global order.
-    Speculative,
 }
 
 /// How the deterministic logical-clock gate orders the cores.
@@ -312,17 +290,6 @@ pub struct MachineConfig {
     /// Off by default; the explorer uses it to find conflict ops and to
     /// fingerprint schedules.
     pub record_schedule: bool,
-    /// Speculation window for [`GateMode::Speculative`]: a core may run
-    /// ahead speculatively only while its clock is within this many cycles
-    /// of the smallest competitor clock. A small window bounds how much
-    /// work a taint can waste; a large one maximizes overlap. Ignored by
-    /// the other gate modes.
-    pub spec_window: u64,
-    /// Test hook: force a speculation taint when the global gated-op
-    /// counter reaches this index (as if a conflict had been detected).
-    /// Used by the equivalence suite to prove the discard-and-re-run path
-    /// double-counts nothing. `None` (the default) never fires.
-    pub spec_taint_at: Option<u64>,
     /// Structured event tracing (see [`crate::trace`]). `None` (the
     /// default) records nothing and keeps every emission site a single
     /// never-taken branch: disabled runs are allocation-free and
@@ -358,18 +325,10 @@ impl Default for MachineConfig {
             preemptions: Vec::new(),
             faults: Vec::new(),
             record_schedule: false,
-            spec_window: SPEC_WINDOW_DEFAULT,
-            spec_taint_at: None,
             trace: None,
         }
     }
 }
-
-/// Default [`MachineConfig::spec_window`]: wide enough that a core can
-/// speculate through a whole miss-latency's worth of competitor stall
-/// (hundreds of ops) without being large enough to let one core race
-/// arbitrarily far ahead of a stuck peer.
-pub const SPEC_WINDOW_DEFAULT: u64 = 16_384;
 
 #[cfg(test)]
 mod tests {

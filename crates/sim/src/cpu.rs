@@ -8,7 +8,7 @@
 
 use parking_lot::MutexGuard;
 
-use crate::addr::{Addr, LineId, LINE_SIZE};
+use crate::addr::{Addr, LINE_SIZE};
 use crate::cache::FilterId;
 use crate::config::{CostModel, GateMode};
 use crate::hierarchy::{AccessKind, MarkOp, WatchKind, WatchViolation};
@@ -29,15 +29,6 @@ pub struct Cpu<'a> {
     /// Whether the machine runs the run-until-overtaken quantum gate
     /// ([`GateMode::Quantum`]); cached because gate mode never changes.
     quantum: bool,
-    /// Whether the machine runs the optimistic speculative gate
-    /// ([`GateMode::Speculative`]); cached because gate mode never changes.
-    spec: bool,
-    /// Whether the op currently in flight was admitted *speculatively*
-    /// (past the conservative bound). Set by `turn_for`, consumed by
-    /// `finish`: a speculative completion skips the handoff (it was not
-    /// the minimal core, and its clock only grew, so minimality among the
-    /// other cores is unchanged).
-    spec_op: bool,
     /// Open quantum: the state guard this core kept at the end of its last
     /// op because its `(clock, id)` was still below [`Cpu::bound`]. While
     /// `Some`, every other core is frozen (they need this lock to execute,
@@ -99,8 +90,6 @@ impl<'a> Cpu<'a> {
             cost,
             insn_acc: 0,
             quantum: shared.gate == GateMode::Quantum,
-            spec: shared.gate == GateMode::Speculative,
-            spec_op: false,
             held: None,
             bound: None,
             tracing,
@@ -182,72 +171,11 @@ impl<'a> Cpu<'a> {
         if self.quantum && !st.dynamic_schedule() {
             self.bound = st.competitor_bound(self.id);
         }
-        if self.spec {
-            // Canonical (conservative) admission: publish this op's
-            // `(clock, core)` so the conflict detector can order remote
-            // mutations it performs against earlier speculative ops.
-            let clk = st.clocks[self.id];
-            st.sys.spec_set_canon(self.id, clk);
-        }
         st
-    }
-
-    /// Speculative-gate admission for ops whose memory effects are
-    /// confined to this core's own L1 (`intent`: the line and access kind,
-    /// or `None` for clock-only ops).
-    ///
-    /// Under [`GateMode::Speculative`] a non-minimal core may execute such
-    /// an op *without waiting for its turn*, provided speculation is armed
-    /// for this run (`SimState::spec_ok`), its clock is within the
-    /// speculation window of the global minimum, and — for memory ops —
-    /// the access is a pure own-L1 hit (loads on any resident state;
-    /// stores/RMW only on Exclusive/Modified, so no remote traffic is
-    /// generated). The op is noted in the per-(core, set) high-water
-    /// clocks; a later canonical op that mutates that set from remote
-    /// detects the inversion and taints the run. Everything still runs
-    /// under the one state mutex, so each op is atomic; speculation only
-    /// relaxes the *admission order*, replacing a park/handoff round trip
-    /// with a plain lock acquisition.
-    #[inline]
-    fn turn_for(&mut self, intent: Option<(LineId, AccessKind)>) -> MutexGuard<'a, SimState> {
-        if self.spec {
-            let mut st = self.shared.state.lock();
-            if Shared::is_turn(&st, self.id) {
-                st.note_admission(self.id);
-                let clk = st.clocks[self.id];
-                st.sys.spec_set_canon(self.id, clk);
-                return st;
-            }
-            if st.spec_ok {
-                let clk = st.clocks[self.id];
-                let window_open = st
-                    .min_active()
-                    .is_some_and(|(p, _)| clk < p.saturating_add(self.shared.spec_window));
-                if window_open
-                    && intent.is_none_or(|(line, kind)| st.sys.spec_probe(self.id, line, kind))
-                {
-                    st.sys.spec_note(self.id, intent.map(|(l, _)| l), clk);
-                    self.spec_op = true;
-                    return st;
-                }
-            }
-            drop(st);
-        }
-        self.turn()
     }
 
     #[inline]
     fn finish(&mut self, mut st: MutexGuard<'a, SimState>, cycles: u64) {
-        if self.spec_op {
-            // Speculative completion: this core was not minimal and its
-            // clock only grew, so the minimal core is unchanged — no
-            // handoff needed (and tracing is clamped off whenever
-            // speculation is armed, so there is nothing to flush).
-            self.spec_op = false;
-            st.clocks[self.id] += cycles;
-            st.after_op(self.id);
-            return;
-        }
         if self.tracing {
             // Route software-layer events buffered since the last gated op
             // (already stamped) into this core's ring, ahead of this op's
@@ -291,10 +219,8 @@ impl<'a> Cpu<'a> {
         if cycles == 0 {
             return;
         }
-        let mut st = self.turn_for(None);
+        let mut st = self.turn();
         if cycles >= crate::machine::PCT_YIELD_CYCLES {
-            // No-op whenever speculation is armed (PCT and preemption
-            // traces force spec_ok off, and with them this hook's effects).
             st.pct_note_yield(self.id);
         }
         self.finish(st, cycles);
@@ -308,19 +234,16 @@ impl<'a> Cpu<'a> {
     }
 
     /// Executes `insns` instructions and runs `f` while this core holds
-    /// the state lock under *canonical* admission (never speculative).
+    /// the state lock.
     ///
     /// This is the ordering primitive for side-band host state: shared
     /// bookkeeping that is not simulated memory (e.g. a version store's
     /// stamp issue or ring probe). Such state generates no simulated
-    /// traffic, so neither the gate's conflict analysis nor the trace can
-    /// order it — and host code running *between* gated ops races other
-    /// cores' admitted ops on its own locks, nondeterministically. Running
-    /// the closure inside the gated op makes its effect atomic with the
-    /// op and totally ordered by the deterministic admission schedule.
-    /// Canonical admission is required: a speculatively admitted op may
-    /// run ahead of the global minimum, which is sound for own-L1 memory
-    /// effects but would reorder side-band effects.
+    /// traffic, so the trace cannot order it — and host code running
+    /// *between* gated ops runs in whatever order the cores happen to
+    /// reach it (on host threads it even races). Running the closure
+    /// inside the gated op makes its effect atomic with the op and totally
+    /// ordered by the deterministic admission schedule.
     pub fn exec_sync<R>(&mut self, insns: u64, f: impl FnOnce() -> R) -> R {
         let cycles = self.issue(insns);
         let st = self.turn();
@@ -332,7 +255,7 @@ impl<'a> Cpu<'a> {
     /// Loads a naturally aligned `u64`.
     pub fn load_u64(&mut self, addr: Addr) -> u64 {
         let issue = self.issue(1);
-        let mut st = self.turn_for(Some((addr.line(), AccessKind::Load)));
+        let mut st = self.turn();
         let lat = st.sys.access(self.id, addr, AccessKind::Load);
         let v = st.mem.read_u64(addr);
         self.finish(st, issue + lat);
@@ -357,7 +280,7 @@ impl<'a> Cpu<'a> {
     /// Stores a naturally aligned `u64`.
     pub fn store_u64(&mut self, addr: Addr, value: u64) {
         let issue = self.issue(1);
-        let mut st = self.turn_for(Some((addr.line(), AccessKind::Store)));
+        let mut st = self.turn();
         if st.trace_addr == Some(addr.0) {
             eprintln!(
                 "TRACE store core={} clock={} addr={addr} value={value:#x}",
@@ -373,7 +296,7 @@ impl<'a> Cpu<'a> {
     /// `addr`; the swap succeeded iff the return value equals `expected`.
     pub fn cas_u64(&mut self, addr: Addr, expected: u64, new: u64) -> u64 {
         let issue = self.issue(1);
-        let mut st = self.turn_for(Some((addr.line(), AccessKind::Rmw)));
+        let mut st = self.turn();
         if st.trace_addr == Some(addr.0) {
             let cur = st.mem.read_u64(addr);
             eprintln!(
@@ -396,11 +319,7 @@ impl<'a> Cpu<'a> {
     fn mark_load(&mut self, addr: Addr, len: u64, op: MarkOp, filter: FilterId) -> (u64, bool) {
         // Mark-setting loads issue an extra µop (store-queue entry, §7).
         let issue = self.issue(if op == MarkOp::Test { 1 } else { 2 });
-        // Mark ops only touch this core's own L1 mark bits (plus, on a
-        // loss path, this core's own counters), so they speculate like
-        // plain loads; remote canonical evictions of the line hit the
-        // same-set conflict check.
-        let mut st = self.turn_for(Some((addr.line(), AccessKind::Load)));
+        let mut st = self.turn();
         let (lat, flag) = st.sys.mark_access(self.id, addr, len, op, filter);
         let v = st.mem.read_u64(addr);
         let extra = match op {
@@ -451,7 +370,7 @@ impl<'a> Cpu<'a> {
     /// `loadsetmark_granularity64 eax, [addr]`.
     fn mark_load_line(&mut self, addr: Addr, op: MarkOp) -> (u64, bool) {
         let issue = self.issue(if op == MarkOp::Test { 1 } else { 2 });
-        let mut st = self.turn_for(Some((addr.line(), AccessKind::Load)));
+        let mut st = self.turn();
         let (lat, flag) =
             st.sys
                 .mark_access(self.id, addr.line_base(), LINE_SIZE, op, FilterId::READ);

@@ -247,42 +247,6 @@ impl WatchSet {
     }
 }
 
-/// Per-run conflict-detection bookkeeping for
-/// [`crate::GateMode::Speculative`] (the scheduling half lives in
-/// `machine.rs`/`cpu.rs`).
-///
-/// A speculative op is a pure own-L1 hit, so the only shared state it can
-/// interact with is its own L1's contents — which canonical ops from
-/// *other* cores mutate through exactly three remote paths: downgrade,
-/// snoop invalidation, and inclusive-L2 back-invalidation. All three act
-/// on a line *resident* in the victim's L1, and every victim-visible
-/// consequence (MESI state, mark bits, residency, and LRU order — which
-/// the replacement policy only ever compares within one set) is confined
-/// to that line's set. So the detector keeps one high-water clock per
-/// `(core, L1 set)`: the largest start-clock of any speculative op that
-/// touched the set. A canonical remote mutation at `(clock, core)` that
-/// finds the victim set's high-water mark logically *after* it has been
-/// reordered against speculation — the run is tainted and its output must
-/// be discarded. Speculative ops themselves never need a check: a
-/// canonical op only executes while globally minimal, so any speculative
-/// op that executed host-later necessarily has a larger `(clock, core)`
-/// and observed the canonical effects in order.
-#[derive(Debug)]
-struct SpecState {
-    /// `clock + 1` of the latest-clocked speculative op by `[core]` that
-    /// touched `[set]` this run; 0 = none.
-    set_hwm: Vec<Box<[u64]>>,
-    /// `(clock, core)` of the currently executing canonical op, set by the
-    /// scheduler before every canonical op of a speculative run.
-    canon_clock: u64,
-    canon_core: usize,
-    /// Sticky conflict flag: some speculative op may have observed cache
-    /// state out of canonical order, so the run's output is unreliable.
-    tainted: bool,
-    /// Speculative ops executed this run (telemetry).
-    spec_ops: u64,
-}
-
 /// The coherent memory system shared by all cores.
 #[derive(Debug)]
 pub struct MemSystem {
@@ -315,10 +279,6 @@ pub struct MemSystem {
     /// Structured event recorder (see [`crate::trace`]). `None` keeps every
     /// emission site a single never-taken branch.
     trace: Option<TraceRecorder>,
-    /// Speculation conflict detector, installed only for
-    /// [`crate::GateMode::Speculative`] machines; `None` keeps the three
-    /// check sites a single never-taken branch on the other gates.
-    spec: Option<Box<SpecState>>,
 }
 
 impl MemSystem {
@@ -351,113 +311,6 @@ impl MemSystem {
                 .trace
                 .as_ref()
                 .map(|tc| TraceRecorder::new(cores, tc)),
-            spec: (config.gate == crate::config::GateMode::Speculative).then(|| {
-                Box::new(SpecState {
-                    set_hwm: (0..cores).map(|_| vec![0; config.l1.sets].into()).collect(),
-                    canon_clock: 0,
-                    canon_core: 0,
-                    tainted: false,
-                    spec_ops: 0,
-                })
-            }),
-        }
-    }
-
-    /// Resets the speculation detector at run start (no-op on machines
-    /// without one).
-    pub(crate) fn spec_reset(&mut self) {
-        if let Some(spec) = self.spec.as_deref_mut() {
-            for per_set in &mut spec.set_hwm {
-                per_set.fill(0);
-            }
-            spec.canon_clock = 0;
-            spec.canon_core = 0;
-            spec.tainted = false;
-            spec.spec_ops = 0;
-        }
-    }
-
-    /// Whether a speculative execution of `kind` at `addr`'s line by `core`
-    /// is admissible: a pure own-L1 hit that provably touches no other
-    /// core's state — loads hit any resident line; stores/RMWs only an
-    /// Exclusive or Modified one (a Shared-store upgrade snoops the bus).
-    #[inline]
-    pub(crate) fn spec_probe(&self, core: usize, line: LineId, kind: AccessKind) -> bool {
-        match self.l1s[core].peek(line) {
-            None => false,
-            Some(l) => match kind {
-                AccessKind::Load => true,
-                AccessKind::Store | AccessKind::Rmw => {
-                    matches!(l.state, Mesi::Exclusive | Mesi::Modified)
-                }
-            },
-        }
-    }
-
-    /// Records a speculative op by `core` at start-clock `clock`, touching
-    /// `line` (or no line for clock-only ops).
-    #[inline]
-    pub(crate) fn spec_note(&mut self, core: usize, line: Option<LineId>, clock: u64) {
-        let Some(spec) = self.spec.as_deref_mut() else {
-            return;
-        };
-        spec.spec_ops += 1;
-        if let Some(line) = line {
-            let set = self.l1s[core].set_of(line);
-            let hwm = &mut spec.set_hwm[core][set];
-            *hwm = (*hwm).max(clock + 1);
-        }
-    }
-
-    /// Sets the `(clock, core)` context the conflict checks compare
-    /// against; called before every canonical op of a speculative run.
-    #[inline]
-    pub(crate) fn spec_set_canon(&mut self, core: usize, clock: u64) {
-        if let Some(spec) = self.spec.as_deref_mut() {
-            spec.canon_clock = clock;
-            spec.canon_core = core;
-        }
-    }
-
-    /// Forces a taint (test hook for [`crate::MachineConfig::spec_taint_at`]).
-    pub(crate) fn spec_force_taint(&mut self) {
-        if let Some(spec) = self.spec.as_deref_mut() {
-            spec.tainted = true;
-        }
-    }
-
-    /// Whether this run's speculation was tainted (`false` on machines
-    /// without a detector).
-    pub(crate) fn spec_tainted(&self) -> bool {
-        self.spec.as_deref().is_some_and(|s| s.tainted)
-    }
-
-    /// Speculative ops executed this run.
-    pub(crate) fn spec_ops(&self) -> u64 {
-        self.spec.as_deref().map_or(0, |s| s.spec_ops)
-    }
-
-    /// Conflict check at a canonical remote mutation of `line`, which the
-    /// caller just found resident in `victim`'s L1: if any speculative op
-    /// by `victim` in that line's set carries a `(clock, core)` logically
-    /// *after* the canonical op's, host order inverted logical order and
-    /// the speculation may have observed stale state — taint the run.
-    #[inline]
-    fn spec_check(&mut self, victim: usize, line: LineId) {
-        if let Some(spec) = self.spec.as_deref_mut() {
-            // `spec-seeded-bug`: skip the last-writer check for one line
-            // class (the bottom quarter of every eight-line block),
-            // silently certifying conflicting speculation. Only the
-            // cross-gate golden tests / hastm-check can see the corruption.
-            #[cfg(feature = "spec-seeded-bug")]
-            if line.0 % 8 < 2 {
-                return;
-            }
-            let set = self.l1s[victim].set_of(line);
-            let hwm = spec.set_hwm[victim][set];
-            if hwm != 0 && (hwm - 1, victim) > (spec.canon_clock, spec.canon_core) {
-                spec.tainted = true;
-            }
         }
     }
 
@@ -684,7 +537,6 @@ impl MemSystem {
                 continue;
             }
             if let Some(victim) = self.l1s[core].remove(line) {
-                self.spec_check(core, line);
                 self.core_stats[core].invalidations_received += 1;
                 self.on_l1_loss(core, victim, LossCause::Remote);
             } else {
@@ -706,7 +558,6 @@ impl MemSystem {
             if let Some(l) = self.l1s[core].lookup(line) {
                 l.state = Mesi::Shared;
                 other_has = true;
-                self.spec_check(core, line);
             }
             if self.watches[core].get(line) == Some(WatchKind::Write) {
                 self.watches[core].violate(line, ViolationCause::RemoteRead);
@@ -727,7 +578,6 @@ impl MemSystem {
             if self.inclusive {
                 for core in 0..self.cores() {
                     if let Some(l1_victim) = self.l1s[core].remove(victim.id) {
-                        self.spec_check(core, victim.id);
                         self.machine_stats.back_invalidations += 1;
                         self.on_l1_loss(core, l1_victim, LossCause::BackInval);
                     }

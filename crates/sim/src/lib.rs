@@ -45,7 +45,10 @@
 pub mod addr;
 pub mod cache;
 pub mod config;
+#[cfg(all(target_arch = "x86_64", unix, not(hastm_thread_gate)))]
+mod coop;
 pub mod cpu;
+mod gate;
 pub mod heap;
 pub mod hierarchy;
 pub mod machine;
@@ -57,12 +60,12 @@ pub use addr::{Addr, LineId, LINE_SIZE, SUBBLOCKS_PER_LINE, SUBBLOCK_SIZE};
 pub use cache::{FilterId, NUM_FILTERS};
 pub use config::{
     CacheConfig, CostModel, FaultEvent, FaultKind, GateMode, IsaLevel, MachineConfig, Preemption,
-    SchedulePolicy, SPEC_WINDOW_DEFAULT,
+    SchedulePolicy,
 };
 pub use cpu::Cpu;
 pub use heap::SimHeap;
 pub use hierarchy::{AccessKind, MarkOp, ViolationCause, WatchKind, WatchViolation};
-pub use machine::{Machine, ScheduleEvent, SpecOutcome, WorkerFn, PCT_CHANGE_HORIZON};
+pub use machine::{Machine, ScheduleEvent, WorkerFn, PCT_CHANGE_HORIZON};
 pub use stats::{CoreStats, MachineStats, RunReport};
 pub use trace::{
     chrome_trace_json, reconcile_mark_discards, summarize, validate_chrome_trace, LossCause,

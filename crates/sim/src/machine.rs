@@ -1,14 +1,36 @@
 //! The simulated machine and its deterministic scheduler.
 //!
-//! Workloads run as ordinary Rust closures on real OS threads, but every
-//! simulated operation is admitted by a *conservative logical-clock gate*:
-//! the core with the smallest `(clock, core_id)` pair executes its next
-//! operation, pays its cycle cost, and hands off to the next core. Given
+//! Workloads run as ordinary Rust closures, but every simulated operation
+//! is admitted by a *conservative logical-clock gate*: the core with the
+//! smallest `(clock, core_id)` pair executes its next operation, pays its
+//! cycle cost, and hands off to the next core. Given
 //! deterministic workload code, the interleaving of simulated operations —
 //! and therefore every cache, coherence, and mark-bit event — is fully
 //! deterministic and reproducible, which the paper's §7.4 argues is
 //! essential for observing spurious-abort effects ("this also shows the
 //! importance of precise simulation").
+//!
+//! # Where the cores run
+//!
+//! The schedule is a function of simulated state only: every decision
+//! reads `SimState` (clocks, activity, the seeded policy layers) and
+//! nothing of the host. How the admitted core then gets to *execute* is
+//! the business of `gate.rs`. On x86-64 Unix the cores of a run are
+//! cooperatively switched contexts on the thread that called
+//! [`Machine::run`]: a core whose turn it is not switches directly to the
+//! core whose turn it is, and a finished worker switches to the next one
+//! or back to the caller. Exactly one core's code runs at any host moment,
+//! so determinism needs no argument about locks, wakeups or memory
+//! ordering — host code between gated ops cannot race either. (Elsewhere
+//! each core is a host thread parked on a condition variable; the
+//! schedule, and every simulated number, is the same.) A run of one worker
+//! is simply a call of its closure on the caller's stack.
+//!
+//! The state still sits behind a mutex: it is what lets `Cpu` keep a
+//! quantum open by holding a guard, and what the thread gate blocks on.
+//! With contexts it is never contended; the one rule is that a core never
+//! switches away while holding the guard (`Shared::wait_turn` is reached
+//! only with no quantum open, and asserts it in debug builds).
 //!
 //! # Gate admission: per-op vs run-until-overtaken quanta
 //!
@@ -16,8 +38,8 @@
 //!
 //! * **Per-op** (reference): every simulated operation acquires the state
 //!   lock, checks `(clock, core_id)` minimality, performs the op, releases,
-//!   and hands off. Simple, but one lock round-trip — and usually one
-//!   condvar wake — per simulated operation.
+//!   and hands off. Simple, but one minimality scan and one lock
+//!   round-trip per simulated operation.
 //!
 //! * **Quantum** (default): when the gate admits core *C*, it computes the
 //!   second-smallest competitor bound *B* = min over the *other* active
@@ -30,29 +52,20 @@
 //! advance its clock, or deactivate (all of those require the lock), so the
 //! cached bound *B* stays exact for the whole quantum — and the
 //! keep-running test `(clock_C, C) < B` is precisely the per-op
-//! `is_turn` minimality test, evaluated against state that cannot have
-//! changed. The two modes therefore admit the same operation sequence and
-//! differ only in host-side synchronization cost. Under
+//! minimality test (`SimState::turn_owner`), evaluated against state that
+//! cannot have changed. The two modes therefore admit the same operation
+//! sequence and differ only in host-side synchronization cost. Under
 //! [`SchedulePolicy::Fuzzed`] the per-core priority jitter is re-drawn
 //! after *every* operation, which invalidates a cached bound, so the
 //! quantum clamps to one operation (`Cpu::finish` requires
 //! `fuzz.is_none()` to extend a quantum) — fuzzed runs take the per-op
 //! path regardless of gate mode.
-//!
-//! Handoff is *targeted*: the releasing core computes the unique next core
-//! (minimal `(priority, id)` among active cores) and wakes only that
-//! core's condvar, instead of `notify_all`'s thundering herd. A bounded
-//! spin phase watching the handoff hint precedes parking, and is disabled
-//! (zero iterations) on single-CPU hosts where spinning can only delay the
-//! core being waited on.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::config::{FaultEvent, FaultKind, GateMode, MachineConfig, Preemption, SchedulePolicy};
 use crate::cpu::Cpu;
+use crate::gate::Turns;
 use crate::heap::SimHeap;
 use crate::hierarchy::MemSystem;
 use crate::mem::Memory;
@@ -68,16 +81,6 @@ const FUZZ_JITTER_RANGE: u64 = 64;
 /// One in this many completed operations injects cache pressure under the
 /// fuzzed scheduler (a spurious L1 eviction or L2 back-invalidation).
 const FUZZ_PRESSURE_PERIOD: u64 = 24;
-
-/// Iterations of the spin-before-park phase a waiting core runs while
-/// watching the handoff hint, before falling back to its condvar. Sized for
-/// a few hundred nanoseconds: long enough to catch the common short handoff
-/// (the running core finishes one op and yields), short enough not to burn
-/// a timeslice when the running core is inside a long quantum.
-const SPIN_BEFORE_PARK_ITERS: u32 = 200;
-
-/// Handoff-hint value meaning "no core is known to be next".
-const NO_HINT: usize = usize::MAX;
 
 /// Horizon (exclusive) from which [`SchedulePolicy::Pct`] draws its
 /// priority-change points, in global gated ops. Classical PCT draws change
@@ -205,9 +208,9 @@ pub(crate) struct SimState {
     pub(crate) clocks: Vec<u64>,
     pub(crate) active: Vec<bool>,
     /// Number of `true` entries in `active`, maintained by `Machine::run`
-    /// and the workers' deactivation guards. Lets the per-op gate and
-    /// wake-up path skip condvar traffic entirely when a single core is
-    /// running (every populate/digest phase, and all 1-thread cells).
+    /// and the workers' deactivation guards. Lets the gate skip the
+    /// minimality scan when a single core is running (every
+    /// populate/digest phase, and all 1-thread cells).
     pub(crate) active_count: usize,
     /// Debug trace address ([`MachineConfig::trace_addr`]): stores to it
     /// are logged.
@@ -251,15 +254,6 @@ pub(crate) struct SimState {
     /// clocks embeddable in one global timeline — the property the
     /// serializability oracle's commit-window analysis relies on.
     serial_now: u64,
-    /// Whether speculation is armed for the current run: the gate is
-    /// [`GateMode::Speculative`] *and* nothing requires per-op global
-    /// ordering of side channels — no dynamic schedule, no schedule
-    /// recording, no `trace_addr`, no structured tracing. Recomputed at
-    /// each run start; when false a Speculative machine degenerates to
-    /// per-op gating (schedule-identical to `Quantum`).
-    pub(crate) spec_ok: bool,
-    /// Forced-taint test hook ([`MachineConfig::spec_taint_at`]).
-    spec_taint_at: Option<u64>,
 }
 
 impl SimState {
@@ -335,6 +329,18 @@ impl SimState {
         best
     }
 
+    /// The core `core` must wait for: the active core with the minimal
+    /// `(priority, id)`, or `None` when that is `core` itself and the gate
+    /// admits it.
+    pub(crate) fn turn_owner(&self, core: usize) -> Option<usize> {
+        // Fast path: a sole active core (or a fully drained machine) never
+        // has anyone to defer to.
+        if self.active_count == 0 || (self.active_count == 1 && self.active[core]) {
+            return None;
+        }
+        self.min_active().map(|(_, id)| id).filter(|&id| id != core)
+    }
+
     /// Whether the current policy admits cores by rank rather than clock
     /// (PCT, or an explicit preemption trace) — the policies that need the
     /// `serial_now` causal clock sync.
@@ -359,11 +365,6 @@ impl SimState {
     /// occasionally injects cache pressure.
     pub(crate) fn after_op(&mut self, core: usize) {
         self.op_count += 1;
-        if self.spec_taint_at.is_some_and(|at| self.op_count > at) {
-            // Test hook: simulate a detected conflict so the rollback path
-            // (discard + conservative re-run) can be exercised on demand.
-            self.sys.spec_force_taint();
-        }
         if self.rank_based() && self.serial_now < self.clocks[core] {
             self.serial_now = self.clocks[core];
         }
@@ -459,93 +460,35 @@ impl SimState {
 
 pub(crate) struct Shared {
     pub(crate) state: Mutex<SimState>,
-    /// One condvar per core: a non-admitted core parks on its own entry,
-    /// and the handoff path wakes exactly the next core instead of
-    /// broadcasting to all of them.
-    turns: Box<[Condvar]>,
-    /// Handoff hint: id of the core the last handoff selected to run next
-    /// ([`NO_HINT`] when unknown). The spin-before-park phase watches this
-    /// without taking the lock; it is advisory only — waiters always
-    /// re-check `is_turn` under the lock before proceeding or parking, so
-    /// a stale hint can cost a little spinning but never correctness.
-    next_hint: AtomicUsize,
+    /// Host side of the gate: what the cores run on and how they wait
+    /// (see `gate.rs`, which also holds `wait_turn` and `handoff`).
+    pub(crate) turns: Turns,
     /// Gate admission strategy ([`MachineConfig::gate`]).
     pub(crate) gate: GateMode,
-    /// Speculation window ([`MachineConfig::spec_window`]).
-    pub(crate) spec_window: u64,
-    /// Spin-before-park iterations; 0 on single-CPU hosts (spinning there
-    /// only steals cycles from the core being waited on) and for
-    /// single-core machines (nothing to wait for).
-    spin_iters: u32,
 }
 
 impl Shared {
-    /// Whether it is `core`'s turn: its `(priority, id)` is minimal among
-    /// active cores. Priority is the logical clock, optionally perturbed
-    /// by the fuzzed scheduler's jitter.
-    pub(crate) fn is_turn(state: &SimState, core: usize) -> bool {
-        // Fast path: a sole active core (or a fully drained machine) never
-        // has anyone to defer to.
-        if state.active_count == 0 || (state.active_count == 1 && state.active[core]) {
-            return true;
-        }
-        let me = (state.priority(core), core);
-        state
-            .min_active()
-            .map(|min| min == me)
-            // A deactivated core (post-run inspection) may always proceed.
-            .unwrap_or(true)
-    }
-
-    /// Blocks until the gate admits `core`, then returns the locked state.
-    pub(crate) fn wait_turn(&self, core: usize) -> MutexGuard<'_, SimState> {
-        let mut st = self.state.lock();
-        if Shared::is_turn(&st, core) {
-            return st;
-        }
-        if self.spin_iters > 0 {
-            // Bounded spin watching the handoff hint before parking: short
-            // handoffs (the running core yields after one op) complete
-            // without a futex round-trip.
-            drop(st);
-            for _ in 0..self.spin_iters {
-                if self.next_hint.load(Ordering::Acquire) == core {
-                    break;
+    /// One core's part of a run: `worker` on a fresh [`Cpu`], then — on
+    /// return *and* on panic, so the other cores' waits never wedge — the
+    /// core's deactivation.
+    pub(crate) fn run_core(&self, id: usize, worker: WorkerFn<'_>) {
+        struct Deactivate<'a>(&'a Shared, usize);
+        impl Drop for Deactivate<'_> {
+            fn drop(&mut self) {
+                let Deactivate(shared, id) = *self;
+                let mut st = shared.state.lock();
+                if st.active[id] {
+                    st.active[id] = false;
+                    st.active_count -= 1;
                 }
-                std::hint::spin_loop();
-            }
-            st = self.state.lock();
-        }
-        while !Shared::is_turn(&st, core) {
-            self.turns[core].wait(&mut st);
-        }
-        st
-    }
-
-    /// Releases the state lock and wakes the unique next core (targeted
-    /// handoff). Called by a core yielding the gate after an op (or a
-    /// quantum), and by the deactivation guard on worker exit.
-    ///
-    /// No wakeup can be lost: every mutation that changes which core is
-    /// minimal (clock advance, jitter re-draw, deactivation) happens under
-    /// the lock held here, and a waiter only parks after re-checking
-    /// `is_turn` under that same lock — so either the waiter observes the
-    /// mutation before parking, or it is already parked when we notify.
-    pub(crate) fn handoff(&self, st: MutexGuard<'_, SimState>, from: usize) {
-        // Solo fast path: a lone active core handing off to itself has no
-        // waiter to wake (deactivated cores never park; cf. `is_turn`).
-        if st.active_count == 1 && st.active[from] {
-            drop(st);
-            return;
-        }
-        let next = st.min_active();
-        drop(st);
-        if let Some((_, id)) = next {
-            if id != from {
-                self.next_hint.store(id, Ordering::Release);
-                self.turns[id].notify_one();
+                // Deactivation can promote another core to minimal.
+                shared.handoff(st, id);
             }
         }
+        let _guard = Deactivate(self, id);
+        // Dropped before the guard, releasing any quantum still open.
+        let mut cpu = Cpu::new(id, self);
+        worker(&mut cpu);
     }
 }
 
@@ -577,22 +520,9 @@ pub type WorkerFn<'env> = Box<dyn FnOnce(&mut Cpu) + Send + 'env>;
 /// ]);
 /// assert!(report.makespan() > 0);
 /// ```
-/// Verdict of a [`GateMode::Speculative`] run ([`Machine::spec_outcome`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SpecOutcome {
-    /// Whether the speculative schedule was certified equivalent to the
-    /// conservative one. `false` means the run's output must be discarded
-    /// and the workload re-run conservatively.
-    pub certified: bool,
-    /// Gated ops admitted speculatively (past the conservative bound).
-    pub spec_ops: u64,
-    /// Total gated ops the run executed.
-    pub total_ops: u64,
-}
-
 pub struct Machine {
     config: MachineConfig,
-    shared: Arc<Shared>,
+    shared: Shared,
     heap: SimHeap,
 }
 
@@ -643,27 +573,13 @@ impl Machine {
             fault_pos: 0,
             record_schedule: config.record_schedule,
             schedule_log: Vec::new(),
-            spec_ok: false,
-            spec_taint_at: config.spec_taint_at,
         };
-        // Spin-before-park only helps when the handing-off core and the
-        // waiter can actually run simultaneously.
-        let host_parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        let spin_iters = if config.cores > 1 && host_parallel {
-            SPIN_BEFORE_PARK_ITERS
-        } else {
-            0
-        };
-        let turns = (0..config.cores).map(|_| Condvar::new()).collect();
         Machine {
-            shared: Arc::new(Shared {
+            shared: Shared {
                 state: Mutex::new(state),
-                turns,
-                next_hint: AtomicUsize::new(NO_HINT),
+                turns: Turns::new(config.cores),
                 gate: config.gate,
-                spec_window: config.spec_window,
-                spin_iters,
-            }),
+            },
             config,
             heap: SimHeap::new(),
         }
@@ -740,33 +656,15 @@ impl Machine {
         self.shared.state.lock().sys.take_trace()
     }
 
-    /// Speculation verdict for the most recent run. `None` unless the gate
-    /// is [`GateMode::Speculative`]. When `certified` is false the run's
-    /// output MUST be discarded and the workload re-executed under
-    /// [`GateMode::Quantum`] (or with speculation clamped): some
-    /// speculative op raced a canonical remote access and the interleaving
-    /// is not guaranteed equivalent to the conservative schedule.
-    pub fn spec_outcome(&self) -> Option<SpecOutcome> {
-        if self.config.gate != GateMode::Speculative {
-            return None;
-        }
-        let st = self.shared.state.lock();
-        Some(SpecOutcome {
-            certified: !st.sys.spec_tainted(),
-            spec_ops: st.sys.spec_ops(),
-            total_ops: st.op_count,
-        })
-    }
-
     /// Runs one closure per core, gated by the deterministic scheduler, and
     /// returns the per-run statistics.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is empty or larger than the configured core
-    /// count, or if any worker panics (the panic is propagated after the
-    /// remaining workers are released).
-    pub fn run<'env>(&mut self, workers: Vec<WorkerFn<'env>>) -> RunReport {
+    /// count, or if any worker panics (the first panic is re-raised once
+    /// the remaining workers have run to completion).
+    pub fn run<'env>(&mut self, mut workers: Vec<WorkerFn<'env>>) -> RunReport {
         let n = workers.len();
         assert!(
             n >= 1 && n <= self.config.cores,
@@ -798,66 +696,18 @@ impl Machine {
                 }
                 _ => None,
             };
-            st.sys.spec_reset();
-            // Speculation is armed only when every side channel tolerates
-            // the relaxed admission order: dynamic schedules (fuzz / PCT /
-            // preemption traces / fault plans) perturb per-op, schedule
-            // recording and address tracing observe the global admission
-            // order, and structured tracing timestamps each op at
-            // admission. Any of those forces per-op conservative gating,
-            // exactly like they clamp the quantum (see DESIGN.md §11).
-            st.spec_ok = self.shared.gate == GateMode::Speculative
-                && !st.dynamic_schedule()
-                && !st.record_schedule
-                && st.trace_addr.is_none()
-                && !st.sys.tracing();
             st.sys.trace_reset();
             st.fire_due_events();
             // Events staged by at_op==0 faults above carry cycle 0.
             st.sys.trace_flush(0);
         }
 
-        let shared = &self.shared;
-        let result = crossbeam::thread::scope(|scope| {
-            for (id, worker) in workers.into_iter().enumerate() {
-                scope.spawn(move |_| {
-                    // Deactivate the core on normal return *and* on panic so
-                    // the other cores' turn gates never wedge.
-                    struct Deactivate<'a> {
-                        shared: &'a Shared,
-                        id: usize,
-                    }
-                    impl Drop for Deactivate<'_> {
-                        fn drop(&mut self) {
-                            let mut st = self.shared.state.lock();
-                            if st.active[self.id] {
-                                st.active[self.id] = false;
-                                st.active_count -= 1;
-                            }
-                            // Deactivation can promote another core to
-                            // minimal; hand off to it. (The Cpu — and any
-                            // quantum guard it still holds — was dropped
-                            // before this guard runs.)
-                            self.shared.handoff(st, self.id);
-                        }
-                    }
-                    let _guard = Deactivate { shared, id };
-                    let mut cpu = Cpu::new(id, shared);
-                    worker(&mut cpu);
-                });
-            }
-        });
-        if let Err(payload) = result {
-            // crossbeam aggregates worker panics into a Vec; re-raise the
-            // first original payload so callers (and #[should_panic] tests)
-            // see the real panic message.
-            match payload.downcast::<Vec<Box<dyn std::any::Any + Send + 'static>>>() {
-                Ok(mut panics) if !panics.is_empty() => {
-                    std::panic::resume_unwind(panics.swap_remove(0))
-                }
-                Ok(_) => panic!("worker panicked with empty payload"),
-                Err(other) => std::panic::resume_unwind(other),
-            }
+        if n == 1 {
+            // Nobody to take turns with: the worker is a plain call.
+            let worker = workers.pop().expect("n == 1");
+            self.shared.run_core(0, worker);
+        } else if let Err(payload) = self.shared.run_workers(workers) {
+            std::panic::resume_unwind(payload);
         }
 
         let st = self.shared.state.lock();
@@ -998,13 +848,12 @@ mod tests {
     }
 
     /// Shared harness for the scheduler tests: `cores` cores race CAS
-    /// increments; returns the machine (for post-run inspection) and the
-    /// full run report.
-    fn cas_race_run(
+    /// increments; returns the final count and the full run report.
+    fn cas_race_on(
         schedule: crate::config::SchedulePolicy,
         gate: GateMode,
         cores: usize,
-    ) -> (Machine, RunReport) {
+    ) -> (u64, RunReport) {
         let mut m = Machine::new(MachineConfig {
             schedule,
             gate,
@@ -1026,16 +875,6 @@ mod tests {
                 })
                 .collect(),
         );
-        (m, report)
-    }
-
-    /// [`cas_race_run`], reduced to the final count and the run report.
-    fn cas_race_on(
-        schedule: crate::config::SchedulePolicy,
-        gate: GateMode,
-        cores: usize,
-    ) -> (u64, RunReport) {
-        let (m, report) = cas_race_run(schedule, gate, cores);
         (m.peek_u64(Addr(0x100)), report)
     }
 
@@ -1061,99 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_certified_or_rolled_back_matches_quantum() {
-        use crate::config::SchedulePolicy;
-        // The speculative gate's contract, exercised on a maximally
-        // contended workload (every core CASes one shared line): a
-        // *certified* run must be bit-identical to the conservative
-        // schedule; a tainted run is discarded and the workload re-run
-        // under Quantum — which is exactly what the driver layer does.
-        for cores in [1, 2, 3, 4, 8] {
-            let quantum = cas_race_on(SchedulePolicy::Deterministic, GateMode::Quantum, cores);
-            let (m, report) =
-                cas_race_run(SchedulePolicy::Deterministic, GateMode::Speculative, cores);
-            let out = m
-                .spec_outcome()
-                .expect("speculative gate must report an outcome");
-            let spec = if out.certified {
-                (m.peek_u64(Addr(0x100)), report)
-            } else {
-                cas_race_on(SchedulePolicy::Deterministic, GateMode::Quantum, cores)
-            };
-            assert_eq!(
-                spec, quantum,
-                "certified speculative run diverged from quantum at {cores} cores \
-                 (outcome {out:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn speculative_disjoint_lines_certify_and_match_quantum() {
-        // Cores touching disjoint lines never interact, so speculation
-        // must always certify and the output must be bit-identical to the
-        // conservative schedule — the common case the gate exists for.
-        fn run(gate: GateMode, cores: usize) -> (Vec<u64>, RunReport, Option<SpecOutcome>) {
-            let mut m = Machine::new(MachineConfig {
-                gate,
-                ..MachineConfig::with_cores(cores)
-            });
-            let report = m.run(
-                (0..cores)
-                    .map(|id| {
-                        Box::new(move |cpu: &mut Cpu| {
-                            let base = 0x10_000 + (id as u64) * 0x1000;
-                            for i in 0..200u64 {
-                                let a = Addr(base + (i % 8) * 64);
-                                let v = cpu.load_u64(a);
-                                cpu.store_u64(a, v + i + 1);
-                            }
-                        }) as WorkerFn<'_>
-                    })
-                    .collect(),
-            );
-            let vals = (0..cores)
-                .map(|id| m.peek_u64(Addr(0x10_000 + (id as u64) * 0x1000)))
-                .collect();
-            (vals, report, m.spec_outcome())
-        }
-        for cores in [2, 4, 8] {
-            let q = run(GateMode::Quantum, cores);
-            let s = run(GateMode::Speculative, cores);
-            let out = s.2.expect("speculative gate must report an outcome");
-            assert!(
-                out.certified,
-                "disjoint-line speculation must certify at {cores} cores ({out:?})"
-            );
-            assert_eq!((&s.0, &s.1), (&q.0, &q.1), "certified output diverged");
-        }
-    }
-
-    #[test]
-    fn spec_taint_at_forces_rollback_verdict() {
-        let mut m = Machine::new(MachineConfig {
-            gate: GateMode::Speculative,
-            spec_taint_at: Some(0),
-            ..MachineConfig::with_cores(2)
-        });
-        m.run(vec![
-            Box::new(|cpu: &mut Cpu| cpu.store_u64(Addr(0x100), 1)),
-            Box::new(|cpu: &mut Cpu| cpu.store_u64(Addr(0x200), 2)),
-        ]);
-        let out = m.spec_outcome().expect("outcome under Speculative gate");
-        assert!(!out.certified, "forced taint must deny certification");
-        assert!(out.total_ops >= 2);
-    }
-
-    #[test]
-    fn non_speculative_gates_report_no_outcome() {
-        for gate in [GateMode::PerOp, GateMode::Quantum] {
-            let (m, _) = cas_race_run(crate::config::SchedulePolicy::Deterministic, gate, 2);
-            assert_eq!(m.spec_outcome(), None);
-        }
-    }
-
-    #[test]
     fn fuzzed_quantum_clamps_to_per_op_schedule() {
         use crate::config::SchedulePolicy;
         // Under Fuzzed the jitter is re-drawn after every op, so the
@@ -1167,17 +913,6 @@ mod tests {
                 assert_eq!(
                     per_op, quantum,
                     "fuzzed seed {seed:#x} diverged across gates at {cores} cores"
-                );
-                // A dynamic schedule clamps speculation off entirely, so
-                // the speculative gate must reproduce the per-op fuzzed
-                // schedule exactly (and always certify).
-                let (m, report) = cas_race_run(policy, GateMode::Speculative, cores);
-                let out = m.spec_outcome().unwrap();
-                assert!(out.certified && out.spec_ops == 0);
-                let spec = (m.peek_u64(Addr(0x100)), report);
-                assert_eq!(
-                    per_op, spec,
-                    "fuzzed seed {seed:#x} diverged under clamped speculation at {cores} cores"
                 );
             }
         }
@@ -1235,14 +970,6 @@ mod tests {
                 assert_eq!(
                     per_op, quantum,
                     "PCT seed {seed:#x} diverged across gates at {cores} cores"
-                );
-                let (m, report) = cas_race_run(policy, GateMode::Speculative, cores);
-                let out = m.spec_outcome().unwrap();
-                assert!(out.certified && out.spec_ops == 0);
-                let spec = (m.peek_u64(Addr(0x100)), report);
-                assert_eq!(
-                    per_op, spec,
-                    "PCT seed {seed:#x} diverged under clamped speculation at {cores} cores"
                 );
             }
         }

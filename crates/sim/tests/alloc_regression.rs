@@ -8,11 +8,12 @@
 //! touch. A counting `#[global_allocator]` (armed only around the hot
 //! loops) turns any regression into a test failure.
 //!
-//! This file is a single-test integration binary on purpose: the global
-//! allocator and its armed window are process-wide state.
+//! The allocator is process-wide but the tests here run on parallel
+//! threads, so the armed flag and the count are thread-local: a window
+//! counts the arming thread's allocations only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hastm_sim::hierarchy::MemSystem;
 use hastm_sim::{
@@ -21,28 +22,34 @@ use hastm_sim::{
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without destructors, so reading them inside
+    // the allocator neither allocates nor registers anything.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BIGGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    if ARMED.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+        BIGGEST.set(BIGGEST.get().max(size));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -54,12 +61,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Runs `f` counting this thread's allocations; returns how many.
 fn armed<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    BIGGEST.set(0);
+    ARMED.set(true);
     let r = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (r, ALLOCS.load(Ordering::SeqCst))
+    ARMED.set(false);
+    (r, ALLOCS.get())
 }
 
 const LINES: u64 = 24;
@@ -212,6 +221,26 @@ fn disabled_tracing_is_allocation_free_and_bit_identical() {
         }
     });
     assert_eq!(allocs, 0, "disabled-tracing MemSystem loop allocated");
+}
+
+#[test]
+fn warm_multi_core_runs_allocate_no_stacks() {
+    // A machine keeps what its cores run on from one run to the next. The
+    // first two-core run may allocate it (a stack per core where cores are
+    // contexts); later runs allocate only small per-run bookkeeping —
+    // nothing near the size of a stack.
+    let mut machine = Machine::new(MachineConfig::with_cores(2));
+    machine.run(trace_probe_workers());
+    let (_, allocs) = armed(|| {
+        for _ in 0..4 {
+            machine.run(trace_probe_workers());
+        }
+    });
+    assert!(
+        BIGGEST.get() < 64 << 10,
+        "a warm run made a {}-byte allocation (of {allocs})",
+        BIGGEST.get()
+    );
 }
 
 /// First number following `"simulated_cycles_per_sec":` in BENCH.json.

@@ -211,40 +211,6 @@ impl WorkloadResult {
     }
 }
 
-/// Speculation telemetry for one workload run under
-/// [`hastm_sim::GateMode::Speculative`] (all-zero/false for the other gate
-/// modes). Kept out of [`WorkloadResult`] on purpose: the result must stay
-/// bit-comparable across gate modes, and a certified speculative run *is*
-/// the quantum run — only how fast the host got there differs.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SpecTelemetry {
-    /// Whether the speculative gate was attempted at all.
-    pub attempted: bool,
-    /// Gated ops admitted speculatively across the warmup + measured
-    /// phases of the *certified* attempt (0 if the attempt rolled back).
-    pub spec_ops: u64,
-    /// Total gated ops across those phases of the certified attempt.
-    pub total_ops: u64,
-    /// Whether the speculative attempt was tainted and the whole workload
-    /// re-run conservatively under `GateMode::Quantum`.
-    pub rolled_back: bool,
-    /// Simulated cycles of the discarded attempt (0 unless rolled back) —
-    /// the "wasted work" a rollback costs.
-    pub rollback_cycles_wasted: u64,
-}
-
-impl SpecTelemetry {
-    /// Fraction of gated ops that were admitted speculatively and
-    /// certified (0.0 when nothing speculated or the run rolled back).
-    pub fn commit_rate(&self) -> f64 {
-        if self.rolled_back || self.total_ops == 0 {
-            0.0
-        } else {
-            self.spec_ops as f64 / self.total_ops as f64
-        }
-    }
-}
-
 /// Runs one workload configuration end to end and returns its metrics.
 ///
 /// The measured run starts with cold caches (the populate pass warms only
@@ -258,59 +224,10 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     run_workload_traced(cfg, None).0
 }
 
-/// [`run_workload`] with speculation telemetry. Under
-/// [`hastm_sim::GateMode::Speculative`] the result is always *certified*:
-/// a tainted speculative attempt is discarded and the whole workload
-/// re-executed under `GateMode::Quantum`, so the returned
-/// [`WorkloadResult`] is bit-identical to a quantum run either way. The
-/// telemetry records how the result was obtained.
-///
-/// # Panics
-///
-/// As [`run_workload`].
-pub fn run_workload_spec(cfg: &WorkloadConfig) -> (WorkloadResult, SpecTelemetry) {
-    let (result, _, outcome) = run_workload_inner(cfg, None);
-    let Some(outcome) = outcome else {
-        return (result, SpecTelemetry::default());
-    };
-    if outcome.certified {
-        return (
-            result,
-            SpecTelemetry {
-                attempted: true,
-                spec_ops: outcome.spec_ops,
-                total_ops: outcome.total_ops,
-                ..SpecTelemetry::default()
-            },
-        );
-    }
-    // Rollback: the speculative schedule raced a canonical op somewhere in
-    // the warmup or measured phase. Discard everything (caches, stats,
-    // memory — the machine is rebuilt from scratch) and re-run the whole
-    // workload conservatively.
-    let wasted = result.cycles;
-    let mut quantum_cfg = cfg.clone();
-    quantum_cfg.machine.gate = hastm_sim::GateMode::Quantum;
-    let (result, _, _) = run_workload_inner(&quantum_cfg, None);
-    (
-        result,
-        SpecTelemetry {
-            attempted: true,
-            rolled_back: true,
-            rollback_cycles_wasted: wasted,
-            ..SpecTelemetry::default()
-        },
-    )
-}
-
 /// [`run_workload`] with optional event tracing of the *measured* run (the
 /// populate, warmup, and digest phases stay untraced). Tracing never
 /// perturbs the simulation, so the [`WorkloadResult`] is bit-identical to
 /// the untraced run's.
-///
-/// Under [`hastm_sim::GateMode::Speculative`] this certifies the result
-/// exactly like [`run_workload_spec`] (tainted attempts are re-run under
-/// the quantum gate), discarding the telemetry.
 ///
 /// # Panics
 ///
@@ -319,50 +236,6 @@ pub fn run_workload_traced(
     cfg: &WorkloadConfig,
     trace: Option<hastm_sim::TraceConfig>,
 ) -> (WorkloadResult, Option<hastm_sim::TraceLog>) {
-    let (result, log, outcome) = run_workload_inner(cfg, trace);
-    if outcome.is_none_or(|o| o.certified) {
-        return (result, log);
-    }
-    let mut quantum_cfg = cfg.clone();
-    quantum_cfg.machine.gate = hastm_sim::GateMode::Quantum;
-    let (result, log, _) = run_workload_inner(&quantum_cfg, trace);
-    (result, log)
-}
-
-/// One operation of the mixed map stream: `roll` (in `0..100`) selects
-/// insert / remove / whole-structure scan / point lookup per the config's
-/// update and scan percentages. Scans and lookups run as declared
-/// read-only regions when `cfg.ro_reads` is set.
-fn map_op(ex: &mut ThreadExec<'_, '_>, map: &AnyMap, cfg: &WorkloadConfig, key: u64, roll: u32) {
-    if roll < cfg.update_pct / 2 {
-        ex.atomic(|ctx| map.insert(ctx, key, key ^ 0xff));
-    } else if roll < cfg.update_pct {
-        ex.atomic(|ctx| map.remove(ctx, key));
-    } else if roll < cfg.update_pct + cfg.scan_pct {
-        if cfg.ro_reads {
-            ex.atomic_ro(|ctx| map.len(ctx));
-        } else {
-            ex.atomic(|ctx| map.len(ctx));
-        }
-    } else if cfg.ro_reads {
-        ex.atomic_ro(|ctx| map.get(ctx, key));
-    } else {
-        ex.atomic(|ctx| map.get(ctx, key));
-    }
-}
-
-/// One end-to-end workload execution. The returned outcome is `None`
-/// unless the gate is speculative; `certified: false` means every output
-/// of this call must be discarded (the interleaving is not guaranteed
-/// equivalent to the conservative schedule).
-fn run_workload_inner(
-    cfg: &WorkloadConfig,
-    trace: Option<hastm_sim::TraceConfig>,
-) -> (
-    WorkloadResult,
-    Option<hastm_sim::TraceLog>,
-    Option<hastm_sim::SpecOutcome>,
-) {
     assert!(cfg.threads >= 1);
     assert!(
         cfg.scheme != Scheme::Sequential || cfg.threads == 1,
@@ -436,11 +309,6 @@ fn run_workload_inner(
             .collect();
         machine.run(warm_workers);
     }
-    // Speculation verdicts are per-run; harvest the warmup's before the
-    // measured run resets it. A taint in *either* multi-core phase dooms
-    // the whole call — warmup shapes the cache state the measured run
-    // starts from.
-    let warm_outcome = machine.spec_outcome();
 
     // Measured run: every thread performs its op stream under the scheme.
     machine.set_tracing(trace);
@@ -467,7 +335,6 @@ fn run_workload_inner(
         })
         .collect();
     let report = machine.run(workers);
-    let measured_outcome = machine.spec_outcome();
     let trace_log = machine.take_trace();
     machine.set_tracing(None);
 
@@ -500,18 +367,6 @@ fn run_workload_inner(
     // oracle is on; panics here under `OracleMode::Panic`.)
     merged.oracle_violations += runtime.verify_serializability(&machine).len() as u64;
 
-    // The populate and digest phases run a single worker, which is always
-    // globally minimal and therefore never speculates; warmup + measured
-    // are the phases whose verdicts matter.
-    let outcome = match (warm_outcome, measured_outcome) {
-        (Some(w), Some(m)) => Some(hastm_sim::SpecOutcome {
-            certified: w.certified && m.certified,
-            spec_ops: w.spec_ops + m.spec_ops,
-            total_ops: w.total_ops + m.total_ops,
-        }),
-        (w, m) => w.or(m),
-    };
-
     (
         WorkloadResult {
             cycles: report.makespan(),
@@ -521,8 +376,29 @@ fn run_workload_inner(
             digest,
         },
         trace_log,
-        outcome,
     )
+}
+
+/// One operation of the mixed map stream: `roll` (in `0..100`) selects
+/// insert / remove / whole-structure scan / point lookup per the config's
+/// update and scan percentages. Scans and lookups run as declared
+/// read-only regions when `cfg.ro_reads` is set.
+fn map_op(ex: &mut ThreadExec<'_, '_>, map: &AnyMap, cfg: &WorkloadConfig, key: u64, roll: u32) {
+    if roll < cfg.update_pct / 2 {
+        ex.atomic(|ctx| map.insert(ctx, key, key ^ 0xff));
+    } else if roll < cfg.update_pct {
+        ex.atomic(|ctx| map.remove(ctx, key));
+    } else if roll < cfg.update_pct + cfg.scan_pct {
+        if cfg.ro_reads {
+            ex.atomic_ro(|ctx| map.len(ctx));
+        } else {
+            ex.atomic(|ctx| map.len(ctx));
+        }
+    } else if cfg.ro_reads {
+        ex.atomic_ro(|ctx| map.get(ctx, key));
+    } else {
+        ex.atomic(|ctx| map.get(ctx, key));
+    }
 }
 
 #[cfg(test)]
@@ -580,39 +456,6 @@ mod tests {
         assert!(r.txn.oracle_commits_checked > 0, "every commit checked");
         assert!(r.txn.oracle_reads_checked > 0);
         assert_eq!(r.txn.oracle_violations, 0, "serializable execution");
-    }
-
-    #[test]
-    fn speculative_gate_result_is_bit_identical_to_quantum() {
-        for threads in [2, 4] {
-            let mut cfg = small(Structure::HashTable, Scheme::Hastm, threads);
-            cfg.machine.gate = hastm_sim::GateMode::Quantum;
-            let quantum = run_workload(&cfg);
-            cfg.machine.gate = hastm_sim::GateMode::Speculative;
-            let (spec, telemetry) = run_workload_spec(&cfg);
-            assert!(telemetry.attempted);
-            assert_eq!(
-                spec, quantum,
-                "certified/rolled-back speculative result diverged at {threads} threads \
-                 ({telemetry:?})"
-            );
-            // Plain entry points must certify too.
-            assert_eq!(run_workload(&cfg), quantum);
-        }
-    }
-
-    #[test]
-    fn forced_taint_rolls_back_and_still_matches_quantum() {
-        let mut cfg = small(Structure::Bst, Scheme::Stm, 2);
-        cfg.machine.gate = hastm_sim::GateMode::Quantum;
-        let quantum = run_workload(&cfg);
-        cfg.machine.gate = hastm_sim::GateMode::Speculative;
-        cfg.machine.spec_taint_at = Some(0);
-        let (spec, telemetry) = run_workload_spec(&cfg);
-        assert!(telemetry.attempted && telemetry.rolled_back);
-        assert!(telemetry.rollback_cycles_wasted > 0);
-        assert_eq!(telemetry.commit_rate(), 0.0);
-        assert_eq!(spec, quantum, "rollback re-run must reproduce quantum");
     }
 
     #[test]

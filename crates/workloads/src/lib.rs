@@ -35,8 +35,7 @@ pub mod synthetic;
 pub use bst::Bst;
 pub use btree::BTree;
 pub use driver::{
-    run_workload, run_workload_spec, run_workload_traced, AnyMap, SpecTelemetry, Structure,
-    WorkloadConfig, WorkloadResult,
+    run_workload, run_workload_traced, AnyMap, Structure, WorkloadConfig, WorkloadResult,
 };
 pub use hashtable::HashTable;
 pub use map::{check_against_reference, TxMap};

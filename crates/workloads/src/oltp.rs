@@ -36,10 +36,7 @@ use hastm::{
 };
 use hastm_locks::SpinLock;
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
-use hastm_sim::{
-    FaultEvent, GateMode, Machine, MachineConfig, Preemption, SpecOutcome, TraceConfig, TraceLog,
-    WorkerFn,
-};
+use hastm_sim::{FaultEvent, Machine, MachineConfig, Preemption, TraceConfig, TraceLog, WorkerFn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -479,32 +476,11 @@ pub struct OltpSimResult {
 
 /// Runs the mill on the simulator.
 ///
-/// Under [`GateMode::Speculative`] the result is always *certified*: a
-/// tainted speculative attempt is discarded (caches, stats, memory — the
-/// machine is rebuilt from scratch) and the whole mill re-executed under
-/// [`GateMode::Quantum`], so the returned [`OltpSimResult`] is
-/// bit-identical to a quantum run either way — the same contract as
-/// [`crate::run_workload_spec`].
-///
 /// # Panics
 ///
 /// Panics if `threads` is zero, or if `scheme` is [`Scheme::Sequential`]
 /// with more than one thread.
 pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
-    let (result, outcome) = run_oltp_sim_inner(cfg);
-    if outcome.is_none_or(|o| o.certified) {
-        return result;
-    }
-    let mut quantum_cfg = cfg.clone();
-    quantum_cfg.machine.gate = GateMode::Quantum;
-    run_oltp_sim_inner(&quantum_cfg).0
-}
-
-/// One uncertified attempt of the mill; the speculation verdict of the
-/// measured multi-core run rides along. (The populate and balance-peek
-/// phases run a single worker, which is always globally minimal and never
-/// speculates, so the measured run's verdict is the whole story.)
-fn run_oltp_sim_inner(cfg: &OltpSimConfig) -> (OltpSimResult, Option<SpecOutcome>) {
     let threads = cfg.oltp.threads;
     assert!(threads >= 1);
     assert!(
@@ -575,7 +551,6 @@ fn run_oltp_sim_inner(cfg: &OltpSimConfig) -> (OltpSimResult, Option<SpecOutcome
         })
         .collect();
     let report = machine.run(workers);
-    let outcome = machine.spec_outcome();
     let trace = machine.take_trace();
     machine.set_tracing(None);
     machine.set_preemptions(Vec::new());
@@ -610,19 +585,16 @@ fn run_oltp_sim_inner(cfg: &OltpSimConfig) -> (OltpSimResult, Option<SpecOutcome
     let mut snapshot = MetricsSnapshot::collect(&txn, &report);
     snapshot.push_latency(&metrics.latency);
 
-    (
-        OltpSimResult {
-            metrics,
-            digest: balances_digest(&balances),
-            balances,
-            per_thread,
-            oracle_violations: txn.oracle_violations,
-            txn,
-            snapshot,
-            trace,
-        },
-        outcome,
-    )
+    OltpSimResult {
+        metrics,
+        digest: balances_digest(&balances),
+        balances,
+        per_thread,
+        oracle_violations: txn.oracle_violations,
+        txn,
+        snapshot,
+        trace,
+    }
 }
 
 /// A native-backend mill run.

@@ -38,6 +38,16 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard { inner: Some(guard) }
     }
 
+    /// Acquires the mutex if it is free right now.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(guard) })
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
             Ok(v) => v,
