@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the barrier code paths: simulated-cycle cost of
 //! each barrier family, reported via host wall time of fixed simulated
 //! workloads (the simulated-cycle numbers themselves are printed by the
-//! `figNN` binaries).
+//! `all-figs` binary).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hastm::{Granularity, ModePolicy, StmConfig, StmRuntime, TxThread};

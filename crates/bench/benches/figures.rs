@@ -1,6 +1,6 @@
 //! Criterion wrapper over representative figure experiments, so
 //! `cargo bench` exercises the full evaluation pipeline end to end (the
-//! complete per-figure tables come from the `figNN` binaries; see
+//! complete per-figure tables come from `all-figs --fig N`; see
 //! EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};

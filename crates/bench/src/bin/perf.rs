@@ -428,7 +428,7 @@ fn main() {
     let oltp_sim = sim_sweep(scale);
     let oltp_native = native_sweep(scale);
     eprintln!("perf: comparing HASTM mode policies (naive / watermark / phased)...");
-    let phases = phase_points(scale, hastm_sim::GateMode::default());
+    let phases = phase_points(scale);
     let json = render_json(
         scale,
         &report,

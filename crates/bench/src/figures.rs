@@ -19,9 +19,9 @@
 use std::collections::{HashMap, HashSet};
 
 use hastm::Granularity;
-use hastm_sim::{CacheConfig, GateMode, MachineConfig};
+use hastm_sim::{CacheConfig, MachineConfig};
 use hastm_workloads::{
-    analyze, generate_stream, run_kernel_gated, run_workload, KernelParams, KernelResult, Scheme,
+    analyze, generate_stream, run_kernel, run_workload, KernelParams, KernelResult, Scheme,
     Structure, WorkloadConfig, WorkloadResult, PROFILES,
 };
 
@@ -146,6 +146,41 @@ impl Cell {
             Cell::Kernel { .. } => 1,
         }
     }
+
+    /// The workload a [`Cell::Ds`] runs (`None` for a kernel replay).
+    /// Public so the cross-gate test can run a cell's exact workload under
+    /// the per-op reference gate.
+    pub fn workload_config(&self) -> Option<WorkloadConfig> {
+        let Cell::Ds {
+            structure,
+            scheme,
+            threads,
+            scale,
+            machine,
+            size_mult,
+        } = *self
+        else {
+            return None;
+        };
+        let mut cfg = WorkloadConfig::paper_default(structure, scheme, threads);
+        // Total work is fixed across thread counts (scaling experiments
+        // divide the same op budget among threads).
+        let total_ops = scale.ops() * 4;
+        cfg.ops_per_thread = (total_ops / threads as u64).max(1);
+        cfg.prepopulate = scale.prepopulate() * size_mult;
+        cfg.key_range = cfg.prepopulate * 2;
+        cfg.granularity = Granularity::CacheLine;
+        cfg.machine = machine.config();
+        if size_mult > 1 {
+            // Scaling experiments: the adaptive watermark policy governs
+            // HASTM at every thread count (the single-thread
+            // always-aggressive policy would thrash on the interference
+            // machine).
+            cfg.mode_policy_override =
+                Some(hastm::ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+        }
+        Some(cfg)
+    }
 }
 
 /// Output of one cell.
@@ -177,41 +212,11 @@ impl CellOutput {
 /// Runs one cell. Pure up to determinism: equal cells produce equal
 /// outputs in any process, on any thread, in any order.
 pub fn run_cell(cell: &Cell) -> CellOutput {
-    run_cell_gated(cell, GateMode::default())
-}
-
-/// [`run_cell`] under an explicit gate admission mode. The two modes are
-/// schedule-identical ([`GateMode`]), so for any cell the output must be
-/// bit-equal across them — `crates/bench/tests/golden_parallel.rs` and the
-/// CI gate-determinism job assert exactly that.
-pub fn run_cell_gated(cell: &Cell, gate: GateMode) -> CellOutput {
     match *cell {
-        Cell::Ds {
-            structure,
-            scheme,
-            threads,
-            scale,
-            machine,
-            size_mult,
-        } => {
-            let mut cfg = WorkloadConfig::paper_default(structure, scheme, threads);
-            // Total work is fixed across thread counts (scaling experiments
-            // divide the same op budget among threads).
-            let total_ops = scale.ops() * 4;
-            cfg.ops_per_thread = (total_ops / threads as u64).max(1);
-            cfg.prepopulate = scale.prepopulate() * size_mult;
-            cfg.key_range = cfg.prepopulate * 2;
-            cfg.granularity = Granularity::CacheLine;
-            cfg.machine = machine.config();
-            cfg.machine.gate = gate;
-            if size_mult > 1 {
-                // Scaling experiments: the adaptive watermark policy governs
-                // HASTM at every thread count (the single-thread
-                // always-aggressive policy would thrash on the interference
-                // machine).
-                cfg.mode_policy_override =
-                    Some(hastm::ModePolicy::AbortRatioWatermark { watermark: 0.1 });
-            }
+        Cell::Ds { .. } => {
+            let cfg = cell
+                .workload_config()
+                .expect("every Ds cell has a workload");
             CellOutput::Ds(run_workload(&cfg))
         }
         Cell::Kernel {
@@ -228,7 +233,7 @@ pub fn run_cell_gated(cell: &Cell, gate: GateMode) -> CellOutput {
                 ..KernelParams::default()
             };
             let stream = generate_stream(&params);
-            CellOutput::Kernel(run_kernel_gated(scheme, &stream, gate))
+            CellOutput::Kernel(run_kernel(scheme, &stream))
         }
     }
 }

@@ -1,10 +1,10 @@
 //! # hastm-bench — the paper's evaluation, regenerated
 //!
 //! One runner per evaluation figure of *"Architectural Support for
-//! Software Transactional Memory"* (MICRO 2006). Each `figNN` binary
-//! prints the rows/series of the corresponding figure; `all-figs` runs the
-//! whole evaluation and `EXPERIMENTS.md` records the measured shapes
-//! against the paper's claims.
+//! Software Transactional Memory"* (MICRO 2006). `all-figs --fig N`
+//! prints the rows/series of Figure N; plain `all-figs` runs the whole
+//! evaluation and `EXPERIMENTS.md` records the measured shapes against the
+//! paper's claims.
 //!
 //! Experiment sizes scale with the `HASTM_BENCH_SCALE` environment
 //! variable: `quick` (CI-sized; `ci` is an alias), `standard` (default),

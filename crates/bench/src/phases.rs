@@ -9,18 +9,18 @@
 //! per-phase cost-model counters (time-in-phase, transitions,
 //! aborts-by-cause-by-phase, serial commits).
 //!
-//! Every point is a pure function of `(case, scale, gate)`: the simulator
-//! is deterministic and the gate admission modes are schedule-identical,
-//! so `crates/bench/tests/phase_determinism.rs` asserts bit-equal points
-//! across both gates and across host-thread placements. Shared by
-//! the `phases` table binary and the `perf` binary (BENCH.json `phases`
-//! section).
+//! Every point is a pure function of `(case, scale)`: the simulator is
+//! deterministic, so `crates/bench/tests/phase_determinism.rs` asserts
+//! bit-equal points across host-thread placements — and, flipping
+//! [`PhaseRun`]'s machine to the per-op reference gate, across both gate
+//! admission modes. Shared by the `phases` table binary and the `perf`
+//! binary (BENCH.json `phases` section).
 
 use hastm::{Granularity, ModePolicy, OracleMode, Phase, PhasedParams, TxnStats};
-use hastm_sim::GateMode;
+use hastm_sim::MachineConfig;
 use hastm_workloads::{run_oltp_sim, run_workload, Scheme, Structure, WorkloadConfig};
 
-use crate::figures::MachinePreset;
+use crate::figures::{Cell, MachinePreset};
 use crate::oltp::mill_config;
 use crate::table::{ratio, Table};
 use crate::Scale;
@@ -170,54 +170,85 @@ impl PhasePoint {
     }
 }
 
-/// Runs one comparison point. Pure up to determinism: equal
-/// `(case, scale, gate)` produce equal points in any process, on any
-/// thread, in any order — and the three gate modes are
-/// schedule-identical, so the gate must not change the point at all.
-pub fn run_phase_case(case: PhaseCase, scale: Scale, gate: GateMode) -> PhasePoint {
-    let policy = case.policy.policy();
-    match case.workload {
-        PhaseWorkload::OltpMill => {
-            let mut cfg =
-                OltpSimConfig::new(mill_config(scale, 0.9), Scheme::Hastm, Granularity::CacheLine);
-            cfg.oracle = OracleMode::Off;
-            cfg.mode_policy_override = Some(policy);
-            cfg.machine.gate = gate;
-            let r = run_oltp_sim(&cfg);
-            PhasePoint::from_txn(case, r.metrics.elapsed, r.digest, &r.txn)
+/// The fully-built simulator run behind one comparison point.
+#[derive(Clone, Debug)]
+pub enum PhaseRun {
+    /// The OLTP traffic mill.
+    Mill(OltpSimConfig),
+    /// A data-structure workload.
+    Ds(WorkloadConfig),
+}
+
+impl PhaseRun {
+    /// The run a case stands for at `scale`.
+    pub fn of(case: PhaseCase, scale: Scale) -> PhaseRun {
+        let policy = case.policy.policy();
+        let (structure, machine, threads) = match case.workload {
+            PhaseWorkload::OltpMill => {
+                let mut cfg = OltpSimConfig::new(
+                    mill_config(scale, 0.9),
+                    Scheme::Hastm,
+                    Granularity::CacheLine,
+                );
+                cfg.oracle = OracleMode::Off;
+                cfg.mode_policy_override = Some(policy);
+                return PhaseRun::Mill(cfg);
+            }
+            PhaseWorkload::BstInterference => (Structure::Bst, MachinePreset::Interference, 4),
+            PhaseWorkload::BTreeInterference => (Structure::BTree, MachinePreset::Interference, 4),
+            PhaseWorkload::BstUncontended => (Structure::Bst, MachinePreset::Default, 2),
+        };
+        // The Figure 21/22 cell (fixed total op budget divided among
+        // threads, 16x structure size so transactions are long enough for
+        // interference to land inside them), under this case's policy.
+        let cell = Cell::Ds {
+            structure,
+            scheme: Scheme::Hastm,
+            threads,
+            scale,
+            machine,
+            size_mult: 16,
+        };
+        let mut cfg = cell.workload_config().expect("a Ds cell");
+        cfg.mode_policy_override = Some(policy);
+        PhaseRun::Ds(cfg)
+    }
+
+    /// The simulated machine the run is configured with.
+    pub fn machine_mut(&mut self) -> &mut MachineConfig {
+        match self {
+            PhaseRun::Mill(cfg) => &mut cfg.machine,
+            PhaseRun::Ds(cfg) => &mut cfg.machine,
         }
-        ds => {
-            let (structure, machine, threads) = match ds {
-                PhaseWorkload::BstInterference => (Structure::Bst, MachinePreset::Interference, 4),
-                PhaseWorkload::BTreeInterference => {
-                    (Structure::BTree, MachinePreset::Interference, 4)
-                }
-                PhaseWorkload::BstUncontended => (Structure::Bst, MachinePreset::Default, 2),
-                PhaseWorkload::OltpMill => unreachable!(),
-            };
-            // Mirror the Figure 21/22 cell shape: fixed total op budget
-            // divided among threads, 16x structure size so transactions
-            // are long enough for interference to land inside them.
-            let mut cfg = WorkloadConfig::paper_default(structure, Scheme::Hastm, threads);
-            let total_ops = scale.ops() * 4;
-            cfg.ops_per_thread = (total_ops / threads as u64).max(1);
-            cfg.prepopulate = scale.prepopulate() * 16;
-            cfg.key_range = cfg.prepopulate * 2;
-            cfg.granularity = Granularity::CacheLine;
-            cfg.machine = machine.config();
-            cfg.machine.gate = gate;
-            cfg.mode_policy_override = Some(policy);
-            let result = run_workload(&cfg);
-            PhasePoint::from_txn(case, result.cycles, result.digest, &result.txn)
+    }
+
+    /// Runs it and measures `case`'s point.
+    pub fn measure(&self, case: PhaseCase) -> PhasePoint {
+        match self {
+            PhaseRun::Mill(cfg) => {
+                let r = run_oltp_sim(cfg);
+                PhasePoint::from_txn(case, r.metrics.elapsed, r.digest, &r.txn)
+            }
+            PhaseRun::Ds(cfg) => {
+                let r = run_workload(cfg);
+                PhasePoint::from_txn(case, r.cycles, r.digest, &r.txn)
+            }
         }
     }
 }
 
+/// Runs one comparison point. Pure up to determinism: equal
+/// `(case, scale)` produce equal points in any process, on any thread, in
+/// any order.
+pub fn run_phase_case(case: PhaseCase, scale: Scale) -> PhasePoint {
+    PhaseRun::of(case, scale).measure(case)
+}
+
 /// Runs every comparison point serially, in render order.
-pub fn phase_points(scale: Scale, gate: GateMode) -> Vec<PhasePoint> {
+pub fn phase_points(scale: Scale) -> Vec<PhasePoint> {
     phase_cases()
         .into_iter()
-        .map(|case| run_phase_case(case, scale, gate))
+        .map(|case| run_phase_case(case, scale))
         .collect()
 }
 
@@ -255,8 +286,14 @@ pub fn phases_table_from(points: &[PhasePoint]) -> Table {
             point.transitions.to_string(),
             point.serial_commits.to_string(),
             share(point.phase_cycles[Phase::Hw.idx()], total_phase_cycles),
-            share(point.phase_cycles[Phase::Aggressive.idx()], total_phase_cycles),
-            share(point.phase_cycles[Phase::Cautious.idx()], total_phase_cycles),
+            share(
+                point.phase_cycles[Phase::Aggressive.idx()],
+                total_phase_cycles,
+            ),
+            share(
+                point.phase_cycles[Phase::Cautious.idx()],
+                total_phase_cycles,
+            ),
             share(point.phase_cycles[Phase::Serial.idx()], total_phase_cycles),
         ]);
     }
@@ -266,7 +303,7 @@ pub fn phases_table_from(points: &[PhasePoint]) -> Table {
     table
 }
 
-/// The comparison table at the given scale and gate mode.
-pub fn phases_table(scale: Scale, gate: GateMode) -> Table {
-    phases_table_from(&phase_points(scale, gate))
+/// The comparison table at the given scale.
+pub fn phases_table(scale: Scale) -> Table {
+    phases_table_from(&phase_points(scale))
 }

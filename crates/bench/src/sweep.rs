@@ -1,22 +1,20 @@
 //! Parallel figure sweep: a work-queue executor over figure [`Cell`]s.
 //!
 //! Every figure declares its cells up front ([`FIGURES`]); the sweep
-//! deduplicates them across figures, pushes them on a
-//! [`crossbeam::queue::SegQueue`], and drains the queue from N host
-//! threads. Because [`run_cell`] is deterministic (the simulator's worker
-//! interleaving is fixed by its logical-clock turn gate, not by host
-//! scheduling), the rendered tables are bit-identical to a serial run —
+//! deduplicates them across figures and hands them out to N host threads
+//! through a shared cursor. Because [`run_cell`] is deterministic (the
+//! simulator's worker interleaving is fixed by its logical-clock turn
+//! gate, not by host scheduling), the rendered tables are bit-identical to
+//! a serial run —
 //! [`SweepConfig::verify`] re-runs every cell on the coordinating thread
 //! and asserts exactly that.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::queue::SegQueue;
-use hastm_sim::GateMode;
-
-use crate::figures::{run_cell_gated, Cell, CellOutput, FIGURES};
+use crate::figures::{run_cell, Cell, CellOutput, FIGURES};
 use crate::table::Table;
 use crate::Scale;
 
@@ -28,14 +26,11 @@ pub struct SweepConfig {
     /// Re-run every cell serially after the parallel pass and assert the
     /// outputs are bit-identical (doubles the work; for tests and CI).
     pub verify: bool,
-    /// Gate admission mode every cell runs under. Schedule-identical
-    /// across modes, so the rendered tables must not depend on it.
-    pub gate: GateMode,
 }
 
 impl SweepConfig {
     /// Threads from `HASTM_SWEEP_THREADS` (default: host parallelism),
-    /// verification off, default gate mode.
+    /// verification off.
     pub fn from_env() -> SweepConfig {
         let threads = std::env::var("HASTM_SWEEP_THREADS")
             .ok()
@@ -49,7 +44,6 @@ impl SweepConfig {
         SweepConfig {
             threads,
             verify: false,
-            gate: GateMode::default(),
         }
     }
 }
@@ -162,11 +156,11 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
         declared.push((indices, fresh));
     }
 
-    let outputs = run_cells(&jobs, config.threads, config.gate);
+    let outputs = run_cells(&jobs, config.threads);
 
     if config.verify {
         for (cell, (output, _)) in jobs.iter().zip(&outputs) {
-            let serial = run_cell_gated(cell, config.gate);
+            let serial = run_cell(cell);
             assert!(
                 serial == *output,
                 "parallel output diverged from serial for cell {} ({cell:?})",
@@ -264,29 +258,29 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
     }
 }
 
-/// Drains `jobs` from a shared queue on `threads` workers; returns each
-/// cell's output and its single-cell wall time, indexed like `jobs`.
-fn run_cells(jobs: &[Cell], threads: usize, gate: GateMode) -> Vec<(CellOutput, f64)> {
-    let queue: SegQueue<usize> = SegQueue::new();
-    for i in 0..jobs.len() {
-        queue.push(i);
-    }
+/// Runs `jobs` on `threads` workers, each claiming the next unclaimed
+/// index from a shared cursor; returns each cell's output and its
+/// single-cell wall time, indexed like `jobs`. A worker's panic is
+/// re-raised when the scope joins it.
+fn run_cells(jobs: &[Cell], threads: usize) -> Vec<(CellOutput, f64)> {
+    // Relaxed: the cursor only hands out indices; results are published
+    // through the slot mutexes and the scope's join.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<(CellOutput, f64)>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     let workers = threads.min(jobs.len()).max(1);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
-                while let Some(i) = queue.pop() {
-                    let t0 = Instant::now();
-                    let output = run_cell_gated(&jobs[i], gate);
-                    let secs = t0.elapsed().as_secs_f64();
-                    *slots[i].lock().expect("result slot") = Some((output, secs));
-                }
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let t0 = Instant::now();
+                let output = run_cell(job);
+                let secs = t0.elapsed().as_secs_f64();
+                *slots[i].lock().expect("result slot") = Some((output, secs));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -315,7 +309,6 @@ mod tests {
         let config = SweepConfig {
             threads: 3,
             verify: false,
-            gate: GateMode::default(),
         };
         let report = sweep_selected(&["fig13", "fig12"], Scale::Quick, &config);
         assert_eq!(report.figures.len(), 2);
@@ -340,7 +333,6 @@ mod tests {
             &SweepConfig {
                 threads: 1,
                 verify: false,
-                gate: GateMode::default(),
             },
         );
     }
@@ -353,7 +345,6 @@ mod tests {
         let config = SweepConfig {
             threads: 4,
             verify: false,
-            gate: GateMode::default(),
         };
         let report = sweep_selected(&["fig16", "fig17"], Scale::Quick, &config);
         let f16 = &report.figures[0];

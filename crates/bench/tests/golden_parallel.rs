@@ -10,19 +10,18 @@
 //!    sweep and asserts each `CellOutput` (cycles, counters, digest, txn
 //!    stats) matches the parallel one exactly.
 //! 2. The run-until-overtaken quantum gate must admit exactly the per-op
-//!    reference schedule: every cell of the cross-scheduler slice
-//!    produces a bit-equal `CellOutput` — including the embedded
+//!    reference schedule: every *multi-core* cell of *every* figure
+//!    produces a bit-equal `WorkloadResult` — including the embedded
 //!    `RunReport` (all per-core and machine counters) — under both
-//!    `GateMode`s, and the rendered tables match byte-for-byte.
-//!
-//! The cross-scheduler slice covers fig13 (pure analysis, exercising the
-//! zero-cell path), fig14 (the best-case HyTM scaling figure) and fig21,
-//! plus fig11 — the deepest multi-core figure — and two more scaling
-//! figures for breadth.
+//!    `GateMode`s. Solo cells and kernel replays run one core, which
+//!    never hands off, so the gate cannot matter to them.
 
-use hastm_bench::figures::{run_cell_gated, FIGURES};
+use std::collections::HashSet;
+
+use hastm_bench::figures::{Cell, FIGURES};
 use hastm_bench::{fig11, fig12, fig15, fig16, fig17, fig21, sweep_selected, Scale, SweepConfig};
 use hastm_sim::GateMode;
+use hastm_workloads::run_workload;
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
@@ -30,7 +29,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let config = SweepConfig {
         threads: 4,
         verify: true,
-        gate: GateMode::default(),
     };
     let report = sweep_selected(
         &["fig11", "fig12", "fig15", "fig16", "fig17", "fig21"],
@@ -61,48 +59,28 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 #[test]
 fn gate_modes_produce_bit_identical_outputs() {
     let scale = Scale::Quick;
-    let figs = ["fig11", "fig13", "fig14", "fig15", "fig17", "fig21"];
-
-    // Cell-level: full CellOutput (cycles + RunReport counters + digest +
-    // txn stats) bit-equality per cell, across every cell the slice
-    // declares.
-    let mut cells_checked = 0;
-    for name in figs {
-        let fig = FIGURES.iter().find(|f| f.name == name).expect(name);
-        for cell in (fig.cells)(scale) {
-            let per_op = run_cell_gated(&cell, GateMode::PerOp);
-            let quantum = run_cell_gated(&cell, GateMode::Quantum);
-            assert_eq!(
-                per_op,
-                quantum,
-                "{name}: cell {} diverged across gate modes",
-                cell.label()
-            );
-            cells_checked += 1;
-        }
-    }
+    let mut seen: HashSet<Cell> = HashSet::new();
+    let multi_core: Vec<Cell> = FIGURES
+        .iter()
+        .flat_map(|fig| (fig.cells)(scale))
+        .filter(|cell| cell.cores() > 1 && seen.insert(cell.clone()))
+        .collect();
     assert!(
-        cells_checked > 0,
-        "cross-scheduler slice declared no cells to compare"
+        multi_core.len() >= 30,
+        "every figure's multi-core cells, deduplicated; got {}",
+        multi_core.len()
     );
-
-    // Table-level: the whole sweep renders byte-identically under either
-    // gate (fig13's zero-cell analysis table included).
-    let render = |gate: GateMode| {
-        let config = SweepConfig {
-            threads: 2,
-            verify: false,
-            gate,
+    for cell in &multi_core {
+        let under = |gate| {
+            let mut cfg = cell.workload_config().expect("multi-core cells are Ds");
+            cfg.machine.gate = gate;
+            run_workload(&cfg)
         };
-        sweep_selected(&figs, scale, &config)
-            .figures
-            .iter()
-            .map(|f| f.table.render())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        render(GateMode::PerOp),
-        render(GateMode::Quantum),
-        "sweep tables must not depend on the gate mode"
-    );
+        assert_eq!(
+            under(GateMode::PerOp),
+            under(GateMode::Quantum),
+            "cell {} diverged across gate modes",
+            cell.label()
+        );
+    }
 }

@@ -2,11 +2,13 @@
 //! pure function of `(case, scale)` — the two gate admission modes are
 //! schedule-identical, and host-thread placement of the sweep cannot leak
 //! into simulated results. A Phased run must therefore be bit-identical
-//! across `--gate quantum|perop` and across 1/4/8 host sweep
-//! threads; any drift means host concurrency or gate bookkeeping leaked
-//! into the simulated phase machine.
+//! under the per-op reference gate and across 1/4/8 host sweep threads;
+//! any drift means host concurrency or gate bookkeeping leaked into the
+//! simulated phase machine.
 
-use hastm_bench::phases::{phase_cases, phase_points, run_phase_case, PhaseCase, PhasePoint};
+use hastm_bench::phases::{
+    phase_cases, phase_points, run_phase_case, PhaseCase, PhasePoint, PhaseRun,
+};
 use hastm_bench::Scale;
 use hastm_sim::GateMode;
 
@@ -30,7 +32,7 @@ fn points_on_host_threads(threads: usize) -> Vec<PhasePoint> {
             handles.push(scope.spawn(move || {
                 cases
                     .into_iter()
-                    .map(|(i, case)| (i, run_phase_case(case, SCALE, GateMode::Quantum)))
+                    .map(|(i, case)| (i, run_phase_case(case, SCALE)))
                     .collect::<Vec<_>>()
             }));
         }
@@ -40,13 +42,23 @@ fn points_on_host_threads(threads: usize) -> Vec<PhasePoint> {
             }
         }
     });
-    slots.into_iter().map(|p| p.expect("all cases ran")).collect()
+    slots
+        .into_iter()
+        .map(|p| p.expect("all cases ran"))
+        .collect()
 }
 
 #[test]
 fn phase_points_are_bit_identical_across_gate_modes() {
-    let quantum = phase_points(SCALE, GateMode::Quantum);
-    let perop = phase_points(SCALE, GateMode::PerOp);
+    let quantum = phase_points(SCALE);
+    let perop: Vec<PhasePoint> = phase_cases()
+        .into_iter()
+        .map(|case| {
+            let mut run = PhaseRun::of(case, SCALE);
+            run.machine_mut().gate = GateMode::PerOp;
+            run.measure(case)
+        })
+        .collect();
     assert_eq!(
         quantum, perop,
         "quantum and per-op gates produced different phase points"

@@ -1,19 +1,27 @@
-//! Smoke tests: every figure binary must run to completion at quick scale
-//! and print a well-formed table. These catch wiring rot (a figure whose
-//! config panics, a scheme that deadlocks at some thread count) without
-//! asserting anything about the numbers themselves.
+//! Smoke tests: `all-figs --fig N` must run every figure to completion at
+//! quick scale and print a well-formed table. These catch wiring rot (a
+//! figure whose config panics, a scheme that deadlocks at some thread
+//! count) without asserting anything about the numbers themselves.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Runs one figure binary at quick scale and returns its stdout.
-fn run_fig(exe: &str) -> String {
-    let out = Command::new(exe)
+/// Runs `all-figs` with `args` at quick scale.
+fn all_figs(args: &[&str]) -> Output {
+    let exe = env!("CARGO_BIN_EXE_all-figs");
+    Command::new(exe)
+        .args(args)
         .env("HASTM_BENCH_SCALE", "quick")
         .output()
-        .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"))
+}
+
+/// Runs the given figures and returns stdout.
+fn run_figs(figs: &[&str]) -> String {
+    let args: Vec<&str> = figs.iter().flat_map(|fig| ["--fig", fig]).collect();
+    let out = all_figs(&args);
     assert!(
         out.status.success(),
-        "{exe} exited with {:?}\nstderr:\n{}",
+        "all-figs {args:?} exited with {:?}\nstderr:\n{}",
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
@@ -42,25 +50,43 @@ fn assert_looks_like_table(fig: &str, stdout: &str) {
 }
 
 macro_rules! fig_smoke {
-    ($($name:ident, $bin:literal, $fig:literal;)*) => {$(
+    ($($name:ident, $fig:literal;)*) => {$(
         #[test]
         fn $name() {
-            let stdout = run_fig(env!(concat!("CARGO_BIN_EXE_", $bin)));
-            assert_looks_like_table($fig, &stdout);
+            assert_looks_like_table($fig, &run_figs(&[$fig]));
         }
     )*};
 }
 
 fig_smoke! {
-    fig11_runs, "fig11", "11";
-    fig12_runs, "fig12", "12";
-    fig13_runs, "fig13", "13";
-    fig15_runs, "fig15", "15";
-    fig16_runs, "fig16", "16";
-    fig17_runs, "fig17", "17";
-    fig18_runs, "fig18", "18";
-    fig19_runs, "fig19", "19";
-    fig20_runs, "fig20", "20";
-    fig21_runs, "fig21", "21";
-    fig22_runs, "fig22", "22";
+    fig11_runs, "11";
+    fig12_runs, "12";
+    fig13_runs, "13";
+    fig14_runs, "14";
+    fig15_runs, "15";
+    fig16_runs, "16";
+    fig17_runs, "17";
+    fig18_runs, "18";
+    fig19_runs, "19";
+    fig20_runs, "20";
+    fig21_runs, "21";
+    fig22_runs, "22";
+}
+
+#[test]
+fn repeated_fig_flags_select_in_flag_order() {
+    let stdout = run_figs(&["13", "12"]);
+    let (f13, f12) = (stdout.find("Figure 13"), stdout.find("Figure 12"));
+    assert!(f13.is_some() && f13 < f12, "13 then 12:\n{stdout}");
+}
+
+#[test]
+fn bad_arguments_are_usage_errors() {
+    for args in [&["--fig", "23"][..], &["--fig"], &["--gate", "perop"]] {
+        let out = all_figs(args);
+        assert_eq!(out.status.code(), Some(2), "all-figs {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: all-figs"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "no table on a usage error");
+    }
 }

@@ -114,9 +114,8 @@ const TIMELINE_LINES_PER_CORE: usize = 40;
 fn failure_timeline(trial: &Trial, trace: &[Preemption]) -> String {
     let plan = RunPlan {
         preemptions: trace.to_vec(),
-        faults: Vec::new(),
-        record_schedule: false,
         trace: Some(hastm_sim::TraceConfig::default()),
+        ..RunPlan::default()
     };
     let (_, obs) = run_trial_observed(trial, &plan);
     match obs.trace {
@@ -146,9 +145,8 @@ pub struct ExploreReport {
 fn run_traced(trial: &Trial, trace: &[Preemption]) -> Result<Observation, String> {
     let plan = RunPlan {
         preemptions: trace.to_vec(),
-        faults: Vec::new(),
         record_schedule: true,
-        trace: None,
+        ..RunPlan::default()
     };
     run_trial_plan(trial, &plan).map(|(_, obs)| obs)
 }
@@ -325,7 +323,7 @@ mod tests {
 
     #[test]
     fn explore_counter_is_green_and_covers_orderings() {
-        let _guard = crate::test_support::TEST_LOCK.lock().unwrap();
+        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
         let cfg = ExploreConfig {
             combo: Combo::parse("stm:obj:full").unwrap(),
             max_runs: 300,
@@ -350,7 +348,7 @@ mod tests {
 
     #[test]
     fn explore_is_deterministic() {
-        let _guard = crate::test_support::TEST_LOCK.lock().unwrap();
+        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
         let cfg = ExploreConfig {
             max_runs: 120,
             ..ExploreConfig::default()
@@ -365,8 +363,8 @@ mod tests {
 
     #[test]
     fn shrink_trace_is_deterministic_and_minimal() {
-        let _guard = crate::test_support::TEST_LOCK.lock().unwrap();
-        let _inject = crate::test_support::InjectGuard::arm();
+        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
+        let _inject = crate::tests::InjectGuard::arm(crate::Injection::LostUpdate);
         // The injected non-atomic increment races under plain preemption
         // traces too, so the explorer must find a failing trace…
         let cfg = ExploreConfig {
@@ -403,7 +401,7 @@ mod tests {
         // With a bound of 2 the frontier revisits schedules reachable via
         // different traces (e.g. a directive at a no-op position); pruning
         // must fire, and pruned + expanded must account for every run.
-        let _guard = crate::test_support::TEST_LOCK.lock().unwrap();
+        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
         let cfg = ExploreConfig {
             bound: 2,
             max_runs: 500,

@@ -1,8 +1,9 @@
 //! # hastm-check — differential-testing harness for the HASTM reproduction
 //!
 //! Runs small workloads with *interleaving-independent expected answers*
-//! under every `Scheme` × `Granularity` × `IsaLevel` × `GateMode` ×
-//! `ModePolicy` combination, across many seeds of the simulator's
+//! under every `Scheme` × `Granularity` × `IsaLevel` × `ModePolicy` ×
+//! `Versioning` combination ([`Combo`], generated from the [`AXES`]
+//! table), across many seeds of the simulator's
 //! [`SchedulePolicy::Fuzzed`] schedule/pressure perturbation, and
 //! cross-checks:
 //!
@@ -21,11 +22,14 @@
 //! * **replayability** — the first trial of each combination is run twice
 //!   and must produce a bit-identical fingerprint (final state digest and
 //!   simulated makespan), the property that makes seed replay meaningful;
-//! * **cross-scheduler equality** — the per-op and quantum gate admission
-//!   modes ([`hastm_sim::GateMode`]) are schedule-identical by
-//!   construction, so for every seed both gate variants of a combination
-//!   must produce bit-equal fingerprints; any divergence is reported as a
-//!   failure of its own.
+//! * **twin agreement** — for every axis whose table row names a
+//!   [`Relation`], same-seed trials that differ only along that axis must
+//!   agree as its [`Comparator`] says (multi-version vs single-version,
+//!   phased vs watermark policy: equal final state); any divergence is
+//!   reported as a failure of its own.
+//!
+//! Every workload is written once ([`workload`]) and every backend is one
+//! driver: [`Sim`] here, [`native::Native`] on host threads.
 //!
 //! On failure the harness **shrinks** the trial to a minimal failing
 //! `ops`/`threads`/`seed` and prints an exact replay command
@@ -33,429 +37,53 @@
 //! is deterministic given its parameters, so the replay reproduces the
 //! failure exactly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
-use hastm::{
-    Granularity, ModePolicy, ObjRef, OracleMode, PhasedParams, StmRuntime, TimeBreakdown,
-    TmContext, TxResult, Versioning,
-};
+use hastm::{ModePolicy, OracleMode, StmRuntime, TimeBreakdown};
 use hastm_locks::SpinLock;
 use hastm_sim::{
-    FaultEvent, GateMode, IsaLevel, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent,
+    Cpu, FaultEvent, GateMode, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent,
     SchedulePolicy, TraceConfig, TraceLog, WorkerFn,
 };
-use hastm_workloads::{AnyMap, BTree, Bst, HashTable, Scheme, Structure, ThreadExec, TxMap};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hastm_workloads::{Scheme, ThreadExec};
 
+pub mod combo;
 pub mod explore;
 pub mod native;
+pub mod workload;
 pub mod zombie;
 
-#[cfg(test)]
-use std::sync::atomic::{AtomicBool, Ordering};
+pub use combo::{Axis, Combo, Comparator, Relation, AXES};
+pub use workload::Workload;
+pub(crate) use workload::{Backend, Definition};
 
-/// Test-only fault injection: when armed, the shared-counter workload
-/// performs its increment as a *non-atomic* read-modify-write split across
-/// two separate atomic regions — the classic lost-update bug. Exists so the
-/// harness's own tests can prove that a real concurrency bug is caught,
-/// shrunk, and replayed.
-#[cfg(test)]
-pub(crate) static INJECT_LOST_UPDATE: AtomicBool = AtomicBool::new(false);
-
-/// Shared plumbing for the in-crate tests (this module and
-/// [`explore`]'s): the injection switch is process-global, so every test
-/// that runs trials serializes on [`test_support::TEST_LOCK`].
-#[cfg(test)]
-pub(crate) mod test_support {
-    use std::sync::atomic::Ordering;
-    use std::sync::Mutex;
-
-    /// Serializes tests that run trials: the lost-update injection switch
-    /// is process-global, so trial-running tests must not overlap.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Arms the injected lost-update bug for the guard's lifetime.
-    pub(crate) struct InjectGuard;
-    impl InjectGuard {
-        pub(crate) fn arm() -> Self {
-            super::INJECT_LOST_UPDATE.store(true, Ordering::SeqCst);
-            InjectGuard
-        }
-    }
-    impl Drop for InjectGuard {
-        fn drop(&mut self) {
-            super::INJECT_LOST_UPDATE.store(false, Ordering::SeqCst);
-        }
-    }
+/// Test-only fault injections, so the harness's own tests can prove that a
+/// real bug is caught, reported, shrunk, and replayed. Never armed outside
+/// `cfg(test)`.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Injection {
+    /// The shared-counter workload performs its increment as a
+    /// *non-atomic* read-modify-write split across two separate atomic
+    /// regions — the classic lost-update bug.
+    LostUpdate,
+    /// The suite sees a corrupted final state from every multi-version and
+    /// every phased trial, so each twin cross-check has a divergence to
+    /// report.
+    TwinDivergence,
 }
 
+/// Whether `which` is armed (constant `false` outside the crate's tests).
 #[inline]
-fn lost_update_injected() -> bool {
+pub(crate) fn injected(which: Injection) -> bool {
     #[cfg(test)]
     {
-        INJECT_LOST_UPDATE.load(Ordering::Relaxed)
+        tests::INJECTED[which as usize].load(std::sync::atomic::Ordering::Relaxed)
     }
     #[cfg(not(test))]
     {
+        let _ = which;
         false
-    }
-}
-
-/// One point in the configuration matrix under differential test.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct Combo {
-    /// Concurrency-control scheme.
-    pub scheme: Scheme,
-    /// Conflict-detection granularity of the STM runtime.
-    pub granularity: Granularity,
-    /// Mark-bit ISA implementation level of the simulated machine.
-    pub isa: IsaLevel,
-    /// Gate admission mode of the simulated machine's scheduler. Both
-    /// modes must be schedule-identical; the suite cross-checks their
-    /// fingerprints per seed.
-    pub gate: GateMode,
-    /// Mode policy override; `Some` only for [`Scheme::Hastm`], which is
-    /// the one scheme whose policy is not implied by the scheme itself.
-    pub policy: Option<ModePolicy>,
-    /// Version retention of the STM runtime. Under [`Versioning::Multi`]
-    /// the map workloads' lookups run as declared read-only snapshot
-    /// transactions, which must commit abort-free; the suite additionally
-    /// cross-checks each seed's final *state* against the
-    /// [`Versioning::Single`] twin (makespans legitimately differ — the
-    /// snapshot path changes per-op cycle costs and thus the
-    /// interleaving).
-    pub versioning: Versioning,
-}
-
-/// The five HASTM mode policies swept for [`Scheme::Hastm`].
-const HASTM_POLICIES: [ModePolicy; 5] = [
-    ModePolicy::AlwaysCautious,
-    ModePolicy::SingleThreadAggressive,
-    ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-    ModePolicy::NaiveAggressive,
-    ModePolicy::Phased(PhasedParams {
-        // Tighter than the library defaults so the small suite workloads
-        // actually exercise transitions (including the serial phase)
-        // within a trial's few hundred transactions.
-        demote_after: 2,
-        promote_after: 4,
-        hysteresis: 4,
-        hw_retry_budget: 2,
-    }),
-];
-
-impl Combo {
-    /// The full matrix: every scheme × granularity × ISA level × gate
-    /// mode, with [`Scheme::Hastm`] additionally swept over every mode
-    /// policy (96 single-version combinations), plus a
-    /// [`Versioning::Multi`]`{k: 3}` twin of every STM-based quantum-gate
-    /// combination (36 more, 132 total). Gate variants of a combination
-    /// are adjacent so the suite's cross-scheduler comparison sees the
-    /// pair in the same seed pass; the multi-version twin rides
-    /// directly after its quantum single-version original for the same
-    /// reason.
-    pub fn all() -> Vec<Combo> {
-        let mut v = Vec::new();
-        let mut push = |combo: Combo| {
-            v.push(combo);
-            // Multi-version twins only where the snapshot path exists
-            // (STM-based schemes), and only under the default quantum gate
-            // to keep the matrix focused — the gate axis is already
-            // cross-checked on the single-version combos.
-            if combo.scheme.is_stm_based() && combo.gate == GateMode::Quantum {
-                v.push(Combo {
-                    versioning: Versioning::Multi { k: 3 },
-                    ..combo
-                });
-            }
-        };
-        for &scheme in &Scheme::ALL {
-            for granularity in [Granularity::Object, Granularity::CacheLine] {
-                for isa in [IsaLevel::Full, IsaLevel::Default] {
-                    for gate in [GateMode::Quantum, GateMode::PerOp] {
-                        if scheme == Scheme::Hastm {
-                            for policy in HASTM_POLICIES {
-                                push(Combo {
-                                    scheme,
-                                    granularity,
-                                    isa,
-                                    gate,
-                                    policy: Some(policy),
-                                    versioning: Versioning::Single,
-                                });
-                            }
-                        } else {
-                            push(Combo {
-                                scheme,
-                                granularity,
-                                isa,
-                                gate,
-                                policy: None,
-                                versioning: Versioning::Single,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        v
-    }
-
-    /// The combination with its gate mode canonicalized away — the key the
-    /// cross-scheduler comparison groups fingerprints by.
-    pub fn gate_erased(&self) -> Combo {
-        Combo {
-            gate: GateMode::default(),
-            ..*self
-        }
-    }
-
-    /// The combination with its versioning canonicalized away — the key
-    /// the single-vs-multi final-state comparison groups trials by.
-    pub fn versioning_erased(&self) -> Combo {
-        Combo {
-            versioning: Versioning::Single,
-            ..*self
-        }
-    }
-
-    /// The combination with its mode policy canonicalized away — the key
-    /// the phased-vs-watermark final-state comparison groups trials by.
-    /// Mode policies legitimately change interleavings and makespans
-    /// (they change per-attempt barrier costs), so like the versioning
-    /// axis only the final *state* is comparable — which every suite
-    /// workload makes interleaving-independent by construction.
-    pub fn policy_erased(&self) -> Combo {
-        Combo {
-            policy: self.policy.map(|_| ModePolicy::AlwaysCautious),
-            ..*self
-        }
-    }
-
-    /// Stable machine-parseable identifier, e.g.
-    /// `hastm:obj:full:watermark:quantum`.
-    pub fn slug(&self) -> String {
-        let scheme = match self.scheme {
-            Scheme::Sequential => "seq",
-            Scheme::Lock => "lock",
-            Scheme::Stm => "stm",
-            Scheme::HastmCautious => "hastm-cautious",
-            Scheme::Hastm => "hastm",
-            Scheme::HastmNoReuse => "hastm-noreuse",
-            Scheme::NaiveAggressive => "naive-aggressive",
-            Scheme::Hytm => "hytm",
-        };
-        let gran = match self.granularity {
-            Granularity::Object => "obj",
-            Granularity::CacheLine => "line",
-        };
-        let isa = match self.isa {
-            IsaLevel::Full => "full",
-            IsaLevel::Default => "default",
-        };
-        let mut s = format!("{scheme}:{gran}:{isa}");
-        if let Some(p) = self.policy {
-            s.push(':');
-            s.push_str(match p {
-                ModePolicy::AlwaysCautious => "cautious",
-                ModePolicy::SingleThreadAggressive => "single",
-                ModePolicy::AbortRatioWatermark { .. } => "watermark",
-                ModePolicy::NaiveAggressive => "naive",
-                ModePolicy::Phased(_) => "ph",
-            });
-        }
-        s.push(':');
-        s.push_str(match self.gate {
-            GateMode::PerOp => "perop",
-            GateMode::Quantum => "quantum",
-        });
-        if let Versioning::Multi { k } = self.versioning {
-            s.push_str(&format!(":v{k}"));
-        }
-        s
-    }
-
-    /// Parses a [`Combo::slug`] back into a combination. The gate suffix
-    /// is optional and defaults to [`GateMode::Quantum`] (pre-gate-mode
-    /// slugs stay valid), as is the `v<k>` versioning suffix (`v1` means
-    /// single-version, `v2`+ a `k`-deep multi-version ring); policy, gate,
-    /// and versioning names are disjoint, so every subset of the optional
-    /// suffixes parses unambiguously as long as it keeps the canonical
-    /// `policy:gate:v<k>` order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed component.
-    pub fn parse(s: &str) -> Result<Combo, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() < 3 || parts.len() > 6 {
-            return Err(format!(
-                "combo `{s}`: want scheme:gran:isa[:policy][:gate][:v<k>]"
-            ));
-        }
-        let scheme = match parts[0] {
-            "seq" => Scheme::Sequential,
-            "lock" => Scheme::Lock,
-            "stm" => Scheme::Stm,
-            "hastm-cautious" => Scheme::HastmCautious,
-            "hastm" => Scheme::Hastm,
-            "hastm-noreuse" => Scheme::HastmNoReuse,
-            "naive-aggressive" => Scheme::NaiveAggressive,
-            "hytm" => Scheme::Hytm,
-            other => return Err(format!("unknown scheme `{other}`")),
-        };
-        let granularity = match parts[1] {
-            "obj" => Granularity::Object,
-            "line" => Granularity::CacheLine,
-            other => return Err(format!("unknown granularity `{other}`")),
-        };
-        let isa = match parts[2] {
-            "full" => IsaLevel::Full,
-            "default" => IsaLevel::Default,
-            other => return Err(format!("unknown isa level `{other}`")),
-        };
-        let mut policy = None;
-        let mut gate = None;
-        let mut versioning = None;
-        for part in &parts[3..] {
-            let as_policy = match *part {
-                "cautious" => Some(ModePolicy::AlwaysCautious),
-                "single" => Some(ModePolicy::SingleThreadAggressive),
-                "watermark" => Some(ModePolicy::AbortRatioWatermark { watermark: 0.1 }),
-                "naive" => Some(ModePolicy::NaiveAggressive),
-                "ph" => Some(HASTM_POLICIES[4]),
-                _ => None,
-            };
-            let as_gate = match *part {
-                "perop" => Some(GateMode::PerOp),
-                "quantum" => Some(GateMode::Quantum),
-                _ => None,
-            };
-            let as_versioning = part
-                .strip_prefix('v')
-                .and_then(|k| k.parse::<usize>().ok())
-                .map(|k| {
-                    if k <= 1 {
-                        Versioning::Single
-                    } else {
-                        Versioning::Multi { k }
-                    }
-                });
-            match (as_policy, as_gate, as_versioning) {
-                (Some(p), _, _) if policy.is_none() && gate.is_none() && versioning.is_none() => {
-                    policy = Some(p);
-                }
-                (Some(_), _, _) => {
-                    return Err(format!("combo `{s}`: policy `{part}` out of place"))
-                }
-                (_, Some(g), _) if gate.is_none() && versioning.is_none() => gate = Some(g),
-                (_, Some(_), _) => return Err(format!("combo `{s}`: gate `{part}` out of place")),
-                (_, _, Some(v)) if versioning.is_none() => versioning = Some(v),
-                (_, _, Some(_)) => {
-                    return Err(format!("combo `{s}`: duplicate versioning `{part}`"))
-                }
-                _ => return Err(format!("unknown policy, gate, or versioning `{part}`")),
-            }
-        }
-        if policy.is_some() && scheme != Scheme::Hastm {
-            return Err(format!("combo `{s}`: only `hastm` takes a policy"));
-        }
-        let versioning = versioning.unwrap_or_default();
-        if versioning.is_multi() && !scheme.is_stm_based() {
-            return Err(format!(
-                "combo `{s}`: only STM-based schemes take multi-versioning"
-            ));
-        }
-        Ok(Combo {
-            scheme,
-            granularity,
-            isa,
-            gate: gate.unwrap_or_default(),
-            policy,
-            versioning,
-        })
-    }
-
-    fn stm_config(&self, threads: usize) -> hastm::StmConfig {
-        let mut c = self.scheme.stm_config(self.granularity, threads);
-        if let Some(p) = self.policy {
-            c.mode_policy = p;
-        }
-        c.versioning = self.versioning;
-        c
-    }
-}
-
-impl std::fmt::Display for Combo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.slug())
-    }
-}
-
-/// Which invariant-bearing workload a trial runs. The three partitioned
-/// structure workloads share one differential runner and differ only in
-/// the transactional data structure under test — which is the point:
-/// trees exercise rotations, node splits, and long read paths the hash
-/// table never does.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Workload {
-    /// Shared-counter increments; final sum must be exactly
-    /// `threads × ops`.
-    Counter,
-    /// Partitioned hash-table map; final digest must match a sequential
-    /// reference.
-    Map,
-    /// Partitioned map over the rotating BST (root rotations make remote
-    /// threads' paths overlap even with disjoint key partitions).
-    Bst,
-    /// Partitioned map over the B-tree (node splits/merges move many keys
-    /// per transaction).
-    BTree,
-    /// OLTP traffic mill: Zipf-skewed zero-sum bank transfers whose final
-    /// balances equal a closed-form ledger regardless of interleaving
-    /// (genuine cross-thread contention, unlike the partitioned maps).
-    Oltp,
-}
-
-impl Workload {
-    /// Every workload.
-    pub const ALL: [Workload; 5] = [
-        Workload::Counter,
-        Workload::Map,
-        Workload::Bst,
-        Workload::BTree,
-        Workload::Oltp,
-    ];
-
-    /// CLI identifier.
-    pub fn slug(self) -> &'static str {
-        match self {
-            Workload::Counter => "counter",
-            Workload::Map => "map",
-            Workload::Bst => "bst",
-            Workload::BTree => "btree",
-            Workload::Oltp => "oltp",
-        }
-    }
-
-    /// Parses a [`Workload::slug`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unknown workload.
-    pub fn parse(s: &str) -> Result<Workload, String> {
-        match s {
-            "counter" => Ok(Workload::Counter),
-            "map" => Ok(Workload::Map),
-            "bst" => Ok(Workload::Bst),
-            "btree" => Ok(Workload::BTree),
-            "oltp" => Ok(Workload::Oltp),
-            other => Err(format!(
-                "unknown workload `{other}` (counter|map|bst|btree|oltp)"
-            )),
-        }
     }
 }
 
@@ -584,33 +212,12 @@ pub struct Fingerprint {
     pub makespan: u64,
 }
 
-/// FNV-1a over one `(key, value)` pair; summed with a commutative combine
-/// so the digest depends only on the final abstract state (same fold the
-/// workload driver uses).
-pub(crate) fn fnv_pair(key: u64, value: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in key.to_le_bytes().iter().chain(value.to_le_bytes().iter()) {
-        h = (h ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn machine_config(trial: &Trial, cores: usize, perturbed: bool) -> MachineConfig {
-    let mut mc = MachineConfig::with_cores(cores);
-    mc.isa = trial.combo.isa;
-    mc.gate = trial.combo.gate;
-    if perturbed {
-        mc.schedule = trial.sched.policy(trial.seed);
-    }
-    mc
-}
-
 // ---------------------------------------------------------------------------
 // Run plans and observations
 // ---------------------------------------------------------------------------
 
 /// Extra machinery applied to a trial's *measured* run only (the setup and
-/// digest phases stay unperturbed): an explicit preemption trace, a fault
+/// check phases stay unperturbed): an explicit preemption trace, a fault
 /// plan, and optional schedule recording. The empty default reproduces the
 /// plain trial exactly.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -625,6 +232,11 @@ pub struct RunPlan {
     /// Record the measured run's structured event trace into the
     /// observation (see [`hastm_sim::TraceLog`]).
     pub trace: Option<TraceConfig>,
+    /// Gate admission mode of the trial's machine (all of its runs). No
+    /// binary sets this: the default quantum gate is what everything
+    /// runs, and the gate-equivalence test selects [`GateMode::PerOp`],
+    /// the reference schedule it must reproduce op for op.
+    pub gate: GateMode,
 }
 
 /// Formats a preemption trace as a replayable slug: `at@core,at@core,…`
@@ -683,7 +295,7 @@ pub struct Observation {
     pub ro_commits: u64,
     /// Read-only snapshot transaction attempts that did not commit.
     /// Snapshot reads cannot conflict-abort, so any nonzero count here is
-    /// a runtime bug; [`run_map`] fails the trial on it.
+    /// a runtime bug; the trial fails on it.
     pub ro_aborts: u64,
     /// Global phase transitions the worker threads published (nonzero only
     /// under [`ModePolicy::Phased`]). The oscillation stress suite bounds
@@ -747,7 +359,7 @@ fn arm_plan(machine: &mut Machine, plan: &RunPlan) {
     machine.set_tracing(plan.trace);
 }
 
-/// Clears any installed plan so later (digest) runs are unperturbed, and
+/// Clears any installed plan so later (check) runs are unperturbed, and
 /// harvests the recorded schedule and event trace into `obs`.
 fn disarm_plan(machine: &mut Machine, obs: &mut Observation) {
     obs.schedule = machine.take_schedule_log();
@@ -759,438 +371,93 @@ fn disarm_plan(machine: &mut Machine, obs: &mut Observation) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter workload
+// The simulator backend
 // ---------------------------------------------------------------------------
 
-/// Number of contended counter cells (2 cells on adjacent heap objects:
-/// high contention, plus false sharing under cache-line granularity).
-pub(crate) const COUNTER_CELLS: usize = 2;
-
-fn run_counter(trial: &Trial, plan: &RunPlan) -> (Result<Fingerprint, String>, Observation) {
-    let threads = trial.effective_threads();
-    let mut machine = Machine::new(machine_config(trial, threads, true));
-    let runtime = StmRuntime::new(
-        &mut machine,
-        trial
-            .combo
-            .stm_config(threads)
-            .with_oracle(OracleMode::Record),
-    );
-    let lock = SpinLock::alloc(runtime.heap());
-    let rt = &runtime;
-    let (cells, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-        (0..COUNTER_CELLS)
-            .map(|_| {
-                let cell = ex.alloc_obj(1);
-                ex.atomic(|ctx| ctx.ctx_write(cell, 0, 0));
-                cell
-            })
-            .collect::<Vec<ObjRef>>()
-    });
-
-    arm_plan(&mut machine, plan);
-    let obs = Mutex::new(Observation::default());
-    let scheme = trial.combo.scheme;
-    let seed = trial.seed;
-    let ops = trial.ops;
-    let cells_ref = &cells;
-    let obs_ref = &obs;
-    let workers: Vec<WorkerFn<'_>> = (0..threads)
-        .map(|tid| {
-            Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xc0de ^ ((tid as u64) << 24));
-                for _ in 0..ops {
-                    let cell = cells_ref[rng.gen_range(0..COUNTER_CELLS as u64) as usize];
-                    if lost_update_injected() {
-                        // Injected bug (test-only): the read-modify-write is
-                        // split across two atomic regions, so a concurrent
-                        // increment between them is lost.
-                        let v = ex.atomic(|ctx| ctx.ctx_read(cell, 0));
-                        ex.atomic(|ctx| ctx.ctx_write(cell, 0, v + 1));
-                    } else {
-                        ex.atomic(|ctx| {
-                            let v = ctx.ctx_read(cell, 0)?;
-                            ctx.ctx_write(cell, 0, v + 1)
-                        });
-                    }
-                }
-                observe_thread(obs_ref, &ex);
-            }) as WorkerFn<'_>
-        })
-        .collect();
-    let report = machine.run(workers);
-    let mut obs = obs.into_inner().unwrap();
-    disarm_plan(&mut machine, &mut obs);
-    obs.report = Some(report.clone());
-
-    let violations = runtime.verify_serializability(&machine);
-    if let Some(v) = violations.first() {
-        let err = format!("oracle: {v} ({} violations total)", violations.len());
-        return (Err(err), obs);
+/// The zero-abort guarantee of the snapshot path, on either backend: a
+/// multi-version runtime commits declared read-only transactions without
+/// validation, so a single snapshot abort is a runtime bug, not
+/// contention.
+pub(crate) fn snapshot_abort_free(
+    versioning: hastm::Versioning,
+    ro_aborts: u64,
+) -> Result<(), String> {
+    if versioning.is_multi() && ro_aborts > 0 {
+        return Err(format!(
+            "{ro_aborts} read-only snapshot aborts under {versioning:?} \
+             (snapshot reads must be abort-free)"
+        ));
     }
-
-    let expected = threads as u64 * trial.ops;
-    let mut total = 0u64;
-    let mut state = 0u64;
-    for (i, cell) in cells.iter().enumerate() {
-        let v = machine.peek_u64(cell.word(0));
-        total += v;
-        state = state.wrapping_add(fnv_pair(i as u64, v));
-    }
-    if total != expected {
-        let err = format!(
-            "counter sum {total} != expected {expected} ({} increments lost)",
-            expected as i64 - total as i64
-        );
-        return (Err(err), obs);
-    }
-    (
-        Ok(Fingerprint {
-            state,
-            makespan: report.makespan(),
-        }),
-        obs,
-    )
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Map workload
-// ---------------------------------------------------------------------------
-
-/// Keys per thread partition.
-pub(crate) const KEYS_PER_THREAD: u64 = 8;
-
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum MapOpKind {
-    Insert,
-    Remove,
-    Get,
+/// The simulator backend: one machine, STM runtime and global lock per
+/// run; setup and checks on an unperturbed sequential executor, the
+/// per-thread bodies under the combination, the schedule policy and the
+/// [`RunPlan`].
+pub(crate) struct Sim<'a> {
+    pub(crate) combo: Combo,
+    pub(crate) threads: usize,
+    pub(crate) schedule: SchedulePolicy,
+    pub(crate) plan: &'a RunPlan,
 }
 
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct MapOp {
-    kind: MapOpKind,
-    key: u64,
-    value: u64,
-}
+impl Backend for Sim<'_> {
+    type Outcome = (Result<Fingerprint, String>, Observation);
 
-/// Thread `tid`'s deterministic operation stream. All keys fall inside the
-/// thread's own partition `[tid·K, (tid+1)·K)`, so the final per-partition
-/// state — and therefore the whole map — is independent of how the
-/// threads interleave.
-pub(crate) fn stream(seed: u64, tid: usize, ops: u64) -> Vec<MapOp> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xd1ff ^ ((tid as u64) << 20));
-    let base = tid as u64 * KEYS_PER_THREAD;
-    (0..ops)
-        .map(|i| {
-            let key = base + rng.gen_range(0..KEYS_PER_THREAD);
-            let roll: u32 = rng.gen_range(0..100);
-            let kind = if roll < 45 {
-                MapOpKind::Insert
-            } else if roll < 70 {
-                MapOpKind::Remove
-            } else {
-                MapOpKind::Get
-            };
-            let value = (seed ^ (i << 8) ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            MapOp { kind, key, value }
-        })
-        .collect()
-}
-
-/// Creates the structure under test. The hash table is sized small (32
-/// buckets) to force bucket-chain traversals; trees size themselves.
-pub(crate) fn create_map(ctx: &mut dyn TmContext, structure: Structure) -> TxResult<AnyMap> {
-    Ok(match structure {
-        Structure::HashTable => AnyMap::Hash(HashTable::create(ctx, 32)),
-        Structure::Bst => AnyMap::Bst(Bst::create(ctx)),
-        Structure::BTree => AnyMap::BTree(BTree::create(ctx)?),
-    })
-}
-
-pub(crate) fn apply_stream<E: hastm::TmExec>(ex: &mut E, map: &AnyMap, ops: &[MapOp]) {
-    for op in ops {
-        match op.kind {
-            MapOpKind::Insert => {
-                ex.atomic(|ctx| map.insert(ctx, op.key, op.value));
-            }
-            MapOpKind::Remove => {
-                ex.atomic(|ctx| map.remove(ctx, op.key));
-            }
-            MapOpKind::Get => {
-                // Declared read-only: under a multi-version runtime this
-                // takes the abort-free snapshot path; under a
-                // single-version runtime (or a non-STM scheme) it is
-                // exactly an ordinary atomic region, so single-version
-                // fingerprints are unchanged by the routing.
-                ex.atomic_ro(|ctx| map.get(ctx, op.key));
-            }
-        }
-    }
-}
-
-pub(crate) fn map_digest<E: hastm::TmExec>(ex: &mut E, map: &AnyMap, key_span: u64) -> u64 {
-    let mut digest = 0u64;
-    let mut resident = 0u64;
-    for key in 0..key_span {
-        if let Some(value) = ex.atomic(|ctx| map.get(ctx, key)) {
-            digest = digest.wrapping_add(fnv_pair(key, value));
-            resident += 1;
-        }
-    }
-    digest.wrapping_add(resident.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
-fn run_map(
-    trial: &Trial,
-    structure: Structure,
-    plan: &RunPlan,
-) -> (Result<Fingerprint, String>, Observation) {
-    let threads = trial.effective_threads();
-    let streams: Vec<Vec<MapOp>> = (0..threads)
-        .map(|t| stream(trial.seed, t, trial.ops))
-        .collect();
-    let key_span = threads as u64 * KEYS_PER_THREAD;
-
-    // Sequential reference on a fresh single-core machine: applies the same
-    // streams one thread after another. Because partitions are disjoint,
-    // any legal concurrent execution must end in this exact map state.
-    let expected = {
-        let mut machine = Machine::new(machine_config(trial, 1, false));
+    fn run<W: Definition>(self, w: &W) -> Self::Outcome {
+        let Sim { combo, threads, .. } = self;
+        let mut machine = Machine::new(MachineConfig {
+            isa: combo.isa,
+            gate: self.plan.gate,
+            schedule: self.schedule,
+            ..MachineConfig::with_cores(threads)
+        });
         let runtime = StmRuntime::new(
             &mut machine,
-            Scheme::Sequential.stm_config(trial.combo.granularity, 1),
+            combo.stm_config(threads).with_oracle(OracleMode::Record),
         );
         let lock = SpinLock::alloc(runtime.heap());
         let rt = &runtime;
-        let streams_ref = &streams;
-        let (digest, _) = machine.run_one(move |cpu| {
-            let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-            let map = ex.atomic(|ctx| create_map(ctx, structure));
-            for s in streams_ref {
-                apply_stream(&mut ex, &map, s);
-            }
-            map_digest(&mut ex, &map, key_span)
-        });
-        digest
-    };
+        let (shared, _) = machine
+            .run_one(move |cpu| w.setup(&mut ThreadExec::new(Scheme::Sequential, rt, cpu, lock)));
 
-    // Measured run under the combination, fuzzed schedule.
-    let mut machine = Machine::new(machine_config(trial, threads, true));
-    let runtime = StmRuntime::new(
-        &mut machine,
-        trial
-            .combo
-            .stm_config(threads)
-            .with_oracle(OracleMode::Record),
-    );
-    let lock = SpinLock::alloc(runtime.heap());
-    let rt = &runtime;
-    let (map, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-        ex.atomic(|ctx| create_map(ctx, structure))
-    });
-    arm_plan(&mut machine, plan);
-    let obs = Mutex::new(Observation::default());
-    let obs_ref = &obs;
-    let scheme = trial.combo.scheme;
-    let streams_ref = &streams;
-    let workers: Vec<WorkerFn<'_>> = (0..threads)
-        .map(|tid| {
-            Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-                apply_stream(&mut ex, &map, &streams_ref[tid]);
-                observe_thread(obs_ref, &ex);
-            }) as WorkerFn<'_>
-        })
-        .collect();
-    let report = machine.run(workers);
-    let mut obs = obs.into_inner().unwrap();
-    disarm_plan(&mut machine, &mut obs);
-    obs.report = Some(report.clone());
-
-    let violations = runtime.verify_serializability(&machine);
-    if let Some(v) = violations.first() {
-        let err = format!("oracle: {v} ({} violations total)", violations.len());
-        return (Err(err), obs);
-    }
-
-    // Zero-abort guarantee of the snapshot path: a multi-version runtime
-    // commits declared read-only transactions without validation, so a
-    // single snapshot abort is a runtime bug, not contention.
-    if trial.combo.versioning.is_multi() && obs.ro_aborts > 0 {
-        let err = format!(
-            "{} read-only snapshot aborts under {:?} (snapshot reads must be abort-free)",
-            obs.ro_aborts, trial.combo.versioning
-        );
-        return (Err(err), obs);
-    }
-
-    let (digest, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-        map_digest(&mut ex, &map, key_span)
-    });
-    if digest != expected {
-        let err = format!("map digest {digest:#018x} != sequential reference {expected:#018x}");
-        return (Err(err), obs);
-    }
-    (
-        Ok(Fingerprint {
-            state: digest,
-            makespan: report.makespan(),
-        }),
-        obs,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// OLTP workload
-// ---------------------------------------------------------------------------
-
-/// The mill parameters a trial maps to: a small, hot ledger (16 accounts,
-/// θ = 0.9, a 10% eight-key tail) so real cross-thread conflicts occur
-/// even at the harness's small op counts. Shared with the native runner so
-/// sim and native trials of the same `(seed, threads, ops)` replay the
-/// identical traffic and must end in the identical closed-form state.
-pub(crate) fn oltp_params(seed: u64, threads: usize, ops: u64) -> hastm_workloads::OltpConfig {
-    hastm_workloads::OltpConfig {
-        threads,
-        txns_per_thread: ops,
-        accounts: 16,
-        zipf_theta: 0.9,
-        read_pct: 25,
-        txn_keys: 3,
-        large_txn_pct: 10,
-        large_txn_keys: 8,
-        flash_phases: 2,
-        mean_arrival_gap: 300,
-        seed,
-    }
-}
-
-/// Runs the OLTP mill on the simulator (base STM, fuzzed schedule) for the
-/// shared [`oltp_params`] point and returns the final ledger digest. The
-/// native differential suite compares this against the native TL2 digest
-/// directly — a belt-and-braces check on top of the closed-form ledger
-/// both runners verify independently.
-///
-/// # Panics
-///
-/// Panics if the simulated run itself violates the ledger or the
-/// serializability oracle (that is a sim bug, not a differential finding).
-pub fn oltp_sim_digest(seed: u64, threads: usize, ops: u64) -> u64 {
-    use hastm_workloads::oltp;
-
-    let mut cfg = oltp::OltpSimConfig::new(
-        oltp_params(seed, threads, ops),
-        Scheme::Stm,
-        Granularity::CacheLine,
-    );
-    cfg.machine.schedule = hastm_sim::SchedulePolicy::Fuzzed { seed };
-    let r = oltp::run_oltp_sim(&cfg);
-    assert_eq!(r.oracle_violations, 0, "sim oltp run is unserializable");
-    let expected = oltp::expected_balances(&cfg.oltp);
-    assert_eq!(
-        r.balances, expected,
-        "sim oltp run diverged from the ledger"
-    );
-    r.digest
-}
-
-fn run_oltp(trial: &Trial, plan: &RunPlan) -> (Result<Fingerprint, String>, Observation) {
-    use hastm_workloads::oltp;
-
-    let threads = trial.effective_threads();
-    let params = oltp_params(trial.seed, threads, trial.ops);
-    let streams: Vec<Vec<hastm_workloads::OltpTxn>> = (0..threads)
-        .map(|t| oltp::thread_txns(&params, t))
-        .collect();
-    // Closed-form reference: transfers apply fixed zero-sum deltas, so the
-    // final ledger is initial + Σ deltas regardless of interleaving.
-    let expected = oltp::expected_balances(&params);
-
-    let mut machine = Machine::new(machine_config(trial, threads, true));
-    let runtime = StmRuntime::new(
-        &mut machine,
-        trial
-            .combo
-            .stm_config(threads)
-            .with_oracle(OracleMode::Record),
-    );
-    let lock = SpinLock::alloc(runtime.heap());
-    let rt = &runtime;
-    let n_accounts = params.accounts;
-    let (accounts, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-        (0..n_accounts)
-            .map(|key| {
-                let obj = ex.alloc_obj(oltp::ACCOUNT_WORDS);
-                ex.atomic(|ctx| ctx.ctx_write(obj, 0, oltp::initial_balance(key)));
-                obj
+        arm_plan(&mut machine, self.plan);
+        let obs = Mutex::new(Observation::default());
+        let workers: Vec<WorkerFn<'_>> = (0..threads)
+            .map(|tid| {
+                let (shared, obs) = (&shared, &obs);
+                Box::new(move |cpu: &mut Cpu| {
+                    let mut ex = ThreadExec::new(combo.scheme, rt, cpu, lock);
+                    w.body(&mut ex, shared, tid);
+                    observe_thread(obs, &ex);
+                }) as WorkerFn<'_>
             })
-            .collect::<Vec<ObjRef>>()
-    });
+            .collect();
+        let report = machine.run(workers);
+        let mut obs = obs.into_inner().expect("observation lock");
+        disarm_plan(&mut machine, &mut obs);
+        let makespan = report.makespan();
+        obs.report = Some(report);
 
-    arm_plan(&mut machine, plan);
-    let obs = Mutex::new(Observation::default());
-    let obs_ref = &obs;
-    let scheme = trial.combo.scheme;
-    let accounts_ref = &accounts;
-    let streams_ref = &streams;
-    let workers: Vec<WorkerFn<'_>> = (0..threads)
-        .map(|tid| {
-            Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-                oltp::run_mill_thread(&mut ex, accounts_ref, &streams_ref[tid]);
-                observe_thread(obs_ref, &ex);
-            }) as WorkerFn<'_>
-        })
-        .collect();
-    let report = machine.run(workers);
-    let mut obs = obs.into_inner().unwrap();
-    disarm_plan(&mut machine, &mut obs);
-    obs.report = Some(report.clone());
-
-    let violations = runtime.verify_serializability(&machine);
-    if let Some(v) = violations.first() {
-        let err = format!("oracle: {v} ({} violations total)", violations.len());
-        return (Err(err), obs);
+        let violations = runtime.verify_serializability(&machine);
+        let verdict = match violations.first() {
+            Some(v) => Err(format!(
+                "oracle: {v} ({} violations total)",
+                violations.len()
+            )),
+            None => snapshot_abort_free(combo.versioning, obs.ro_aborts).and_then(|()| {
+                let (walked, _) = machine.run_one(|cpu| {
+                    w.walk(
+                        &mut ThreadExec::new(Scheme::Sequential, rt, cpu, lock),
+                        &shared,
+                    )
+                });
+                w.check(&shared, walked, &|addr| machine.peek_u64(addr))
+            }),
+        };
+        (verdict.map(|state| Fingerprint { state, makespan }), obs)
     }
-
-    let balances: Vec<u64> = accounts
-        .iter()
-        .map(|obj| machine.peek_u64(obj.word(0)))
-        .collect();
-    if oltp::total_balance(&balances) != oltp::total_balance(&expected) {
-        let err = format!(
-            "oltp total balance {} != conserved total {}",
-            oltp::total_balance(&balances),
-            oltp::total_balance(&expected)
-        );
-        return (Err(err), obs);
-    }
-    if let Some(key) = (0..balances.len()).find(|&k| balances[k] != expected[k]) {
-        let err = format!(
-            "oltp account {key} balance {} != ledger {} (first of {} divergent accounts)",
-            balances[key],
-            expected[key],
-            balances
-                .iter()
-                .zip(&expected)
-                .filter(|(a, b)| a != b)
-                .count()
-        );
-        return (Err(err), obs);
-    }
-    (
-        Ok(Fingerprint {
-            state: oltp::balances_digest(&balances),
-            makespan: report.makespan(),
-        }),
-        obs,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1219,13 +486,14 @@ pub fn run_trial_observed(
     trial: &Trial,
     plan: &RunPlan,
 ) -> (Result<Fingerprint, String>, Observation) {
-    match trial.workload {
-        Workload::Counter => run_counter(trial, plan),
-        Workload::Map => run_map(trial, Structure::HashTable, plan),
-        Workload::Bst => run_map(trial, Structure::Bst, plan),
-        Workload::BTree => run_map(trial, Structure::BTree, plan),
-        Workload::Oltp => run_oltp(trial, plan),
-    }
+    let threads = trial.effective_threads();
+    let sim = Sim {
+        combo: trial.combo,
+        threads,
+        schedule: trial.sched.policy(trial.seed),
+        plan,
+    };
+    trial.workload.run_on(trial.seed, threads, trial.ops, sim)
 }
 
 /// [`run_trial_plan`] with the empty plan, fingerprint only.
@@ -1363,20 +631,10 @@ pub fn check_trial_plan(
     Ok((fp, obs))
 }
 
-/// Runs a trial (twice when `determinism` is set) and returns its
-/// fingerprint, or the failure detail.
-///
-/// # Errors
-///
-/// Returns the invariant-violation or nondeterminism detail.
-pub fn check_trial_fingerprint(trial: &Trial, determinism: bool) -> Result<Fingerprint, String> {
-    check_trial_plan(trial, &RunPlan::default(), determinism).map(|(fp, _)| fp)
-}
-
 /// Runs a trial (twice when `determinism` is set) and returns `Some`
 /// failure detail, or `None` when every invariant holds.
 pub fn check_trial(trial: &Trial, determinism: bool) -> Option<String> {
-    check_trial_fingerprint(trial, determinism).err()
+    check_trial_plan(trial, &RunPlan::default(), determinism).err()
 }
 
 /// Greedily shrinks a failing trial: halve/decrement `ops`, then reduce
@@ -1459,7 +717,6 @@ pub fn replay_command(trial: &Trial) -> String {
         trial.ops
     )
 }
-
 // ---------------------------------------------------------------------------
 // Suite
 // ---------------------------------------------------------------------------
@@ -1530,17 +787,19 @@ pub struct SuiteReport {
     /// Interleaving coverage across all trials (schedule-based metrics
     /// only populated when [`CheckConfig::coverage`] is on).
     pub coverage: Coverage,
+    /// Twin comparisons actually performed, by [`Relation::label`] — so a
+    /// caller can tell a cross-check that passed from one that never ran.
+    pub twin_comparisons: BTreeMap<&'static str, u64>,
 }
 
 /// Sweeps the full matrix across the seed range, calling `on_trial` after
 /// each trial with its pass/fail status. The first seed of every
 /// combination additionally checks determinism by re-running. Within each
-/// seed, passing trials that differ only in [`GateMode`] are cross-checked
-/// for bit-equal fingerprints (the schedule-identity property of the
-/// run-until-overtaken quantum gate), and passing trials that differ only
-/// in [`Versioning`] are cross-checked for equal final *state* (the
-/// snapshot path must never change what writers commit; makespans
-/// legitimately differ); a divergence is reported as its own [`Failure`].
+/// seed, for every axis whose [`AXES`] row names a [`Relation`], passing
+/// trials that differ only along that axis are cross-checked as the
+/// relation's [`Comparator`] says; a divergence is reported as its own
+/// [`Failure`], and every comparison made is counted in
+/// [`SuiteReport::twin_comparisons`].
 pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> SuiteReport {
     let mut report = SuiteReport::default();
     let plan = RunPlan {
@@ -1548,28 +807,10 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
         ..RunPlan::default()
     };
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
-        // (gate-erased combo slug, workload) → first gate variant's result,
-        // reset per seed so only same-seed trials are compared.
-        let mut by_gate_erased: std::collections::HashMap<
-            (String, Workload),
-            (Trial, Fingerprint),
-        > = std::collections::HashMap::new();
-        // (versioning-erased combo slug, workload) → first versioning
-        // variant's result. Unlike the gate axis, versioning twins are
-        // *not* schedule-identical (the snapshot path changes per-op
-        // cycle costs), so only the final state is compared — which every
-        // suite workload makes interleaving-independent by construction.
-        let mut by_versioning_erased: std::collections::HashMap<
-            (String, Workload),
-            (Trial, Fingerprint),
-        > = std::collections::HashMap::new();
-        // (policy-erased combo slug, workload) → first policy variant's
-        // result, restricted to the Phased / AbortRatioWatermark pair:
-        // the phase controller must be *observationally invisible* in the
-        // final state — it may change when transactions run, never what
-        // they commit (serial-phase soundness included).
-        let mut by_policy_pair: std::collections::HashMap<(String, Workload), (Trial, Fingerprint)> =
-            std::collections::HashMap::new();
+        // (axis, axis-erased combo slug, workload) → the first passing
+        // trial of that twin group; reset per seed so only same-seed
+        // trials are compared.
+        let mut firsts: HashMap<(usize, String, Workload), (Trial, Fingerprint)> = HashMap::new();
         for combo in &cfg.combos {
             for &workload in &cfg.workloads {
                 let trial = Trial {
@@ -1587,7 +828,8 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                 });
                 report.trials += 1;
                 on_trial(&trial, outcome.is_ok());
-                match outcome {
+                let mut fp = match outcome {
+                    Ok(fp) => fp,
                     Err(detail) => {
                         let (shrunk, shrunk_detail) =
                             shrink_failure(trial, detail.clone(), cfg.shrink_budget);
@@ -1599,111 +841,56 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                             shrunk_detail,
                             replay,
                         });
+                        continue;
                     }
-                    Ok(fp) => {
-                        let key = (combo.gate_erased().slug(), workload);
-                        match by_gate_erased.get(&key) {
-                            None => {
-                                by_gate_erased.insert(key, (trial, fp));
-                            }
-                            Some(&(other, other_fp)) if other.combo.gate != combo.gate => {
-                                if other_fp != fp {
-                                    // The divergence is a relation between
-                                    // two trials, so the single-trial
-                                    // shrinker cannot reproduce it; report
-                                    // the pair unshrunk with a replay for
-                                    // each side.
-                                    let detail = format!(
-                                        "gate divergence: {} fingerprint {fp:?} != {} \
-                                         fingerprint {other_fp:?} (schedule-identity violated)",
-                                        trial.combo, other.combo
-                                    );
-                                    let replay = format!(
-                                        "{}\n    vs: {}",
-                                        replay_command(&trial),
-                                        replay_command(&other)
-                                    );
-                                    report.failures.push(Failure {
-                                        trial,
-                                        detail: detail.clone(),
-                                        shrunk: trial,
-                                        shrunk_detail: detail,
-                                        replay,
-                                    });
-                                }
-                            }
-                            // Same gate listed twice (user-selected combos
-                            // may duplicate); nothing to cross-check.
-                            Some(_) => {}
-                        }
-                        let vkey = (combo.versioning_erased().slug(), workload);
-                        match by_versioning_erased.get(&vkey) {
-                            None => {
-                                by_versioning_erased.insert(vkey, (trial, fp));
-                            }
-                            Some(&(other, other_fp))
-                                if other.combo.versioning != combo.versioning =>
-                            {
-                                if other_fp.state != fp.state {
-                                    let detail = format!(
-                                        "versioning divergence: {} final state {:#018x} != {} \
-                                         final state {:#018x} (multi-version writers must reach \
-                                         the single-version state)",
-                                        trial.combo, fp.state, other.combo, other_fp.state
-                                    );
-                                    let replay = format!(
-                                        "{}\n    vs: {}",
-                                        replay_command(&trial),
-                                        replay_command(&other)
-                                    );
-                                    report.failures.push(Failure {
-                                        trial,
-                                        detail: detail.clone(),
-                                        shrunk: trial,
-                                        shrunk_detail: detail,
-                                        replay,
-                                    });
-                                }
-                            }
-                            Some(_) => {}
-                        }
-                        if matches!(
-                            combo.policy,
-                            Some(ModePolicy::Phased(_) | ModePolicy::AbortRatioWatermark { .. })
-                        ) {
-                            let pkey = (combo.policy_erased().slug(), workload);
-                            match by_policy_pair.get(&pkey) {
-                                None => {
-                                    by_policy_pair.insert(pkey, (trial, fp));
-                                }
-                                Some(&(other, other_fp))
-                                    if other.combo.policy != combo.policy =>
-                                {
-                                    if other_fp.state != fp.state {
-                                        let detail = format!(
-                                            "phase-policy divergence: {} final state {:#018x} != \
-                                             {} final state {:#018x} (the phase controller must \
-                                             not change what transactions commit)",
-                                            trial.combo, fp.state, other.combo, other_fp.state
-                                        );
-                                        let replay = format!(
-                                            "{}\n    vs: {}",
-                                            replay_command(&trial),
-                                            replay_command(&other)
-                                        );
-                                        report.failures.push(Failure {
-                                            trial,
-                                            detail: detail.clone(),
-                                            shrunk: trial,
-                                            shrunk_detail: detail,
-                                            replay,
-                                        });
-                                    }
-                                }
-                                Some(_) => {}
-                            }
-                        }
+                };
+                if injected(Injection::TwinDivergence)
+                    && (combo.versioning.is_multi()
+                        || matches!(combo.policy, Some(ModePolicy::Phased(_))))
+                {
+                    fp.state ^= 1;
+                }
+                for (i, axis) in AXES.iter().enumerate() {
+                    let Some(relation) = &axis.relation else {
+                        continue;
+                    };
+                    if !(relation.among)(combo) {
+                        continue;
                     }
+                    let key = (i, axis.erase(combo).slug(), workload);
+                    let &mut (other, other_fp) = firsts.entry(key).or_insert((trial, fp));
+                    // The group's own first trial, or the same combination
+                    // listed twice: nothing to cross-check.
+                    if other.combo == *combo {
+                        continue;
+                    }
+                    *report.twin_comparisons.entry(relation.label).or_default() += 1;
+                    if relation.comparator.agrees(fp, other_fp) {
+                        continue;
+                    }
+                    // The divergence is a relation between two trials, so
+                    // the single-trial shrinker cannot reproduce it; report
+                    // the pair unshrunk with a replay for each side.
+                    let detail = format!(
+                        "{} divergence: {} {} != {} {} ({})",
+                        relation.label,
+                        trial.combo,
+                        relation.comparator.show(fp),
+                        other.combo,
+                        relation.comparator.show(other_fp),
+                        relation.claim
+                    );
+                    report.failures.push(Failure {
+                        trial,
+                        detail: detail.clone(),
+                        shrunk: trial,
+                        shrunk_detail: detail,
+                        replay: format!(
+                            "{}\n    vs: {}",
+                            replay_command(&trial),
+                            replay_command(&other)
+                        ),
+                    });
                 }
             }
         }
@@ -1713,88 +900,98 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{InjectGuard, TEST_LOCK};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use super::*;
+    use hastm::Versioning;
+
+    pub(crate) static INJECTED: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+
+    /// Serializes the in-crate tests that run trials (this module's,
+    /// [`explore`]'s and [`native`]'s): the injection switches are
+    /// process-global, so trial-running tests must not overlap.
+    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Arms one injection for the guard's lifetime.
+    pub(crate) struct InjectGuard(Injection);
+    impl InjectGuard {
+        pub(crate) fn arm(which: Injection) -> Self {
+            INJECTED[which as usize].store(true, Ordering::SeqCst);
+            InjectGuard(which)
+        }
+    }
+    impl Drop for InjectGuard {
+        fn drop(&mut self) {
+            INJECTED[self.0 as usize].store(false, Ordering::SeqCst);
+        }
+    }
 
     #[test]
     fn combo_matrix_size_and_slug_round_trip() {
         let all = Combo::all();
         assert_eq!(
             all.len(),
-            132,
-            "8 schemes, Hastm x5 policies, x2 gran x2 isa x2 gate, \
-             + v3 twins of the 36 STM-based quantum combos"
+            84,
+            "8 schemes, Hastm x5 policies, x2 gran x2 isa, + v3 twins of the 36 STM-based combos"
         );
         assert_eq!(
             all.iter()
                 .filter(|c| c.versioning.is_multi())
-                .inspect(|c| {
-                    assert!(c.scheme.is_stm_based());
-                    assert_eq!(c.gate, GateMode::Quantum);
-                })
+                .inspect(|c| assert!(c.scheme.is_stm_based()))
                 .count(),
             36
         );
+        let mut slugs = std::collections::BTreeSet::new();
         for combo in &all {
             let slug = combo.slug();
-            let parsed = Combo::parse(&slug).expect("slug parses");
-            assert_eq!(&parsed, combo, "round trip of {slug}");
+            assert_eq!(&Combo::parse(&slug).expect("slug parses"), combo, "{slug}");
+            assert!(slugs.insert(slug), "duplicate slug for {combo:?}");
         }
-        // Pre-gate-mode slugs stay valid and default to the quantum gate;
-        // both explicit gates parse with or without a policy in front.
-        let legacy = Combo::parse("stm:obj:full").unwrap();
-        assert_eq!(legacy.gate, GateMode::Quantum);
-        assert_eq!(legacy.slug(), "stm:obj:full:quantum");
+        // Twins ride directly after their single-version original.
+        let at = |slug: &str| all.iter().position(|c| c.slug() == slug).expect(slug);
+        assert_eq!(at("stm:obj:full:v3"), at("stm:obj:full") + 1);
+        assert_eq!(at("seq:obj:full"), 0);
+
+        // Optional suffixes: `v1` spells the default out (and drops from
+        // the slug), `v2` parses without being swept.
+        let v1 = Combo::parse("stm:obj:full:v1").unwrap();
+        assert_eq!(v1.versioning, Versioning::Single);
+        assert_eq!(v1.slug(), "stm:obj:full");
         assert_eq!(
-            Combo::parse("stm:obj:full:perop").unwrap().gate,
-            GateMode::PerOp
+            Combo::parse("seq:obj:full:v1").unwrap().slug(),
+            "seq:obj:full"
         );
-        let full = Combo::parse("hastm:line:default:naive:perop").unwrap();
-        assert_eq!(full.gate, GateMode::PerOp);
-        assert_eq!(full.policy, Some(ModePolicy::NaiveAggressive));
-        assert!(Combo::parse("bogus:obj:full").is_err());
-        assert!(
-            Combo::parse("stm:obj:full:watermark").is_err(),
-            "policy only for hastm"
-        );
-        assert!(
-            Combo::parse("hastm:obj:full:perop:naive").is_err(),
-            "policy must precede the gate"
-        );
-        assert!(
-            Combo::parse("stm:obj:full:perop:quantum").is_err(),
-            "one gate only"
-        );
-        assert!(Combo::parse("hastm:obj").is_err());
-        // Versioning suffix: `v1` canonicalizes to single-version (and
-        // drops out of the slug), `v3` round-trips, and the suffix obeys
-        // the canonical policy:gate:v<k> order.
-        let v3 = Combo::parse("stm:obj:full:v3").unwrap();
-        assert_eq!(v3.versioning, Versioning::Multi { k: 3 });
-        assert_eq!(v3.slug(), "stm:obj:full:quantum:v3");
-        assert_eq!(
-            Combo::parse("stm:obj:full:v1").unwrap().versioning,
-            Versioning::Single
-        );
-        assert_eq!(
-            Combo::parse("stm:obj:full:v1").unwrap().slug(),
-            "stm:obj:full:quantum"
-        );
-        let full_v = Combo::parse("hastm:line:full:watermark:quantum:v2").unwrap();
-        assert_eq!(full_v.versioning, Versioning::Multi { k: 2 });
-        assert_eq!(full_v.slug(), "hastm:line:full:watermark:quantum:v2");
-        assert!(
-            Combo::parse("seq:obj:full:v3").is_err(),
-            "multi-versioning needs an STM-based scheme"
-        );
-        assert!(
-            Combo::parse("stm:obj:full:v3:quantum").is_err(),
-            "gate must precede the versioning suffix"
-        );
-        assert!(Combo::parse("stm:obj:full:v3:v3").is_err(), "one v only");
-        assert!(Combo::parse("stm:obj:full:vx").is_err());
-        assert!(Workload::parse("map").is_ok());
-        assert!(Workload::parse("nope").is_err());
+        let v2 = Combo::parse("hastm:line:full:watermark:v2").unwrap();
+        assert_eq!(v2.versioning, Versioning::Multi { k: 2 });
+        assert_eq!(v2.slug(), "hastm:line:full:watermark:v2");
+        assert!(!slugs.contains(&v2.slug()));
+        // A policy-less hastm combo keeps the scheme's own policy.
+        let bare = Combo::parse("hastm:obj:full").unwrap();
+        assert_eq!(bare.policy, None);
+        assert_eq!(bare.slug(), "hastm:obj:full");
+
+        for (bad, why) in [
+            ("bogus:obj:full", "unknown scheme"),
+            ("stm:word:full", "unknown granularity"),
+            ("stm:obj:partial", "unknown isa level"),
+            ("hastm:obj", "missing isa level"),
+            ("stm:obj:full:watermark", "policy only for hastm"),
+            (
+                "seq:obj:full:v3",
+                "multi-versioning needs an STM-based scheme",
+            ),
+            (
+                "hastm:obj:full:v3:naive",
+                "policy must precede the versioning suffix",
+            ),
+            ("hastm:obj:full:naive:ph", "one policy only"),
+            ("stm:obj:full:v3:v3", "one v only"),
+            ("stm:obj:full:vx", "v<k> takes a depth"),
+            ("stm:obj:full:v4", "only the depths something uses"),
+            ("stm:obj:full:", "empty component"),
+        ] {
+            assert!(Combo::parse(bad).is_err(), "`{bad}` must not parse: {why}");
+        }
     }
 
     #[test]
@@ -1807,19 +1004,17 @@ mod tests {
             "seq:obj:full",
             "lock:obj:full",
             "stm:line:full",
-            // Per-op twins of two quantum combos: exercises the suite's
-            // cross-scheduler fingerprint comparison (any divergence
-            // would surface as a `gate divergence` failure).
-            "stm:line:full:perop",
-            // Multi-version twins of two quantum combos: exercises the
-            // suite's single-vs-multi final-state comparison (a writer
+            // Multi-version twins of two combos: exercises the suite's
+            // single-vs-multi final-state comparison (a writer
             // divergence would surface as a `versioning divergence`
             // failure) and the zero-snapshot-abort invariant.
             "stm:line:full:v3",
             "hastm:obj:full:watermark:v3",
             "hastm-cautious:obj:full",
             "hastm:obj:full:watermark",
-            "hastm:obj:full:watermark:perop",
+            // The phased twin of the watermark combo: exercises the
+            // `phase-policy` final-state comparison.
+            "hastm:obj:full:ph",
             "hastm:line:default:naive",
             "hastm-noreuse:obj:full",
             "naive-aggressive:line:full",
@@ -1838,11 +1033,17 @@ mod tests {
             ..CheckConfig::default()
         };
         let report = run_suite(&cfg, |_, _| {});
-        assert_eq!(report.trials, 2 * 13 * 2);
+        assert_eq!(report.trials, 2 * 12 * 2);
         assert!(
             report.failures.is_empty(),
             "unexpected violations: {:#?}",
             report.failures
+        );
+        // Per seed and workload: two single/v3 pairs and one
+        // watermark/phased pair were actually compared.
+        assert_eq!(
+            report.twin_comparisons,
+            BTreeMap::from([("phase-policy", 2 * 2), ("versioning", 2 * 2 * 2)])
         );
     }
 
@@ -1906,12 +1107,202 @@ mod tests {
             "versioning sweep diverged: {:#?}",
             report.failures
         );
+        // Per seed and workload: stm v3 against its single, hastm v3 and
+        // v2 each against theirs. No phased combo, so no policy pair.
+        assert_eq!(
+            report.twin_comparisons,
+            BTreeMap::from([("versioning", 2 * 2 * 3)])
+        );
+    }
+
+    #[test]
+    fn divergent_twins_are_reported_per_axis_with_both_replays() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let _inject = InjectGuard::arm(Injection::TwinDivergence);
+        let combos: Vec<Combo> = [
+            "stm:obj:full",
+            "stm:obj:full:v3",
+            "hastm:obj:full:watermark",
+            "hastm:obj:full:ph",
+        ]
+        .iter()
+        .map(|s| Combo::parse(s).unwrap())
+        .collect();
+        let cfg = CheckConfig {
+            seeds: 1,
+            ops: 6,
+            combos,
+            workloads: vec![Workload::Counter],
+            ..CheckConfig::default()
+        };
+        let report = run_suite(&cfg, |_, _| {});
+        assert_eq!(
+            report.twin_comparisons,
+            BTreeMap::from([("phase-policy", 1), ("versioning", 1)])
+        );
+        assert_eq!(report.failures.len(), 2, "{:#?}", report.failures);
+        for (failure, label, twins) in [
+            (
+                &report.failures[0],
+                "versioning",
+                ["stm:obj:full:v3", "stm:obj:full"],
+            ),
+            (
+                &report.failures[1],
+                "phase-policy",
+                ["hastm:obj:full:ph", "hastm:obj:full:watermark"],
+            ),
+        ] {
+            assert!(
+                failure.detail.starts_with(&format!("{label} divergence: ")),
+                "{}",
+                failure.detail
+            );
+            let (this, other) = failure
+                .replay
+                .split_once("\n    vs: ")
+                .expect("two replays");
+            for (replay, slug) in [this, other].into_iter().zip(twins) {
+                assert!(replay.contains("--replay"), "{replay}");
+                assert!(replay.contains(&format!("--combo {slug} ")), "{replay}");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprints_pinned_before_the_runners_were_unified_still_hold() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        // (slug, workload, seed, sched) → (state, makespan) at 3 threads ×
+        // 16 ops, generated by the per-workload, per-backend runners this
+        // crate had before `workload::Definition`: the simulated op order
+        // of every workload under both drivers' shared bodies is unchanged.
+        use Workload::*;
+        let (fuzzed, pct, det) = (Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Det);
+        for (slug, workload, seed, sched, state, makespan) in [
+            ("stm:obj:full", Counter, 3, fuzzed, 0x90477b5cbbc796b9, 4690),
+            (
+                "hastm:obj:full:watermark",
+                Counter,
+                5,
+                pct,
+                0xa09b0acc0cd2f4a9,
+                2888,
+            ),
+            ("stm:obj:full", Map, 3, fuzzed, 0xba9cd6ca9a26d428, 11837),
+            (
+                "hastm:obj:full:watermark",
+                Map,
+                5,
+                pct,
+                0x5466dcb12ed23861,
+                3751,
+            ),
+            ("stm:obj:full", Bst, 3, fuzzed, 0xba9cd6ca9a26d428, 26841),
+            (
+                "hastm:obj:full:watermark",
+                Bst,
+                5,
+                pct,
+                0x5466dcb12ed23861,
+                8353,
+            ),
+            ("stm:obj:full", BTree, 3, fuzzed, 0xba9cd6ca9a26d428, 24858),
+            (
+                "hastm:obj:full:watermark",
+                BTree,
+                5,
+                pct,
+                0x5466dcb12ed23861,
+                6346,
+            ),
+            ("stm:obj:full", Oltp, 3, fuzzed, 0xb825eafa97e85eab, 532078),
+            (
+                "hastm:obj:full:watermark",
+                Oltp,
+                5,
+                pct,
+                0x6ed32c33274259f5,
+                9397,
+            ),
+            // The other executors and paths: snapshot reads, HyTM, the
+            // phase controller. (No lock row: `SpinLock::release`
+            // debug-asserts through a simulated load, so lock makespans
+            // differ between debug and release builds.)
+            (
+                "stm:line:default:v3",
+                Map,
+                7,
+                fuzzed,
+                0x329345c259a4230d,
+                3929,
+            ),
+            ("hytm:obj:full", Bst, 2, det, 0x5544c60fa2a62e12, 10218),
+            (
+                "hastm:line:full:ph",
+                Oltp,
+                6,
+                fuzzed,
+                0x53d021f30fe8e27a,
+                71338,
+            ),
+        ] {
+            let trial = Trial {
+                combo: Combo::parse(slug).unwrap(),
+                workload,
+                seed,
+                threads: 3,
+                ops: 16,
+                sched,
+            };
+            assert_eq!(
+                run_trial(&trial),
+                Ok(Fingerprint { state, makespan }),
+                "{trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_commands_parse_back_to_the_same_trial() {
+        // What a failure prints must rebuild exactly the trial that
+        // failed, for every combination (flags as `main` parses them).
+        for (i, combo) in Combo::all().into_iter().enumerate() {
+            let trial = Trial {
+                combo,
+                workload: Workload::ALL[i % 5],
+                seed: i as u64,
+                threads: 2 + i % 3,
+                ops: 4 + i as u64,
+                sched: [Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Det][i % 3],
+            };
+            let command = replay_command(&trial);
+            let flag = |name: &str| {
+                let mut words = command.split(' ').skip_while(|w| *w != name);
+                words
+                    .nth(1)
+                    .unwrap_or_else(|| panic!("{name} in `{command}`"))
+            };
+            let parsed = Trial {
+                combo: Combo::parse(flag("--combo")).unwrap(),
+                workload: Workload::parse(flag("--workload")).unwrap(),
+                seed: flag("--seed").parse().unwrap(),
+                threads: flag("--threads").parse().unwrap(),
+                ops: flag("--ops").parse().unwrap(),
+                sched: Sched::parse(flag("--sched")).unwrap(),
+            };
+            let expected = Trial {
+                threads: trial.effective_threads(),
+                ..trial
+            };
+            assert_eq!(parsed, expected, "{command}");
+            assert!(command.contains(" --replay "), "{command}");
+        }
     }
 
     #[test]
     fn injected_lost_update_is_caught_shrunk_and_replayable() {
         let _guard = TEST_LOCK.lock().unwrap();
-        let _inject = InjectGuard::arm();
+        let _inject = InjectGuard::arm(Injection::LostUpdate);
         let cfg = CheckConfig {
             seeds: 8,
             ops: 24,
@@ -1976,7 +1367,7 @@ mod tests {
     #[test]
     fn shrink_failure_is_deterministic() {
         let _guard = TEST_LOCK.lock().unwrap();
-        let _inject = InjectGuard::arm();
+        let _inject = InjectGuard::arm(Injection::LostUpdate);
         let combo = Combo::parse("stm:line:full").unwrap();
         let failing = (0..8)
             .map(|seed| Trial {

@@ -1,7 +1,7 @@
 //! Command-line entry point for the differential-testing harness.
 //!
 //! ```text
-//! # Sweep the full 132-combination matrix across 100 seeds:
+//! # Sweep the full 84-combination matrix across 100 seeds:
 //! cargo run -p hastm-check --release -- --seeds 100
 //!
 //! # PCT sweep: 200 depth-3 schedules over every workload:
@@ -13,14 +13,14 @@
 //!
 //! # Reproduce one (possibly shrunk) failing trial exactly:
 //! cargo run -p hastm-check --release -- --replay \
-//!     --workload counter --combo hastm:obj:full:watermark:perop \
+//!     --workload counter --combo hastm:obj:full:watermark \
 //!     --sched pct:3 --seed 17 --threads 3 --ops 8
 //! ```
 
 use std::process::ExitCode;
 
 use hastm_check::explore::{explore, ExploreConfig};
-use hastm_check::native::{run_native_suite, NativeCheckConfig};
+use hastm_check::native::{run_native_suite, NativeCheckConfig, NativeTrial};
 use hastm_check::{
     check_trial_plan, parse_trace, run_suite, run_trial_observed, CheckConfig, Combo, Observation,
     RunPlan, Sched, Trial, Workload,
@@ -66,12 +66,12 @@ OPTIONS:
     --workload W     workload: counter | map | bst | btree | oltp
                      (suite mode sweeps all five; passing one restricts the
                      sim and native sweeps to it) [explore default: counter]
-    --combo C        combination, e.g. hastm:obj:full:watermark:perop
-                     (gate suffix perop|quantum optional, default
-                     quantum; versioning suffix v<k> optional, default v1 =
-                     single-version, v2+ = k-deep snapshot rings; see
-                     --list-combos for all 132; in suite mode restricts
-                     the sim sweep to this single combination)
+    --combo C        combination scheme:gran:isa[:policy][:v<k>], e.g.
+                     hastm:obj:full:watermark or stm:line:full:v3 (policy
+                     only for hastm; versioning suffix optional, default
+                     v1 = single-version, v2|v3 = k-deep snapshot rings;
+                     see --list-combos for the 84 swept; in suite mode
+                     restricts the sim sweep to this single combination)
     --seed N         replay/explore seed                   [default: 0]
     --trace T        replay preemption trace, e.g. 12@1,30@0
     --trace-out FILE write the replayed run's event trace as Chrome
@@ -85,8 +85,9 @@ OPTIONS:
     --help           this text
 ";
 
-#[derive(Copy, Clone, PartialEq, Eq)]
+#[derive(Copy, Clone, PartialEq, Eq, Default)]
 enum Backend {
+    #[default]
     Sim,
     Native,
     Both,
@@ -103,6 +104,7 @@ impl Backend {
     }
 }
 
+#[derive(Default)]
 struct Args {
     replay: bool,
     list_combos: bool,
@@ -113,8 +115,8 @@ struct Args {
     start_seed: u64,
     threads: usize,
     ops: Option<u64>,
-    workload: Option<String>,
-    combo: Option<String>,
+    workload: Option<Workload>,
+    combo: Option<Combo>,
     seed: u64,
     sched: Sched,
     pct: Option<u64>,
@@ -129,27 +131,12 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        replay: false,
-        list_combos: false,
-        explore: false,
-        quiet: false,
-        coverage: false,
         seeds: 50,
-        start_seed: 0,
         threads: 3,
-        ops: None,
-        workload: None,
-        combo: None,
-        seed: 0,
-        sched: Sched::Fuzzed,
-        pct: None,
         depth: 3,
         bound: 2,
         max_runs: 2_000,
-        trace: None,
-        trace_out: None,
-        validate_trace: None,
-        backend: Backend::Sim,
+        ..Args::default()
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -174,8 +161,8 @@ fn parse_args() -> Result<Args, String> {
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             "--validate-trace" => args.validate_trace = Some(value("--validate-trace")?),
             "--backend" => args.backend = Backend::parse(&value("--backend")?)?,
-            "--workload" => args.workload = Some(value("--workload")?),
-            "--combo" => args.combo = Some(value("--combo")?),
+            "--workload" => args.workload = Some(Workload::parse(&value("--workload")?)?),
+            "--combo" => args.combo = Some(Combo::parse(&value("--combo")?)?),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -272,15 +259,9 @@ fn run_validate_trace(path: &str) -> Result<ExitCode, String> {
 }
 
 fn replay(args: &Args) -> Result<ExitCode, String> {
-    let workload = Workload::parse(
-        args.workload
-            .as_deref()
-            .ok_or("--replay needs --workload")?,
-    )?;
-    let combo = Combo::parse(args.combo.as_deref().ok_or("--replay needs --combo")?)?;
     let trial = Trial {
-        combo,
-        workload,
+        combo: args.combo.ok_or("--replay needs --combo")?,
+        workload: args.workload.ok_or("--replay needs --workload")?,
         seed: args.seed,
         threads: args.threads,
         ops: args.ops.unwrap_or(32),
@@ -312,22 +293,17 @@ fn replay(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-fn run_explore(args: &Args) -> Result<ExitCode, String> {
+fn run_explore(args: &Args) -> ExitCode {
+    let defaults = ExploreConfig::default();
     let cfg = ExploreConfig {
-        combo: match args.combo.as_deref() {
-            Some(c) => Combo::parse(c)?,
-            None => Combo::parse("stm:obj:full").unwrap(),
-        },
-        workload: match args.workload.as_deref() {
-            Some(w) => Workload::parse(w)?,
-            None => Workload::Counter,
-        },
+        combo: args.combo.unwrap_or(defaults.combo),
+        workload: args.workload.unwrap_or(defaults.workload),
         seed: args.seed,
         threads: args.threads.min(3),
         ops: args.ops.unwrap_or(2),
         bound: args.bound,
         max_runs: args.max_runs,
-        ..ExploreConfig::default()
+        ..defaults
     };
     println!(
         "exploring {} on {} (threads={}, ops={}, bound={}, budget={} runs)",
@@ -353,7 +329,7 @@ fn run_explore(args: &Args) -> Result<ExitCode, String> {
     match report.failure {
         None => {
             println!("OK: every enumerated interleaving matched the serial oracle");
-            Ok(ExitCode::SUCCESS)
+            ExitCode::SUCCESS
         }
         Some(f) => {
             println!("\nFAIL  trace [{}]", hastm_check::trace_slug(&f.trace));
@@ -366,80 +342,74 @@ fn run_explore(args: &Args) -> Result<ExitCode, String> {
             println!("      replay: {}", f.replay);
             println!("      timeline of the shrunk repro:");
             print!("{}", f.timeline);
-            Ok(ExitCode::FAILURE)
+            ExitCode::FAILURE
         }
     }
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
+    parse_args()
+        .and_then(|args| dispatch(&args))
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+            ExitCode::from(2)
+        })
+}
+
+fn dispatch(args: &Args) -> Result<ExitCode, String> {
     if args.list_combos {
         for combo in Combo::all() {
             println!("{combo}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if let Some(path) = &args.validate_trace {
-        return match run_validate_trace(path) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
+        return run_validate_trace(path);
     }
-    if args.replay || args.explore {
-        let result = if args.replay {
-            replay(&args)
-        } else {
-            run_explore(&args)
-        };
-        return match result {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-        };
+    if args.replay {
+        return replay(args);
     }
-
-    let workload_filter = match args.workload.as_deref().map(Workload::parse) {
-        None => None,
-        Some(Ok(w)) => Some(w),
-        Some(Err(e)) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let combo_filter = match args.combo.as_deref().map(Combo::parse) {
-        None => None,
-        Some(Ok(c)) => Some(c),
-        Some(Err(e)) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    if args.explore {
+        return Ok(run_explore(args));
+    }
     let mut clean = true;
     if args.backend != Backend::Native {
-        clean &= run_sim_suite(&args, workload_filter, combo_filter);
+        clean &= run_sim_suite(args);
     }
     if args.backend != Backend::Sim {
-        clean &= run_native_backend(&args, workload_filter);
+        clean &= run_native_backend(args);
     }
-    if clean {
+    Ok(if clean {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    })
+}
+
+/// The per-trial callback both suites report through: failing trials as
+/// they happen, and a progress line every tenth finished seed.
+fn reporter<'a, T: std::fmt::Display + 'a>(
+    args: &'a Args,
+    label: &'a str,
+    per_seed: u64,
+    seed_of: fn(&T) -> u64,
+) -> impl FnMut(&T, bool) + 'a {
+    let mut done = 0u64;
+    move |trial, ok| {
+        if !ok {
+            println!("FAIL  {trial}");
+        }
+        done += 1;
+        if !args.quiet && done.is_multiple_of(per_seed) {
+            let seed_no = seed_of(trial) - args.start_seed + 1;
+            if seed_no.is_multiple_of(10) || seed_no == args.seeds {
+                println!("  {label}seed {seed_no}/{}", args.seeds);
+            }
+        }
     }
 }
 
-fn run_sim_suite(args: &Args, workload: Option<Workload>, combo: Option<Combo>) -> bool {
+fn run_sim_suite(args: &Args) -> bool {
     let mut cfg = CheckConfig {
         seeds: args.seeds,
         start_seed: args.start_seed,
@@ -449,10 +419,10 @@ fn run_sim_suite(args: &Args, workload: Option<Workload>, combo: Option<Combo>) 
         coverage: args.coverage,
         ..CheckConfig::default()
     };
-    if let Some(w) = workload {
+    if let Some(w) = args.workload {
         cfg.workloads = vec![w];
     }
-    if let Some(c) = combo {
+    if let Some(c) = args.combo {
         cfg.combos = vec![c];
     }
     let combos = cfg.combos.len();
@@ -470,20 +440,7 @@ fn run_sim_suite(args: &Args, workload: Option<Workload>, combo: Option<Combo>) 
     }
 
     let per_seed = (combos * workloads) as u64;
-    let mut done_in_seed = 0u64;
-    let quiet = args.quiet;
-    let report = run_suite(&cfg, |trial, ok| {
-        if !ok {
-            println!("FAIL  {trial}");
-        }
-        done_in_seed += 1;
-        if !quiet && done_in_seed.is_multiple_of(per_seed) {
-            let seed_no = trial.seed - cfg.start_seed + 1;
-            if seed_no.is_multiple_of(10) || seed_no == cfg.seeds {
-                println!("  seed {seed_no}/{}", cfg.seeds);
-            }
-        }
-    });
+    let report = run_suite(&cfg, reporter(args, "", per_seed, |t: &Trial| t.seed));
 
     if args.coverage {
         println!("coverage: {}", report.coverage.summary());
@@ -507,14 +464,14 @@ fn run_sim_suite(args: &Args, workload: Option<Workload>, combo: Option<Combo>) 
     }
 }
 
-fn run_native_backend(args: &Args, workload: Option<Workload>) -> bool {
+fn run_native_backend(args: &Args) -> bool {
     let mut cfg = NativeCheckConfig {
         seeds: args.seeds,
         start_seed: args.start_seed,
         ops: args.ops.unwrap_or(16),
         ..NativeCheckConfig::default()
     };
-    if let Some(w) = workload {
+    if let Some(w) = args.workload {
         cfg.workloads = vec![w];
     }
     let per_seed = (cfg.thread_counts.len()
@@ -535,20 +492,8 @@ fn run_native_backend(args: &Args, workload: Option<Workload>) -> bool {
             std::thread::available_parallelism().map_or(1, |n| n.get()),
         );
     }
-    let mut done_in_seed = 0u64;
-    let quiet = args.quiet;
-    let report = run_native_suite(&cfg, |trial, ok| {
-        if !ok {
-            println!("FAIL  {trial}");
-        }
-        done_in_seed += 1;
-        if !quiet && done_in_seed.is_multiple_of(per_seed) {
-            let seed_no = trial.seed - cfg.start_seed + 1;
-            if seed_no.is_multiple_of(10) || seed_no == cfg.seeds {
-                println!("  native seed {seed_no}/{}", cfg.seeds);
-            }
-        }
-    });
+    let on_trial = reporter(args, "native ", per_seed, |t: &NativeTrial| t.seed);
+    let report = run_native_suite(&cfg, on_trial);
     if report.failures.is_empty() {
         println!(
             "OK: {} native trials, 0 divergences from the simulated reference \

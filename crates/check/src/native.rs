@@ -1,7 +1,7 @@
-//! Native-backend differential checks: the same invariant-bearing
-//! workloads as the simulator suite, run on **host threads** over the
-//! [`hastm_native`] TL2 runtime and cross-checked against the simulator's
-//! sequential reference.
+//! Native-backend differential checks: the same workload definitions as
+//! the simulator suite ([`crate::workload`]), run on **host threads** over
+//! the [`hastm_native`] TL2 runtime and cross-checked against the
+//! simulator's sequential reference.
 //!
 //! The native backend trades the simulator's deterministic schedule
 //! exploration for *real* interleavings, so only the
@@ -18,18 +18,10 @@
 //! failure reports the exact trial parameters instead, which rerun the
 //! same streams under fresh host interleavings.
 
-use hastm::{Granularity, ObjRef, PhasedParams, StmRuntime, TmExec, Versioning};
-use hastm_locks::SpinLock;
+use hastm::{PhasedParams, Versioning};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
-use hastm_sim::{Machine, MachineConfig};
-use hastm_workloads::{Scheme, Structure, ThreadExec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::{
-    apply_stream, create_map, fnv_pair, map_digest, stream, Workload, COUNTER_CELLS,
-    KEYS_PER_THREAD,
-};
+use crate::{snapshot_abort_free, Backend, Definition, Workload};
 
 /// One native differential trial.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -91,211 +83,48 @@ pub struct NativeOutcome {
     pub stats: NativeStats,
 }
 
-fn small_runtime(mark_filter: bool, versioning: Versioning, phased: bool) -> NativeRuntime {
-    NativeRuntime::new(NativeConfig {
-        // The check workloads are tiny; a small heap keeps trials cheap.
-        heap_words: 1 << 16,
-        stripes: 1 << 12,
-        mark_filter,
-        versioning,
-        phased: phased.then(phased_params),
-        ..NativeConfig::default()
-    })
-}
+/// The host-thread backend: one TL2 runtime per trial, the per-thread
+/// bodies on real threads, their counters merged.
+pub(crate) struct Native<'a>(pub(crate) &'a NativeTrial);
 
-fn run_native_counter(trial: &NativeTrial) -> Result<NativeOutcome, String> {
-    let rt = small_runtime(trial.mark_filter, trial.versioning, trial.phased);
-    let cells: Vec<ObjRef> = {
-        let mut ex = NativeExec::new(&rt);
-        (0..COUNTER_CELLS)
-            .map(|_| {
-                let cell = ex.alloc_obj(1);
-                ex.atomic(|ctx| ctx.ctx_write(cell, 0, 0));
-                cell
-            })
-            .collect()
-    };
+impl Backend for Native<'_> {
+    type Outcome = Result<NativeOutcome, String>;
 
-    let stats: Vec<NativeStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..trial.threads)
-            .map(|tid| {
-                let rt = &rt;
-                let cells = &cells;
-                s.spawn(move || {
-                    let mut ex = NativeExec::new(rt);
-                    let mut rng = StdRng::seed_from_u64(trial.seed ^ 0xc0de ^ ((tid as u64) << 24));
-                    for _ in 0..trial.ops {
-                        let cell = cells[rng.gen_range(0..COUNTER_CELLS as u64) as usize];
-                        ex.atomic(|ctx| {
-                            let v = ctx.ctx_read(cell, 0)?;
-                            ctx.ctx_write(cell, 0, v + 1)
-                        });
-                    }
-                    ex.stats().clone()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let expected = trial.threads as u64 * trial.ops;
-    let mut total = 0u64;
-    let mut state = 0u64;
-    for (i, cell) in cells.iter().enumerate() {
-        let v = rt.peek(cell.word(0));
-        total += v;
-        state = state.wrapping_add(fnv_pair(i as u64, v));
-    }
-    if total != expected {
-        return Err(format!(
-            "native counter sum {total} != expected {expected} ({} increments lost)",
-            expected as i64 - total as i64
-        ));
-    }
-    let mut merged = NativeStats::default();
-    for s in &stats {
-        merged.merge(s);
-    }
-    Ok(NativeOutcome {
-        state,
-        stats: merged,
-    })
-}
-
-/// The simulated sequential reference digest for the partitioned map
-/// streams — the **simulator side** of the sim-vs-native differential.
-pub(crate) fn sim_reference_digest(
-    structure: Structure,
-    seed: u64,
-    threads: usize,
-    ops: u64,
-) -> u64 {
-    let streams: Vec<_> = (0..threads).map(|t| stream(seed, t, ops)).collect();
-    let key_span = threads as u64 * KEYS_PER_THREAD;
-    let mut machine = Machine::new(MachineConfig::with_cores(1));
-    let runtime = StmRuntime::new(
-        &mut machine,
-        Scheme::Sequential.stm_config(Granularity::CacheLine, 1),
-    );
-    let lock = SpinLock::alloc(runtime.heap());
-    let rt = &runtime;
-    let streams_ref = &streams;
-    let (digest, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-        let map = ex.atomic(|ctx| create_map(ctx, structure));
-        for s in streams_ref {
-            apply_stream(&mut ex, &map, s);
-        }
-        map_digest(&mut ex, &map, key_span)
-    });
-    digest
-}
-
-fn run_native_map(trial: &NativeTrial, structure: Structure) -> Result<NativeOutcome, String> {
-    let expected = sim_reference_digest(structure, trial.seed, trial.threads, trial.ops);
-    let streams: Vec<_> = (0..trial.threads)
-        .map(|t| stream(trial.seed, t, trial.ops))
-        .collect();
-    let key_span = trial.threads as u64 * KEYS_PER_THREAD;
-
-    let rt = small_runtime(trial.mark_filter, trial.versioning, trial.phased);
-    let map = {
-        let mut ex = NativeExec::new(&rt);
-        ex.atomic(|ctx| create_map(ctx, structure))
-    };
-    let stats: Vec<NativeStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..trial.threads)
-            .map(|tid| {
-                let rt = &rt;
-                let ops = &streams[tid];
-                s.spawn(move || {
-                    let mut ex = NativeExec::new(rt);
-                    apply_stream(&mut ex, &map, ops);
-                    ex.stats().clone()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let digest = {
-        let mut ex = NativeExec::new(&rt);
-        map_digest(&mut ex, &map, key_span)
-    };
-    if digest != expected {
-        return Err(format!(
-            "native map digest {digest:#018x} != simulated sequential reference {expected:#018x}"
-        ));
-    }
-    let mut merged = NativeStats::default();
-    for s in &stats {
-        merged.merge(s);
-    }
-    // Zero-abort guarantee of the native snapshot path (the map streams'
-    // gets run through `atomic_ro`, so multi-version trials exercise it).
-    if trial.versioning.is_multi() && merged.ro_aborts > 0 {
-        return Err(format!(
-            "{} native read-only snapshot aborts under {:?} (snapshot reads must be abort-free)",
-            merged.ro_aborts, trial.versioning
-        ));
-    }
-    Ok(NativeOutcome {
-        state: digest,
-        stats: merged,
-    })
-}
-
-/// Runs the OLTP mill on the native TL2 backend for one trial and checks
-/// the final ledger against the closed-form expectation.
-///
-/// # Errors
-///
-/// Returns the violated invariant: total-balance conservation or a
-/// per-account divergence from the closed-form ledger.
-pub fn run_native_oltp(trial: &NativeTrial) -> Result<NativeOutcome, String> {
-    use hastm_workloads::oltp;
-
-    // Same trial-derived mill parameters as the simulator's `run_oltp`, so
-    // the closed-form ledger both runners check against is the same — a
-    // native trial diverging from it is exactly a sim-vs-native
-    // final-state divergence.
-    let params = crate::oltp_params(trial.seed, trial.threads, trial.ops);
-    let expected = oltp::expected_balances(&params);
-    let result = oltp::run_oltp_native(&oltp::OltpNativeConfig {
-        oltp: params,
-        native: NativeConfig {
+    fn run<W: Definition>(self, w: &W) -> Self::Outcome {
+        let trial = self.0;
+        let rt = NativeRuntime::new(NativeConfig {
+            // The check workloads are tiny; a small heap keeps trials cheap.
             heap_words: 1 << 16,
             stripes: 1 << 12,
             mark_filter: trial.mark_filter,
             versioning: trial.versioning,
             phased: trial.phased.then(phased_params),
             ..NativeConfig::default()
-        },
-    });
-    if oltp::total_balance(&result.balances) != oltp::total_balance(&expected) {
-        return Err(format!(
-            "native oltp total balance {} != conserved total {}",
-            oltp::total_balance(&result.balances),
-            oltp::total_balance(&expected)
-        ));
+        });
+        let shared = w.setup(&mut NativeExec::new(&rt));
+        let mut stats = NativeStats::default();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..trial.threads)
+                .map(|tid| {
+                    let (rt, shared) = (&rt, &shared);
+                    s.spawn(move || {
+                        let mut ex = NativeExec::new(rt);
+                        w.body(&mut ex, shared, tid);
+                        ex.stats().clone()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                stats.merge(&handle.join().expect("native worker panicked"));
+            }
+        });
+        // The map streams' gets run through `atomic_ro`, so multi-version
+        // trials exercise the native snapshot path.
+        snapshot_abort_free(trial.versioning, stats.ro_aborts)?;
+        let walked = w.walk(&mut NativeExec::new(&rt), &shared);
+        let state = w.check(&shared, walked, &|addr| rt.peek(addr))?;
+        Ok(NativeOutcome { state, stats })
     }
-    if let Some(key) = (0..expected.len()).find(|&k| result.balances[k] != expected[k]) {
-        return Err(format!(
-            "native oltp account {key} balance {} != ledger {} (first of {} divergent accounts)",
-            result.balances[key],
-            expected[key],
-            result
-                .balances
-                .iter()
-                .zip(&expected)
-                .filter(|(a, b)| a != b)
-                .count()
-        ));
-    }
-    Ok(NativeOutcome {
-        state: result.digest,
-        stats: result.stats,
-    })
 }
 
 /// Runs one native trial.
@@ -306,13 +135,10 @@ pub fn run_native_oltp(trial: &NativeTrial) -> Result<NativeOutcome, String> {
 /// divergence from the simulated sequential reference, or OLTP ledger
 /// divergence from the closed-form expected balances).
 pub fn run_native_trial(trial: &NativeTrial) -> Result<NativeOutcome, String> {
-    match trial.workload {
-        Workload::Counter => run_native_counter(trial),
-        Workload::Map => run_native_map(trial, Structure::HashTable),
-        Workload::Bst => run_native_map(trial, Structure::Bst),
-        Workload::BTree => run_native_map(trial, Structure::BTree),
-        Workload::Oltp => run_native_oltp(trial),
-    }
+    let backend = Native(trial);
+    trial
+        .workload
+        .run_on(trial.seed, trial.threads, trial.ops, backend)
 }
 
 /// Configuration for a native suite sweep.
@@ -417,9 +243,11 @@ pub fn run_native_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hastm::TmExec;
 
     #[test]
     fn native_trials_pass_on_every_workload() {
+        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
         for workload in Workload::ALL {
             for filter in [true, false] {
                 for versioning in [Versioning::Single, Versioning::Multi { k: 3 }] {
@@ -511,6 +339,7 @@ mod tests {
 
     #[test]
     fn small_suite_is_clean() {
+        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
         let cfg = NativeCheckConfig {
             seeds: 2,
             thread_counts: vec![1, 2],

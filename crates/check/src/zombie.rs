@@ -30,9 +30,7 @@
 
 use hastm::Granularity;
 use hastm_sim::{FaultEvent, FaultKind, SchedulePolicy};
-use hastm_workloads::oltp::{
-    balances_digest, expected_balances, run_oltp_sim, total_balance, OltpConfig, OltpSimConfig,
-};
+use hastm_workloads::oltp::{expected_balances, run_oltp_sim, OltpConfig, OltpSimConfig};
 use hastm_workloads::Scheme;
 
 /// One zombie scenario: a scheme whose transactions run through the
@@ -134,27 +132,8 @@ pub fn run_zombie_scenario(sc: &ZombieScenario) -> Result<ZombieReport, String> 
             r.oracle_violations, sc.scheme, sc.seed
         ));
     }
-    if total_balance(&r.balances) != total_balance(&expected) {
-        return Err(format!(
-            "ledger: total balance {} != conserved total {} [{:?} seed {}]",
-            total_balance(&r.balances),
-            total_balance(&expected),
-            sc.scheme,
-            sc.seed
-        ));
-    }
-    if r.digest != balances_digest(&expected) {
-        let divergent = r
-            .balances
-            .iter()
-            .zip(&expected)
-            .filter(|(a, b)| a != b)
-            .count();
-        return Err(format!(
-            "ledger: {divergent} accounts diverge from the closed form [{:?} seed {}]",
-            sc.scheme, sc.seed
-        ));
-    }
+    crate::workload::check_ledger(&r.balances, &expected)
+        .map_err(|e| format!("{e} [{:?} seed {}]", sc.scheme, sc.seed))?;
     Ok(ZombieReport {
         validations_full: r.txn.validations_full,
         commits: r.metrics.commits,

@@ -11,8 +11,8 @@
 //! backend's mill cannot land silently.
 
 use hastm::Versioning;
-use hastm_check::native::{run_native_oltp, run_native_suite, NativeCheckConfig, NativeTrial};
-use hastm_check::{oltp_sim_digest, Workload};
+use hastm_check::native::{run_native_suite, run_native_trial, NativeCheckConfig, NativeTrial};
+use hastm_check::{run_trial, Combo, Sched, Trial, Workload};
 
 const SEEDS: u64 = 32;
 
@@ -62,8 +62,18 @@ fn sim_and_native_digests_agree_directly() {
                 versioning: Versioning::Single,
                 phased: false,
             };
-            let native = run_native_oltp(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
-            let sim = oltp_sim_digest(seed, threads, 12);
+            let native = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
+            // Base STM at line granularity under the fuzzed schedule.
+            let sim = run_trial(&Trial {
+                combo: Combo::parse("stm:line:full").unwrap(),
+                workload: Workload::Oltp,
+                seed,
+                threads,
+                ops: 12,
+                sched: Sched::Fuzzed,
+            })
+            .unwrap_or_else(|e| panic!("sim oltp seed={seed} threads={threads}: {e}"))
+            .state;
             assert_eq!(
                 native.state, sim,
                 "seed {seed} threads {threads}: native ledger digest diverges from the sim's"
@@ -76,7 +86,7 @@ fn sim_and_native_digests_agree_directly() {
 fn filter_on_and_off_agree_on_the_ledger() {
     for seed in 0..8u64 {
         let outcome = |mark_filter| {
-            run_native_oltp(&NativeTrial {
+            run_native_trial(&NativeTrial {
                 workload: Workload::Oltp,
                 seed,
                 threads: 4,
@@ -109,5 +119,5 @@ fn oversubscribed_mill_still_converges() {
         versioning: Versioning::Multi { k: 3 },
         phased: false,
     };
-    run_native_oltp(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
+    run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
 }

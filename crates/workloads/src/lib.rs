@@ -46,6 +46,6 @@ pub use oltp::{
 };
 pub use scheme::{Scheme, ThreadExec};
 pub use synthetic::{
-    analyze, generate_stream, run_kernel, run_kernel_gated, KernelParams, KernelResult,
-    KernelStream, TraceAnalysis, WorkloadProfile, PROFILES,
+    analyze, generate_stream, run_kernel, KernelParams, KernelResult, KernelStream, TraceAnalysis,
+    WorkloadProfile, PROFILES,
 };

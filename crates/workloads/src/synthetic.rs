@@ -183,21 +183,7 @@ pub struct KernelResult {
 
 /// Replays `stream` under `scheme` on a single core and reports timing.
 pub fn run_kernel(scheme: Scheme, stream: &KernelStream) -> KernelResult {
-    run_kernel_gated(scheme, stream, hastm_sim::GateMode::default())
-}
-
-/// [`run_kernel`] under an explicit gate admission mode (for
-/// cross-scheduler verification; both modes are schedule-identical, so the
-/// result must be bit-equal across them).
-pub fn run_kernel_gated(
-    scheme: Scheme,
-    stream: &KernelStream,
-    gate: hastm_sim::GateMode,
-) -> KernelResult {
-    let mut machine = Machine::new(MachineConfig {
-        gate,
-        ..MachineConfig::default()
-    });
+    let mut machine = Machine::new(MachineConfig::default());
     let runtime = StmRuntime::new(
         &mut machine,
         scheme.stm_config(hastm::Granularity::CacheLine, 1),

@@ -5,7 +5,7 @@
 //! `bench_function` runs a short warmup plus a small fixed number of
 //! timed iterations and prints mean wall time per iteration. There are
 //! no statistics, plots, or baselines — the simulated-cycle numbers that
-//! actually matter are printed by the `figNN` binaries.
+//! actually matter are printed by the `all-figs` binary.
 
 use std::time::{Duration, Instant};
 
