@@ -192,8 +192,8 @@ impl TxThread<'_, '_> {
     /// Appends to the read set: host entry plus the simulated log traffic.
     fn log_read(&mut self, rec: Addr, version: RecValue) {
         self.read_set.push(ReadEntry { rec, version });
-        let heap = self.runtime.heap().clone();
-        self.rd_region.append(self.cpu, &heap, &[rec.0, version.0]);
+        self.rd_region
+            .append(self.cpu, self.runtime.heap(), &[rec.0, version.0]);
     }
 
     // ------------------------------------------------------------------
@@ -256,8 +256,8 @@ impl TxThread<'_, '_> {
         }
         self.owned.insert(rec, self.write_set.len());
         self.write_set.push(WriteEntry { rec, prev: v });
-        let heap = self.runtime.heap().clone();
-        self.wr_region.append(self.cpu, &heap, &[rec.0, v.0]);
+        self.wr_region
+            .append(self.cpu, self.runtime.heap(), &[rec.0, v.0]);
         self.check_ownership("write_barrier");
         Ok(())
     }
@@ -267,9 +267,8 @@ impl TxThread<'_, '_> {
     pub(crate) fn log_undo(&mut self, addr: Addr, meta: u64) {
         let old = self.cpu.load_u64(addr);
         self.undo_log.push(UndoEntry { addr, old, meta });
-        let heap = self.runtime.heap().clone();
         self.undo_region
-            .append(self.cpu, &heap, &[addr.0, old, meta]);
+            .append(self.cpu, self.runtime.heap(), &[addr.0, old, meta]);
     }
 
     // ------------------------------------------------------------------

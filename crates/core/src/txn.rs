@@ -956,7 +956,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
         self.undo_log.truncate(sp.undos);
         let hastm = self.hastm();
         let filter_writes = hastm && self.runtime.config().filter_writes;
-        let heap = self.runtime.heap().clone();
+        let heap = self.runtime.heap();
         for i in sp.writes..self.write_set.len() {
             let w = self.write_set[i];
             let released = w.prev.bump();
@@ -977,7 +977,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
                     version: released,
                 });
                 self.rd_region
-                    .append(self.cpu, &heap, &[w.rec.0, released.0]);
+                    .append(self.cpu, heap, &[w.rec.0, released.0]);
             }
         }
         self.write_set.truncate(sp.writes);

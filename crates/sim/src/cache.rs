@@ -43,11 +43,9 @@ pub enum Mesi {
     Shared,
 }
 
-/// One resident cache line.
+/// What the cache keeps for a resident line besides its id.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Line {
-    /// Which memory line this entry holds.
-    pub id: LineId,
+pub struct LineState {
     /// Coherence state.
     pub state: Mesi,
     /// One mark bit per 16-byte sub-block per filter (low 4 bits of each
@@ -58,11 +56,28 @@ pub struct Line {
     pub lru: u64,
 }
 
+/// One resident cache line, by value: a victim leaving the cache, or a
+/// line visited by [`Cache::iter`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Line {
+    /// Which memory line this entry holds.
+    pub id: LineId,
+    /// Coherence state.
+    pub state: Mesi,
+    /// Mark bits, as in [`LineState::marks`].
+    pub marks: [u8; NUM_FILTERS],
+    /// LRU timestamp (larger = more recently used).
+    pub lru: u64,
+}
+
 impl Line {
-    /// Whether any mark bit of `filter` is set.
-    #[inline]
-    pub fn is_marked_in(&self, filter: FilterId) -> bool {
-        self.marks[filter.idx()] != 0
+    fn new(id: LineId, s: LineState) -> Line {
+        Line {
+            id,
+            state: s.state,
+            marks: s.marks,
+            lru: s.lru,
+        }
     }
 
     /// Whether any mark bit of any filter is set ("marked cache line").
@@ -82,11 +97,48 @@ impl Line {
     }
 }
 
+/// One set: the resident lines' ids packed together, so a probe scans
+/// contiguous words and touches `lines` only at the way that hit.
+/// `tags[i]` is the id of `lines[i]`; both grow with residency, up to the
+/// cache's associativity.
+#[derive(Debug, Default)]
+struct Set {
+    tags: Vec<LineId>,
+    lines: Vec<LineState>,
+}
+
+impl Set {
+    /// The way holding `id`. Every tag is compared and the match selected
+    /// without a branch per way: which way hits is data the host's branch
+    /// predictor cannot learn.
+    #[inline]
+    fn way_of(&self, id: LineId) -> Option<usize> {
+        let mut way = usize::MAX;
+        for (i, &tag) in self.tags.iter().enumerate() {
+            if tag == id {
+                way = i;
+            }
+        }
+        (way != usize::MAX).then_some(way)
+    }
+
+    fn swap_remove(&mut self, way: usize) -> Line {
+        Line::new(self.tags.swap_remove(way), self.lines.swap_remove(way))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Line> + '_ {
+        self.tags
+            .iter()
+            .zip(&self.lines)
+            .map(|(&id, &s)| Line::new(id, s))
+    }
+}
+
 /// A tag-only set-associative cache with LRU replacement.
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    sets: Vec<Set>,
     tick: u64,
 }
 
@@ -94,7 +146,7 @@ impl Cache {
     /// An empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
         Cache {
-            sets: (0..config.sets).map(|_| Vec::new()).collect(),
+            sets: (0..config.sets).map(|_| Set::default()).collect(),
             config,
             tick: 0,
         }
@@ -113,16 +165,19 @@ impl Cache {
 
     /// Looks up a line without touching LRU state.
     #[inline]
-    pub fn peek(&self, id: LineId) -> Option<&Line> {
-        self.sets[self.set_index(id)].iter().find(|l| l.id == id)
+    pub fn peek(&self, id: LineId) -> Option<&LineState> {
+        let set = &self.sets[self.set_index(id)];
+        set.way_of(id).map(|way| &set.lines[way])
     }
 
     /// Looks up a line, refreshing its LRU position on hit.
     #[inline]
-    pub fn lookup(&mut self, id: LineId) -> Option<&mut Line> {
+    pub fn lookup(&mut self, id: LineId) -> Option<&mut LineState> {
         let tick = self.bump();
         let set = self.set_index(id);
-        let line = self.sets[set].iter_mut().find(|l| l.id == id)?;
+        let set = &mut self.sets[set];
+        let way = set.way_of(id)?;
+        let line = &mut set.lines[way];
         line.lru = tick;
         Some(line)
     }
@@ -130,7 +185,7 @@ impl Cache {
     /// Whether the line is resident.
     #[inline]
     pub fn contains(&self, id: LineId) -> bool {
-        self.peek(id).is_some()
+        self.sets[self.set_index(id)].way_of(id).is_some()
     }
 
     /// Inserts `id` in state `state`, returning the victim line evicted to
@@ -151,8 +206,9 @@ impl Cache {
         let ways = self.config.ways;
         let set = self.set_index(id);
         let set = &mut self.sets[set];
-        let victim = if set.len() == ways {
+        let victim = if set.tags.len() == ways {
             let (vi, _) = set
+                .lines
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.lru)
@@ -161,8 +217,8 @@ impl Cache {
         } else {
             None
         };
-        set.push(Line {
-            id,
+        set.tags.push(id);
+        set.lines.push(LineState {
             state,
             marks: [0; NUM_FILTERS],
             lru: tick,
@@ -175,8 +231,8 @@ impl Cache {
     pub fn remove(&mut self, id: LineId) -> Option<Line> {
         let set = self.set_index(id);
         let set = &mut self.sets[set];
-        let i = set.iter().position(|l| l.id == id)?;
-        Some(set.swap_remove(i))
+        let way = set.way_of(id)?;
+        Some(set.swap_remove(way))
     }
 
     /// Clears every mark bit of `filter` in the cache and reports how many
@@ -186,7 +242,7 @@ impl Cache {
         let mut cleared = 0;
         let f = filter.idx();
         for set in &mut self.sets {
-            for line in set.iter_mut() {
+            for line in set.lines.iter_mut() {
                 if line.marks[f] != 0 {
                     cleared += 1;
                     line.marks[f] = 0;
@@ -198,20 +254,22 @@ impl Cache {
 
     /// Number of resident lines with at least one mark bit set in `filter`.
     pub fn marked_lines(&self, filter: FilterId) -> usize {
+        let f = filter.idx();
         self.sets
             .iter()
-            .flat_map(|s| s.iter())
-            .filter(|l| l.is_marked_in(filter))
+            .flat_map(|s| s.lines.iter())
+            .filter(|l| l.marks[f] != 0)
             .count()
     }
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.sets.iter().map(|s| s.tags.len()).sum()
     }
 
-    /// Iterates over resident lines (test/debug aid).
-    pub fn iter(&self) -> impl Iterator<Item = &Line> {
+    /// Iterates over resident lines, set by set and way by way (the order
+    /// `nth`-addressed fault injection counts in).
+    pub fn iter(&self) -> impl Iterator<Item = Line> + '_ {
         self.sets.iter().flat_map(|s| s.iter())
     }
 
@@ -233,6 +291,7 @@ pub fn assert_mark_mask(mask: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 2 sets x 2 ways.
@@ -366,5 +425,124 @@ mod tests {
         let line = c.peek(LineId(0)).unwrap();
         assert_eq!(line.marks, [0; NUM_FILTERS]);
         assert_eq!(line.state, Mesi::Shared);
+    }
+
+    /// The layout this cache replaced, kept as the reference the tag-array
+    /// one must match: one `Vec<Line>` per set, scanned for the id.
+    struct VecOfVecs {
+        sets: Vec<Vec<Line>>,
+        ways: usize,
+        tick: u64,
+    }
+
+    impl VecOfVecs {
+        fn set(&mut self, id: LineId) -> &mut Vec<Line> {
+            let sets = self.sets.len();
+            &mut self.sets[id.0 as usize & (sets - 1)]
+        }
+
+        fn lookup(&mut self, id: LineId) -> Option<&mut Line> {
+            self.tick += 1;
+            let tick = self.tick;
+            let line = self.set(id).iter_mut().find(|l| l.id == id)?;
+            line.lru = tick;
+            Some(line)
+        }
+
+        fn insert(&mut self, id: LineId, state: Mesi) -> Option<Line> {
+            self.tick += 1;
+            let (tick, ways) = (self.tick, self.ways);
+            let set = self.set(id);
+            let victim = (set.len() == ways).then(|| {
+                let (vi, _) = set.iter().enumerate().min_by_key(|(_, l)| l.lru).unwrap();
+                set.swap_remove(vi)
+            });
+            set.push(Line {
+                id,
+                state,
+                marks: [0; NUM_FILTERS],
+                lru: tick,
+            });
+            victim
+        }
+
+        fn remove(&mut self, id: LineId) -> Option<Line> {
+            let set = self.set(id);
+            let i = set.iter().position(|l| l.id == id)?;
+            Some(set.swap_remove(i))
+        }
+    }
+
+    #[derive(Copy, Clone, Debug)]
+    enum Op {
+        /// `lookup`, OR-ing mark bits into the line on a hit.
+        Touch(u64, [u8; NUM_FILTERS]),
+        /// `lookup` then, on a miss, `insert`: the only way callers insert.
+        Fill(u64, Mesi),
+        Remove(u64),
+        ClearMarks(FilterId),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // 4 sets x 3 ways under 40 line ids: every set overflows.
+        let id = 0..40u64;
+        let state = prop_oneof![
+            Just(Mesi::Modified),
+            Just(Mesi::Exclusive),
+            Just(Mesi::Shared)
+        ];
+        prop_oneof![
+            3 => (id.clone(), 0..16u8, 0..16u8).prop_map(|(id, r, w)| Op::Touch(id, [r, w])),
+            3 => (id.clone(), state).prop_map(|(id, s)| Op::Fill(id, s)),
+            1 => id.prop_map(Op::Remove),
+            1 => (0..NUM_FILTERS as u8).prop_map(|f| Op::ClearMarks(FilterId(f))),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn matches_the_vec_of_vecs_layout(ops in proptest::collection::vec(op(), 0..300)) {
+            let mut cache = Cache::new(CacheConfig::new(4, 3));
+            let mut model = VecOfVecs { sets: vec![Vec::new(); 4], ways: 3, tick: 0 };
+            for op in ops {
+                match op {
+                    Op::Touch(id, marks) => {
+                        let id = LineId(id);
+                        let got = cache.lookup(id).map(|l| {
+                            l.marks = [l.marks[0] | marks[0], l.marks[1] | marks[1]];
+                            *l
+                        });
+                        let want = model.lookup(id).map(|l| {
+                            l.marks = [l.marks[0] | marks[0], l.marks[1] | marks[1]];
+                            *l
+                        });
+                        prop_assert_eq!(got.map(|l| Line::new(id, l)), want);
+                    }
+                    Op::Fill(id, state) => {
+                        let id = LineId(id);
+                        let hit = cache.lookup(id).is_some();
+                        prop_assert_eq!(hit, model.lookup(id).is_some());
+                        if !hit {
+                            // Victim choice, and the victim's marks and LRU stamp.
+                            prop_assert_eq!(cache.insert(id, state), model.insert(id, state));
+                        }
+                    }
+                    Op::Remove(id) => {
+                        prop_assert_eq!(cache.remove(LineId(id)), model.remove(LineId(id)));
+                    }
+                    Op::ClearMarks(filter) => {
+                        let lines = model.sets.iter_mut().flatten();
+                        let marked = lines.filter(|l| l.marks[filter.idx()] != 0);
+                        let cleared = marked.map(|l| l.marks[filter.idx()] = 0).count();
+                        prop_assert_eq!(cache.clear_all_marks(filter), cleared as u64);
+                    }
+                }
+                // Set by set, way by way: the order `nth`-addressed fault
+                // injection and `flush_caches` walk.
+                let want: Vec<Line> = model.sets.iter().flatten().copied().collect();
+                prop_assert_eq!(cache.iter().collect::<Vec<_>>(), want);
+                prop_assert_eq!(cache.resident_lines(), model.sets.iter().map(Vec::len).sum::<usize>());
+            }
+        }
     }
 }

@@ -26,6 +26,9 @@ pub struct Cpu<'a> {
     /// Instruction-issue accumulator for ILP amortization (see
     /// [`CostModel::ipc`]).
     insn_acc: u64,
+    /// `log2(ipc)` when the IPC is a power of two (the default is 2), so
+    /// [`Cpu::issue`] can shift and mask instead of dividing.
+    ipc_shift: Option<u32>,
     /// Whether the machine runs the run-until-overtaken quantum gate
     /// ([`GateMode::Quantum`]); cached because gate mode never changes.
     quantum: bool,
@@ -40,6 +43,11 @@ pub struct Cpu<'a> {
     /// `(clock, id)` among the *other* active cores. `None` means no
     /// competitor exists (sole active core) and the quantum never expires.
     bound: Option<(u64, usize)>,
+    /// [`SimState::plain_run`] as of the last gate admission: the run has
+    /// nothing to do after an op but advance the clock and count it. Its
+    /// inputs change only through `&mut Machine`, which no run can
+    /// overlap, so the flag cannot go stale inside a run.
+    plain: bool,
     /// Whether structured tracing was armed when this worker started;
     /// cached so [`Cpu::trace`] is one branch when tracing is off.
     tracing: bool,
@@ -47,8 +55,9 @@ pub struct Cpu<'a> {
     /// into this core's ring at the next gated op (or into the tail buffer
     /// at worker end).
     trace_pending: Vec<TimedEvent>,
-    /// This core's clock as of its last completed gated op — the stamp for
-    /// software-layer events, maintained without taking the state lock.
+    /// This core's clock, mirrored at gate admission and after every op so
+    /// [`Cpu::now`] and the stamp for software-layer events need not reach
+    /// for the state.
     last_clock: u64,
 }
 
@@ -89,6 +98,11 @@ impl<'a> Cpu<'a> {
             shared,
             cost,
             insn_acc: 0,
+            ipc_shift: cost
+                .ipc
+                .is_power_of_two()
+                .then(|| cost.ipc.trailing_zeros()),
+            plain: false,
             quantum: shared.gate == GateMode::Quantum,
             held: None,
             bound: None,
@@ -123,9 +137,16 @@ impl<'a> Cpu<'a> {
     /// IPC, carrying the remainder forward.
     #[inline]
     fn issue(&mut self, insns: u64) -> u64 {
+        let ipc = self.cost.ipc;
         let total = self.insn_acc + insns * self.cost.tick;
-        let cycles = total / self.cost.ipc;
-        self.insn_acc = total % self.cost.ipc;
+        let (cycles, carry) = if total < ipc {
+            (0, total)
+        } else if let Some(shift) = self.ipc_shift {
+            (total >> shift, total & (ipc - 1))
+        } else {
+            (total / ipc, total % ipc)
+        };
+        self.insn_acc = carry;
         cycles
     }
 
@@ -146,8 +167,9 @@ impl<'a> Cpu<'a> {
     }
 
     /// This core's logical clock, in cycles.
+    #[inline]
     pub fn now(&self) -> u64 {
-        self.with_state(|st| st.clocks[self.id])
+        self.last_clock
     }
 
     /// The machine's current run epoch (see [`crate::Machine::run_epoch`]).
@@ -166,46 +188,70 @@ impl<'a> Cpu<'a> {
         if let Some(st) = self.held.take() {
             return st;
         }
+        self.admit()
+    }
+
+    /// Gate admission, out of line: everything that is decided once per
+    /// quantum rather than once per op.
+    #[inline(never)]
+    fn admit(&mut self) -> MutexGuard<'a, SimState> {
         let mut st = self.shared.wait_turn(self.id);
         st.note_admission(self.id);
+        self.last_clock = st.clocks[self.id];
+        self.plain = st.plain_run();
         if self.quantum && !st.dynamic_schedule() {
             self.bound = st.competitor_bound(self.id);
         }
         st
     }
 
+    /// Completes an op that cost `cycles`: advances the clock, runs what
+    /// the run hangs on the end of an op, and either keeps the quantum open
+    /// or gives up the turn.
     #[inline]
     fn finish(&mut self, mut st: MutexGuard<'a, SimState>, cycles: u64) {
-        if self.tracing {
-            // Route software-layer events buffered since the last gated op
-            // (already stamped) into this core's ring, ahead of this op's
-            // own events, and refresh the local clock stamp.
-            if !self.trace_pending.is_empty() {
-                st.sys.trace_push_stamped(self.id, &mut self.trace_pending);
-            }
-            self.last_clock = st.clocks[self.id] + cycles;
-        }
-        st.clocks[self.id] += cycles;
-        // Fuzzed-scheduler hook: re-draw this core's priority jitter and
-        // possibly inject cache pressure (no-op under the deterministic
-        // policy).
-        st.after_op(self.id);
+        let clock = st.clocks[self.id] + cycles;
+        st.clocks[self.id] = clock;
+        self.last_clock = clock;
+        // Dynamic schedules (fuzz jitter re-draws, PCT demotions,
+        // preemption directives, fault plans) can change priorities between
+        // ops, which would invalidate the bound cached at admission — they
+        // always hand off, clamping the quantum to one op.
+        let bound_holds = if self.plain {
+            // `SimState::after_op` would count the op and find every hook
+            // absent.
+            st.op_count += 1;
+            true
+        } else {
+            self.observe_op(&mut st)
+        };
         // Run-until-overtaken: keep the lock while this core's
-        // `(clock, id)` is still below the bound cached at admission. No
-        // other core can run, advance, or deactivate while we hold the
-        // lock, so the bound is exact and this test is equivalent to the
-        // per-op `is_turn` minimality check. Dynamic schedules (fuzz
-        // jitter re-draws, PCT demotions, preemption directives, fault
-        // plans) can change priorities between ops, which would invalidate
-        // the bound — they always hand off, clamping the quantum to one op.
-        if self.quantum
-            && !st.dynamic_schedule()
-            && self.bound.is_none_or(|b| (st.clocks[self.id], self.id) < b)
-        {
+        // `(clock, id)` is still below the bound. No other core can run,
+        // advance, or deactivate while we hold the lock, so the bound is
+        // exact and this test is equivalent to the per-op `is_turn`
+        // minimality check.
+        if self.quantum && bound_holds && self.bound.is_none_or(|b| (clock, self.id) < b) {
             self.held = Some(st);
             return;
         }
         self.shared.handoff(st, self.id);
+    }
+
+    /// The end of an op on a run that is not plain — fuzzed, PCT,
+    /// preempted, faulted, schedule-recorded or traced. Returns whether the
+    /// schedule is static, so that the cached competitor bound still holds.
+    #[inline(never)]
+    fn observe_op(&mut self, st: &mut SimState) -> bool {
+        if self.tracing && !self.trace_pending.is_empty() {
+            // Route software-layer events buffered since the last gated op
+            // (already stamped) into this core's ring, ahead of this op's
+            // own events.
+            st.sys.trace_push_stamped(self.id, &mut self.trace_pending);
+        }
+        // Counts the op, logs it, fires due directives and faults, re-draws
+        // priorities, routes the op's trace events.
+        st.after_op(self.id);
+        !st.dynamic_schedule()
     }
 
     /// Advances this core's clock by `cycles` of raw stall/wait time (spin
@@ -623,7 +669,7 @@ impl<'a> Cpu<'a> {
 #[cfg(test)]
 mod tests {
     use crate::addr::Addr;
-    use crate::config::{IsaLevel, MachineConfig};
+    use crate::config::{CostModel, IsaLevel, MachineConfig};
     use crate::machine::Machine;
 
     #[test]
@@ -741,6 +787,41 @@ mod tests {
             assert!(hit <= c.l1_hit + c.tick, "hit cost {hit}");
         });
         assert!(report.makespan() > 0);
+    }
+
+    proptest::proptest! {
+        /// `issue` is `total / ipc` cycles carrying `total % ipc`, whatever
+        /// shortcut it takes: clocks after each `exec` match that
+        /// definition for every cost model, power-of-two IPC or not. The
+        /// trailing single instructions flush out a wrong final carry.
+        #[test]
+        fn issue_matches_the_division_definition(
+            ipc in 1..=8u64,
+            tick in 1..=3u64,
+            insns in proptest::collection::vec(0..20u64, 0..60),
+        ) {
+            let mut m = Machine::new(MachineConfig {
+                cost: CostModel { ipc, tick, ..CostModel::default() },
+                ..MachineConfig::default()
+            });
+            let program: Vec<u64> =
+                insns.into_iter().chain(std::iter::repeat_n(1, ipc as usize)).collect();
+            let (clocks, _) = m.run_one(|cpu| {
+                let after = |&n| {
+                    cpu.exec(n);
+                    cpu.now()
+                };
+                program.iter().map(after).collect::<Vec<u64>>()
+            });
+            let (mut clock, mut carry) = (0, 0);
+            let want: Vec<u64> = program.iter().map(|n| {
+                let total = carry + n * tick;
+                clock += total / ipc;
+                carry = total % ipc;
+                clock
+            }).collect();
+            proptest::prop_assert_eq!(clocks, want);
+        }
     }
 
     #[test]

@@ -784,8 +784,8 @@ impl MemSystem {
 
         let mask = subblock_mask(addr, len);
         let f = filter.idx();
-        let line = self.l1s[core].lookup(addr.line()).expect("just filled");
-        let line_id = line.id;
+        let line_id = addr.line();
+        let line = self.l1s[core].lookup(line_id).expect("just filled");
         let result = match op {
             MarkOp::Set => {
                 line.marks[f] |= mask;

@@ -297,6 +297,14 @@ impl SimState {
             || !self.faults.is_empty()
     }
 
+    /// Whether [`SimState::after_op`] has nothing to do in this run but
+    /// count the op: no dynamic schedule layer, no schedule log, no
+    /// tracing. All of those are installed through `&mut Machine`, between
+    /// runs, so the answer holds from a run's first admission to its last.
+    pub(crate) fn plain_run(&self) -> bool {
+        !self.dynamic_schedule() && !self.record_schedule && !self.sys.tracing()
+    }
+
     /// Minimal `(priority, id)` among active cores — the core the gate
     /// admits next. `None` when no core is active.
     pub(crate) fn min_active(&self) -> Option<(u64, usize)> {
@@ -1138,37 +1146,91 @@ mod tests {
 
     #[test]
     fn plans_installed_between_runs_target_the_next_run_only() {
-        use crate::config::Preemption;
-        // First run unsteered, then install a trace: the second run must
-        // see the favored core, and the trace must restart per run.
-        let mut m = Machine::new(MachineConfig {
-            record_schedule: true,
-            ..MachineConfig::with_cores(2)
-        });
-        let workers = || -> Vec<WorkerFn<'static>> {
-            (0..2)
-                .map(|_| {
-                    Box::new(|cpu: &mut Cpu| {
-                        for i in 0..3 {
-                            cpu.store_u64(Addr(0x900), i);
-                        }
-                    }) as WorkerFn<'static>
-                })
-                .collect()
+        use crate::config::{FaultEvent, FaultKind, Preemption};
+        use crate::trace::TraceConfig;
+        // `Cpu` decides at gate admission whether the run has any per-op
+        // hook (`Cpu::plain`). Each hook is installed on a machine whose
+        // previous run was plain: that very run must observe it, and the
+        // run after clearing it must be the plain run again, counter for
+        // counter.
+        const X: Addr = Addr(0xa00);
+        const OPS: usize = 14;
+        let mut m = Machine::new(MachineConfig::with_cores(2));
+        // Core 1 publishes the run's number; core 0's first op reads it.
+        // Core 0 goes first on the plain schedule and sees the previous
+        // run's number; it sees this run's when core 1 is favored.
+        let mut run_no = 0;
+        let mut run = |m: &mut Machine| -> (bool, RunReport) {
+            run_no += 1;
+            m.flush_caches(); // every run starts cold: reports compare
+            let mut seen = 0;
+            let report = m.run(vec![
+                Box::new(|cpu: &mut Cpu| {
+                    seen = cpu.load_set_mark_u64(X);
+                    for i in 0..6 {
+                        cpu.load_set_mark_u64(Addr(0xb00 + i * 64));
+                    }
+                }),
+                Box::new(|cpu: &mut Cpu| {
+                    cpu.store_u64(X, run_no);
+                    for i in 0..6 {
+                        cpu.load_u64(Addr(0xc00 + i * 64));
+                    }
+                }),
+            ]);
+            assert!(seen == run_no || seen == run_no - 1);
+            (seen == run_no, report)
         };
-        m.run(workers());
-        let first: Vec<usize> = m.take_schedule_log().iter().map(|e| e.core).collect();
-        assert_eq!(first[0], 0, "unsteered run starts with core 0");
+        type Run<'a> = dyn FnMut(&mut Machine) -> (bool, RunReport) + 'a;
+        let run_plain_again = |m: &mut Machine, run: &mut Run, plain: &RunReport, cleared: &str| {
+            let (core_1_first, report) = run(m);
+            assert!(!core_1_first, "schedule after clearing {cleared}");
+            assert_eq!(&report, plain, "report after clearing {cleared}");
+            assert!(m.take_schedule_log().is_empty(), "{cleared} cleared");
+            assert!(m.take_trace().is_none(), "{cleared} cleared");
+        };
+
+        let (core_1_first, plain) = run(&mut m);
+        assert!(!core_1_first);
+
+        m.set_tracing(Some(TraceConfig::default()));
+        let (_, traced) = run(&mut m);
+        let events = m.take_trace().expect("armed").total_events();
+        assert!(events >= OPS, "{events} events: that run was recorded");
+        assert_eq!(traced, plain, "tracing only observes");
+        m.set_tracing(None);
+        run_plain_again(&mut m, &mut run, &plain, "tracing");
+
+        m.set_record_schedule(true);
+        let (_, recorded) = run(&mut m);
+        assert_eq!(m.take_schedule_log().len(), OPS, "every op of that run");
+        assert_eq!(recorded, plain, "recording only observes");
+        m.set_record_schedule(false);
+        run_plain_again(&mut m, &mut run, &plain, "schedule recording");
+
+        // Late in the run every line in core 0's L1 is marked.
+        m.set_faults(vec![FaultEvent {
+            at_op: OPS as u64 - 2,
+            core: 0,
+            kind: FaultKind::EvictL1 { nth: 0 },
+        }]);
+        let (_, faulted) = run(&mut m);
+        assert_eq!(
+            faulted.cores[0].marked_lost_capacity,
+            plain.cores[0].marked_lost_capacity + 1,
+            "the planted eviction happened in that run"
+        );
+        m.set_faults(Vec::new());
+        run_plain_again(&mut m, &mut run, &plain, "the fault plan");
+
         m.set_preemptions(vec![Preemption { at_op: 0, core: 1 }]);
         for _ in 0..2 {
-            m.run(workers());
-            let cores: Vec<usize> = m.take_schedule_log().iter().map(|e| e.core).collect();
-            assert_eq!(
-                &cores[..3],
-                &[1, 1, 1],
-                "installed trace must favor core 1 in every subsequent run"
-            );
+            // The trace restarts with every run it stays installed for.
+            let (core_1_first, _) = run(&mut m);
+            assert!(core_1_first, "the favored core ran first in that run");
         }
+        m.set_preemptions(Vec::new());
+        run_plain_again(&mut m, &mut run, &plain, "the preemption trace");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! not allocate once structures are warm: the watch table is a flat
 //! open-addressed array cleared by generation bump, the snapshot paths
 //! reuse a scratch buffer, and sparse memory pages only allocate on first
-//! touch. A counting `#[global_allocator]` (armed only around the hot
+//! touch (plus the page table's amortised growth). A counting `#[global_allocator]` (armed only around the hot
 //! loops) turns any regression into a test failure.
 //!
 //! The allocator is process-wide but the tests here run on parallel
@@ -139,6 +139,50 @@ fn hot_paths_do_not_allocate_once_warm() {
         assert_eq!(allocs, 0, "Cpu stepping loop allocated");
     });
     assert!(report.makespan() > 0);
+}
+
+#[test]
+fn simulated_memory_allocates_once_per_fresh_page() {
+    const PAGE: u64 = 4096;
+    const WARM_PAGES: u64 = 64;
+    // Heap pages are found by index, the low addresses tests use through
+    // the fallback map: neither lookup may allocate on a resident page.
+    let mut machine = Machine::new(MachineConfig::default());
+    let base = machine.heap().alloc_aligned(WARM_PAGES * PAGE, PAGE).0;
+    let words: Vec<Addr> = (0..WARM_PAGES)
+        // A different line of each page, so they spread over the L1's sets.
+        .map(|p| Addr(base + p * PAGE + (p % 64) * LINE_SIZE))
+        .chain([Addr(0x100), Addr(0x2040), Addr(0x9008)])
+        .collect();
+    machine.run_one(|cpu| {
+        let round = |cpu: &mut hastm_sim::Cpu, v: u64| {
+            for &w in &words {
+                cpu.store_u64(w, v);
+                let seen = cpu.load_u64(w);
+                cpu.cas_u64(w, seen, seen + 1);
+                let _ = cpu.load_set_mark_u64(w);
+                let _ = cpu.load_test_mark_u64(w);
+            }
+        };
+        round(cpu, 0); // touches every page and sizes every cache set
+        let ((), allocs) = armed(|| (1..5).for_each(|v| round(cpu, v)));
+        assert_eq!(allocs, 0, "accesses to resident pages allocated");
+    });
+
+    // A first store allocates the page and nothing else, but for the page
+    // table doubling now and then.
+    const FRESH_PAGES: u64 = 1024;
+    let mut mem = hastm_sim::mem::Memory::new();
+    let ((), allocs) = armed(|| {
+        for p in 0..FRESH_PAGES {
+            mem.write_u64(Addr(hastm_sim::heap::HEAP_BASE + p * PAGE), p);
+        }
+    });
+    assert_eq!(mem.resident_pages() as u64, FRESH_PAGES);
+    assert!(
+        (FRESH_PAGES..=FRESH_PAGES + 12).contains(&allocs),
+        "{allocs} allocations for {FRESH_PAGES} fresh pages"
+    );
 }
 
 // ---------------------------------------------------------------------------
