@@ -200,6 +200,18 @@ fn writer_overhead() -> WriterOverhead {
     }
 }
 
+/// What `main` measured, one field per `BENCH.json` section.
+#[derive(Clone, Copy)]
+struct Measured<'a> {
+    report: &'a SweepReport,
+    native: &'a [NativeRow],
+    mvcc: &'a [MvccRow],
+    writer: &'a WriterOverhead,
+    oltp_sim: &'a [ServingRow],
+    oltp_native: &'a [ServingRow],
+    phases: &'a [PhasePoint],
+}
+
 /// Renders `BENCH.json` (schema 8). The `totals` object precedes the
 /// `figures` array on purpose — and its scalar `cells_per_sec` precedes
 /// the `solo`/`multi` sub-objects — because the regression gate extracts
@@ -207,16 +219,16 @@ fn writer_overhead() -> WriterOverhead {
 /// stay readable by `--check` and this file stays readable by older
 /// gates. The `native`, `mvcc`, and `oltp` row keys deliberately avoid
 /// that substring for the same reason.
-fn render_json(
-    scale: Scale,
-    report: &SweepReport,
-    native: &[NativeRow],
-    mvcc: &[MvccRow],
-    writer: &WriterOverhead,
-    oltp_sim: &[ServingRow],
-    oltp_native: &[ServingRow],
-    phases: &[PhasePoint],
-) -> String {
+fn render_json(scale: Scale, measured: &Measured<'_>) -> String {
+    let Measured {
+        report,
+        native,
+        mvcc,
+        writer,
+        oltp_sim,
+        oltp_native,
+        phases,
+    } = *measured;
     let wall_s = report.wall.as_secs_f64();
     let cells_per_sec = report.unique_cells as f64 / wall_s.max(1e-9);
     let cycles_per_sec = report.simulated_cycles as f64 / wall_s.max(1e-9);
@@ -431,13 +443,15 @@ fn main() {
     let phases = phase_points(scale);
     let json = render_json(
         scale,
-        &report,
-        &native,
-        &mvcc,
-        &writer,
-        &oltp_sim,
-        &oltp_native,
-        &phases,
+        &Measured {
+            report: &report,
+            native: &native,
+            mvcc: &mvcc,
+            writer: &writer,
+            oltp_sim: &oltp_sim,
+            oltp_native: &oltp_native,
+            phases: &phases,
+        },
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
         eprintln!("perf: cannot write {}: {e}", args.out);

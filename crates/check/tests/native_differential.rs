@@ -143,7 +143,10 @@ fn multi_version_ro_scans_sweep_abort_free_across_thread_counts() {
             };
             let out = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
             assert!(out.stats.commits > 0, "{trial}: no commits recorded");
-            assert_eq!(out.stats.ro_aborts, 0, "{trial}: read-only snapshot aborted");
+            assert_eq!(
+                out.stats.ro_aborts, 0,
+                "{trial}: read-only snapshot aborted"
+            );
             ro_commits += out.stats.ro_commits;
         }
     }

@@ -146,6 +146,9 @@ mod unmutated {
             max_transitions, LATTICE_DEPTH,
             "the sweep never walked the full demote-only lattice"
         );
-        assert!(serial_commits > 0, "the sweep never reached the serial phase");
+        assert!(
+            serial_commits > 0,
+            "the sweep never reached the serial phase"
+        );
     }
 }

@@ -157,7 +157,11 @@ fn run_scenario(workload: Workload, sched: Sched, storm: Storm, seed: u64) -> Sc
 fn campaign() -> Vec<Scenario> {
     let mut out = Vec::new();
     for workload in [Workload::Counter, Workload::Bst] {
-        for sched in [Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Pct { depth: 8 }] {
+        for sched in [
+            Sched::Fuzzed,
+            Sched::Pct { depth: 3 },
+            Sched::Pct { depth: 8 },
+        ] {
             for storm in [
                 Storm::None,
                 Storm::Spurious { period: 40 },
@@ -244,7 +248,12 @@ fn worst_known_scenario_stays_bounded() {
     // exactly; if a controller change pushes it past the hysteresis
     // ceiling, this test names the breach without re-running the whole
     // campaign.
-    let s = run_scenario(Workload::Bst, Sched::Fuzzed, Storm::Spurious { period: 40 }, 2);
+    let s = run_scenario(
+        Workload::Bst,
+        Sched::Fuzzed,
+        Storm::Spurious { period: 40 },
+        2,
+    );
     assert!(
         s.transitions <= s.events / u64::from(HYSTERESIS) + 1,
         "pinned worst scenario breached the ceiling: {} transitions over {} events",

@@ -90,9 +90,10 @@ impl ModePolicy {
 /// [`TxnKind::ReadOnly`] read a consistent snapshot (newest version with
 /// stamp ≤ their start stamp) and commit without validation — they can
 /// never abort.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Versioning {
     /// Single committed version per record (the measured configuration).
+    #[default]
     Single,
     /// `k`-deep version ring; enables the snapshot-read path.
     Multi {
@@ -100,12 +101,6 @@ pub enum Versioning {
         /// see the newest committed value at their start stamp.
         k: usize,
     },
-}
-
-impl Default for Versioning {
-    fn default() -> Self {
-        Versioning::Single
-    }
 }
 
 impl Versioning {

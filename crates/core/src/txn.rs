@@ -596,7 +596,8 @@ impl<'c, 'm> TxThread<'c, 'm> {
             return Ok(());
         }
         if self.is_snapshot() {
-            return Ok(self.commit_snapshot());
+            self.commit_snapshot();
+            return Ok(());
         }
         let dirty = self.timed(Category::Validate, |t| t.validate())?;
         self.oracle_on_commit();

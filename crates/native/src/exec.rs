@@ -414,9 +414,7 @@ impl TmExec for NativeExec<'_> {
             // way, every version this region can need outlives it.
             slot.store(self.rt.clock(), SeqCst);
             let rv = self.rt.clock();
-            let mut txn = NativeRoTxn { exec: self, rv };
-            let out = f(&mut txn);
-            drop(txn);
+            let out = f(&mut NativeRoTxn { exec: self, rv });
             slot.store(u64::MAX, SeqCst);
             match out {
                 Ok(r) => {
@@ -1088,7 +1086,6 @@ mod tests {
         b.atomic(|ctx| ctx.ctx_write(o, 0, 3));
         let mut txn = NativeRoTxn { exec: &mut a, rv };
         assert_eq!(txn.snapshot_read_at(o.word(0).0), 1, "snapshot at rv");
-        drop(txn);
         slot.store(u64::MAX, SeqCst);
         assert_eq!(rt.peek(o.word(0)), 3, "memory moved on past the snapshot");
     }
@@ -1138,7 +1135,6 @@ mod tests {
         );
         let mut txn = NativeRoTxn { exec: &mut a, rv };
         assert_eq!(txn.snapshot_read_at(o.word(0).0), 1);
-        drop(txn);
         slot.store(u64::MAX, SeqCst);
         // Next commit prunes with no live readers.
         b.atomic(|ctx| ctx.ctx_write(o, 0, 6));

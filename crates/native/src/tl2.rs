@@ -169,6 +169,10 @@ impl NativeStats {
 /// write-back while it holds its stripe locks.
 pub type WritebackHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
+/// One shard of the version rings: word address → ring of
+/// `(version, value)` pairs in ascending version order.
+type RingShard = Mutex<HashMap<u64, Vec<(u64, u64)>>>;
+
 /// Shared state of the native backend; threads hold `&NativeRuntime` and
 /// drive it through per-thread [`crate::NativeExec`]s.
 pub struct NativeRuntime {
@@ -181,13 +185,12 @@ pub struct NativeRuntime {
     hook_armed: AtomicBool,
     hook: Mutex<Option<WritebackHook>>,
     start: std::time::Instant,
-    /// Sharded version rings (`Some` only under [`Versioning::Multi`]):
-    /// per shard, word address → ring of `(version, value)` pairs in
-    /// ascending version order. Writers publish here *before* each
+    /// Sharded version rings (`Some` only under [`Versioning::Multi`]).
+    /// Writers publish here *before* each
     /// write-back store (so the ring's oldest entry, seeded at version 0,
     /// is the word's pre-transactional image and a ring miss proves the
     /// word was never transactionally written).
-    rings: Option<Box<[Mutex<HashMap<u64, Vec<(u64, u64)>>>]>>,
+    rings: Option<Box<[RingShard]>>,
     ring_mask: u64,
     /// Live read-only snapshot registry: one slot per executor, holding
     /// the snapshot `rv` while an `atomic_ro` region runs and `u64::MAX`

@@ -5,15 +5,31 @@
 //! waits for this core's logical-clock turn, performs the operation against
 //! the shared memory system, and advances the core's clock by the
 //! instruction's cycle cost.
-
-use parking_lot::MutexGuard;
+//!
+//! The one operation that need not wait is a stall ([`Cpu::tick`], and with
+//! it [`Cpu::exec`] and [`Cpu::mark_branch_penalty`]): it touches nothing
+//! but this core's own clock. On a plain run, with no quantum open, a stall
+//! is therefore *deferred* — added to the handle's own copy of the clock
+//! and to `Cpu::stalled_cycles` — and published into the shared clock by
+//! the next operation that does take a turn, before the gate decides on
+//! it. No other operation starts at a different `(clock, core)` for that,
+//! and the gate still admits them in that order; see DESIGN §5c.
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::cache::FilterId;
 use crate::config::{CostModel, GateMode};
+use crate::gate::StateGuard;
 use crate::hierarchy::{AccessKind, MarkOp, WatchKind, WatchViolation};
-use crate::machine::{Shared, SimState};
+use crate::machine::{Bound, Shared, SimState};
 use crate::trace::{TimedEvent, TraceEvent};
+
+/// How many consecutive stalls a core may defer before one of them takes a
+/// real turn. A worker that only stalls (spinning on host state another
+/// core will set) must still let the others run: contexts switch nowhere
+/// but in the gate. Any value is exact; this one is far above the handful
+/// of stalls between two memory operations of real workloads, so it costs
+/// them nothing.
+const STALL_DEFER_CAP: u64 = 16;
 
 /// Execution handle for one simulated core.
 ///
@@ -38,16 +54,24 @@ pub struct Cpu<'a> {
     /// advance clocks, or deactivate), which is exactly what makes the
     /// cached bound exact. Released by `finish` on overtake, or by `Drop`
     /// at worker end.
-    held: Option<MutexGuard<'a, SimState>>,
+    held: Option<StateGuard<'a>>,
     /// Competitor bound cached at quantum admission: the minimal
     /// `(clock, id)` among the *other* active cores. `None` means no
     /// competitor exists (sole active core) and the quantum never expires.
-    bound: Option<(u64, usize)>,
-    /// [`SimState::plain_run`] as of the last gate admission: the run has
-    /// nothing to do after an op but advance the clock and count it. Its
-    /// inputs change only through `&mut Machine`, which no run can
-    /// overlap, so the flag cannot go stale inside a run.
+    bound: Bound,
+    /// [`SimState::plain_run`]: the run has nothing to do after an op but
+    /// advance the clock and count it, and nothing but clocks decides the
+    /// turn. Its inputs change only through `&mut Machine`, which no run
+    /// can overlap, so the flag read when the worker started holds for the
+    /// whole run.
     plain: bool,
+    /// Cycles of the stalls deferred since this core last took a turn, not
+    /// yet in `clocks[id]`. Nonzero only on a plain run with no quantum
+    /// open.
+    stalled_cycles: u64,
+    /// How many stalls those were: not yet in `op_count`, and capped at
+    /// [`STALL_DEFER_CAP`].
+    stalled_ops: u64,
     /// Whether structured tracing was armed when this worker started;
     /// cached so [`Cpu::trace`] is one branch when tracing is off.
     tracing: bool,
@@ -84,14 +108,17 @@ impl Drop for Cpu<'_> {
             let mut st = self.shared.state.lock();
             st.sys.trace_push_tail(self.id, &mut self.trace_pending);
         }
+        // Stalls still deferred reach the clock the run reports before
+        // this core deactivates.
+        self.publish_stalls();
     }
 }
 
 impl<'a> Cpu<'a> {
     pub(crate) fn new(id: usize, shared: &'a Shared) -> Self {
-        let (cost, tracing) = {
+        let (cost, tracing, plain) = {
             let st = shared.state.lock();
-            (st.sys_cost(), st.sys.tracing())
+            (st.sys_cost(), st.sys.tracing(), st.plain_run())
         };
         Cpu {
             id,
@@ -102,7 +129,9 @@ impl<'a> Cpu<'a> {
                 .ipc
                 .is_power_of_two()
                 .then(|| cost.ipc.trailing_zeros()),
-            plain: false,
+            plain,
+            stalled_cycles: 0,
+            stalled_ops: 0,
             quantum: shared.gate == GateMode::Quantum,
             held: None,
             bound: None,
@@ -156,8 +185,9 @@ impl<'a> Cpu<'a> {
     }
 
     /// Reads the simulator state without gating. Must go through the open
-    /// quantum's guard when one is held — the state mutex is not reentrant,
-    /// so re-locking from the same thread would self-deadlock.
+    /// quantum's guard when one is held — the state cell is not reentrant:
+    /// taking it again would panic on the context target (a second
+    /// exclusive borrow) and self-deadlock on the thread target.
     #[inline]
     fn with_state<R>(&self, f: impl FnOnce(&SimState) -> R) -> R {
         match &self.held {
@@ -184,7 +214,7 @@ impl<'a> Cpu<'a> {
     /// and, under [`GateMode::Quantum`], caches the competitor bound the
     /// new quantum will run against.
     #[inline]
-    fn turn(&mut self) -> MutexGuard<'a, SimState> {
+    fn turn(&mut self) -> StateGuard<'a> {
         if let Some(st) = self.held.take() {
             return st;
         }
@@ -194,22 +224,39 @@ impl<'a> Cpu<'a> {
     /// Gate admission, out of line: everything that is decided once per
     /// quantum rather than once per op.
     #[inline(never)]
-    fn admit(&mut self) -> MutexGuard<'a, SimState> {
-        let mut st = self.shared.wait_turn(self.id);
-        st.note_admission(self.id);
-        self.last_clock = st.clocks[self.id];
-        self.plain = st.plain_run();
-        if self.quantum && !st.dynamic_schedule() {
-            self.bound = st.competitor_bound(self.id);
+    fn admit(&mut self) -> StateGuard<'a> {
+        // The gate must decide on this core's true clock.
+        self.publish_stalls();
+        let (mut st, bound) = self.shared.wait_turn(self.id);
+        // The bound this core was admitted against is the one its quantum
+        // runs up to. (A dynamic schedule never lets `finish` consult it.)
+        self.bound = bound;
+        if !self.plain {
+            st.note_admission(self.id);
         }
+        self.last_clock = st.clocks[self.id];
         st
+    }
+
+    /// Adds the stalls deferred by [`Cpu::tick`] to this core's shared
+    /// clock and to the op count. That moves the turn like any other clock
+    /// advance, so it ends in a handoff: on host threads a core parked
+    /// behind the stale clock is woken by nothing else.
+    fn publish_stalls(&mut self) {
+        if self.stalled_ops == 0 {
+            return;
+        }
+        let mut st = self.shared.state.lock();
+        st.clocks[self.id] += std::mem::take(&mut self.stalled_cycles);
+        st.op_count += std::mem::take(&mut self.stalled_ops);
+        self.shared.handoff(st, self.id);
     }
 
     /// Completes an op that cost `cycles`: advances the clock, runs what
     /// the run hangs on the end of an op, and either keeps the quantum open
     /// or gives up the turn.
     #[inline]
-    fn finish(&mut self, mut st: MutexGuard<'a, SimState>, cycles: u64) {
+    fn finish(&mut self, mut st: StateGuard<'a>, cycles: u64) {
         let clock = st.clocks[self.id] + cycles;
         st.clocks[self.id] = clock;
         self.last_clock = clock;
@@ -263,6 +310,14 @@ impl<'a> Cpu<'a> {
     /// spin-waiters cannot starve the core they wait on.
     pub fn tick(&mut self, cycles: u64) {
         if cycles == 0 {
+            return;
+        }
+        if self.plain && self.held.is_none() && self.stalled_ops < STALL_DEFER_CAP {
+            // Nothing to observe and nothing to touch but this core's own
+            // clock: the stall takes no turn (module docs).
+            self.stalled_cycles += cycles;
+            self.stalled_ops += 1;
+            self.last_clock += cycles;
             return;
         }
         let mut st = self.turn();

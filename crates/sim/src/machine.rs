@@ -26,11 +26,15 @@
 //! schedule, and every simulated number, is the same.) A run of one worker
 //! is simply a call of its closure on the caller's stack.
 //!
-//! The state still sits behind a mutex: it is what lets `Cpu` keep a
-//! quantum open by holding a guard, and what the thread gate blocks on.
-//! With contexts it is never contended; the one rule is that a core never
-//! switches away while holding the guard (`Shared::wait_turn` is reached
-//! only with no quantum open, and asserts it in debug builds).
+//! The state sits in `gate.rs`'s `StateCell`, and whoever touches it holds
+//! the cell's guard: that is what lets `Cpu` keep a quantum open by keeping
+//! a guard. With contexts the cell is a `RefCell` — one host thread, so
+//! exclusive access is a checked borrow and nothing is ever waited for; the
+//! one rule is that a core never switches away while holding the guard
+//! (`Shared::wait_turn` is reached only with no quantum open, and asserts
+//! it in debug builds). With threads it is the mutex the gate blocks on.
+//! Everything that takes `&mut Machine` reaches the state with no guard at
+//! all.
 //!
 //! # Gate admission: per-op vs run-until-overtaken quanta
 //!
@@ -52,7 +56,7 @@
 //! advance its clock, or deactivate (all of those require the lock), so the
 //! cached bound *B* stays exact for the whole quantum — and the
 //! keep-running test `(clock_C, C) < B` is precisely the per-op
-//! minimality test (`SimState::turn_owner`), evaluated against state that
+//! admission test (`SimState::admission`), evaluated against state that
 //! cannot have changed. The two modes therefore admit the same operation
 //! sequence and differ only in host-side synchronization cost. Under
 //! [`SchedulePolicy::Fuzzed`] the per-core priority jitter is re-drawn
@@ -61,11 +65,9 @@
 //! `fuzz.is_none()` to extend a quantum) — fuzzed runs take the per-op
 //! path regardless of gate mode.
 
-use parking_lot::Mutex;
-
 use crate::config::{FaultEvent, FaultKind, GateMode, MachineConfig, Preemption, SchedulePolicy};
 use crate::cpu::Cpu;
-use crate::gate::Turns;
+use crate::gate::{StateCell, Turns};
 use crate::heap::SimHeap;
 use crate::hierarchy::MemSystem;
 use crate::mem::Memory;
@@ -202,6 +204,11 @@ pub struct ScheduleEvent {
     pub line: Option<(crate::addr::LineId, bool)>,
 }
 
+/// Minimal `(priority, id)` among the active cores *other than* the one
+/// asking. `None` means it has no competitors (it is the sole active core)
+/// and may run to the end of its worker without re-entering the gate.
+pub(crate) type Bound = Option<(u64, usize)>;
+
 pub(crate) struct SimState {
     pub(crate) mem: Memory,
     pub(crate) sys: MemSystem,
@@ -305,48 +312,44 @@ impl SimState {
         !self.dynamic_schedule() && !self.record_schedule && !self.sys.tracing()
     }
 
+    /// Minimal `(priority, id)` among the active cores, leaving out
+    /// `except`. `None` when there is none.
+    fn min_active_except(&self, except: Option<usize>) -> Bound {
+        let mut best: Bound = None;
+        for id in 0..self.clocks.len() {
+            if self.active[id] && Some(id) != except {
+                let t = (self.priority(id), id);
+                if best.is_none_or(|b| t < b) {
+                    best = Some(t);
+                }
+            }
+        }
+        best
+    }
+
     /// Minimal `(priority, id)` among active cores — the core the gate
     /// admits next. `None` when no core is active.
     pub(crate) fn min_active(&self) -> Option<(u64, usize)> {
-        let mut best: Option<(u64, usize)> = None;
-        for id in 0..self.clocks.len() {
-            if self.active[id] {
-                let t = (self.priority(id), id);
-                if best.is_none_or(|b| t < b) {
-                    best = Some(t);
-                }
-            }
-        }
-        best
+        self.min_active_except(None)
     }
 
-    /// Minimal `(priority, id)` among active cores *other than* `core` —
-    /// the bound the quantum scheduler caches at admission. `None` means
-    /// `core` has no competitors (it is the sole active core) and may run
-    /// to the end of its worker without re-entering the gate.
-    pub(crate) fn competitor_bound(&self, core: usize) -> Option<(u64, usize)> {
-        let mut best: Option<(u64, usize)> = None;
-        for id in 0..self.clocks.len() {
-            if id != core && self.active[id] {
-                let t = (self.priority(id), id);
-                if best.is_none_or(|b| t < b) {
-                    best = Some(t);
-                }
-            }
+    /// The gate's decision for active core `core`, from one scan of its
+    /// competitors: `Ok` with the [`Bound`] it is admitted against — the
+    /// one the quantum scheduler then runs up to — or `Err` with the core
+    /// it must wait for, the one that holds the bound.
+    pub(crate) fn admission(&self, core: usize) -> Result<Bound, usize> {
+        debug_assert!(
+            self.active[core],
+            "core {core} asks for a turn while inactive"
+        );
+        // Fast path: a sole active core never has anyone to defer to.
+        if self.active_count == 1 {
+            return Ok(None);
         }
-        best
-    }
-
-    /// The core `core` must wait for: the active core with the minimal
-    /// `(priority, id)`, or `None` when that is `core` itself and the gate
-    /// admits it.
-    pub(crate) fn turn_owner(&self, core: usize) -> Option<usize> {
-        // Fast path: a sole active core (or a fully drained machine) never
-        // has anyone to defer to.
-        if self.active_count == 0 || (self.active_count == 1 && self.active[core]) {
-            return None;
+        match self.min_active_except(Some(core)) {
+            Some(ahead) if ahead < (self.priority(core), core) => Err(ahead.1),
+            bound => Ok(bound),
         }
-        self.min_active().map(|(_, id)| id).filter(|&id| id != core)
     }
 
     /// Whether the current policy admits cores by rank rather than clock
@@ -467,7 +470,7 @@ impl SimState {
 }
 
 pub(crate) struct Shared {
-    pub(crate) state: Mutex<SimState>,
+    pub(crate) state: StateCell,
     /// Host side of the gate: what the cores run on and how they wait
     /// (see `gate.rs`, which also holds `wait_turn` and `handoff`).
     pub(crate) turns: Turns,
@@ -584,7 +587,7 @@ impl Machine {
         };
         Machine {
             shared: Shared {
-                state: Mutex::new(state),
+                state: StateCell::new(state),
                 turns: Turns::new(config.cores),
                 gate: config.gate,
             },
@@ -607,7 +610,7 @@ impl Machine {
     /// Empties all caches (cold-start the next run). Mark counters are
     /// bumped for lost marked lines, as a real flush would.
     pub fn flush_caches(&mut self) {
-        self.shared.state.lock().sys.flush_caches();
+        self.shared.state.get_mut().sys.flush_caches();
     }
 
     /// Replaces the preemption trace applied to subsequent runs (`trace`
@@ -619,7 +622,7 @@ impl Machine {
             "preemption trace must be sorted by at_op"
         );
         self.config.preemptions = trace.clone();
-        self.shared.state.lock().preemptions = trace;
+        self.shared.state.get_mut().preemptions = trace;
     }
 
     /// Replaces the fault-injection plan applied to subsequent runs
@@ -630,13 +633,13 @@ impl Machine {
             "fault plan must be sorted by at_op"
         );
         self.config.faults = plan.clone();
-        self.shared.state.lock().faults = plan;
+        self.shared.state.get_mut().faults = plan;
     }
 
     /// Turns per-op schedule-log recording on or off for subsequent runs.
     pub fn set_record_schedule(&mut self, on: bool) {
         self.config.record_schedule = on;
-        let mut st = self.shared.state.lock();
+        let st = self.shared.state.get_mut();
         st.record_schedule = on;
         st.sys.set_record_accesses(on);
     }
@@ -645,7 +648,7 @@ impl Machine {
     /// Empty unless [`MachineConfig::record_schedule`] (or
     /// [`Machine::set_record_schedule`]) enabled recording.
     pub fn take_schedule_log(&mut self) -> Vec<ScheduleEvent> {
-        std::mem::take(&mut self.shared.state.lock().schedule_log)
+        std::mem::take(&mut self.shared.state.get_mut().schedule_log)
     }
 
     /// Arms (with `Some`) or disarms (with `None`) structured event tracing
@@ -655,13 +658,13 @@ impl Machine {
     /// bit-identical to an untraced run.
     pub fn set_tracing(&mut self, config: Option<crate::trace::TraceConfig>) {
         self.config.trace = config;
-        self.shared.state.lock().sys.set_trace(config);
+        self.shared.state.get_mut().sys.set_trace(config);
     }
 
     /// Harvests the trace recorded by the most recent run (the recorder
     /// stays armed and empty). `None` unless tracing is armed.
     pub fn take_trace(&mut self) -> Option<crate::trace::TraceLog> {
-        self.shared.state.lock().sys.take_trace()
+        self.shared.state.get_mut().sys.take_trace()
     }
 
     /// Runs one closure per core, gated by the deterministic scheduler, and
@@ -680,7 +683,7 @@ impl Machine {
             self.config.cores
         );
         {
-            let mut st = self.shared.state.lock();
+            let st = self.shared.state.get_mut();
             st.sys.reset_stats();
             st.run_epoch += 1;
             for c in 0..self.config.cores {
@@ -718,7 +721,7 @@ impl Machine {
             std::panic::resume_unwind(payload);
         }
 
-        let st = self.shared.state.lock();
+        let st = self.shared.state.get_mut();
         let mut report = RunReport {
             cores: st.sys.core_stats.clone(),
             machine: st.sys.machine_stats.clone(),
@@ -727,7 +730,6 @@ impl Machine {
             stats.cycles = st.clocks[c];
         }
         report.cores.truncate(n);
-        drop(st);
         report
     }
 
@@ -767,7 +769,7 @@ impl Machine {
     /// for test setup. Does not invalidate cached copies; use only before
     /// the first run touching `addr`.
     pub fn poke_u64(&mut self, addr: crate::addr::Addr, value: u64) {
-        self.shared.state.lock().mem.write_u64(addr, value);
+        self.shared.state.get_mut().mem.write_u64(addr, value);
     }
 }
 

@@ -2,11 +2,12 @@
 //! host — as contexts on the calling thread (x86-64 Unix) or as host
 //! threads: a worker's panic comes back as the original payload with
 //! nothing leaked and the machine still usable, worker code gets a real
-//! stack, idle and many workers are fine, and a machine is not tied to
-//! the thread or the call depth it last ran at.
+//! stack, idle and many workers are fine, a worker that only stalls does
+//! not keep the others from running, and a machine is not tied to the
+//! thread or the call depth it last ran at.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use hastm_sim::{Addr, Cpu, GateMode, Machine, MachineConfig, RunReport, WorkerFn, LINE_SIZE};
 
@@ -197,6 +198,42 @@ fn workers_without_a_gated_op_just_return() {
         let report = machine.run(workers);
         assert_eq!(report.cores[busy].stores, 50);
         assert_eq!(machine.peek_u64(Addr(0x200)), 49);
+    }
+}
+
+#[test]
+fn a_core_that_only_stalls_lets_the_others_run_and_loses_no_cycle() {
+    // Core 0 spins on host state only core 1 will set. A stall need not
+    // take a turn (on a plain run `Cpu::tick` defers it), but contexts
+    // switch nowhere else: were no stall ever to take one, core 1 would
+    // never run. The spin is bounded so that this fails instead of hanging.
+    const GIVE_UP: u64 = 50_000_000;
+    for gate in [GateMode::Quantum, GateMode::PerOp] {
+        let mut machine = Machine::new(MachineConfig {
+            gate,
+            ..MachineConfig::with_cores(2)
+        });
+        let done = AtomicBool::new(false);
+        let mut ticks = 0;
+        let report = machine.run(vec![
+            Box::new(|cpu: &mut Cpu| {
+                while !done.load(Ordering::Acquire) && ticks < GIVE_UP {
+                    cpu.tick(1);
+                    ticks += 1;
+                }
+            }),
+            Box::new(|cpu: &mut Cpu| {
+                for i in 0..8 {
+                    cpu.store_u64(Addr(0x100 + i * LINE_SIZE), i);
+                }
+                done.store(true, Ordering::Release);
+            }),
+        ]);
+        assert!(ticks < GIVE_UP, "core 1 never got to run ({gate:?})");
+        assert_eq!(report.cores[1].stores, 8);
+        // Every stall is in the reported clock, whether a turn published
+        // it or the end of the worker did.
+        assert_eq!(report.cores[0].cycles, ticks, "{gate:?}");
     }
 }
 
