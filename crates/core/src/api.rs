@@ -59,10 +59,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
     ///
     /// Returns `Err(Abort::Explicit)` iff `f` requested it; all other abort
     /// causes are retried internally.
-    pub fn try_atomic<R>(
-        &mut self,
-        f: impl FnMut(&mut Self) -> TxResult<R>,
-    ) -> Result<R, Abort> {
+    pub fn try_atomic<R>(&mut self, f: impl FnMut(&mut Self) -> TxResult<R>) -> Result<R, Abort> {
         self.try_atomic_kind(TxnKind::ReadWrite, f)
     }
 

@@ -358,9 +358,9 @@ impl TxThread<'_, '_> {
         let start = self.ro_start;
         let value = self.timed(Category::ReadBarrier, |t| {
             let mem = t.cpu.load_u64(addr); // the data load (ring-miss value)
-            // Ring probe (hash, bound check, select), gated so its order
-            // against concurrent stamp publications is the deterministic
-            // admission order rather than a host-lock race.
+                                            // Ring probe (hash, bound check, select), gated so its order
+                                            // against concurrent stamp publications is the deterministic
+                                            // admission order rather than a host-lock race.
             t.cpu
                 .exec_sync(3, || store.snapshot_read(addr.0, start))
                 .unwrap_or(mem)

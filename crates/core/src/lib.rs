@@ -54,8 +54,8 @@ pub mod gc;
 pub mod log;
 pub mod mode;
 pub mod mvcc;
-pub mod phase;
 pub mod oracle;
+pub mod phase;
 pub mod record;
 pub mod runtime;
 pub mod stats;
@@ -70,11 +70,11 @@ pub use gc::Inspector;
 pub use log::{ReadEntry, Savepoint, UndoEntry, WriteEntry};
 pub use mode::{AbortClass, ModeController};
 pub use mvcc::{VersionStore, VersionStoreStats};
-pub use phase::{Phase, PhaseEvent, PhasedParams, SharedModeState};
 pub use oracle::{
     CommitEvidence, Obligation, Oracle, OracleLog, OracleMode, OracleViolation, RoObligation,
     SerializationViolation,
 };
+pub use phase::{Phase, PhaseEvent, PhasedParams, SharedModeState};
 pub use record::{RecValue, RecordTable};
 pub use runtime::{ObjRef, StmRuntime};
 pub use stats::{Category, LatencyStats, MetricsSnapshot, TimeBreakdown, TxnStats};

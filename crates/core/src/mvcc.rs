@@ -56,7 +56,12 @@ impl VersionStoreInner {
         self.live.keys().next().copied().unwrap_or(u64::MAX)
     }
 
-    fn prune_ring(depth: usize, floor: u64, ring: &mut Vec<(u64, u64)>, stats: &mut VersionStoreStats) {
+    fn prune_ring(
+        depth: usize,
+        floor: u64,
+        ring: &mut Vec<(u64, u64)>,
+        stats: &mut VersionStoreStats,
+    ) {
         while ring.len() > depth && ring[1].0 <= floor {
             ring.remove(0);
             stats.reclaimed += 1;

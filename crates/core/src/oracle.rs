@@ -806,7 +806,11 @@ mod tests {
         let v = log.verify(|_| unreachable!());
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].read.seen, v[0].read.expected), (20, 10));
-        assert_eq!(v[0].window, (1, 1), "RO serialization point is the start stamp");
+        assert_eq!(
+            v[0].window,
+            (1, 1),
+            "RO serialization point is the start stamp"
+        );
     }
 
     #[test]

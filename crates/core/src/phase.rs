@@ -92,12 +92,7 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, lattice order.
-    pub const ALL: [Phase; 4] = [
-        Phase::Hw,
-        Phase::Aggressive,
-        Phase::Cautious,
-        Phase::Serial,
-    ];
+    pub const ALL: [Phase; 4] = [Phase::Hw, Phase::Aggressive, Phase::Cautious, Phase::Serial];
 
     /// Stable index (for per-phase counter arrays).
     pub fn idx(self) -> usize {
@@ -450,7 +445,11 @@ mod tests {
         assert_eq!(Phase::Hw.mode_for(0, 2), Mode::Aggressive);
         assert_eq!(Phase::Hw.mode_for(1, 2), Mode::Aggressive);
         assert_eq!(Phase::Hw.mode_for(2, 2), Mode::Cautious);
-        assert_eq!(Phase::Hw.mode_for(0, 0), Mode::Aggressive, "budget clamps to 1");
+        assert_eq!(
+            Phase::Hw.mode_for(0, 0),
+            Mode::Aggressive,
+            "budget clamps to 1"
+        );
         assert_eq!(Phase::Hw.mode_for(1, 0), Mode::Cautious);
         assert_eq!(Phase::Aggressive.mode_for(0, 2), Mode::Aggressive);
         assert_eq!(Phase::Aggressive.mode_for(1, 2), Mode::Cautious);
@@ -488,7 +487,10 @@ mod tests {
     fn serial_token_is_exclusive() {
         let s = SharedModeState::new(PhasedParams::default());
         assert!(s.try_acquire_token(7));
-        assert!(!s.try_acquire_token(9), "held token rejects a second holder");
+        assert!(
+            !s.try_acquire_token(9),
+            "held token rejects a second holder"
+        );
         assert_eq!(s.token_holder(), 7);
         s.release_token(7);
         assert!(s.try_acquire_token(9));
@@ -544,7 +546,10 @@ mod tests {
                     break;
                 }
             }
-            assert!(moved, "quiescence must eventually promote out of {before:?}");
+            assert!(
+                moved,
+                "quiescence must eventually promote out of {before:?}"
+            );
         }
     }
 

@@ -705,10 +705,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
     /// see correctly stamped history.
     fn commit_serial(&mut self) {
         debug_assert!(self.serial);
-        debug_assert!(
-            self.write_set.is_empty(),
-            "serial path acquired a record"
-        );
+        debug_assert!(self.write_set.is_empty(), "serial path acquired a record");
         self.oracle_on_commit();
         self.publish_versions();
         self.timed(Category::Commit, |t| t.cpu.exec(1));
@@ -837,12 +834,14 @@ impl<'c, 'm> TxThread<'c, 'm> {
             let reads = self.oracle.ro_reads();
             self.stats.oracle_commits_checked += 1;
             self.stats.oracle_reads_checked += reads.len() as u64;
-            self.runtime.oracle_log().record_ro_obligation(RoObligation {
-                core: self.cpu.id(),
-                epoch: self.cpu.run_epoch(),
-                start: self.ro_start,
-                reads,
-            });
+            self.runtime
+                .oracle_log()
+                .record_ro_obligation(RoObligation {
+                    core: self.cpu.id(),
+                    epoch: self.cpu.run_epoch(),
+                    start: self.ro_start,
+                    reads,
+                });
         }
         self.cpu.exec(1); // commit is a single deregistering store
         self.ro_deregister();

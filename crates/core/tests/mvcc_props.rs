@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use hastm::{Granularity, ObjRef, StmConfig, StmRuntime, TxThread, Versioning, VersionStore};
+use hastm::{Granularity, ObjRef, StmConfig, StmRuntime, TxThread, VersionStore, Versioning};
 use hastm_sim::{Machine, MachineConfig, WorkerFn};
 use proptest::prelude::*;
 

@@ -332,7 +332,10 @@ fn phased_counter_is_exact_and_reaches_the_serial_phase() {
     let (total, st) = run_phased_counter(cores, iters, hair_trigger());
     assert_eq!(total, cores as u64 * iters, "lost updates under Phased");
     assert_eq!(st.commits, cores as u64 * iters);
-    assert!(st.phase_transitions > 0, "no transitions despite hair-trigger params");
+    assert!(
+        st.phase_transitions > 0,
+        "no transitions despite hair-trigger params"
+    );
     assert!(
         st.serial_commits > 0,
         "contention never reached the serial phase: {st:?}"

@@ -500,9 +500,8 @@ impl NativeTxn<'_, '_> {
         }
         let rt = self.exec.rt;
         let stripe = rt.stripe_of(addr);
-        let filtered = rt.config().mark_filter
-            && self.exec.fast_path_ok
-            && self.exec.filter.contains(&stripe);
+        let filtered =
+            rt.config().mark_filter && self.exec.fast_path_ok && self.exec.filter.contains(&stripe);
         if filtered {
             let value = rt.heap().load(addr);
             if !EPOCH_CHECKS {

@@ -363,13 +363,7 @@ impl NativeRuntime {
     /// write-back store of `addr`** (the seed reads the heap) and while
     /// the committing writer holds `addr`'s stripe lock. Returns
     /// `(published, reclaimed)` entry counts.
-    pub(crate) fn publish_version(
-        &self,
-        addr: u64,
-        wv: u64,
-        value: u64,
-        floor: u64,
-    ) -> (u64, u64) {
+    pub(crate) fn publish_version(&self, addr: u64, wv: u64, value: u64, floor: u64) -> (u64, u64) {
         let rings = self.rings.as_ref().expect("publish_version requires Multi");
         let depth = self.cfg.versioning.depth();
         let mut shard = rings[(addr >> 3 & self.ring_mask) as usize].lock().unwrap();
