@@ -497,13 +497,14 @@ fn run_native_backend(args: &Args) -> bool {
     if report.failures.is_empty() {
         println!(
             "OK: {} native trials, 0 divergences from the simulated reference \
-             ({} commits, {} aborts, {} fast-path reads, {} snapshot reads, \
-             {} snapshot aborts)",
+             ({} commits, {} aborts, {} fast-path reads, {} snapshot reads \
+             of which {} from a ring, {} snapshot aborts)",
             report.trials,
             report.stats.commits,
             report.stats.aborts(),
             report.stats.fast_reads,
             report.stats.snapshot_reads,
+            report.stats.ring_reads,
             report.stats.ro_aborts,
         );
         true

@@ -10,16 +10,19 @@
 //! * commit-time lock → validate → write-back → release-at-`wv`.
 //!
 //! The paper's mark-bit fast path is emulated natively as a per-thread
-//! stripe filter plus a global commit epoch (see [`exec`] for the
-//! soundness argument): a filtered read is two loads — value, epoch —
-//! mirroring the two-instruction marked read barrier of the hardware
-//! design, and the filter survives the thread's own commits the way mark
-//! bits do in the paper's §6 single-thread reuse scenario.
+//! stripe filter plus a global commit epoch: a filtered read is two
+//! loads — value, epoch — mirroring the two-instruction marked read
+//! barrier of the hardware design, and the filter survives the thread's
+//! own commits the way mark bits do in the paper's §6 single-thread
+//! reuse scenario. The emulation is **not sound** — it admits write skew
+//! about once in 10⁹ transactions; [`exec`] says what is known — and the
+//! throughput workloads run with it off.
 //!
 //! The backend exists for *differential testing* (the same workloads run
 //! on the simulator and natively, and must agree) and for native
-//! throughput numbers in `BENCH.json`; it is not a production STM — in
-//! particular, transactional allocations are never reclaimed.
+//! throughput numbers (`benchmark/`); it is not a production STM — in
+//! particular, a committed transaction's allocations are never reclaimed
+//! (an aborted attempt's are reused by the same executor).
 //!
 //! [Dice, Shalev, Shavit 2006]: https://doi.org/10.1007/11864219_14
 

@@ -33,13 +33,16 @@
 //! cache evictions.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{
+    AtomicBool, AtomicU64,
+    Ordering::{Acquire, Release, SeqCst},
+};
 use std::sync::{Arc, Mutex};
 
 use hastm::{ObjRef, PhasedParams, SharedModeState, Versioning};
 use hastm_sim::Addr;
 
-use crate::heap::NativeHeap;
+use crate::heap::{CachePadded, NativeHeap};
 
 /// Configuration of one [`NativeRuntime`].
 #[derive(Clone, Debug)]
@@ -123,9 +126,14 @@ pub struct NativeStats {
     /// commits validate nothing — but counted so harnesses can *assert*
     /// the zero rather than assume it.
     pub ro_aborts: u64,
-    /// Reads served by the snapshot path (version ring or frozen-word
-    /// fallback), sandwich-free and read-set-free.
+    /// Reads served by the snapshot path (current version, version ring
+    /// or frozen-word fallback), read-set-free.
     pub snapshot_reads: u64,
+    /// Snapshot reads that fell past the current version — the stripe
+    /// had moved beyond the region's `rv` — and went to the version ring
+    /// (or its never-written heap fallback). Counted inside
+    /// `snapshot_reads` too.
+    pub ring_reads: u64,
     /// `(version, value)` pairs published into version rings by this
     /// thread's writing commits.
     pub versions_published: u64,
@@ -156,6 +164,7 @@ impl NativeStats {
         self.ro_commits += other.ro_commits;
         self.ro_aborts += other.ro_aborts;
         self.snapshot_reads += other.snapshot_reads;
+        self.ring_reads += other.ring_reads;
         self.versions_published += other.versions_published;
         self.versions_reclaimed += other.versions_reclaimed;
         self.serial_commits += other.serial_commits;
@@ -173,14 +182,22 @@ pub type WritebackHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 /// `(version, value)` pairs in ascending version order.
 type RingShard = Mutex<HashMap<u64, Vec<(u64, u64)>>>;
 
+/// One executor's live-snapshot slot, alone on its line pair: committers
+/// scan every slot, and its owner stores to it twice per read-only
+/// region.
+pub(crate) type RoSlot = Arc<CachePadded<AtomicU64>>;
+
 /// Shared state of the native backend; threads hold `&NativeRuntime` and
 /// drive it through per-thread [`crate::NativeExec`]s.
 pub struct NativeRuntime {
     heap: NativeHeap,
     locks: Box<[AtomicU64]>,
     stripe_mask: u64,
-    clock: AtomicU64,
-    epoch: AtomicU64,
+    /// Bumped by every writing commit, so each sits on a line pair of its
+    /// own, away from `stripe_mask`, `locks` and `cfg`, which every read
+    /// of every thread loads.
+    clock: CachePadded<AtomicU64>,
+    epoch: CachePadded<AtomicU64>,
     cfg: NativeConfig,
     hook_armed: AtomicBool,
     hook: Mutex<Option<WritebackHook>>,
@@ -196,7 +213,7 @@ pub struct NativeRuntime {
     /// the snapshot `rv` while an `atomic_ro` region runs and `u64::MAX`
     /// when idle. Commit-time pruning keeps every version a registered
     /// reader can still need.
-    ro_slots: Mutex<Vec<Arc<AtomicU64>>>,
+    ro_slots: Mutex<Vec<RoSlot>>,
     /// The scheme-wide phase machine (`Some` only under
     /// [`NativeConfig::phased`]) — the same [`SharedModeState`] the
     /// simulator backend gates, here driven by real `SeqCst` atomics.
@@ -224,8 +241,8 @@ impl NativeRuntime {
             heap: NativeHeap::new(cfg.heap_words),
             locks: locks.into_boxed_slice(),
             stripe_mask: (stripes - 1) as u64,
-            clock: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
+            clock: CachePadded::new(AtomicU64::new(0)),
+            epoch: CachePadded::new(AtomicU64::new(0)),
             cfg,
             hook_armed: AtomicBool::new(false),
             hook: Mutex::new(None),
@@ -267,7 +284,7 @@ impl NativeRuntime {
 
     /// Decoded lock word of `stripe`.
     pub fn stripe_state(&self, stripe: usize) -> StripeState {
-        let raw = self.locks[stripe].load(SeqCst);
+        let raw = self.lock_word(stripe);
         StripeState {
             version: raw >> 1,
             locked: raw & 1 == 1,
@@ -303,7 +320,10 @@ impl NativeRuntime {
 
     /// Raw lock word of `stripe`.
     pub(crate) fn lock_word(&self, stripe: usize) -> u64 {
-        self.locks[stripe].load(SeqCst)
+        // Acquire: pairs with `unlock_stripe`'s release, so a reader that
+        // sees a stripe released at `wv` sees that commit's write-back
+        // (and ring entries), and its value load stays after this load.
+        self.locks[stripe].load(Acquire)
     }
 
     /// Tries to lock `stripe`, spinning at most `max_lock_spins` times.
@@ -311,7 +331,8 @@ impl NativeRuntime {
     pub(crate) fn try_lock_stripe(&self, stripe: usize) -> Option<u64> {
         let lock = &self.locks[stripe];
         for _ in 0..=self.cfg.max_lock_spins {
-            let cur = lock.load(SeqCst);
+            // Acquire: only a guess for the CAS, which is the lock's RMW.
+            let cur = lock.load(Acquire);
             if cur & 1 == 0 {
                 if lock.compare_exchange(cur, cur | 1, SeqCst, SeqCst).is_ok() {
                     return Some(cur >> 1);
@@ -325,7 +346,9 @@ impl NativeRuntime {
 
     /// Releases `stripe` at version `version`.
     pub(crate) fn unlock_stripe(&self, stripe: usize, version: u64) {
-        self.locks[stripe].store(version << 1, SeqCst);
+        // Release: every write-back store (and ring publication) of the
+        // holder is visible to whoever acquires the released word.
+        self.locks[stripe].store(version << 1, Release);
     }
 
     /// Whether the runtime keeps multi-version rings.
@@ -337,8 +360,8 @@ impl NativeRuntime {
     /// holds `u64::MAX` while idle; `atomic_ro` stores its `rv` for the
     /// duration of the region so pruning cannot reclaim versions the
     /// region can still read.
-    pub(crate) fn register_ro_slot(&self) -> Arc<AtomicU64> {
-        let slot = Arc::new(AtomicU64::new(u64::MAX));
+    pub(crate) fn register_ro_slot(&self) -> RoSlot {
+        let slot = Arc::new(CachePadded::new(AtomicU64::new(u64::MAX)));
         self.ro_slots.lock().unwrap().push(Arc::clone(&slot));
         slot
     }

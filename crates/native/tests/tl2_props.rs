@@ -9,11 +9,14 @@
 //! * a failed commit is invisible: heap words and lock words are exactly
 //!   as before the attempt;
 //! * write-back is atomic under the held locks: at every point during
-//!   write-back, every written stripe's lock bit is observably held.
+//!   write-back, every written stripe's lock bit is observably held;
+//! * the redo log is a map: against a `HashMap` reference, a read sees
+//!   the attempt's last write to that word, and the commit stores the
+//!   last value per address and locks each written stripe once.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hastm::{Abort, ObjRef, TmContext, TmExec};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, WritebackHook};
@@ -168,6 +171,105 @@ proptest! {
             after_lock.version, before_lock.version,
             "failed commit must restore the pre-lock version"
         );
+    }
+}
+
+/// Words of the redo-log object: five times the summary word's 64 bits
+/// and twenty times [`LOG_STRIPES`], so distinct words collide in both.
+const LOG_WORDS: u32 = 320;
+const LOG_STRIPES: usize = 16;
+
+/// One write-back hook call: `(done, total)` and the stripes held then.
+type HookCall = (usize, usize, BTreeSet<usize>);
+
+fn initial_word(word: u32) -> u64 {
+    1_000 + u64::from(word)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// One attempt's reads and writes against a `HashMap`: read-after-write
+    /// and overwrite at every log length (a few entries, scanned; hundreds,
+    /// indexed), words that share a summary bit, many words per stripe.
+    /// Then the commit, watched from the write-back hook: one store per
+    /// distinct address, exactly the written stripes locked, and afterwards
+    /// the last value per address in the heap.
+    #[test]
+    fn redo_log_matches_a_hashmap_reference(
+        ops in proptest::collection::vec((0..LOG_WORDS, any::<u64>(), any::<bool>()), 1..400),
+        narrow in any::<bool>(),
+        mark_filter in any::<bool>(),
+    ) {
+        let rt = Arc::new(NativeRuntime::new(NativeConfig {
+            heap_words: 1 << 10,
+            stripes: LOG_STRIPES,
+            mark_filter,
+            ..NativeConfig::default()
+        }));
+        let mut ex = NativeExec::new(&rt);
+        let obj = ex.alloc_obj(LOG_WORDS);
+        ex.atomic(|ctx| {
+            for word in 0..LOG_WORDS {
+                ctx.ctx_write(obj, word, initial_word(word))?;
+            }
+            Ok(())
+        });
+        for word in 0..LOG_WORDS {
+            prop_assert_eq!(rt.peek(obj.word(word)), initial_word(word));
+        }
+
+        // A narrow case keeps to five words that share one summary bit and
+        // one stripe, so most writes overwrite and every lookup is a hit.
+        let word_of = |word: u32| if narrow { word % 5 * 64 } else { word };
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        let mut txn = ex.txn();
+        for &(word, value, write) in &ops {
+            let word = word_of(word);
+            if write {
+                txn.ctx_write(obj, word, value).unwrap();
+                model.insert(word, value);
+            } else {
+                let expect = model.get(&word).copied().unwrap_or(initial_word(word));
+                prop_assert_eq!(txn.ctx_read(obj, word), Ok(expect), "word {}", word);
+            }
+        }
+
+        let written: BTreeSet<usize> =
+            model.keys().map(|&w| rt.stripe_of(obj.word(w).0)).collect();
+        let seen: Arc<Mutex<Vec<HookCall>>> = Arc::default();
+        let hook: WritebackHook = {
+            let (rt, seen) = (Arc::clone(&rt), Arc::clone(&seen));
+            Arc::new(move |done, total| {
+                let locked = (0..LOG_STRIPES).filter(|&s| rt.stripe_state(s).locked).collect();
+                seen.lock().unwrap().push((done, total, locked));
+            })
+        };
+        rt.set_writeback_hook(Some(hook));
+        let committed = txn.commit();
+        rt.set_writeback_hook(None);
+        prop_assert_eq!(committed, Ok(()));
+
+        let seen = seen.lock().unwrap();
+        if model.is_empty() {
+            prop_assert!(seen.is_empty(), "a read-only commit writes nothing back");
+        } else {
+            prop_assert_eq!(seen.len(), model.len() + 1, "one store per distinct address");
+            for (i, (done, total, locked)) in seen.iter().enumerate() {
+                prop_assert_eq!((*done, *total), (i, model.len()));
+                prop_assert_eq!(locked, &written, "exactly the written stripes are held");
+            }
+        }
+        let wv = rt.clock();
+        for word in 0..LOG_WORDS {
+            let expect = model.get(&word).copied().unwrap_or(initial_word(word));
+            prop_assert_eq!(rt.peek(obj.word(word)), expect, "word {}", word);
+        }
+        for stripe in 0..LOG_STRIPES {
+            let st = rt.stripe_state(stripe);
+            prop_assert!(!st.locked);
+            prop_assert_eq!(st.version == wv, written.contains(&stripe), "stripe {}", stripe);
+        }
     }
 }
 
