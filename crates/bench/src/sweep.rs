@@ -62,17 +62,6 @@ pub struct FigureRun {
     pub fresh_cells: usize,
     /// Sum of simulated makespans over the declared cells.
     pub simulated_cycles: u64,
-    /// Wall time attributed to this figure: each declared cell's
-    /// single-cell wall time divided by the number of swept figures that
-    /// declare it. Shared cells are split *proportionally*, so summing
-    /// `cell_seconds` over all figures reconciles with the sum over the
-    /// distinct executed cells (a figure whose cells are all shared no
-    /// longer reports 0 wall time against nonzero simulated cycles).
-    pub cell_seconds: f64,
-    /// Names of the other swept figures this figure shares at least one
-    /// deduplicated cell with (the figures its `cell_seconds` is split
-    /// against).
-    pub dedup_shared_with: Vec<&'static str>,
 }
 
 /// Outcome of a whole sweep.
@@ -89,16 +78,6 @@ pub struct SweepReport {
     /// Total simulated cycles over the distinct cells (each executed cell
     /// counted once, however many figures share it).
     pub simulated_cycles: u64,
-    /// Distinct single-core cells (1-thread data-structure cells and
-    /// kernels) and their summed single-cell wall seconds.
-    pub solo_cells: usize,
-    /// Summed wall seconds of the distinct single-core cells.
-    pub solo_cell_seconds: f64,
-    /// Distinct multi-core cells (≥ 2 simulated cores) — where the
-    /// scheduler's host-synchronization cost concentrates.
-    pub multi_cells: usize,
-    /// Summed wall seconds of the distinct multi-core cells.
-    pub multi_cell_seconds: f64,
 }
 
 impl SweepReport {
@@ -159,7 +138,7 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
     let outputs = run_cells(&jobs, config.threads);
 
     if config.verify {
-        for (cell, (output, _)) in jobs.iter().zip(&outputs) {
+        for (cell, output) in jobs.iter().zip(&outputs) {
             let serial = run_cell(cell);
             assert!(
                 serial == *output,
@@ -169,30 +148,9 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
         }
     }
 
-    // Per-figure deduplicated declarations, and — for the proportional
-    // wall-time split — how many swept figures claim each cell.
-    let fig_unique: Vec<Vec<usize>> = declared
-        .iter()
-        .map(|(indices, _)| {
-            let mut uniq = Vec::new();
-            for &i in indices {
-                if !uniq.contains(&i) {
-                    uniq.push(i);
-                }
-            }
-            uniq
-        })
-        .collect();
-    let mut claims = vec![0usize; jobs.len()];
-    for uniq in &fig_unique {
-        for &i in uniq {
-            claims[i] += 1;
-        }
-    }
-
     // Render tables through a resolver answering from the completed jobs.
     let mut runs = Vec::with_capacity(figures.len());
-    for (pos, (fig, (indices, fresh))) in figures.iter().zip(&declared).enumerate() {
+    for (fig, (indices, fresh)) in figures.iter().zip(&declared) {
         let mut resolve = |cell: &Cell| -> CellOutput {
             let idx = *index_of.get(cell).unwrap_or_else(|| {
                 panic!(
@@ -201,48 +159,17 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
                     cell.label()
                 )
             });
-            outputs[idx].0.clone()
+            outputs[idx].clone()
         };
         let table = (fig.build)(scale, &mut resolve);
-        let simulated_cycles = indices.iter().map(|&i| outputs[i].0.cycles()).sum();
-        // Split each declared cell's wall time evenly across the figures
-        // that declare it, so the per-figure times sum back to the total.
-        let mut cell_seconds = 0.0;
-        for &i in &fig_unique[pos] {
-            cell_seconds += outputs[i].1 / claims[i] as f64;
-        }
-        let dedup_shared_with: Vec<&'static str> = figures
-            .iter()
-            .enumerate()
-            .filter(|&(other, _)| {
-                other != pos
-                    && fig_unique[other]
-                        .iter()
-                        .any(|i| fig_unique[pos].contains(i))
-            })
-            .map(|(_, f)| f.name)
-            .collect();
+        let simulated_cycles = indices.iter().map(|&i| outputs[i].cycles()).sum();
         runs.push(FigureRun {
             name: fig.name,
             table,
             cells: indices.len(),
             fresh_cells: *fresh,
             simulated_cycles,
-            cell_seconds,
-            dedup_shared_with,
         });
-    }
-
-    let (mut solo_cells, mut solo_cell_seconds) = (0, 0.0);
-    let (mut multi_cells, mut multi_cell_seconds) = (0, 0.0);
-    for (cell, (_, secs)) in jobs.iter().zip(&outputs) {
-        if cell.cores() > 1 {
-            multi_cells += 1;
-            multi_cell_seconds += secs;
-        } else {
-            solo_cells += 1;
-            solo_cell_seconds += secs;
-        }
     }
 
     SweepReport {
@@ -250,34 +177,25 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
         threads: config.threads,
         wall: start.elapsed(),
         unique_cells: jobs.len(),
-        simulated_cycles: outputs.iter().map(|(o, _)| o.cycles()).sum(),
-        solo_cells,
-        solo_cell_seconds,
-        multi_cells,
-        multi_cell_seconds,
+        simulated_cycles: outputs.iter().map(CellOutput::cycles).sum(),
     }
 }
 
 /// Runs `jobs` on `threads` workers, each claiming the next unclaimed
-/// index from a shared cursor; returns each cell's output and its
-/// single-cell wall time, indexed like `jobs`. A worker's panic is
-/// re-raised when the scope joins it.
-fn run_cells(jobs: &[Cell], threads: usize) -> Vec<(CellOutput, f64)> {
+/// index from a shared cursor; returns each cell's output, indexed like
+/// `jobs`. A worker's panic is re-raised when the scope joins it.
+fn run_cells(jobs: &[Cell], threads: usize) -> Vec<CellOutput> {
     // Relaxed: the cursor only hands out indices; results are published
     // through the slot mutexes and the scope's join.
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(CellOutput, f64)>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<CellOutput>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let workers = threads.min(jobs.len()).max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else { break };
-                let t0 = Instant::now();
-                let output = run_cell(job);
-                let secs = t0.elapsed().as_secs_f64();
-                *slots[i].lock().expect("result slot") = Some((output, secs));
+                *slots[i].lock().expect("result slot") = Some(run_cell(job));
             });
         }
     });

@@ -44,8 +44,6 @@ const BASE: Combo = Combo {
 /// What same-seed twins must agree on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Comparator {
-    /// The whole fingerprint: the axis must not change the schedule.
-    BitIdentical,
     /// The final state only: the axis legitimately changes per-op cycle
     /// costs, hence interleavings and makespans, but every suite workload
     /// makes its final state interleaving-independent by construction.
@@ -56,7 +54,6 @@ impl Comparator {
     /// Whether two twins' fingerprints agree under this comparator.
     pub fn agrees(self, a: Fingerprint, b: Fingerprint) -> bool {
         match self {
-            Comparator::BitIdentical => a == b,
             Comparator::FinalState => a.state == b.state,
         }
     }
@@ -64,7 +61,6 @@ impl Comparator {
     /// The compared part of a fingerprint, as a divergence report prints it.
     pub fn show(self, fp: Fingerprint) -> String {
         match self {
-            Comparator::BitIdentical => format!("fingerprint {fp:?}"),
             Comparator::FinalState => format!("final state {:#018x}", fp.state),
         }
     }
@@ -365,8 +361,6 @@ mod tests {
         };
         let b = Fingerprint { makespan: 11, ..a };
         assert!(Comparator::FinalState.agrees(a, b));
-        assert!(!Comparator::BitIdentical.agrees(a, b));
-        assert!(Comparator::BitIdentical.agrees(a, a));
         assert!(!Comparator::FinalState.agrees(a, Fingerprint { state: 2, ..a }));
     }
 }

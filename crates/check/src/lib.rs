@@ -1263,6 +1263,55 @@ mod tests {
     }
 
     #[test]
+    fn phased_fingerprints_pinned_before_the_phase_gate_was_unified_still_hold() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        // (slug, hair-trigger params, workload, seed, sched) → (state,
+        // makespan, serial commits, transitions) at 4 threads × 24 ops,
+        // generated while `TxThread` still carried its own entry loop and
+        // commit/abort hooks: `SharedModeState::{enter, leave}` must issue
+        // the same gated ops in the same order. Every row but the PCT one
+        // commits inside `Phase::Serial`; the `v3` rows send snapshot
+        // regions through the gate as well.
+        use Workload::*;
+        let (fuzzed, pct, det) = (Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Det);
+        let obj = "hastm:obj:full:ph";
+        let line = "hastm:line:full:ph";
+        let v3 = "hastm:line:default:ph:v3";
+        type Row = (&'static str, bool, Workload, u64, Sched, u64, u64, u64, u64);
+        #[rustfmt::skip]
+        let rows: [Row; 7] = [
+            (obj, false, Counter, 1, fuzzed, 0x6acf44719f7a0f5f, 0x29f9, 44, 24),
+            (obj, false, Map, 4, det, 0xde2369bd98b5cad8, 0x2b5e, 20, 18),
+            (obj, false, BTree, 1, pct, 0x820f3101947f9820, 0x4e57, 0, 2),
+            (line, false, Bst, 9, det, 0x0560a2be69b1a311, 0x261fb, 16, 18),
+            (line, false, Oltp, 4, fuzzed, 0x874c88ca31ff3d9d, 0x4d4a, 28, 19),
+            (v3, true, Map, 9, fuzzed, 0x0560a2be69b1a311, 0x2757, 44, 24),
+            (v3, true, Oltp, 1, det, 0x24808a01c7cffd2a, 0x10bb0, 51, 27),
+        ];
+        for (slug, hair_trigger, workload, seed, sched, state, makespan, serial, moves) in rows {
+            let mut combo = Combo::parse(slug).unwrap();
+            if hair_trigger {
+                combo.policy = Some(ModePolicy::Phased(native::phased_params()));
+            }
+            let trial = Trial {
+                combo,
+                workload,
+                seed,
+                threads: 4,
+                ops: 24,
+                sched,
+            };
+            let (res, obs) = run_trial_observed(&trial, &RunPlan::default());
+            assert_eq!(res, Ok(Fingerprint { state, makespan }), "{trial}");
+            assert_eq!(
+                (obs.serial_commits, obs.phase_transitions),
+                (serial, moves),
+                "{trial}"
+            );
+        }
+    }
+
+    #[test]
     fn replay_commands_parse_back_to_the_same_trial() {
         // What a failure prints must rebuild exactly the trial that
         // failed, for every combination (flags as `main` parses them).

@@ -82,10 +82,14 @@ fn filter_on_and_off_agree_on_final_state() {
                 })
                 .unwrap_or_else(|e| panic!("{workload:?} seed={seed}: {e}"))
             };
+            let (on, off) = (outcome(true), outcome(false));
             assert_eq!(
-                outcome(true).state,
-                outcome(false).state,
+                on.state, off.state,
                 "{workload:?} seed={seed}: filter changed the final state"
+            );
+            assert_eq!(
+                off.stats.fast_reads, 0,
+                "{workload:?} seed={seed}: a fast read with the filter off"
             );
         }
     }
@@ -126,34 +130,41 @@ fn single_and_multi_versioning_agree_on_final_state() {
 fn multi_version_ro_scans_sweep_abort_free_across_thread_counts() {
     // The zero-RO-abort guarantee at every thread count the differential
     // suite exercises: under Multi(k) the map workload's read-only gets
-    // and scans must commit on their snapshot without a single abort.
-    // `run_native_trial` itself fails the trial on any RO abort under
-    // Multi; this sweep drives that check across 1/2/4/8 host threads.
-    let mut ro_commits = 0u64;
-    for threads in [1usize, 2, 4, 8] {
-        for seed in 0..6 {
-            let trial = NativeTrial {
-                workload: Workload::Map,
-                seed,
-                threads,
-                ops: 16,
-                mark_filter: true,
-                versioning: Versioning::Multi { k: 3 },
-                phased: false,
-            };
-            let out = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
-            assert!(out.stats.commits > 0, "{trial}: no commits recorded");
-            assert_eq!(
-                out.stats.ro_aborts, 0,
-                "{trial}: read-only snapshot aborted"
-            );
-            ro_commits += out.stats.ro_commits;
+    // and scans must commit on their snapshot without a single abort —
+    // on the hash table and on the BST, whose lookups walk pointers a
+    // concurrent rotation rewrites. `run_native_trial` itself fails the
+    // trial on any RO abort under Multi; this sweep drives that check
+    // across 1/2/4/8 host threads.
+    let (mut ro_commits, mut snapshot_reads, mut versions_published) = (0u64, 0u64, 0u64);
+    for workload in [Workload::Map, Workload::Bst] {
+        for threads in [1usize, 2, 4, 8] {
+            for seed in 0..6 {
+                let trial = NativeTrial {
+                    workload,
+                    seed,
+                    threads,
+                    ops: 16,
+                    mark_filter: true,
+                    versioning: Versioning::Multi { k: 3 },
+                    phased: false,
+                };
+                let out = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
+                assert!(out.stats.commits > 0, "{trial}: no commits recorded");
+                assert_eq!(
+                    out.stats.ro_aborts, 0,
+                    "{trial}: read-only snapshot aborted"
+                );
+                ro_commits += out.stats.ro_commits;
+                snapshot_reads += out.stats.snapshot_reads;
+                versions_published += out.stats.versions_published;
+            }
         }
     }
     assert!(
-        ro_commits > 0,
+        ro_commits > 0 && snapshot_reads > 0,
         "the sweep never took the read-only snapshot path"
     );
+    assert!(versions_published > 0, "writers never published a version");
 }
 
 #[test]

@@ -40,16 +40,20 @@
 //! instead acquires the global token and waits for `active` to drain to
 //! zero, after which it is provably alone.
 //!
-//! ## Determinism under the simulator gate
+//! ## One protocol, two backends
+//!
+//! Entry and exit are written once, in [`SharedModeState::enter`] and
+//! [`SharedModeState::leave`]; a backend supplies only an [`Access`]: how
+//! one step on the shared words is issued and how a wait passes time.
 //!
 //! The phase word is side-band host state — it is not simulated memory,
-//! so the admission gate cannot order accesses to it by itself. Every
-//! sim-side read/CAS of the word therefore runs inside
-//! `Cpu::exec_sync` (canonical admission), which makes each access
-//! atomic with one gated instruction and totally ordered by the
-//! deterministic admission schedule: the same seed yields the same
-//! transition history across gate modes and host sweep widths. The
-//! native backend uses the same `SeqCst` atomics directly.
+//! so the admission gate cannot order accesses to it by itself. The
+//! simulator's [`Access::sync`] therefore runs each step inside
+//! `Cpu::exec_sync` (canonical admission), which makes it atomic with one
+//! gated instruction and totally ordered by the deterministic admission
+//! schedule: the same seed yields the same transition history across gate
+//! modes and host sweep widths. The native backend's `sync` calls the
+//! step directly: the steps are `SeqCst` atomics already.
 //!
 //! ## The `phase-seeded-bug` mutation
 //!
@@ -58,7 +62,8 @@
 //! old phase back, silently dropping a concurrent phase publication — a
 //! thread can keep running aggressive inside the `Serial` phase while the
 //! token holder believes it is alone. `hastm-check`'s differential suite
-//! must catch the resulting lost updates (`tests/phase_mutation.rs`).
+//! must catch the resulting lost updates (`tests/phase_mutation.rs`); the
+//! one entry loop means both backends are mutated at once.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
@@ -215,6 +220,50 @@ impl PhaseEvent {
     }
 }
 
+/// What [`SharedModeState::enter`] is waiting for when it pauses.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// The token is held and `Serial` re-verified; optimistic
+    /// transactions are still in flight.
+    Drain,
+    /// Another thread holds the serial token. Carries how many times
+    /// this entry has found it busy (1, 2, …).
+    Token(u64),
+}
+
+/// How a backend reaches the shared phase state. Everything the entry
+/// and exit protocol does to the phase word and the token goes through
+/// `sync`, so a test can substitute a fake that records the order of
+/// steps and moves the other threads between them.
+pub trait Access {
+    /// Runs `step` — one load, CAS or read-modify-write of the shared
+    /// state — as a single step of this thread.
+    fn sync<T>(&mut self, step: impl FnOnce() -> T) -> T;
+
+    /// Lets time pass before the entry loop looks again.
+    fn pause(&mut self, wait: Wait);
+}
+
+/// How one attempt entered the phase gate; handed back to
+/// [`SharedModeState::leave`] when the attempt ends.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Entry {
+    /// Counted into the active window under the carried phase.
+    Optimistic(Phase),
+    /// Holds the serial token with the active window drained to zero.
+    Serial,
+}
+
+impl Entry {
+    /// The phase the attempt runs under.
+    pub fn phase(self) -> Phase {
+        match self {
+            Entry::Optimistic(p) => p,
+            Entry::Serial => Phase::Serial,
+        }
+    }
+}
+
 /// Heuristic state behind the transitions, serialized by a host mutex.
 /// On the simulator backend the mutex is uncontended by construction
 /// (every `on_event` runs inside one gated op); on the native backend it
@@ -286,6 +335,7 @@ impl SharedModeState {
     /// # Errors
     ///
     /// Returns the freshly observed word when the CAS loses.
+    #[doc(hidden)]
     pub fn cas_enter(&self, expected: u64, seen: u64) -> Result<Phase, u64> {
         let target = ((expected & !PHASE_MASK) | (seen & PHASE_MASK)) + ACTIVE_ONE;
         match self.word.compare_exchange(expected, target, SeqCst, SeqCst) {
@@ -295,6 +345,7 @@ impl SharedModeState {
     }
 
     /// Retires one optimistic transaction (commit or abort).
+    #[doc(hidden)]
     pub fn exit_optimistic(&self) {
         let prev = self.word.fetch_sub(ACTIVE_ONE, SeqCst);
         debug_assert!(
@@ -304,6 +355,7 @@ impl SharedModeState {
     }
 
     /// Tries to take the serial token for holder `id` (nonzero).
+    #[doc(hidden)]
     pub fn try_acquire_token(&self, id: u64) -> bool {
         debug_assert_ne!(id, 0, "token holder id must be nonzero");
         self.serial_token
@@ -312,6 +364,7 @@ impl SharedModeState {
     }
 
     /// Releases the serial token held by `id`.
+    #[doc(hidden)]
     pub fn release_token(&self, id: u64) {
         let prev = self.serial_token.swap(0, SeqCst);
         debug_assert_eq!(prev, id, "token released by a non-holder");
@@ -320,6 +373,91 @@ impl SharedModeState {
     /// Current token holder id (0 when free). Diagnostics and tests.
     pub fn token_holder(&self) -> u64 {
         self.serial_token.load(SeqCst)
+    }
+
+    /// Enters the phase gate for one attempt on behalf of token-holder id
+    /// `id` (nonzero): counts into the active window with a CAS, or — when
+    /// the published phase is [`Phase::Serial`] — takes the global token
+    /// and waits for the window to drain, after which the caller is
+    /// provably alone. Each load/CAS is its own [`Access::sync`] step,
+    /// mirroring the separate instructions real hardware would execute,
+    /// so concurrent publications interleave between them.
+    pub fn enter(&self, id: u64, bus: &mut impl Access) -> Entry {
+        let mut seen = bus.sync(|| self.word());
+        let mut expected = seen;
+        let mut spins = 0u64;
+        loop {
+            if Phase::decode(seen) != Phase::Serial {
+                match bus.sync(|| self.cas_enter(expected, seen)) {
+                    Ok(p) => return Entry::Optimistic(p),
+                    Err(cur) => {
+                        expected = cur;
+                        seen = refresh_view(seen, cur);
+                    }
+                }
+                continue;
+            }
+            if !bus.sync(|| self.try_acquire_token(id)) {
+                // Token busy: back off and re-read — the holder may have
+                // promoted the phase, reopening optimistic entry.
+                spins += 1;
+                bus.pause(Wait::Token(spins));
+                seen = bus.sync(|| self.word());
+                expected = seen;
+                continue;
+            }
+            // Token held — but the previous holder may have promoted the
+            // phase (its SerialCommit event fires before it releases the
+            // token), so re-verify Serial is still published. Holding a
+            // token for a phase that is gone would mean running
+            // irrevocably while optimistic transactions enter freely.
+            let w = bus.sync(|| self.word());
+            if Phase::decode(w) != Phase::Serial {
+                bus.sync(|| self.release_token(id));
+                seen = w;
+                expected = w;
+                continue;
+            }
+            // Wait for the optimistic population to drain. No optimistic
+            // transaction can re-enter (the published phase is Serial),
+            // and once the token is held with Serial re-verified no
+            // SerialCommit can promote the phase (serial commits require
+            // this token), so after the drain this thread is alone.
+            while Self::active_count(bus.sync(|| self.word())) > 0 {
+                bus.pause(Wait::Drain);
+            }
+            return Entry::Serial;
+        }
+    }
+
+    /// Leaves the phase gate at the end of the attempt `entry` began,
+    /// feeding `event` (the attempt's outcome, if it is one the
+    /// heuristics count) to [`Self::on_event`] in the same step. Returns
+    /// the transition the event published, if any.
+    ///
+    /// * Optimistic: retire from the active window, then the event.
+    /// * Serial commit (`Some(SerialCommit)`): the event **first**, the
+    ///   token release second — a successor acquiring the token must
+    ///   observe the (possibly promoted) phase this commit published.
+    /// * Serial abort (`None`; only user aborts reach it): release only.
+    pub fn leave(
+        &self,
+        entry: Entry,
+        id: u64,
+        event: Option<PhaseEvent>,
+        bus: &mut impl Access,
+    ) -> Option<(Phase, Phase)> {
+        bus.sync(|| match entry {
+            Entry::Optimistic(_) => {
+                self.exit_optimistic();
+                event.and_then(|ev| self.on_event(ev))
+            }
+            Entry::Serial => {
+                let moved = event.and_then(|ev| self.on_event(ev));
+                self.release_token(id);
+                moved
+            }
+        })
     }
 
     /// Publishes `to` as the new phase (epoch + 1, active count
@@ -495,6 +633,230 @@ mod tests {
         s.release_token(7);
         assert!(s.try_acquire_token(9));
         s.release_token(9);
+    }
+
+    /// One recorded [`Access`] call. A `Sync` carries the shared state
+    /// right after its step: (phase, active count, token holder).
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Sync(Phase, u64, u64),
+        Pause(Wait),
+    }
+    use Call::{Pause, Sync};
+
+    /// A move some other thread makes between two of this thread's calls.
+    type Move = fn(&SharedModeState);
+
+    /// The fake [`Access`]: records every call and plays the other
+    /// threads, `others = [(n, move)]` running `move` just before this
+    /// thread's call number `n` (for a pause: while it waits).
+    struct Recorder<'a> {
+        state: &'a SharedModeState,
+        others: Vec<(usize, Move)>,
+        calls: Vec<Call>,
+    }
+
+    impl<'a> Recorder<'a> {
+        fn new(state: &'a SharedModeState, others: Vec<(usize, Move)>) -> Self {
+            Recorder {
+                state,
+                others,
+                calls: Vec::new(),
+            }
+        }
+
+        fn others_move(&self) {
+            for (at, other) in &self.others {
+                if *at == self.calls.len() {
+                    other(self.state);
+                }
+            }
+        }
+    }
+
+    impl Access for Recorder<'_> {
+        fn sync<T>(&mut self, step: impl FnOnce() -> T) -> T {
+            self.others_move();
+            let out = step();
+            let w = self.state.word();
+            self.calls.push(Sync(
+                Phase::decode(w),
+                SharedModeState::active_count(w),
+                self.state.token_holder(),
+            ));
+            out
+        }
+
+        fn pause(&mut self, wait: Wait) {
+            self.others_move();
+            self.calls.push(Pause(wait));
+        }
+    }
+
+    #[test]
+    #[cfg(not(feature = "phase-seeded-bug"))]
+    fn optimistic_entry_that_loses_a_cas_reenters_under_the_published_phase() {
+        let s = SharedModeState::new(PhasedParams::default());
+        let mut bus = Recorder::new(
+            &s,
+            vec![(1, |s| assert!(s.publish_phase(Phase::Aggressive)))],
+        );
+        assert_eq!(s.enter(7, &mut bus), Entry::Optimistic(Phase::Aggressive));
+        assert_eq!(
+            bus.calls,
+            [
+                Sync(Phase::Hw, 0, 0),         // load
+                Sync(Phase::Aggressive, 0, 0), // CAS loses to the publication
+                Sync(Phase::Aggressive, 1, 0), // CAS wins on the fresh word
+            ]
+        );
+    }
+
+    #[test]
+    fn serial_entry_waits_for_the_token_then_for_the_drain() {
+        let s = SharedModeState::new(PhasedParams::default());
+        for _ in 0..2 {
+            let w = s.word();
+            s.cas_enter(w, w).unwrap();
+        }
+        assert!(s.publish_phase(Phase::Serial));
+        assert!(s.try_acquire_token(9));
+        let mut bus = Recorder::new(
+            &s,
+            vec![
+                (2, |s| s.release_token(9)),
+                (7, |s| s.exit_optimistic()),
+                (9, |s| s.exit_optimistic()),
+            ],
+        );
+        assert_eq!(s.enter(7, &mut bus), Entry::Serial);
+        assert_eq!(
+            bus.calls,
+            [
+                Sync(Phase::Serial, 2, 9), // load
+                Sync(Phase::Serial, 2, 9), // token busy
+                Pause(Wait::Token(1)),     // the holder releases meanwhile
+                Sync(Phase::Serial, 2, 0), // re-read: still Serial
+                Sync(Phase::Serial, 2, 7), // token taken
+                Sync(Phase::Serial, 2, 7), // Serial re-verified
+                Sync(Phase::Serial, 2, 7), // drain: two in flight
+                Pause(Wait::Drain),
+                Sync(Phase::Serial, 1, 7), // drain: one
+                Pause(Wait::Drain),
+                Sync(Phase::Serial, 0, 7), // alone
+            ]
+        );
+    }
+
+    #[test]
+    fn token_won_for_a_promoted_phase_is_given_back() {
+        let s = SharedModeState::new(PhasedParams::default());
+        assert!(s.publish_phase(Phase::Serial));
+        assert!(s.try_acquire_token(9));
+        // The previous holder's commit lands between this thread's load
+        // and its token CAS: event (a promotion) first, release second.
+        let mut bus = Recorder::new(
+            &s,
+            vec![(1, |s| {
+                assert!(s.publish_phase(Phase::Cautious));
+                s.release_token(9);
+            })],
+        );
+        assert_eq!(s.enter(7, &mut bus), Entry::Optimistic(Phase::Cautious));
+        assert_eq!(
+            bus.calls,
+            [
+                Sync(Phase::Serial, 0, 9),   // load
+                Sync(Phase::Cautious, 0, 7), // token taken
+                Sync(Phase::Cautious, 0, 7), // re-verify: Serial is gone
+                Sync(Phase::Cautious, 0, 0), // token given back
+                Sync(Phase::Cautious, 1, 0), // optimistic entry instead
+            ]
+        );
+    }
+
+    #[test]
+    fn leaving_is_one_step_in_each_of_its_three_shapes() {
+        // Hair-trigger: every event may move the phase.
+        let s = SharedModeState::new(params(1, 1, 1));
+        let none = Vec::new;
+
+        // Optimistic: retired from the window and the event fed, at once.
+        let entry = s.enter(7, &mut Recorder::new(&s, none()));
+        let mut bus = Recorder::new(&s, none());
+        let moved = s.leave(entry, 7, Some(PhaseEvent::ConflictAbort), &mut bus);
+        assert_eq!(moved, Some((Phase::Hw, Phase::Aggressive)));
+        assert_eq!(bus.calls, [Sync(Phase::Aggressive, 0, 0)]);
+        // ... and with no event (a user abort) it only retires.
+        let entry = s.enter(7, &mut Recorder::new(&s, none()));
+        let mut bus = Recorder::new(&s, none());
+        assert_eq!(s.leave(entry, 7, None, &mut bus), None);
+        assert_eq!(bus.calls, [Sync(Phase::Aggressive, 0, 0)]);
+
+        // Serial abort: the token goes back, nothing else moves.
+        s.publish_phase(Phase::Serial);
+        assert_eq!(s.enter(7, &mut Recorder::new(&s, none())), Entry::Serial);
+        let mut bus = Recorder::new(&s, none());
+        assert_eq!(s.leave(Entry::Serial, 7, None, &mut bus), None);
+        assert_eq!(bus.calls, [Sync(Phase::Serial, 0, 0)]);
+
+        // Serial commit: promoted and released in the same step.
+        assert_eq!(s.enter(7, &mut Recorder::new(&s, none())), Entry::Serial);
+        let mut bus = Recorder::new(&s, none());
+        let moved = s.leave(Entry::Serial, 7, Some(PhaseEvent::SerialCommit), &mut bus);
+        assert_eq!(moved, Some((Phase::Serial, Phase::Cautious)));
+        assert_eq!(bus.calls, [Sync(Phase::Cautious, 0, 0)]);
+    }
+
+    #[test]
+    fn the_event_comes_before_the_release_and_after_the_exit() {
+        // Inside one step the order cannot be seen from outside, so make
+        // the event die: a poisoned heuristics mutex panics `on_event`,
+        // and whatever `leave` does before the event has happened while
+        // whatever it does after has not.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let s = SharedModeState::new(PhasedParams::default());
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = s.heur.lock().unwrap();
+                panic!("poisoning the heuristics mutex on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        let none = Vec::new;
+
+        let entry = s.enter(7, &mut Recorder::new(&s, none()));
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            s.leave(
+                entry,
+                7,
+                Some(PhaseEvent::CleanCommit),
+                &mut Recorder::new(&s, none()),
+            )
+        }));
+        assert!(died.is_err());
+        assert_eq!(
+            SharedModeState::active_count(s.word()),
+            0,
+            "an optimistic transaction retires before its event"
+        );
+
+        s.publish_phase(Phase::Serial);
+        assert_eq!(s.enter(7, &mut Recorder::new(&s, none())), Entry::Serial);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            s.leave(
+                Entry::Serial,
+                7,
+                Some(PhaseEvent::SerialCommit),
+                &mut Recorder::new(&s, none()),
+            )
+        }));
+        assert!(died.is_err());
+        assert_eq!(
+            s.token_holder(),
+            7,
+            "a serial commit's event fires while the token is still held"
+        );
     }
 
     #[test]

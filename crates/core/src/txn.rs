@@ -11,7 +11,7 @@ use crate::config::{Abort, BarrierKind, Mode, ModePolicy, StmConfig, TxResult, T
 use crate::log::{LogRegion, ReadEntry, Savepoint, UndoEntry, WriteEntry};
 use crate::mode::{AbortClass, ModeController};
 use crate::oracle::{Oracle, OracleMode, RoObligation};
-use crate::phase::{self, Phase, PhaseEvent};
+use crate::phase::{Access, Entry, Phase, PhaseEvent, Wait};
 use crate::record::RecValue;
 use crate::runtime::{ObjRef, StmRuntime};
 use crate::stats::{Category, TxnStats};
@@ -312,82 +312,17 @@ impl<'c, 'm> TxThread<'c, 'm> {
         self.phase
     }
 
-    /// Enters the global phase machine for one attempt: registers as an
-    /// optimistic transaction (phase-word CAS), or — when the published
-    /// phase is [`Phase::Serial`] — acquires the global token and waits
-    /// for every optimistic transaction to drain. Each load/CAS of the
-    /// phase word is its own gated op (`exec_sync`), mirroring the two
-    /// separate instructions real hardware would execute, so concurrent
-    /// publications interleave deterministically between them.
-    fn enter_phase(&mut self) {
-        let rt = self.runtime;
-        let Some(ps) = rt.phase_state() else {
-            return;
-        };
-        let mut seen = self.cpu.exec_sync(1, || ps.word());
-        let mut expected = seen;
-        let mut spins = 0u64;
-        loop {
-            if Phase::decode(seen) == Phase::Serial {
-                let id = self.desc.0 | 1;
-                if self.cpu.exec_sync(1, || ps.try_acquire_token(id)) {
-                    // Token held — but the previous holder may have
-                    // promoted the phase (its SerialCommit event fires
-                    // before it releases the token), so re-verify Serial
-                    // is still published. Holding a token for a phase
-                    // that is gone would mean running irrevocably while
-                    // optimistic transactions enter freely.
-                    let w = self.cpu.exec_sync(1, || ps.word());
-                    if Phase::decode(w) != Phase::Serial {
-                        self.cpu.exec_sync(1, || ps.release_token(id));
-                        seen = w;
-                        expected = w;
-                        continue;
-                    }
-                    // Wait for the optimistic population to drain. No
-                    // optimistic transaction can re-enter (the published
-                    // phase is Serial), and once the token is held with
-                    // Serial re-verified no SerialCommit can promote the
-                    // phase (serial commits require this token), so after
-                    // the drain this thread is provably alone.
-                    loop {
-                        let w = self.cpu.exec_sync(1, || ps.word());
-                        if crate::phase::SharedModeState::active_count(w) == 0 {
-                            break;
-                        }
-                        self.timed(Category::Contention, |t| t.cpu.tick(64));
-                    }
-                    self.phase = Some(Phase::Serial);
-                    self.serial = true;
-                    return;
-                }
-                // Token busy: back off and re-read — the holder may have
-                // promoted the phase, reopening optimistic entry.
-                spins += 1;
-                self.timed(Category::Contention, |t| t.cpu.tick(64 + (spins & 63)));
-                seen = self.cpu.exec_sync(1, || ps.word());
-                expected = seen;
-                continue;
-            }
-            match self.cpu.exec_sync(1, || ps.cas_enter(expected, seen)) {
-                Ok(p) => {
-                    self.phase = Some(p);
-                    return;
-                }
-                Err(cur) => {
-                    expected = cur;
-                    seen = phase::refresh_view(seen, cur);
-                }
-            }
-        }
-    }
-
     /// Begins a top-level transaction attempt.
     pub(crate) fn begin(&mut self, attempt: u32) {
         debug_assert!(!self.active, "begin while active");
         self.phase = None;
         self.serial = false;
-        self.enter_phase();
+        let rt = self.runtime;
+        if let Some(ps) = rt.phase_state() {
+            let entry = ps.enter(self.token_id(), self);
+            self.phase = Some(entry.phase());
+            self.serial = entry == Entry::Serial;
+        }
         self.kind = TxnKind::ReadWrite;
         self.cpu.trace(hastm_sim::TraceEvent::TxnBegin { attempt });
         self.active = true;
@@ -723,83 +658,67 @@ impl<'c, 'm> TxThread<'c, 'm> {
         self.active = false;
     }
 
-    /// Phase bookkeeping at commit: per-phase counters, optimistic exit
-    /// (or token release on the serial path), and the heuristic event
-    /// that may publish a transition. A no-op outside
-    /// [`ModePolicy::Phased`].
+    /// This thread's serial-token holder id (odd, so never the token's
+    /// "free" value).
+    fn token_id(&self) -> u64 {
+        self.desc.0 | 1
+    }
+
+    /// Phase bookkeeping at commit: per-phase counters, then out of the
+    /// phase gate with the heuristic event that may publish a transition.
+    /// A no-op outside [`ModePolicy::Phased`].
     fn phase_commit_hook(&mut self, dirty: bool) {
         let Some(p) = self.phase.take() else {
             return;
         };
         self.stats.phase_commits[p.idx()] += 1;
-        let rt = self.runtime;
-        let Some(ps) = rt.phase_state() else {
-            return;
-        };
-        let transitioned = if self.serial {
-            let id = self.desc.0 | 1;
-            self.serial = false;
-            self.cpu.exec_sync(1, || {
-                // Event first, release second: a successor acquiring the
-                // token must observe the (possibly promoted) phase this
-                // commit published.
-                let tr = ps.on_event(PhaseEvent::SerialCommit);
-                ps.release_token(id);
-                tr
-            })
+        let event = if self.serial {
+            PhaseEvent::SerialCommit
+        } else if dirty {
+            PhaseEvent::DirtyCommit
         } else {
-            let ev = if dirty {
-                PhaseEvent::DirtyCommit
-            } else {
-                PhaseEvent::CleanCommit
-            };
-            self.cpu.exec_sync(1, || {
-                ps.exit_optimistic();
-                ps.on_event(ev)
-            })
+            PhaseEvent::CleanCommit
         };
-        if transitioned.is_some() {
-            self.stats.phase_transitions += 1;
-        }
+        self.leave_phase(p, Some(event));
     }
 
-    /// Phase bookkeeping at abort: per-phase per-cause counters,
-    /// optimistic exit (or token release), and — for interference-caused
-    /// aborts — the heuristic event. User-initiated aborts (retry,
-    /// explicit) are not interference and feed no event.
+    /// Phase bookkeeping at abort: per-phase per-cause counters, then out
+    /// of the phase gate with — for interference-caused aborts — the
+    /// heuristic event. User-initiated aborts (retry, explicit) are not
+    /// interference and feed no event.
     fn phase_abort_hook(&mut self, cause: Abort, class: Option<AbortClass>) {
         let Some(p) = self.phase.take() else {
             return;
         };
-        match class {
-            Some(AbortClass::Conflict) => self.stats.phase_aborts_conflict[p.idx()] += 1,
-            Some(AbortClass::Capacity) => self.stats.phase_aborts_capacity[p.idx()] += 1,
-            None => {}
-        }
-        let rt = self.runtime;
-        let Some(ps) = rt.phase_state() else {
-            return;
-        };
-        if self.serial {
-            debug_assert!(
-                matches!(cause, Abort::Retry | Abort::Explicit),
-                "serial transactions cannot conflict-abort (got {cause:?})"
-            );
-            let id = self.desc.0 | 1;
-            self.serial = false;
-            self.cpu.exec_sync(1, || ps.release_token(id));
-            return;
-        }
-        let ev = match class {
-            Some(AbortClass::Conflict) => Some(PhaseEvent::ConflictAbort),
-            Some(AbortClass::Capacity) => Some(PhaseEvent::CapacityAbort),
+        debug_assert!(
+            !self.serial || matches!(cause, Abort::Retry | Abort::Explicit),
+            "serial transactions cannot conflict-abort (got {cause:?})"
+        );
+        let event = match class {
+            Some(AbortClass::Conflict) => {
+                self.stats.phase_aborts_conflict[p.idx()] += 1;
+                Some(PhaseEvent::ConflictAbort)
+            }
+            Some(AbortClass::Capacity) => {
+                self.stats.phase_aborts_capacity[p.idx()] += 1;
+                Some(PhaseEvent::CapacityAbort)
+            }
             None => None,
         };
-        let transitioned = self.cpu.exec_sync(1, || {
-            ps.exit_optimistic();
-            ev.and_then(|e| ps.on_event(e))
-        });
-        if transitioned.is_some() {
+        self.leave_phase(p, event);
+    }
+
+    /// Leaves the phase gate entered under `p`, counting a transition the
+    /// event published.
+    fn leave_phase(&mut self, p: Phase, event: Option<PhaseEvent>) {
+        let rt = self.runtime;
+        let ps = rt.phase_state().expect("a phase was entered");
+        let entry = if std::mem::take(&mut self.serial) {
+            Entry::Serial
+        } else {
+            Entry::Optimistic(p)
+        };
+        if ps.leave(entry, self.token_id(), event, self).is_some() {
             self.stats.phase_transitions += 1;
         }
     }
@@ -1023,6 +942,22 @@ impl<'c, 'm> TxThread<'c, 'm> {
         let (obj, header) = self.runtime.alloc_obj_shell(self.cpu, data_words);
         self.cpu.store_u64(obj.header(), header);
         obj
+    }
+}
+
+/// The simulator's access to the phase word: each step is one gated op,
+/// each wait is charged to contention.
+impl Access for TxThread<'_, '_> {
+    fn sync<T>(&mut self, step: impl FnOnce() -> T) -> T {
+        self.cpu.exec_sync(1, step)
+    }
+
+    fn pause(&mut self, wait: Wait) {
+        let cycles = match wait {
+            Wait::Drain => 64,
+            Wait::Token(spins) => 64 + (spins & 63),
+        };
+        self.timed(Category::Contention, |t| t.cpu.tick(cycles));
     }
 }
 

@@ -63,8 +63,8 @@ use std::sync::atomic::{
     Ordering::{Release, SeqCst},
 };
 
-use hastm::phase::refresh_view;
-use hastm::{Abort, Mode, ObjRef, Phase, PhaseEvent, SharedModeState, TmContext, TmExec, TxResult};
+use hastm::phase::{Access, Entry, Wait};
+use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
 
 use crate::tl2::{NativeRuntime, NativeStats, RoSlot};
 
@@ -282,14 +282,29 @@ impl RedoLog {
     }
 }
 
-/// How one attempt entered the global phase gate.
-enum PhaseEntry {
-    /// No phase controller configured on the runtime.
-    Unphased,
-    /// CASed into the active window; carries the phase entered under.
-    Optimistic(Phase),
-    /// Holds the serial token with the active window drained to zero.
-    Serial,
+/// The native access to the phase word: its steps are `SeqCst` atomics
+/// already, so they are called directly. A wait spins; from the 65th
+/// pause of one entry on it yields, because on an oversubscribed host the
+/// thread it waits for — the token holder, or an optimistic transaction
+/// the drain waits on — needs the core.
+#[derive(Default)]
+struct HostWord {
+    pauses: u32,
+}
+
+impl Access for HostWord {
+    fn sync<T>(&mut self, step: impl FnOnce() -> T) -> T {
+        step()
+    }
+
+    fn pause(&mut self, _: Wait) {
+        self.pauses = self.pauses.saturating_add(1);
+        if self.pauses > 64 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// One host thread's executor over a shared [`NativeRuntime`].
@@ -448,71 +463,24 @@ impl<'r> NativeExec<'r> {
         self.ro_slot.get_or_insert_with(|| rt.register_ro_slot())
     }
 
-    /// Enters the global phase gate for one attempt — the native twin of
-    /// the simulator's gated entry loop, on real `SeqCst` atomics: CAS
-    /// into the active window, or, when the published phase is
-    /// [`Phase::Serial`], acquire the token and wait for the window to
-    /// drain to zero (after which the holder is provably alone).
-    fn phase_enter(&mut self) -> PhaseEntry {
-        let Some(ps) = self.rt.phase_state() else {
-            return PhaseEntry::Unphased;
-        };
-        let mut seen = ps.word();
-        let mut expected = seen;
-        let mut spins = 0u32;
-        loop {
-            if Phase::decode(seen) == Phase::Serial {
-                if ps.try_acquire_token(self.token_id) {
-                    // The previous holder may have promoted the phase (its
-                    // SerialCommit event fires before it releases the
-                    // token), so re-verify Serial is still published
-                    // before going irrevocable; once it is, no
-                    // SerialCommit can promote the phase out from under
-                    // this thread (serial commits require the token).
-                    let w = ps.word();
-                    if Phase::decode(w) != Phase::Serial {
-                        ps.release_token(self.token_id);
-                        seen = w;
-                        expected = w;
-                        continue;
-                    }
-                    while SharedModeState::active_count(ps.word()) > 0 {
-                        std::hint::spin_loop();
-                    }
-                    return PhaseEntry::Serial;
-                }
-                spins = spins.saturating_add(1);
-                if spins > 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-                seen = ps.word();
-                expected = seen;
-                continue;
-            }
-            match ps.cas_enter(expected, seen) {
-                Ok(p) => return PhaseEntry::Optimistic(p),
-                Err(cur) => {
-                    expected = cur;
-                    seen = refresh_view(seen, cur);
-                }
-            }
-        }
+    /// Enters the global phase gate for one attempt; `None` when the
+    /// runtime has no phase controller.
+    fn phase_enter(&mut self) -> Option<Entry> {
+        let ps = self.rt.phase_state()?;
+        Some(ps.enter(self.token_id, &mut HostWord::default()))
     }
 
-    /// Leaves the optimistic window, feeding the attempt's outcome to the
+    /// Leaves the phase gate, feeding the attempt's outcome to the
     /// transition heuristics (when it has one) and counting any phase
     /// transition this thread's event published.
-    fn phase_exit(&mut self, ev: Option<PhaseEvent>) {
-        let Some(ps) = self.rt.phase_state() else {
+    fn phase_leave(&mut self, entry: Option<Entry>, ev: Option<PhaseEvent>) {
+        let Some(entry) = entry else {
             return;
         };
-        ps.exit_optimistic();
-        if let Some(ev) = ev {
-            if ps.on_event(ev).is_some() {
-                self.stats.phase_transitions += 1;
-            }
+        let ps = self.rt.phase_state().expect("a phase was entered");
+        let moved = ps.leave(entry, self.token_id, ev, &mut HostWord::default());
+        if moved.is_some() {
+            self.stats.phase_transitions += 1;
         }
     }
 
@@ -523,9 +491,7 @@ impl<'r> NativeExec<'r> {
     /// epoch (every filter anchored before it is stale now), publishes
     /// version-ring entries under `Multi`, and advances the written
     /// stripes to `wv`, so it is indistinguishable from an ordinary
-    /// commit to every later reader. The token is released on exit — the
-    /// `SerialCommit` heuristic event fires *first*, so a successor
-    /// re-reading the phase observes any promotion it published.
+    /// commit to every later reader. The token is released on exit.
     fn run_serial<R>(
         &mut self,
         f: &mut impl FnMut(&mut dyn TmContext) -> TxResult<R>,
@@ -533,41 +499,30 @@ impl<'r> NativeExec<'r> {
         let rt = self.rt;
         self.reset_attempt();
         let out = f(&mut NativeSerialTxn { exec: self });
-        let ps = rt
-            .phase_state()
-            .expect("serial attempt without a phase machine");
-        match out {
-            Ok(r) => {
-                if !self.writes.is_empty() {
-                    self.collect_write_stripes();
-                    let wv = rt.next_write_version();
-                    let prev_epoch = rt.bump_epoch();
-                    self.write_back(wv);
-                    for &(stripe, _) in &self.locks {
-                        rt.unlock_stripe(stripe, wv);
-                    }
-                    // Our own filter died with the epoch like everyone
-                    // else's.
-                    self.filter.clear();
-                    self.filter_epoch = prev_epoch + 1;
+        if out.is_ok() {
+            if !self.writes.is_empty() {
+                self.collect_write_stripes();
+                let wv = rt.next_write_version();
+                let prev_epoch = rt.bump_epoch();
+                self.write_back(wv);
+                for &(stripe, _) in &self.locks {
+                    rt.unlock_stripe(stripe, wv);
                 }
-                self.attempt_allocs.clear();
-                self.stats.commits += 1;
-                self.stats.serial_commits += 1;
-                if ps.on_event(PhaseEvent::SerialCommit).is_some() {
-                    self.stats.phase_transitions += 1;
-                }
-                ps.release_token(self.token_id);
-                Ok(r)
+                // Our own filter died with the epoch like everyone
+                // else's.
+                self.filter.clear();
+                self.filter_epoch = prev_epoch + 1;
             }
-            Err(cause) => {
-                // Retry (a condition wait): nothing was published, so
-                // releasing the token is a complete rollback (the next
-                // attempt empties the logs).
-                ps.release_token(self.token_id);
-                Err(cause)
-            }
+            self.attempt_allocs.clear();
+            self.stats.commits += 1;
+            self.stats.serial_commits += 1;
         }
+        // Otherwise `retry` (a condition wait): nothing was published, so
+        // giving the token back is a complete rollback (the next attempt
+        // empties the logs).
+        let event = out.is_ok().then_some(PhaseEvent::SerialCommit);
+        self.phase_leave(Some(Entry::Serial), event);
+        out
     }
 
     /// Deterministic-per-thread bounded backoff between attempts.
@@ -601,7 +556,7 @@ impl TmExec for NativeExec<'_> {
         let mut attempt: u32 = 0;
         loop {
             let entry = self.phase_enter();
-            if let PhaseEntry::Serial = entry {
+            if let Some(Entry::Serial) = entry {
                 match self.run_serial(&mut f) {
                     Ok(r) => return r,
                     Err(Abort::Explicit) => {
@@ -617,7 +572,7 @@ impl TmExec for NativeExec<'_> {
                 }
             }
             self.fast_path_ok = match entry {
-                PhaseEntry::Optimistic(p) => {
+                Some(Entry::Optimistic(p)) => {
                     let budget = self
                         .rt
                         .config()
@@ -645,14 +600,14 @@ impl TmExec for NativeExec<'_> {
             match outcome {
                 Ok(r) => {
                     self.stats.commits += 1;
-                    self.phase_exit(Some(PhaseEvent::CleanCommit));
+                    self.phase_leave(entry, Some(PhaseEvent::CleanCommit));
                     return r;
                 }
                 Err(Abort::Explicit) => {
                     panic!("explicit abort inside atomic (unsupported on the native backend)")
                 }
                 Err(Abort::Retry) => {
-                    self.phase_exit(None);
+                    self.phase_leave(entry, None);
                     // `retry` condition wait: no condition variables here,
                     // so poll with a yield like the simulator's timed wait.
                     std::thread::yield_now();
@@ -666,7 +621,7 @@ impl TmExec for NativeExec<'_> {
                     } else {
                         PhaseEvent::ConflictAbort
                     };
-                    self.phase_exit(Some(ev));
+                    self.phase_leave(entry, Some(ev));
                 }
             }
             attempt = attempt.saturating_add(1);
@@ -688,7 +643,7 @@ impl TmExec for NativeExec<'_> {
             // under the token — mirroring the simulator backend, where a
             // serial read-only begin stays a full transaction.
             let entry = self.phase_enter();
-            if let PhaseEntry::Serial = entry {
+            if let Some(Entry::Serial) = entry {
                 match self.run_serial(&mut f) {
                     Ok(r) => return r,
                     Err(Abort::Explicit) => panic!(
@@ -718,7 +673,7 @@ impl TmExec for NativeExec<'_> {
                 Ok(r) => {
                     self.stats.ro_commits += 1;
                     self.stats.commits += 1;
-                    self.phase_exit(Some(PhaseEvent::CleanCommit));
+                    self.phase_leave(entry, Some(PhaseEvent::CleanCommit));
                     return r;
                 }
                 Err(Abort::Retry) => {
@@ -727,7 +682,7 @@ impl TmExec for NativeExec<'_> {
                     // simulator backend counts it, and fed to no
                     // heuristic (a wait is not an outcome).
                     self.stats.ro_aborts += 1;
-                    self.phase_exit(None);
+                    self.phase_leave(entry, None);
                     std::thread::yield_now();
                 }
                 Err(Abort::Explicit) => {
@@ -1506,15 +1461,22 @@ mod tests {
         let cell = setup.alloc_obj(1);
         setup.atomic(|ctx| ctx.ctx_write(cell, 0, 0));
         let merged = std::sync::Mutex::new(NativeStats::default());
-        let start = std::sync::Barrier::new(4);
+        // Every thread's first attempt reads, then waits for the other
+        // three to have read too: one of the four commits and three abort
+        // — the three demotions to `Serial` — however few CPUs the host
+        // lends this test. Later attempts race as they come.
+        let all_have_read = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     let mut ex = NativeExec::new(&rt);
-                    start.wait();
+                    let mut first_attempt = true;
                     for _ in 0..2000 {
                         ex.atomic(|ctx| {
                             let v = ctx.ctx_read(cell, 0)?;
+                            if std::mem::take(&mut first_attempt) {
+                                all_have_read.wait();
+                            }
                             ctx.ctx_work(50);
                             ctx.ctx_write(cell, 0, v + 1)
                         });

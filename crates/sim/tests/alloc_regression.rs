@@ -286,42 +286,3 @@ fn warm_multi_core_runs_allocate_no_stacks() {
         BIGGEST.get()
     );
 }
-
-/// First number following `"simulated_cycles_per_sec":` in BENCH.json.
-fn bench_baseline_cycles_per_sec() -> Option<f64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    let tail = text.split("\"simulated_cycles_per_sec\":").nth(1)?;
-    let num: String = tail
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
-}
-
-#[test]
-fn disabled_tracing_throughput_stays_near_baseline() {
-    // Perf-style guard: with tracing disabled, simulated cycles per wall
-    // second must stay within (very loose) tolerance of the recorded
-    // BENCH.json baseline. The factor-100 floor only catches catastrophic
-    // regressions (e.g. an allocation or lock added to the per-access
-    // path): this test runs in debug on arbitrary hardware, while the
-    // baseline was measured in release.
-    let Some(baseline) = bench_baseline_cycles_per_sec() else {
-        eprintln!("BENCH.json not found or unparsable; skipping throughput guard");
-        return;
-    };
-    let mut machine = Machine::new(MachineConfig::with_cores(2));
-    machine.run(trace_probe_workers()); // warm caches and host paths
-    let start = std::time::Instant::now();
-    let mut cycles = 0u64;
-    for _ in 0..50 {
-        cycles += machine.run(trace_probe_workers()).makespan();
-    }
-    let rate = cycles as f64 / start.elapsed().as_secs_f64();
-    assert!(
-        rate > baseline / 100.0,
-        "simulated {rate:.0} cycles/s, below 1% of the {baseline:.0} baseline"
-    );
-}

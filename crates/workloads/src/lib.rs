@@ -27,7 +27,6 @@ pub mod btree;
 pub mod driver;
 pub mod hashtable;
 pub mod map;
-pub mod native;
 pub mod oltp;
 pub mod scheme;
 pub mod synthetic;
@@ -39,7 +38,6 @@ pub use driver::{
 };
 pub use hashtable::HashTable;
 pub use map::{check_against_reference, TxMap};
-pub use native::{run_native_workload, NativeWorkloadConfig, NativeWorkloadResult};
 pub use oltp::{
     run_oltp_native, run_oltp_sim, OltpConfig, OltpMetrics, OltpNativeConfig, OltpNativeResult,
     OltpSimConfig, OltpSimResult, OltpTxn,
