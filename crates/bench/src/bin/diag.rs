@@ -148,7 +148,7 @@ fn trace_diag(trace_out: Option<&str>, metrics_out: Option<&str>) {
         );
     }
     if let Some(path) = metrics_out {
-        let snapshot = hastm::MetricsSnapshot::collect(&r.txn, &r.report);
+        let snapshot = r.snapshot();
         if let Err(e) = std::fs::write(path, snapshot.to_json()) {
             eprintln!("error: writing {path}: {e}");
             std::process::exit(1);

@@ -11,10 +11,11 @@
 //! one simulator run. [`run_cell`] maps a cell to its [`CellOutput`]
 //! deterministically (same cell, same output, always), which is what lets
 //! the parallel sweep in [`crate::sweep`] execute cells on host threads in
-//! any order and still render bit-identical tables: each `figNN_with`
-//! builder only *declares* which cells it needs and how to fold their
-//! outputs into a [`Table`]; where the outputs come from is the resolver's
-//! business.
+//! any order and still render bit-identical tables: a figure's builder
+//! only *requests* the cells it needs and folds their outputs into a
+//! [`Table`]; where the outputs come from is the resolver's business. The
+//! requests are also the figure's only cell list — [`Figure::cells`] runs
+//! the builder against canned outputs and records what it asks for.
 
 use std::collections::{HashMap, HashSet};
 
@@ -239,35 +240,14 @@ pub fn run_cell(cell: &Cell) -> CellOutput {
 }
 
 /// A memoizing serial resolver: runs each distinct cell once, in calling
-/// order, on the current thread. The `figNN(scale)` entry points use one
-/// of these, so repeated cells (e.g. a figure's shared baseline) cost one
-/// simulation.
+/// order, on the current thread, so repeated cells (e.g. a figure's shared
+/// baseline) cost one simulation.
 pub fn serial_resolver() -> impl FnMut(&Cell) -> CellOutput {
     let mut memo: HashMap<Cell, CellOutput> = HashMap::new();
     move |cell: &Cell| {
         memo.entry(cell.clone())
             .or_insert_with(|| run_cell(cell))
             .clone()
-    }
-}
-
-/// Cell accumulator that preserves first-seen order while dropping
-/// duplicates (figures reuse baselines across rows).
-#[derive(Default)]
-struct CellList {
-    seen: HashSet<Cell>,
-    cells: Vec<Cell>,
-}
-
-impl CellList {
-    fn push(&mut self, cell: Cell) {
-        if self.seen.insert(cell.clone()) {
-            self.cells.push(cell);
-        }
-    }
-
-    fn into_vec(self) -> Vec<Cell> {
-        self.cells
     }
 }
 
@@ -282,23 +262,6 @@ fn ds_cell(structure: Structure, scheme: Scheme, threads: usize, scale: Scale) -
     }
 }
 
-fn scaled_cell(
-    structure: Structure,
-    scheme: Scheme,
-    threads: usize,
-    scale: Scale,
-    machine: MachinePreset,
-) -> Cell {
-    Cell::Ds {
-        structure,
-        scheme,
-        threads,
-        scale,
-        machine,
-        size_mult: 16,
-    }
-}
-
 fn thread_counts(scale: Scale, deep: bool) -> Vec<usize> {
     match (scale, deep) {
         (Scale::Quick, _) => vec![1, 2, 4],
@@ -308,23 +271,10 @@ fn thread_counts(scale: Scale, deep: bool) -> Vec<usize> {
     }
 }
 
-/// Cells of Figure 11.
-pub fn fig11_cells(scale: Scale) -> Vec<Cell> {
-    let threads = thread_counts(scale, true);
-    let mut cells = CellList::default();
-    for structure in Structure::ALL {
-        cells.push(ds_cell(structure, Scheme::Lock, 1, scale));
-        for scheme in [Scheme::Lock, Scheme::Stm] {
-            for &t in &threads {
-                cells.push(ds_cell(structure, scheme, t, scale));
-            }
-        }
-    }
-    cells.into_vec()
-}
-
-/// Figure 11 rendered through `run` (see module docs).
-pub fn fig11_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+/// Figure 11: STM (cache-line granularity, coarse atomic sections) versus
+/// coarse-grained locks as processors scale. Times are relative to the
+/// single-thread lock time of the same structure.
+fn fig11(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
     let threads = thread_counts(scale, true);
     let mut headers = vec!["series".to_string()];
     headers.extend(threads.iter().map(|t| format!("{t}p")));
@@ -349,23 +299,9 @@ pub fn fig11_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Tab
     table
 }
 
-/// Figure 11: STM (cache-line granularity, coarse atomic sections) versus
-/// coarse-grained locks as processors scale. Times are relative to the
-/// single-thread lock time of the same structure.
-pub fn fig11(scale: Scale) -> Table {
-    fig11_with(scale, &mut serial_resolver())
-}
-
-/// Cells of Figure 12.
-pub fn fig12_cells(scale: Scale) -> Vec<Cell> {
-    Structure::ALL
-        .iter()
-        .map(|&s| ds_cell(s, Scheme::Stm, 1, scale))
-        .collect()
-}
-
-/// Figure 12 rendered through `run`.
-pub fn fig12_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+/// Figure 12: where the base STM's time goes (read barrier, validation,
+/// commit, write barrier, TLS access, application), single thread.
+fn fig12(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
     let mut table = Table::new(
         "Figure 12: STM execution time breakdown (single thread, % of transactional time)",
         &[
@@ -397,12 +333,6 @@ pub fn fig12_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Tab
     table
 }
 
-/// Figure 12: where the base STM's time goes (read barrier, validation,
-/// commit, write barrier, TLS access, application), single thread.
-pub fn fig12(scale: Scale) -> Table {
-    fig12_with(scale, &mut serial_resolver())
-}
-
 /// Figure 13: critical-section load fraction and cache reuse across the
 /// Java/pthreads workload profiles. (Pure trace analysis — no simulator
 /// cells.)
@@ -425,85 +355,35 @@ pub fn fig13() -> Table {
     table
 }
 
-const FIG14_SCHEMES: [Scheme; 3] = [Scheme::Hytm, Scheme::Hastm, Scheme::Stm];
-
-/// Cells of Figure 14.
-pub fn fig14_cells(scale: Scale) -> Vec<Cell> {
-    scaling_cells(
-        Structure::Bst,
-        &FIG14_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-    )
-}
-
-/// Figure 14 rendered through `run`.
-pub fn fig14_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    scaling_figure(
-        "Figure 14: best-case HyTM scaling vs HASTM and STM (BST)",
-        Structure::Bst,
-        &FIG14_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-        "expected: best-case HyTM fastest (hardware barriers are free); HASTM lands between HyTM and STM",
-        run,
-    )
-}
-
-/// Figure 14: multi-core BST scaling of best-case HyTM against HASTM and
-/// the base STM (relative to single-core lock time). The HyTM rows are
-/// the paper's upper bound for a hybrid scheme: every transaction fits in
-/// hardware, so software barriers vanish entirely.
-pub fn fig14(scale: Scale) -> Table {
-    fig14_with(scale, &mut serial_resolver())
-}
-
 const FIG15_MISSES: [u32; 3] = [60, 50, 40];
 const FIG15_LOADS: [u32; 4] = [60, 70, 80, 90];
-const FIG15_SCHEMES: [Scheme; 4] = [
-    Scheme::Stm,
-    Scheme::HastmCautious,
-    Scheme::Hastm,
-    Scheme::Hytm,
-];
 
-fn kernel_cell(scheme: Scheme, load_pct: u32, miss_pct: u32, scale: Scale) -> Cell {
-    Cell::Kernel {
-        scheme,
-        load_pct,
-        miss_pct,
-        sections: scale.sections(),
-    }
-}
-
-/// Cells of Figure 15.
-pub fn fig15_cells(scale: Scale) -> Vec<Cell> {
-    let mut cells = CellList::default();
-    for miss in FIG15_MISSES {
-        for load in FIG15_LOADS {
-            for scheme in FIG15_SCHEMES {
-                cells.push(kernel_cell(scheme, load, miss, scale));
-            }
-        }
-    }
-    cells.into_vec()
-}
-
-/// Figure 15 rendered through `run`.
-pub fn fig15_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+/// Figure 15: synthetic-kernel comparison of Cautious / HASTM / Hybrid
+/// against the STM baseline while sweeping load fraction (60–90 %) and
+/// load miss rate (40–60 %, i.e. reuse 60–40 %).
+fn fig15(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
     let mut table = Table::new(
         "Figure 15: TM performance comparison (execution time relative to STM)",
         &["miss%", "load%", "Cautious", "HASTM", "Hybrid"],
     );
-    for miss in FIG15_MISSES {
-        for load in FIG15_LOADS {
-            let stm = run(&kernel_cell(Scheme::Stm, load, miss, scale)).cycles();
-            let cautious = run(&kernel_cell(Scheme::HastmCautious, load, miss, scale)).cycles();
-            let hastm = run(&kernel_cell(Scheme::Hastm, load, miss, scale)).cycles();
-            let hybrid = run(&kernel_cell(Scheme::Hytm, load, miss, scale)).cycles();
+    for miss_pct in FIG15_MISSES {
+        for load_pct in FIG15_LOADS {
+            let mut cycles = |scheme| {
+                run(&Cell::Kernel {
+                    scheme,
+                    load_pct,
+                    miss_pct,
+                    sections: scale.sections(),
+                })
+                .cycles()
+            };
+            let stm = cycles(Scheme::Stm);
+            let cautious = cycles(Scheme::HastmCautious);
+            let hastm = cycles(Scheme::Hastm);
+            let hybrid = cycles(Scheme::Hytm);
             table.row(vec![
-                miss.to_string(),
-                load.to_string(),
+                miss_pct.to_string(),
+                load_pct.to_string(),
                 ratio(cautious, stm),
                 ratio(hastm, stm),
                 ratio(hybrid, stm),
@@ -514,74 +394,43 @@ pub fn fig15_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Tab
     table
 }
 
-/// Figure 15: synthetic-kernel comparison of Cautious / HASTM / Hybrid
-/// against the STM baseline while sweeping load fraction (60–90 %) and
-/// load miss rate (40–60 %, i.e. reuse 60–40 %).
-pub fn fig15(scale: Scale) -> Table {
-    fig15_with(scale, &mut serial_resolver())
-}
-
-const FIG16_SCHEMES: [Scheme; 4] = [Scheme::Hastm, Scheme::Hytm, Scheme::Stm, Scheme::Lock];
-
-/// Cells of Figure 16.
-pub fn fig16_cells(scale: Scale) -> Vec<Cell> {
-    let mut cells = CellList::default();
-    for structure in Structure::ALL {
-        cells.push(ds_cell(structure, Scheme::Sequential, 1, scale));
-        for scheme in FIG16_SCHEMES {
-            cells.push(ds_cell(structure, scheme, 1, scale));
-        }
-    }
-    cells.into_vec()
-}
-
-/// Figure 16 rendered through `run`.
-pub fn fig16_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    let mut table = Table::new(
-        "Figure 16: relative execution time for TM schemes (1 thread, vs sequential)",
-        &["structure", "HASTM", "Hybrid-TM", "STM", "Lock"],
-    );
+/// A single-thread table of `schemes` per structure, each relative to
+/// sequential execution (Figures 16 and 17).
+fn vs_sequential(
+    mut table: Table,
+    schemes: [Scheme; 4],
+    scale: Scale,
+    run: &mut dyn FnMut(&Cell) -> CellOutput,
+) -> Table {
     for structure in Structure::ALL {
         let seq = run(&ds_cell(structure, Scheme::Sequential, 1, scale)).cycles();
         let mut row = vec![structure.to_string()];
-        for scheme in FIG16_SCHEMES {
+        for scheme in schemes {
             let cycles = run(&ds_cell(structure, scheme, 1, scale)).cycles();
             row.push(ratio(cycles, seq));
         }
         table.row(row);
     }
-    table.note("expected: HASTM ~= Hybrid << STM; smallest HASTM gain on the hashtable (low reuse), largest on the btree (high reuse)");
     table
 }
 
 /// Figure 16: single-thread execution time of the TM schemes relative to
 /// sequential execution.
-pub fn fig16(scale: Scale) -> Table {
-    fig16_with(scale, &mut serial_resolver())
+fn fig16(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+    let table = Table::new(
+        "Figure 16: relative execution time for TM schemes (1 thread, vs sequential)",
+        &["structure", "HASTM", "Hybrid-TM", "STM", "Lock"],
+    );
+    let schemes = [Scheme::Hastm, Scheme::Hytm, Scheme::Stm, Scheme::Lock];
+    let mut table = vs_sequential(table, schemes, scale, run);
+    table.note("expected: HASTM ~= Hybrid << STM; smallest HASTM gain on the hashtable (low reuse), largest on the btree (high reuse)");
+    table
 }
 
-const FIG17_SCHEMES: [Scheme; 4] = [
-    Scheme::Hastm,
-    Scheme::HastmCautious,
-    Scheme::HastmNoReuse,
-    Scheme::Stm,
-];
-
-/// Cells of Figure 17.
-pub fn fig17_cells(scale: Scale) -> Vec<Cell> {
-    let mut cells = CellList::default();
-    for structure in Structure::ALL {
-        cells.push(ds_cell(structure, Scheme::Sequential, 1, scale));
-        for scheme in FIG17_SCHEMES {
-            cells.push(ds_cell(structure, scheme, 1, scale));
-        }
-    }
-    cells.into_vec()
-}
-
-/// Figure 17 rendered through `run`.
-pub fn fig17_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    let mut table = Table::new(
+/// Figure 17: HASTM ablation — full HASTM, cautious-only, and no-reuse
+/// (filter disabled) against the STM, relative to sequential.
+fn fig17(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+    let table = Table::new(
         "Figure 17: performance breakdown for HASTM (1 thread, vs sequential)",
         &[
             "structure",
@@ -591,318 +440,250 @@ pub fn fig17_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Tab
             "STM",
         ],
     );
-    for structure in Structure::ALL {
-        let seq = run(&ds_cell(structure, Scheme::Sequential, 1, scale)).cycles();
-        let mut row = vec![structure.to_string()];
-        for scheme in FIG17_SCHEMES {
-            let cycles = run(&ds_cell(structure, scheme, 1, scale)).cycles();
-            row.push(ratio(cycles, seq));
-        }
-        table.row(row);
-    }
+    let schemes = [
+        Scheme::Hastm,
+        Scheme::HastmCautious,
+        Scheme::HastmNoReuse,
+        Scheme::Stm,
+    ];
+    let mut table = vs_sequential(table, schemes, scale, run);
     table.note("expected: hashtable gains come from log elimination + validation (NoReuse ~= HASTM), trees also from reuse; cautious-only can exceed STM time");
     table
 }
 
-/// Figure 17: HASTM ablation — full HASTM, cautious-only, and no-reuse
-/// (filter disabled) against the STM, relative to sequential.
-pub fn fig17(scale: Scale) -> Table {
-    fig17_with(scale, &mut serial_resolver())
+/// One multi-core scaling figure (14, 18–22): a row per scheme, a column
+/// per core count, each cell relative to single-core lock time on the
+/// same structure and machine.
+#[derive(Copy, Clone, Debug)]
+pub struct Scaling {
+    /// Table title.
+    pub title: &'static str,
+    /// Data structure under test.
+    pub structure: Structure,
+    /// One row each.
+    pub schemes: &'static [Scheme],
+    /// Machine description.
+    pub machine: MachinePreset,
+    /// The paper's shape, as the table's first note.
+    pub expected: &'static str,
 }
 
-fn scaling_cells(
-    structure: Structure,
-    schemes: &[Scheme],
-    scale: Scale,
-    machine: MachinePreset,
-) -> Vec<Cell> {
-    let threads = thread_counts(scale, false);
-    let mut cells = CellList::default();
-    cells.push(scaled_cell(structure, Scheme::Lock, 1, scale, machine));
-    for &scheme in schemes {
-        for &t in &threads {
-            cells.push(scaled_cell(structure, scheme, t, scale, machine));
+impl Scaling {
+    fn table(&self, scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+        let threads = thread_counts(scale, false);
+        let mut headers = vec!["scheme".to_string()];
+        headers.extend(threads.iter().map(|t| format!("{t} core")));
+        let mut table = Table {
+            title: self.title.into(),
+            headers,
+            rows: vec![],
+            notes: vec![],
+        };
+        // Larger structures than the single-thread figures: transactions
+        // must be long enough for cross-core interference to land inside
+        // them.
+        let mut cycles = |scheme, cores| {
+            run(&Cell::Ds {
+                structure: self.structure,
+                scheme,
+                threads: cores,
+                scale,
+                machine: self.machine,
+                size_mult: 16,
+            })
+            .cycles()
+        };
+        let lock1 = cycles(Scheme::Lock, 1);
+        for &scheme in self.schemes {
+            let mut row = vec![scheme.label().to_string()];
+            for &t in &threads {
+                row.push(ratio(cycles(scheme, t), lock1));
+            }
+            table.rows.push(row);
         }
+        table.note(self.expected);
+        table.note(match self.machine {
+            MachinePreset::Default => "machine: default single-core machine",
+            MachinePreset::Scaling => "machine: default caches + next-line prefetcher",
+            MachinePreset::Interference => {
+                "machine: next-line prefetcher + small shared inclusive L2 (interference sources of §7.4)"
+            }
+        });
+        table
     }
-    cells.into_vec()
-}
-
-fn scaling_figure(
-    title: &str,
-    structure: Structure,
-    schemes: &[Scheme],
-    scale: Scale,
-    machine: MachinePreset,
-    expected: &str,
-    run: &mut dyn FnMut(&Cell) -> CellOutput,
-) -> Table {
-    let threads = thread_counts(scale, false);
-    let mut headers = vec!["scheme".to_string()];
-    headers.extend(threads.iter().map(|t| format!("{t} core")));
-    let mut table = Table {
-        title: title.into(),
-        headers,
-        rows: vec![],
-        notes: vec![],
-    };
-    // Larger structures than the single-thread figures: transactions must
-    // be long enough for cross-core interference to land inside them.
-    let lock1 = run(&scaled_cell(structure, Scheme::Lock, 1, scale, machine)).cycles();
-    for &scheme in schemes {
-        let mut row = vec![scheme.label().to_string()];
-        for &t in &threads {
-            let r = run(&scaled_cell(structure, scheme, t, scale, machine));
-            row.push(ratio(r.cycles(), lock1));
-        }
-        table.rows.push(row);
-    }
-    table.note(expected);
-    table.note(match machine {
-        MachinePreset::Default => "machine: default single-core machine",
-        MachinePreset::Scaling => "machine: default caches + next-line prefetcher",
-        MachinePreset::Interference => {
-            "machine: next-line prefetcher + small shared inclusive L2 (interference sources of §7.4)"
-        }
-    });
-    table
-}
-
-const SCALING_SCHEMES: [Scheme; 3] = [Scheme::Hastm, Scheme::Stm, Scheme::Lock];
-const AGGRESSIVE_SCHEMES: [Scheme; 3] = [Scheme::Hastm, Scheme::NaiveAggressive, Scheme::Stm];
-
-/// Cells of Figure 18.
-pub fn fig18_cells(scale: Scale) -> Vec<Cell> {
-    scaling_cells(
-        Structure::Bst,
-        &SCALING_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-    )
-}
-
-/// Figure 18 rendered through `run`.
-pub fn fig18_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    scaling_figure(
-        "Figure 18: multi-core scaling for BST",
-        Structure::Bst,
-        &SCALING_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-        "expected: HASTM best overall; coarse lock does not scale (root lock for rotations)",
-        run,
-    )
-}
-
-/// Figure 18: multi-core scaling for the BST (HASTM / STM / Lock, relative
-/// to single-core lock time).
-pub fn fig18(scale: Scale) -> Table {
-    fig18_with(scale, &mut serial_resolver())
-}
-
-/// Cells of Figure 19.
-pub fn fig19_cells(scale: Scale) -> Vec<Cell> {
-    scaling_cells(
-        Structure::BTree,
-        &SCALING_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-    )
-}
-
-/// Figure 19 rendered through `run`.
-pub fn fig19_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    scaling_figure(
-        "Figure 19: multi-core scaling for Btree",
-        Structure::BTree,
-        &SCALING_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-        "expected: HASTM still best, but its edge over STM shrinks with cores (marked lines lost to cross-core interference force software validation)",
-        run,
-    )
-}
-
-/// Figure 19: multi-core scaling for the B-tree.
-pub fn fig19(scale: Scale) -> Table {
-    fig19_with(scale, &mut serial_resolver())
-}
-
-/// Cells of Figure 20.
-pub fn fig20_cells(scale: Scale) -> Vec<Cell> {
-    scaling_cells(
-        Structure::HashTable,
-        &SCALING_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-    )
-}
-
-/// Figure 20 rendered through `run`.
-pub fn fig20_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    scaling_figure(
-        "Figure 20: multi-core scaling for hash table",
-        Structure::HashTable,
-        &SCALING_SCHEMES,
-        scale,
-        MachinePreset::Scaling,
-        "expected: low contention; HASTM scales as well as STM and stays fastest",
-        run,
-    )
-}
-
-/// Figure 20: multi-core scaling for the hash table (low contention).
-pub fn fig20(scale: Scale) -> Table {
-    fig20_with(scale, &mut serial_resolver())
-}
-
-/// Cells of Figure 21.
-pub fn fig21_cells(scale: Scale) -> Vec<Cell> {
-    scaling_cells(
-        Structure::Bst,
-        &AGGRESSIVE_SCHEMES,
-        scale,
-        MachinePreset::Interference,
-    )
-}
-
-/// Figure 21 rendered through `run`.
-pub fn fig21_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    scaling_figure(
-        "Figure 21: BST scaling (different TM schemes)",
-        Structure::Bst,
-        &AGGRESSIVE_SCHEMES,
-        scale,
-        MachinePreset::Interference,
-        "expected: naive-aggressive scales worst (spurious aborts force re-executions); HASTM unaffected (stays cautious under interference)",
-        run,
-    )
-}
-
-/// Figure 21: BST scaling of HASTM versus the naïve always-aggressive
-/// policy versus STM.
-pub fn fig21(scale: Scale) -> Table {
-    fig21_with(scale, &mut serial_resolver())
-}
-
-/// Cells of Figure 22.
-pub fn fig22_cells(scale: Scale) -> Vec<Cell> {
-    scaling_cells(
-        Structure::BTree,
-        &AGGRESSIVE_SCHEMES,
-        scale,
-        MachinePreset::Interference,
-    )
-}
-
-/// Figure 22 rendered through `run`.
-pub fn fig22_with(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
-    scaling_figure(
-        "Figure 22: Btree scaling (different TM schemes)",
-        Structure::BTree,
-        &AGGRESSIVE_SCHEMES,
-        scale,
-        MachinePreset::Interference,
-        "expected: same shape as Figure 21 on the btree",
-        run,
-    )
-}
-
-/// Figure 22: B-tree scaling of HASTM versus naïve-aggressive versus STM.
-pub fn fig22(scale: Scale) -> Table {
-    fig22_with(scale, &mut serial_resolver())
 }
 
 /// A figure's table builder: renders the table at the given scale,
 /// requesting each cell's output through the resolver.
 pub type BuildFn = fn(Scale, &mut dyn FnMut(&Cell) -> CellOutput) -> Table;
 
-/// One figure in the registry: its cell declaration and its table builder.
+/// How a figure's table is built.
+#[derive(Copy, Clone)]
+pub enum Build {
+    /// By a function of its own.
+    Table(BuildFn),
+    /// As one row of the multi-core scaling family.
+    Scaling(Scaling),
+}
+
+/// One figure in the registry. Its cells are whatever its builder asks
+/// for ([`Figure::cells`]); nothing else lists them.
 #[derive(Copy, Clone)]
 pub struct Figure {
     /// Short name (`fig11` ... `fig22`).
     pub name: &'static str,
-    /// Cells the builder will request (deduplicated, declaration order).
-    pub cells: fn(Scale) -> Vec<Cell>,
-    /// Renders the table, requesting outputs through the resolver. The
-    /// resolver must answer every cell in `cells` (the sweep precomputes
-    /// exactly that set).
-    pub build: BuildFn,
+    /// The table builder.
+    pub build: Build,
 }
 
+impl Figure {
+    /// Renders the table, requesting each cell's output through `run`.
+    pub fn table(&self, scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+        match &self.build {
+            Build::Table(build) => build(scale, run),
+            Build::Scaling(scaling) => scaling.table(scale, run),
+        }
+    }
+
+    /// The table computed serially on this thread, each distinct cell
+    /// simulated once.
+    pub fn serial(&self, scale: Scale) -> Table {
+        self.table(scale, &mut serial_resolver())
+    }
+
+    /// The cells the builder requests at `scale`, deduplicated, in
+    /// first-seen order: the builder is run against a resolver that
+    /// records each request and answers it with a canned output, so
+    /// nothing is simulated.
+    pub fn cells(&self, scale: Scale) -> Vec<Cell> {
+        let mut seen = HashSet::new();
+        let mut cells = Vec::new();
+        self.table(scale, &mut |cell| {
+            if seen.insert(cell.clone()) {
+                cells.push(cell.clone());
+            }
+            match cell {
+                Cell::Ds { .. } => CellOutput::Ds(WorkloadResult {
+                    cycles: 1,
+                    total_ops: 1,
+                    ..WorkloadResult::default()
+                }),
+                Cell::Kernel { .. } => CellOutput::Kernel(KernelResult {
+                    cycles: 1,
+                    ..KernelResult::default()
+                }),
+            }
+        });
+        cells
+    }
+}
+
+const SCALING_SCHEMES: &[Scheme] = &[Scheme::Hastm, Scheme::Stm, Scheme::Lock];
+const AGGRESSIVE_SCHEMES: &[Scheme] = &[Scheme::Hastm, Scheme::NaiveAggressive, Scheme::Stm];
+
 /// Every figure in presentation order. Figure 13 is pure trace analysis
-/// and declares no cells.
+/// and requests no cells.
 pub const FIGURES: [Figure; 12] = [
     Figure {
         name: "fig11",
-        cells: fig11_cells,
-        build: fig11_with,
+        build: Build::Table(fig11),
     },
     Figure {
         name: "fig12",
-        cells: fig12_cells,
-        build: fig12_with,
+        build: Build::Table(fig12),
     },
     Figure {
         name: "fig13",
-        cells: |_| Vec::new(),
-        build: |_, _| fig13(),
+        build: Build::Table(|_, _| fig13()),
     },
+    // The HyTM rows are the paper's upper bound for a hybrid scheme: every
+    // transaction fits in hardware, so software barriers vanish entirely.
     Figure {
         name: "fig14",
-        cells: fig14_cells,
-        build: fig14_with,
+        build: Build::Scaling(Scaling {
+            title: "Figure 14: best-case HyTM scaling vs HASTM and STM (BST)",
+            structure: Structure::Bst,
+            schemes: &[Scheme::Hytm, Scheme::Hastm, Scheme::Stm],
+            machine: MachinePreset::Scaling,
+            expected: "expected: best-case HyTM fastest (hardware barriers are free); HASTM lands between HyTM and STM",
+        }),
     },
     Figure {
         name: "fig15",
-        cells: fig15_cells,
-        build: fig15_with,
+        build: Build::Table(fig15),
     },
     Figure {
         name: "fig16",
-        cells: fig16_cells,
-        build: fig16_with,
+        build: Build::Table(fig16),
     },
     Figure {
         name: "fig17",
-        cells: fig17_cells,
-        build: fig17_with,
+        build: Build::Table(fig17),
     },
     Figure {
         name: "fig18",
-        cells: fig18_cells,
-        build: fig18_with,
+        build: Build::Scaling(Scaling {
+            title: "Figure 18: multi-core scaling for BST",
+            structure: Structure::Bst,
+            schemes: SCALING_SCHEMES,
+            machine: MachinePreset::Scaling,
+            expected: "expected: HASTM best overall; coarse lock does not scale (root lock for rotations)",
+        }),
     },
     Figure {
         name: "fig19",
-        cells: fig19_cells,
-        build: fig19_with,
+        build: Build::Scaling(Scaling {
+            title: "Figure 19: multi-core scaling for Btree",
+            structure: Structure::BTree,
+            schemes: SCALING_SCHEMES,
+            machine: MachinePreset::Scaling,
+            expected: "expected: HASTM still best, but its edge over STM shrinks with cores (marked lines lost to cross-core interference force software validation)",
+        }),
     },
     Figure {
         name: "fig20",
-        cells: fig20_cells,
-        build: fig20_with,
+        build: Build::Scaling(Scaling {
+            title: "Figure 20: multi-core scaling for hash table",
+            structure: Structure::HashTable,
+            schemes: SCALING_SCHEMES,
+            machine: MachinePreset::Scaling,
+            expected: "expected: low contention; HASTM scales as well as STM and stays fastest",
+        }),
     },
+    // HASTM versus the naïve always-aggressive policy versus STM, on the
+    // machine with both §7.4 interference sources.
     Figure {
         name: "fig21",
-        cells: fig21_cells,
-        build: fig21_with,
+        build: Build::Scaling(Scaling {
+            title: "Figure 21: BST scaling (different TM schemes)",
+            structure: Structure::Bst,
+            schemes: AGGRESSIVE_SCHEMES,
+            machine: MachinePreset::Interference,
+            expected: "expected: naive-aggressive scales worst (spurious aborts force re-executions); HASTM unaffected (stays cautious under interference)",
+        }),
     },
     Figure {
         name: "fig22",
-        cells: fig22_cells,
-        build: fig22_with,
+        build: Build::Scaling(Scaling {
+            title: "Figure 22: Btree scaling (different TM schemes)",
+            structure: Structure::BTree,
+            schemes: AGGRESSIVE_SCHEMES,
+            machine: MachinePreset::Interference,
+            expected: "expected: same shape as Figure 21 on the btree",
+        }),
     },
 ];
 
-/// Every figure, in order, computed serially with one shared memo (cells
-/// repeated across figures — e.g. the fig16/fig17 sequential baselines —
-/// run once).
-pub fn all_figures(scale: Scale) -> Vec<Table> {
-    let mut resolver = serial_resolver();
+/// The figure called `name` (`fig11` ... `fig22`).
+///
+/// # Panics
+///
+/// Panics on an unknown name.
+pub fn figure(name: &str) -> &'static Figure {
     FIGURES
         .iter()
-        .map(|f| (f.build)(scale, &mut resolver))
-        .collect()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("unknown figure {name:?}"))
 }
 
 #[cfg(test)]
@@ -920,7 +701,7 @@ mod tests {
 
     #[test]
     fn fig16_quick_shape() {
-        let t = fig16(Scale::Quick);
+        let t = figure("fig16").serial(Scale::Quick);
         assert_eq!(t.rows.len(), 3);
         for r in 0..3 {
             let hastm = t.cell_f64(r, 1);
@@ -950,7 +731,7 @@ mod tests {
 
     #[test]
     fn fig12_read_barrier_dominates() {
-        let t = fig12(Scale::Quick);
+        let t = figure("fig12").serial(Scale::Quick);
         for r in 0..t.rows.len() {
             let rd = t.cell_f64(r, 1);
             let val = t.cell_f64(r, 2);
@@ -963,46 +744,8 @@ mod tests {
     }
 
     #[test]
-    fn declared_cells_cover_every_figure_request() {
-        // Each builder must request only cells its `cells` fn declared —
-        // the parallel sweep precomputes exactly the declared set.
-        for fig in FIGURES {
-            let declared: std::collections::HashSet<Cell> =
-                (fig.cells)(Scale::Quick).into_iter().collect();
-            let mut requested = Vec::new();
-            // Resolve with canned outputs: no simulation, just record.
-            let mut probe = |cell: &Cell| {
-                requested.push(cell.clone());
-                match cell {
-                    Cell::Ds { .. } => CellOutput::Ds(WorkloadResult {
-                        cycles: 1,
-                        report: Default::default(),
-                        txn: Default::default(),
-                        total_ops: 1,
-                        digest: 0,
-                    }),
-                    Cell::Kernel { .. } => CellOutput::Kernel(KernelResult {
-                        cycles: 1,
-                        report: Default::default(),
-                        txn: Default::default(),
-                    }),
-                }
-            };
-            let _ = (fig.build)(Scale::Quick, &mut probe);
-            for cell in &requested {
-                assert!(
-                    declared.contains(cell),
-                    "{}: builder requested undeclared cell {:?}",
-                    fig.name,
-                    cell
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cell_dedup_keeps_declaration_order() {
-        let cells = fig11_cells(Scale::Quick);
+        let cells = figure("fig11").cells(Scale::Quick);
         let unique: std::collections::HashSet<&Cell> = cells.iter().collect();
         assert_eq!(unique.len(), cells.len(), "no duplicates");
         // The Lock 1p baseline is also the first row cell; it appears once.

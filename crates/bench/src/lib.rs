@@ -17,7 +17,7 @@ pub mod sweep;
 pub mod table;
 
 pub use figures::*;
-pub use sweep::{sweep, sweep_selected, FigureRun, SweepConfig, SweepReport};
+pub use sweep::{sweep_selected, FigureRun, SweepConfig, SweepReport};
 pub use table::Table;
 
 /// Experiment scale, from `HASTM_BENCH_SCALE`.

@@ -40,10 +40,11 @@ pub struct ServingRow {
 
 impl ServingRow {
     fn from_metrics(theta: f64, m: &OltpMetrics) -> ServingRow {
+        let [p50, p99] = m.latency.quantiles([0.50, 0.99]);
         ServingRow {
             theta,
-            p50: m.p50(),
-            p99: m.p99(),
+            p50,
+            p99,
             goodput: m.goodput_per_munit(),
             amplification: m.abort_retry_amplification(),
             commits: m.commits,

@@ -1,6 +1,6 @@
 //! Parallel figure sweep: a work-queue executor over figure [`Cell`]s.
 //!
-//! Every figure declares its cells up front ([`FIGURES`]); the sweep
+//! Every figure's cells are known up front ([`Figure::cells`]); the sweep
 //! deduplicates them across figures and hands them out to N host threads
 //! through a shared cursor. Because [`run_cell`] is deterministic (the
 //! simulator's worker interleaving is fixed by its logical-clock turn
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::figures::{run_cell, Cell, CellOutput, FIGURES};
+use crate::figures::{figure, run_cell, Cell, CellOutput, Figure};
 use crate::table::Table;
 use crate::Scale;
 
@@ -80,39 +80,17 @@ pub struct SweepReport {
     pub simulated_cycles: u64,
 }
 
-impl SweepReport {
-    /// Tables in presentation order.
-    pub fn tables(&self) -> Vec<&Table> {
-        self.figures.iter().map(|f| &f.table).collect()
-    }
-}
-
-/// Sweeps every figure. See [`sweep_selected`].
-pub fn sweep(scale: Scale, config: &SweepConfig) -> SweepReport {
-    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-    sweep_selected(&names, scale, config)
-}
-
-/// Sweeps the named figures (names as in [`FIGURES`]) on
+/// Sweeps the named figures (names as in [`crate::FIGURES`]) on
 /// `config.threads` host threads and renders their tables.
 ///
 /// # Panics
 ///
-/// Panics on an unknown figure name, if a builder requests a cell its
-/// figure did not declare, if a worker panics, or — under
+/// Panics on an unknown figure name, if a worker panics, or — under
 /// `config.verify` — if any parallel cell output differs from the serial
 /// re-run.
 pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> SweepReport {
     let start = Instant::now();
-    let figures: Vec<_> = names
-        .iter()
-        .map(|name| {
-            FIGURES
-                .iter()
-                .find(|f| f.name == *name)
-                .unwrap_or_else(|| panic!("unknown figure {name:?}"))
-        })
-        .collect();
+    let figures: Vec<&Figure> = names.iter().map(|name| figure(name)).collect();
 
     // Declare and dedup cells across figures, preserving first-seen order.
     let mut index_of: HashMap<Cell, usize> = HashMap::new();
@@ -120,7 +98,7 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
     // (declared cell indices, fresh count) per figure.
     let mut declared: Vec<(Vec<usize>, usize)> = Vec::new();
     for fig in &figures {
-        let cells = (fig.cells)(scale);
+        let cells = fig.cells(scale);
         let mut indices = Vec::with_capacity(cells.len());
         let mut fresh = 0;
         for cell in cells {
@@ -151,17 +129,13 @@ pub fn sweep_selected(names: &[&str], scale: Scale, config: &SweepConfig) -> Swe
     // Render tables through a resolver answering from the completed jobs.
     let mut runs = Vec::with_capacity(figures.len());
     for (fig, (indices, fresh)) in figures.iter().zip(&declared) {
-        let mut resolve = |cell: &Cell| -> CellOutput {
-            let idx = *index_of.get(cell).unwrap_or_else(|| {
-                panic!(
-                    "{}: builder requested undeclared cell {} ({cell:?})",
-                    fig.name,
-                    cell.label()
-                )
-            });
-            outputs[idx].clone()
+        let mut resolve = |cell: &Cell| match index_of.get(cell) {
+            Some(&idx) => outputs[idx].clone(),
+            // A request `Figure::cells` did not see (the canned outputs
+            // steered the builder elsewhere): computed here, serially.
+            None => run_cell(cell),
         };
-        let table = (fig.build)(scale, &mut resolve);
+        let table = fig.table(scale, &mut resolve);
         let simulated_cycles = indices.iter().map(|&i| outputs[i].cycles()).sum();
         runs.push(FigureRun {
             name: fig.name,
@@ -232,7 +206,7 @@ mod tests {
         assert_eq!(report.figures.len(), 2);
         assert_eq!(report.figures[0].name, "fig13");
         assert_eq!(report.figures[0].cells, 0, "fig13 is pure analysis");
-        let serial = crate::figures::fig12(Scale::Quick);
+        let serial = figure("fig12").serial(Scale::Quick);
         assert_eq!(
             report.figures[1].table.render(),
             serial.render(),

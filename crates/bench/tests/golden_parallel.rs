@@ -18,8 +18,8 @@
 
 use std::collections::HashSet;
 
-use hastm_bench::figures::{Cell, FIGURES};
-use hastm_bench::{fig11, fig12, fig15, fig16, fig17, fig21, sweep_selected, Scale, SweepConfig};
+use hastm_bench::figures::{figure, Cell, FIGURES};
+use hastm_bench::{sweep_selected, Scale, SweepConfig};
 use hastm_sim::GateMode;
 use hastm_workloads::run_workload;
 
@@ -30,24 +30,13 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         threads: 4,
         verify: true,
     };
-    let report = sweep_selected(
-        &["fig11", "fig12", "fig15", "fig16", "fig17", "fig21"],
-        scale,
-        &config,
-    );
-    let serial = [
-        fig11(scale),
-        fig12(scale),
-        fig15(scale),
-        fig16(scale),
-        fig17(scale),
-        fig21(scale),
-    ];
-    assert_eq!(report.figures.len(), serial.len());
-    for (run, serial_table) in report.figures.iter().zip(&serial) {
+    let names = ["fig11", "fig12", "fig15", "fig16", "fig17", "fig21"];
+    let report = sweep_selected(&names, scale, &config);
+    assert_eq!(report.figures.len(), names.len());
+    for (run, name) in report.figures.iter().zip(names) {
         assert_eq!(
             run.table.render(),
-            serial_table.render(),
+            figure(name).serial(scale).render(),
             "{}: parallel table must be byte-identical to serial",
             run.name
         );
@@ -62,7 +51,7 @@ fn gate_modes_produce_bit_identical_outputs() {
     let mut seen: HashSet<Cell> = HashSet::new();
     let multi_core: Vec<Cell> = FIGURES
         .iter()
-        .flat_map(|fig| (fig.cells)(scale))
+        .flat_map(|fig| fig.cells(scale))
         .filter(|cell| cell.cores() > 1 && seen.insert(cell.clone()))
         .collect();
     assert!(

@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
-use hastm::{ModePolicy, OracleMode, StmRuntime, TimeBreakdown};
+use hastm::{Abort, ModePolicy, OracleMode, StmRuntime, TimeBreakdown};
 use hastm_locks::SpinLock;
 use hastm_sim::{
     Cpu, FaultEvent, GateMode, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent,
@@ -316,37 +316,26 @@ pub struct Observation {
 /// Folds one thread's executor statistics into a shared observation.
 fn observe_thread(obs: &Mutex<Observation>, ex: &ThreadExec<'_, '_>) {
     let mut obs = obs.lock().unwrap();
-    if let Some(st) = ex.txn_stats() {
-        obs.commits += st.commits;
-        obs.aborts += st.aborts();
-        obs.ro_commits += st.ro_commits;
-        obs.ro_aborts += st.ro_aborts;
-        obs.phase_transitions += st.phase_transitions;
-        obs.serial_commits += st.serial_commits;
-        obs.breakdown.merge(&st.breakdown);
-        for (n, label) in [
-            (st.aborts_conflict, "conflict"),
-            (st.aborts_mark_dirty, "mark-dirty"),
-            (st.aborts_retry, "retry"),
-            (st.aborts_explicit, "explicit"),
-        ] {
-            if n > 0 {
-                obs.abort_causes.insert(label);
-            }
-        }
-    }
-    if let Some(st) = ex.hytm_stats() {
-        obs.commits += st.hw_commits + st.sw_commits;
-        obs.aborts += st.hw_aborts_conflict + st.hw_aborts_capacity + st.hw_aborts_spurious;
-        for (n, label) in [
-            (st.hw_aborts_conflict, "hw-conflict"),
-            (st.hw_aborts_capacity, "hw-capacity"),
-            (st.hw_aborts_spurious, "hw-spurious"),
-            (st.sw_commits, "hw-fallback"),
-        ] {
-            if n > 0 {
-                obs.abort_causes.insert(label);
-            }
+    let st = ex.stats();
+    obs.commits += st.commits();
+    obs.aborts += st.aborts();
+    obs.ro_commits += st.txn.ro_commits;
+    obs.ro_aborts += st.txn.ro_aborts;
+    obs.phase_transitions += st.txn.phase_transitions;
+    obs.serial_commits += st.txn.serial_commits;
+    obs.breakdown.merge(&st.txn.breakdown);
+    for (n, label) in [
+        (st.txn.aborts_conflict, Abort::Conflict.slug()),
+        (st.txn.aborts_mark_dirty, Abort::MarkCounterDirty.slug()),
+        (st.txn.aborts_retry, Abort::Retry.slug()),
+        (st.txn.aborts_explicit, Abort::Explicit.slug()),
+        (st.hytm.hw_aborts_conflict, "hw-conflict"),
+        (st.hytm.hw_aborts_capacity, "hw-capacity"),
+        (st.hytm.hw_aborts_spurious, "hw-spurious"),
+        (st.hytm.sw_commits, "hw-fallback"),
+    ] {
+        if n > 0 {
+            obs.abort_causes.insert(label);
         }
     }
 }

@@ -268,6 +268,19 @@ pub enum Abort {
     Explicit,
 }
 
+impl Abort {
+    /// The cause's short name — what trace events and coverage reports
+    /// call it.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Abort::Conflict => "conflict",
+            Abort::MarkCounterDirty => "mark-dirty",
+            Abort::Retry => "retry",
+            Abort::Explicit => "explicit",
+        }
+    }
+}
+
 impl std::fmt::Display for Abort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

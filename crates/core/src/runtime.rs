@@ -152,19 +152,6 @@ impl StmRuntime {
         violations
     }
 
-    /// Collects the unified counters registry for a finished run: the
-    /// aggregated per-thread [`crate::TxnStats`] plus the machine's
-    /// [`hastm_sim::RunReport`], flattened under stable dotted names (see
-    /// [`crate::MetricsSnapshot`]). Harnesses should dump this instead of
-    /// hand-picking fields from the two stats structs.
-    pub fn metrics_snapshot(
-        &self,
-        txn: &crate::TxnStats,
-        report: &hastm_sim::RunReport,
-    ) -> crate::MetricsSnapshot {
-        crate::MetricsSnapshot::collect(txn, report)
-    }
-
     /// Allocates an object shell (header + `data_words` words) and returns
     /// the `(ref, header_value)` pair; the caller must store
     /// `header_value` at `ref.header()` before sharing the object. (Done by

@@ -1,10 +1,10 @@
 //! Per-thread transaction statistics, the execution-time breakdown used
 //! by Figures 12 and 17, and the unified counters registry
-//! ([`MetricsSnapshot`]) that flattens STM + simulator statistics into one
-//! machine-readable dump.
+//! ([`MetricsSnapshot`]) that concatenates the stack's counter tables into
+//! one machine-readable dump.
 
 use crate::config::Abort;
-use hastm_sim::{RunReport, TxnPhase};
+use hastm_sim::{counters, CoreStats, RunReport, TxnPhase};
 
 /// Category of transactional work, for time attribution (Figure 12).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -41,23 +41,24 @@ impl Category {
     }
 }
 
-/// Cycle totals per [`Category`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TimeBreakdown {
-    /// `gettxndesc` / TLS cycles.
-    pub tls: u64,
-    /// Read-barrier cycles.
-    pub read_barrier: u64,
-    /// Write-barrier cycles.
-    pub write_barrier: u64,
-    /// Validation cycles.
-    pub validate: u64,
-    /// Commit cycles.
-    pub commit: u64,
-    /// Contention-management cycles.
-    pub contention: u64,
-    /// Everything else (application work, begin/abort bookkeeping).
-    pub app: u64,
+counters! {
+    /// Cycle totals per [`Category`].
+    pub struct TimeBreakdown {
+        /// `gettxndesc` / TLS cycles.
+        tls: "breakdown.tls",
+        /// Read-barrier cycles.
+        read_barrier: "breakdown.read_barrier",
+        /// Write-barrier cycles.
+        write_barrier: "breakdown.write_barrier",
+        /// Validation cycles.
+        validate: "breakdown.validate",
+        /// Commit cycles.
+        commit: "breakdown.commit",
+        /// Contention-management cycles.
+        contention: "breakdown.contention",
+        /// Everything else (application work, begin/abort bookkeeping).
+        app: "breakdown.app",
+    }
 }
 
 impl TimeBreakdown {
@@ -89,99 +90,114 @@ impl TimeBreakdown {
     pub fn overhead(&self) -> u64 {
         self.total() - self.app
     }
-
-    /// Accumulates another breakdown into this one.
-    pub fn merge(&mut self, other: &TimeBreakdown) {
-        self.tls += other.tls;
-        self.read_barrier += other.read_barrier;
-        self.write_barrier += other.write_barrier;
-        self.validate += other.validate;
-        self.commit += other.commit;
-        self.contention += other.contention;
-        self.app += other.app;
-    }
 }
 
-/// Counters kept by each transactional thread.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TxnStats {
-    /// Committed transactions (top-level).
-    pub commits: u64,
-    /// Aborts due to validation/contention conflicts.
-    pub aborts_conflict: u64,
-    /// Aggressive-mode aborts due to a dirty mark counter.
-    pub aborts_mark_dirty: u64,
-    /// User-requested retries (condition synchronization).
-    pub aborts_retry: u64,
-    /// User-requested aborts.
-    pub aborts_explicit: u64,
-    /// Nested transactions begun.
-    pub nested_begins: u64,
-    /// Nested transactions partially rolled back.
-    pub nested_rollbacks: u64,
-    /// Read barriers that took the 2-instruction mark-filtered fast path.
-    pub read_fast_path: u64,
-    /// Read barriers that took a slow path.
-    pub read_slow_path: u64,
-    /// Read barriers whose logging was elided by aggressive mode.
-    pub reads_unlogged: u64,
-    /// Write barriers that took the write-filter fast path (§5 extension).
-    pub write_fast_path: u64,
-    /// Undo-log appends elided by write filtering (§5 extension).
-    pub undo_elided: u64,
-    /// Validations satisfied by a zero mark counter alone.
-    pub validations_skipped: u64,
-    /// Validations that walked the read set.
-    pub validations_full: u64,
-    /// Transactions that committed in aggressive mode.
-    pub aggressive_commits: u64,
-    /// Transactions that committed in cautious mode.
-    pub cautious_commits: u64,
-    /// Times a barrier found the record owned by another transaction.
-    pub contention_encounters: u64,
-    /// Commits the serializability oracle checked (linearization evidence;
-    /// zero unless [`crate::StmConfig::oracle`] is on).
-    pub oracle_commits_checked: u64,
-    /// Reads the oracle cross-checked against the pre-transaction image.
-    pub oracle_reads_checked: u64,
-    /// Unserializable reads the oracle found (only nonzero in
-    /// [`crate::OracleMode::Record`]; `Panic` mode dies on the first).
-    pub oracle_violations: u64,
-    /// Snapshot read-only transactions committed
-    /// ([`crate::Versioning::Multi`] only; a subset of `commits`).
-    pub ro_commits: u64,
-    /// Snapshot read-only transactions aborted. Only user-initiated
-    /// retries/aborts can land here — the snapshot path cannot
-    /// conflict-abort, which the test battery asserts as "zero RO aborts".
-    pub ro_aborts: u64,
-    /// Reads served by the snapshot path (version ring or ring-miss
-    /// memory image).
-    pub snapshot_reads: u64,
-    /// Versions this thread's commits published into the version rings.
-    pub versions_published: u64,
-    /// Attempts begun in each global phase (indexed by
-    /// [`crate::Phase::idx`]; all-zero unless the policy is
-    /// [`crate::ModePolicy::Phased`]).
-    pub phase_begins: [u64; 4],
-    /// Commits landed in each global phase.
-    pub phase_commits: [u64; 4],
-    /// Conflict-classified aborts per phase.
-    pub phase_aborts_conflict: [u64; 4],
-    /// Capacity-classified aborts per phase.
-    pub phase_aborts_capacity: [u64; 4],
-    /// Cycles spent executing attempts in each phase (time-in-phase, the
-    /// HyTM cost-model numerator).
-    pub phase_cycles: [u64; 4],
-    /// Non-application (barrier/validate/commit/contention) cycles of
-    /// those attempts — the per-phase fast-path penalty.
-    pub phase_overhead_cycles: [u64; 4],
-    /// Phase transitions this thread published.
-    pub phase_transitions: u64,
-    /// Transactions committed on the irrevocable serial path (a subset of
-    /// `commits`).
-    pub serial_commits: u64,
-    /// Execution-time breakdown.
-    pub breakdown: TimeBreakdown,
+counters! {
+    /// Counters kept by each transactional thread.
+    pub struct TxnStats {
+        /// Committed transactions (top-level).
+        commits: "txn.commits",
+        /// Aborts due to validation/contention conflicts.
+        aborts_conflict: "txn.aborts.conflict",
+        /// Aggressive-mode aborts due to a dirty mark counter.
+        aborts_mark_dirty: "txn.aborts.mark_dirty",
+        /// User-requested retries (condition synchronization).
+        aborts_retry: "txn.aborts.retry",
+        /// User-requested aborts.
+        aborts_explicit: "txn.aborts.explicit",
+        /// Nested transactions begun.
+        nested_begins: "txn.nested.begins",
+        /// Nested transactions partially rolled back.
+        nested_rollbacks: "txn.nested.rollbacks",
+        /// Read barriers that took the 2-instruction mark-filtered fast path.
+        read_fast_path: "txn.read.fast_path",
+        /// Read barriers that took a slow path.
+        read_slow_path: "txn.read.slow_path",
+        /// Read barriers whose logging was elided by aggressive mode.
+        reads_unlogged: "txn.read.unlogged",
+        /// Write barriers that took the write-filter fast path (§5 extension).
+        write_fast_path: "txn.write.fast_path",
+        /// Undo-log appends elided by write filtering (§5 extension).
+        undo_elided: "txn.write.undo_elided",
+        /// Validations satisfied by a zero mark counter alone.
+        validations_skipped: "txn.validate.skipped",
+        /// Validations that walked the read set.
+        validations_full: "txn.validate.full",
+        /// Transactions that committed in aggressive mode.
+        aggressive_commits: "txn.commit.aggressive",
+        /// Transactions that committed in cautious mode.
+        cautious_commits: "txn.commit.cautious",
+        /// Times a barrier found the record owned by another transaction.
+        contention_encounters: "txn.contention.encounters",
+        /// Commits the serializability oracle checked (linearization evidence;
+        /// zero unless [`crate::StmConfig::oracle`] is on).
+        oracle_commits_checked: "txn.oracle.commits_checked",
+        /// Reads the oracle cross-checked against the pre-transaction image.
+        oracle_reads_checked: "txn.oracle.reads_checked",
+        /// Unserializable reads the oracle found (only nonzero in
+        /// [`crate::OracleMode::Record`]; `Panic` mode dies on the first).
+        oracle_violations: "txn.oracle.violations",
+        /// Snapshot read-only transactions committed
+        /// ([`crate::Versioning::Multi`] only; a subset of `commits`).
+        ro_commits: "txn.ro.commits",
+        /// Snapshot read-only transactions aborted. Only user-initiated
+        /// retries/aborts can land here — the snapshot path cannot
+        /// conflict-abort, which the test battery asserts as "zero RO aborts".
+        ro_aborts: "txn.ro.aborts",
+        /// Reads served by the snapshot path (version ring or ring-miss
+        /// memory image).
+        snapshot_reads: "txn.ro.snapshot_reads",
+        /// Versions this thread's commits published into the version rings.
+        versions_published: "txn.ro.versions_published",
+        /// Attempts begun in each global phase (indexed by
+        /// [`crate::Phase::idx`]; all-zero unless the policy is
+        /// [`crate::ModePolicy::Phased`]).
+        phase_begins: [
+            "phase.hw.begins",
+            "phase.aggr.begins",
+            "phase.caut.begins",
+            "phase.serial.begins"
+        ],
+        /// Commits landed in each global phase.
+        phase_commits: [
+            "phase.hw.commits",
+            "phase.aggr.commits",
+            "phase.caut.commits",
+            "phase.serial.commits"
+        ],
+        /// Conflict-classified aborts per phase.
+        phase_aborts_conflict: [
+            "phase.hw.aborts_conflict",
+            "phase.aggr.aborts_conflict",
+            "phase.caut.aborts_conflict",
+            "phase.serial.aborts_conflict"
+        ],
+        /// Capacity-classified aborts per phase.
+        phase_aborts_capacity: [
+            "phase.hw.aborts_capacity",
+            "phase.aggr.aborts_capacity",
+            "phase.caut.aborts_capacity",
+            "phase.serial.aborts_capacity"
+        ],
+        /// Cycles spent executing attempts in each phase (time-in-phase, the
+        /// HyTM cost-model numerator).
+        phase_cycles: ["phase.hw.cycles", "phase.aggr.cycles", "phase.caut.cycles", "phase.serial.cycles"],
+        /// Non-application (barrier/validate/commit/contention) cycles of
+        /// those attempts — the per-phase fast-path penalty.
+        phase_overhead_cycles: [
+            "phase.hw.overhead_cycles",
+            "phase.aggr.overhead_cycles",
+            "phase.caut.overhead_cycles",
+            "phase.serial.overhead_cycles"
+        ],
+        /// Phase transitions this thread published.
+        phase_transitions: "phase.transitions",
+        /// Transactions committed on the irrevocable serial path (a subset of
+        /// `commits`).
+        serial_commits: "phase.serial_commits",
+        /// Execution-time breakdown.
+        breakdown: TimeBreakdown,
+    }
 }
 
 impl TxnStats {
@@ -198,46 +214,6 @@ impl TxnStats {
             Abort::Retry => self.aborts_retry += 1,
             Abort::Explicit => self.aborts_explicit += 1,
         }
-    }
-
-    /// Merges another thread's stats into this one (for aggregation across
-    /// cores).
-    pub fn merge(&mut self, other: &TxnStats) {
-        self.commits += other.commits;
-        self.aborts_conflict += other.aborts_conflict;
-        self.aborts_mark_dirty += other.aborts_mark_dirty;
-        self.aborts_retry += other.aborts_retry;
-        self.aborts_explicit += other.aborts_explicit;
-        self.nested_begins += other.nested_begins;
-        self.nested_rollbacks += other.nested_rollbacks;
-        self.read_fast_path += other.read_fast_path;
-        self.read_slow_path += other.read_slow_path;
-        self.reads_unlogged += other.reads_unlogged;
-        self.write_fast_path += other.write_fast_path;
-        self.undo_elided += other.undo_elided;
-        self.validations_skipped += other.validations_skipped;
-        self.validations_full += other.validations_full;
-        self.aggressive_commits += other.aggressive_commits;
-        self.cautious_commits += other.cautious_commits;
-        self.contention_encounters += other.contention_encounters;
-        self.oracle_commits_checked += other.oracle_commits_checked;
-        self.oracle_reads_checked += other.oracle_reads_checked;
-        self.oracle_violations += other.oracle_violations;
-        self.ro_commits += other.ro_commits;
-        self.ro_aborts += other.ro_aborts;
-        self.snapshot_reads += other.snapshot_reads;
-        self.versions_published += other.versions_published;
-        for p in 0..4 {
-            self.phase_begins[p] += other.phase_begins[p];
-            self.phase_commits[p] += other.phase_commits[p];
-            self.phase_aborts_conflict[p] += other.phase_aborts_conflict[p];
-            self.phase_aborts_capacity[p] += other.phase_aborts_capacity[p];
-            self.phase_cycles[p] += other.phase_cycles[p];
-            self.phase_overhead_cycles[p] += other.phase_overhead_cycles[p];
-        }
-        self.phase_transitions += other.phase_transitions;
-        self.serial_commits += other.serial_commits;
-        self.breakdown.merge(&other.breakdown);
     }
 }
 
@@ -273,13 +249,21 @@ impl LatencyStats {
 
     /// The nearest-rank `q`-quantile (`q` in `(0, 1]`); 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
+        self.quantiles([q])[0]
+    }
+
+    /// The nearest-rank quantile for each of `qs`, from one sort of the
+    /// samples.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
         if self.samples.is_empty() {
-            return 0;
+            return [0; N];
         }
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        qs.map(|q| {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            sorted[rank - 1]
+        })
     }
 
     /// Largest sample; 0 when empty.
@@ -297,12 +281,14 @@ impl LatencyStats {
     }
 }
 
-/// A flat, ordered registry of every counter the stack keeps — the STM's
-/// [`TxnStats`] (including the time breakdown) and the simulator's
-/// [`RunReport`] (per-core counters summed, machine-wide counters, and the
-/// makespan) — under stable dotted names, with a machine-readable JSON
-/// dump. This is the single place harnesses should read counters from
-/// instead of spelunking both stats structs.
+/// A flat, ordered registry of counters under stable dotted names, with a
+/// machine-readable JSON dump. A counter is declared once, as a row of its
+/// owner's [`counters!`] table (`txn.*`, `phase.*` and `breakdown.*` here,
+/// `sim.*` in `hastm-sim`, `htm.*`/`hytm.*` in `hastm-htm`, `native.*` in
+/// `hastm-native`); a snapshot is those tables' entries concatenated,
+/// plus the few values derived from them. This is the single place
+/// harnesses should read counters from instead of spelunking the stats
+/// structs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     entries: Vec<(&'static str, u64)>,
@@ -310,119 +296,33 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Collects a snapshot from an aggregated [`TxnStats`] and the run's
-    /// [`RunReport`].
+    /// [`RunReport`]: each struct's [`counters!`] rows (per-core counters
+    /// summed), plus the five values derived from them.
     pub fn collect(txn: &TxnStats, report: &RunReport) -> Self {
-        let b = &txn.breakdown;
-        let mut entries: Vec<(&'static str, u64)> = vec![
-            ("txn.commits", txn.commits),
-            ("txn.aborts", txn.aborts()),
-            ("txn.aborts.conflict", txn.aborts_conflict),
-            ("txn.aborts.mark_dirty", txn.aborts_mark_dirty),
-            ("txn.aborts.retry", txn.aborts_retry),
-            ("txn.aborts.explicit", txn.aborts_explicit),
-            ("txn.nested.begins", txn.nested_begins),
-            ("txn.nested.rollbacks", txn.nested_rollbacks),
-            ("txn.read.fast_path", txn.read_fast_path),
-            ("txn.read.slow_path", txn.read_slow_path),
-            ("txn.read.unlogged", txn.reads_unlogged),
-            ("txn.write.fast_path", txn.write_fast_path),
-            ("txn.write.undo_elided", txn.undo_elided),
-            ("txn.validate.skipped", txn.validations_skipped),
-            ("txn.validate.full", txn.validations_full),
-            ("txn.commit.aggressive", txn.aggressive_commits),
-            ("txn.commit.cautious", txn.cautious_commits),
-            ("txn.contention.encounters", txn.contention_encounters),
-            ("txn.oracle.commits_checked", txn.oracle_commits_checked),
-            ("txn.oracle.reads_checked", txn.oracle_reads_checked),
-            ("txn.oracle.violations", txn.oracle_violations),
-            ("txn.ro.commits", txn.ro_commits),
-            ("txn.ro.aborts", txn.ro_aborts),
-            ("txn.ro.snapshot_reads", txn.snapshot_reads),
-            ("txn.ro.versions_published", txn.versions_published),
-            ("phase.transitions", txn.phase_transitions),
-            ("phase.serial_commits", txn.serial_commits),
-            ("phase.hw.begins", txn.phase_begins[0]),
-            ("phase.aggr.begins", txn.phase_begins[1]),
-            ("phase.caut.begins", txn.phase_begins[2]),
-            ("phase.serial.begins", txn.phase_begins[3]),
-            ("phase.hw.commits", txn.phase_commits[0]),
-            ("phase.aggr.commits", txn.phase_commits[1]),
-            ("phase.caut.commits", txn.phase_commits[2]),
-            ("phase.serial.commits", txn.phase_commits[3]),
-            ("phase.hw.aborts_conflict", txn.phase_aborts_conflict[0]),
-            ("phase.aggr.aborts_conflict", txn.phase_aborts_conflict[1]),
-            ("phase.caut.aborts_conflict", txn.phase_aborts_conflict[2]),
-            ("phase.serial.aborts_conflict", txn.phase_aborts_conflict[3]),
-            ("phase.hw.aborts_capacity", txn.phase_aborts_capacity[0]),
-            ("phase.aggr.aborts_capacity", txn.phase_aborts_capacity[1]),
-            ("phase.caut.aborts_capacity", txn.phase_aborts_capacity[2]),
-            ("phase.serial.aborts_capacity", txn.phase_aborts_capacity[3]),
-            ("phase.hw.cycles", txn.phase_cycles[0]),
-            ("phase.aggr.cycles", txn.phase_cycles[1]),
-            ("phase.caut.cycles", txn.phase_cycles[2]),
-            ("phase.serial.cycles", txn.phase_cycles[3]),
-            ("phase.hw.overhead_cycles", txn.phase_overhead_cycles[0]),
-            ("phase.aggr.overhead_cycles", txn.phase_overhead_cycles[1]),
-            ("phase.caut.overhead_cycles", txn.phase_overhead_cycles[2]),
-            ("phase.serial.overhead_cycles", txn.phase_overhead_cycles[3]),
-            ("breakdown.tls", b.tls),
-            ("breakdown.read_barrier", b.read_barrier),
-            ("breakdown.write_barrier", b.write_barrier),
-            ("breakdown.validate", b.validate),
-            ("breakdown.commit", b.commit),
-            ("breakdown.contention", b.contention),
-            ("breakdown.app", b.app),
-            ("breakdown.total", b.total()),
-            ("breakdown.overhead", b.overhead()),
-        ];
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        let mut l1_hits = 0u64;
-        let mut l1_misses = 0u64;
-        let mut l2_hits = 0u64;
-        let mut mem_accesses = 0u64;
-        let mut marked_lines_lost = 0u64;
-        let mut marked_lost_capacity = 0u64;
-        let mut marked_lost_conflict = 0u64;
-        let mut mark_sets = 0u64;
-        let mut mark_tests = 0u64;
-        let mut mark_test_hits = 0u64;
-        let mut invalidations = 0u64;
+        let mut cores = CoreStats::default();
         for c in &report.cores {
-            loads += c.loads;
-            stores += c.stores;
-            l1_hits += c.l1_hits;
-            l1_misses += c.l1_misses;
-            l2_hits += c.l2_hits;
-            mem_accesses += c.mem_accesses;
-            marked_lines_lost += c.marked_lines_lost;
-            marked_lost_capacity += c.marked_lost_capacity;
-            marked_lost_conflict += c.marked_lost_conflict;
-            mark_sets += c.mark_sets;
-            mark_tests += c.mark_tests;
-            mark_test_hits += c.mark_test_hits;
-            invalidations += c.invalidations_received;
+            cores.merge(c);
         }
-        entries.extend([
-            ("sim.loads", loads),
-            ("sim.stores", stores),
-            ("sim.l1_hits", l1_hits),
-            ("sim.l1_misses", l1_misses),
-            ("sim.l2_hits", l2_hits),
-            ("sim.mem_accesses", mem_accesses),
-            ("sim.marked_lines_lost", marked_lines_lost),
-            ("sim.marked_lost_capacity", marked_lost_capacity),
-            ("sim.marked_lost_conflict", marked_lost_conflict),
-            ("sim.mark_sets", mark_sets),
-            ("sim.mark_tests", mark_tests),
-            ("sim.mark_test_hits", mark_test_hits),
-            ("sim.invalidations_received", invalidations),
-            ("sim.l2_evictions", report.machine.l2_evictions),
-            ("sim.back_invalidations", report.machine.back_invalidations),
+        let mut snap = MetricsSnapshot::default();
+        snap.extend(txn.entries());
+        snap.extend([
+            ("txn.aborts", txn.aborts()),
+            ("breakdown.total", txn.breakdown.total()),
+            ("breakdown.overhead", txn.breakdown.overhead()),
+        ]);
+        snap.extend(cores.entries());
+        snap.extend(report.machine.entries());
+        snap.extend([
             ("sim.makespan", report.makespan()),
             ("sim.cores", report.cores.len() as u64),
         ]);
-        MetricsSnapshot { entries }
+        snap
+    }
+
+    /// Appends counters — any [`counters!`] struct's `entries()`, or
+    /// values derived from them.
+    pub fn extend(&mut self, entries: impl IntoIterator<Item = (&'static str, u64)>) {
+        self.entries.extend(entries);
     }
 
     /// Appends serving-style latency counters from `latency` (the OLTP
@@ -430,11 +330,12 @@ impl MetricsSnapshot {
     /// snapshot from an open-loop run carries its p50/p99 alongside the
     /// commit/abort/breakdown registry.
     pub fn push_latency(&mut self, latency: &LatencyStats) {
+        let [p50, p90, p99] = latency.quantiles([0.50, 0.90, 0.99]);
         self.entries.extend([
             ("latency.count", latency.count()),
-            ("latency.p50", latency.quantile(0.50)),
-            ("latency.p90", latency.quantile(0.90)),
-            ("latency.p99", latency.quantile(0.99)),
+            ("latency.p50", p50),
+            ("latency.p90", p90),
+            ("latency.p99", p99),
             ("latency.max", latency.max()),
             ("latency.mean", latency.mean()),
         ]);
@@ -528,30 +429,5 @@ mod tests {
         s.record_abort(Abort::Retry);
         assert_eq!(s.aborts(), 3);
         assert_eq!(s.aborts_mark_dirty, 1);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = TxnStats {
-            commits: 2,
-            ..TxnStats::default()
-        };
-        a.breakdown.app = 100;
-        let mut b = TxnStats {
-            commits: 3,
-            read_fast_path: 7,
-            oracle_commits_checked: 3,
-            oracle_reads_checked: 11,
-            oracle_violations: 1,
-            ..TxnStats::default()
-        };
-        b.breakdown.app = 50;
-        a.merge(&b);
-        assert_eq!(a.commits, 5);
-        assert_eq!(a.breakdown.app, 150);
-        assert_eq!(a.read_fast_path, 7);
-        assert_eq!(a.oracle_commits_checked, 3);
-        assert_eq!(a.oracle_reads_checked, 11);
-        assert_eq!(a.oracle_violations, 1);
     }
 }

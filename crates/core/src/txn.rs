@@ -803,12 +803,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
         }
         self.stats.record_abort(cause);
         self.cpu.trace(hastm_sim::TraceEvent::TxnAbort {
-            cause: match cause {
-                Abort::Conflict => "conflict",
-                Abort::MarkCounterDirty => "mark-dirty",
-                Abort::Retry => "retry",
-                Abort::Explicit => "explicit",
-            },
+            cause: cause.slug(),
         });
         // Thread the abort's cause class (conflict vs capacity) to the
         // controller and the phase heuristics: a record conflict is a

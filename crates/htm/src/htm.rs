@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use hastm_sim::{Addr, Cpu, ViolationCause, WatchKind};
+use hastm_sim::{counters, Addr, Cpu, ViolationCause, WatchKind};
 
 /// Why a hardware transaction aborted.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -44,19 +44,20 @@ impl std::fmt::Display for HtmAbort {
 
 impl std::error::Error for HtmAbort {}
 
-/// Counters for one hardware-transactional thread.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HtmStats {
-    /// Committed hardware transactions.
-    pub commits: u64,
-    /// Aborts from true coherence conflicts.
-    pub aborts_conflict: u64,
-    /// Aborts from capacity/eviction (spurious).
-    pub aborts_capacity: u64,
-    /// User aborts.
-    pub aborts_explicit: u64,
-    /// Injected transient aborts ([`HtmAbort::Spurious`]).
-    pub aborts_spurious: u64,
+counters! {
+    /// Counters for one hardware-transactional thread.
+    pub struct HtmStats {
+        /// Committed hardware transactions.
+        commits: "htm.commits",
+        /// Aborts from true coherence conflicts.
+        aborts_conflict: "htm.aborts.conflict",
+        /// Aborts from capacity/eviction (spurious).
+        aborts_capacity: "htm.aborts.capacity",
+        /// User aborts.
+        aborts_explicit: "htm.aborts.explicit",
+        /// Injected transient aborts ([`HtmAbort::Spurious`]).
+        aborts_spurious: "htm.aborts.spurious",
+    }
 }
 
 impl HtmStats {

@@ -17,26 +17,40 @@
 use hastm::{
     Abort, Granularity, ObjRef, OracleMode, RecValue, StmRuntime, TmContext, TxResult, TxThread,
 };
-use hastm_sim::{Addr, Cpu};
+use hastm_sim::{counters, Addr, Cpu};
 
 use crate::htm::{HtmAbort, HtmThread, HtmTxn};
 
-/// Counters for one hybrid thread.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HytmStats {
-    /// Transactions committed on the hardware path.
-    pub hw_commits: u64,
-    /// Transactions that fell back to and committed on the software path.
-    pub sw_commits: u64,
-    /// Hardware attempts aborted by conflicts (coherence or a record owned
-    /// by a software transaction).
-    pub hw_aborts_conflict: u64,
-    /// Hardware attempts aborted by capacity/eviction.
-    pub hw_aborts_capacity: u64,
-    /// Hardware attempts aborted by injected transient events
-    /// ([`HtmAbort::Spurious`]); retried in hardware like conflicts, but
-    /// counted separately so fault-injection coverage can observe them.
-    pub hw_aborts_spurious: u64,
+counters! {
+    /// Counters for one hybrid thread: what each transaction cost on the
+    /// hardware path before it committed there or fell back to software.
+    pub struct HytmStats {
+        /// Transactions committed on the hardware path.
+        hw_commits: "hytm.hw_commits",
+        /// Transactions that fell back to and committed on the software path.
+        sw_commits: "hytm.sw_commits",
+        /// Hardware attempts aborted by conflicts (coherence or a record owned
+        /// by a software transaction).
+        hw_aborts_conflict: "hytm.hw_aborts.conflict",
+        /// Hardware attempts aborted by capacity/eviction.
+        hw_aborts_capacity: "hytm.hw_aborts.capacity",
+        /// Hardware attempts aborted by injected transient events
+        /// ([`HtmAbort::Spurious`]); retried in hardware like conflicts, but
+        /// counted separately so fault-injection coverage can observe them.
+        hw_aborts_spurious: "hytm.hw_aborts.spurious",
+    }
+}
+
+impl HytmStats {
+    /// Committed transactions, on either path.
+    pub fn commits(&self) -> u64 {
+        self.hw_commits + self.sw_commits
+    }
+
+    /// Aborted hardware attempts of any cause.
+    pub fn aborts(&self) -> u64 {
+        self.hw_aborts_conflict + self.hw_aborts_capacity + self.hw_aborts_spurious
+    }
 }
 
 /// One thread's hybrid-TM execution state (hardware first, software STM

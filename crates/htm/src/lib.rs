@@ -26,5 +26,5 @@
 pub mod htm;
 pub mod hybrid;
 
-pub use htm::{HtmAbort, HtmThread, HtmTxn};
-pub use hybrid::HytmThread;
+pub use htm::{HtmAbort, HtmStats, HtmThread, HtmTxn};
+pub use hybrid::{HytmStats, HytmThread};

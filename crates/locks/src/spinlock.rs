@@ -63,7 +63,9 @@ impl SpinLock {
     ///
     /// Panics (debug) if the lock was not held.
     pub fn release(&self, cpu: &mut Cpu<'_>) {
-        debug_assert_eq!(cpu.load_u64(self.word), 1, "release of free lock");
+        // A peek, not a load: the check must cost no simulated cycles, or
+        // debug and release builds would disagree on every lock cell.
+        debug_assert_eq!(cpu.peek_u64(self.word), 1, "release of free lock");
         cpu.store_u64(self.word, 0);
     }
 }

@@ -40,7 +40,7 @@ use std::sync::atomic::{
 use std::sync::{Arc, Mutex};
 
 use hastm::{ObjRef, PhasedParams, SharedModeState, Versioning};
-use hastm_sim::Addr;
+use hastm_sim::{counters, Addr};
 
 use crate::heap::{CachePadded, NativeHeap};
 
@@ -98,77 +98,61 @@ pub struct StripeState {
     pub locked: bool,
 }
 
-/// Per-thread counters of the native backend, merged across threads by
-/// the harnesses.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NativeStats {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborts from read/lock validation conflicts.
-    pub aborts_conflict: u64,
-    /// Aborts from a stale filter detected at commit time.
-    pub aborts_filter_stale: u64,
-    /// Reads served by the filter fast path (no sandwich, no read-set
-    /// entry).
-    pub fast_reads: u64,
-    /// Reads served by the full TL2 sandwich.
-    pub slow_reads: u64,
-    /// Writing commits that kept their filter alive across the commit
-    /// (the single-thread reuse win of §6).
-    pub filter_retained: u64,
-    /// Committed read-only (`atomic_ro`) transactions. Under
-    /// [`Versioning::Multi`] these ran on the snapshot path; under
-    /// [`Versioning::Single`] they fell back to ordinary transactions and
-    /// are counted under `commits` only.
-    pub ro_commits: u64,
-    /// Aborted snapshot read-only attempts. Structurally zero — snapshot
-    /// reads spin past locked stripes instead of aborting and snapshot
-    /// commits validate nothing — but counted so harnesses can *assert*
-    /// the zero rather than assume it.
-    pub ro_aborts: u64,
-    /// Reads served by the snapshot path (current version, version ring
-    /// or frozen-word fallback), read-set-free.
-    pub snapshot_reads: u64,
-    /// Snapshot reads that fell past the current version — the stripe
-    /// had moved beyond the region's `rv` — and went to the version ring
-    /// (or its never-written heap fallback). Counted inside
-    /// `snapshot_reads` too.
-    pub ring_reads: u64,
-    /// `(version, value)` pairs published into version rings by this
-    /// thread's writing commits.
-    pub versions_published: u64,
-    /// Ring entries reclaimed by this thread's commit-time pruning.
-    pub versions_reclaimed: u64,
-    /// Committed irrevocable (serial-phase) transactions. Non-zero only
-    /// under [`NativeConfig::phased`]; counted inside `commits` too.
-    pub serial_commits: u64,
-    /// Phase transitions this thread's events published. Non-zero only
-    /// under [`NativeConfig::phased`].
-    pub phase_transitions: u64,
+counters! {
+    /// Per-thread counters of the native backend, merged across threads by
+    /// the harnesses. A counter that means what one of the simulator's
+    /// means goes by the simulator's key; `native.*` is what only TL2 has.
+    pub struct NativeStats {
+        /// Committed transactions.
+        commits: "txn.commits",
+        /// Aborts from read/lock validation conflicts.
+        aborts_conflict: "txn.aborts.conflict",
+        /// Aborts from a stale filter detected at commit time.
+        aborts_filter_stale: "native.aborts.filter_stale",
+        /// Reads served by the filter fast path (no sandwich, no read-set
+        /// entry).
+        fast_reads: "native.read.fast",
+        /// Reads served by the full TL2 sandwich.
+        slow_reads: "native.read.slow",
+        /// Writing commits that kept their filter alive across the commit
+        /// (the single-thread reuse win of §6).
+        filter_retained: "native.filter_retained",
+        /// Committed read-only (`atomic_ro`) transactions. Under
+        /// [`Versioning::Multi`] these ran on the snapshot path; under
+        /// [`Versioning::Single`] they fell back to ordinary transactions and
+        /// are counted under `commits` only.
+        ro_commits: "txn.ro.commits",
+        /// Aborted snapshot read-only attempts. Structurally zero — snapshot
+        /// reads spin past locked stripes instead of aborting and snapshot
+        /// commits validate nothing — but counted so harnesses can *assert*
+        /// the zero rather than assume it.
+        ro_aborts: "txn.ro.aborts",
+        /// Reads served by the snapshot path (current version, version ring
+        /// or frozen-word fallback), read-set-free.
+        snapshot_reads: "txn.ro.snapshot_reads",
+        /// Snapshot reads that fell past the current version — the stripe
+        /// had moved beyond the region's `rv` — and went to the version ring
+        /// (or its never-written heap fallback). Counted inside
+        /// `snapshot_reads` too.
+        ring_reads: "native.ro.ring_reads",
+        /// `(version, value)` pairs published into version rings by this
+        /// thread's writing commits.
+        versions_published: "txn.ro.versions_published",
+        /// Ring entries reclaimed by this thread's commit-time pruning.
+        versions_reclaimed: "native.ro.versions_reclaimed",
+        /// Committed irrevocable (serial-phase) transactions. Non-zero only
+        /// under [`NativeConfig::phased`]; counted inside `commits` too.
+        serial_commits: "phase.serial_commits",
+        /// Phase transitions this thread's events published. Non-zero only
+        /// under [`NativeConfig::phased`].
+        phase_transitions: "phase.transitions",
+    }
 }
 
 impl NativeStats {
     /// Total aborted attempts.
     pub fn aborts(&self) -> u64 {
         self.aborts_conflict + self.aborts_filter_stale
-    }
-
-    /// Folds another thread's counters in.
-    pub fn merge(&mut self, other: &NativeStats) {
-        self.commits += other.commits;
-        self.aborts_conflict += other.aborts_conflict;
-        self.aborts_filter_stale += other.aborts_filter_stale;
-        self.fast_reads += other.fast_reads;
-        self.slow_reads += other.slow_reads;
-        self.filter_retained += other.filter_retained;
-        self.ro_commits += other.ro_commits;
-        self.ro_aborts += other.ro_aborts;
-        self.snapshot_reads += other.snapshot_reads;
-        self.ring_reads += other.ring_reads;
-        self.versions_published += other.versions_published;
-        self.versions_reclaimed += other.versions_reclaimed;
-        self.serial_commits += other.serial_commits;
-        self.phase_transitions += other.phase_transitions;
     }
 }
 

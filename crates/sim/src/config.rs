@@ -273,9 +273,6 @@ pub struct MachineConfig {
     /// overtaken quantum gating (see [`GateMode`]). Schedule-identical;
     /// only host-side synchronization cost differs.
     pub gate: GateMode,
-    /// Debug trace address: every store/CAS touching this simulated
-    /// address is logged to stderr with the core and logical clock.
-    pub trace_addr: Option<u64>,
     /// Explicit preemption trace (must be sorted by `at_op`): schedule
     /// directives that favor a chosen core from a chosen global op index.
     /// Empty means no steering. Composes with any [`SchedulePolicy`]; while
@@ -321,7 +318,6 @@ impl Default for MachineConfig {
             cost: CostModel::default(),
             schedule: SchedulePolicy::default(),
             gate: GateMode::default(),
-            trace_addr: None,
             preemptions: Vec::new(),
             faults: Vec::new(),
             record_schedule: false,
@@ -354,7 +350,6 @@ mod tests {
         assert!(m.inclusive_l2);
         assert_eq!(m.schedule, SchedulePolicy::Deterministic);
         assert_eq!(m.gate, GateMode::Quantum);
-        assert_eq!(m.trace_addr, None);
         let m4 = MachineConfig::with_cores(4);
         assert_eq!(m4.cores, 4);
         assert_eq!(m4.l1, CacheConfig::l1_default());

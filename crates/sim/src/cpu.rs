@@ -382,12 +382,6 @@ impl<'a> Cpu<'a> {
     pub fn store_u64(&mut self, addr: Addr, value: u64) {
         let issue = self.issue(1);
         let mut st = self.turn();
-        if st.trace_addr == Some(addr.0) {
-            eprintln!(
-                "TRACE store core={} clock={} addr={addr} value={value:#x}",
-                self.id, st.clocks[self.id]
-            );
-        }
         let lat = st.sys.access(self.id, addr, AccessKind::Store);
         st.mem.write_u64(addr, value);
         self.finish(st, issue + lat);
@@ -398,13 +392,6 @@ impl<'a> Cpu<'a> {
     pub fn cas_u64(&mut self, addr: Addr, expected: u64, new: u64) -> u64 {
         let issue = self.issue(1);
         let mut st = self.turn();
-        if st.trace_addr == Some(addr.0) {
-            let cur = st.mem.read_u64(addr);
-            eprintln!(
-                "TRACE cas   core={} clock={} addr={addr} expected={expected:#x} new={new:#x} cur={cur:#x}",
-                self.id, st.clocks[self.id]
-            );
-        }
         st.sys.core_stats_mut(self.id).cas_ops += 1;
         // CAS acquires exclusive ownership regardless of outcome and is
         // fully serializing (no store-buffer absorption).

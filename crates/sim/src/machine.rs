@@ -219,9 +219,6 @@ pub(crate) struct SimState {
     /// minimality scan when a single core is running (every
     /// populate/digest phase, and all 1-thread cells).
     pub(crate) active_count: usize,
-    /// Debug trace address ([`MachineConfig::trace_addr`]): stores to it
-    /// are logged.
-    pub(crate) trace_addr: Option<u64>,
     /// Monotonic count of [`Machine::run`] invocations. Logical clocks
     /// reset to zero at each run, so `(run_epoch, clock)` is what uniquely
     /// orders events across a machine's whole lifetime (used by
@@ -571,7 +568,6 @@ impl Machine {
             clocks: vec![0; config.cores],
             active: vec![false; config.cores],
             active_count: 0,
-            trace_addr: config.trace_addr,
             run_epoch: 0,
             fuzz,
             pct: None,
@@ -1233,21 +1229,6 @@ mod tests {
         }
         m.set_preemptions(Vec::new());
         run_plain_again(&mut m, &mut run, &plain, "the preemption trace");
-    }
-
-    #[test]
-    fn trace_addr_comes_from_config() {
-        let mut m = Machine::new(MachineConfig {
-            trace_addr: Some(0x40),
-            ..MachineConfig::default()
-        });
-        // The traced store goes to stderr; here we only assert the
-        // configured machine still runs correctly.
-        let (v, _) = m.run_one(|cpu| {
-            cpu.store_u64(Addr(0x40), 7);
-            cpu.load_u64(Addr(0x40))
-        });
-        assert_eq!(v, 7);
     }
 
     #[test]

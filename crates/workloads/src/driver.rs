@@ -3,7 +3,10 @@
 //! ("20% of the operations were updates. All the data structures were
 //! populated before the experimental run").
 
-use hastm::{Granularity, OracleMode, StmRuntime, TmContext, TxResult, TxnStats, Versioning};
+use hastm::{
+    Granularity, MetricsSnapshot, OracleMode, StmRuntime, TmContext, TxResult, TxnStats, Versioning,
+};
+use hastm_htm::HytmStats;
 use hastm_locks::SpinLock;
 use hastm_sim::{Machine, MachineConfig, RunReport};
 use rand::rngs::StdRng;
@@ -12,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use crate::btree::BTree;
 use crate::hashtable::HashTable;
 use crate::map::TxMap;
-use crate::scheme::{Scheme, ThreadExec};
+use crate::scheme::{ExecStats, Scheme, ThreadExec};
 
 /// Which evaluation data structure to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -186,7 +189,7 @@ impl WorkloadConfig {
 }
 
 /// Result of one workload run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkloadResult {
     /// Makespan in simulated cycles (the "execution time" of the figures).
     pub cycles: u64,
@@ -194,6 +197,9 @@ pub struct WorkloadResult {
     pub report: RunReport,
     /// Merged STM statistics (zeroed for non-STM schemes).
     pub txn: TxnStats,
+    /// Merged hybrid-TM statistics (zeroed unless the scheme is
+    /// [`Scheme::Hytm`]).
+    pub hytm: HytmStats,
     /// Total operations performed.
     pub total_ops: u64,
     /// Order-independent digest of the final map contents (every resident
@@ -208,6 +214,14 @@ impl WorkloadResult {
     /// Cycles per operation.
     pub fn cycles_per_op(&self) -> f64 {
         self.cycles as f64 / self.total_ops.max(1) as f64
+    }
+
+    /// The run's whole registry: [`MetricsSnapshot::collect`]'s keys, then
+    /// `hytm.*`.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot::collect(&self.txn, &self.report);
+        snapshot.extend(self.hytm.entries());
+        snapshot
     }
 }
 
@@ -312,10 +326,8 @@ pub fn run_workload_traced(
 
     // Measured run: every thread performs its op stream under the scheme.
     machine.set_tracing(trace);
-    let stats_cell: Vec<std::sync::Mutex<TxnStats>> = (0..cfg.threads)
-        .map(|_| std::sync::Mutex::new(TxnStats::default()))
-        .collect();
-    let stats_ref = &stats_cell;
+    let merged = std::sync::Mutex::new(ExecStats::default());
+    let merged_ref = &merged;
     let scheme = cfg.scheme;
     let workers: Vec<hastm_sim::WorkerFn<'_>> = (0..cfg.threads)
         .map(|tid| {
@@ -328,9 +340,7 @@ pub fn run_workload_traced(
                     let roll: u32 = rng.gen_range(0..100);
                     map_op(&mut ex, &map, &cfg, key, roll);
                 }
-                if let Some(s) = ex.txn_stats() {
-                    *stats_ref[tid].lock().unwrap() = s;
-                }
+                merged_ref.lock().unwrap().merge(&ex.stats());
             }) as hastm_sim::WorkerFn<'_>
         })
         .collect();
@@ -338,10 +348,7 @@ pub fn run_workload_traced(
     let trace_log = machine.take_trace();
     machine.set_tracing(None);
 
-    let mut merged = TxnStats::default();
-    for s in &stats_cell {
-        merged.merge(&s.lock().unwrap());
-    }
+    let ExecStats { mut txn, hytm } = merged.into_inner().unwrap();
 
     // Digest sweep (after the measured report is taken, so it costs the
     // metrics nothing): fold every resident pair with a commutative
@@ -365,14 +372,15 @@ pub fn run_workload_traced(
     // All phases are quiesced: settle the oracle's deferred serializability
     // obligations against the committed-write journal. (A no-op unless the
     // oracle is on; panics here under `OracleMode::Panic`.)
-    merged.oracle_violations += runtime.verify_serializability(&machine).len() as u64;
+    txn.oracle_violations += runtime.verify_serializability(&machine).len() as u64;
 
     (
         WorkloadResult {
             cycles: report.makespan(),
             total_ops: cfg.ops_per_thread * cfg.threads as u64,
             report,
-            txn: merged,
+            txn,
+            hytm,
             digest,
         },
         trace_log,

@@ -42,7 +42,7 @@ pub use oltp::{
     run_oltp_native, run_oltp_sim, OltpConfig, OltpMetrics, OltpNativeConfig, OltpNativeResult,
     OltpSimConfig, OltpSimResult, OltpTxn,
 };
-pub use scheme::{Scheme, ThreadExec};
+pub use scheme::{ExecStats, Scheme, ThreadExec};
 pub use synthetic::{
     analyze, generate_stream, run_kernel, KernelParams, KernelResult, KernelStream, TraceAnalysis,
     WorkloadProfile, PROFILES,

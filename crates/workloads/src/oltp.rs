@@ -40,7 +40,7 @@ use hastm_sim::{FaultEvent, Machine, MachineConfig, Preemption, TraceConfig, Tra
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::scheme::{Scheme, ThreadExec};
+use crate::scheme::{ExecStats, Scheme, ThreadExec};
 
 /// Payload words per account object. Eight words plus the object header
 /// exceed one 64-byte cache line, so every account occupies its own line
@@ -464,8 +464,8 @@ pub struct OltpSimResult {
     pub per_thread: Vec<ThreadMillResult>,
     /// STM counters merged across threads (zeros for lock/sequential).
     pub txn: TxnStats,
-    /// Full metrics registry for the run, including the `latency.*`
-    /// serving entries.
+    /// Full metrics registry for the run, including the hybrid's `hytm.*`
+    /// and the `latency.*` serving entries.
     pub snapshot: MetricsSnapshot,
     /// Serializability violations: commit-time recordings plus the
     /// deferred post-run settlement. Nonzero means a zombie committed.
@@ -524,7 +524,7 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
     machine.set_preemptions(cfg.preemptions.clone());
     machine.set_faults(cfg.faults.clone());
     machine.set_tracing(cfg.trace);
-    type Slot = (ThreadMillResult, Option<TxnStats>, u64, u64);
+    type Slot = (ThreadMillResult, ExecStats);
     let slots: Vec<Mutex<Option<Slot>>> = (0..threads).map(|_| Mutex::new(None)).collect();
     let slots_ref = &slots;
     let accounts_ref = &accounts;
@@ -535,18 +535,7 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
             Box::new(move |cpu: &mut hastm_sim::Cpu| {
                 let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
                 let mill = run_mill_thread(&mut ex, accounts_ref, &streams_ref[tid]);
-                let issued = streams_ref[tid].len() as u64;
-                let (commits, aborts) = if let Some(s) = ex.txn_stats() {
-                    (s.commits, s.aborts())
-                } else if let Some(h) = ex.hytm_stats() {
-                    (
-                        h.hw_commits + h.sw_commits,
-                        h.hw_aborts_conflict + h.hw_aborts_capacity + h.hw_aborts_spurious,
-                    )
-                } else {
-                    (issued, 0)
-                };
-                *slots_ref[tid].lock().unwrap() = Some((mill, ex.txn_stats(), commits, aborts));
+                *slots_ref[tid].lock().unwrap() = Some((mill, ex.stats()));
             }) as WorkerFn<'_>
         })
         .collect();
@@ -561,20 +550,23 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
         elapsed: report.makespan(),
         ..OltpMetrics::default()
     };
-    let mut txn = TxnStats::default();
+    let mut stats = ExecStats::default();
     let mut per_thread = Vec::with_capacity(threads);
     for slot in &slots {
-        let (mill, stats, commits, aborts) = slot.lock().unwrap().take().expect("worker ran");
+        let (mill, s) = slot.lock().unwrap().take().expect("worker ran");
         for &l in &mill.latencies {
             metrics.latency.record(l);
         }
-        metrics.commits += commits;
-        metrics.aborts += aborts;
-        if let Some(s) = stats {
-            txn.merge(&s);
-        }
+        stats.merge(&s);
         per_thread.push(mill);
     }
+    (metrics.commits, metrics.aborts) = match cfg.scheme {
+        // These count nothing and cannot abort: each transaction issued
+        // committed once.
+        Scheme::Sequential | Scheme::Lock => (metrics.total_txns, 0),
+        _ => (stats.commits(), stats.aborts()),
+    };
+    let ExecStats { mut txn, hytm } = stats;
 
     // Settle the oracle's deferred obligations, then snapshot.
     txn.oracle_violations += runtime.verify_serializability(&machine).len() as u64;
@@ -583,6 +575,7 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
         .map(|obj| machine.peek_u64(obj.word(0)))
         .collect();
     let mut snapshot = MetricsSnapshot::collect(&txn, &report);
+    snapshot.extend(hytm.entries());
     snapshot.push_latency(&metrics.latency);
 
     OltpSimResult {
@@ -619,6 +612,10 @@ pub struct OltpNativeResult {
     pub per_thread: Vec<ThreadMillResult>,
     /// TL2 counters merged across threads.
     pub stats: NativeStats,
+    /// The run's metrics registry: `stats` under its keys (the
+    /// simulator's wherever the meaning is the same, `native.*`
+    /// otherwise), `txn.aborts`, and the `latency.*` serving entries.
+    pub snapshot: MetricsSnapshot,
 }
 
 /// Runs the mill on host threads over the native TL2 runtime.
@@ -678,6 +675,11 @@ pub fn run_oltp_native(cfg: &OltpNativeConfig) -> OltpNativeResult {
     metrics.commits = stats.commits;
     metrics.aborts = stats.aborts();
 
+    let mut snapshot = MetricsSnapshot::default();
+    snapshot.extend(stats.entries());
+    snapshot.extend([("txn.aborts", stats.aborts())]);
+    snapshot.push_latency(&metrics.latency);
+
     let balances: Vec<u64> = accounts.iter().map(|obj| rt.peek(obj.word(0))).collect();
     OltpNativeResult {
         metrics,
@@ -685,6 +687,7 @@ pub fn run_oltp_native(cfg: &OltpNativeConfig) -> OltpNativeResult {
         balances,
         per_thread,
         stats,
+        snapshot,
     }
 }
 

@@ -9,9 +9,9 @@
 use hastm::{
     Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TmContext, TxResult, TxThread, TxnStats,
 };
-use hastm_htm::HytmThread;
+use hastm_htm::{HytmStats, HytmThread};
 use hastm_locks::{LockExec, SeqExec, SpinLock};
-use hastm_sim::Cpu;
+use hastm_sim::{counters, Cpu};
 
 /// A concurrency-control scheme from the paper's evaluation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -107,6 +107,32 @@ impl std::fmt::Display for Scheme {
     }
 }
 
+counters! {
+    /// Everything one executor counted, whichever engine runs its scheme.
+    /// A part the scheme does not use stays zero; lock and sequential
+    /// executors count nothing.
+    pub struct ExecStats {
+        /// The STM engine's counters. Zero under [`Scheme::Hytm`] as well:
+        /// a transaction its software fallback commits is a
+        /// `hytm.sw_commits`.
+        txn: TxnStats,
+        /// The hybrid's cost per path, hardware against software.
+        hytm: HytmStats,
+    }
+}
+
+impl ExecStats {
+    /// Committed transactions.
+    pub fn commits(&self) -> u64 {
+        self.txn.commits + self.hytm.commits()
+    }
+
+    /// Aborted attempts.
+    pub fn aborts(&self) -> u64 {
+        self.txn.aborts() + self.hytm.aborts()
+    }
+}
+
 enum Inner<'c, 'm> {
     Seq(SeqExec<'c, 'm>),
     Lock(LockExec<'c, 'm>),
@@ -182,16 +208,24 @@ impl<'c, 'm> ThreadExec<'c, 'm> {
         }
     }
 
-    /// STM statistics, if this scheme runs on the STM engine.
-    pub fn txn_stats(&self) -> Option<TxnStats> {
+    /// What this executor has counted so far.
+    pub fn stats(&self) -> ExecStats {
         match &self.inner {
-            Inner::Stm(tx) => Some(tx.stats().clone()),
-            Inner::Hytm(_) | Inner::Seq(_) | Inner::Lock(_) => None,
+            Inner::Stm(tx) => ExecStats {
+                txn: tx.stats().clone(),
+                ..ExecStats::default()
+            },
+            Inner::Hytm(hy) => ExecStats {
+                hytm: hy.stats().clone(),
+                ..ExecStats::default()
+            },
+            Inner::Seq(_) | Inner::Lock(_) => ExecStats::default(),
         }
     }
 
-    /// HyTM statistics, if applicable.
-    pub fn hytm_stats(&self) -> Option<hastm_htm::hybrid::HytmStats> {
+    /// HyTM statistics, if applicable ([`Self::stats`] carries them for
+    /// every scheme; `benchmark/` calls this one).
+    pub fn hytm_stats(&self) -> Option<HytmStats> {
         match &self.inner {
             Inner::Hytm(hy) => Some(hy.stats().clone()),
             _ => None,
@@ -289,27 +323,27 @@ mod tests {
         let mut m = Machine::new(MachineConfig::default());
         let rt = StmRuntime::new(&mut m, Scheme::Hastm.stm_config(Granularity::CacheLine, 1));
         let lock = SpinLock::alloc(rt.heap());
-        m.run_one(|cpu| {
-            let mut ex = ThreadExec::new(Scheme::Lock, &rt, cpu, lock);
-            let o = ex.alloc_obj(1);
-            ex.atomic(|ctx| ctx.ctx_write(o, 0, 1));
-            assert!(ex.txn_stats().is_none(), "lock scheme has no STM stats");
-            assert!(ex.hytm_stats().is_none());
-        });
-        m.run_one(|cpu| {
-            let mut ex = ThreadExec::new(Scheme::Hastm, &rt, cpu, lock);
-            let o = ex.alloc_obj(1);
-            ex.atomic(|ctx| ctx.ctx_write(o, 0, 1));
-            let s = ex.txn_stats().expect("stm stats");
-            assert_eq!(s.commits, 1);
-        });
-        m.run_one(|cpu| {
-            let mut ex = ThreadExec::new(Scheme::Hytm, &rt, cpu, lock);
-            let o = ex.alloc_obj(1);
-            ex.atomic(|ctx| ctx.ctx_write(o, 0, 1));
-            let s = ex.hytm_stats().expect("hytm stats");
-            assert_eq!(s.hw_commits, 1);
-        });
+        let mut one_write = |scheme| {
+            m.run_one(|cpu| {
+                let mut ex = ThreadExec::new(scheme, &rt, cpu, lock);
+                let o = ex.alloc_obj(1);
+                ex.atomic(|ctx| ctx.ctx_write(o, 0, 1));
+                (ex.stats(), ex.hytm_stats())
+            })
+            .0
+        };
+        let (s, hytm) = one_write(Scheme::Lock);
+        assert_eq!(s, ExecStats::default(), "the lock scheme counts nothing");
+        assert!(hytm.is_none());
+        let (s, hytm) = one_write(Scheme::Hastm);
+        assert_eq!((s.txn.commits, s.hytm.commits()), (1, 0));
+        assert!(hytm.is_none());
+        let (s, hytm) = one_write(Scheme::Hytm);
+        assert_eq!(hytm.expect("hytm stats").hw_commits, 1);
+        assert_eq!((s.txn.commits, s.commits()), (0, 1));
+        let registry = s.entries();
+        let get = |key| registry.iter().find(|e| e.0 == key).expect(key).1;
+        assert!(get("hytm.hw_commits") + get("hytm.sw_commits") > 0);
     }
 
     #[test]
@@ -366,7 +400,7 @@ mod tests {
                         let o = ex.alloc_obj(1);
                         ex.atomic(|ctx| ctx.ctx_write(o, 0, 7));
                         ex.atomic_ro(|ctx| ctx.ctx_read(o, 0));
-                        let s = ex.txn_stats().expect("stm stats");
+                        let s = ex.stats().txn;
                         assert_eq!(s.ro_commits, 1, "scheme {scheme}");
                         assert_eq!(s.ro_aborts, 0, "scheme {scheme}");
                     });

@@ -15,12 +15,13 @@
 //! only in synchronization machinery.
 
 use hastm::{ObjRef, StmRuntime, TxnStats};
+use hastm_htm::HytmStats;
 use hastm_locks::SpinLock;
 use hastm_sim::{Machine, MachineConfig, RunReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::scheme::{Scheme, ThreadExec};
+use crate::scheme::{ExecStats, Scheme, ThreadExec};
 
 /// Words usable per line-object (64-byte line minus the header word).
 const WORDS_PER_LINE: u32 = 7;
@@ -171,7 +172,7 @@ pub fn analyze(stream: &KernelStream) -> TraceAnalysis {
 }
 
 /// Result of running a kernel under one scheme.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelResult {
     /// Makespan in simulated cycles.
     pub cycles: u64,
@@ -179,6 +180,8 @@ pub struct KernelResult {
     pub report: RunReport,
     /// STM statistics (zeroed for non-STM schemes).
     pub txn: TxnStats,
+    /// Hybrid-TM statistics (zeroed unless the scheme is [`Scheme::Hytm`]).
+    pub hytm: HytmStats,
 }
 
 /// Replays `stream` under `scheme` on a single core and reports timing.
@@ -222,19 +225,18 @@ pub fn run_kernel(scheme: Scheme, stream: &KernelStream) -> KernelResult {
         replay(&mut ex, &stream.sections);
     })]);
 
-    let mut txn = TxnStats::default();
-    let txn_ref = &mut txn;
+    let mut stats = ExecStats::default();
+    let stats_ref = &mut stats;
     let report = machine.run(vec![Box::new(move |cpu: &mut hastm_sim::Cpu| {
         let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
         replay(&mut ex, &stream.sections);
-        if let Some(s) = ex.txn_stats() {
-            *txn_ref = s;
-        }
+        *stats_ref = ex.stats();
     })]);
     KernelResult {
         cycles: report.makespan(),
         report,
-        txn,
+        txn: stats.txn,
+        hytm: stats.hytm,
     }
 }
 

@@ -1,0 +1,139 @@
+//! The metrics registry, end to end.
+//!
+//! 1. Snapshots pinned at the commit before the counter tables were
+//!    introduced (`tests/pins/*.json`, `MetricsSnapshot::to_json` output):
+//!    every key a pin carries must keep its value.
+//! 2. Every `counters!` struct merges and names every one of its fields,
+//!    and no key repeats within a full simulator or native snapshot.
+
+use std::collections::HashSet;
+
+use hastm::{Granularity, MetricsSnapshot, TimeBreakdown, TxnStats};
+use hastm_htm::{HtmStats, HytmStats};
+use hastm_native::{NativeConfig, NativeStats};
+use hastm_sim::{CoreStats, MachineStats};
+use hastm_workloads::{
+    run_oltp_native, run_oltp_sim, run_workload, ExecStats, OltpConfig, OltpNativeConfig,
+    OltpSimConfig, Scheme, Structure, WorkloadConfig,
+};
+
+/// Asserts `snapshot` agrees with every `"key": value` line of `pin`.
+fn assert_holds(what: &str, pin: &str, snapshot: &MetricsSnapshot) {
+    let mut pinned = 0;
+    for line in pin.lines() {
+        let Some((key, value)) = line.trim().trim_end_matches(',').split_once(": ") else {
+            continue; // the braces
+        };
+        let value: u64 = value.parse().expect("pinned value");
+        assert_eq!(
+            snapshot.get(key.trim_matches('"')),
+            Some(value),
+            "{what}: {key}"
+        );
+        pinned += 1;
+    }
+    assert!(pinned >= 77, "{what}: the pin carries the whole registry");
+}
+
+fn assert_unique_keys(what: &str, snapshot: &MetricsSnapshot) {
+    let mut seen = HashSet::new();
+    for (key, _) in snapshot.entries() {
+        assert!(seen.insert(key), "{what}: key {key} repeats");
+    }
+}
+
+#[test]
+fn pinned_snapshots_hold() {
+    for (scheme, pin) in [
+        (Scheme::Stm, include_str!("pins/workload_bst_stm_2p.json")),
+        (
+            Scheme::Hastm,
+            include_str!("pins/workload_bst_hastm_2p.json"),
+        ),
+        (Scheme::Hytm, include_str!("pins/workload_bst_hytm_2p.json")),
+        (Scheme::Lock, include_str!("pins/workload_bst_lock_2p.json")),
+    ] {
+        let r = run_workload(&WorkloadConfig::paper_default(Structure::Bst, scheme, 2));
+        let what = format!("bst/{scheme} 2p");
+        assert_holds(&what, pin, &MetricsSnapshot::collect(&r.txn, &r.report));
+        assert_holds(&what, pin, &r.snapshot());
+        assert_unique_keys(&what, &r.snapshot());
+        if scheme == Scheme::Hytm {
+            // The pin's `txn.commits = 0` stands; the commits are under
+            // the hybrid's own keys.
+            let get = |key| r.snapshot().get(key).unwrap();
+            assert_eq!(
+                get("hytm.hw_commits") + get("hytm.sw_commits"),
+                r.total_ops,
+                "every op of the run committed on one of the two paths"
+            );
+        }
+    }
+    let cfg = OltpSimConfig::new(OltpConfig::quick(2), Scheme::Hastm, Granularity::CacheLine);
+    let r = run_oltp_sim(&cfg);
+    let pin = include_str!("pins/oltp_sim_hastm_2p.json");
+    assert_holds("oltp sim", pin, &r.snapshot);
+    assert_unique_keys("oltp sim", &r.snapshot);
+}
+
+/// Sets every counter of `$stats` to a distinct value through the struct,
+/// merges the struct into itself and expects every entry doubled, under
+/// as many distinct keys as there are counters.
+macro_rules! assert_table_is_whole {
+    ($($stats:ident),*) => {$({
+        let mut stats = $stats::default();
+        for (i, counter) in stats.counters_mut().into_iter().enumerate() {
+            *counter = i as u64 + 1;
+        }
+        let before = stats.entries();
+        let values: Vec<u64> = before.iter().map(|e| e.1).collect();
+        let n = values.len() as u64;
+        assert_eq!(values, (1..=n).collect::<Vec<_>>(), stringify!($stats));
+        let keys: HashSet<&str> = before.iter().map(|e| e.0).collect();
+        assert_eq!(keys.len(), before.len(), "{}: a key repeats", stringify!($stats));
+        stats.merge(&stats.clone());
+        for ((key, was), (_, now)) in before.iter().zip(stats.entries()) {
+            assert_eq!(now, 2 * was, "{}: {key}", stringify!($stats));
+        }
+    })*};
+}
+
+#[test]
+fn every_counter_table_merges_and_names_every_field() {
+    assert_table_is_whole!(
+        TimeBreakdown,
+        TxnStats,
+        CoreStats,
+        MachineStats,
+        HtmStats,
+        HytmStats,
+        NativeStats,
+        ExecStats
+    );
+}
+
+#[test]
+fn native_mill_fills_the_registry_under_the_simulators_keys() {
+    let r = run_oltp_native(&OltpNativeConfig {
+        oltp: OltpConfig::quick(2),
+        native: NativeConfig::default(),
+    });
+    assert_unique_keys("oltp native", &r.snapshot);
+    let get = |key| r.snapshot.get(key).unwrap_or_else(|| panic!("no {key}"));
+    assert_eq!(get("txn.commits"), r.stats.commits);
+    assert!(get("txn.commits") >= r.metrics.total_txns);
+    assert_eq!(get("txn.aborts"), r.stats.aborts());
+    assert_eq!(get("latency.count"), r.metrics.total_txns);
+    for key in [
+        "txn.aborts.conflict",
+        "txn.ro.commits",
+        "txn.ro.aborts",
+        "txn.ro.snapshot_reads",
+        "txn.ro.versions_published",
+        "phase.transitions",
+        "phase.serial_commits",
+        "native.read.slow",
+    ] {
+        get(key);
+    }
+}
