@@ -163,4 +163,31 @@ mod tests {
             assert!(report.commits >= 3 * 24);
         }
     }
+
+    #[cfg(not(feature = "seeded-zombie"))]
+    #[test]
+    fn fault_injected_mill_pinned_before_the_run_session_still_holds() {
+        // scheme → (balances digest, makespan, software read-set walks,
+        // commits, aborts) of `scenario_config` at seed 1, generated by
+        // the `run_oltp_sim` that armed its own fault plan: the session
+        // must fire the same faults at the same gated ops.
+        for (sc, pin) in scenarios(1).iter().zip([
+            (0x0f9e_a69d_a64d_a96e_u64, 12_990, 115, 72, 13),
+            (0x0f9e_a69d_a64d_a96e_u64, 572_837, 55, 72, 31),
+        ]) {
+            let r = run_oltp_sim(&scenario_config(sc));
+            assert_eq!(
+                (
+                    r.digest,
+                    r.metrics.elapsed,
+                    r.txn.validations_full,
+                    r.metrics.commits,
+                    r.metrics.aborts
+                ),
+                pin,
+                "{:?}",
+                sc.scheme
+            );
+        }
+    }
 }

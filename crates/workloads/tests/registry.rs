@@ -13,8 +13,8 @@ use hastm_htm::{HtmStats, HytmStats};
 use hastm_native::{NativeConfig, NativeStats};
 use hastm_sim::{CoreStats, MachineStats};
 use hastm_workloads::{
-    run_oltp_native, run_oltp_sim, run_workload, ExecStats, OltpConfig, OltpNativeConfig,
-    OltpSimConfig, Scheme, Structure, WorkloadConfig,
+    generate_stream, run_kernel, run_oltp_native, run_oltp_sim, run_workload, ExecStats,
+    KernelParams, OltpConfig, OltpNativeConfig, OltpSimConfig, Scheme, Structure, WorkloadConfig,
 };
 
 /// Asserts `snapshot` agrees with every `"key": value` line of `pin`.
@@ -74,6 +74,28 @@ fn pinned_snapshots_hold() {
     let pin = include_str!("pins/oltp_sim_hastm_2p.json");
     assert_holds("oltp sim", pin, &r.snapshot);
     assert_unique_keys("oltp sim", &r.snapshot);
+}
+
+/// `run_kernel`, pinned at the commit before the run harnesses became one
+/// session: a 40-section default kernel, cycles (`sim.makespan`) and the
+/// whole registry.
+#[test]
+fn pinned_kernel_snapshots_hold() {
+    let stream = generate_stream(&KernelParams {
+        sections: 40,
+        ..KernelParams::default()
+    });
+    for (scheme, pin) in [
+        (Scheme::Stm, include_str!("pins/kernel_stm.json")),
+        (Scheme::Hastm, include_str!("pins/kernel_hastm.json")),
+        (Scheme::Hytm, include_str!("pins/kernel_hytm.json")),
+    ] {
+        let r = run_kernel(scheme, &stream);
+        let mut snapshot = MetricsSnapshot::collect(&r.txn, &r.report);
+        snapshot.extend(r.hytm.entries());
+        assert_eq!(snapshot.get("sim.makespan"), Some(r.cycles));
+        assert_holds(&format!("kernel/{scheme}"), pin, &snapshot);
+    }
 }
 
 /// Sets every counter of `$stats` to a distinct value through the struct,
