@@ -8,7 +8,7 @@
 //! host parallelism), and `--verify` re-runs every cell serially and
 //! asserts the parallel outputs match.
 
-use hastm_bench::{sweep_selected, Scale, SweepConfig, FIGURES};
+use hastm_bench::{env_or_exit, sweep_selected, Scale, SweepConfig, FIGURES};
 
 fn usage(problem: &str) -> ! {
     eprintln!("usage: all-figs [--fig N]... [--verify] [--serial]  ({problem})");
@@ -16,7 +16,7 @@ fn usage(problem: &str) -> ! {
 }
 
 fn main() {
-    let mut config = SweepConfig::from_env();
+    let mut config = env_or_exit(SweepConfig::from_env());
     let mut selected: Vec<&str> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -41,7 +41,7 @@ fn main() {
     if selected.is_empty() {
         selected = FIGURES.iter().map(|f| f.name).collect();
     }
-    let scale = Scale::from_env();
+    let scale = env_or_exit(Scale::from_env());
     eprintln!(
         "running {} figure(s) at {scale:?} scale on {} host thread(s){}...",
         selected.len(),

@@ -5,7 +5,7 @@
 //! `HASTM_BENCH_SCALE=quick|standard|full`.
 
 use hastm_bench::oltp::{mill_config, native_sweep, sim_sweep, ServingRow};
-use hastm_bench::{Scale, Table};
+use hastm_bench::{env_or_exit, Scale, Table};
 
 fn rows(table: &mut Table, backend: &str, rows: &[ServingRow]) {
     for r in rows {
@@ -23,7 +23,7 @@ fn rows(table: &mut Table, backend: &str, rows: &[ServingRow]) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = env_or_exit(Scale::from_env());
     let cfg = mill_config(scale, 0.0);
     let mut table = Table::new(
         "OLTP traffic mill — serving metrics across Zipf skew",

@@ -9,6 +9,6 @@ fn main() {
         eprintln!("usage: phases  (unknown arg {arg:?})");
         std::process::exit(2);
     }
-    let scale = hastm_bench::Scale::from_env();
+    let scale = hastm_bench::env_or_exit(hastm_bench::Scale::from_env());
     hastm_bench::phases::phases_table(scale).print();
 }

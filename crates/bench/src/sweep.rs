@@ -29,21 +29,35 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// Threads from `HASTM_SWEEP_THREADS` (default: host parallelism),
+    /// Threads from `HASTM_SWEEP_THREADS` (unset: host parallelism),
     /// verification off.
-    pub fn from_env() -> SweepConfig {
-        let threads = std::env::var("HASTM_SWEEP_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        SweepConfig {
-            threads,
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepConfig::parse_threads`].
+    pub fn from_env() -> Result<SweepConfig, String> {
+        let value = crate::env_value("HASTM_SWEEP_THREADS")?;
+        Ok(SweepConfig {
+            threads: Self::parse_threads(value.as_deref())?,
             verify: false,
+        })
+    }
+
+    /// The thread count `HASTM_SWEEP_THREADS` names when set to `value`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message saying what is accepted for anything but a
+    /// number of at least 1.
+    pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+        match value {
+            None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+            Some(text) => text.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                format!(
+                    "HASTM_SWEEP_THREADS={text:?}: want a thread count of at least 1 \
+                     (unset: host parallelism)"
+                )
+            }),
         }
     }
 }
@@ -189,11 +203,15 @@ mod tests {
 
     #[test]
     fn config_from_env_defaults_to_parallelism() {
-        // No env override in the test runner process is guaranteed, so
-        // just assert the invariants the sweep relies on.
-        let c = SweepConfig::from_env();
-        assert!(c.threads >= 1);
-        assert!(!c.verify);
+        // Unset: host parallelism, whatever it is here.
+        assert!(SweepConfig::parse_threads(None).unwrap() >= 1);
+        assert_eq!(SweepConfig::parse_threads(Some("1")), Ok(1));
+        assert_eq!(SweepConfig::parse_threads(Some("12")), Ok(12));
+        for typo in ["abc", "0", "", "-1", "2.5", "4 "] {
+            let problem = SweepConfig::parse_threads(Some(typo)).unwrap_err();
+            assert!(problem.contains(&format!("{typo:?}")), "{problem}");
+            assert!(problem.contains("at least 1"), "{problem}");
+        }
     }
 
     #[test]

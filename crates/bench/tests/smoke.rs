@@ -7,10 +7,15 @@ use std::process::{Command, Output};
 
 /// Runs `all-figs` with `args` at quick scale.
 fn all_figs(args: &[&str]) -> Output {
+    all_figs_under(args, ("HASTM_BENCH_SCALE", "quick"))
+}
+
+/// Runs `all-figs` with `args` and one environment variable set.
+fn all_figs_under(args: &[&str], (name, value): (&str, &str)) -> Output {
     let exe = env!("CARGO_BIN_EXE_all-figs");
     Command::new(exe)
         .args(args)
-        .env("HASTM_BENCH_SCALE", "quick")
+        .env(name, value)
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"))
 }
@@ -88,5 +93,26 @@ fn bad_arguments_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: all-figs"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "no table on a usage error");
+    }
+}
+
+#[test]
+fn a_malformed_environment_is_an_error_not_a_default() {
+    for (var, accepted) in [
+        (
+            ("HASTM_BENCH_SCALE", "fulll"),
+            "quick, ci, standard or full",
+        ),
+        (("HASTM_SWEEP_THREADS", "abc"), "at least 1"),
+        (("HASTM_SWEEP_THREADS", "0"), "at least 1"),
+    ] {
+        let out = all_figs_under(&["--fig", "13"], var);
+        assert_eq!(out.status.code(), Some(2), "{var:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(var.1) && stderr.contains(accepted),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no table from a mistyped experiment");
     }
 }

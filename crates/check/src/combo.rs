@@ -310,12 +310,9 @@ impl Combo {
 
     /// The STM runtime configuration of this combination.
     pub(crate) fn stm_config(&self, threads: usize) -> StmConfig {
-        let mut c = self.scheme.stm_config(self.granularity, threads);
-        if let Some(p) = self.policy {
-            c.mode_policy = p;
-        }
-        c.versioning = self.versioning;
-        c
+        self.scheme
+            .stm_config_under(self.granularity, threads, self.policy)
+            .with_versioning(self.versioning)
     }
 }
 

@@ -17,8 +17,8 @@
 //!   digest must equal a sequential reference execution of the same
 //!   operation streams;
 //! * **serializability** — the runtime's [`hastm::OracleLog`] journal is
-//!   settled after every run ([`StmRuntime::verify_serializability`]) and
-//!   any violation fails the trial;
+//!   settled after every run ([`SimSession::settle`]) and any violation
+//!   fails the trial;
 //! * **replayability** — the first trial of each combination is run twice
 //!   and must produce a bit-identical fingerprint (final state digest and
 //!   simulated makespan), the property that makes seed replay meaningful;
@@ -28,8 +28,10 @@
 //!   phased vs watermark policy: equal final state); any divergence is
 //!   reported as a failure of its own.
 //!
-//! Every workload is written once ([`workload`]) and every backend is one
-//! driver: [`Sim`] here, [`native::Native`] on host threads.
+//! Every workload is written once (a [`hastm_workloads::Definition`], named
+//! in [`workload`]) and every backend is one run session of
+//! `hastm-workloads` with this crate's verdict on top: [`Sim`] here,
+//! [`native::Native`] on host threads.
 //!
 //! On failure the harness **shrinks** the trial to a minimal failing
 //! `ops`/`threads`/`seed` and prints an exact replay command
@@ -38,15 +40,10 @@
 //! failure exactly.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Mutex;
 
-use hastm::{Abort, ModePolicy, OracleMode, StmRuntime, TimeBreakdown};
-use hastm_locks::SpinLock;
-use hastm_sim::{
-    Cpu, FaultEvent, GateMode, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent,
-    SchedulePolicy, TraceConfig, TraceLog, WorkerFn,
-};
-use hastm_workloads::{Scheme, ThreadExec};
+use hastm::{Abort, ModePolicy, OracleMode, TimeBreakdown};
+use hastm_sim::{MachineConfig, Preemption, RunReport, ScheduleEvent, SchedulePolicy, TraceLog};
+use hastm_workloads::{fnv1a, Definition, Scheme, SimRun, SimSession};
 
 pub mod combo;
 pub mod explore;
@@ -55,8 +52,9 @@ pub mod workload;
 pub mod zombie;
 
 pub use combo::{Axis, Combo, Comparator, Relation, AXES};
+pub use hastm_workloads::RunPlan;
+pub(crate) use workload::Backend;
 pub use workload::Workload;
-pub(crate) use workload::{Backend, Definition};
 
 /// Test-only fault injections, so the harness's own tests can prove that a
 /// real bug is caught, reported, shrunk, and replayed. Never armed outside
@@ -216,29 +214,6 @@ pub struct Fingerprint {
 // Run plans and observations
 // ---------------------------------------------------------------------------
 
-/// Extra machinery applied to a trial's *measured* run only (the setup and
-/// check phases stay unperturbed): an explicit preemption trace, a fault
-/// plan, and optional schedule recording. The empty default reproduces the
-/// plain trial exactly.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RunPlan {
-    /// Preemption directives, sorted by `at_op` (favored-core switches).
-    pub preemptions: Vec<Preemption>,
-    /// Fault events, sorted by `at_op` (evictions, back-invalidations,
-    /// spurious HTM aborts).
-    pub faults: Vec<FaultEvent>,
-    /// Record the measured run's per-op schedule into the observation.
-    pub record_schedule: bool,
-    /// Record the measured run's structured event trace into the
-    /// observation (see [`hastm_sim::TraceLog`]).
-    pub trace: Option<TraceConfig>,
-    /// Gate admission mode of the trial's machine (all of its runs). No
-    /// binary sets this: the default quantum gate is what everything
-    /// runs, and the gate-equivalence test selects [`GateMode::PerOp`],
-    /// the reference schedule it must reproduce op for op.
-    pub gate: GateMode,
-}
-
 /// Formats a preemption trace as a replayable slug: `at@core,at@core,…`
 /// (empty string for the empty trace).
 pub fn trace_slug(trace: &[Preemption]) -> String {
@@ -313,50 +288,37 @@ pub struct Observation {
     pub report: Option<RunReport>,
 }
 
-/// Folds one thread's executor statistics into a shared observation.
-fn observe_thread(obs: &Mutex<Observation>, ex: &ThreadExec<'_, '_>) {
-    let mut obs = obs.lock().unwrap();
-    let st = ex.stats();
-    obs.commits += st.commits();
-    obs.aborts += st.aborts();
-    obs.ro_commits += st.txn.ro_commits;
-    obs.ro_aborts += st.txn.ro_aborts;
-    obs.phase_transitions += st.txn.phase_transitions;
-    obs.serial_commits += st.txn.serial_commits;
-    obs.breakdown.merge(&st.txn.breakdown);
-    for (n, label) in [
-        (st.txn.aborts_conflict, Abort::Conflict.slug()),
-        (st.txn.aborts_mark_dirty, Abort::MarkCounterDirty.slug()),
-        (st.txn.aborts_retry, Abort::Retry.slug()),
-        (st.txn.aborts_explicit, Abort::Explicit.slug()),
-        (st.hytm.hw_aborts_conflict, "hw-conflict"),
-        (st.hytm.hw_aborts_capacity, "hw-capacity"),
-        (st.hytm.hw_aborts_spurious, "hw-spurious"),
-        (st.hytm.sw_commits, "hw-fallback"),
-    ] {
-        if n > 0 {
-            obs.abort_causes.insert(label);
+impl Observation {
+    /// What a measured run exposed.
+    fn of<T>(run: SimRun<T>) -> Self {
+        let st = run.stats;
+        let abort_causes = [
+            (st.txn.aborts_conflict, Abort::Conflict.slug()),
+            (st.txn.aborts_mark_dirty, Abort::MarkCounterDirty.slug()),
+            (st.txn.aborts_retry, Abort::Retry.slug()),
+            (st.txn.aborts_explicit, Abort::Explicit.slug()),
+            (st.hytm.hw_aborts_conflict, "hw-conflict"),
+            (st.hytm.hw_aborts_capacity, "hw-capacity"),
+            (st.hytm.hw_aborts_spurious, "hw-spurious"),
+            (st.hytm.sw_commits, "hw-fallback"),
+        ]
+        .into_iter()
+        .filter_map(|(n, label)| (n > 0).then_some(label))
+        .collect();
+        Observation {
+            schedule: run.schedule,
+            abort_causes,
+            commits: st.commits(),
+            aborts: st.aborts(),
+            ro_commits: st.txn.ro_commits,
+            ro_aborts: st.txn.ro_aborts,
+            phase_transitions: st.txn.phase_transitions,
+            serial_commits: st.txn.serial_commits,
+            trace: run.trace,
+            breakdown: st.txn.breakdown,
+            report: Some(run.report),
         }
     }
-}
-
-/// Installs the plan on `machine` for the next run.
-fn arm_plan(machine: &mut Machine, plan: &RunPlan) {
-    machine.set_preemptions(plan.preemptions.clone());
-    machine.set_faults(plan.faults.clone());
-    machine.set_record_schedule(plan.record_schedule);
-    machine.set_tracing(plan.trace);
-}
-
-/// Clears any installed plan so later (check) runs are unperturbed, and
-/// harvests the recorded schedule and event trace into `obs`.
-fn disarm_plan(machine: &mut Machine, obs: &mut Observation) {
-    obs.schedule = machine.take_schedule_log();
-    obs.trace = machine.take_trace();
-    machine.set_preemptions(Vec::new());
-    machine.set_faults(Vec::new());
-    machine.set_record_schedule(false);
-    machine.set_tracing(None);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,10 +342,11 @@ pub(crate) fn snapshot_abort_free(
     Ok(())
 }
 
-/// The simulator backend: one machine, STM runtime and global lock per
-/// run; setup and checks on an unperturbed sequential executor, the
-/// per-thread bodies under the combination, the schedule policy and the
-/// [`RunPlan`].
+/// The simulator backend: one [`SimSession`] per run — setup and checks
+/// sequential and unperturbed, the per-thread bodies under the
+/// combination, the schedule policy and the [`RunPlan`] — and the
+/// verdict: oracle first, then the snapshot guarantee, then the
+/// workload's own check.
 pub(crate) struct Sim<'a> {
     pub(crate) combo: Combo,
     pub(crate) threads: usize,
@@ -396,54 +359,26 @@ impl Backend for Sim<'_> {
 
     fn run<W: Definition>(self, w: &W) -> Self::Outcome {
         let Sim { combo, threads, .. } = self;
-        let mut machine = Machine::new(MachineConfig {
+        let machine = MachineConfig {
             isa: combo.isa,
             gate: self.plan.gate,
             schedule: self.schedule,
             ..MachineConfig::with_cores(threads)
-        });
-        let runtime = StmRuntime::new(
-            &mut machine,
-            combo.stm_config(threads).with_oracle(OracleMode::Record),
-        );
-        let lock = SpinLock::alloc(runtime.heap());
-        let rt = &runtime;
-        let (shared, _) = machine
-            .run_one(move |cpu| w.setup(&mut ThreadExec::new(Scheme::Sequential, rt, cpu, lock)));
+        };
+        let stm = combo.stm_config(threads).with_oracle(OracleMode::Record);
+        let mut session = SimSession::new(combo.scheme, machine, stm);
+        let (shared, run) = session.run_definition(w, self.plan);
+        let makespan = run.report.makespan();
+        let obs = Observation::of(run);
 
-        arm_plan(&mut machine, self.plan);
-        let obs = Mutex::new(Observation::default());
-        let workers: Vec<WorkerFn<'_>> = (0..threads)
-            .map(|tid| {
-                let (shared, obs) = (&shared, &obs);
-                Box::new(move |cpu: &mut Cpu| {
-                    let mut ex = ThreadExec::new(combo.scheme, rt, cpu, lock);
-                    w.body(&mut ex, shared, tid);
-                    observe_thread(obs, &ex);
-                }) as WorkerFn<'_>
-            })
-            .collect();
-        let report = machine.run(workers);
-        let mut obs = obs.into_inner().expect("observation lock");
-        disarm_plan(&mut machine, &mut obs);
-        let makespan = report.makespan();
-        obs.report = Some(report);
-
-        let violations = runtime.verify_serializability(&machine);
+        let violations = session.settle();
         let verdict = match violations.first() {
             Some(v) => Err(format!(
                 "oracle: {v} ({} violations total)",
                 violations.len()
             )),
-            None => snapshot_abort_free(combo.versioning, obs.ro_aborts).and_then(|()| {
-                let (walked, _) = machine.run_one(|cpu| {
-                    w.walk(
-                        &mut ThreadExec::new(Scheme::Sequential, rt, cpu, lock),
-                        &shared,
-                    )
-                });
-                w.check(&shared, walked, &|addr| machine.peek_u64(addr))
-            }),
+            None => snapshot_abort_free(combo.versioning, obs.ro_aborts)
+                .and_then(|()| session.judge(w, &shared)),
         };
         (verdict.map(|state| Fingerprint { state, makespan }), obs)
     }
@@ -526,23 +461,15 @@ pub struct Coverage {
 /// same interleaving of the same per-core op streams, hence (the machine
 /// being deterministic) are the same run.
 pub fn schedule_hash(schedule: &[ScheduleEvent]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for ev in schedule {
-        mix(ev.core as u64);
-        match ev.line {
-            Some((line, write)) => {
-                mix(line.0);
-                mix(u64::from(write));
-            }
-            None => mix(u64::MAX),
-        }
-    }
-    h
+    fnv1a(schedule.iter().flat_map(|ev| {
+        let (line, write) = match ev.line {
+            Some((line, write)) => (line.0, Some(u64::from(write))),
+            None => (u64::MAX, None),
+        };
+        [Some(ev.core as u64), Some(line), write]
+            .into_iter()
+            .flatten()
+    }))
 }
 
 impl Coverage {
@@ -890,6 +817,7 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
 
     use super::*;
     use hastm::Versioning;

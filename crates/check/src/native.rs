@@ -19,9 +19,10 @@
 //! same streams under fresh host interleavings.
 
 use hastm::{PhasedParams, Versioning};
-use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
+use hastm_native::{NativeConfig, NativeStats};
+use hastm_workloads::{Definition, NativeSession};
 
-use crate::{snapshot_abort_free, Backend, Definition, Workload};
+use crate::{snapshot_abort_free, Backend, Workload};
 
 /// One native differential trial.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -83,8 +84,8 @@ pub struct NativeOutcome {
     pub stats: NativeStats,
 }
 
-/// The host-thread backend: one TL2 runtime per trial, the per-thread
-/// bodies on real threads, their counters merged.
+/// The host-thread backend: one [`NativeSession`] per trial, and the
+/// verdict: the snapshot guarantee, then the workload's own check.
 pub(crate) struct Native<'a>(pub(crate) &'a NativeTrial);
 
 impl Backend for Native<'_> {
@@ -92,7 +93,7 @@ impl Backend for Native<'_> {
 
     fn run<W: Definition>(self, w: &W) -> Self::Outcome {
         let trial = self.0;
-        let rt = NativeRuntime::new(NativeConfig {
+        let session = NativeSession::new(NativeConfig {
             // The check workloads are tiny; a small heap keeps trials cheap.
             heap_words: 1 << 16,
             stripes: 1 << 12,
@@ -101,29 +102,15 @@ impl Backend for Native<'_> {
             phased: trial.phased.then(phased_params),
             ..NativeConfig::default()
         });
-        let shared = w.setup(&mut NativeExec::new(&rt));
-        let mut stats = NativeStats::default();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..trial.threads)
-                .map(|tid| {
-                    let (rt, shared) = (&rt, &shared);
-                    s.spawn(move || {
-                        let mut ex = NativeExec::new(rt);
-                        w.body(&mut ex, shared, tid);
-                        ex.stats().clone()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                stats.merge(&handle.join().expect("native worker panicked"));
-            }
-        });
+        let (shared, run) = session.run_definition(w, trial.threads);
         // The map streams' gets run through `atomic_ro`, so multi-version
         // trials exercise the native snapshot path.
-        snapshot_abort_free(trial.versioning, stats.ro_aborts)?;
-        let walked = w.walk(&mut NativeExec::new(&rt), &shared);
-        let state = w.check(&shared, walked, &|addr| rt.peek(addr))?;
-        Ok(NativeOutcome { state, stats })
+        snapshot_abort_free(trial.versioning, run.stats.ro_aborts)?;
+        let state = session.judge(w, &shared)?;
+        Ok(NativeOutcome {
+            state,
+            stats: run.stats,
+        })
     }
 }
 
@@ -244,6 +231,7 @@ pub fn run_native_suite(
 mod tests {
     use super::*;
     use hastm::TmExec;
+    use hastm_native::{NativeExec, NativeRuntime};
 
     #[test]
     fn native_trials_pass_on_every_workload() {

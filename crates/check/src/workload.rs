@@ -1,15 +1,18 @@
 //! The five invariant-bearing workloads, each written down once.
 //!
-//! A [`Definition`] is `{setup, per-thread body, final-state check →
-//! digest}`, generic over [`TmExec`], so the simulator driver
-//! ([`crate::Sim`]) and the host-thread driver ([`crate::native::Native`])
-//! run the *same* operations and judge the *same* final state — the
-//! property a differential checker stands on. [`Workload::run_on`] is the
-//! one place a workload name becomes a definition.
+//! Each is a [`Definition`] — `{setup, per-thread body, final-state check
+//! → digest}`, generic over [`TmExec`] — so the simulator backend
+//! ([`crate::Sim`]) and the host-thread backend ([`crate::native::Native`])
+//! run the *same* operations and judge the *same* final state.
+//! [`Workload::run_on`] is the one place a workload name becomes a
+//! definition; the mill's is `hastm-workloads`' own [`Mill`], the one its
+//! `run_oltp_sim`/`run_oltp_native` run.
 
 use hastm::{ObjRef, TmExec};
-use hastm_sim::{Addr, SchedulePolicy};
-use hastm_workloads::{oltp, AnyMap, BTree, Bst, HashTable, OltpTxn, Structure, TxMap};
+use hastm_sim::SchedulePolicy;
+use hastm_workloads::{
+    fnv1a, AnyMap, BTree, Bst, Definition, HashTable, Mill, OltpConfig, Peek, Structure, TxMap,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,41 +94,10 @@ impl Workload {
             Workload::Map => backend.run(&map(Structure::HashTable)),
             Workload::Bst => backend.run(&map(Structure::Bst)),
             Workload::BTree => backend.run(&map(Structure::BTree)),
-            Workload::Oltp => backend.run(&Mill::new(seed, threads, ops)),
+            Workload::Oltp => backend.run(&mill(seed, threads, ops)),
         }
     }
 }
-
-/// One workload, as every backend runs it.
-pub(crate) trait Definition: Sync {
-    /// What setup leaves in transactional memory for the threads to share.
-    type Shared: Send + Sync;
-
-    /// Builds the shared state on one executor, before any worker starts.
-    fn setup<E: TmExec>(&self, ex: &mut E) -> Self::Shared;
-
-    /// Thread `tid`'s whole operation stream.
-    fn body<E: TmExec>(&self, ex: &mut E, shared: &Self::Shared, tid: usize);
-
-    /// Digests whatever final state is only reachable by walking a
-    /// structure transactionally, on a fresh sequential executor once
-    /// every worker has finished. Workloads whose state sits in known
-    /// words leave this out and `peek` in [`Definition::check`].
-    fn walk<E: TmExec>(&self, _ex: &mut E, _shared: &Self::Shared) -> u64 {
-        0
-    }
-
-    /// Judges the final state and digests it; `walked` is what
-    /// [`Definition::walk`] returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violated invariant.
-    fn check(&self, shared: &Self::Shared, walked: u64, peek: Peek<'_>) -> Result<u64, String>;
-}
-
-/// Reads one word of a backend's memory at rest, bypassing the TM.
-pub(crate) type Peek<'a> = &'a dyn Fn(Addr) -> u64;
 
 /// One backend: runs a definition end to end — setup on one executor, the
 /// bodies on `threads` concurrent ones, then walk and check at rest.
@@ -135,17 +107,6 @@ pub(crate) trait Backend {
 
     /// Runs `w` to completion and judges it.
     fn run<W: Definition>(self, w: &W) -> Self::Outcome;
-}
-
-/// FNV-1a over one `(key, value)` pair; summed with a commutative combine
-/// so the digest depends only on the final abstract state (same fold the
-/// workload driver uses).
-fn fnv_pair(key: u64, value: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in key.to_le_bytes().iter().chain(value.to_le_bytes().iter()) {
-        h = (h ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -166,6 +127,7 @@ struct Counter {
 
 impl Definition for Counter {
     type Shared = Vec<ObjRef>;
+    type Output = ();
 
     fn setup<E: TmExec>(&self, ex: &mut E) -> Vec<ObjRef> {
         (0..COUNTER_CELLS)
@@ -200,7 +162,7 @@ impl Definition for Counter {
         for (i, cell) in cells.iter().enumerate() {
             let v = peek(cell.word(0));
             total += v;
-            state = state.wrapping_add(fnv_pair(i as u64, v));
+            state = state.wrapping_add(fnv1a([i as u64, v]));
         }
         if total != expected {
             return Err(format!(
@@ -294,6 +256,7 @@ impl PartitionedMap {
 
 impl Definition for PartitionedMap {
     type Shared = AnyMap;
+    type Output = ();
 
     /// The hash table is sized small (32 buckets) to force bucket-chain
     /// traversals; trees size themselves.
@@ -333,7 +296,7 @@ impl Definition for PartitionedMap {
         let mut resident = 0u64;
         for key in 0..self.key_span {
             if let Some(value) = ex.atomic(|ctx| map.get(ctx, key)) {
-                digest = digest.wrapping_add(fnv_pair(key, value));
+                digest = digest.wrapping_add(fnv1a([key, value]));
                 resident += 1;
             }
         }
@@ -358,80 +321,18 @@ impl Definition for PartitionedMap {
 /// 10% eight-key tail) so real cross-thread conflicts occur even at the
 /// harness's small op counts. Transfers apply fixed zero-sum deltas, so
 /// the final ledger is initial + Σ deltas regardless of interleaving.
-struct Mill {
-    accounts: u32,
-    /// One transaction stream per thread.
-    streams: Vec<Vec<OltpTxn>>,
-    /// The closed-form final ledger.
-    expected: Vec<u64>,
-}
-
-impl Mill {
-    fn new(seed: u64, threads: usize, ops: u64) -> Self {
-        let params = hastm_workloads::OltpConfig {
-            threads,
-            txns_per_thread: ops,
-            accounts: 16,
-            zipf_theta: 0.9,
-            read_pct: 25,
-            txn_keys: 3,
-            large_txn_pct: 10,
-            large_txn_keys: 8,
-            flash_phases: 2,
-            mean_arrival_gap: 300,
-            seed,
-        };
-        Mill {
-            accounts: params.accounts,
-            streams: (0..threads)
-                .map(|t| oltp::thread_txns(&params, t))
-                .collect(),
-            expected: oltp::expected_balances(&params),
-        }
-    }
-}
-
-impl Definition for Mill {
-    type Shared = Vec<ObjRef>;
-
-    fn setup<E: TmExec>(&self, ex: &mut E) -> Vec<ObjRef> {
-        (0..self.accounts)
-            .map(|key| {
-                let obj = ex.alloc_obj(oltp::ACCOUNT_WORDS);
-                ex.atomic(|ctx| ctx.ctx_write(obj, 0, oltp::initial_balance(key)));
-                obj
-            })
-            .collect()
-    }
-
-    fn body<E: TmExec>(&self, ex: &mut E, accounts: &Vec<ObjRef>, tid: usize) {
-        oltp::run_mill_thread(ex, accounts, &self.streams[tid]);
-    }
-
-    fn check(&self, accounts: &Vec<ObjRef>, _: u64, peek: Peek<'_>) -> Result<u64, String> {
-        let balances: Vec<u64> = accounts.iter().map(|a| peek(a.word(0))).collect();
-        check_ledger(&balances, &self.expected)
-    }
-}
-
-/// Judges a mill run's final balances against the closed-form ledger
-/// (shared with the zombie scenarios) and digests them.
-pub(crate) fn check_ledger(balances: &[u64], expected: &[u64]) -> Result<u64, String> {
-    if oltp::total_balance(balances) != oltp::total_balance(expected) {
-        return Err(format!(
-            "oltp ledger: total balance {} != conserved total {}",
-            oltp::total_balance(balances),
-            oltp::total_balance(expected)
-        ));
-    }
-    if let Some(key) = (0..balances.len()).find(|&k| balances[k] != expected[k]) {
-        let divergent = balances.iter().zip(expected).filter(|(a, b)| a != b);
-        return Err(format!(
-            "oltp ledger: account {key} balance {} != {} (first of {} divergent accounts)",
-            balances[key],
-            expected[key],
-            divergent.count()
-        ));
-    }
-    Ok(oltp::balances_digest(balances))
+fn mill(seed: u64, threads: usize, ops: u64) -> Mill {
+    Mill::new(&OltpConfig {
+        threads,
+        txns_per_thread: ops,
+        accounts: 16,
+        zipf_theta: 0.9,
+        read_pct: 25,
+        txn_keys: 3,
+        large_txn_pct: 10,
+        large_txn_keys: 8,
+        flash_phases: 2,
+        mean_arrival_gap: 300,
+        seed,
+    })
 }

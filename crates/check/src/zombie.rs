@@ -30,7 +30,9 @@
 
 use hastm::Granularity;
 use hastm_sim::{FaultEvent, FaultKind, SchedulePolicy};
-use hastm_workloads::oltp::{expected_balances, run_oltp_sim, OltpConfig, OltpSimConfig};
+use hastm_workloads::oltp::{
+    check_ledger, expected_balances, run_oltp_sim, OltpConfig, OltpSimConfig,
+};
 use hastm_workloads::Scheme;
 
 /// One zombie scenario: a scheme whose transactions run through the
@@ -132,7 +134,7 @@ pub fn run_zombie_scenario(sc: &ZombieScenario) -> Result<ZombieReport, String> 
             r.oracle_violations, sc.scheme, sc.seed
         ));
     }
-    crate::workload::check_ledger(&r.balances, &expected)
+    check_ledger(&r.balances, &expected)
         .map_err(|e| format!("{e} [{:?} seed {}]", sc.scheme, sc.seed))?;
     Ok(ZombieReport {
         validations_full: r.txn.validations_full,

@@ -148,10 +148,7 @@ impl TmExec for TxThread<'_, '_> {
     }
 
     fn idle_until(&mut self, tick: u64) {
-        let now = self.cpu().now();
-        if tick > now {
-            self.cpu().tick(tick - now);
-        }
+        self.cpu().idle_until(tick);
     }
 }
 

@@ -335,8 +335,7 @@ impl SharedModeState {
     /// # Errors
     ///
     /// Returns the freshly observed word when the CAS loses.
-    #[doc(hidden)]
-    pub fn cas_enter(&self, expected: u64, seen: u64) -> Result<Phase, u64> {
+    pub(crate) fn cas_enter(&self, expected: u64, seen: u64) -> Result<Phase, u64> {
         let target = ((expected & !PHASE_MASK) | (seen & PHASE_MASK)) + ACTIVE_ONE;
         match self.word.compare_exchange(expected, target, SeqCst, SeqCst) {
             Ok(_) => Ok(Phase::decode(seen)),
@@ -345,8 +344,7 @@ impl SharedModeState {
     }
 
     /// Retires one optimistic transaction (commit or abort).
-    #[doc(hidden)]
-    pub fn exit_optimistic(&self) {
+    pub(crate) fn exit_optimistic(&self) {
         let prev = self.word.fetch_sub(ACTIVE_ONE, SeqCst);
         debug_assert!(
             Self::active_count(prev) > 0,
@@ -355,8 +353,7 @@ impl SharedModeState {
     }
 
     /// Tries to take the serial token for holder `id` (nonzero).
-    #[doc(hidden)]
-    pub fn try_acquire_token(&self, id: u64) -> bool {
+    pub(crate) fn try_acquire_token(&self, id: u64) -> bool {
         debug_assert_ne!(id, 0, "token holder id must be nonzero");
         self.serial_token
             .compare_exchange(0, id, SeqCst, SeqCst)
@@ -364,8 +361,7 @@ impl SharedModeState {
     }
 
     /// Releases the serial token held by `id`.
-    #[doc(hidden)]
-    pub fn release_token(&self, id: u64) {
+    pub(crate) fn release_token(&self, id: u64) {
         let prev = self.serial_token.swap(0, SeqCst);
         debug_assert_eq!(prev, id, "token released by a non-holder");
     }

@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use hastm::phase::{refresh_view, SharedModeState, ACTIVE_ONE};
+use hastm::phase::{refresh_view, Access, Entry, SharedModeState, Wait};
 use hastm::{
     Granularity, ModePolicy, ObjRef, Phase, PhaseEvent, PhasedParams, StmConfig, StmRuntime,
     TxThread, TxnStats,
@@ -121,6 +121,61 @@ fn one_level_apart(from: Phase, to: Phase) -> bool {
     to != from && (to == from.demote() || to == from.promote())
 }
 
+/// The other threads, as the entrant under test meets them: a counting
+/// [`Access`] whose steps run at once and whose waits are where somebody
+/// else moves.
+struct Others<'a> {
+    shared: &'a SharedModeState,
+    /// Optimistic transactions still running; each drain wait sees the
+    /// last of them leave.
+    in_flight: Vec<(Entry, u64)>,
+    /// The current token holder and the number of token waits it sits
+    /// through before leaving.
+    holder: Option<(u64, u64)>,
+    /// Waits so far.
+    waits: u64,
+}
+
+impl<'a> Others<'a> {
+    fn new(shared: &'a SharedModeState) -> Self {
+        Others {
+            shared,
+            in_flight: Vec::new(),
+            holder: None,
+            waits: 0,
+        }
+    }
+}
+
+impl Access for Others<'_> {
+    fn sync<T>(&mut self, step: impl FnOnce() -> T) -> T {
+        step()
+    }
+
+    fn pause(&mut self, wait: Wait) {
+        self.waits += 1;
+        // The one leaving takes its own steps, none of which wait.
+        let mut leaver = Others::new(self.shared);
+        match wait {
+            Wait::Drain => {
+                let (entry, id) = self
+                    .in_flight
+                    .pop()
+                    .expect("drain wait with nobody in flight");
+                self.shared.leave(entry, id, None, &mut leaver);
+            }
+            Wait::Token(n) => {
+                let (holder, patience) = self.holder.expect("token wait with the token free");
+                assert_eq!(n, self.waits, "token waits are counted from one");
+                assert_eq!(self.shared.token_holder(), holder, "token changed hands");
+                if n == patience {
+                    self.shared.leave(Entry::Serial, holder, None, &mut leaver);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
@@ -209,61 +264,55 @@ proptest! {
         }
     }
 
-    /// The serial token is exclusive and the phase drains: with `n`
-    /// optimistic transactions in flight and `m` serial entrants racing,
-    /// exactly one entrant holds the token at a time, and it may only
-    /// proceed once every optimistic entrant has exited.
+    /// The serial token is exclusive and the phase drains, through the
+    /// protocol itself ([`SharedModeState::enter`]/[`SharedModeState::leave`]
+    /// over a counting [`Access`]): with `n` optimistic transactions in
+    /// flight the first serial entrant is let through only after exactly
+    /// `n` drain waits have each seen one of them leave, and every later
+    /// entrant waits on the token — which never changes hands meanwhile —
+    /// for as long as the holder keeps it.
     #[test]
     fn serial_drains_to_exactly_one_token_holder(
         params in params_strategy(),
         optimistic in 0usize..12,
         entrants in 1u64..8,
+        patience in 1u64..5,
     ) {
         let shared = SharedModeState::new(params);
         // Optimistic transactions enter while the phase is still open.
-        for _ in 0..optimistic {
-            let w = shared.word();
-            prop_assert!(shared.cas_enter(w, w).is_ok());
+        let mut others = Others::new(&shared);
+        for i in 0..optimistic {
+            let id = ((entrants + i as u64) << 1) | 1;
+            let entry = shared.enter(id, &mut others);
+            prop_assert_eq!(entry, Entry::Optimistic(Phase::Hw));
+            others.in_flight.push((entry, id));
         }
+        prop_assert_eq!(others.waits, 0, "open entry waited");
         while shared.phase() != Phase::Serial {
             shared.on_event(PhaseEvent::ConflictAbort);
         }
-        // New optimistic entry is refused by protocol (the entry loop
-        // checks the phase first); a stale CAS from before the
-        // publication must fail outright because the epoch moved.
-        let stale = (optimistic as u64) * ACTIVE_ONE;
-        prop_assert!(shared.cas_enter(stale, stale).is_err(), "stale entry CAS succeeded");
+        prop_assert_eq!(SharedModeState::active_count(shared.word()), optimistic as u64);
 
-        // Exactly one of the racing entrants acquires the token.
+        // The first entrant takes the free token and must wait out the
+        // drain: one wait per transaction still in flight, no more.
         let ids: Vec<u64> = (0..entrants).map(|i| (i << 1) | 1).collect();
-        let winners: Vec<u64> = ids
-            .iter()
-            .copied()
-            .filter(|&id| shared.try_acquire_token(id))
-            .collect();
-        prop_assert_eq!(winners.len(), 1, "token not exclusive: {:?}", winners);
-        prop_assert_eq!(shared.token_holder(), winners[0]);
-        for &id in &ids {
-            if id != winners[0] {
-                prop_assert!(!shared.try_acquire_token(id));
-            }
-        }
-
-        // The winner must wait for the drain...
-        let mut active = SharedModeState::active_count(shared.word());
-        prop_assert_eq!(active, optimistic as u64);
-        while active > 0 {
-            shared.exit_optimistic();
-            active -= 1;
-        }
+        prop_assert_eq!(shared.enter(ids[0], &mut others), Entry::Serial);
+        prop_assert_eq!(others.waits, optimistic as u64);
+        prop_assert!(others.in_flight.is_empty());
         prop_assert_eq!(SharedModeState::active_count(shared.word()), 0);
+        prop_assert_eq!(shared.token_holder(), ids[0]);
 
-        // ...and once it releases, the next entrant can take over.
-        shared.release_token(winners[0]);
+        // Every other entrant finds the token busy until its holder
+        // leaves, then takes over with nothing left to drain.
+        for pair in ids.windows(2) {
+            let mut others = Others::new(&shared);
+            others.holder = Some((pair[0], patience));
+            prop_assert_eq!(shared.enter(pair[1], &mut others), Entry::Serial);
+            prop_assert_eq!(others.waits, patience);
+            prop_assert_eq!(shared.token_holder(), pair[1]);
+        }
+        shared.leave(Entry::Serial, ids[ids.len() - 1], None, &mut Others::new(&shared));
         prop_assert_eq!(shared.token_holder(), 0);
-        let next = (entrants << 1) | 1;
-        prop_assert!(shared.try_acquire_token(next));
-        shared.release_token(next);
     }
 
     /// `refresh_view` (unmutated) adopts the freshly observed word

@@ -301,6 +301,16 @@ impl<'a> Cpu<'a> {
         !st.dynamic_schedule()
     }
 
+    /// Stalls until [`Cpu::now`] reaches `tick`; returns at once if it
+    /// already has. The open-loop arrival wait of every simulated
+    /// `TmExec`.
+    pub fn idle_until(&mut self, tick: u64) {
+        let now = self.now();
+        if tick > now {
+            self.tick(tick - now);
+        }
+    }
+
     /// Advances this core's clock by `cycles` of raw stall/wait time (spin
     /// backoff, kernel time). For instruction work, use [`Cpu::exec`].
     ///

@@ -4,18 +4,19 @@
 //! populated before the experimental run").
 
 use hastm::{
-    Granularity, MetricsSnapshot, OracleMode, StmRuntime, TmContext, TxResult, TxnStats, Versioning,
+    Granularity, MetricsSnapshot, OracleMode, TmContext, TmExec, TxResult, TxnStats, Versioning,
 };
 use hastm_htm::HytmStats;
-use hastm_locks::SpinLock;
-use hastm_sim::{Machine, MachineConfig, RunReport};
+use hastm_sim::{MachineConfig, RunReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::btree::BTree;
+use crate::fnv1a;
 use crate::hashtable::HashTable;
 use crate::map::TxMap;
 use crate::scheme::{ExecStats, Scheme, ThreadExec};
+use crate::session::{RunPlan, SimSession};
 
 /// Which evaluation data structure to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -110,7 +111,7 @@ pub struct WorkloadConfig {
     /// 100; the remainder are point lookups.
     pub scan_pct: u32,
     /// Route lookups and scans through declared read-only regions
-    /// ([`ThreadExec::atomic_ro`]). Under [`Versioning::Multi`] these take
+    /// (`atomic_ro`). Under [`Versioning::Multi`] these take
     /// the abort-free snapshot path; under [`Versioning::Single`] (or a
     /// non-STM scheme) they execute as ordinary atomic regions, so the
     /// flag alone never changes results.
@@ -250,47 +251,35 @@ pub fn run_workload_traced(
     cfg: &WorkloadConfig,
     trace: Option<hastm_sim::TraceConfig>,
 ) -> (WorkloadResult, Option<hastm_sim::TraceLog>) {
-    assert!(cfg.threads >= 1);
-    assert!(
-        cfg.scheme != Scheme::Sequential || cfg.threads == 1,
-        "sequential scheme is single-threaded by definition"
-    );
-    let mut machine_cfg = cfg.machine.clone();
-    machine_cfg.cores = cfg.threads;
-    let mut machine = Machine::new(machine_cfg);
     assert!(
         cfg.update_pct + cfg.scan_pct <= 100,
         "update_pct + scan_pct must leave room for lookups"
     );
-    let mut stm_config = cfg
+    let stm_config = cfg
         .scheme
-        .stm_config(cfg.granularity, cfg.threads)
+        .stm_config_under(cfg.granularity, cfg.threads, cfg.mode_policy_override)
         .with_oracle(cfg.oracle)
         .with_versioning(cfg.versioning);
-    if let (Some(p), true) = (cfg.mode_policy_override, cfg.scheme == Scheme::Hastm) {
-        stm_config.mode_policy = p;
-    }
-    let runtime = StmRuntime::new(&mut machine, stm_config);
-    let lock = SpinLock::alloc(runtime.heap());
+    let machine = MachineConfig {
+        cores: cfg.threads,
+        ..cfg.machine.clone()
+    };
+    let mut session = SimSession::new(cfg.scheme, machine, stm_config);
 
-    // Build + populate through a sequential executor on core 0 (identical
-    // memory layout for every scheme given the same seed).
-    let structure_kind = cfg.structure;
-    let populate_seed = cfg.seed ^ 0x9e37_79b9;
-    let rt = &runtime;
-    let (map, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
+    // Build + populate sequentially (identical memory layout for every
+    // scheme given the same seed).
+    let map = session.sequential(|ex| {
         let map = ex.atomic(|ctx| {
             // Size the table to the working set (load factor <= ~2 when
             // half the key range is resident).
             let buckets = (cfg.key_range / 2).next_power_of_two().clamp(64, 8192) as u32;
-            Ok(match structure_kind {
+            Ok(match cfg.structure {
                 Structure::HashTable => AnyMap::Hash(HashTable::create(ctx, buckets)),
                 Structure::Bst => AnyMap::Bst(crate::bst::Bst::create(ctx)),
                 Structure::BTree => AnyMap::BTree(BTree::create(ctx)?),
             })
         });
-        let mut rng = StdRng::seed_from_u64(populate_seed);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9);
         let mut inserted = 0;
         while inserted < cfg.prepopulate {
             let key = rng.gen_range(0..cfg.key_range);
@@ -301,69 +290,41 @@ pub fn run_workload_traced(
         }
         map
     });
+    let stream = |ex: &mut ThreadExec<'_, '_>, seed: u64, ops: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..ops {
+            let key = rng.gen_range(0..cfg.key_range);
+            let roll: u32 = rng.gen_range(0..100);
+            map_op(ex, &map, cfg, key, roll);
+        }
+    };
 
     // Warmup pass: run a quarter of the op budget per thread under the
     // measured scheme so caches (data, records, logs) reach steady state on
     // every core, as in the paper's long runs.
-    {
-        let warm_ops = (cfg.ops_per_thread / 4).max(1);
-        let warm_workers: Vec<hastm_sim::WorkerFn<'_>> = (0..cfg.threads)
-            .map(|tid| {
-                let cfg = cfg.clone();
-                Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                    let mut ex = ThreadExec::new(cfg.scheme, rt, cpu, lock);
-                    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xaaaa ^ (tid as u64) << 17);
-                    for _ in 0..warm_ops {
-                        let key = rng.gen_range(0..cfg.key_range);
-                        let roll: u32 = rng.gen_range(0..100);
-                        map_op(&mut ex, &map, &cfg, key, roll);
-                    }
-                }) as hastm_sim::WorkerFn<'_>
-            })
-            .collect();
-        machine.run(warm_workers);
-    }
+    let warm_ops = (cfg.ops_per_thread / 4).max(1);
+    session.run(&RunPlan::default(), |ex, tid| {
+        stream(ex, cfg.seed ^ 0xaaaa ^ (tid as u64) << 17, warm_ops)
+    });
 
     // Measured run: every thread performs its op stream under the scheme.
-    machine.set_tracing(trace);
-    let merged = std::sync::Mutex::new(ExecStats::default());
-    let merged_ref = &merged;
-    let scheme = cfg.scheme;
-    let workers: Vec<hastm_sim::WorkerFn<'_>> = (0..cfg.threads)
-        .map(|tid| {
-            let cfg = cfg.clone();
-            Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (tid as u64).wrapping_mul(0x9e37));
-                for _ in 0..cfg.ops_per_thread {
-                    let key = rng.gen_range(0..cfg.key_range);
-                    let roll: u32 = rng.gen_range(0..100);
-                    map_op(&mut ex, &map, &cfg, key, roll);
-                }
-                merged_ref.lock().unwrap().merge(&ex.stats());
-            }) as hastm_sim::WorkerFn<'_>
-        })
-        .collect();
-    let report = machine.run(workers);
-    let trace_log = machine.take_trace();
-    machine.set_tracing(None);
-
-    let ExecStats { mut txn, hytm } = merged.into_inner().unwrap();
+    let plan = RunPlan {
+        trace,
+        ..RunPlan::default()
+    };
+    let measured = session.run(&plan, |ex, tid| {
+        let seed = cfg.seed ^ (tid as u64).wrapping_mul(0x9e37);
+        stream(ex, seed, cfg.ops_per_thread)
+    });
 
     // Digest sweep (after the measured report is taken, so it costs the
     // metrics nothing): fold every resident pair with a commutative
     // combine, so the digest depends only on the final abstract map state.
-    let key_range = cfg.key_range;
-    let (digest, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
+    let digest = session.sequential(|ex| {
         let mut digest = 0u64;
-        for key in 0..key_range {
+        for key in 0..cfg.key_range {
             if let Some(value) = ex.atomic(|ctx| map.get(ctx, key)) {
-                let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over (key, value)
-                for byte in key.to_le_bytes().iter().chain(value.to_le_bytes().iter()) {
-                    h = (h ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3);
-                }
-                digest = digest.wrapping_add(h);
+                digest = digest.wrapping_add(fnv1a([key, value]));
             }
         }
         digest
@@ -372,18 +333,19 @@ pub fn run_workload_traced(
     // All phases are quiesced: settle the oracle's deferred serializability
     // obligations against the committed-write journal. (A no-op unless the
     // oracle is on; panics here under `OracleMode::Panic`.)
-    txn.oracle_violations += runtime.verify_serializability(&machine).len() as u64;
+    let ExecStats { mut txn, hytm } = measured.stats;
+    txn.oracle_violations += session.settle().len() as u64;
 
     (
         WorkloadResult {
-            cycles: report.makespan(),
+            cycles: measured.report.makespan(),
             total_ops: cfg.ops_per_thread * cfg.threads as u64,
-            report,
+            report: measured.report,
             txn,
             hytm,
             digest,
         },
-        trace_log,
+        measured.trace,
     )
 }
 

@@ -29,6 +29,7 @@ pub mod hashtable;
 pub mod map;
 pub mod oltp;
 pub mod scheme;
+pub mod session;
 pub mod synthetic;
 
 pub use bst::Bst;
@@ -39,11 +40,26 @@ pub use driver::{
 pub use hashtable::HashTable;
 pub use map::{check_against_reference, TxMap};
 pub use oltp::{
-    run_oltp_native, run_oltp_sim, OltpConfig, OltpMetrics, OltpNativeConfig, OltpNativeResult,
-    OltpSimConfig, OltpSimResult, OltpTxn,
+    run_oltp_native, run_oltp_sim, Mill, OltpConfig, OltpMetrics, OltpNativeConfig,
+    OltpNativeResult, OltpSimConfig, OltpSimResult, OltpTxn,
 };
 pub use scheme::{ExecStats, Scheme, ThreadExec};
+pub use session::{Definition, NativeRun, NativeSession, Peek, RunPlan, SimRun, SimSession};
 pub use synthetic::{
     analyze, generate_stream, run_kernel, KernelParams, KernelResult, KernelStream, TraceAnalysis,
     WorkloadProfile, PROFILES,
 };
+
+/// FNV-1a over the little-endian bytes of `words`: the one hash behind
+/// every digest in the workspace (map and ledger state digests, which sum
+/// it per `(key, value)` pair so resident order does not matter, and the
+/// checker's schedule hash).
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}

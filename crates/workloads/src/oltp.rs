@@ -5,7 +5,7 @@
 //! per-transaction latency accounting.
 //!
 //! The mill is written once against the [`hastm::TmExec`] seam and runs
-//! unchanged on every simulator scheme (via [`ThreadExec`]) and on the
+//! unchanged on every simulator scheme (via [`crate::ThreadExec`]) and on the
 //! native TL2 backend (via [`hastm_native::NativeExec`]); the clock unit
 //! is simulated cycles on the former and host nanoseconds on the latter.
 //!
@@ -28,19 +28,15 @@
 //! toward latency exactly as it would in a served system. [`OltpMetrics`]
 //! reports p50/p99 latency, goodput, and abort-retry amplification.
 
-use std::sync::Mutex;
-use std::time::Instant;
-
-use hastm::{
-    Granularity, LatencyStats, MetricsSnapshot, ObjRef, OracleMode, StmRuntime, TmExec, TxnStats,
-};
-use hastm_locks::SpinLock;
-use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
-use hastm_sim::{FaultEvent, Machine, MachineConfig, Preemption, TraceConfig, TraceLog, WorkerFn};
+use hastm::{Granularity, LatencyStats, MetricsSnapshot, ObjRef, OracleMode, TmExec, TxnStats};
+use hastm_native::{NativeConfig, NativeStats};
+use hastm_sim::{FaultEvent, MachineConfig, Preemption, TraceConfig, TraceLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::scheme::{ExecStats, Scheme, ThreadExec};
+use crate::fnv1a;
+use crate::scheme::{ExecStats, Scheme};
+use crate::session::{Definition, NativeSession, Peek, RunPlan, SimSession};
 
 /// Payload words per account object. Eight words plus the object header
 /// exceed one 64-byte cache line, so every account occupies its own line
@@ -252,16 +248,7 @@ pub fn initial_balance(key: u32) -> u64 {
 /// deltas. Interleaving-independent by construction (wrapping addition
 /// commutes), so it is the reference for *both* backends.
 pub fn expected_balances(cfg: &OltpConfig) -> Vec<u64> {
-    let mut balances: Vec<u64> = (0..cfg.accounts).map(initial_balance).collect();
-    for tid in 0..cfg.threads {
-        for txn in thread_txns(cfg, tid) {
-            for (&key, &delta) in txn.keys.iter().zip(&txn.deltas) {
-                let b = &mut balances[key as usize];
-                *b = b.wrapping_add(delta as u64);
-            }
-        }
-    }
-    balances
+    Mill::new(cfg).expected
 }
 
 /// Wrapping total across all accounts — conserved by every transfer.
@@ -272,19 +259,39 @@ pub fn total_balance(balances: &[u64]) -> u64 {
 /// Order-sensitive FNV digest of the balance vector (the mill's analog of
 /// the map workloads' digest sweep).
 pub fn balances_digest(balances: &[u64]) -> u64 {
-    let mut digest = 0u64;
-    for (key, value) in balances.iter().enumerate() {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over (key, value)
-        for byte in (key as u64)
-            .to_le_bytes()
-            .iter()
-            .chain(value.to_le_bytes().iter())
-        {
-            h = (h ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3);
-        }
-        digest = digest.wrapping_add(h);
+    balances
+        .iter()
+        .enumerate()
+        .fold(0u64, |digest, (key, &value)| {
+            digest.wrapping_add(fnv1a([key as u64, value]))
+        })
+}
+
+/// Judges a mill run's final balances against the closed-form ledger and
+/// digests them.
+///
+/// # Errors
+///
+/// Returns the divergence: total balance not conserved, or the first
+/// account that differs.
+pub fn check_ledger(balances: &[u64], expected: &[u64]) -> Result<u64, String> {
+    if total_balance(balances) != total_balance(expected) {
+        return Err(format!(
+            "oltp ledger: total balance {} != conserved total {}",
+            total_balance(balances),
+            total_balance(expected)
+        ));
     }
-    digest
+    if let Some(key) = (0..balances.len()).find(|&k| balances[k] != expected[k]) {
+        let divergent = balances.iter().zip(expected).filter(|(a, b)| a != b);
+        return Err(format!(
+            "oltp ledger: account {key} balance {} != {} (first of {} divergent accounts)",
+            balances[key],
+            expected[key],
+            divergent.count()
+        ));
+    }
+    Ok(balances_digest(balances))
 }
 
 /// Applies one transaction through the scheme-independent context.
@@ -354,6 +361,66 @@ pub fn run_mill_thread<E: TmExec>(
     }
 }
 
+/// The mill as the one [`Definition`] every backend runs: a ledger of
+/// account objects at their initial balances, each thread's pre-generated
+/// stream through [`run_mill_thread`], and the closed-form ledger as the
+/// judge.
+#[derive(Clone, Debug)]
+pub struct Mill {
+    accounts: u32,
+    /// One transaction stream per thread.
+    streams: Vec<Vec<OltpTxn>>,
+    /// The closed-form final ledger.
+    expected: Vec<u64>,
+}
+
+impl Mill {
+    /// Generates `cfg`'s streams and the ledger they must end at.
+    pub fn new(cfg: &OltpConfig) -> Self {
+        let streams: Vec<Vec<OltpTxn>> = (0..cfg.threads).map(|t| thread_txns(cfg, t)).collect();
+        let mut expected: Vec<u64> = (0..cfg.accounts).map(initial_balance).collect();
+        for txn in streams.iter().flatten() {
+            for (&key, &delta) in txn.keys.iter().zip(&txn.deltas) {
+                let b = &mut expected[key as usize];
+                *b = b.wrapping_add(delta as u64);
+            }
+        }
+        Mill {
+            accounts: cfg.accounts,
+            streams,
+            expected,
+        }
+    }
+
+    /// The ledger as it stands in a backend's memory at rest.
+    pub fn balances(accounts: &[ObjRef], peek: Peek<'_>) -> Vec<u64> {
+        accounts.iter().map(|obj| peek(obj.word(0))).collect()
+    }
+}
+
+impl Definition for Mill {
+    type Shared = Vec<ObjRef>;
+    type Output = ThreadMillResult;
+
+    fn setup<E: TmExec>(&self, ex: &mut E) -> Vec<ObjRef> {
+        (0..self.accounts)
+            .map(|key| {
+                let obj = ex.alloc_obj(ACCOUNT_WORDS);
+                ex.atomic(|ctx| ctx.ctx_write(obj, 0, initial_balance(key)));
+                obj
+            })
+            .collect()
+    }
+
+    fn body<E: TmExec>(&self, ex: &mut E, accounts: &Vec<ObjRef>, tid: usize) -> ThreadMillResult {
+        run_mill_thread(ex, accounts, &self.streams[tid])
+    }
+
+    fn check(&self, accounts: &Vec<ObjRef>, _: u64, peek: Peek<'_>) -> Result<u64, String> {
+        check_ledger(&Mill::balances(accounts, peek), &self.expected)
+    }
+}
+
 /// Serving-style metrics of one mill run. `elapsed` (and the latency
 /// samples) are simulated cycles on the simulator and host nanoseconds on
 /// the native backend; goodput is normalized per million clock units so
@@ -373,6 +440,27 @@ pub struct OltpMetrics {
 }
 
 impl OltpMetrics {
+    /// The metrics of a run of `cfg` that took `elapsed` clock units.
+    fn of(
+        cfg: &OltpConfig,
+        elapsed: u64,
+        per_thread: &[ThreadMillResult],
+        commits: u64,
+        aborts: u64,
+    ) -> Self {
+        let mut latency = LatencyStats::default();
+        for &l in per_thread.iter().flat_map(|mill| &mill.latencies) {
+            latency.record(l);
+        }
+        OltpMetrics {
+            latency,
+            total_txns: cfg.total_txns(),
+            commits,
+            aborts,
+            elapsed,
+        }
+    }
+
     /// Median serving latency.
     pub fn p50(&self) -> u64 {
         self.latency.quantile(0.50)
@@ -482,99 +570,43 @@ pub struct OltpSimResult {
 /// with more than one thread.
 pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
     let threads = cfg.oltp.threads;
-    assert!(threads >= 1);
-    assert!(
-        cfg.scheme != Scheme::Sequential || threads == 1,
-        "sequential execution is single-threaded"
-    );
-
-    let mut machine_cfg = cfg.machine.clone();
-    machine_cfg.cores = threads;
-    let mut machine = Machine::new(machine_cfg);
     let mut stm_config = cfg
         .scheme
-        .stm_config(cfg.granularity, threads)
+        .stm_config_under(cfg.granularity, threads, cfg.mode_policy_override)
         .with_oracle(cfg.oracle);
-    if let (Some(p), true) = (cfg.mode_policy_override, cfg.scheme == Scheme::Hastm) {
-        stm_config.mode_policy = p;
-    }
     if let Some(period) = cfg.validation_period {
         stm_config.validation_period = period;
     }
-    let runtime = StmRuntime::new(&mut machine, stm_config);
-    let lock = SpinLock::alloc(runtime.heap());
-    let rt = &runtime;
-
-    let streams: Vec<Vec<OltpTxn>> = (0..threads).map(|t| thread_txns(&cfg.oltp, t)).collect();
-    let n_accounts = cfg.oltp.accounts;
-
-    // Populate the ledger sequentially (untraced, unfaulted).
-    let (accounts, _) = machine.run_one(move |cpu| {
-        let mut ex = ThreadExec::new(Scheme::Sequential, rt, cpu, lock);
-        (0..n_accounts)
-            .map(|key| {
-                let obj = ex.alloc_obj(ACCOUNT_WORDS);
-                ex.atomic(|ctx| ctx.ctx_write(obj, 0, initial_balance(key)));
-                obj
-            })
-            .collect::<Vec<ObjRef>>()
-    });
-
-    // Measured run, with any fault plan and tracing armed.
-    machine.set_preemptions(cfg.preemptions.clone());
-    machine.set_faults(cfg.faults.clone());
-    machine.set_tracing(cfg.trace);
-    type Slot = (ThreadMillResult, ExecStats);
-    let slots: Vec<Mutex<Option<Slot>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-    let slots_ref = &slots;
-    let accounts_ref = &accounts;
-    let streams_ref = &streams;
-    let scheme = cfg.scheme;
-    let workers: Vec<WorkerFn<'_>> = (0..threads)
-        .map(|tid| {
-            Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-                let mill = run_mill_thread(&mut ex, accounts_ref, &streams_ref[tid]);
-                *slots_ref[tid].lock().unwrap() = Some((mill, ex.stats()));
-            }) as WorkerFn<'_>
-        })
-        .collect();
-    let report = machine.run(workers);
-    let trace = machine.take_trace();
-    machine.set_tracing(None);
-    machine.set_preemptions(Vec::new());
-    machine.set_faults(Vec::new());
-
-    let mut metrics = OltpMetrics {
-        total_txns: cfg.oltp.total_txns(),
-        elapsed: report.makespan(),
-        ..OltpMetrics::default()
+    let machine = MachineConfig {
+        cores: threads,
+        ..cfg.machine.clone()
     };
-    let mut stats = ExecStats::default();
-    let mut per_thread = Vec::with_capacity(threads);
-    for slot in &slots {
-        let (mill, s) = slot.lock().unwrap().take().expect("worker ran");
-        for &l in &mill.latencies {
-            metrics.latency.record(l);
-        }
-        stats.merge(&s);
-        per_thread.push(mill);
-    }
-    (metrics.commits, metrics.aborts) = match cfg.scheme {
+    let mut session = SimSession::new(cfg.scheme, machine, stm_config);
+
+    // The ledger is populated sequentially (untraced, unfaulted); the
+    // fault plan and tracing are armed for the measured run only.
+    let plan = RunPlan {
+        preemptions: cfg.preemptions.clone(),
+        faults: cfg.faults.clone(),
+        trace: cfg.trace,
+        ..RunPlan::default()
+    };
+    let (accounts, run) = session.run_definition(&Mill::new(&cfg.oltp), &plan);
+
+    let (commits, aborts) = match cfg.scheme {
         // These count nothing and cannot abort: each transaction issued
         // committed once.
-        Scheme::Sequential | Scheme::Lock => (metrics.total_txns, 0),
-        _ => (stats.commits(), stats.aborts()),
+        Scheme::Sequential | Scheme::Lock => (cfg.oltp.total_txns(), 0),
+        _ => (run.stats.commits(), run.stats.aborts()),
     };
-    let ExecStats { mut txn, hytm } = stats;
+    let elapsed = run.report.makespan();
+    let metrics = OltpMetrics::of(&cfg.oltp, elapsed, &run.outputs, commits, aborts);
+    let ExecStats { mut txn, hytm } = run.stats;
 
     // Settle the oracle's deferred obligations, then snapshot.
-    txn.oracle_violations += runtime.verify_serializability(&machine).len() as u64;
-    let balances: Vec<u64> = accounts
-        .iter()
-        .map(|obj| machine.peek_u64(obj.word(0)))
-        .collect();
-    let mut snapshot = MetricsSnapshot::collect(&txn, &report);
+    txn.oracle_violations += session.settle().len() as u64;
+    let balances = Mill::balances(&accounts, &|addr| session.peek(addr));
+    let mut snapshot = MetricsSnapshot::collect(&txn, &run.report);
     snapshot.extend(hytm.entries());
     snapshot.push_latency(&metrics.latency);
 
@@ -582,11 +614,11 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
         metrics,
         digest: balances_digest(&balances),
         balances,
-        per_thread,
+        per_thread: run.outputs,
         oracle_violations: txn.oracle_violations,
         txn,
         snapshot,
-        trace,
+        trace: run.trace,
     }
 }
 
@@ -624,68 +656,28 @@ pub struct OltpNativeResult {
 ///
 /// Panics if `threads` is zero.
 pub fn run_oltp_native(cfg: &OltpNativeConfig) -> OltpNativeResult {
-    let threads = cfg.oltp.threads;
-    assert!(threads >= 1);
-    let rt = NativeRuntime::new(cfg.native.clone());
-
-    let accounts: Vec<ObjRef> = {
-        let mut ex = NativeExec::new(&rt);
-        (0..cfg.oltp.accounts)
-            .map(|key| {
-                let obj = ex.alloc_obj(ACCOUNT_WORDS);
-                ex.atomic(|ctx| ctx.ctx_write(obj, 0, initial_balance(key)));
-                obj
-            })
-            .collect()
-    };
-
-    let streams: Vec<Vec<OltpTxn>> = (0..threads).map(|t| thread_txns(&cfg.oltp, t)).collect();
-    let start = Instant::now();
-    let per_thread_raw: Vec<(ThreadMillResult, NativeStats)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let rt = &rt;
-                let accounts = &accounts;
-                let stream = &streams[tid];
-                s.spawn(move || {
-                    let mut ex = NativeExec::new(rt);
-                    let mill = run_mill_thread(&mut ex, accounts, stream);
-                    (mill, ex.stats().clone())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = start.elapsed().as_nanos() as u64;
-
-    let mut metrics = OltpMetrics {
-        total_txns: cfg.oltp.total_txns(),
-        elapsed,
-        ..OltpMetrics::default()
-    };
-    let mut stats = NativeStats::default();
-    let mut per_thread = Vec::with_capacity(threads);
-    for (mill, s) in per_thread_raw {
-        for &l in &mill.latencies {
-            metrics.latency.record(l);
-        }
-        stats.merge(&s);
-        per_thread.push(mill);
-    }
-    metrics.commits = stats.commits;
-    metrics.aborts = stats.aborts();
+    let session = NativeSession::new(cfg.native.clone());
+    let (accounts, run) = session.run_definition(&Mill::new(&cfg.oltp), cfg.oltp.threads);
+    let stats = run.stats;
+    let metrics = OltpMetrics::of(
+        &cfg.oltp,
+        run.elapsed.as_nanos() as u64,
+        &run.outputs,
+        stats.commits,
+        stats.aborts(),
+    );
 
     let mut snapshot = MetricsSnapshot::default();
     snapshot.extend(stats.entries());
     snapshot.extend([("txn.aborts", stats.aborts())]);
     snapshot.push_latency(&metrics.latency);
 
-    let balances: Vec<u64> = accounts.iter().map(|obj| rt.peek(obj.word(0))).collect();
+    let balances = Mill::balances(&accounts, &|addr| session.peek(addr));
     OltpNativeResult {
         metrics,
         digest: balances_digest(&balances),
         balances,
-        per_thread,
+        per_thread: run.outputs,
         stats,
         snapshot,
     }

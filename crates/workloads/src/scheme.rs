@@ -7,7 +7,8 @@
 //! over whichever machinery the scheme needs.
 
 use hastm::{
-    Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TmContext, TxResult, TxThread, TxnStats,
+    Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TmContext, TmExec, TxResult, TxThread,
+    TxnStats,
 };
 use hastm_htm::{HytmStats, HytmThread};
 use hastm_locks::{LockExec, SeqExec, SpinLock};
@@ -86,6 +87,22 @@ impl Scheme {
             }
             Scheme::NaiveAggressive => StmConfig::hastm(granularity, ModePolicy::NaiveAggressive),
         }
+    }
+
+    /// [`Self::stm_config`] with `policy` in place of the mode policy the
+    /// thread count selects. The override applies to [`Scheme::Hastm`]
+    /// only: every other scheme's policy is what makes it that scheme.
+    pub fn stm_config_under(
+        self,
+        granularity: Granularity,
+        threads: usize,
+        policy: Option<ModePolicy>,
+    ) -> StmConfig {
+        let mut c = self.stm_config(granularity, threads);
+        if let (Some(p), Scheme::Hastm) = (policy, self) {
+            c.mode_policy = p;
+        }
+        c
     }
 
     /// Whether this scheme runs transactions through the STM/HASTM engine.
@@ -175,39 +192,6 @@ impl<'c, 'm> ThreadExec<'c, 'm> {
         ThreadExec { inner }
     }
 
-    /// Runs one atomic region.
-    pub fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
-        match &mut self.inner {
-            Inner::Seq(e) => e.atomic(f),
-            Inner::Lock(e) => e.atomic(f),
-            Inner::Stm(tx) => tx.atomic(|tx| f(tx)),
-            Inner::Hytm(hy) => hy.atomic(f),
-        }
-    }
-
-    /// Runs one declared read-only atomic region. Under an STM-based
-    /// scheme this takes the snapshot-read path (abort-free when the
-    /// runtime keeps multi-version rings); every other scheme — and an
-    /// STM runtime configured [`hastm::Versioning::Single`] — executes it
-    /// as an ordinary atomic region, so callers can route lookups through
-    /// this unconditionally.
-    pub fn atomic_ro<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
-        match &mut self.inner {
-            Inner::Stm(tx) => tx.atomic_ro(|tx| f(tx)),
-            _ => self.atomic(f),
-        }
-    }
-
-    /// Allocates an object outside any atomic region.
-    pub fn alloc_obj(&mut self, data_words: u32) -> ObjRef {
-        match &mut self.inner {
-            Inner::Seq(e) => e.alloc_obj(data_words),
-            Inner::Lock(e) => e.alloc_obj(data_words),
-            Inner::Stm(tx) => tx.alloc_obj(data_words),
-            Inner::Hytm(hy) => hy.alloc_obj(data_words),
-        }
-    }
-
     /// What this executor has counted so far.
     pub fn stats(&self) -> ExecStats {
         match &self.inner {
@@ -240,41 +224,45 @@ impl<'c, 'm> ThreadExec<'c, 'm> {
             Inner::Hytm(hy) => hy.software().cpu(),
         }
     }
-
-    /// The thread's simulated cycle clock (outside any atomic region).
-    pub fn clock(&mut self) -> u64 {
-        self.cpu().now()
-    }
-
-    /// Stalls until the cycle clock reaches `tick` (no-op if it already
-    /// has) — the open-loop arrival wait of the OLTP mill.
-    pub fn idle_until(&mut self, tick: u64) {
-        let now = self.cpu().now();
-        if tick > now {
-            self.cpu().tick(tick - now);
-        }
-    }
 }
 
-impl hastm::TmExec for ThreadExec<'_, '_> {
-    fn atomic<R>(&mut self, f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
-        ThreadExec::atomic(self, f)
+impl TmExec for ThreadExec<'_, '_> {
+    fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
+        match &mut self.inner {
+            Inner::Seq(e) => e.atomic(f),
+            Inner::Lock(e) => e.atomic(f),
+            Inner::Stm(tx) => tx.atomic(|tx| f(tx)),
+            Inner::Hytm(hy) => hy.atomic(f),
+        }
     }
 
-    fn atomic_ro<R>(&mut self, f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
-        ThreadExec::atomic_ro(self, f)
+    /// Under an STM-based scheme this takes the snapshot-read path
+    /// (abort-free when the runtime keeps multi-version rings); every
+    /// other scheme — and an STM runtime configured
+    /// [`hastm::Versioning::Single`] — executes it as an ordinary atomic
+    /// region, so callers can route lookups through this unconditionally.
+    fn atomic_ro<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
+        match &mut self.inner {
+            Inner::Stm(tx) => tx.atomic_ro(|tx| f(tx)),
+            _ => self.atomic(f),
+        }
     }
 
     fn alloc_obj(&mut self, data_words: u32) -> ObjRef {
-        ThreadExec::alloc_obj(self, data_words)
+        match &mut self.inner {
+            Inner::Seq(e) => e.alloc_obj(data_words),
+            Inner::Lock(e) => e.alloc_obj(data_words),
+            Inner::Stm(tx) => tx.alloc_obj(data_words),
+            Inner::Hytm(hy) => hy.alloc_obj(data_words),
+        }
     }
 
     fn clock(&mut self) -> u64 {
-        ThreadExec::clock(self)
+        self.cpu().now()
     }
 
     fn idle_until(&mut self, tick: u64) {
-        ThreadExec::idle_until(self, tick)
+        self.cpu().idle_until(tick);
     }
 }
 

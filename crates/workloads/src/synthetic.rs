@@ -14,14 +14,14 @@
 //! The same stream is replayed under every scheme, so comparisons differ
 //! only in synchronization machinery.
 
-use hastm::{ObjRef, StmRuntime, TxnStats};
+use hastm::{ObjRef, TmExec, TxnStats};
 use hastm_htm::HytmStats;
-use hastm_locks::SpinLock;
-use hastm_sim::{Machine, MachineConfig, RunReport};
+use hastm_sim::{MachineConfig, RunReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::scheme::{ExecStats, Scheme, ThreadExec};
+use crate::scheme::{Scheme, ThreadExec};
+use crate::session::{RunPlan, SimSession};
 
 /// Words usable per line-object (64-byte line minus the header word).
 const WORDS_PER_LINE: u32 = 7;
@@ -186,27 +186,24 @@ pub struct KernelResult {
 
 /// Replays `stream` under `scheme` on a single core and reports timing.
 pub fn run_kernel(scheme: Scheme, stream: &KernelStream) -> KernelResult {
-    let mut machine = Machine::new(MachineConfig::default());
-    let runtime = StmRuntime::new(
-        &mut machine,
+    let mut session = SimSession::new(
+        scheme,
+        MachineConfig::default(),
         scheme.stm_config(hastm::Granularity::CacheLine, 1),
     );
-    let lock = SpinLock::alloc(runtime.heap());
     // One line-aligned object per distinct line.
-    let heap = runtime.heap();
+    let heap = session.heap();
     let objs: Vec<ObjRef> = (0..stream.lines)
         .map(|_| ObjRef(heap.alloc_aligned(64, 64)))
         .collect();
 
-    let rt = &runtime;
-    let objs_ref = &objs;
-    let replay = |ex: &mut ThreadExec<'_, '_>, sections: &[Vec<Access>]| {
-        for section in sections {
+    let replay = |ex: &mut ThreadExec<'_, '_>, _core: usize| {
+        for section in &stream.sections {
             ex.atomic(|ctx| {
                 let mut acc = 0u64;
                 for &(is_load, line, word) in section {
                     ctx.ctx_work(2); // address generation + loop control
-                    let obj = objs_ref[line as usize];
+                    let obj = objs[line as usize];
                     if is_load {
                         acc = acc.wrapping_add(ctx.ctx_read(obj, word)?);
                     } else {
@@ -220,23 +217,13 @@ pub fn run_kernel(scheme: Scheme, stream: &KernelStream) -> KernelResult {
 
     // Warmup pass: the paper measures steady state; a cold run would be
     // dominated by compulsory misses on the arena and record table.
-    machine.run(vec![Box::new(|cpu: &mut hastm_sim::Cpu| {
-        let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-        replay(&mut ex, &stream.sections);
-    })]);
-
-    let mut stats = ExecStats::default();
-    let stats_ref = &mut stats;
-    let report = machine.run(vec![Box::new(move |cpu: &mut hastm_sim::Cpu| {
-        let mut ex = ThreadExec::new(scheme, rt, cpu, lock);
-        replay(&mut ex, &stream.sections);
-        *stats_ref = ex.stats();
-    })]);
+    session.run(&RunPlan::default(), replay);
+    let run = session.run(&RunPlan::default(), replay);
     KernelResult {
-        cycles: report.makespan(),
-        report,
-        txn: stats.txn,
-        hytm: stats.hytm,
+        cycles: run.report.makespan(),
+        report: run.report,
+        txn: run.stats.txn,
+        hytm: run.stats.hytm,
     }
 }
 

@@ -5,16 +5,22 @@
 //!    every key a pin carries must keep its value.
 //! 2. Every `counters!` struct merges and names every one of its fields,
 //!    and no key repeats within a full simulator or native snapshot.
+//! 3. The mill both of those snapshots come from is one definition: run on
+//!    either session it ends at the closed-form ledger, and so do the two
+//!    runners built on it.
 
 use std::collections::HashSet;
 
 use hastm::{Granularity, MetricsSnapshot, TimeBreakdown, TxnStats};
 use hastm_htm::{HtmStats, HytmStats};
 use hastm_native::{NativeConfig, NativeStats};
+use hastm_sim::MachineConfig;
 use hastm_sim::{CoreStats, MachineStats};
+use hastm_workloads::oltp::{balances_digest, expected_balances};
 use hastm_workloads::{
     generate_stream, run_kernel, run_oltp_native, run_oltp_sim, run_workload, ExecStats,
-    KernelParams, OltpConfig, OltpNativeConfig, OltpSimConfig, Scheme, Structure, WorkloadConfig,
+    KernelParams, Mill, NativeSession, OltpConfig, OltpNativeConfig, OltpSimConfig, RunPlan,
+    Scheme, SimSession, Structure, WorkloadConfig,
 };
 
 /// Asserts `snapshot` agrees with every `"key": value` line of `pin`.
@@ -74,6 +80,30 @@ fn pinned_snapshots_hold() {
     let pin = include_str!("pins/oltp_sim_hastm_2p.json");
     assert_holds("oltp sim", pin, &r.snapshot);
     assert_unique_keys("oltp sim", &r.snapshot);
+    assert_eq!(r.digest, quick_ledger_digest());
+}
+
+/// Digest of the ledger `OltpConfig::quick(2)` must end at.
+fn quick_ledger_digest() -> u64 {
+    balances_digest(&expected_balances(&OltpConfig::quick(2)))
+}
+
+#[test]
+fn one_mill_definition_ends_at_the_ledger_on_both_sessions() {
+    let mill = Mill::new(&OltpConfig::quick(2));
+
+    let stm = Scheme::Hastm.stm_config(Granularity::CacheLine, 2);
+    let mut sim = SimSession::new(Scheme::Hastm, MachineConfig::with_cores(2), stm);
+    let (accounts, run) = sim.run_definition(&mill, &RunPlan::default());
+    assert_eq!(sim.judge(&mill, &accounts), Ok(quick_ledger_digest()));
+    assert_eq!(run.outputs.len(), 2, "one mill result per core");
+    assert!(run.stats.commits() >= 2 * 64);
+
+    let native = NativeSession::new(NativeConfig::default());
+    let (accounts, run) = native.run_definition(&mill, 2);
+    assert_eq!(native.judge(&mill, &accounts), Ok(quick_ledger_digest()));
+    assert_eq!(run.outputs.len(), 2, "one mill result per thread");
+    assert!(run.stats.commits >= 2 * 64);
 }
 
 /// `run_kernel`, pinned at the commit before the run harnesses became one
@@ -141,6 +171,7 @@ fn native_mill_fills_the_registry_under_the_simulators_keys() {
         native: NativeConfig::default(),
     });
     assert_unique_keys("oltp native", &r.snapshot);
+    assert_eq!(r.digest, quick_ledger_digest());
     let get = |key| r.snapshot.get(key).unwrap_or_else(|| panic!("no {key}"));
     assert_eq!(get("txn.commits"), r.stats.commits);
     assert!(get("txn.commits") >= r.metrics.total_txns);

@@ -2,7 +2,7 @@
 //! oracle, the TM engine against serializability invariants, and the data
 //! structures against a reference map — all under randomized inputs.
 
-use hastm::{Granularity, ModePolicy, ObjRef, OracleMode, StmConfig, StmRuntime, TxThread};
+use hastm::{Granularity, ModePolicy, ObjRef, OracleMode, StmConfig, StmRuntime, TmExec, TxThread};
 use hastm_locks::SpinLock;
 use hastm_sim::{Addr, Machine, MachineConfig, WorkerFn};
 use hastm_workloads::{check_against_reference, BTree, Bst, HashTable, Scheme, ThreadExec};

@@ -2,7 +2,7 @@
 //! under every synchronization scheme, and concurrent executions are
 //! serializable (the [`hastm::Oracle`] validates every commit).
 
-use hastm::{Granularity, ModePolicy, ObjRef, OracleMode, StmConfig, StmRuntime, TxThread};
+use hastm::{Granularity, ModePolicy, ObjRef, OracleMode, StmConfig, StmRuntime, TmExec, TxThread};
 use hastm_locks::SpinLock;
 use hastm_sim::{Machine, MachineConfig, WorkerFn};
 use hastm_workloads::{Scheme, ThreadExec};

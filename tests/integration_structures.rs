@@ -1,7 +1,7 @@
 //! Cross-crate integration: the evaluation data structures stay correct
 //! under concurrent transactional mutation on every scheme.
 
-use hastm::{ObjRef, OracleMode, StmRuntime, TmContext, TxResult};
+use hastm::{ObjRef, OracleMode, StmRuntime, TmContext, TmExec, TxResult};
 use hastm_locks::SpinLock;
 use hastm_sim::{Machine, MachineConfig, WorkerFn};
 use hastm_workloads::{BTree, Bst, HashTable, Scheme, ThreadExec, TxMap};
