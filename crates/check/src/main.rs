@@ -51,10 +51,10 @@ OPTIONS:
                                                            [default: fuzzed]
     --backend B      execution backend: sim | native | both [default: sim]
                      native runs the workloads on real host threads over
-                     the TL2 runtime (1/2/4/8 threads, mark filter on and
-                     off, single- and multi-version) and
-                     differential-checks final states against the
-                     simulator's sequential reference
+                     the TL2 runtime (1/2/4/8 threads, the mark filter
+                     off as by default, single- and multi-version, phased
+                     and not) and differential-checks final states
+                     against the simulator's sequential reference
     --pct N          shorthand for --seeds N --sched pct:<depth> --coverage
     --depth D        PCT depth for --pct                   [default: 3]
     --coverage       record schedules; print interleaving coverage
@@ -481,10 +481,11 @@ fn run_native_backend(args: &Args) -> bool {
         * cfg.workloads.len()) as u64;
     if !args.quiet {
         println!(
-            "native backend: {} workloads x threads {:?} x filter on/off x {} versionings \
+            "native backend: {} workloads x threads {:?} x filter {:?} x {} versionings \
              x phased on/off x {} seeds ({} trials; ops={}, host cpus={})",
             cfg.workloads.len(),
             cfg.thread_counts,
+            cfg.filter_modes,
             cfg.versionings.len(),
             cfg.seeds,
             per_seed * cfg.seeds,

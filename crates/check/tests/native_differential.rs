@@ -22,10 +22,14 @@ fn sweep(workloads: Vec<Workload>, thread_counts: Vec<usize>, ops: u64) {
         thread_counts,
         ops,
         workloads,
-        filter_modes: vec![true, false],
-        versionings: vec![Versioning::Single, Versioning::Multi { k: 3 }],
-        phased_modes: vec![false, true],
+        // The filter as users get it: off. What the emulation does when
+        // switched on is `filter_on_and_off_agree_on_final_state`'s
+        // business, and its known write skew (DESIGN §9c) a specimen in
+        // `crates/native/tests/tl2_props.rs`.
+        ..NativeCheckConfig::default()
     };
+    assert_eq!(cfg.filter_modes, [false]);
+    assert_eq!(cfg.versionings.len() * cfg.phased_modes.len(), 4);
     let expected = cfg.seeds
         * (cfg.thread_counts.len()
             * cfg.filter_modes.len()
@@ -111,7 +115,7 @@ fn single_and_multi_versioning_agree_on_final_state() {
                     seed,
                     threads: 4,
                     ops: 16,
-                    mark_filter: true,
+                    mark_filter: false,
                     versioning,
                     phased: false,
                 })
@@ -144,7 +148,7 @@ fn multi_version_ro_scans_sweep_abort_free_across_thread_counts() {
                     seed,
                     threads,
                     ops: 16,
-                    mark_filter: true,
+                    mark_filter: false,
                     versioning: Versioning::Multi { k: 3 },
                     phased: false,
                 };
@@ -182,7 +186,7 @@ fn phased_and_unphased_agree_on_final_state() {
                     seed,
                     threads: 4,
                     ops: 16,
-                    mark_filter: true,
+                    mark_filter: false,
                     versioning: Versioning::Single,
                     phased,
                 })
@@ -209,7 +213,7 @@ fn oversubscribed_thread_count_still_converges() {
                 seed: 99,
                 threads: 8,
                 ops: 32,
-                mark_filter: true,
+                mark_filter: false,
                 versioning,
                 phased: false,
             };

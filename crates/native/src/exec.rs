@@ -4,48 +4,23 @@
 //! implementing [`TmContext`] so the unmodified data structures run on
 //! it).
 //!
-//! ## What is known about the filter: the argument, and the window it misses
+//! ## The filter: opt-in, and not sound
 //!
-//! A fast-path read returns `load(value); load(epoch)` with no sandwich
-//! and no read-set entry, accepted iff the stripe is in the thread's
-//! filter and the epoch equals the filter's epoch. The argument the
-//! protocol was built on:
-//!
-//! * The epoch is bumped by every writing commit *after* validation and
-//!   *before* its first store. So if a reader observes
-//!   `epoch == filter_epoch`, no store of any commit later than the
-//!   filter's establishment can have been visible to the preceding value
-//!   load — memory is frozen since the filter window opened.
-//! * Slow reads are individually validated against `rv` at read time and
-//!   revalidated (version ≤ `rv`, not locked by others) at commit, so
-//!   their stripes are unchanged from `rv` through commit.
-//! * A transaction that used the fast path anchors itself to the epoch of
-//!   its *first* fast read (`fast_epoch`) and must still be in that
-//!   window when it commits. Writers check this *atomically with the
-//!   epoch bump*: the bump's `fetch_add` returns the pre-bump epoch, and
-//!   commit aborts (before any store) unless it equals `fast_epoch` — a
-//!   separate load-then-bump would leave a gap for another writer to
-//!   validate, bump, and write back a fast-read stripe in between.
-//!   Read-only transactions check `epoch == fast_epoch` as their entire
-//!   commit. The anchor must be the first fast read's window, not the
-//!   current `filter_epoch`: a later slow read may *rebase* the filter to
-//!   a newer window, and checking against the rebased epoch would launder
-//!   fast reads taken before an intervening commit.
-//!
-//! **That argument has a hole, and the filter is not sound.** The epoch
-//! moves only when a committer is *done* validating, so a committer that
-//! has locked its write stripes and validated but not yet bumped the
-//! epoch is invisible to a fast read of one of those stripes — plain TL2
-//! would have found the stripe locked. Two transactions whose reads and
-//! writes cross (T1 fast-reads `x` and writes `y`; T2 slow-reads `y` and
-//! writes `x`) can then both pass validation inside each other's
-//! validate→epoch-bump window and both commit: write skew. It was found
-//! by `benchmark/`'s `native_mix` conservation check, about one lost
-//! unlink per 10⁹ transactions (`benchmark/README.md`, "Defect found"),
-//! and `native_differential` flakes on it about once in 50 sweeps;
-//! `native_mix` and `native_ro` therefore run with `mark_filter: false`.
-//! The protocol is left as it was; ROADMAP item 1 holds the fix-or-delete
-//! decision.
+//! With [`crate::NativeConfig::mark_filter`] on, a read of a stripe in
+//! the thread's filter returns `load(value); load(epoch)` with no
+//! sandwich and no read-set entry, accepted iff the epoch equals the
+//! filter's. Every writing commit bumps the epoch *after* validation and
+//! *before* its first store, so an unchanged epoch means no store since
+//! the filter window opened; a transaction anchors to the window of its
+//! *first* fast read (`fast_epoch`) and must commit in it, which a writer
+//! checks atomically with its own bump (the `fetch_add`'s return value).
+//! What that misses is the other side of the bump: a committer that has
+//! locked and validated but not yet bumped is invisible to a fast read of
+//! a stripe it holds, and two transactions whose reads and writes cross
+//! can both commit — write skew. DESIGN §9c has the whole account,
+//! `tests/tl2_props.rs` the specimen, ROADMAP item 2 the deletion. With
+//! the filter off, which is the default, none of this runs and nothing
+//! touches the epoch.
 //!
 //! The `seeded-bug` cargo feature removes the epoch checks altogether;
 //! `tests/filter_stress.rs` proves the resulting stale-filter reads are
@@ -66,7 +41,7 @@ use std::sync::atomic::{
 use hastm::phase::{Access, Entry, Wait};
 use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
 
-use crate::tl2::{NativeRuntime, NativeStats, RoSlot};
+use crate::tl2::{NativeRuntime, NativeStats, WritebackHook, RO_IDLE};
 
 /// `false` only under the `seeded-bug` mutation: the filter fast path
 /// and commit skip their epoch checks, silently trusting stale filters.
@@ -315,10 +290,10 @@ pub struct NativeExec<'r> {
     filter_epoch: u64,
     stats: NativeStats,
     backoff: u64,
-    /// This executor's live-snapshot registry slot (`u64::MAX` when no
-    /// `atomic_ro` region is running), lazily registered with the
-    /// runtime on the first read-only region.
-    ro_slot: Option<RoSlot>,
+    /// This executor's live-snapshot registry slot (idle when no
+    /// `atomic_ro` region is running), claimed from the runtime by the
+    /// first read-only region and given back on drop.
+    ro_slot: Option<usize>,
     /// This executor's serial-token owner id (always odd, never 0).
     token_id: u64,
     /// Whether the current attempt may serve reads from the filter fast
@@ -429,25 +404,36 @@ impl<'r> NativeExec<'r> {
         self.locks.dedup();
     }
 
+    /// Validation is over and nothing is published yet: says so to the
+    /// test hook, `(0, n)`, and — only with the filter on, the one
+    /// configuration that reads it — bumps the epoch. Returns the hook
+    /// for [`Self::write_back`] and the pre-bump epoch.
+    fn announce(&self) -> (Option<WritebackHook>, Option<u64>) {
+        let hook = self.rt.writeback_hook();
+        if let Some(h) = &hook {
+            h(0, self.writes.len());
+        }
+        let filter = self.rt.config().mark_filter;
+        (hook, filter.then(|| self.rt.bump_epoch()))
+    }
+
     /// Writes the (sorted) redo log back at `wv`. Under Multi, each
     /// word's `(wv, value)` is published into its version ring *before*
-    /// the store (the ring seed reads the pre-image from the heap), while
+    /// the store (the ring's seed is the pre-image, read from the heap)
+    /// and pruned of what no reader at or above the floor can need, while
     /// the caller holds the stripes — by lock, or by being alone in the
-    /// serial phase — so snapshot readers never observe a stored value
-    /// whose version is missing from the ring.
-    fn write_back(&mut self, wv: u64) {
+    /// serial phase — which is what lets a snapshot reader take the ring
+    /// and the word as one whole.
+    fn write_back(&mut self, wv: u64, hook: Option<WritebackHook>) {
         let rt = self.rt;
-        let hook = rt.writeback_hook();
         let total = self.writes.len();
-        if let Some(h) = &hook {
-            h(0, total);
-        }
         let floor = rt.is_multi().then(|| rt.ro_floor());
         for (done, &(addr, value)) in self.writes.entries().iter().enumerate() {
             if let Some(floor) = floor {
-                let (published, reclaimed) = rt.publish_version(addr, wv, value, floor);
-                self.stats.versions_published += published;
-                self.stats.versions_reclaimed += reclaimed;
+                let pre_image = rt.heap().load(addr);
+                self.stats.versions_published += 1;
+                self.stats.versions_reclaimed +=
+                    rt.versions().publish(addr, wv, value, pre_image, floor);
             }
             rt.heap().store(addr, value);
             if let Some(h) = &hook {
@@ -456,11 +442,12 @@ impl<'r> NativeExec<'r> {
         }
     }
 
-    /// This executor's live-snapshot registry slot, registering with the
-    /// runtime on first use.
-    fn ro_slot(&mut self) -> &AtomicU64 {
+    /// This executor's live-snapshot registry slot, claimed on first use;
+    /// `None` while the runtime has none to give.
+    fn ro_slot(&mut self) -> Option<&'r AtomicU64> {
         let rt = self.rt;
-        self.ro_slot.get_or_insert_with(|| rt.register_ro_slot())
+        self.ro_slot = self.ro_slot.or_else(|| rt.claim_ro_slot());
+        self.ro_slot.map(|slot| rt.ro_slot(slot))
     }
 
     /// Enters the global phase gate for one attempt; `None` when the
@@ -488,10 +475,11 @@ impl<'r> NativeExec<'r> {
     /// heap reads (checked against the redo log for read-after-write),
     /// buffered writes, and a commit with no locks, no validation, and no
     /// abort path. The commit still claims a write version, bumps the
-    /// epoch (every filter anchored before it is stale now), publishes
-    /// version-ring entries under `Multi`, and advances the written
-    /// stripes to `wv`, so it is indistinguishable from an ordinary
-    /// commit to every later reader. The token is released on exit.
+    /// epoch when there are filters to kill (every one anchored before
+    /// it is stale now), publishes version-ring entries under `Multi`,
+    /// and advances the written stripes to `wv`, so it is
+    /// indistinguishable from an ordinary commit to every later reader.
+    /// The token is released on exit.
     fn run_serial<R>(
         &mut self,
         f: &mut impl FnMut(&mut dyn TmContext) -> TxResult<R>,
@@ -503,15 +491,17 @@ impl<'r> NativeExec<'r> {
             if !self.writes.is_empty() {
                 self.collect_write_stripes();
                 let wv = rt.next_write_version();
-                let prev_epoch = rt.bump_epoch();
-                self.write_back(wv);
+                let (hook, prev_epoch) = self.announce();
+                self.write_back(wv, hook);
                 for &(stripe, _) in &self.locks {
                     rt.unlock_stripe(stripe, wv);
                 }
-                // Our own filter died with the epoch like everyone
-                // else's.
-                self.filter.clear();
-                self.filter_epoch = prev_epoch + 1;
+                if let Some(prev_epoch) = prev_epoch {
+                    // Our own filter died with the epoch like everyone
+                    // else's.
+                    self.filter.clear();
+                    self.filter_epoch = prev_epoch + 1;
+                }
             }
             self.attempt_allocs.clear();
             self.stats.commits += 1;
@@ -537,6 +527,14 @@ impl<'r> NativeExec<'r> {
         } else {
             // On oversubscribed hosts the lock holder needs the core.
             std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for NativeExec<'_> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.ro_slot {
+            self.rt.release_ro_slot(slot);
         }
     }
 }
@@ -629,12 +627,17 @@ impl TmExec for NativeExec<'_> {
         }
     }
 
+    /// Under `Multi` a snapshot region, which cannot abort — for the
+    /// first [`crate::RO_SLOTS`] executors of the runtime to ask (a slot
+    /// is an executor's until it is dropped). Any further executor, like
+    /// every executor under `Single`, gets [`TmExec::atomic`].
     fn atomic_ro<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
-        if !self.rt.is_multi() {
-            // No version rings under Single: read-only regions run as
-            // ordinary (validated, abortable) transactions.
+        // No version rings under Single, no live-snapshot slot left under
+        // Multi: the region runs as an ordinary (validated, abortable)
+        // transaction.
+        let Some(slot) = self.ro_slot() else {
             return self.atomic(f);
-        }
+        };
         let rt = self.rt;
         loop {
             // Snapshot regions enter the phase gate too: they count into
@@ -663,12 +666,12 @@ impl TmExec for NativeExec<'_> {
             // way, every version this region can need outlives it. Both
             // stay `SeqCst`: the argument orders this store before this
             // thread's next load, which only `SeqCst` does.
-            self.ro_slot().store(rt.clock(), SeqCst);
+            slot.store(rt.clock(), SeqCst);
             let rv = rt.clock();
             let out = f(&mut NativeRoTxn { exec: self, rv });
             // Release: the region's loads stay before the slot goes idle;
             // a scan that still sees the old `rv` only prunes less.
-            self.ro_slot().store(u64::MAX, Release);
+            slot.store(RO_IDLE, Release);
             match out {
                 Ok(r) => {
                     self.stats.ro_commits += 1;
@@ -809,7 +812,9 @@ impl NativeTxn<'_, '_> {
     }
 
     /// Commits the attempt: lock (sorted), claim `wv`, validate reads and
-    /// the filter window, bump the epoch, write back, release at `wv`.
+    /// — with the filter on — the filter window, bumping the epoch; write
+    /// back, release at `wv`. With the filter off the commit touches the
+    /// clock and the stripes it writes, nothing else.
     ///
     /// # Errors
     ///
@@ -883,16 +888,17 @@ impl NativeTxn<'_, '_> {
             return Err(Abort::Conflict);
         }
 
-        // Publish: epoch first (fast-path readers must never observe a
-        // store from this commit under the old epoch), then write back
+        // Publish: with the filter on, epoch first (fast-path readers
+        // must never observe a store from this commit under the old
+        // epoch; with it off nobody reads the epoch), then write back
         // under the held locks, then release at wv. The fetch_add's
         // return value doubles as the *authoritative* fast-read
         // revalidation: `prev_epoch == fast_epoch` means no writing
         // commit anywhere landed between the anchor window opening and
         // this commit claiming publication — checked and bumped in one
         // atomic step, so no commit can slide into a gap between them.
-        let prev_epoch = rt.bump_epoch();
-        if EPOCH_CHECKS && fast_epoch.is_some_and(|fe| prev_epoch != fe) {
+        let (hook, prev_epoch) = exec.announce();
+        if EPOCH_CHECKS && fast_epoch.is_some_and(|fe| prev_epoch != Some(fe)) {
             // Nothing has been stored yet, so aborting is still safe;
             // the wasted bump only costs other threads their filters.
             release(&exec.locks);
@@ -900,7 +906,7 @@ impl NativeTxn<'_, '_> {
             exec.stats.aborts_filter_stale += 1;
             return Err(Abort::Conflict);
         }
-        exec.write_back(wv);
+        exec.write_back(wv, hook);
         for &(stripe, _) in &exec.locks {
             rt.unlock_stripe(stripe, wv);
         }
@@ -910,7 +916,7 @@ impl NativeTxn<'_, '_> {
         // window opened, the window simply advances over our own commit —
         // the filter (plus our written stripes) stays valid. This is the
         // native analog of mark bits surviving the thread's own commits.
-        if rt.config().mark_filter {
+        if let Some(prev_epoch) = prev_epoch {
             if EPOCH_CHECKS && prev_epoch == exec.filter_epoch {
                 exec.filter_epoch = prev_epoch + 1;
                 for &(stripe, _) in &exec.locks {
@@ -1044,57 +1050,70 @@ impl NativeRoTxn<'_, '_> {
     fn snapshot_read_at(&mut self, addr: u64) -> u64 {
         let rt = self.exec.rt;
         let stripe = rt.stripe_of(addr);
-        // Wait out committing writers: once the stripe is observed
-        // unlocked, every commit to it with wv <= rv has fully written
-        // back and published its ring entries (writers lock stripes
-        // before claiming wv, and this region read `rv` from the clock
-        // after that claim, so the lock is visible here; any later
-        // locker's wv exceeds our rv — its entries are newer than the
-        // snapshot and harmless).
-        let v1 = loop {
-            let word = rt.lock_word(stripe);
-            if word & 1 == 0 {
-                break word;
-            }
-            std::hint::spin_loop();
-        };
         self.exec.stats.snapshot_reads += 1;
-        // Current version first: versions are unique and rise per
-        // stripe, so the same unlocked word at a version <= rv on both
-        // sides of the load means no commit newer than rv — to this word
-        // or any word aliased onto the stripe — stored in between (a
-        // reader that sees a written-back value also sees its stripe
-        // locked or moved; an aborted locker restores the version but
-        // never stored; a serial-phase committer, which stores without
-        // locking, is alone: this region counts into the window it
-        // drained). The heap word then is the snapshot's value.
-        if v1 >> 1 <= self.rv {
+        loop {
+            // Wait out committing writers: once the stripe is observed
+            // unlocked, every commit to it with wv <= rv has fully
+            // written back and published its ring entries (writers lock
+            // stripes before claiming wv, and this region read `rv` from
+            // the clock after that claim, so the lock is visible here;
+            // any later locker's wv exceeds our rv — its entries are
+            // newer than the snapshot and harmless).
+            let v1 = loop {
+                let word = rt.lock_word(stripe);
+                if word & 1 == 0 {
+                    break word;
+                }
+                std::hint::spin_loop();
+            };
+            // Versions are unique and rise per stripe, so the same
+            // unlocked word on both sides of some loads means no commit —
+            // to this word or any word aliased onto the stripe — stored
+            // or published in between (a reader that sees a written-back
+            // value or ring entry also sees its stripe locked or moved;
+            // an aborted locker restores the version but never stored; a
+            // serial-phase committer, which stores without locking, is
+            // alone: this region counts into the window it drained).
+            let stable = || rt.lock_word(stripe) == v1;
+            let ringed = || rt.versions().lookup(addr, self.rv, stable);
             let value = rt.heap().load(addr);
-            if rt.lock_word(stripe) == v1 {
-                debug_assert!(
-                    rt.snapshot_lookup(addr, self.rv)
-                        .is_none_or(|ringed| ringed == value),
-                    "current-version read of {addr:#x} at rv={} disagrees with its ring",
-                    self.rv
-                );
-                return value;
+            if v1 >> 1 <= self.rv {
+                // Current version first: nothing newer than rv has been
+                // committed to the stripe, so the heap word is the
+                // snapshot's value.
+                if stable() {
+                    debug_assert!(
+                        ringed().flatten().is_none_or(|(_, ringed)| ringed == value),
+                        "current-version read of {addr:#x} at rv={} disagrees with its ring",
+                        self.rv
+                    );
+                    return value;
+                }
+                continue;
             }
-        }
-        self.exec.stats.ring_reads += 1;
-        if let Some(value) = rt.snapshot_lookup(addr, self.rv) {
+            // The stripe has moved past rv: the word's ring, or — for a
+            // word no commit has ever written, so that it has none — the
+            // heap word just loaded, still its pre-transactional value.
+            // The ring's head is written under the stripe lock, so like
+            // the word it is whole if the lock word has not changed.
+            // Entries all newer than rv would mean pruning dropped a
+            // version this region had pinned: flagged in debug builds,
+            // served the oldest one left in release.
+            let value = match ringed() {
+                None => continue,
+                Some(None) => value,
+                Some(Some((version, ringed))) => {
+                    debug_assert!(
+                        version <= self.rv,
+                        "snapshot rv={} has no version <= rv for addr {addr:#x}: pruning \
+                         reclaimed a pinned version (oldest left is {version})",
+                        self.rv
+                    );
+                    ringed
+                }
+            };
+            self.exec.stats.ring_reads += 1;
             return value;
-        }
-        // Ring miss: no commit has ever (transactionally) written this
-        // word, so the heap holds its frozen pre-transactional value.
-        // A first writer racing us is caught by re-checking the ring
-        // *after* the load: publication precedes the store under the
-        // shard mutex, so "still no ring after the load" proves the load
-        // preceded any store, and "ring now" means the seed (version 0,
-        // the pre-image) or a ring entry serves rv exactly.
-        let value = rt.heap().load(addr);
-        match rt.snapshot_lookup(addr, self.rv) {
-            None => value,
-            Some(published) => published,
         }
     }
 }
@@ -1313,6 +1332,38 @@ mod tests {
     }
 
     #[test]
+    fn an_executor_without_a_snapshot_slot_runs_validated_until_one_is_given_back() {
+        let rt = multi_rt(2);
+        let mut setup = NativeExec::new(&rt);
+        let o = setup.alloc_obj(1);
+        setup.atomic(|ctx| ctx.ctx_write(o, 0, 7));
+        let mut owners: Vec<_> = (0..crate::RO_SLOTS).map(|_| NativeExec::new(&rt)).collect();
+        for ex in &mut owners {
+            assert_eq!(ex.atomic_ro(|ctx| ctx.ctx_read(o, 0)), 7);
+            assert_eq!(ex.stats().ro_commits, 1, "a slot each");
+        }
+        let mut extra = NativeExec::new(&rt);
+        assert_eq!(extra.atomic_ro(|ctx| ctx.ctx_read(o, 0)), 7);
+        let st = extra.stats();
+        assert_eq!((st.commits, st.ro_commits), (1, 0), "every slot is owned");
+        assert_eq!((st.slow_reads, st.snapshot_reads), (1, 0));
+        // Pruning still sees all 64 owners: pin the last one's snapshot.
+        let pinned = owners.last_mut().unwrap();
+        pinned.ro_slot().unwrap().store(rt.clock(), SeqCst);
+        let rv = rt.clock();
+        for i in 8..12 {
+            setup.atomic(|ctx| ctx.ctx_write(o, 0, i));
+        }
+        let mut txn = NativeRoTxn { exec: pinned, rv };
+        assert_eq!(txn.snapshot_read_at(o.word(0).0), 7);
+        owners.pop();
+        assert_eq!(extra.atomic_ro(|ctx| ctx.ctx_read(o, 0)), 11);
+        let st = extra.stats();
+        assert_eq!((st.commits, st.ro_commits), (2, 1), "the dropped slot");
+        assert_eq!(st.snapshot_reads, 1);
+    }
+
+    #[test]
     fn snapshot_read_ignores_versions_published_after_rv() {
         let rt = multi_rt(4);
         let mut a = NativeExec::new(&rt);
@@ -1320,13 +1371,13 @@ mod tests {
         let o = a.alloc_obj(1);
         a.atomic(|ctx| ctx.ctx_write(o, 0, 1));
         // Pin a snapshot by hand (slot + rv), then let B commit past it.
-        a.ro_slot().store(rt.clock(), SeqCst);
+        a.ro_slot().unwrap().store(rt.clock(), SeqCst);
         let rv = rt.clock();
         b.atomic(|ctx| ctx.ctx_write(o, 0, 2));
         b.atomic(|ctx| ctx.ctx_write(o, 0, 3));
         let mut txn = NativeRoTxn { exec: &mut a, rv };
         assert_eq!(txn.snapshot_read_at(o.word(0).0), 1, "snapshot at rv");
-        a.ro_slot().store(u64::MAX, SeqCst);
+        a.ro_slot().unwrap().store(RO_IDLE, SeqCst);
         assert_eq!(rt.peek(o.word(0)), 3, "memory moved on past the snapshot");
     }
 
@@ -1362,7 +1413,7 @@ mod tests {
         let mut b = NativeExec::new(&rt);
         let o = a.alloc_obj(1);
         a.atomic(|ctx| ctx.ctx_write(o, 0, 1));
-        a.ro_slot().store(rt.clock(), SeqCst);
+        a.ro_slot().unwrap().store(rt.clock(), SeqCst);
         let rv = rt.clock();
         for i in 2..=5u64 {
             b.atomic(|ctx| ctx.ctx_write(o, 0, i));
@@ -1374,7 +1425,7 @@ mod tests {
         );
         let mut txn = NativeRoTxn { exec: &mut a, rv };
         assert_eq!(txn.snapshot_read_at(o.word(0).0), 1);
-        a.ro_slot().store(u64::MAX, SeqCst);
+        a.ro_slot().unwrap().store(RO_IDLE, SeqCst);
         // Next commit prunes with no live readers.
         b.atomic(|ctx| ctx.ctx_write(o, 0, 6));
         assert_eq!(rt.ring_versions(o.word(0)).len(), 1);
@@ -1551,7 +1602,20 @@ mod tests {
 
     #[test]
     fn serial_commit_advances_stripes_epoch_and_rings() {
-        let rt = phased_rt(hair_trigger(), hastm::Versioning::Multi { k: 2 });
+        for mark_filter in [false, true] {
+            serial_commit_advances_stripes_and_rings_and_the_epoch_iff(mark_filter);
+        }
+    }
+
+    fn serial_commit_advances_stripes_and_rings_and_the_epoch_iff(mark_filter: bool) {
+        let rt = NativeRuntime::new(NativeConfig {
+            heap_words: 1 << 12,
+            stripes: 1 << 8,
+            mark_filter,
+            versioning: hastm::Versioning::Multi { k: 2 },
+            phased: Some(hair_trigger()),
+            ..NativeConfig::default()
+        });
         let ps = rt.phase_state().expect("phased runtime");
         // Force the phase to Serial by hand, then run one transaction.
         while ps.phase() != hastm::Phase::Serial {
@@ -1559,11 +1623,14 @@ mod tests {
         }
         let mut ex = NativeExec::new(&rt);
         let o = ex.alloc_obj(1);
-        let epoch_before = rt.epoch();
         ex.atomic(|ctx| ctx.ctx_write(o, 0, 99));
         assert_eq!(rt.peek(o.word(0)), 99);
         assert_eq!(ex.stats().serial_commits, 1, "{:?}", ex.stats());
-        assert!(rt.epoch() > epoch_before, "serial commit must kill filters");
+        assert_eq!(
+            rt.epoch(),
+            u64::from(mark_filter),
+            "a serial commit kills filters, and touches the epoch for nothing else"
+        );
         let stripe = rt.stripe_of(o.word(0).0);
         let state = rt.stripe_state(stripe);
         assert!(!state.locked);

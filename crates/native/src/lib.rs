@@ -9,14 +9,16 @@
 //! * per-stripe versioned write-locks (`version << 1 | locked`),
 //! * commit-time lock → validate → write-back → release-at-`wv`.
 //!
-//! The paper's mark-bit fast path is emulated natively as a per-thread
-//! stripe filter plus a global commit epoch: a filtered read is two
-//! loads — value, epoch — mirroring the two-instruction marked read
-//! barrier of the hardware design, and the filter survives the thread's
-//! own commits the way mark bits do in the paper's §6 single-thread
-//! reuse scenario. The emulation is **not sound** — it admits write skew
-//! about once in 10⁹ transactions; [`exec`] says what is known — and the
-//! throughput workloads run with it off.
+//! [`NativeConfig::default`] is that and nothing else. Two things are
+//! opt-in: `versioning: Multi { k }` keeps a k-slot ring of committed
+//! versions beside every written word, so `atomic_ro` regions read a
+//! snapshot and never abort; and `mark_filter: true` emulates the paper's
+//! mark-bit fast path as a per-thread stripe filter plus a global commit
+//! epoch (a filtered read is two loads — value, epoch — mirroring the
+//! two-instruction marked read barrier). The emulation is **off by
+//! default because it is not sound** — it admits write skew about once
+//! in 10⁹ transactions; [`exec`] says what is known — and it loses at
+//! every thread count.
 //!
 //! The backend exists for *differential testing* (the same workloads run
 //! on the simulator and natively, and must agree) and for native
@@ -32,4 +34,4 @@ pub mod tl2;
 
 pub use exec::{NativeExec, NativeRoTxn, NativeTxn};
 pub use heap::NativeHeap;
-pub use tl2::{NativeConfig, NativeRuntime, NativeStats, StripeState, WritebackHook};
+pub use tl2::{NativeConfig, NativeRuntime, NativeStats, StripeState, WritebackHook, RO_SLOTS};

@@ -1,6 +1,7 @@
 //! The shared state of the native TL2 runtime: the global version clock,
-//! the per-stripe versioned write-lock table, and the commit epoch that
-//! emulates the paper's mark-bit filter on real hardware.
+//! the per-stripe versioned write-lock table, the live-snapshot slots and
+//! version rings of `Multi`, and the commit epoch of the opt-in emulation
+//! of the paper's mark-bit filter.
 //!
 //! ## Protocol (TL2, word-stripe variant)
 //!
@@ -16,25 +17,19 @@
 //!   revalidate the read set against `rv`, write back, and release every
 //!   stripe at `wv`.
 //!
-//! ## Mark-bit filter emulation
+//! ## Mark-bit filter emulation (opt-in)
 //!
-//! The paper's HASTM fast path skips the read-barrier bookkeeping when
-//! the line's mark bit survived. Real ISAs have no mark bits, so the
-//! native backend emulates the *filter* with per-thread state
-//! (`NativeExec`) plus one piece of shared state here: a global **commit
-//! epoch**, bumped by every writing commit after validation and before
-//! write-back. A thread's filter records stripes it read while the epoch
-//! had one specific value; as long as the epoch still has that value, no
-//! transaction anywhere has committed a write, memory is frozen, and a
-//! filtered read needs no sandwich and no read-set entry — two
-//! instructions (load value, load epoch), the same shape as the paper's
-//! two-instruction marked-line read barrier. Any epoch movement
-//! invalidates every filter at once, the analog of losing mark bits to
-//! cache evictions.
+//! Real ISAs have no mark bits, so with [`NativeConfig::mark_filter`] on
+//! the backend emulates the paper's *filter* with per-thread state
+//! (`NativeExec`) plus one word here: a global **commit epoch**, bumped
+//! by every writing commit after validation and before write-back. While
+//! it stands still no transaction has committed a write, and a read of a
+//! stripe the thread filed under that epoch needs no sandwich and no
+//! read-set entry. The emulation is not sound (DESIGN §9c) and is off by
+//! default; with it off nothing reads or writes the epoch.
 
-use std::collections::HashMap;
 use std::sync::atomic::{
-    AtomicBool, AtomicU64,
+    AtomicBool, AtomicU64, AtomicUsize,
     Ordering::{Acquire, Release, SeqCst},
 };
 use std::sync::{Arc, Mutex};
@@ -42,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use hastm::{ObjRef, PhasedParams, SharedModeState, Versioning};
 use hastm_sim::{counters, Addr};
 
-use crate::heap::{CachePadded, NativeHeap};
+use crate::heap::{CachePadded, NativeHeap, VersionStore};
 
 /// Configuration of one [`NativeRuntime`].
 #[derive(Clone, Debug)]
@@ -51,8 +46,9 @@ pub struct NativeConfig {
     pub heap_words: usize,
     /// Stripe-lock table size (rounded up to a power of two).
     pub stripes: usize,
-    /// Enable the mark-bit filter emulation (the HASTM analog); disabled
-    /// gives the plain TL2 baseline (the STM analog).
+    /// Enable the mark-bit filter emulation (the HASTM analog). Off by
+    /// default, which is plain TL2 (the STM analog): the emulation is not
+    /// sound (DESIGN §9c) and loses at every thread count.
     pub mark_filter: bool,
     /// Bounded spins when acquiring a write lock before giving up and
     /// aborting (keeps commit lock-acquisition livelock-free).
@@ -61,10 +57,12 @@ pub struct NativeConfig {
     /// slow path (mirrors finite mark-bit cache capacity).
     pub filter_capacity: usize,
     /// Version management: [`Versioning::Single`] is plain TL2;
-    /// [`Versioning::Multi`] keeps a k-deep ring of committed
-    /// `(version, value)` pairs per written word, giving read-only
+    /// [`Versioning::Multi`] keeps a k-slot ring of committed
+    /// `(version, value)` pairs beside every written word, giving read-only
     /// transactions ([`crate::NativeExec`]'s `atomic_ro`) an abort-free
-    /// snapshot-read path with no lock–load–lock sandwich.
+    /// snapshot-read path with no lock–load–lock sandwich — for up to
+    /// [`RO_SLOTS`] executors at a time; the regions of any more run
+    /// validated, as under `Single`.
     pub versioning: Versioning,
     /// Enable the PhTM-style global phase controller
     /// ([`hastm::ModePolicy::Phased`]'s native twin): executors enter the
@@ -80,7 +78,7 @@ impl Default for NativeConfig {
         NativeConfig {
             heap_words: 1 << 20,
             stripes: 1 << 16,
-            mark_filter: true,
+            mark_filter: false,
             max_lock_spins: 128,
             filter_capacity: 4096,
             versioning: Versioning::Single,
@@ -119,8 +117,9 @@ counters! {
         filter_retained: "native.filter_retained",
         /// Committed read-only (`atomic_ro`) transactions. Under
         /// [`Versioning::Multi`] these ran on the snapshot path; under
-        /// [`Versioning::Single`] they fell back to ordinary transactions and
-        /// are counted under `commits` only.
+        /// [`Versioning::Single`] (or with every live-snapshot slot owned)
+        /// they fell back to ordinary transactions and are counted under
+        /// `commits` only.
         ro_commits: "txn.ro.commits",
         /// Aborted snapshot read-only attempts. Structurally zero — snapshot
         /// reads spin past locked stripes instead of aborting and snapshot
@@ -156,20 +155,24 @@ impl NativeStats {
     }
 }
 
-/// Test hook invoked during commit write-back as `(words_written,
-/// words_total)` — once with `(0, n)` before the first store and once
-/// after each store. Lets the stress tests freeze a committer mid
-/// write-back while it holds its stripe locks.
+/// Test hook invoked by a commit as `(words_written, words_total)` — once
+/// with `(0, n)` when the read set has validated and nothing is published
+/// yet (no store, no epoch bump), and once after each store. Lets the
+/// stress tests freeze a committer while it holds its stripe locks. With
+/// [`NativeConfig::mark_filter`] on, the bump that follows `(0, n)` is
+/// also the commit's last check — of its fast reads' window — so a
+/// commit may still abort after `(0, n)`, having stored nothing.
 pub type WritebackHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
-/// One shard of the version rings: word address → ring of
-/// `(version, value)` pairs in ascending version order.
-type RingShard = Mutex<HashMap<u64, Vec<(u64, u64)>>>;
-
-/// One executor's live-snapshot slot, alone on its line pair: committers
-/// scan every slot, and its owner stores to it twice per read-only
-/// region.
-pub(crate) type RoSlot = Arc<CachePadded<AtomicU64>>;
+/// Live-snapshot slots of a `Multi` runtime: how many executors can be
+/// inside, or between, snapshot regions at once. One more runs its
+/// read-only regions as ordinary transactions until a slot is given back.
+pub const RO_SLOTS: usize = 64;
+/// A slot no executor owns.
+const RO_FREE: u64 = u64::MAX;
+/// An owned slot outside any region. Like [`RO_FREE`] it is above every
+/// clock value, so a floor scan passes over it.
+pub(crate) const RO_IDLE: u64 = u64::MAX - 1;
 
 /// Shared state of the native backend; threads hold `&NativeRuntime` and
 /// drive it through per-thread [`crate::NativeExec`]s.
@@ -177,49 +180,42 @@ pub struct NativeRuntime {
     heap: NativeHeap,
     locks: Box<[AtomicU64]>,
     stripe_mask: u64,
-    /// Bumped by every writing commit, so each sits on a line pair of its
-    /// own, away from `stripe_mask`, `locks` and `cfg`, which every read
-    /// of every thread loads.
+    /// Bumped by every writing commit — the epoch only with the filter on
+    /// — so each sits on a line pair of its own, away from `stripe_mask`,
+    /// `locks` and `cfg`, which every read of every thread loads.
     clock: CachePadded<AtomicU64>,
     epoch: CachePadded<AtomicU64>,
     cfg: NativeConfig,
     hook_armed: AtomicBool,
     hook: Mutex<Option<WritebackHook>>,
     start: std::time::Instant,
-    /// Sharded version rings (`Some` only under [`Versioning::Multi`]).
-    /// Writers publish here *before* each
-    /// write-back store (so the ring's oldest entry, seeded at version 0,
-    /// is the word's pre-transactional image and a ring miss proves the
-    /// word was never transactionally written).
-    rings: Option<Box<[RingShard]>>,
-    ring_mask: u64,
-    /// Live read-only snapshot registry: one slot per executor, holding
-    /// the snapshot `rv` while an `atomic_ro` region runs and `u64::MAX`
-    /// when idle. Commit-time pruning keeps every version a registered
-    /// reader can still need.
-    ro_slots: Mutex<Vec<RoSlot>>,
+    /// The version rings (`Some` only under [`Versioning::Multi`]).
+    /// Writers publish here *before* each write-back store: a ring's
+    /// first entry, seeded at version 0, is the word's pre-transactional
+    /// image, read from the heap.
+    versions: Option<VersionStore>,
+    /// Live read-only snapshot registry (empty under `Single`): a slot
+    /// holds its owner's snapshot `rv` while an `atomic_ro` region runs.
+    /// Each is alone on its line pair — committers scan the claimed ones,
+    /// an owner stores to its own twice per region — and commit-time
+    /// pruning keeps every version a registered reader can still need.
+    ro_slots: Box<[CachePadded<AtomicU64>]>,
+    /// One past the highest slot ever claimed: where a floor scan stops.
+    ro_high: AtomicUsize,
     /// The scheme-wide phase machine (`Some` only under
     /// [`NativeConfig::phased`]) — the same [`SharedModeState`] the
     /// simulator backend gates, here driven by real `SeqCst` atomics.
     phase: Option<SharedModeState>,
 }
 
-/// Ring shard count: per-stripe sharding would be ideal for contention
-/// but 2^16 mutex-wrapped maps is wasteful; 256 shards keeps publish
-/// contention negligible at the thread counts the harnesses use.
-const RING_SHARDS: usize = 256;
-
 impl NativeRuntime {
     /// Builds a runtime with the given configuration.
     pub fn new(cfg: NativeConfig) -> Self {
         let stripes = cfg.stripes.next_power_of_two().max(2);
         let locks: Vec<AtomicU64> = (0..stripes).map(|_| AtomicU64::new(0)).collect();
-        let rings = cfg.versioning.is_multi().then(|| {
-            (0..RING_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
+        let multi = cfg.versioning.is_multi();
+        let versions = multi.then(|| VersionStore::new(cfg.heap_words, cfg.versioning.depth()));
+        let ro_slots = if multi { RO_SLOTS } else { 0 };
         let phase = cfg.phased.map(SharedModeState::new);
         NativeRuntime {
             heap: NativeHeap::new(cfg.heap_words),
@@ -231,9 +227,11 @@ impl NativeRuntime {
             hook_armed: AtomicBool::new(false),
             hook: Mutex::new(None),
             start: std::time::Instant::now(),
-            rings,
-            ring_mask: (RING_SHARDS - 1) as u64,
-            ro_slots: Mutex::new(Vec::new()),
+            versions,
+            ro_slots: (0..ro_slots)
+                .map(|_| CachePadded::new(AtomicU64::new(RO_FREE)))
+                .collect(),
+            ro_high: AtomicUsize::new(0),
             phase,
         }
     }
@@ -295,9 +293,9 @@ impl NativeRuntime {
         self.clock.fetch_add(1, SeqCst) + 1
     }
 
-    /// Bumps the commit epoch (validation passed, write-back imminent);
-    /// returns the pre-bump value so the committer can tell whether its
-    /// own filter was still current.
+    /// Bumps the commit epoch (validation passed, write-back imminent;
+    /// filter on only); returns the pre-bump value so the committer can
+    /// tell whether its own filter was still current.
     pub(crate) fn bump_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, SeqCst)
     }
@@ -340,85 +338,61 @@ impl NativeRuntime {
         self.cfg.versioning.is_multi()
     }
 
-    /// Registers a read-only snapshot slot for one executor. The slot
-    /// holds `u64::MAX` while idle; `atomic_ro` stores its `rv` for the
-    /// duration of the region so pruning cannot reclaim versions the
-    /// region can still read.
-    pub(crate) fn register_ro_slot(&self) -> RoSlot {
-        let slot = Arc::new(CachePadded::new(AtomicU64::new(u64::MAX)));
-        self.ro_slots.lock().unwrap().push(Arc::clone(&slot));
-        slot
+    /// Claims a live-snapshot slot for one executor, which gives it back
+    /// when dropped; `None` while all [`RO_SLOTS`] are owned (and always
+    /// under `Single`, which has none). The slot is idle; `atomic_ro`
+    /// stores its `rv` there for the duration of a region so pruning
+    /// cannot reclaim versions the region can still read.
+    pub(crate) fn claim_ro_slot(&self) -> Option<usize> {
+        let claim = |slot: &CachePadded<AtomicU64>| {
+            slot.load(Acquire) == RO_FREE
+                && slot
+                    .compare_exchange(RO_FREE, RO_IDLE, SeqCst, SeqCst)
+                    .is_ok()
+        };
+        let slot = self.ro_slots.iter().position(claim)?;
+        self.ro_high.fetch_max(slot + 1, SeqCst);
+        Some(slot)
+    }
+
+    /// Live-snapshot slot `slot`.
+    pub(crate) fn ro_slot(&self, slot: usize) -> &AtomicU64 {
+        &self.ro_slots[slot]
+    }
+
+    /// Gives a claimed slot back.
+    pub(crate) fn release_ro_slot(&self, slot: usize) {
+        self.ro_slots[slot].store(RO_FREE, Release);
     }
 
     /// Reclamation floor for commit-time pruning: the minimum of every
-    /// registered live snapshot's `rv` and the clock *as sampled before
-    /// the registry scan*. The clock clamp covers the registration race:
-    /// a reader whose slot-store this scan missed captures its `rv` from
-    /// a clock load that is after the scan in the `SeqCst` total order,
-    /// so `rv >= clock-at-scan >= floor` and the prune keeps everything
-    /// it needs (an entry is dropped only when its successor's version is
-    /// `<= floor`, so the successor still serves any `rv >= floor`).
+    /// live snapshot's `rv` and the clock *as sampled before the scan*,
+    /// taken without a lock. The clamp covers what the scan can miss — a
+    /// slot claimed past `ro_high` as loaded, or the `rv` store of a
+    /// region just beginning: that reader's claim, its store and then its
+    /// `rv` clock load all come after the missing load in the `SeqCst`
+    /// total order, which the clamp's clock load precedes, so
+    /// `rv >= clamp >= floor` and the prune keeps everything it needs (an
+    /// entry is dropped only when its successor's version is `<= floor`,
+    /// so the successor still serves any `rv >= floor`).
     pub(crate) fn ro_floor(&self) -> u64 {
         let clamp = self.clock.load(SeqCst);
-        let slots = self.ro_slots.lock().unwrap();
-        slots.iter().map(|s| s.load(SeqCst)).fold(clamp, u64::min)
+        let high = self.ro_high.load(SeqCst);
+        let live = self.ro_slots[..high].iter().map(|s| s.load(SeqCst));
+        live.fold(clamp, u64::min)
     }
 
-    /// Publishes `(wv, value)` into `addr`'s version ring, seeding the
-    /// ring with the pre-image at version 0 on first publish, then prunes
-    /// entries no live reader can need. **Must be called before the
-    /// write-back store of `addr`** (the seed reads the heap) and while
-    /// the committing writer holds `addr`'s stripe lock. Returns
-    /// `(published, reclaimed)` entry counts.
-    pub(crate) fn publish_version(&self, addr: u64, wv: u64, value: u64, floor: u64) -> (u64, u64) {
-        let rings = self.rings.as_ref().expect("publish_version requires Multi");
-        let depth = self.cfg.versioning.depth();
-        let mut shard = rings[(addr >> 3 & self.ring_mask) as usize].lock().unwrap();
-        let ring = shard
-            .entry(addr)
-            .or_insert_with(|| vec![(0, self.heap.load(addr))]);
-        ring.push((wv, value));
-        let mut reclaimed = 0;
-        while ring.len() > depth && ring[1].0 <= floor {
-            ring.remove(0);
-            reclaimed += 1;
-        }
-        (1, reclaimed)
+    /// The version rings of a `Multi` runtime.
+    pub(crate) fn versions(&self) -> &VersionStore {
+        self.versions.as_ref().expect("only Multi keeps versions")
     }
 
-    /// Snapshot lookup: the newest committed version of `addr` with
-    /// `version <= rv`, or `None` if the word has no ring (never
-    /// transactionally written — the heap word is frozen at its
-    /// pre-transactional value). A ring whose entries are all newer than
-    /// `rv` would mean pruning dropped a version a live reader needed;
-    /// that is an invariant violation, flagged in debug builds and
-    /// served the oldest surviving entry in release.
-    pub(crate) fn snapshot_lookup(&self, addr: u64, rv: u64) -> Option<u64> {
-        let rings = self.rings.as_ref().expect("snapshot_lookup requires Multi");
-        let shard = rings[(addr >> 3 & self.ring_mask) as usize].lock().unwrap();
-        let ring = shard.get(&addr)?;
-        let idx = ring.partition_point(|&(version, _)| version <= rv);
-        debug_assert!(
-            idx > 0,
-            "snapshot rv={rv} has no version <= rv for addr {addr:#x}: \
-             pruning reclaimed a pinned version (ring head {:?})",
-            ring.first(),
-        );
-        Some(ring[idx.saturating_sub(1)].1)
-    }
-
-    /// Test-only: the version stamps currently ringed for `addr`.
+    /// Test-only: the version stamps currently ringed for `addr`, at rest.
     #[doc(hidden)]
     pub fn ring_versions(&self, addr: Addr) -> Vec<u64> {
-        match &self.rings {
-            None => Vec::new(),
-            Some(rings) => rings[(addr.0 >> 3 & self.ring_mask) as usize]
-                .lock()
-                .unwrap()
-                .get(&addr.0)
-                .map(|ring| ring.iter().map(|&(v, _)| v).collect())
-                .unwrap_or_default(),
-        }
+        self.versions
+            .as_ref()
+            .map_or_else(Vec::new, |versions| versions.versions(addr.0))
     }
 
     /// Allocates an object: one (unused, zero) header word plus

@@ -6,9 +6,11 @@
 //! warm a transaction of ordinary size begins, reads, writes, aborts,
 //! retries and commits without calling the allocator; so does a snapshot
 //! region. Under `Multi` the one place a writing commit may allocate is
-//! version-ring publication, and only for a word's first ring or a ring
-//! grown past its capacity. A counting `#[global_allocator]`, armed only
-//! around the measured loops, turns any regression into a test failure.
+//! version-ring publication, and only to claim a chunk of rings: one per
+//! 256 heap words, the first time a commit writes any of them, and one
+//! per 256 blocks of history that live snapshots pin past a ring's `k`
+//! slots. A counting `#[global_allocator]`, armed only around the
+//! measured loops, turns any regression into a test failure.
 //!
 //! The allocator is process-wide but the tests here run on parallel
 //! threads, so the armed flag and the count are thread-local: a window
@@ -143,34 +145,60 @@ fn warm_single_version_paths_do_not_allocate() {
     }
 }
 
+/// Heap words one chunk of version rings serves (`heap.rs`).
+const CHUNK_WORDS: u32 = 256;
+
 #[test]
 fn multi_version_commits_allocate_only_for_ring_publication() {
     let rt = runtime(false, Versioning::Multi { k: 3 });
     let mut ex = NativeExec::new(&rt);
     let obj = ex.alloc_obj(WORDS);
-    let fresh = ex.alloc_obj(WORDS);
-    // k + 1 commits bring every ring of `obj` to the capacity it keeps;
-    // the first region registers the executor's snapshot slot.
-    (0..4).for_each(|_| read_modify_write(&mut ex, obj));
+    let neighbour = ex.alloc_obj(WORDS);
+    // Past the chunk the first two objects are in, and in one piece.
+    ex.alloc_obj(2 * CHUNK_WORDS);
+    let far = ex.alloc_obj(WORDS);
+    assert_eq!(far.word(0).0 >> 3 >> 8, far.word(WORDS - 1).0 >> 3 >> 8);
+    // One commit claims the chunk of `obj`'s rings; the first region
+    // claims the executor's snapshot slot.
+    read_modify_write(&mut ex, obj);
     abort_then_retry(&mut ex, obj);
     sum_ro(&mut ex, obj);
 
     let allocs = armed(|| (0..64).for_each(|_| assert!(sum_ro(&mut ex, obj) > 0)));
     assert_eq!(allocs, 0, "snapshot regions allocated");
-    // Rewriting ringed words pushes one entry and prunes one: everything
-    // outside ring publication is allocation-free, and so is a ring at
-    // its steady size.
+    // Seeding a ring, filling it and turning it over all happen inside
+    // its chunk.
     let allocs = armed(|| {
         (0..64).for_each(|_| read_modify_write(&mut ex, obj));
         (0..64).for_each(|_| abort_then_retry(&mut ex, obj));
+        read_modify_write(&mut ex, neighbour);
     });
-    assert_eq!(allocs, 0, "commits over warm rings allocated");
-    // The same transaction over words with no ring yet: the only new work
-    // is seeding eight rings, and that is where the allocations are.
-    let allocs = armed(|| read_modify_write(&mut ex, fresh));
-    assert!(
-        (u64::from(WORDS)..=4 * u64::from(WORDS)).contains(&allocs),
-        "{allocs} allocations to seed {WORDS} rings"
-    );
+    assert_eq!(allocs, 0, "commits over a claimed chunk allocated");
+    // The same transaction over words whose chunk nobody has written to:
+    // the one new piece of work is claiming it.
+    let allocs = armed(|| read_modify_write(&mut ex, far));
+    assert_eq!(allocs, 1, "a first write claims its chunk, once");
     assert_eq!(ex.stats().ring_reads, 0, "nothing ever moved past a region");
+
+    // A pinned snapshot makes every ring it can still read spill: the
+    // first spill claims the spill chunk, the next sixty find room in it,
+    // and once the region is over the blocks are reused, not claimed anew.
+    let mut writer = NativeExec::new(&rt);
+    read_modify_write(&mut writer, obj);
+    let pinned = |writer: &mut NativeExec<'_>, ex: &mut NativeExec<'_>| {
+        ex.atomic_ro(|ctx| {
+            let before = ctx.ctx_read(obj, 0)?;
+            let allocs = armed(|| (0..64).for_each(|_| read_modify_write(writer, obj)));
+            assert_eq!(ctx.ctx_read(obj, 0)?, before, "the snapshot moved");
+            Ok(allocs)
+        })
+    };
+    assert_eq!(pinned(&mut writer, &mut ex), 1, "spills claim one chunk");
+    read_modify_write(&mut writer, obj);
+    assert_eq!(
+        pinned(&mut writer, &mut ex),
+        0,
+        "freed spill blocks are reused"
+    );
+    assert!(ex.stats().ring_reads > 0);
 }

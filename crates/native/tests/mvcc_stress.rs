@@ -28,11 +28,11 @@ fn total() -> u64 {
     (0..CELLS).map(initial).sum()
 }
 
-fn multi_rt(k: usize) -> Arc<NativeRuntime> {
+fn multi_rt(k: usize, mark_filter: bool) -> Arc<NativeRuntime> {
     Arc::new(NativeRuntime::new(NativeConfig {
         heap_words: 1 << 10,
         stripes: 1 << 8,
-        mark_filter: true,
+        mark_filter,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     }))
@@ -60,7 +60,12 @@ fn ledger(rt: &NativeRuntime) -> Vec<ObjRef> {
 /// every version the pinned `rv` can need.
 #[test]
 fn pinned_snapshot_outlives_ring_churn_from_racing_commits() {
-    let rt = multi_rt(2);
+    for mark_filter in [false, true] {
+        pinned_snapshot_outlives_ring_churn(multi_rt(2, mark_filter));
+    }
+}
+
+fn pinned_snapshot_outlives_ring_churn(rt: Arc<NativeRuntime>) {
     let cells = ledger(&rt);
     let writer_go = Arc::new(Barrier::new(2));
     let writer_done = Arc::new(Barrier::new(2));
@@ -143,7 +148,12 @@ fn pinned_snapshot_outlives_ring_churn_from_racing_commits() {
 /// balance, and under Multi(k) not one may abort.
 #[test]
 fn live_ro_scans_conserve_the_ledger_and_never_abort() {
-    let rt = multi_rt(3);
+    for mark_filter in [false, true] {
+        live_ro_scans_conserve_the_ledger(multi_rt(3, mark_filter));
+    }
+}
+
+fn live_ro_scans_conserve_the_ledger(rt: Arc<NativeRuntime>) {
     let cells = ledger(&rt);
     let rounds = 300u64;
     std::thread::scope(|s| {
@@ -205,4 +215,74 @@ fn live_ro_scans_conserve_the_ledger_and_never_abort() {
         .iter()
         .fold(0u64, |acc, c| acc.wrapping_add(rt.peek(c.word(0))));
     assert_eq!(final_sum, total(), "ledger total drifted under churn");
+}
+
+/// Scans against commits that never pause: one writer moves value round
+/// a ledger whose cells share four stripes for as long as two scanners
+/// are at it, so on a host with a CPU to spare most snapshot reads find
+/// their stripe moved past `rv` and take the ring — at `k = 1` the ring
+/// a commit is turning over or spilling as they read it. Every scan must
+/// still see one committed prefix.
+#[test]
+fn scans_racing_a_tireless_writer_read_whole_rings() {
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    /// Counts a scanner out however it ends, so a failed one fails the
+    /// test instead of leaving the writer going.
+    struct Done<'a>(&'a AtomicUsize);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, SeqCst);
+        }
+    }
+    for k in [1, 2] {
+        let rt = NativeRuntime::new(NativeConfig {
+            heap_words: 1 << 10,
+            stripes: 4,
+            versioning: Versioning::Multi { k },
+            ..NativeConfig::default()
+        });
+        let cells = ledger(&rt);
+        let scanning = AtomicUsize::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut ex = NativeExec::new(&rt);
+                for i in 0.. {
+                    if scanning.load(SeqCst) == 0 {
+                        break;
+                    }
+                    let (from, to) = (cells[i % CELLS], cells[(i * 3 + 1) % CELLS]);
+                    ex.atomic(|ctx| {
+                        let vf = ctx.ctx_read(from, 0)?;
+                        ctx.ctx_write(from, 0, vf.wrapping_sub(1))?;
+                        let vt = ctx.ctx_read(to, 0)?;
+                        ctx.ctx_write(to, 0, vt.wrapping_add(1))
+                    });
+                }
+            });
+            for scanner in 0..2 {
+                let (rt, cells, scanning) = (&rt, &cells, &scanning);
+                s.spawn(move || {
+                    let _done = Done(scanning);
+                    let mut ex = NativeExec::new(rt);
+                    for round in 0..20_000 {
+                        let sum = ex.atomic_ro(|ctx| {
+                            let mut sum = 0u64;
+                            for c in cells {
+                                // Every seventh scan dawdles, and pins.
+                                ctx.ctx_work(if (round + scanner) % 7 == 0 { 300 } else { 5 });
+                                sum = sum.wrapping_add(ctx.ctx_read(*c, 0)?);
+                            }
+                            Ok(sum)
+                        });
+                        assert_eq!(sum, total(), "k={k}: torn snapshot");
+                    }
+                    assert_eq!(ex.stats().ro_aborts, 0);
+                });
+            }
+        });
+        for c in &cells {
+            let ring = rt.ring_versions(c.word(0));
+            assert!(ring.windows(2).all(|pair| pair[0] < pair[1]), "{ring:?}");
+        }
+    }
 }

@@ -179,3 +179,174 @@ fn each_path_serves_its_case() {
     assert_eq!(rt.ring_versions(obj.word(2)).first(), Some(&0));
     assert_eq!(reader.atomic_ro(|ctx| ctx.ctx_read(obj, 0)), 20);
 }
+
+/// A region pinned before a word's ring turns over many times still reads
+/// what it pinned: the ring spills instead of dropping the entry. A second
+/// region pinned half-way keeps the newer half alive once the first is
+/// over, and with nobody pinned the ring is `k` slots again.
+#[test]
+fn a_pinned_region_outlives_many_turns_of_the_ring() {
+    const K: usize = 2;
+    let rt = runtime(K, false);
+    let mut writer = NativeExec::new(&rt);
+    let (mut early, mut late) = (NativeExec::new(&rt), NativeExec::new(&rt));
+    let obj = writer.alloc_obj(WORDS);
+    let ringed = || rt.ring_versions(obj.word(0));
+    apply(&mut writer, obj, &vec![(0, 100)]);
+
+    early.atomic_ro(|ctx| {
+        for turn in 1..=5 * K as u64 {
+            apply(&mut writer, obj, &vec![(0, 100 + turn)]);
+            assert_eq!(ctx.ctx_read(obj, 0)?, 100, "after {turn} commits");
+        }
+        // The pinned entry and everything since (the seed went with the
+        // first commit: the pinned entry serves whoever it served).
+        assert_eq!(ringed().len(), 1 + 5 * K, "{:?}", ringed());
+        late.atomic_ro(|ctx| {
+            for turn in 1..=5 * K as u64 {
+                apply(&mut writer, obj, &vec![(0, 200 + turn)]);
+                assert_eq!(ctx.ctx_read(obj, 0)?, 100 + 5 * K as u64);
+            }
+            Ok(())
+        });
+        assert_eq!(ctx.ctx_read(obj, 0)?, 100, "the older pin still holds");
+        Ok(())
+    });
+    assert_eq!(
+        ringed().len(),
+        1 + 10 * K,
+        "both regions' history: {:?}",
+        ringed()
+    );
+    // A commit from inside a region pinned at the newest version cuts
+    // everything older than what that region reads.
+    late.atomic_ro(|ctx| {
+        let newest = ctx.ctx_read(obj, 0)?;
+        apply(&mut writer, obj, &vec![(0, 300)]);
+        assert!(ringed().len() <= K + 1, "{:?}", ringed());
+        assert_eq!(ctx.ctx_read(obj, 0)?, newest);
+        Ok(())
+    });
+    apply(&mut writer, obj, &vec![(0, 301)]);
+    assert_eq!(ringed().len(), K);
+    assert_eq!(early.stats().ring_reads, 5 * K as u64 + 1);
+    assert_eq!(writer.stats().versions_published, 10 * K as u64 + 3);
+    assert_eq!(
+        writer.stats().versions_reclaimed,
+        writer.stats().versions_published + 1 - K as u64,
+        "all but the ring's k entries, seed included"
+    );
+}
+
+/// Two words on one stripe share a lock word, not a ring: commits to
+/// either move the stripe past a pinned region's `rv`, the region reads
+/// each word's own history, and a word nobody wrote has none.
+#[test]
+fn words_aliased_onto_one_stripe_keep_their_own_rings() {
+    let rt = runtime(2, false);
+    let mut writer = NativeExec::new(&rt);
+    let mut reader = NativeExec::new(&rt);
+    let obj = writer.alloc_obj(WORDS);
+    let stripe = |word: u32| rt.stripe_of(obj.word(word).0);
+    assert!(stripe(0) == stripe(2) && stripe(0) == stripe(6));
+    apply(&mut writer, obj, &vec![(0, 10)]);
+    apply(&mut writer, obj, &vec![(2, 12)]);
+
+    reader.atomic_ro(|ctx| {
+        for turn in 1..=6u64 {
+            // Alternately one word, the other, and both.
+            let commit: Commit = match turn % 3 {
+                0 => vec![(0, 10 + turn), (2, 12 + turn)],
+                1 => vec![(0, 10 + turn)],
+                _ => vec![(2, 12 + turn)],
+            };
+            apply(&mut writer, obj, &commit);
+            assert_eq!(ctx.ctx_read(obj, 0)?, 10, "turn {turn}");
+            assert_eq!(ctx.ctx_read(obj, 2)?, 12, "turn {turn}");
+            assert_eq!(ctx.ctx_read(obj, 6)?, 0, "turn {turn}");
+        }
+        Ok(())
+    });
+    assert_eq!(
+        reader.stats().ring_reads,
+        18,
+        "every read was past the stripe's version"
+    );
+    // Commits 1 and 2, then turns 1, 3, 4, 6 wrote word 0 and turns
+    // 2, 3, 5, 6 word 2; the clock ticked once per commit. Each ring
+    // starts at the entry the region (rv = 2) reads.
+    assert_eq!(rt.ring_versions(obj.word(0)), [1, 3, 5, 6, 8]);
+    assert_eq!(rt.ring_versions(obj.word(2)), [2, 4, 5, 7, 8]);
+    assert!(rt.ring_versions(obj.word(6)).is_empty());
+}
+
+/// Readers that arrive while the write-back hook has a committer parked
+/// mid-commit — one word's ring turned over and its value stored, the
+/// other's not yet — wait for the stripes and then read a whole pair: the
+/// old one for a region pinned before the commit, the new one for a
+/// region begun during it. Never one word of each.
+#[test]
+fn readers_of_a_half_written_commit_wait_and_read_whole_pairs() {
+    use std::sync::{Arc, Barrier};
+    // k = 1: the commit cannot leave the old entry where it was.
+    let rt = Arc::new(runtime(1, false));
+    let mut writer = NativeExec::new(&rt);
+    let obj = writer.alloc_obj(WORDS);
+    assert_ne!(rt.stripe_of(obj.word(0).0), rt.stripe_of(obj.word(1).0));
+    apply(&mut writer, obj, &vec![(0, 10), (1, 11)]);
+
+    let (parked, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    rt.set_writeback_hook(Some({
+        let (parked, release) = (Arc::clone(&parked), Arc::clone(&release));
+        Arc::new(move |done, total| {
+            if (done, total) == (1, 2) {
+                parked.wait();
+                release.wait();
+            }
+        })
+    }));
+    let pair = |ex: &mut NativeExec<'_>, begun: &Barrier| {
+        ex.atomic_ro(|ctx| {
+            // Once for "the region has its rv", once for "now read".
+            begun.wait();
+            begun.wait();
+            // Word 1 first: the one the parked commit has not reached.
+            let second = ctx.ctx_read(obj, 1)?;
+            Ok((ctx.ctx_read(obj, 0)?, second))
+        })
+    };
+    let pinned = Barrier::new(2);
+    std::thread::scope(|s| {
+        let old = s.spawn(|| {
+            let mut ex = NativeExec::new(&rt);
+            let pair = pair(&mut ex, &pinned);
+            (pair, ex.stats().ring_reads)
+        });
+        pinned.wait();
+        let commit = s.spawn(|| apply(&mut writer, obj, &vec![(0, 20), (1, 21)]));
+        parked.wait();
+        pinned.wait();
+        assert_eq!((rt.peek(obj.word(0)), rt.peek(obj.word(1))), (20, 11));
+        let new = s.spawn(|| {
+            let mut ex = NativeExec::new(&rt);
+            let pair = pair(&mut ex, &Barrier::new(1));
+            (pair, ex.stats().ring_reads)
+        });
+        // Both readers are spinning on a locked stripe by now, or will
+        // find one; either way what they return is the same.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        release.wait();
+        commit.join().unwrap();
+        assert_eq!(
+            old.join().unwrap(),
+            ((10, 11), 2),
+            "pinned before the commit"
+        );
+        assert_eq!(
+            new.join().unwrap(),
+            ((20, 21), 0),
+            "begun during the commit"
+        );
+    });
+    rt.set_writeback_hook(None);
+}

@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use hastm::{Abort, ObjRef, TmContext, TmExec};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, WritebackHook};
@@ -273,9 +273,10 @@ proptest! {
     }
 }
 
-/// During write-back every written stripe's lock bit is held, the commit
-/// epoch has already moved, and the heap transitions happen one word at a
-/// time under those locks — observed from inside the write-back hook.
+/// From validation to the last store every written stripe's lock bit is
+/// held, by the first store the commit epoch (filter on) has moved, and
+/// the heap transitions happen one word at a time under those locks —
+/// observed from inside the write-back hook.
 #[test]
 fn writeback_holds_every_written_stripe_lock() {
     let rt = Arc::new(runtime(true));
@@ -289,14 +290,15 @@ fn writeback_holds_every_written_stripe_lock() {
         let violation = Arc::clone(&violation);
         let rt = Arc::clone(&rt);
         let stripes = stripes.clone();
-        Arc::new(move |_done, _total| {
+        Arc::new(move |done, _total| {
             for &s in &stripes {
                 if !rt.stripe_state(s).locked {
                     violation.store(true, Ordering::SeqCst);
                 }
             }
-            if rt.epoch() == epoch_before {
-                // The epoch must bump before the first store is visible.
+            // The epoch must bump before the first store is visible: not
+            // yet at `(0, n)`, which is the last thing before the bump.
+            if (rt.epoch() == epoch_before) != (done == 0) {
                 violation.store(true, Ordering::SeqCst);
             }
         })
@@ -367,5 +369,111 @@ fn concurrent_transfers_conserve_total_balance() {
             total, 4_000,
             "mark_filter={mark_filter}: balance not conserved"
         );
+    }
+}
+
+/// The epoch is the filter's: with the filter off no commit — writing,
+/// read-only or aborted — moves it, and with it on every writing commit
+/// still does.
+#[test]
+fn only_filter_on_commits_touch_the_epoch() {
+    for mark_filter in [false, true] {
+        let rt = runtime(mark_filter);
+        let mut ex = NativeExec::new(&rt);
+        let cells = alloc_cells(&mut ex);
+        let mut other = NativeExec::new(&rt);
+        for round in 0..16u64 {
+            ex.atomic(|ctx| {
+                let v = ctx.ctx_read(cells[0], 0)?;
+                ctx.ctx_write(cells[1], 0, v + round)
+            });
+            assert_eq!(ex.atomic(|ctx| ctx.ctx_read(cells[1], 0)), 100 + round);
+            // A commit that fails validation.
+            let mut doomed = ex.txn();
+            doomed.ctx_read(cells[2], 0).unwrap();
+            doomed.ctx_write(cells[3], 0, round).unwrap();
+            other.atomic(|ctx| ctx.ctx_write(cells[2], 0, round));
+            assert_eq!(doomed.commit(), Err(Abort::Conflict));
+        }
+        let writing_commits = CELLS as u64 + 2 * 16;
+        assert_eq!(
+            rt.clock(),
+            writing_commits + 16,
+            "the doomed commits took a wv too"
+        );
+        let expected = if mark_filter { writing_commits } else { 0 };
+        assert_eq!(rt.epoch(), expected, "mark_filter={mark_filter}");
+    }
+}
+
+/// **The filter's defect, as a specimen** (DESIGN §9c; ROADMAP item 2,
+/// step 0): delete this test with the filter. T1 reads `x` on the fast
+/// path and writes `y`; T2 reads `y` on the slow path and writes `x`. The
+/// hook's `(0, n)` call parks T2 where the protocol has its hole — write
+/// stripe locked, read set validated, epoch not yet bumped — and T1 runs
+/// start to finish inside that window: its fast read of `x` looks at no
+/// lock, and its commit finds the epoch where its filter left it. Both
+/// commit, each having read what the other overwrote: write skew, which
+/// no serial order of the two produces. Plain TL2 (filter off) refuses
+/// T1's read, because `x`'s stripe is locked.
+#[test]
+fn filter_admits_write_skew_in_the_validate_to_epoch_bump_window() {
+    for mark_filter in [true, false] {
+        let rt = Arc::new(runtime(mark_filter));
+        let (mut t1, mut t2) = (NativeExec::new(&rt), NativeExec::new(&rt));
+        let (x, y) = (t1.alloc_obj(1), t1.alloc_obj(1));
+        t1.atomic(|ctx| {
+            ctx.ctx_write(x, 0, 1)?;
+            ctx.ctx_write(y, 0, 1)
+        });
+        // A slow read files `x`'s stripe in T1's filter.
+        assert_eq!(t1.atomic(|ctx| ctx.ctx_read(x, 0)), 1);
+
+        let (parked, resume) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let hook: WritebackHook = {
+            let (parked, resume) = (Arc::clone(&parked), Arc::clone(&resume));
+            let t2_thread = AtomicBool::new(true);
+            Arc::new(move |done, _total| {
+                // T2's commit is the first to get here; T1's, inside the
+                // window, must not park.
+                if done == 0 && t2_thread.swap(false, Ordering::SeqCst) {
+                    parked.wait();
+                    resume.wait();
+                }
+            })
+        };
+        rt.set_writeback_hook(Some(hook));
+        let (t1_read, t1_commit, t2_commit) = std::thread::scope(|s| {
+            let t2_commit = s.spawn(|| {
+                let mut txn = t2.txn();
+                let seen = txn.ctx_read(y, 0).unwrap();
+                txn.ctx_write(x, 0, seen + 1).unwrap();
+                txn.commit()
+            });
+            parked.wait();
+            let mut txn = t1.txn();
+            let read = txn.ctx_read(x, 0);
+            let commit = read.and_then(|seen| {
+                assert!(txn.used_fast_path());
+                txn.ctx_write(y, 0, seen + 1)?;
+                txn.commit()
+            });
+            resume.wait();
+            (read, commit, t2_commit.join().unwrap())
+        });
+        rt.set_writeback_hook(None);
+
+        assert_eq!(t2_commit, Ok(()));
+        if mark_filter {
+            assert_eq!((t1_read, t1_commit), (Ok(1), Ok(())), "the window closed?");
+            assert_eq!(
+                (rt.peek(x.word(0)), rt.peek(y.word(0))),
+                (2, 2),
+                "serially, whoever ran second would have read a 2 and written a 3"
+            );
+        } else {
+            assert_eq!(t1_read, Err(Abort::Conflict), "TL2 sees T2's lock");
+            assert_eq!((rt.peek(x.word(0)), rt.peek(y.word(0))), (2, 1));
+        }
     }
 }

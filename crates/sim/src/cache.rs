@@ -140,6 +140,8 @@ pub struct Cache {
     config: CacheConfig,
     sets: Vec<Set>,
     tick: u64,
+    /// Resident lines, kept by `insert` and `remove`.
+    resident: usize,
 }
 
 impl Cache {
@@ -149,6 +151,7 @@ impl Cache {
             sets: (0..config.sets).map(|_| Set::default()).collect(),
             config,
             tick: 0,
+            resident: 0,
         }
     }
 
@@ -215,6 +218,7 @@ impl Cache {
                 .expect("non-empty full set");
             Some(set.swap_remove(vi))
         } else {
+            self.resident += 1;
             None
         };
         set.tags.push(id);
@@ -232,6 +236,7 @@ impl Cache {
         let set = self.set_index(id);
         let set = &mut self.sets[set];
         let way = set.way_of(id)?;
+        self.resident -= 1;
         Some(set.swap_remove(way))
     }
 
@@ -264,7 +269,19 @@ impl Cache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.tags.len()).sum()
+        self.resident
+    }
+
+    /// The `n`th resident line in [`Cache::iter`]'s order, found by
+    /// stepping over whole sets.
+    pub fn nth_resident(&self, mut n: usize) -> Option<LineId> {
+        for set in &self.sets {
+            match set.tags.get(n) {
+                Some(&id) => return Some(id),
+                None => n -= set.tags.len(),
+            }
+        }
+        None
     }
 
     /// Iterates over resident lines, set by set and way by way (the order
@@ -541,7 +558,10 @@ mod tests {
                 // injection and `flush_caches` walk.
                 let want: Vec<Line> = model.sets.iter().flatten().copied().collect();
                 prop_assert_eq!(cache.iter().collect::<Vec<_>>(), want);
-                prop_assert_eq!(cache.resident_lines(), model.sets.iter().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(cache.resident_lines(), want.len());
+                for n in 0..=want.len() {
+                    prop_assert_eq!(cache.nth_resident(n), want.get(n).map(|l| l.id));
+                }
             }
         }
     }

@@ -597,10 +597,8 @@ impl MemSystem {
             return false;
         }
         let id = self.l1s[core]
-            .iter()
-            .nth(nth % resident)
-            .expect("resident line")
-            .id;
+            .nth_resident(nth % resident)
+            .expect("resident line");
         let victim = self.l1s[core].remove(id).expect("resident");
         self.on_l1_loss(core, victim, LossCause::Eviction);
         true
@@ -616,12 +614,7 @@ impl MemSystem {
         if resident == 0 {
             return false;
         }
-        let id = self
-            .l2
-            .iter()
-            .nth(nth % resident)
-            .expect("resident line")
-            .id;
+        let id = self.l2.nth_resident(nth % resident).expect("resident line");
         self.l2.remove(id);
         self.machine_stats.l2_evictions += 1;
         self.stage(0, TraceEvent::L2Evict { line: id });

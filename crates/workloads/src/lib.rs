@@ -44,7 +44,9 @@ pub use oltp::{
     OltpNativeResult, OltpSimConfig, OltpSimResult, OltpTxn,
 };
 pub use scheme::{ExecStats, Scheme, ThreadExec};
-pub use session::{Definition, NativeRun, NativeSession, Peek, RunPlan, SimRun, SimSession};
+pub use session::{
+    AtRest, Definition, NativeRun, NativeSession, Peek, RunPlan, SimRun, SimSession,
+};
 pub use synthetic::{
     analyze, generate_stream, run_kernel, KernelParams, KernelResult, KernelStream, TraceAnalysis,
     WorkloadProfile, PROFILES,

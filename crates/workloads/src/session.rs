@@ -11,13 +11,15 @@
 //! is what both execute and judge.
 //!
 //! A session issues no simulated operation of its own: the phase order a
-//! caller writes (the map driver's populate → warm-up → measured → digest
-//! walk, the oracle settled at rest) is the order of gated ops, and that
-//! order is what every golden and pinned fingerprint fixes.
+//! caller writes (the map driver's populate → warm-up → measured) is the
+//! order of gated ops, and that order is what every golden and pinned
+//! fingerprint fixes. What comes after the last run — the digest walk,
+//! [`SimSession::judge`], the oracle settling — reads memory at rest
+//! ([`AtRest`]) and issues none.
 
 use std::time::{Duration, Instant};
 
-use hastm::{SerializationViolation, StmConfig, StmRuntime, TmExec};
+use hastm::{ObjRef, SerializationViolation, StmConfig, StmRuntime, TmContext, TmExec, TxResult};
 use hastm_locks::SpinLock;
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
 use hastm_sim::{
@@ -193,6 +195,12 @@ impl SimSession {
         self.machine.peek_u64(addr)
     }
 
+    /// An executor over memory at rest, for walking what a finished run
+    /// left behind.
+    pub fn at_rest(&self) -> AtRest<'_> {
+        AtRest(&self.machine)
+    }
+
     /// Sets `w` up sequentially, then runs its bodies under `plan`.
     pub fn run_definition<W: Definition>(
         &mut self,
@@ -204,14 +212,47 @@ impl SimSession {
         (shared, run)
     }
 
-    /// Walks `w`'s final state sequentially and checks it.
+    /// Walks `w`'s final state at rest and checks it.
     ///
     /// # Errors
     ///
     /// Returns the invariant [`Definition::check`] found violated.
-    pub fn judge<W: Definition>(&mut self, w: &W, shared: &W::Shared) -> Result<u64, String> {
-        let walked = self.sequential(|ex| w.walk(ex, shared));
+    pub fn judge<W: Definition>(&self, w: &W, shared: &W::Shared) -> Result<u64, String> {
+        let walked = w.walk(&mut self.at_rest(), shared);
         w.check(shared, walked, &|addr| self.peek(addr))
+    }
+}
+
+/// Simulated memory at rest behind the executor interface, reads only: a
+/// walk over it is a series of [`Machine::peek_u64`]s. Walking a finished
+/// run's structures through a core instead would put every load through
+/// the cache model and the gate, for a report nobody reads.
+#[derive(Debug)]
+pub struct AtRest<'m>(&'m Machine);
+
+impl TmContext for AtRest<'_> {
+    fn ctx_read(&mut self, obj: ObjRef, index: u32) -> TxResult<u64> {
+        Ok(self.0.peek_u64(obj.word(index)))
+    }
+
+    fn ctx_write(&mut self, _: ObjRef, _: u32, _: u64) -> TxResult<()> {
+        panic!("write to memory at rest")
+    }
+
+    fn ctx_alloc(&mut self, _: u32) -> ObjRef {
+        panic!("allocation in memory at rest")
+    }
+
+    fn ctx_work(&mut self, _: u64) {}
+}
+
+impl TmExec for AtRest<'_> {
+    fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
+        f(self).expect("a read of memory at rest cannot abort")
+    }
+
+    fn alloc_obj(&mut self, data_words: u32) -> ObjRef {
+        self.ctx_alloc(data_words)
     }
 }
 
