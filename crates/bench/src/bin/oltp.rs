@@ -1,7 +1,7 @@
 //! OLTP traffic-mill serving metrics: the 3-point Zipf-θ sweep on both
 //! execution backends — the cycle-accurate simulator running HASTM at
-//! cache-line granularity, and the host-thread TL2 runtime with the
-//! mark-bit filter — as a `hastm-bench` table. Scale via
+//! cache-line granularity, and the host-thread TL2 runtime at its default
+//! configuration (mark-bit filter off) — as a `hastm-bench` table. Scale via
 //! `HASTM_BENCH_SCALE=quick|standard|full`.
 
 use hastm_bench::oltp::{mill_config, native_sweep, sim_sweep, ServingRow};
@@ -32,7 +32,7 @@ fn main() {
         ],
     );
     rows(&mut table, "sim hastm:line", &sim_sweep(scale));
-    rows(&mut table, "native tl2+filter", &native_sweep(scale));
+    rows(&mut table, "native tl2", &native_sweep(scale));
     table
         .note(format!(
             "{} threads x {} txns/thread, {} accounts, {}% reads, {}% {}-key tail",

@@ -97,8 +97,8 @@ pub fn sim_sweep(scale: Scale) -> Vec<ServingRow> {
         .collect()
 }
 
-/// Runs the θ sweep on host threads over the TL2 runtime with the
-/// mark-bit filter on (the HASTM analog).
+/// Runs the θ sweep on host threads over the TL2 runtime at its default
+/// configuration, the mark-bit filter off.
 pub fn native_sweep(scale: Scale) -> Vec<ServingRow> {
     THETA_SWEEP
         .iter()

@@ -256,15 +256,16 @@ impl Combo {
         parts.join(":")
     }
 
-    /// Parses a [`Combo::slug`]: `scheme:gran:isa[:policy][:v<k>]`, the
-    /// optional suffixes in that order (`v1` spells the single-version
-    /// default out; `v2`/`v3` are 2- and 3-deep snapshot rings).
+    /// Parses a [`Combo::slug`]: `scheme:gran:isa[:policy][:v1|v2|v3]`,
+    /// the optional suffixes in that order (`v1` spells the single-version
+    /// default out; `v2`/`v3` are 2- and 3-deep snapshot rings — the only
+    /// depths the versioning axis names, so `v4` is rejected).
     ///
     /// # Errors
     ///
     /// Returns a description of the malformed component.
     pub fn parse(s: &str) -> Result<Combo, String> {
-        const SHAPE: &str = "want scheme:gran:isa[:policy][:v<k>]";
+        const SHAPE: &str = "want scheme:gran:isa[:policy][:v1|v2|v3]";
         let mut parts = s.split(':').peekable();
         let mut combo = BASE;
         for axis in &AXES {
@@ -339,6 +340,15 @@ mod tests {
             let err = Combo::parse(old).expect_err(old);
             assert!(err.contains("no longer a combo axis"), "{old}: {err}");
         }
+    }
+
+    #[test]
+    fn an_unnamed_ring_depth_is_rejected_naming_the_accepted_ones() {
+        let err = Combo::parse("stm:line:full:v4").expect_err("v4");
+        let [.., versioning] = &AXES;
+        let accepted: Vec<&str> = versioning.values.iter().map(|(slug, _)| *slug).collect();
+        assert_eq!(accepted, ["v1", "v3", "v2"]);
+        assert!(err.contains("`v4`") && err.contains("v1|v2|v3"), "{err}");
     }
 
     #[test]

@@ -903,7 +903,7 @@ mod tests {
             ),
             ("hastm:obj:full:naive:ph", "one policy only"),
             ("stm:obj:full:v3:v3", "one v only"),
-            ("stm:obj:full:vx", "v<k> takes a depth"),
+            ("stm:obj:full:vx", "the suffix is v1, v2 or v3"),
             ("stm:obj:full:v4", "only the depths something uses"),
             ("stm:obj:full:", "empty component"),
         ] {

@@ -66,7 +66,7 @@ OPTIONS:
     --workload W     workload: counter | map | bst | btree | oltp
                      (suite mode sweeps all five; passing one restricts the
                      sim and native sweeps to it) [explore default: counter]
-    --combo C        combination scheme:gran:isa[:policy][:v<k>], e.g.
+    --combo C        combination scheme:gran:isa[:policy][:v1|v2|v3], e.g.
                      hastm:obj:full:watermark or stm:line:full:v3 (policy
                      only for hastm; versioning suffix optional, default
                      v1 = single-version, v2|v3 = k-deep snapshot rings;

@@ -228,8 +228,10 @@ impl WorkloadResult {
 
 /// Runs one workload configuration end to end and returns its metrics.
 ///
-/// The measured run starts with cold caches (the populate pass warms only
-/// core 0, which would bias per-scheme comparisons otherwise).
+/// Populate, warm-up and measured run share one machine and nothing is
+/// flushed between them: the measured run starts with the caches the
+/// warm-up left on every core (populate runs on core 0 only), and the
+/// goldens pin exactly that state.
 ///
 /// # Panics
 ///

@@ -144,13 +144,23 @@ impl OltpTxn {
     }
 }
 
-/// Zipfian sampler over ranks `0..n` via a precomputed CDF and binary
-/// search. `f64` powers are deterministic on a given platform, and every
-/// comparison in this repo (sim-vs-native, run-vs-rerun) happens on one
-/// platform, so streams are reproducible wherever they are compared.
+/// Guide-table entries per rank: enough that a bucket of the table holds
+/// about one CDF step, so [`Zipf::sample`] scans one or two entries.
+const GUIDE_PER_RANK: usize = 16;
+
+/// Zipfian sampler over ranks `0..n` via a precomputed CDF, inverted
+/// through a guide table. `f64` powers are deterministic on a given
+/// platform, and every comparison in this repo (sim-vs-native,
+/// run-vs-rerun) happens on one platform, so streams are reproducible
+/// wherever they are compared.
 #[derive(Clone, Debug)]
 pub struct Zipf {
+    /// The `n` CDF entries, then an `INFINITY` sentinel that ends every
+    /// scan.
     cdf: Vec<f64>,
+    /// `m` entries: `guide[j]` is the number of ranks `r` with
+    /// `floor(cdf[r] * m) < j`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -161,7 +171,7 @@ impl Zipf {
     /// Panics if `n` is zero.
     pub fn new(n: u32, theta: f64) -> Self {
         assert!(n > 0, "zipf over an empty domain");
-        let mut cdf = Vec::with_capacity(n as usize);
+        let mut cdf = Vec::with_capacity(n as usize + 1);
         let mut sum = 0.0;
         for rank in 0..n {
             sum += 1.0 / f64::from(rank + 1).powf(theta);
@@ -170,12 +180,44 @@ impl Zipf {
         for v in &mut cdf {
             *v /= sum;
         }
-        Zipf { cdf }
+        let m = GUIDE_PER_RANK * n as usize;
+        let mut guide = Vec::with_capacity(m);
+        let mut below = 0;
+        for j in 0..m {
+            while below < cdf.len() && (cdf[below] * m as f64).floor() < j as f64 {
+                below += 1;
+            }
+            guide.push(below as u32);
+        }
+        cdf.push(f64::INFINITY);
+        Zipf { cdf, guide }
     }
 
-    /// Maps a uniform `u` in `[0, 1)` to a rank (0 = hottest).
+    /// The cumulative distribution: entry `r` is the probability of a rank
+    /// `<= r`; the last entry is 1.
+    pub fn cdf(&self) -> &[f64] {
+        &self.cdf[..self.cdf.len() - 1]
+    }
+
+    /// Maps a uniform `u` in `[0, 1)` to a rank (0 = hottest): the number
+    /// of CDF entries `<= u`.
+    ///
+    /// The scan starts at `guide[min(floor(u * m), m - 1)]` and steps while
+    /// `cdf[r] <= u`. That is exactly `cdf().partition_point(|&c| c <= u)`
+    /// for every `u`, because floating-point multiplication by `m` is
+    /// monotone: a rank `r` below the start has `floor(cdf[r] * m) < j <=
+    /// floor(u * m)`, hence `cdf[r] * m < u * m` and `cdf[r] < u`, so the
+    /// start never passes the answer, and from there the first entry above
+    /// `u` *is* the answer (the CDF is sorted; the sentinel stops a scan
+    /// at `n` for `u >= 1`).
     pub fn sample(&self, u: f64) -> u32 {
-        self.cdf.partition_point(|&c| c <= u) as u32
+        let m = self.guide.len();
+        let j = ((u * m as f64) as usize).min(m - 1);
+        let mut rank = self.guide[j] as usize;
+        while self.cdf[rank] <= u {
+            rank += 1;
+        }
+        rank as u32
     }
 }
 
@@ -189,16 +231,20 @@ fn unit_f64(rng: &mut StdRng) -> f64 {
 pub fn thread_txns(cfg: &OltpConfig, tid: usize) -> Vec<OltpTxn> {
     let zipf = Zipf::new(cfg.accounts, cfg.zipf_theta);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0017_0b1e ^ ((tid as u64) << 21));
+    let accounts = u64::from(cfg.accounts);
     let phases = u64::from(cfg.flash_phases.max(1));
     let phase_len = cfg.txns_per_thread.div_ceil(phases).max(1);
     let mut arrival = 0u64;
+    // The keys drawn so far in the current transaction, one bit each:
+    // rejecting a repeat is one test, not a scan of `keys`.
+    let mut drawn = vec![0u64; (cfg.accounts as usize).div_ceil(64)];
     (0..cfg.txns_per_thread)
         .map(|i| {
             arrival += rng.gen_range(0..2 * cfg.mean_arrival_gap + 1);
             // Flash crowd: each phase rotates the Zipf head onto a
             // different hot key, so the "celebrity" moves mid-run.
             let phase = (i / phase_len) % phases;
-            let rotate = phase * (u64::from(cfg.accounts) / phases);
+            let rotate = phase * (accounts / phases);
             let n = if rng.gen_range(0..100) < cfg.large_txn_pct {
                 cfg.large_txn_keys
             } else {
@@ -207,11 +253,18 @@ pub fn thread_txns(cfg: &OltpConfig, tid: usize) -> Vec<OltpTxn> {
             .min(cfg.accounts) as usize;
             let mut keys: Vec<u32> = Vec::with_capacity(n);
             while keys.len() < n {
-                let rank = zipf.sample(unit_f64(&mut rng));
-                let key = ((u64::from(rank) + rotate) % u64::from(cfg.accounts)) as u32;
-                if !keys.contains(&key) {
+                // `rank <= accounts` and `rotate < accounts`, so one
+                // subtraction is the remainder.
+                let key = u64::from(zipf.sample(unit_f64(&mut rng))) + rotate;
+                let key = if key >= accounts { key - accounts } else { key } as u32;
+                let (word, bit) = (key as usize / 64, 1u64 << (key % 64));
+                if drawn[word] & bit == 0 {
+                    drawn[word] |= bit;
                     keys.push(key);
                 }
+            }
+            for &key in &keys {
+                drawn[key as usize / 64] = 0;
             }
             let deltas = if rng.gen_range(0..100) < cfg.read_pct {
                 Vec::new()
@@ -219,14 +272,13 @@ pub fn thread_txns(cfg: &OltpConfig, tid: usize) -> Vec<OltpTxn> {
                 // Fixed per-key deltas summing to zero: the transfer's
                 // effect is order-independent, giving the differential
                 // suite a closed-form expected state under contention.
+                let mut deltas = Vec::with_capacity(keys.len());
                 let mut sum = 0i64;
-                let mut deltas: Vec<i64> = (1..keys.len())
-                    .map(|_| {
-                        let d = rng.gen_range(-8i64..9);
-                        sum = sum.wrapping_add(d);
-                        d
-                    })
-                    .collect();
+                for _ in 1..keys.len() {
+                    let d = rng.gen_range(-8i64..9);
+                    sum = sum.wrapping_add(d);
+                    deltas.push(d);
+                }
                 deltas.push(sum.wrapping_neg());
                 deltas
             };

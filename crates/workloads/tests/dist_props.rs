@@ -9,6 +9,8 @@
 
 use hastm_workloads::oltp::{thread_txns, OltpConfig, Zipf, HTM_OVERFLOW_KEYS};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A mill config drawn from the interesting corner of parameter space.
 fn small_cfg(seed: u64, theta_milli: u32, read_pct: u32, large_pct: u32) -> OltpConfig {
@@ -145,5 +147,32 @@ proptest! {
         }
         let other = OltpConfig { seed: seed ^ 0xdead_beef, ..cfg.clone() };
         prop_assert_ne!(thread_txns(&cfg, 0), thread_txns(&other, 0));
+    }
+}
+
+/// The guide-table inverse is exact, not approximate: `sample(u)` is the
+/// number of CDF entries `<= u` — what the binary search it replaced
+/// returned — at random `u`, at every CDF entry and the floats either side
+/// of it, and at both ends of `[0, 1)`.
+#[test]
+fn zipf_sample_is_the_exact_cdf_inverse() {
+    let mut rng = StdRng::seed_from_u64(0x21bf);
+    for n in [1, 2, 3, 16, 64, 256, 1000] {
+        for theta in [0.0, 0.6, 0.9, 1.2, 2.0] {
+            let zipf = Zipf::new(n, theta);
+            let cdf = zipf.cdf();
+            assert_eq!(cdf.len(), n as usize);
+            let mut probes = vec![0.0, 1.0f64.next_down()];
+            probes.extend(cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]));
+            probes
+                .extend((0..4_096).map(|_| (rng.gen::<u64>() >> 11) as f64 / (1u64 << 53) as f64));
+            for u in probes {
+                assert_eq!(
+                    zipf.sample(u) as usize,
+                    cdf.partition_point(|&c| c <= u),
+                    "n {n}, θ {theta}, u {u:e}"
+                );
+            }
+        }
     }
 }
