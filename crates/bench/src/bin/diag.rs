@@ -162,11 +162,11 @@ fn main() {
     let mut metrics_out = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace-out" => trace_out = it.next(),
-            "--metrics-out" => metrics_out = it.next(),
-            other => {
-                eprintln!("error: unknown argument `{other}`");
+        match (arg.as_str(), it.next()) {
+            ("--trace-out", Some(path)) => trace_out = Some(path),
+            ("--metrics-out", Some(path)) => metrics_out = Some(path),
+            (other, _) => {
+                eprintln!("error: unknown argument, or one without its FILE: `{other}`");
                 eprintln!("usage: diag [--trace-out FILE] [--metrics-out FILE]");
                 std::process::exit(2);
             }

@@ -320,10 +320,11 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hastm_sim::mutant::{arm, Mutant};
 
     #[test]
     fn explore_counter_is_green_and_covers_orderings() {
-        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let cfg = ExploreConfig {
             combo: Combo::parse("stm:obj:full").unwrap(),
             max_runs: 300,
@@ -348,7 +349,7 @@ mod tests {
 
     #[test]
     fn explore_is_deterministic() {
-        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let cfg = ExploreConfig {
             max_runs: 120,
             ..ExploreConfig::default()
@@ -363,9 +364,8 @@ mod tests {
 
     #[test]
     fn shrink_trace_is_deterministic_and_minimal() {
-        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
-        let _inject = crate::tests::InjectGuard::arm(crate::Injection::LostUpdate);
-        // The injected non-atomic increment races under plain preemption
+        let _armed = arm(Some(Mutant::SplitIncrement));
+        // The planted non-atomic increment races under plain preemption
         // traces too, so the explorer must find a failing trace…
         let cfg = ExploreConfig {
             combo: Combo::parse("stm:line:full").unwrap(),
@@ -378,7 +378,7 @@ mod tests {
         let report = explore(&cfg);
         let failure = report
             .failure
-            .expect("the injected lost update must surface during exploration");
+            .expect("the planted lost update must surface during exploration");
         assert!(
             failure.timeline.contains("txn"),
             "shrunk failure must carry a transactional timeline:\n{}",
@@ -401,7 +401,7 @@ mod tests {
         // With a bound of 2 the frontier revisits schedules reachable via
         // different traces (e.g. a directive at a no-op position); pruning
         // must fire, and pruned + expanded must account for every run.
-        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let cfg = ExploreConfig {
             bound: 2,
             max_runs: 500,

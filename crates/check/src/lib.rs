@@ -42,6 +42,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hastm::{Abort, ModePolicy, OracleMode, TimeBreakdown};
+use hastm_sim::mutant::{armed, Mutant};
 use hastm_sim::{MachineConfig, Preemption, RunReport, ScheduleEvent, SchedulePolicy, TraceLog};
 use hastm_workloads::{fnv1a, Definition, Scheme, SimRun, SimSession};
 
@@ -55,35 +56,6 @@ pub use combo::{Axis, Combo, Comparator, Relation, AXES};
 pub use hastm_workloads::RunPlan;
 pub(crate) use workload::Backend;
 pub use workload::Workload;
-
-/// Test-only fault injections, so the harness's own tests can prove that a
-/// real bug is caught, reported, shrunk, and replayed. Never armed outside
-/// `cfg(test)`.
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum Injection {
-    /// The shared-counter workload performs its increment as a
-    /// *non-atomic* read-modify-write split across two separate atomic
-    /// regions — the classic lost-update bug.
-    LostUpdate,
-    /// The suite sees a corrupted final state from every multi-version and
-    /// every phased trial, so each twin cross-check has a divergence to
-    /// report.
-    TwinDivergence,
-}
-
-/// Whether `which` is armed (constant `false` outside the crate's tests).
-#[inline]
-pub(crate) fn injected(which: Injection) -> bool {
-    #[cfg(test)]
-    {
-        tests::INJECTED[which as usize].load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(test))]
-    {
-        let _ = which;
-        false
-    }
-}
 
 /// Schedule-exploration policy of a trial's measured run. The trial seed
 /// doubles as the policy seed, so one `(sched, seed)` pair fully pins the
@@ -127,15 +99,13 @@ impl Sched {
             "fuzzed" => Ok(Sched::Fuzzed),
             "det" => Ok(Sched::Det),
             _ => match s.strip_prefix("pct:") {
-                Some(d) => {
-                    let depth: u32 = d
-                        .parse()
-                        .map_err(|_| format!("pct depth `{d}` is not a number"))?;
-                    if depth == 0 {
-                        return Err("pct depth must be at least 1".into());
-                    }
-                    Ok(Sched::Pct { depth })
-                }
+                Some(d) => match d.parse() {
+                    Ok(depth) if depth >= 1 => Ok(Sched::Pct { depth }),
+                    _ => Err(format!(
+                        "pct depth `{d}` is not a number from 1 to {}",
+                        u32::MAX
+                    )),
+                },
                 None => Err(format!("unknown sched `{s}` (fuzzed|pct:<depth>|det)")),
             },
         }
@@ -760,7 +730,7 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                         continue;
                     }
                 };
-                if injected(Injection::TwinDivergence)
+                if armed(Mutant::TwinDivergence)
                     && (combo.versioning.is_multi()
                         || matches!(combo.policy, Some(ModePolicy::Phased(_))))
                 {
@@ -816,32 +786,12 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-
     use super::*;
     use hastm::Versioning;
-
-    pub(crate) static INJECTED: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
-
-    /// Serializes the in-crate tests that run trials (this module's,
-    /// [`explore`]'s and [`native`]'s): the injection switches are
-    /// process-global, so trial-running tests must not overlap.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Arms one injection for the guard's lifetime.
-    pub(crate) struct InjectGuard(Injection);
-    impl InjectGuard {
-        pub(crate) fn arm(which: Injection) -> Self {
-            INJECTED[which as usize].store(true, Ordering::SeqCst);
-            InjectGuard(which)
-        }
-    }
-    impl Drop for InjectGuard {
-        fn drop(&mut self) {
-            INJECTED[self.0 as usize].store(false, Ordering::SeqCst);
-        }
-    }
+    // Every test here, in `explore` and `native` and `zombie` that runs a
+    // trial holds an arming guard (`arm(None)` when it arms nothing):
+    // arming is process-global, so those tests take turns.
+    use hastm_sim::mutant::arm;
 
     #[test]
     fn combo_matrix_size_and_slug_round_trip() {
@@ -913,7 +863,7 @@ mod tests {
 
     #[test]
     fn suite_is_green_on_a_matrix_sample() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         // One representative per scheme (obj/full), plus line-granularity
         // and default-ISA spot checks; tiny trials keep this fast under
         // the dev profile — the full matrix runs in CI via the binary.
@@ -966,7 +916,7 @@ mod tests {
 
     #[test]
     fn multi_version_map_trials_snapshot_read_and_never_abort() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let trial = Trial {
             combo: Combo::parse("stm:line:full:v3").unwrap(),
             workload: Workload::Map,
@@ -999,7 +949,7 @@ mod tests {
 
     #[test]
     fn versioning_twins_sweep_green_across_workloads() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let combos: Vec<Combo> = [
             "stm:line:full",
             "stm:line:full:v3",
@@ -1034,8 +984,7 @@ mod tests {
 
     #[test]
     fn divergent_twins_are_reported_per_axis_with_both_replays() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let _inject = InjectGuard::arm(Injection::TwinDivergence);
+        let _armed = arm(Some(Mutant::TwinDivergence));
         let combos: Vec<Combo> = [
             "stm:obj:full",
             "stm:obj:full:v3",
@@ -1088,7 +1037,7 @@ mod tests {
 
     #[test]
     fn fingerprints_pinned_before_the_runners_were_unified_still_hold() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         // (slug, workload, seed, sched) → (state, makespan) at 3 threads ×
         // 16 ops, generated by the per-workload, per-backend runners this
         // crate had before `workload::Definition`: the simulated op order
@@ -1181,7 +1130,7 @@ mod tests {
 
     #[test]
     fn phased_fingerprints_pinned_before_the_phase_gate_was_unified_still_hold() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         // (slug, hair-trigger params, workload, seed, sched) → (state,
         // makespan, serial commits, transitions) at 4 threads × 24 ops,
         // generated while `TxThread` still carried its own entry loop and
@@ -1231,15 +1180,22 @@ mod tests {
     #[test]
     fn replay_commands_parse_back_to_the_same_trial() {
         // What a failure prints must rebuild exactly the trial that
-        // failed, for every combination (flags as `main` parses them).
-        for (i, combo) in Combo::all().into_iter().enumerate() {
+        // failed, for every combination (flags as `main` parses them) and
+        // for every depth `--pct … --depth D` accepts: `main` checks D as
+        // `Sched::parse("pct:D")` does.
+        let depths = ["1", "4294967295"].map(|d| Sched::parse(&format!("pct:{d}")).unwrap());
+        let all = Combo::all();
+        let pct_trials = depths.iter().map(|&sched| (all.len(), all[0], sched));
+        let scheds = [Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Det];
+        let combo_trials = all.iter().enumerate().map(|(i, &c)| (i, c, scheds[i % 3]));
+        for (i, combo, sched) in combo_trials.chain(pct_trials) {
             let trial = Trial {
                 combo,
                 workload: Workload::ALL[i % 5],
                 seed: i as u64,
                 threads: 2 + i % 3,
                 ops: 4 + i as u64,
-                sched: [Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Det][i % 3],
+                sched,
             };
             let command = replay_command(&trial);
             let flag = |name: &str| {
@@ -1267,8 +1223,7 @@ mod tests {
 
     #[test]
     fn injected_lost_update_is_caught_shrunk_and_replayable() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let _inject = InjectGuard::arm(Injection::LostUpdate);
+        let _armed = arm(Some(Mutant::SplitIncrement));
         let cfg = CheckConfig {
             seeds: 8,
             ops: 24,
@@ -1280,7 +1235,7 @@ mod tests {
         let failure = report
             .failures
             .first()
-            .expect("the injected lost-update bug must be caught");
+            .expect("the planted lost-update bug must be caught");
         assert!(
             failure.detail.contains("counter sum"),
             "caught as a lost update: {}",
@@ -1305,7 +1260,7 @@ mod tests {
 
     #[test]
     fn tree_workloads_are_green_and_deterministic() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         // The BST and B-tree differential workloads on the matrix points
         // most likely to disturb tree internals: STM at line granularity
         // (false sharing across node fields) and HASTM under the naive
@@ -1332,8 +1287,7 @@ mod tests {
 
     #[test]
     fn shrink_failure_is_deterministic() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let _inject = InjectGuard::arm(Injection::LostUpdate);
+        let _armed = arm(Some(Mutant::SplitIncrement));
         let combo = Combo::parse("stm:line:full").unwrap();
         let failing = (0..8)
             .map(|seed| Trial {
@@ -1345,7 +1299,7 @@ mod tests {
                 sched: Sched::Fuzzed,
             })
             .find_map(|t| check_trial(&t, false).map(|d| (t, d)))
-            .expect("the injected bug must fail within 8 seeds");
+            .expect("the planted bug must fail within 8 seeds");
         // The shrinker only consults the (deterministic) runner, so the
         // same failing input must always reach the same minimal trial.
         let a = shrink_failure(failing.0, failing.1.clone(), 64);
@@ -1357,7 +1311,7 @@ mod tests {
 
     #[test]
     fn fingerprints_are_stable_across_processes_of_the_same_trial() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let trial = Trial {
             combo: Combo::parse("hastm:obj:full:watermark").unwrap(),
             workload: Workload::Map,

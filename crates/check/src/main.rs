@@ -34,13 +34,16 @@ USAGE:
     hastm-check [--seeds N] [--start-seed N] [--threads N] [--ops N]
                 [--sched S] [--backend B] [--workload W] [--combo C]
                 [--coverage] [--quiet]
-    hastm-check --pct N [--depth D] [--threads N] [--ops N] [--coverage]
+    hastm-check --pct N [--depth D] [--start-seed N] [--threads N] [--ops N]
+                [--workload W] [--combo C] [--coverage] [--quiet]
     hastm-check --explore [--combo C] [--workload W] [--threads N] [--ops N]
                 [--bound B] [--max-runs N] [--seed N]
     hastm-check --replay --workload W --combo C --seed N [--sched S]
                 [--threads N] [--ops N] [--trace T] [--trace-out FILE]
     hastm-check --validate-trace FILE
     hastm-check --list-combos
+
+Each form takes only the options it lists.
 
 OPTIONS:
     --seeds N        consecutive seeds to sweep            [default: 50]
@@ -85,7 +88,7 @@ OPTIONS:
     --help           this text
 ";
 
-#[derive(Copy, Clone, PartialEq, Eq, Default)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 enum Backend {
     #[default]
     Sim,
@@ -104,11 +107,10 @@ impl Backend {
     }
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Args {
-    replay: bool,
-    list_combos: bool,
-    explore: bool,
+    /// The [`USAGE`] form given: its own flag, or "the suite".
+    form: &'static str,
     quiet: bool,
     coverage: bool,
     seeds: u64,
@@ -120,7 +122,8 @@ struct Args {
     seed: u64,
     sched: Sched,
     pct: Option<u64>,
-    depth: u32,
+    /// What `--pct` sweeps under: `--depth`, checked by `Sched::parse`.
+    pct_sched: Sched,
     bound: usize,
     max_runs: u64,
     trace: Option<String>,
@@ -129,22 +132,24 @@ struct Args {
     backend: Backend,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. The form is the first
+/// line of [`USAGE`] whose own flag is given (else the suite's), and every
+/// flag given must be one that line lists.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         seeds: 50,
         threads: 3,
-        depth: 3,
+        pct_sched: Sched::Pct { depth: 3 },
         bound: 2,
         max_runs: 2_000,
         ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
+    let mut given = Vec::new();
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
-            "--replay" => args.replay = true,
-            "--list-combos" => args.list_combos = true,
-            "--explore" => args.explore = true,
+            "--replay" | "--list-combos" | "--explore" => {}
             "--quiet" => args.quiet = true,
             "--coverage" => args.coverage = true,
             "--seeds" => args.seeds = num(&value("--seeds")?)?,
@@ -154,7 +159,7 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = num(&value("--seed")?)?,
             "--sched" => args.sched = Sched::parse(&value("--sched")?)?,
             "--pct" => args.pct = Some(num(&value("--pct")?)?),
-            "--depth" => args.depth = num(&value("--depth")?)? as u32,
+            "--depth" => args.pct_sched = Sched::parse(&format!("pct:{}", value("--depth")?))?,
             "--bound" => args.bound = num(&value("--bound")?)? as usize,
             "--max-runs" => args.max_runs = num(&value("--max-runs")?)?,
             "--trace" => args.trace = Some(value("--trace")?),
@@ -169,10 +174,24 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
+        given.push(arg);
     }
+    let (_, synopsis) = USAGE.split_once("USAGE:").expect("USAGE has a synopsis");
+    let (synopsis, _) = synopsis.split_once("OPTIONS:").expect("and options");
+    let words = |line: &'static str| line.split(|c: char| "[] \n".contains(c));
+    let mut lines = synopsis.split("hastm-check ").skip(1);
+    let suite = lines.next().expect("the suite's line comes first");
+    let (form, line) = lines
+        .map(|line| (words(line).next().unwrap_or_default(), line))
+        .find(|(own, _)| given.iter().any(|g| g == own))
+        .unwrap_or(("the suite", suite));
+    if let Some(flag) = given.iter().find(|g| !words(line).any(|w| w == *g)) {
+        return Err(format!("{flag} does not apply to {form}"));
+    }
+    args.form = form;
     if let Some(runs) = args.pct {
         args.seeds = runs;
-        args.sched = Sched::Pct { depth: args.depth };
+        args.sched = args.pct_sched;
         args.coverage = true;
     }
     if args.threads == 0 || args.ops == Some(0) {
@@ -348,7 +367,7 @@ fn run_explore(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    parse_args()
+    parse_args(std::env::args().skip(1))
         .and_then(|args| dispatch(&args))
         .unwrap_or_else(|e| {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -357,7 +376,7 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &Args) -> Result<ExitCode, String> {
-    if args.list_combos {
+    if args.form == "--list-combos" {
         for combo in Combo::all() {
             println!("{combo}");
         }
@@ -366,10 +385,10 @@ fn dispatch(args: &Args) -> Result<ExitCode, String> {
     if let Some(path) = &args.validate_trace {
         return run_validate_trace(path);
     }
-    if args.replay {
+    if args.form == "--replay" {
         return replay(args);
     }
-    if args.explore {
+    if args.form == "--explore" {
         return Ok(run_explore(args));
     }
     let mut clean = true;
@@ -516,5 +535,81 @@ fn run_native_backend(args: &Args) -> bool {
             println!("      {}", f.detail);
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn pct_depth_is_checked_as_sched_parse_checks_it() {
+        // 2^32 used to wrap to 0 and 0 to saturate to 1, and a failure
+        // then printed a replay with `--sched pct:0`, which `--replay`
+        // rejects.
+        for bad in ["0", "4294967296", "-1", "three"] {
+            let err = parse(&format!("--pct 1 --depth {bad}")).unwrap_err();
+            assert!(err.starts_with(&format!("pct depth `{bad}`")), "{err}");
+        }
+        let args = parse("--pct 5 --depth 4294967295").unwrap();
+        assert_eq!(args.sched, Sched::Pct { depth: u32::MAX });
+        assert_eq!((args.seeds, args.coverage), (5, true));
+        assert_eq!(parse("--pct 5").unwrap().sched, Sched::Pct { depth: 3 });
+    }
+
+    #[test]
+    fn each_form_rejects_the_flags_its_usage_does_not_list() {
+        for (line, flag, form) in [
+            // The suite sweeps from --start-seed; --seed used to be
+            // dropped silently.
+            ("--seed 7", "--seed", "the suite"),
+            ("--seeds 5 --depth 2", "--depth", "the suite"),
+            ("--pct 5 --sched det", "--sched", "--pct"),
+            ("--pct 5 --backend native", "--backend", "--pct"),
+            ("--explore --trace 1@0", "--trace", "--explore"),
+            (
+                "--replay --workload counter --bound 2",
+                "--bound",
+                "--replay",
+            ),
+            ("--replay --explore", "--replay", "--explore"),
+            ("--list-combos --quiet", "--quiet", "--list-combos"),
+            (
+                "--validate-trace t.json --seed 1",
+                "--seed",
+                "--validate-trace",
+            ),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(err, format!("{flag} does not apply to {form}"), "{line}");
+        }
+    }
+
+    #[test]
+    fn the_documented_command_lines_parse() {
+        for line in [
+            "--seeds 50",
+            "--pct 5 --depth 3 --coverage --quiet",
+            "--combo stm:line:full:v3 --seeds 64 --quiet",
+            "--workload oltp --backend both --seeds 16 --quiet",
+            "--explore --combo stm:obj:full --threads 2 --ops 2 --bound 2",
+            "--replay --workload counter --combo hastm:obj:full --seed 0 --threads 2 \
+             --ops 4 --trace 4@1,9@0 --trace-out trace.json",
+            "--replay --workload counter --combo hytm:obj:full --sched det --seed 0",
+            "--validate-trace trace.json",
+            "--list-combos",
+        ] {
+            parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error() {
+        assert_eq!(parse("--seeds").unwrap_err(), "--seeds needs a value");
+        assert_eq!(parse("--bogus").unwrap_err(), "unknown argument `--bogus`");
     }
 }

@@ -234,10 +234,11 @@ mod tests {
     use super::*;
     use hastm::TmExec;
     use hastm_native::{NativeExec, NativeRuntime};
+    use hastm_sim::mutant::arm;
 
     #[test]
     fn native_trials_pass_on_every_workload() {
-        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         for workload in Workload::ALL {
             for filter in [true, false] {
                 for versioning in [Versioning::Single, Versioning::Multi { k: 3 }] {
@@ -308,6 +309,7 @@ mod tests {
 
     #[test]
     fn multi_version_map_trial_snapshot_reads_abort_free() {
+        let _quiet = arm(None);
         let trial = NativeTrial {
             workload: Workload::Map,
             seed: 3,
@@ -329,7 +331,7 @@ mod tests {
 
     #[test]
     fn small_suite_is_clean() {
-        let _guard = crate::tests::TEST_LOCK.lock().unwrap();
+        let _quiet = arm(None);
         let cfg = NativeCheckConfig {
             seeds: 2,
             thread_counts: vec![1, 2],

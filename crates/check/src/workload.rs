@@ -9,6 +9,7 @@
 //! `run_oltp_sim`/`run_oltp_native` run.
 
 use hastm::{ObjRef, TmExec};
+use hastm_sim::mutant::{armed, Mutant};
 use hastm_sim::SchedulePolicy;
 use hastm_workloads::{
     fnv1a, AnyMap, BTree, Bst, Definition, HashTable, Mill, OltpConfig, Peek, Structure, TxMap,
@@ -16,7 +17,7 @@ use hastm_workloads::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{injected, Combo, Injection, RunPlan, Sim};
+use crate::{Combo, RunPlan, Sim};
 
 /// Which invariant-bearing workload a trial runs. The three partitioned
 /// structure workloads share one definition and differ only in the
@@ -143,7 +144,7 @@ impl Definition for Counter {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xc0de ^ ((tid as u64) << 24));
         for _ in 0..self.ops {
             let cell = cells[rng.gen_range(0..COUNTER_CELLS as u64) as usize];
-            if injected(Injection::LostUpdate) {
+            if armed(Mutant::SplitIncrement) {
                 let v = ex.atomic(|ctx| ctx.ctx_read(cell, 0));
                 ex.atomic(|ctx| ctx.ctx_write(cell, 0, v + 1));
             } else {

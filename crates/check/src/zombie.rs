@@ -22,11 +22,10 @@
 //!
 //! Against an *unmutated* tree the scenarios are green: the slow-path walk
 //! catches every doomed transaction, the ledger matches the closed form,
-//! and the oracle settles clean. Under the core crate's `seeded-bug`
-//! mutation (forwarded by this crate's `seeded-zombie` feature) the walk
-//! silently succeeds, zombies commit, and [`run_zombie_scenario`] must
-//! report the damage — via the oracle and/or ledger divergence. The
-//! `zombie_mutation` integration test asserts both directions.
+//! and the oracle settles clean. With `Mutant::SkippedRevalidation` armed
+//! the walk silently succeeds, zombies commit, and [`run_zombie_scenario`]
+//! must report the damage — via the oracle and/or ledger divergence. The
+//! `mutants` integration test proves both directions.
 
 use hastm::Granularity;
 use hastm_sim::{FaultEvent, FaultKind, SchedulePolicy};
@@ -111,8 +110,6 @@ pub struct ZombieReport {
     pub validations_full: u64,
     /// Top-level commits.
     pub commits: u64,
-    /// Aborted attempts.
-    pub aborts: u64,
 }
 
 /// Runs one zombie scenario and checks it: the serializability oracle
@@ -123,7 +120,7 @@ pub struct ZombieReport {
 ///
 /// Returns a description of the detected damage — an oracle
 /// serializability violation or a ledger divergence — which is exactly
-/// what the `seeded-zombie` mutation must provoke.
+/// what `Mutant::SkippedRevalidation` must provoke.
 pub fn run_zombie_scenario(sc: &ZombieScenario) -> Result<ZombieReport, String> {
     let cfg = scenario_config(sc);
     let expected = expected_balances(&cfg.oltp);
@@ -139,21 +136,21 @@ pub fn run_zombie_scenario(sc: &ZombieScenario) -> Result<ZombieReport, String> 
     Ok(ZombieReport {
         validations_full: r.txn.validations_full,
         commits: r.metrics.commits,
-        aborts: r.metrics.aborts,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hastm_sim::mutant::arm;
 
     /// The scenarios are green on the unmutated tree and genuinely drive
     /// the software revalidation walk (the mutation's target) — asserted
     /// here so the in-crate suite catches a scenario that rots into
-    /// vacuity. The mutated direction lives in `tests/zombie_mutation.rs`.
-    #[cfg(not(feature = "seeded-zombie"))]
+    /// vacuity. The mutated direction lives in `tests/mutants.rs`.
     #[test]
     fn scenarios_are_green_and_exercise_the_slow_path() {
+        let _quiet = arm(None);
         for sc in scenarios(1) {
             let report = run_zombie_scenario(&sc)
                 .unwrap_or_else(|e| panic!("{:?} must be green unmutated: {e}", sc.scheme));
@@ -166,9 +163,9 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "seeded-zombie"))]
     #[test]
     fn fault_injected_mill_pinned_before_the_run_session_still_holds() {
+        let _quiet = arm(None);
         // scheme → (balances digest, makespan, software read-set walks,
         // commits, aborts) of `scenario_config` at seed 1, generated by
         // the `run_oltp_sim` that armed its own fault plan: the session

@@ -67,7 +67,8 @@ pub trait TmContext {
 /// the data structures already do).
 pub trait TmExec {
     /// Runs `f` as one atomic region, retrying on aborts until it
-    /// commits, and returns its result.
+    /// commits, and returns its result. Every implementor panics if `f`
+    /// returns `Err(Abort::Explicit)` (`TxThread::try_atomic` returns it).
     fn atomic<R>(&mut self, f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R
     where
         Self: Sized;
@@ -77,7 +78,8 @@ pub trait TmExec {
     /// simulator, the k-versioned TL2 stripes on the native backend) read
     /// a consistent snapshot and commit without validation — the region
     /// cannot conflict-abort. `f` must not write. The default falls back
-    /// to [`TmExec::atomic`] for backends without one.
+    /// to [`TmExec::atomic`] for backends without one. `Err(Abort::Explicit)`
+    /// from `f` panics, as it does out of `atomic`.
     fn atomic_ro<R>(&mut self, f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R
     where
         Self: Sized,

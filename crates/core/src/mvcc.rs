@@ -28,6 +28,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
+use hastm_sim::mutant::{armed, Mutant};
+
 /// Counters describing version traffic, drained into
 /// [`crate::TxnStats`]-level reporting.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -168,12 +170,11 @@ impl VersionStore {
     /// stamp ≤ `start`, or `None` if `addr` has no ring (never
     /// transactionally written — memory itself is the committed value).
     pub fn snapshot_read(&self, addr: u64, start: u64) -> Option<u64> {
-        // The planted `mvcc-seeded-bug` mutation admits one-too-new a
-        // version: newest stamp ≤ start+1 instead of ≤ start. A read-only
-        // scan racing a writer can then observe a torn (half-new)
-        // snapshot, which the oracle's stamp journal and the differential
-        // suites must catch.
-        let start = if cfg!(feature = "mvcc-seeded-bug") {
+        // `Mutant::SnapshotOneAhead` admits one-too-new a version: newest
+        // stamp ≤ start+1 instead of ≤ start. A read-only scan racing a
+        // writer can then observe a torn (half-new) snapshot, which the
+        // oracle's stamp journal and the differential suites must catch.
+        let start = if armed(Mutant::SnapshotOneAhead) {
             start.saturating_add(1)
         } else {
             start
@@ -286,7 +287,6 @@ mod tests {
         assert_eq!(s.snapshot_read(8, t1), Some(1));
     }
 
-    #[cfg(not(feature = "mvcc-seeded-bug"))]
     #[test]
     fn snapshot_read_never_returns_a_too_new_version() {
         let s = VersionStore::new(8);

@@ -801,7 +801,7 @@ mod tests {
         log.record_versioned_commit(1, &[(Addr(0x10), 0, 10)]);
         log.record_versioned_commit(2, &[(Addr(0x10), 10, 20)]);
         // Start stamp 1 but saw stamp-2's value: exactly the off-by-one
-        // the seeded snapshot mutation introduces.
+        // `Mutant::SnapshotOneAhead` plants.
         log.record_ro_obligation(ro_ob(1, &[(0x10, 20)]));
         let v = log.verify(|_| unreachable!());
         assert_eq!(v.len(), 1);

@@ -55,24 +55,22 @@
 //! modes and host sweep widths. The native backend's `sync` calls the
 //! step directly: the steps are `SeqCst` atomics already.
 //!
-//! ## The `phase-seeded-bug` mutation
+//! ## The planted lost transition
 //!
-//! With the `phase-seeded-bug` cargo feature, [`refresh_view`] keeps the
+//! Armed, [`Mutant::StalePhaseView`] makes [`refresh_view`] keep the
 //! *stale* phase bits after a failed entry CAS: the retry then writes the
 //! old phase back, silently dropping a concurrent phase publication — a
 //! thread can keep running aggressive inside the `Serial` phase while the
-//! token holder believes it is alone. `hastm-check`'s differential suite
-//! must catch the resulting lost updates (`tests/phase_mutation.rs`); the
-//! one entry loop means both backends are mutated at once.
+//! token holder believes it is alone. `hastm-check`'s transition-count
+//! oracle must catch it (`tests/mutants.rs`); the one entry loop means
+//! both backends are mutated at once.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
 
-use crate::config::Mode;
+use hastm_sim::mutant::{armed, Mutant};
 
-/// `false` only under the `phase-seeded-bug` mutation: a failed entry CAS
-/// re-reads the whole word (including a phase publication that raced in).
-const PHASE_RECHECK: bool = cfg!(not(feature = "phase-seeded-bug"));
+use crate::config::Mode;
 
 /// Bit layout of the packed phase word.
 const PHASE_MASK: u64 = 0b111;
@@ -328,7 +326,7 @@ impl SharedModeState {
     /// One optimistic-entry CAS: tries to move the word from `expected`
     /// to "`seen`'s phase, `expected`'s epoch, active + 1". In the
     /// correct protocol `seen == expected` and this is a plain counted
-    /// entry; under the seeded mutation `seen` may carry stale phase bits
+    /// entry; under [`Mutant::StalePhaseView`] `seen` may carry stale phase bits
     /// (see [`refresh_view`]) and a success then *overwrites* a phase
     /// publication that raced in — the planted lost-transition bug.
     ///
@@ -527,15 +525,15 @@ impl SharedModeState {
 
 /// The view of the phase word an entry loop should retry against after a
 /// failed CAS. Correct behavior: adopt the freshly observed `cur`
-/// wholesale (any concurrent phase publication is re-examined). Under the
-/// `phase-seeded-bug` mutation the stale phase bits of `seen` survive the
-/// refresh — the retry then drops a concurrent publication on the floor.
+/// wholesale (any concurrent phase publication is re-examined). With
+/// [`Mutant::StalePhaseView`] armed the stale phase bits of `seen` survive
+/// the refresh — the retry then drops a concurrent publication on the floor.
 #[inline]
 pub fn refresh_view(seen: u64, cur: u64) -> u64 {
-    if PHASE_RECHECK {
-        cur
-    } else {
+    if armed(Mutant::StalePhaseView) {
         (cur & !PHASE_MASK) | (seen & PHASE_MASK)
+    } else {
+        cur
     }
 }
 
@@ -613,7 +611,6 @@ mod tests {
         let err = s.cas_enter(stale, stale).unwrap_err();
         assert_eq!(Phase::decode(err), Phase::Serial);
         // The correct refresh adopts the published phase.
-        #[cfg(not(feature = "phase-seeded-bug"))]
         assert_eq!(Phase::decode(refresh_view(stale, err)), Phase::Serial);
     }
 
@@ -690,7 +687,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "phase-seeded-bug"))]
     fn optimistic_entry_that_loses_a_cas_reenters_under_the_published_phase() {
         let s = SharedModeState::new(PhasedParams::default());
         let mut bus = Recorder::new(

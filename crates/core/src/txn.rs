@@ -5,6 +5,7 @@
 
 use std::collections::HashMap;
 
+use hastm_sim::mutant::{armed, Mutant};
 use hastm_sim::{Addr, Cpu};
 
 use crate::config::{Abort, BarrierKind, Mode, ModePolicy, StmConfig, TxResult, TxnKind};
@@ -465,13 +466,13 @@ impl<'c, 'm> TxThread<'c, 'm> {
 
     /// Full software read-set walk (Figure 2).
     fn software_validate(&mut self) -> TxResult<()> {
-        // Seeded opacity bug for `hastm-check`'s zombie scenarios: the
-        // slow path "revalidates" by not walking the read set at all, so
-        // doomed transactions commit on stale reads. Both periodic and
-        // commit-time validation route through here, for the base STM and
-        // for HASTM's cautious fallback alike — the oracle and the
-        // explorer must each flag the resulting lost updates.
-        if cfg!(feature = "seeded-bug") {
+        // `Mutant::SkippedRevalidation`: the slow path "revalidates" by
+        // not walking the read set at all, so doomed transactions commit
+        // on stale reads. Both periodic and commit-time validation route
+        // through here, for the base STM and for HASTM's cautious
+        // fallback alike — the oracle and the explorer must each flag the
+        // resulting lost updates.
+        if armed(Mutant::SkippedRevalidation) {
             return Ok(());
         }
         self.stats.validations_full += 1;

@@ -4,8 +4,6 @@
 //! and `Versioning::Multi` must be observationally equivalent to
 //! `Versioning::Single` wherever the two can be compared exactly.
 
-#![cfg(not(feature = "mvcc-seeded-bug"))]
-
 use std::collections::HashMap;
 
 use hastm::{Granularity, ObjRef, StmConfig, StmRuntime, TxThread, VersionStore, Versioning};

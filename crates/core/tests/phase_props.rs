@@ -7,8 +7,6 @@
 //! multi-core simulator smoke exercises the whole entry/drain protocol
 //! end to end, serial phase included.
 
-#![cfg(not(feature = "phase-seeded-bug"))]
-
 use std::sync::Mutex;
 
 use hastm::phase::{refresh_view, Access, Entry, SharedModeState, Wait};

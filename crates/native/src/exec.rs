@@ -22,7 +22,7 @@
 //! the filter off, which is the default, none of this runs and nothing
 //! touches the epoch.
 //!
-//! The `seeded-bug` cargo feature removes the epoch checks altogether;
+//! [`Mutant::NoEpochCheck`] removes the epoch checks altogether;
 //! `tests/filter_stress.rs` proves the resulting stale-filter reads are
 //! caught by the stress suite.
 //!
@@ -40,12 +40,16 @@ use std::sync::atomic::{
 
 use hastm::phase::{Access, Entry, Wait};
 use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
+use hastm_sim::mutant::{armed, Mutant};
 
 use crate::tl2::{NativeRuntime, NativeStats, WritebackHook, RO_IDLE};
 
-/// `false` only under the `seeded-bug` mutation: the filter fast path
-/// and commit skip their epoch checks, silently trusting stale filters.
-const EPOCH_CHECKS: bool = cfg!(not(feature = "seeded-bug"));
+/// `false` only while [`Mutant::NoEpochCheck`] is armed: the filter fast
+/// path and commit then trust stale filters.
+#[inline]
+fn epoch_checks() -> bool {
+    !armed(Mutant::NoEpochCheck)
+}
 
 /// Source of serial-token owner ids: one per executor, low bit set so an
 /// id can never collide with the token's "free" value (0).
@@ -549,6 +553,13 @@ impl std::fmt::Debug for NativeExec<'_> {
     }
 }
 
+/// What [`TmExec`] says `Err(Abort::Explicit)` out of `atomic` or
+/// `atomic_ro` does: the native backend has no `try_` form to surface it.
+#[cold]
+fn explicit_abort(region: &str) -> ! {
+    panic!("explicit abort inside {region} (unsupported on the native backend)")
+}
+
 impl TmExec for NativeExec<'_> {
     fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
         let mut attempt: u32 = 0;
@@ -557,9 +568,7 @@ impl TmExec for NativeExec<'_> {
             if let Some(Entry::Serial) = entry {
                 match self.run_serial(&mut f) {
                     Ok(r) => return r,
-                    Err(Abort::Explicit) => {
-                        panic!("explicit abort inside atomic (unsupported on the native backend)")
-                    }
+                    Err(Abort::Explicit) => explicit_abort("atomic"),
                     Err(_) => {
                         // Only `retry` reaches here: serial attempts
                         // cannot conflict-abort.
@@ -601,9 +610,7 @@ impl TmExec for NativeExec<'_> {
                     self.phase_leave(entry, Some(PhaseEvent::CleanCommit));
                     return r;
                 }
-                Err(Abort::Explicit) => {
-                    panic!("explicit abort inside atomic (unsupported on the native backend)")
-                }
+                Err(Abort::Explicit) => explicit_abort("atomic"),
                 Err(Abort::Retry) => {
                     self.phase_leave(entry, None);
                     // `retry` condition wait: no condition variables here,
@@ -649,9 +656,7 @@ impl TmExec for NativeExec<'_> {
             if let Some(Entry::Serial) = entry {
                 match self.run_serial(&mut f) {
                     Ok(r) => return r,
-                    Err(Abort::Explicit) => panic!(
-                        "explicit abort inside atomic_ro (unsupported on the native backend)"
-                    ),
+                    Err(Abort::Explicit) => explicit_abort("atomic_ro"),
                     Err(_) => {
                         std::thread::yield_now();
                         continue;
@@ -688,9 +693,7 @@ impl TmExec for NativeExec<'_> {
                     self.phase_leave(entry, None);
                     std::thread::yield_now();
                 }
-                Err(Abort::Explicit) => {
-                    panic!("explicit abort inside atomic_ro (unsupported on the native backend)")
-                }
+                Err(Abort::Explicit) => explicit_abort("atomic_ro"),
                 Err(cause) => unreachable!("snapshot reads cannot conflict-abort: {cause:?}"),
             }
         }
@@ -758,7 +761,7 @@ impl NativeTxn<'_, '_> {
             && self.exec.filter.get(stripe as u64).is_some();
         if filtered {
             let value = rt.heap().load(addr);
-            if !EPOCH_CHECKS {
+            if !epoch_checks() {
                 self.fast_epoch.get_or_insert(self.exec.filter_epoch);
                 self.exec.stats.fast_reads += 1;
                 return Ok(value);
@@ -828,7 +831,7 @@ impl NativeTxn<'_, '_> {
         } = self;
         let rt = exec.rt;
         if exec.writes.is_empty() {
-            if EPOCH_CHECKS && fast_epoch.is_some_and(|fe| rt.epoch() != fe) {
+            if epoch_checks() && fast_epoch.is_some_and(|fe| rt.epoch() != fe) {
                 exec.filter.clear();
                 exec.stats.aborts_filter_stale += 1;
                 return Err(Abort::Conflict);
@@ -881,7 +884,7 @@ impl NativeTxn<'_, '_> {
         // authoritative check below (no spurious epoch bump to invalidate
         // other threads' filters), but a plain load — a racing committer
         // can still slip in after it, so it decides nothing on its own.
-        if EPOCH_CHECKS && fast_epoch.is_some_and(|fe| rt.epoch() != fe) {
+        if epoch_checks() && fast_epoch.is_some_and(|fe| rt.epoch() != fe) {
             release(&exec.locks);
             exec.filter.clear();
             exec.stats.aborts_filter_stale += 1;
@@ -898,7 +901,7 @@ impl NativeTxn<'_, '_> {
         // this commit claiming publication — checked and bumped in one
         // atomic step, so no commit can slide into a gap between them.
         let (hook, prev_epoch) = exec.announce();
-        if EPOCH_CHECKS && fast_epoch.is_some_and(|fe| prev_epoch != Some(fe)) {
+        if epoch_checks() && fast_epoch.is_some_and(|fe| prev_epoch != Some(fe)) {
             // Nothing has been stored yet, so aborting is still safe;
             // the wasted bump only costs other threads their filters.
             release(&exec.locks);
@@ -917,7 +920,7 @@ impl NativeTxn<'_, '_> {
         // the filter (plus our written stripes) stays valid. This is the
         // native analog of mark bits surviving the thread's own commits.
         if let Some(prev_epoch) = prev_epoch {
-            if EPOCH_CHECKS && prev_epoch == exec.filter_epoch {
+            if epoch_checks() && prev_epoch == exec.filter_epoch {
                 exec.filter_epoch = prev_epoch + 1;
                 for &(stripe, _) in &exec.locks {
                     if exec.filter.len() >= rt.config().filter_capacity {
@@ -926,7 +929,7 @@ impl NativeTxn<'_, '_> {
                     exec.filter.insert(stripe as u64, 0);
                 }
                 exec.stats.filter_retained += 1;
-            } else if EPOCH_CHECKS {
+            } else if epoch_checks() {
                 exec.filter.clear();
                 exec.filter_epoch = prev_epoch + 1;
             }

@@ -15,7 +15,6 @@
 //! The allocator is process-wide but the tests here run on parallel
 //! threads, so the armed flag and the count are thread-local: a window
 //! counts the arming thread's allocations only.
-#![cfg(not(feature = "seeded-bug"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

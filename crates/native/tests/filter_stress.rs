@@ -15,15 +15,17 @@
 //! With the epoch checks in place the fast path must refuse (the writer
 //! bumped the commit epoch before its first store) and the slow path must
 //! abort on the held stripe lock — the reader can never observe the torn
-//! state. Compiled with `--features seeded-bug` (which drops exactly the
-//! epoch checks), the reader sails through its stale filter and returns a
-//! torn sum; the mutation test asserts this is *caught*, proving the
-//! suite actually guards the filter protocol.
+//! state. With `Mutant::NoEpochCheck` armed (which drops exactly the epoch
+//! checks) the reader sails through its stale filter and returns a torn
+//! sum, and the same test must catch it: the suite guards the filter
+//! protocol. Arming is process-global, so every test here holds an arming
+//! guard while it runs.
 
 use std::sync::{Arc, Barrier};
 
 use hastm::{Abort, ObjRef, TmContext, TmExec};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, WritebackHook};
+use hastm_sim::mutant::{arm, prove, Mutant};
 
 const TOTAL: u64 = 1_000;
 
@@ -122,31 +124,38 @@ fn paused_writer_round(rig: &Rig, shift: u64) -> Result<u64, Abort> {
     observed
 }
 
-#[cfg(not(feature = "seeded-bug"))]
+/// The filter protocol with its epoch checks in place.
 mod checked {
     use super::*;
 
     /// The reader must never observe the torn window: every attempt
-    /// through the stale filter is refused.
+    /// through the stale filter is refused — and with the epoch checks
+    /// dropped, every one of the 8 rounds must serve it, torn by exactly
+    /// the writer's in-flight shift.
     #[test]
     fn stale_filter_never_serves_the_torn_window() {
-        let rig = rig();
-        for shift in 1..=8 {
-            match paused_writer_round(&rig, shift) {
-                Err(Abort::Conflict) => {}
-                Err(other) => panic!("unexpected abort cause {other:?}"),
-                Ok(sum) => {
-                    assert_eq!(
-                        sum, TOTAL,
-                        "shift {shift}: reader observed a torn sum through a stale filter"
-                    );
-                    panic!(
-                        "shift {shift}: stale filter served reads mid write-back \
-                         (sum {sum} happens to balance, but the serve itself is the bug)"
-                    );
-                }
+        let rounds = |_| {
+            let rig = rig();
+            let torn = (1..=8)
+                .filter(|&shift| match paused_writer_round(&rig, shift) {
+                    Err(Abort::Conflict) => false,
+                    Err(other) => panic!("unexpected abort cause {other:?}"),
+                    Ok(sum) => {
+                        // A served A (written back) and B (not yet): torn
+                        // by exactly the writer's in-flight shift.
+                        assert_eq!(sum, TOTAL + shift, "shift {shift}: served mid write-back");
+                        true
+                    }
+                })
+                .count();
+            match torn {
+                0 => Ok(()),
+                n => Err(format!(
+                    "the stale filter served the torn window in {n}/8 rounds"
+                )),
             }
-        }
+        };
+        prove(Mutant::NoEpochCheck, 1, rounds, |d| d.contains(" 8/8 "));
     }
 
     /// After the writer finishes, a fresh read must see the post-commit
@@ -154,6 +163,7 @@ mod checked {
     /// slow read rebuilds it for the new window.
     #[test]
     fn epoch_bump_invalidates_then_rebuilds_the_filter() {
+        let _quiet = arm(None);
         let rig = rig();
         let mut reader = NativeExec::new(&rig.rt);
         let (a, b) = (rig.a, rig.b);
@@ -214,6 +224,7 @@ mod checked {
     /// (`X == Y`), which this asserts against.
     #[test]
     fn fast_read_write_cycle_stays_serializable() {
+        let _quiet = arm(None);
         for round in 0..20 {
             let rt = Arc::new(NativeRuntime::new(NativeConfig {
                 heap_words: 1 << 10,
@@ -259,6 +270,7 @@ mod checked {
     /// sum.
     #[test]
     fn live_race_never_tears_reads() {
+        let _quiet = arm(None);
         let rig = rig();
         let rounds = 300;
         std::thread::scope(|s| {
@@ -296,40 +308,5 @@ mod checked {
             writer.join().unwrap();
             reader.join().unwrap();
         });
-    }
-}
-
-#[cfg(feature = "seeded-bug")]
-mod seeded {
-    use super::*;
-
-    /// With the epoch checks dropped, the stale filter serves the torn
-    /// window and the suite must catch it: the reader commits a sum that
-    /// violates the invariant. This test passing (with the feature on)
-    /// proves the stress suite detects the mutation.
-    #[test]
-    fn dropped_epoch_check_is_caught_by_the_stress_suite() {
-        let rig = rig();
-        let mut caught = 0u32;
-        for shift in 1..=8 {
-            match paused_writer_round(&rig, shift) {
-                // The buggy fast path serves A (already written back) and
-                // B (still the old value): the sum comes out TOTAL + shift.
-                Ok(sum) if sum != TOTAL => {
-                    assert_eq!(sum, TOTAL + shift, "torn exactly by the in-flight shift");
-                    caught += 1;
-                }
-                Ok(_) => {}
-                Err(e) => panic!(
-                    "seeded-bug build still refused the stale filter ({e:?}); \
-                     the mutation is not wired through"
-                ),
-            }
-        }
-        assert!(
-            caught == 8,
-            "the stress interleaving must catch the dropped epoch check every \
-             round, caught {caught}/8"
-        );
     }
 }

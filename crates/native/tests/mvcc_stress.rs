@@ -9,7 +9,6 @@
 //! observes must come from the single committed prefix at the scan's
 //! `rv`, even when writers have published (and pruned) generations of
 //! newer versions mid-scan.
-#![cfg(not(feature = "seeded-bug"))]
 
 use std::sync::{Arc, Barrier};
 

@@ -11,7 +11,6 @@
 //! every word re-read after every commit. The runtime has two stripes, so
 //! every word aliases half the others and a commit to one word moves the
 //! version of words it never touched.
-#![cfg(not(feature = "seeded-bug"))]
 
 use hastm::{ObjRef, TmExec, Versioning};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime};

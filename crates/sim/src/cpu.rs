@@ -21,6 +21,7 @@ use crate::config::{CostModel, GateMode};
 use crate::gate::StateGuard;
 use crate::hierarchy::{AccessKind, MarkOp, WatchKind, WatchViolation};
 use crate::machine::{Bound, Shared, SimState};
+use crate::mutant::{armed, Mutant};
 use crate::trace::{TimedEvent, TraceEvent};
 
 /// How many consecutive stalls a core may defer before one of them takes a
@@ -588,38 +589,12 @@ impl<'a> Cpu<'a> {
     /// transition, captured at the single commit instant, for verification
     /// layers that journal committed writes.
     ///
-    /// The `seeded-bug` feature deliberately splits the violation re-check
-    /// and the write-back into *two* gated ops, reintroducing the classic
-    /// commit TOCTOU: two transactions that both passed their checks can
-    /// interleave write-backs and lose an update. It exists purely as a
-    /// mutation test for the schedule-exploration tooling — PCT and the
-    /// bounded-exhaustive enumerator must both rediscover the race within
-    /// a fixed budget. Never enable the feature outside those tests.
+    /// [`Mutant::HtmCommitSplit`] splits the violation re-check and the
+    /// write-back into *two* gated ops, reintroducing the classic commit
+    /// TOCTOU: two transactions that both passed their checks can
+    /// interleave write-backs and lose an update. PCT and the
+    /// bounded-exhaustive enumerator must both rediscover the race.
     pub fn commit_stores(&mut self, writes: &[(Addr, u64)]) -> Result<Vec<u64>, WatchViolation> {
-        if cfg!(feature = "seeded-bug") {
-            // BUG (intentional, feature-gated): the violation check is one
-            // gated op and the write-back another; a remote commit admitted
-            // between them escapes detection and its update is overwritten.
-            let issue = self.issue(writes.len() as u64);
-            let mut st = self.turn();
-            if let Some(v) = st.sys.violation(self.id) {
-                st.sys.clear_watches(self.id);
-                self.finish(st, issue);
-                return Err(v);
-            }
-            self.finish(st, issue);
-            let mut st = self.turn();
-            let mut lat = 0;
-            let mut olds = Vec::with_capacity(writes.len());
-            for &(addr, value) in writes {
-                lat += st.sys.access(self.id, addr, AccessKind::Store);
-                olds.push(st.mem.read_u64(addr));
-                st.mem.write_u64(addr, value);
-            }
-            st.sys.clear_watches(self.id);
-            self.finish(st, lat);
-            return Ok(olds);
-        }
         let issue = self.issue(writes.len() as u64);
         let mut st = self.turn();
         if let Some(v) = st.sys.violation(self.id) {
@@ -627,7 +602,15 @@ impl<'a> Cpu<'a> {
             self.finish(st, issue);
             return Err(v);
         }
-        let mut lat = 0;
+        let mut lat = issue;
+        if armed(Mutant::HtmCommitSplit) {
+            // BUG (planted): the check above is one gated op and the
+            // write-back another; a remote commit admitted between them
+            // escapes detection and its update is overwritten.
+            self.finish(st, issue);
+            st = self.turn();
+            lat = 0;
+        }
         let mut olds = Vec::with_capacity(writes.len());
         for &(addr, value) in writes {
             lat += st.sys.access(self.id, addr, AccessKind::Store);
@@ -635,7 +618,7 @@ impl<'a> Cpu<'a> {
             st.mem.write_u64(addr, value);
         }
         st.sys.clear_watches(self.id);
-        self.finish(st, issue + lat);
+        self.finish(st, lat);
         Ok(olds)
     }
 

@@ -31,6 +31,7 @@
 use crate::addr::{subblock_mask, Addr, LineId};
 use crate::cache::{Cache, FilterId, Mesi, NUM_FILTERS};
 use crate::config::{IsaLevel, MachineConfig};
+use crate::mutant::{armed, Mutant};
 use crate::stats::{CoreStats, MachineStats};
 use crate::trace::{LossCause, TimedEvent, TraceConfig, TraceEvent, TraceLog, TraceRecorder};
 
@@ -505,15 +506,10 @@ impl MemSystem {
                     self.core_stats[core].marked_lost_capacity += 1
                 }
             }
-            // `seeded-trace-bug`: swallow the MarkDiscard event when the
-            // loss came from an inclusive-L2 back-invalidation — the stats
-            // still count it, so only the trace-vs-stats reconciliation
-            // check can see the hole.
-            #[cfg(feature = "seeded-trace-bug")]
-            let emit_discard = cause != LossCause::BackInval;
-            #[cfg(not(feature = "seeded-trace-bug"))]
-            let emit_discard = true;
-            if emit_discard {
+            // `Mutant::DroppedDiscardEvent` swallows the event of a loss
+            // to an inclusive-L2 back-invalidation; the stats above still
+            // count it, so only the trace-vs-stats reconciliation sees it.
+            if !(cause == LossCause::BackInval && armed(Mutant::DroppedDiscardEvent)) {
                 self.stage(
                     core,
                     TraceEvent::MarkDiscard {

@@ -53,6 +53,7 @@ pub mod heap;
 pub mod hierarchy;
 pub mod machine;
 pub mod mem;
+pub mod mutant;
 pub mod stats;
 pub mod trace;
 

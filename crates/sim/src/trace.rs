@@ -465,8 +465,9 @@ impl TraceLog {
 
 /// Reconciles the trace against the per-core `marked_lines_lost` counters:
 /// every marked-line loss the hardware counted must appear in the trace as
-/// a [`TraceEvent::MarkDiscard`]. Catches event-emission bugs (see the
-/// `seeded-trace-bug` feature) the aggregate statistics alone cannot.
+/// a [`TraceEvent::MarkDiscard`]. Catches event-emission bugs (see
+/// [`crate::mutant::Mutant::DroppedDiscardEvent`]) the aggregate statistics
+/// alone cannot.
 ///
 /// # Errors
 ///

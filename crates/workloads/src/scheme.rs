@@ -397,6 +397,42 @@ mod tests {
         }
     }
 
+    /// `TmExec::atomic`'s contract: a closure's `Err(Abort::Explicit)`
+    /// panics, out of `atomic` and `atomic_ro` alike, on every executor.
+    #[test]
+    fn explicit_abort_panics_on_every_executor() {
+        use hastm::{Abort, Versioning};
+        use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        fn panics(ex: &mut impl TmExec, read_only: bool) -> bool {
+            let abort = |_: &mut dyn TmContext| Err::<(), _>(Abort::Explicit);
+            catch_unwind(AssertUnwindSafe(|| match read_only {
+                false => ex.atomic(abort),
+                true => ex.atomic_ro(abort),
+            }))
+            .is_err()
+        }
+        for read_only in [false, true] {
+            for scheme in Scheme::ALL {
+                let mut m = Machine::new(MachineConfig::default());
+                let rt = StmRuntime::new(&mut m, scheme.stm_config(Granularity::CacheLine, 1));
+                let lock = SpinLock::alloc(rt.heap());
+                let (panicked, _) = m
+                    .run_one(|cpu| panics(&mut ThreadExec::new(scheme, &rt, cpu, lock), read_only));
+                assert!(panicked, "{scheme}, read-only {read_only}");
+            }
+            for versioning in [Versioning::Single, Versioning::Multi { k: 3 }] {
+                let rt = NativeRuntime::new(NativeConfig {
+                    versioning,
+                    ..NativeConfig::default()
+                });
+                let panicked = panics(&mut NativeExec::new(&rt), read_only);
+                assert!(panicked, "native {versioning:?}, read-only {read_only}");
+            }
+        }
+    }
+
     #[test]
     fn labels_are_unique() {
         let mut labels: Vec<_> = Scheme::ALL.iter().map(|s| s.label()).collect();
