@@ -62,7 +62,7 @@
 //! old phase back, silently dropping a concurrent phase publication — a
 //! thread can keep running aggressive inside the `Serial` phase while the
 //! token holder believes it is alone. `hastm-check`'s transition-count
-//! oracle must catch it (`tests/mutants.rs`); the one entry loop means
+//! oracle must catch it (`tests/phase_mutation.rs`); the one entry loop means
 //! both backends are mutated at once.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};

@@ -27,7 +27,8 @@ pub enum Mutant {
     /// over `stm:*:v2/v3` map and B-tree trials, 16 seeds.
     SnapshotOneAhead,
     /// `phase::refresh_view` keeps stale phase bits after a failed CAS.
-    /// The transition-count oracle (lattice depth 3), 16 seeds.
+    /// The transition-count oracle (lattice depth 3) in `hastm-check`'s
+    /// `tests/phase_mutation.rs`, 16 seeds.
     StalePhaseView,
     /// The native filter skips its epoch checks. `hastm-native`'s
     /// `filter_stress.rs` paused-writer round, 8 of 8 rounds.
