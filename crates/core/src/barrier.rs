@@ -254,7 +254,7 @@ impl TxThread<'_, '_> {
                     .load_set_mark_u64_f(hastm_sim::FilterId::WRITE, rec);
             }
         }
-        self.owned.insert(rec, self.write_set.len());
+        self.owned.insert(rec.0, self.write_set.len() as u32);
         self.write_set.push(WriteEntry { rec, prev: v });
         self.wr_region
             .append(self.cpu, self.runtime.heap(), &[rec.0, v.0]);
@@ -440,11 +440,14 @@ impl TxThread<'_, '_> {
                 // entry — rollback restores the oldest value anyway.
                 t.cpu.exec(1); // filter probe
                 let scope_base = t.savepoints.last().map_or(0, |sp| sp.undos);
-                if t.undo_logged.get(&addr).is_some_and(|&i| i >= scope_base) {
+                if t.undo_logged
+                    .get(addr.0)
+                    .is_some_and(|i| i as usize >= scope_base)
+                {
                     t.stats.undo_elided += 1;
                     return Ok(());
                 }
-                t.undo_logged.insert(addr, t.undo_log.len());
+                t.undo_logged.insert(addr.0, t.undo_log.len() as u32);
             }
             t.log_undo(addr, meta);
             Ok(())

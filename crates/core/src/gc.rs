@@ -139,12 +139,11 @@ impl<'t, 'c, 'm> Inspector<'t, 'c, 'm> {
         for e in &mut self.tx.read_set {
             e.rec = move_addr(e.rec);
         }
-        let mut new_owned = std::collections::HashMap::new();
+        self.tx.owned.clear();
         for (i, e) in self.tx.write_set.iter_mut().enumerate() {
             e.rec = move_addr(e.rec);
-            new_owned.insert(e.rec, i);
+            self.tx.owned.insert(e.rec.0, i as u32);
         }
-        self.tx.owned = new_owned;
         new_obj
     }
 }

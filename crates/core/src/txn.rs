@@ -3,9 +3,8 @@
 //! [`crate::barrier`]; the user-facing `atomic`/nesting API in
 //! [`crate::api`].
 
-use std::collections::HashMap;
-
 use hastm_sim::mutant::{armed, Mutant};
+use hastm_sim::words::WordTable;
 use hastm_sim::{Addr, Cpu};
 
 use crate::config::{Abort, BarrierKind, Mode, ModePolicy, StmConfig, TxResult, TxnKind};
@@ -62,7 +61,7 @@ pub struct TxThread<'c, 'm> {
     pub(crate) write_set: Vec<WriteEntry>,
     pub(crate) undo_log: Vec<UndoEntry>,
     /// rec -> index into `write_set` for records this transaction owns.
-    pub(crate) owned: HashMap<Addr, usize>,
+    pub(crate) owned: WordTable<u32>,
     pub(crate) rd_region: LogRegion,
     pub(crate) wr_region: LogRegion,
     pub(crate) undo_region: LogRegion,
@@ -78,7 +77,7 @@ pub struct TxThread<'c, 'm> {
     pub(crate) oracle: Oracle,
     /// With `filter_writes`: addr -> undo index of its first entry in the
     /// current transaction (dedup within the innermost nesting scope).
-    pub(crate) undo_logged: HashMap<Addr, usize>,
+    pub(crate) undo_logged: WordTable<u32>,
     /// Declared kind of the in-flight transaction.
     pub(crate) kind: TxnKind,
     /// Snapshot start stamp of an in-flight read-only transaction
@@ -148,7 +147,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
             read_set: Vec::new(),
             write_set: Vec::new(),
             undo_log: Vec::new(),
-            owned: HashMap::new(),
+            owned: WordTable::new(),
             rd_region,
             wr_region,
             undo_region,
@@ -160,7 +159,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
             stats: TxnStats::default(),
             rng_state: 0x9e37_79b9_7f4a_7c15 ^ (desc.0 << 1),
             oracle: Oracle::new(runtime.config().oracle),
-            undo_logged: HashMap::new(),
+            undo_logged: WordTable::new(),
             kind: TxnKind::ReadWrite,
             ro_start: 0,
             ro_registered: false,
@@ -259,8 +258,8 @@ impl<'c, 'm> TxThread<'c, 'm> {
                 self.desc
             );
             assert_eq!(
-                self.owned.get(&w.rec),
-                Some(&i),
+                self.owned.get(w.rec.0),
+                Some(i as u32),
                 "owned map desync at {site}"
             );
         }
@@ -487,8 +486,8 @@ impl<'c, 'm> TxThread<'c, 'm> {
             // it must then have been acquired at exactly the version we
             // logged when reading.
             if cur.is_owned() && cur.owner() == self.desc {
-                if let Some(&wi) = self.owned.get(&entry.rec) {
-                    if self.write_set[wi].prev == entry.version {
+                if let Some(wi) = self.owned.get(entry.rec.0) {
+                    if self.write_set[wi as usize].prev == entry.version {
                         continue;
                     }
                 }
@@ -877,7 +876,6 @@ impl<'c, 'm> TxThread<'c, 'm> {
             let released = w.prev.bump();
             self.cpu.store_u64(w.rec, released.0);
             self.cpu.exec(1);
-            self.owned.remove(&w.rec);
             if filter_writes {
                 // Released => no longer owned: the write filter must not
                 // fast-path this record any more.
@@ -896,9 +894,10 @@ impl<'c, 'm> TxThread<'c, 'm> {
             }
         }
         self.write_set.truncate(sp.writes);
+        self.owned.retain(|_, wi| (wi as usize) < sp.writes);
         if self.runtime.config().filter_writes {
             // Drop dedup entries for undo records that no longer exist.
-            self.undo_logged.retain(|_, &mut idx| idx < sp.undos);
+            self.undo_logged.retain(|_, idx| (idx as usize) < sp.undos);
         }
         self.oracle.rollback_to(sp.shadow_reads, &self.undo_log);
         self.check_ownership("rollback_to");
@@ -916,8 +915,8 @@ impl<'c, 'm> TxThread<'c, 'm> {
                 continue;
             }
             if cur.is_owned() && cur.owner() == self.desc {
-                if let Some(&wi) = self.owned.get(&entry.rec) {
-                    if self.write_set[wi].prev == entry.version {
+                if let Some(wi) = self.owned.get(entry.rec.0) {
+                    if self.write_set[wi as usize].prev == entry.version {
                         continue;
                     }
                 }

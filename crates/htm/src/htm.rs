@@ -10,8 +10,7 @@
 //!   back-invalidation aborts it — the *spurious* abort class whose impact
 //!   on scaling the paper demonstrates in §7.4.
 
-use std::collections::HashMap;
-
+use hastm_sim::words::RedoLog;
 use hastm_sim::{counters, Addr, Cpu, ViolationCause, WatchKind};
 
 /// Why a hardware transaction aborted.
@@ -67,16 +66,37 @@ impl HtmStats {
     }
 }
 
+/// What a hardware thread keeps from one attempt to the next: the
+/// speculative store buffer and the last commit's write transitions. Each
+/// attempt clears them rather than building new ones, so a warm thread's
+/// attempts never call the allocator. [`HtmThread::with_logs`] and
+/// [`HtmThread::into_logs`] carry them past a thread that borrows its core
+/// for one attempt only, as the hybrid's hardware path does.
+#[derive(Debug, Default)]
+pub struct HtmLogs {
+    /// Speculative store buffer: each written word's last value, in
+    /// first-write order (the commit's write-back order).
+    buffer: RedoLog,
+    last_commit: (u64, Vec<(Addr, u64, u64)>),
+}
+
+impl HtmLogs {
+    /// The last successful commit's publish clock and write transitions
+    /// `(addr, pre-commit value, committed value)`, in store order — the
+    /// value changes the hardware transaction made, captured at the
+    /// indivisible commit instant (for serializability-verification
+    /// journals).
+    pub fn last_commit(&self) -> (u64, &[(Addr, u64, u64)]) {
+        (self.last_commit.0, &self.last_commit.1)
+    }
+}
+
 /// One thread's hardware-TM execution state.
 pub struct HtmThread<'c, 'm> {
     pub(crate) cpu: &'c mut Cpu<'m>,
     stats: HtmStats,
     rng: u64,
-    /// The last successful commit's write transitions
-    /// `(addr, old, new)` and its publish clock — the value changes the
-    /// hardware transaction made, captured at the indivisible commit
-    /// instant (for serializability-verification journals).
-    last_commit: (u64, Vec<(Addr, u64, u64)>),
+    logs: HtmLogs,
 }
 
 impl std::fmt::Debug for HtmThread<'_, '_> {
@@ -87,19 +107,16 @@ impl std::fmt::Debug for HtmThread<'_, '_> {
     }
 }
 
-/// An in-flight hardware transaction (borrows the thread).
+/// An in-flight hardware transaction (borrows the thread, whose store
+/// buffer it fills).
 pub struct HtmTxn<'t, 'c, 'm> {
     thread: &'t mut HtmThread<'c, 'm>,
-    /// Speculative store buffer: last written value per word address.
-    buffer: HashMap<Addr, u64>,
-    /// Write order for deterministic commit write-back.
-    order: Vec<Addr>,
 }
 
 impl std::fmt::Debug for HtmTxn<'_, '_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HtmTxn")
-            .field("buffered_words", &self.order.len())
+            .field("buffered_words", &self.write_set_len())
             .finish()
     }
 }
@@ -107,23 +124,29 @@ impl std::fmt::Debug for HtmTxn<'_, '_, '_> {
 impl<'c, 'm> HtmThread<'c, 'm> {
     /// Creates the thread state over a core.
     pub fn new(cpu: &'c mut Cpu<'m>) -> Self {
+        Self::with_logs(cpu, HtmLogs::default())
+    }
+
+    /// Creates the thread state over a core, reusing `logs` (from
+    /// [`HtmThread::into_logs`]) so that no attempt allocates once they
+    /// are warm.
+    pub fn with_logs(cpu: &'c mut Cpu<'m>, logs: HtmLogs) -> Self {
         HtmThread {
             cpu,
             stats: HtmStats::default(),
             rng: 0x2545_f491_4f6c_dd1d,
-            last_commit: (0, Vec::new()),
+            logs,
         }
+    }
+
+    /// Gives the core back, keeping the logs for the next thread.
+    pub fn into_logs(self) -> HtmLogs {
+        self.logs
     }
 
     /// This thread's statistics.
     pub fn stats(&self) -> &HtmStats {
         &self.stats
-    }
-
-    /// The last successful commit's publish clock and write transitions
-    /// `(addr, pre-commit value, committed value)`, in store order.
-    pub fn last_commit(&self) -> (u64, &[(Addr, u64, u64)]) {
-        (self.last_commit.0, &self.last_commit.1)
     }
 
     /// The underlying CPU (for non-transactional work).
@@ -179,15 +202,9 @@ impl<'c, 'm> HtmThread<'c, 'm> {
         self.cpu.trace(hastm_sim::TraceEvent::HtmBegin);
         self.cpu.exec(2); // txn begin setup
         self.cpu.tick(8); // hardware checkpoint (register/state snapshot)
-        let mut txn = HtmTxn {
-            thread: self,
-            buffer: HashMap::new(),
-            order: Vec::new(),
-        };
-        let result = f(&mut txn);
-        let (buffer, order) = (txn.buffer, txn.order);
-        match result {
-            Ok(r) => match self.try_commit(&buffer, &order) {
+        self.logs.buffer.clear();
+        match f(&mut HtmTxn { thread: self }) {
+            Ok(r) => match self.try_commit() {
                 Ok(()) => {
                     self.stats.commits += 1;
                     self.cpu.trace(hastm_sim::TraceEvent::HtmCommit);
@@ -223,32 +240,25 @@ impl<'c, 'm> HtmThread<'c, 'm> {
         });
     }
 
-    fn try_commit(&mut self, buffer: &HashMap<Addr, u64>, order: &[Addr]) -> Result<(), HtmAbort> {
+    fn try_commit(&mut self) -> Result<(), HtmAbort> {
         self.cpu.exec(2); // commit sequence
         self.cpu.tick(8); // hardware commit (ordering point)
-                          // The violation re-check and the write-back publish as ONE
-                          // indivisible step; otherwise two transactions that both passed
-                          // their checks could interleave write-backs and lose updates.
-        let writes: Vec<(Addr, u64)> = order
-            .iter()
-            .filter_map(|a| buffer.get(a).map(|&v| (*a, v)))
-            .collect();
-        // The clock before the commit op is the op's start — the instant
-        // the stores publish.
+
+        // The violation re-check and the write-back publish as ONE
+        // indivisible step; otherwise two transactions that both passed
+        // their checks could interleave write-backs and lose updates. The
+        // clock before the commit op is the op's start — the instant the
+        // stores publish.
         let publish_clock = self.cpu.now();
-        let olds = self.cpu.commit_stores(&writes).map_err(|v| match v.cause {
-            ViolationCause::Eviction => HtmAbort::Capacity,
-            ViolationCause::Spurious => HtmAbort::Spurious,
-            _ => HtmAbort::Conflict,
-        })?;
-        self.last_commit = (
-            publish_clock,
-            writes
-                .iter()
-                .zip(&olds)
-                .map(|(&(addr, new), &old)| (addr, old, new))
-                .collect(),
-        );
+        let logs = &mut self.logs;
+        self.cpu
+            .commit_stores(&logs.buffer, &mut logs.last_commit.1)
+            .map_err(|v| match v.cause {
+                ViolationCause::Eviction => HtmAbort::Capacity,
+                ViolationCause::Spurious => HtmAbort::Spurious,
+                _ => HtmAbort::Conflict,
+            })?;
+        logs.last_commit.0 = publish_clock;
         Ok(())
     }
 }
@@ -268,7 +278,7 @@ impl HtmTxn<'_, '_, '_> {
     /// Returns the abort cause if the transaction has already been doomed
     /// by a conflict or capacity event (eager abort detection).
     pub fn read(&mut self, addr: Addr) -> Result<u64, HtmAbort> {
-        if let Some(&v) = self.buffer.get(&addr) {
+        if let Some(v) = self.thread.logs.buffer.get(addr.0) {
             self.thread.cpu.exec(1); // store-buffer forward
             return Ok(v);
         }
@@ -288,10 +298,7 @@ impl HtmTxn<'_, '_, '_> {
         // Bring the line in (a real HTM writes into the L1 speculatively)
         // and track it for conflicts, in one logical-time step.
         self.thread.cpu.load_watch_u64(addr, WatchKind::Write);
-        if !self.buffer.contains_key(&addr) {
-            self.order.push(addr);
-        }
-        self.buffer.insert(addr, value);
+        self.thread.logs.buffer.insert(addr.0, value);
         self.check()?;
         Ok(())
     }
@@ -307,7 +314,7 @@ impl HtmTxn<'_, '_, '_> {
 
     /// Words currently buffered.
     pub fn write_set_len(&self) -> usize {
-        self.order.len()
+        self.thread.logs.buffer.len()
     }
 
     /// Executes instructions inside the transaction (ILP-amortized).

@@ -19,7 +19,7 @@ use hastm::{
 };
 use hastm_sim::{counters, Addr, Cpu};
 
-use crate::htm::{HtmAbort, HtmThread, HtmTxn};
+use crate::htm::{HtmAbort, HtmLogs, HtmThread, HtmTxn};
 
 counters! {
     /// Counters for one hybrid thread: what each transaction cost on the
@@ -59,6 +59,13 @@ pub struct HytmThread<'c, 'm> {
     tx: TxThread<'c, 'm>,
     hw_attempts: u32,
     stats: HytmStats,
+    /// The hardware path's store buffer and commit transitions, kept from
+    /// one attempt to the next (each attempt's `HtmThread` borrows the
+    /// core only for that attempt).
+    hw_logs: HtmLogs,
+    /// Records the current hardware attempt wrote, with their pre-write
+    /// versions.
+    written: Vec<(Addr, u64)>,
 }
 
 impl std::fmt::Debug for HytmThread<'_, '_> {
@@ -78,6 +85,8 @@ impl<'c, 'm> HytmThread<'c, 'm> {
             tx: TxThread::new(runtime, cpu),
             hw_attempts,
             stats: HytmStats::default(),
+            hw_logs: HtmLogs::default(),
+            written: Vec::new(),
         }
     }
 
@@ -101,12 +110,14 @@ impl<'c, 'm> HytmThread<'c, 'm> {
     pub fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
         let runtime = self.tx.runtime();
         for attempt in 0..self.hw_attempts {
-            let mut hth = HtmThread::new(self.tx.cpu());
+            let mut hth = HtmThread::with_logs(self.tx.cpu(), std::mem::take(&mut self.hw_logs));
+            let written = &mut self.written;
+            written.clear();
             let outcome = hth.attempt_atomic(|txn| {
                 let mut ctx = HybridHwCtx {
                     txn,
                     runtime,
-                    written: Vec::new(),
+                    written,
                 };
                 let r = f(&mut ctx).map_err(|_| {
                     // TmContext reported failure; surface the hardware
@@ -117,11 +128,12 @@ impl<'c, 'm> HytmThread<'c, 'm> {
                 // Bump the version of every written record inside the
                 // hardware transaction so concurrent software readers
                 // observe the update (Figure 14's commit obligation).
-                for (rec, ver) in std::mem::take(&mut ctx.written) {
+                for &(rec, ver) in ctx.written.iter() {
                     ctx.txn.write(rec, RecValue(ver).bump().0)?;
                 }
                 Ok(r)
             });
+            self.hw_logs = hth.into_logs();
             match outcome {
                 Ok(r) => {
                     self.stats.hw_commits += 1;
@@ -131,11 +143,9 @@ impl<'c, 'm> HytmThread<'c, 'm> {
                         // verify (see hastm::oracle). Record and data
                         // addresses both land in the journal; only data
                         // addresses are ever looked up.
-                        let (clock, writes) = hth.last_commit();
-                        let writes = writes.to_vec();
-                        drop(hth);
                         let epoch = self.tx.cpu().run_epoch();
-                        runtime.oracle_log().record_commit(epoch, clock, &writes);
+                        let (clock, writes) = self.hw_logs.last_commit();
+                        runtime.oracle_log().record_commit(epoch, clock, writes);
                     }
                     return r;
                 }
@@ -158,7 +168,7 @@ struct HybridHwCtx<'x, 't, 'c, 'm> {
     txn: &'x mut HtmTxn<'t, 'c, 'm>,
     runtime: &'x StmRuntime,
     /// Records written by this transaction and their pre-write versions.
-    written: Vec<(Addr, u64)>,
+    written: &'x mut Vec<(Addr, u64)>,
 }
 
 impl HybridHwCtx<'_, '_, '_, '_> {

@@ -26,5 +26,5 @@
 pub mod htm;
 pub mod hybrid;
 
-pub use htm::{HtmAbort, HtmStats, HtmThread, HtmTxn};
+pub use htm::{HtmAbort, HtmLogs, HtmStats, HtmThread, HtmTxn};
 pub use hybrid::{HytmStats, HytmThread};

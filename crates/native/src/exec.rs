@@ -41,6 +41,7 @@ use std::sync::atomic::{
 use hastm::phase::{Access, Entry, Wait};
 use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
 use hastm_sim::mutant::{armed, Mutant};
+use hastm_sim::words::{RedoLog, WordTable};
 
 use crate::tl2::{NativeRuntime, NativeStats, WritebackHook, RO_IDLE};
 
@@ -54,212 +55,6 @@ fn epoch_checks() -> bool {
 /// Source of serial-token owner ids: one per executor, low bit set so an
 /// id can never collide with the token's "free" value (0).
 static NEXT_TOKEN_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Open-addressed `u64 → u32` table for keys that are already spread
-/// (stripe indices, word addresses): one multiply to hash, linear
-/// probing, no removal, and a generation stamp per slot so `clear` costs
-/// nothing. The executor's filter and the redo log's index are both one
-/// of these.
-struct WordTable {
-    /// Power-of-two length (or empty before the first insert); a slot is
-    /// live iff its `gen` equals the table's, which is never 0 — what a
-    /// never-written slot carries.
-    slots: Vec<Slot>,
-    gen: u32,
-    len: usize,
-}
-
-#[derive(Copy, Clone, Default)]
-struct Slot {
-    key: u64,
-    value: u32,
-    gen: u32,
-}
-
-impl WordTable {
-    const MIN_SLOTS: usize = 64;
-
-    fn new() -> Self {
-        WordTable {
-            slots: Vec::new(),
-            gen: 1,
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Fibonacci hashing: the top bits of `key × 2⁶⁴/φ`.
-    fn home(&self, key: u64) -> usize {
-        let bits = self.slots.len().trailing_zeros();
-        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
-    }
-
-    fn get(&self, key: u64) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let slot = self.slots[i];
-            if slot.gen != self.gen {
-                return None;
-            }
-            if slot.key == key {
-                return Some(slot.value);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts `key`, or overwrites its value.
-    fn insert(&mut self, key: u64, value: u32) {
-        // At most half full, so a probe always meets a dead slot.
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.gen != self.gen {
-                *slot = Slot {
-                    key,
-                    value,
-                    gen: self.gen,
-                };
-                self.len += 1;
-                return;
-            }
-            if slot.key == key {
-                slot.value = value;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); doubled]);
-        self.len = 0;
-        for slot in old {
-            if slot.gen == self.gen {
-                self.insert(slot.key, slot.value);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        self.len = 0;
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // The stamp wrapped: slots of 2³² clears ago would look live.
-            self.slots.fill(Slot::default());
-            self.gen = 1;
-        }
-    }
-}
-
-/// One attempt's redo log: `(byte address, pending value)` in insertion
-/// order behind a one-word address summary, so a read of a word the
-/// attempt has not written — nearly every read — costs one bit test.
-/// A summary hit scans the log; past [`RedoLog::SCAN_MAX`] entries the
-/// log keeps an address index, so a 10³-word write set is not quadratic.
-struct RedoLog {
-    entries: Vec<(u64, u64)>,
-    /// Bit `(addr >> 3) & 63` is set for every logged address.
-    summary: u64,
-    /// Address → position in `entries`; maintained only while the log is
-    /// longer than [`RedoLog::SCAN_MAX`].
-    index: WordTable,
-}
-
-impl RedoLog {
-    /// Longest log searched by scanning: eight pairs are one cache-line
-    /// pair. Measured on the reference host (EXPERIMENTS.md, "What the
-    /// native read and commit paths measured here"): an index from the
-    /// first write costs 3 ns per write on the ≤ 8-word write sets every
-    /// hash-table update has; 8 and 16 read the same within noise; no
-    /// index at all is 74–217 ns per write from 256 words up.
-    const SCAN_MAX: usize = 8;
-
-    fn new() -> Self {
-        RedoLog {
-            entries: Vec::new(),
-            summary: 0,
-            index: WordTable::new(),
-        }
-    }
-
-    fn summary_bit(addr: u64) -> u64 {
-        1 << ((addr >> 3) & 63)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn entries(&self) -> &[(u64, u64)] {
-        &self.entries
-    }
-
-    fn position(&self, addr: u64) -> Option<usize> {
-        if self.summary & Self::summary_bit(addr) == 0 {
-            return None;
-        }
-        if self.entries.len() > Self::SCAN_MAX {
-            self.index.get(addr).map(|i| i as usize)
-        } else {
-            self.entries.iter().position(|&(a, _)| a == addr)
-        }
-    }
-
-    /// The attempt's pending value for `addr`, if it wrote one.
-    fn get(&self, addr: u64) -> Option<u64> {
-        self.position(addr).map(|i| self.entries[i].1)
-    }
-
-    fn insert(&mut self, addr: u64, value: u64) {
-        if let Some(i) = self.position(addr) {
-            self.entries[i].1 = value;
-            return;
-        }
-        self.summary |= Self::summary_bit(addr);
-        self.entries.push((addr, value));
-        let n = self.entries.len();
-        if n == Self::SCAN_MAX + 1 {
-            for (i, &(a, _)) in self.entries.iter().enumerate() {
-                self.index.insert(a, i as u32);
-            }
-        } else if n > Self::SCAN_MAX {
-            self.index.insert(addr, (n - 1) as u32);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.summary = 0;
-        self.index.clear();
-    }
-
-    /// Sorts the log by address for write-back. This ends the attempt:
-    /// positions move, so the index is dropped and lookups are over.
-    fn sort(&mut self) {
-        self.index.clear();
-        self.entries.sort_unstable_by_key(|&(addr, _)| addr);
-    }
-}
 
 /// The native access to the phase word: its steps are `SeqCst` atomics
 /// already, so they are called directly. A wait spins; from the 65th
@@ -290,7 +85,7 @@ impl Access for HostWord {
 pub struct NativeExec<'r> {
     rt: &'r NativeRuntime,
     /// Stripes read while the epoch was exactly `filter_epoch`.
-    filter: WordTable,
+    filter: WordTable<()>,
     filter_epoch: u64,
     stats: NativeStats,
     backoff: u64,
@@ -808,7 +603,7 @@ impl NativeTxn<'_, '_> {
             }
             // File the stripe only if the window is still open.
             if rt.epoch() == e0 && self.exec.filter.len() < rt.config().filter_capacity {
-                self.exec.filter.insert(stripe as u64, 0);
+                self.exec.filter.insert(stripe as u64, ());
             }
         }
         Ok(value)
@@ -926,7 +721,7 @@ impl NativeTxn<'_, '_> {
                     if exec.filter.len() >= rt.config().filter_capacity {
                         break;
                     }
-                    exec.filter.insert(stripe as u64, 0);
+                    exec.filter.insert(stripe as u64, ());
                 }
                 exec.stats.filter_retained += 1;
             } else if epoch_checks() {
@@ -1643,34 +1438,6 @@ mod tests {
             "serial writes must publish ring history"
         );
         assert_eq!(ps.token_holder(), 0, "token released after commit");
-    }
-
-    #[test]
-    fn word_table_survives_growth_and_a_wrapped_generation() {
-        let mut table = WordTable::new();
-        assert_eq!(table.get(7), None, "empty table has no slots to probe");
-        for key in 0..1_000u64 {
-            table.insert(key * 8, key as u32);
-        }
-        table.insert(8, 99);
-        assert_eq!(table.len(), 1_000, "an overwrite adds nothing");
-        assert_eq!(table.get(8), Some(99));
-        assert!((2..1_000u64).all(|k| table.get(k * 8) == Some(k as u32)));
-        assert_eq!(table.get(4), None);
-
-        // Two clears from the wrap: the first is a stamp bump, the second
-        // must wipe, or slots stamped 2^32 clears ago would come back.
-        table.gen = u32::MAX - 1;
-        table.insert(16, 1);
-        table.clear();
-        assert_eq!((table.len(), table.get(16)), (0, None));
-        table.insert(24, 2);
-        table.clear();
-        assert_eq!(table.gen, 1);
-        assert_eq!(table.get(24), None);
-        table.insert(32, 3);
-        assert_eq!(table.get(32), Some(3));
-        assert_eq!(table.get(8), None, "pre-wrap entries stay dead");
     }
 
     /// A stack of two-word nodes: `head` holds the top node's address.

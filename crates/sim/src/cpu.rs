@@ -23,6 +23,7 @@ use crate::hierarchy::{AccessKind, MarkOp, WatchKind, WatchViolation};
 use crate::machine::{Bound, Shared, SimState};
 use crate::mutant::{armed, Mutant};
 use crate::trace::{TimedEvent, TraceEvent};
+use crate::words::RedoLog;
 
 /// How many consecutive stalls a core may defer before one of them takes a
 /// real turn. A worker that only stalls (spinning on host state another
@@ -583,18 +584,23 @@ impl<'a> Cpu<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the pending violation without writing anything if the
-    /// transaction was doomed. On success, returns the pre-commit value of
-    /// each written address (same order as `writes`) — the committed state
-    /// transition, captured at the single commit instant, for verification
-    /// layers that journal committed writes.
+    /// Returns the pending violation without writing anything, and without
+    /// touching `done`, if the transaction was doomed. On success, `done`
+    /// holds `(addr, pre-commit value, committed value)` per store, in the
+    /// log's order — the committed state transition, captured at the
+    /// single commit instant, for verification layers that journal
+    /// committed writes.
     ///
     /// [`Mutant::HtmCommitSplit`] splits the violation re-check and the
     /// write-back into *two* gated ops, reintroducing the classic commit
     /// TOCTOU: two transactions that both passed their checks can
     /// interleave write-backs and lose an update. PCT and the
     /// bounded-exhaustive enumerator must both rediscover the race.
-    pub fn commit_stores(&mut self, writes: &[(Addr, u64)]) -> Result<Vec<u64>, WatchViolation> {
+    pub fn commit_stores(
+        &mut self,
+        writes: &RedoLog,
+        done: &mut Vec<(Addr, u64, u64)>,
+    ) -> Result<(), WatchViolation> {
         let issue = self.issue(writes.len() as u64);
         let mut st = self.turn();
         if let Some(v) = st.sys.violation(self.id) {
@@ -611,15 +617,16 @@ impl<'a> Cpu<'a> {
             st = self.turn();
             lat = 0;
         }
-        let mut olds = Vec::with_capacity(writes.len());
-        for &(addr, value) in writes {
+        done.clear();
+        for &(addr, value) in writes.entries() {
+            let addr = Addr(addr);
             lat += st.sys.access(self.id, addr, AccessKind::Store);
-            olds.push(st.mem.read_u64(addr));
+            done.push((addr, st.mem.read_u64(addr), value));
             st.mem.write_u64(addr, value);
         }
         st.sys.clear_watches(self.id);
         self.finish(st, lat);
-        Ok(olds)
+        Ok(())
     }
 
     /// Reads simulated memory with no timing or cache effects (debug /

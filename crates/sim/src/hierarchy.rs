@@ -34,6 +34,7 @@ use crate::config::{IsaLevel, MachineConfig};
 use crate::mutant::{armed, Mutant};
 use crate::stats::{CoreStats, MachineStats};
 use crate::trace::{LossCause, TimedEvent, TraceConfig, TraceEvent, TraceLog, TraceRecorder};
+use crate::words::WordTable;
 
 /// Whether an access reads or writes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -97,121 +98,36 @@ pub struct WatchViolation {
     pub cause: ViolationCause,
 }
 
-/// One slot of a [`WatchSet`]'s open-addressed table. A slot is live only
-/// when its `gen` equals the set's current generation.
-#[derive(Copy, Clone, Debug)]
-struct WatchSlot {
-    gen: u64,
-    line: LineId,
-    kind: WatchKind,
-}
-
-const WATCH_INITIAL_SLOTS: usize = 64;
-const EMPTY_WATCH_SLOT: WatchSlot = WatchSlot {
-    gen: 0,
-    line: LineId(0),
-    kind: WatchKind::Read,
-};
-
-/// HTM line-watch set: an open-addressed, generation-versioned hash table.
+/// HTM line-watch set: each watched line's kind, in a [`WordTable`] keyed
+/// by line number, beside the first violation recorded against the set.
 ///
 /// Watches are registered on every transactional access, probed on every
 /// coherence event, and dropped wholesale at commit/abort — the hottest
-/// bookkeeping in the simulator after the caches themselves. A flat
-/// power-of-two slot array with multiply hashing and linear probing keeps
-/// the probe to a few cache lines; slot validity is "its generation matches
-/// the set's", so `clear` is a single counter bump and a warm set never
-/// touches the heap. Entries are never individually deleted within a
-/// generation, which preserves the linear-probe invariant.
-#[derive(Debug)]
+/// bookkeeping in the simulator after the caches themselves. The table
+/// registers a watch in one probe, clears with a counter bump, and keeps
+/// its slots across clears, so a warm set never touches the heap.
+#[derive(Debug, Default)]
 struct WatchSet {
-    slots: Box<[WatchSlot]>,
-    gen: u64,
-    live: usize,
+    lines: WordTable<WatchKind>,
     violation: Option<WatchViolation>,
-}
-
-impl Default for WatchSet {
-    fn default() -> Self {
-        WatchSet {
-            slots: vec![EMPTY_WATCH_SLOT; WATCH_INITIAL_SLOTS].into_boxed_slice(),
-            gen: 1,
-            live: 0,
-            violation: None,
-        }
-    }
 }
 
 impl WatchSet {
     #[inline]
-    fn slot_of(&self, line: LineId) -> usize {
-        // Fibonacci multiply hash, taken from the high bits.
-        (line.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (self.slots.len() - 1)
-    }
-
-    #[inline]
     fn get(&self, line: LineId) -> Option<WatchKind> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.slot_of(line);
-        loop {
-            let s = &self.slots[i];
-            if s.gen != self.gen {
-                return None;
-            }
-            if s.line == line {
-                return Some(s.kind);
-            }
-            i = (i + 1) & mask;
-        }
+        self.lines.get(line.0)
     }
 
     fn insert(&mut self, line: LineId, kind: WatchKind) {
-        if (self.live + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.slot_of(line);
-        loop {
-            let s = &mut self.slots[i];
-            if s.gen != self.gen {
-                *s = WatchSlot {
-                    gen: self.gen,
-                    line,
-                    kind,
-                };
-                self.live += 1;
-                return;
-            }
-            if s.line == line {
-                // A write watch subsumes a read watch, never the reverse.
-                if kind == WatchKind::Write {
-                    s.kind = WatchKind::Write;
-                }
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the slot array and re-seats the live entries. The array is
-    /// kept across `clear`, so a steady-state transaction mix stops growing
-    /// (and allocating) after warmup.
-    fn grow(&mut self) {
-        let doubled = vec![EMPTY_WATCH_SLOT; self.slots.len() * 2].into_boxed_slice();
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
-        for s in old.iter().filter(|s| s.gen == self.gen) {
-            let mut i = self.slot_of(s.line);
-            while self.slots[i].gen == self.gen {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = *s;
+        let held = self.lines.get_or_insert(line.0, kind);
+        // A write watch subsumes a read watch, never the reverse.
+        if kind == WatchKind::Write {
+            *held = WatchKind::Write;
         }
     }
 
     fn clear(&mut self) {
-        self.gen += 1;
-        self.live = 0;
+        self.lines.clear();
         self.violation = None;
     }
 
@@ -221,7 +137,7 @@ impl WatchSet {
         // watch sets, and a doomed core keeps only its first violation —
         // skip the probe in both cases. This sits on the store/invalidation
         // broadcast path, which every remote store takes once per core.
-        if self.live == 0 || self.violation.is_some() {
+        if self.lines.is_empty() || self.violation.is_some() {
             return;
         }
         if self.get(line).is_some() {
@@ -231,19 +147,20 @@ impl WatchSet {
 
     /// Records a violation against an arbitrary watched line regardless of
     /// which line a coherence event touched — the shape of a spurious
-    /// abort. No-op when the set is empty (no transaction to doom) or
-    /// already violated. Returns whether a violation was recorded.
+    /// abort: the table's first line in slot order. No-op when the set is
+    /// empty (no transaction to doom) or already violated. Returns whether
+    /// a violation was recorded.
     fn force_violation(&mut self, cause: ViolationCause) -> bool {
-        if self.live == 0 || self.violation.is_some() {
+        if self.violation.is_some() {
             return false;
         }
-        let line = self
-            .slots
-            .iter()
-            .find(|s| s.gen == self.gen)
-            .expect("live > 0")
-            .line;
-        self.violation = Some(WatchViolation { line, cause });
+        let Some((line, _)) = self.lines.first() else {
+            return false;
+        };
+        self.violation = Some(WatchViolation {
+            line: LineId(line),
+            cause,
+        });
         true
     }
 }
@@ -814,7 +731,7 @@ impl MemSystem {
 
     /// Number of lines currently watched by `core`.
     pub fn watched_lines(&self, core: usize) -> usize {
-        self.watches[core].live
+        self.watches[core].lines.len()
     }
 
     /// Number of lines resident in `core`'s L1 marked in `filter`

@@ -20,6 +20,9 @@
 //!   which marking software stays correct but unaccelerated;
 //! * line-watch sets used by the companion `hastm-htm` crate to build a
 //!   bounded HTM;
+//! * the word table and write log ([`words`]) in which every executor —
+//!   the watch sets, the STM, the HTM and the native backend — keeps its
+//!   per-attempt sets;
 //! * a conservative logical-clock scheduler that makes multi-core
 //!   interleavings fully deterministic and charges every instruction an
 //!   explicit cycle cost.
@@ -56,6 +59,7 @@ pub mod mem;
 pub mod mutant;
 pub mod stats;
 pub mod trace;
+pub mod words;
 
 pub use addr::{Addr, LineId, LINE_SIZE, SUBBLOCKS_PER_LINE, SUBBLOCK_SIZE};
 pub use cache::{FilterId, NUM_FILTERS};

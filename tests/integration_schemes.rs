@@ -67,8 +67,16 @@ fn single_thread_results_identical_across_schemes() {
 }
 
 /// The money-conservation stress from the examples, as a regression test
-/// for the nested-rollback/mark-filter interaction.
-fn conservation(scheme_cfg: StmConfig, cores: usize, transfers: u32) {
+/// for the nested-rollback/mark-filter interaction: `cfg`'s nested
+/// transfers on `cores` cores, the same transfers unnested, and the nested
+/// ones again on two cores, each under the oracle in `Panic` mode.
+fn conservation(cfg: StmConfig, cores: usize, transfers: u32) {
+    for (cores, nested) in [(cores, true), (cores, false), (2, true)] {
+        transfer_money(cfg.clone(), cores, transfers, nested);
+    }
+}
+
+fn transfer_money(scheme_cfg: StmConfig, cores: usize, transfers: u32, nested: bool) {
     let mut machine = Machine::new(MachineConfig::with_cores(cores));
     let runtime = StmRuntime::new(&mut machine, scheme_cfg.with_oracle(OracleMode::Panic));
     let n_accts = 12u64;
@@ -100,19 +108,25 @@ fn conservation(scheme_cfg: StmConfig, cores: usize, transfers: u32) {
                     if from == to {
                         continue;
                     }
+                    let withdraw = |tx: &mut TxThread| {
+                        let b = tx.read_word(from, 0)?;
+                        if b < amount {
+                            return tx.retry_now();
+                        }
+                        tx.write_word(from, 0, b - amount)
+                    };
+                    let deposit = |tx: &mut TxThread| {
+                        let b = tx.read_word(to, 0)?;
+                        tx.write_word(to, 0, b + amount)
+                    };
                     tx.atomic(|tx| {
-                        tx.nested(|tx| {
-                            let b = tx.read_word(from, 0)?;
-                            if b < amount {
-                                return tx.retry_now();
-                            }
-                            tx.write_word(from, 0, b - amount)
-                        })?;
-                        tx.nested(|tx| {
-                            let b = tx.read_word(to, 0)?;
-                            tx.write_word(to, 0, b + amount)
-                        })?;
-                        Ok(())
+                        if nested {
+                            tx.nested(withdraw)?;
+                            tx.nested(deposit)
+                        } else {
+                            withdraw(tx)?;
+                            deposit(tx)
+                        }
                     });
                 }
             }) as WorkerFn<'_>
