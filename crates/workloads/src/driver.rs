@@ -4,7 +4,8 @@
 //! populated before the experimental run").
 
 use hastm::{
-    Granularity, MetricsSnapshot, OracleMode, TmContext, TmExec, TxResult, TxnStats, Versioning,
+    Granularity, MetricsSnapshot, OracleMode, TmContext, TmExec, TxResult, TxnStats,
+    VersionStoreStats, Versioning,
 };
 use hastm_htm::HytmStats;
 use hastm_sim::{MachineConfig, RunReport};
@@ -209,6 +210,9 @@ pub struct WorkloadResult {
     /// of scheme or interleaving — produce the same digest; `hastm-check`
     /// differential-compares it across schemes.
     pub digest: u64,
+    /// The version store's counters over populate, warm-up and measured
+    /// run (zero unless [`Versioning::Multi`]).
+    pub versions: VersionStoreStats,
 }
 
 impl WorkloadResult {
@@ -345,6 +349,7 @@ pub fn run_workload_traced(
             txn,
             hytm,
             digest,
+            versions: session.version_stats(),
         },
         measured.trace,
     )

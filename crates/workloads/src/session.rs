@@ -19,7 +19,10 @@
 
 use std::time::{Duration, Instant};
 
-use hastm::{ObjRef, SerializationViolation, StmConfig, StmRuntime, TmContext, TmExec, TxResult};
+use hastm::{
+    ObjRef, SerializationViolation, StmConfig, StmRuntime, TmContext, TmExec, TxResult,
+    VersionStore, VersionStoreStats,
+};
 use hastm_locks::SpinLock;
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
 use hastm_sim::{
@@ -193,6 +196,13 @@ impl SimSession {
     /// Reads one word of simulated memory at rest, bypassing the TM.
     pub fn peek(&self, addr: Addr) -> u64 {
         self.machine.peek_u64(addr)
+    }
+
+    /// The version store's counters so far (zero unless the runtime keeps
+    /// multiple versions).
+    pub fn version_stats(&self) -> VersionStoreStats {
+        let store = self.runtime.version_store();
+        store.map(VersionStore::stats).unwrap_or_default()
     }
 
     /// An executor over memory at rest, for walking what a finished run
