@@ -15,7 +15,7 @@
 //! relocated mid-flight, and that the transaction then commits with plain
 //! software validation instead of aborting.
 
-use hastm_sim::{Addr, Cpu};
+use hastm_sim::Addr;
 
 use crate::config::Granularity;
 use crate::log::{ReadEntry, UndoEntry, WriteEntry};
@@ -69,18 +69,6 @@ impl<'t, 'c, 'm> Inspector<'t, 'c, 'm> {
     /// speculative data.
     pub fn poke(&mut self, addr: Addr, value: u64) {
         self.tx.cpu.store_u64(addr, value);
-    }
-
-    /// Rewrites one undo entry (e.g. after moving the object it points
-    /// into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn patch_undo_entry(&mut self, index: usize, addr: Addr, old: u64) {
-        let e = &mut self.tx.undo_log[index];
-        e.addr = addr;
-        e.old = old;
     }
 
     /// Moves object `obj` (header + `data_words` payload) to a fresh
@@ -194,13 +182,6 @@ impl<'c, 'm> TxThread<'c, 'm> {
             store.prune_all();
         }
     }
-}
-
-/// Raw access for collectors that also need to touch non-transactional
-/// memory during a pause (free function so it is usable without a
-/// transaction).
-pub fn heap_word(cpu: &mut Cpu<'_>, addr: Addr) -> u64 {
-    cpu.load_u64(addr)
 }
 
 #[cfg(test)]
@@ -350,12 +331,13 @@ mod tests {
             let addr = o.word(0).0;
             assert!(store.ring_stamps(addr).len() <= 2, "commit-path pruning");
             // Pin history, over-fill the ring, then collect.
-            store.register_ro(0);
+            let slot = store.snapshots().claim().unwrap();
+            store.snapshots().pin(slot, || 0);
             for i in 5..9 {
                 tx.atomic(|tx| tx.write_word(o, 0, i));
             }
             assert!(store.ring_stamps(addr).len() > 2, "pinned history grows");
-            store.deregister_ro(0);
+            store.snapshots().release(slot);
             tx.collect_versions();
             assert_eq!(store.ring_stamps(addr).len(), 2, "safepoint reclaims");
         });

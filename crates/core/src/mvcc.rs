@@ -1,5 +1,23 @@
-//! Multi-version concurrency: the committed-version store backing
-//! [`crate::config::Versioning::Multi`].
+//! Multi-version concurrency: what both backends share — the live-snapshot
+//! registry [`LiveSnapshots`] and the reclamation rule [`reclaimable`] —
+//! and the simulator's committed-version store [`VersionStore`], which
+//! backs [`crate::config::Versioning::Multi`].
+//!
+//! ## The shared rule
+//!
+//! A version may be dropped once its successor — the next newer version of
+//! the same word — is at or below the *floor*, the oldest snapshot a live
+//! reader may still take: every live and future reader then resolves to
+//! the successor or later. A reader pins its snapshot in one of
+//! [`SNAPSHOT_SLOTS`] padded slots *before* it captures it
+//! (register-then-capture), and the floor is the minimum of the clock,
+//! sampled before the slot scan, and every pinned slot. The clamp covers
+//! what the scan can miss: a reader whose pin the scan did not see takes
+//! its snapshot from a clock load after the clamp's, so at or above the
+//! floor. An executor that finds every slot owned runs its read-only
+//! regions as ordinary transactions until one is given back.
+//!
+//! ## The simulator's store
 //!
 //! Each transactionally written word gets a bounded ring of committed
 //! `(stamp, value)` pairs, ordered by commit stamp. Commit stamps are
@@ -13,22 +31,119 @@
 //! exactly the undo-log `old` value — a committed value regardless of
 //! whether the seeding writer later commits or aborts). Stamp 0 is older
 //! than every possible start stamp, so *any address that ever had a ring
-//! can serve any read-only transaction*: that, plus the reclamation
-//! invariant below, is the structural "zero read-only aborts" guarantee.
+//! can serve any read-only transaction*: that, plus the shared rule, is the
+//! structural "zero read-only aborts" guarantee.
 //!
 //! Reclamation (`prune`, called after each publication and from the GC
 //! safepoint) drops `ring[0]` only while the ring is over its depth bound
-//! *and* `ring[1].stamp ≤ floor`, where `floor` is the oldest live
-//! read-only start stamp (`u64::MAX` when none are live). If
-//! `ring[1].stamp ≤ floor`, every live and future reader resolves to index
-//! ≥ 1, so `ring[0]` is unreachable. Rings may temporarily exceed their
+//! and `ring[1]` is [`reclaimable`] under the floor. Every ring entry's
+//! stamp is at or below the current stamp, so with no live reader the
+//! clamp drops whatever is over depth. Rings may temporarily exceed their
 //! depth while an old reader pins history; the newest entry is never
-//! dropped.
+//! dropped. The store is host bookkeeping: the simulated thread that
+//! touches it does so inside a gated op, which is what orders it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{
+    AtomicU64, AtomicUsize,
+    Ordering::{Acquire, Release, SeqCst},
+};
 use std::sync::Mutex;
 
 use hastm_sim::mutant::{armed, Mutant};
+use hastm_sim::words::{CachePadded, WordTable};
+
+/// Whether a version whose successor is at `successor` may be dropped
+/// under `floor` ([`LiveSnapshots::floor`]): the successor serves every
+/// live and future reader.
+#[inline]
+pub fn reclaimable(successor: u64, floor: u64) -> bool {
+    successor <= floor
+}
+
+/// Live-snapshot slots of one multi-version runtime, on either backend:
+/// how many executors can be inside, or between, snapshot regions at once.
+pub const SNAPSHOT_SLOTS: usize = 64;
+/// A slot no executor owns.
+const FREE: u64 = u64::MAX;
+/// An owned slot outside any region. Like [`FREE`] it is above every
+/// clock value, so a floor scan passes over it.
+const IDLE: u64 = u64::MAX - 1;
+
+/// The live-snapshot registry: [`SNAPSHOT_SLOTS`] slots, each alone on its
+/// line pair — committers scan the claimed ones, an owner stores to its
+/// own twice per region — that hold their owner's snapshot while a
+/// read-only region runs. Lock-free, so the native backend's committers
+/// scan it while readers pin; the simulator runs the same code inside
+/// gated ops.
+pub struct LiveSnapshots {
+    slots: Box<[CachePadded<AtomicU64>]>,
+    /// One past the highest slot ever claimed: where a floor scan stops.
+    high: AtomicUsize,
+}
+
+impl Default for LiveSnapshots {
+    fn default() -> Self {
+        LiveSnapshots {
+            slots: (0..SNAPSHOT_SLOTS)
+                .map(|_| CachePadded::new(AtomicU64::new(FREE)))
+                .collect(),
+            high: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl LiveSnapshots {
+    /// Claims an idle slot for one executor, which gives it back with
+    /// [`LiveSnapshots::release`]; `None` while every slot is owned.
+    #[inline]
+    pub fn claim(&self) -> Option<usize> {
+        let claim = |slot: &CachePadded<AtomicU64>| {
+            slot.load(Acquire) == FREE && slot.compare_exchange(FREE, IDLE, SeqCst, SeqCst).is_ok()
+        };
+        let slot = self.slots.iter().position(claim)?;
+        self.high.fetch_max(slot + 1, SeqCst);
+        Some(slot)
+    }
+
+    /// Gives a claimed slot back.
+    #[inline]
+    pub fn release(&self, slot: usize) {
+        self.slots[slot].store(FREE, Release);
+    }
+
+    /// Register-then-capture: stores a `clock` reading in `slot` *first*,
+    /// then returns a second reading as the region's snapshot. A floor scan
+    /// that saw the store is at or below the snapshot; one that missed it
+    /// is covered by its own clock clamp. Both stay `SeqCst`: the argument
+    /// orders this store before this thread's next load, which only
+    /// `SeqCst` does.
+    #[inline]
+    pub fn pin(&self, slot: usize, clock: impl Fn() -> u64) -> u64 {
+        self.slots[slot].store(clock(), SeqCst);
+        clock()
+    }
+
+    /// Idles `slot` at the end of its owner's region. Release: the
+    /// region's loads stay before it; a scan that still sees the old
+    /// snapshot only reclaims less.
+    #[inline]
+    pub fn unpin(&self, slot: usize) {
+        self.slots[slot].store(IDLE, Release);
+    }
+
+    /// The reclamation floor: the minimum of `clamp`, a clock reading the
+    /// caller took *before* this scan, and every pinned snapshot. Taken
+    /// without a lock. A slot claimed past `high` as loaded, or a pin the
+    /// scan misses, belongs to a reader whose snapshot comes from a clock
+    /// load after the clamp's in the `SeqCst` order, so it is at or above
+    /// the floor and [`reclaimable`] keeps what it reads.
+    #[inline]
+    pub fn floor(&self, clamp: u64) -> u64 {
+        let high = self.high.load(SeqCst);
+        let live = self.slots[..high].iter().map(|slot| slot.load(SeqCst));
+        live.fold(clamp, u64::min)
+    }
+}
 
 /// Counters describing version traffic, drained into
 /// [`crate::TxnStats`]-level reporting.
@@ -43,33 +158,39 @@ pub struct VersionStoreStats {
 }
 
 #[derive(Default)]
-struct VersionStoreInner {
-    /// `addr ->` ascending `(stamp, value)` ring.
-    rings: HashMap<u64, Vec<(u64, u64)>>,
+struct Rings {
+    /// `addr ->` its ring's index in `rings`.
+    index: WordTable<u32>,
+    /// Ascending `(stamp, value)` rings, never empty once created.
+    rings: Vec<Vec<(u64, u64)>>,
     /// Last issued commit stamp (0 = "before all transactions").
     stamp: u64,
-    /// Live read-only start stamps (multiset: `stamp -> count`).
-    live: BTreeMap<u64, usize>,
     stats: VersionStoreStats,
 }
 
-impl VersionStoreInner {
-    fn floor(&self) -> u64 {
-        self.live.keys().next().copied().unwrap_or(u64::MAX)
+impl Rings {
+    /// Where `addr`'s ring is in `rings`, created empty if it has none.
+    fn ring_index(&mut self, addr: u64) -> usize {
+        let fresh = self.rings.len();
+        let i = *self.index.get_or_insert(addr, fresh as u32) as usize;
+        if i == fresh {
+            self.rings.push(Vec::new());
+        }
+        i
     }
 
-    fn prune_ring(
-        depth: usize,
-        floor: u64,
-        ring: &mut Vec<(u64, u64)>,
-        stats: &mut VersionStoreStats,
-    ) {
-        while ring.len() > depth && ring[1].0 <= floor {
-            ring.remove(0);
-            stats.reclaimed += 1;
-        }
-        stats.max_ring_len = stats.max_ring_len.max(ring.len() as u64);
+    fn get(&self, addr: u64) -> Option<&[(u64, u64)]> {
+        let i = self.index.get(addr)?;
+        Some(&self.rings[i as usize])
     }
+}
+
+fn prune(depth: usize, floor: u64, ring: &mut Vec<(u64, u64)>, stats: &mut VersionStoreStats) {
+    while ring.len() > depth && reclaimable(ring[1].0, floor) {
+        ring.remove(0);
+        stats.reclaimed += 1;
+    }
+    stats.max_ring_len = stats.max_ring_len.max(ring.len() as u64);
 }
 
 /// Host-side committed-version store shared by every [`crate::TxThread`]
@@ -81,7 +202,8 @@ impl VersionStoreInner {
 /// protocol needs between stamp issue and publication.
 pub struct VersionStore {
     depth: usize,
-    inner: Mutex<VersionStoreInner>,
+    snapshots: LiveSnapshots,
+    inner: Mutex<Rings>,
 }
 
 impl std::fmt::Debug for VersionStore {
@@ -91,8 +213,7 @@ impl std::fmt::Debug for VersionStore {
             .field("depth", &self.depth)
             .field("rings", &inner.rings.len())
             .field("stamp", &inner.stamp)
-            .field("live_ro", &inner.live.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -101,7 +222,8 @@ impl VersionStore {
     pub fn new(depth: usize) -> Self {
         VersionStore {
             depth: depth.max(1),
-            inner: Mutex::new(VersionStoreInner::default()),
+            snapshots: LiveSnapshots::default(),
+            inner: Mutex::new(Rings::default()),
         }
     }
 
@@ -110,29 +232,17 @@ impl VersionStore {
         self.depth
     }
 
+    /// The live-snapshot registry whose floor pruning respects: a
+    /// read-only transaction pins [`VersionStore::current_stamp`] in its
+    /// thread's slot.
+    pub fn snapshots(&self) -> &LiveSnapshots {
+        &self.snapshots
+    }
+
     /// The last issued commit stamp — the start stamp for a read-only
     /// transaction beginning now.
     pub fn current_stamp(&self) -> u64 {
         self.inner.lock().unwrap().stamp
-    }
-
-    /// Registers a live read-only transaction starting at `start`,
-    /// pinning versions with stamp ≤ `start` against reclamation.
-    pub fn register_ro(&self, start: u64) {
-        *self.inner.lock().unwrap().live.entry(start).or_insert(0) += 1;
-    }
-
-    /// Deregisters a read-only transaction; its pinned history becomes
-    /// reclaimable (lazily, at the next prune).
-    pub fn deregister_ro(&self, start: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.live.get_mut(&start) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                inner.live.remove(&start);
-            }
-            None => debug_assert!(false, "deregistering an unregistered RO start {start}"),
-        }
     }
 
     /// Seeds `addr`'s ring with the committed pre-image `(0, old)` if the
@@ -140,7 +250,11 @@ impl VersionStore {
     /// eager in-place store, where `old` is the undo-log value.
     pub fn seed(&self, addr: u64, old: u64) {
         let mut inner = self.inner.lock().unwrap();
-        inner.rings.entry(addr).or_insert_with(|| vec![(0, old)]);
+        let i = inner.ring_index(addr);
+        let ring = &mut inner.rings[i];
+        if ring.is_empty() {
+            ring.push((0, old));
+        }
     }
 
     /// Issues the next commit stamp and publishes `writes` under it, in
@@ -150,10 +264,11 @@ impl VersionStore {
         let mut inner = self.inner.lock().unwrap();
         inner.stamp += 1;
         let stamp = inner.stamp;
-        let floor = inner.floor();
-        let VersionStoreInner { rings, stats, .. } = &mut *inner;
+        let floor = self.snapshots.floor(stamp);
         for &(addr, value) in writes {
-            let ring = rings.entry(addr).or_default();
+            let i = inner.ring_index(addr);
+            let Rings { rings, stats, .. } = &mut *inner;
+            let ring = &mut rings[i];
             match ring.last_mut() {
                 Some(last) if last.0 == stamp => last.1 = value,
                 _ => {
@@ -161,7 +276,7 @@ impl VersionStore {
                     stats.published += 1;
                 }
             }
-            VersionStoreInner::prune_ring(self.depth, floor, ring, stats);
+            prune(self.depth, floor, ring, stats);
         }
         stamp
     }
@@ -180,25 +295,24 @@ impl VersionStore {
             start
         };
         let inner = self.inner.lock().unwrap();
-        let ring = inner.rings.get(&addr)?;
+        let ring = inner.get(addr)?;
         debug_assert!(!ring.is_empty());
         let idx = ring.partition_point(|&(stamp, _)| stamp <= start);
-        // idx ≥ 1 always: under the reclamation invariant every retained
+        // idx ≥ 1 always: under the reclamation rule every retained
         // prefix is servable (ring[0].stamp ≤ any live start), and rings
         // are seeded at stamp 0.
         idx.checked_sub(1).map(|i| ring[i].1)
     }
 
-    /// Prunes every ring against the current oldest live read-only start.
-    /// Invoked from the GC safepoint so history pinned by a completed
-    /// reader does not linger until the next commit touches its ring.
+    /// Prunes every ring against the current floor. Invoked from the GC
+    /// safepoint so history pinned by a completed reader does not linger
+    /// until the next commit touches its ring.
     pub fn prune_all(&self) {
         let mut inner = self.inner.lock().unwrap();
-        let floor = inner.floor();
-        let depth = self.depth;
-        let VersionStoreInner { rings, stats, .. } = &mut *inner;
-        for ring in rings.values_mut() {
-            VersionStoreInner::prune_ring(depth, floor, ring, stats);
+        let floor = self.snapshots.floor(inner.stamp);
+        let Rings { rings, stats, .. } = &mut *inner;
+        for ring in rings {
+            prune(self.depth, floor, ring, stats);
         }
     }
 
@@ -209,13 +323,9 @@ impl VersionStore {
 
     /// Test/diagnostic view of one ring (stamps only).
     pub fn ring_stamps(&self, addr: u64) -> Vec<u64> {
-        self.inner
-            .lock()
-            .unwrap()
-            .rings
-            .get(&addr)
-            .map(|r| r.iter().map(|&(s, _)| s).collect())
-            .unwrap_or_default()
+        let inner = self.inner.lock().unwrap();
+        let ring = inner.get(addr).unwrap_or_default();
+        ring.iter().map(|&(s, _)| s).collect()
     }
 }
 
@@ -262,14 +372,15 @@ mod tests {
         let s = VersionStore::new(2);
         s.seed(8, 0);
         let t1 = s.commit_publish(&[(8, 1)]);
-        s.register_ro(0); // pins the stamp-0 seed
+        let slot = s.snapshots().claim().unwrap();
+        s.snapshots().pin(slot, || 0); // pins the stamp-0 seed
         let _t2 = s.commit_publish(&[(8, 2)]);
         let t3 = s.commit_publish(&[(8, 3)]);
         // Ring over depth (4 > 2) but fully pinned by the start-0 reader:
         // dropping ring[0] would need ring[1].stamp (=t1) ≤ 0.
         assert_eq!(s.ring_stamps(8).len(), 4, "pinned history is retained");
         assert_eq!(s.snapshot_read(8, 0), Some(0));
-        s.deregister_ro(0);
+        s.snapshots().unpin(slot);
         s.prune_all();
         let stamps = s.ring_stamps(8);
         assert_eq!(stamps.len(), 2, "unpinned ring prunes to depth");
@@ -290,13 +401,33 @@ mod tests {
     #[test]
     fn snapshot_read_never_returns_a_too_new_version() {
         let s = VersionStore::new(8);
-        s.register_ro(0);
+        let slot = s.snapshots().claim().unwrap();
+        assert_eq!(s.snapshots().pin(slot, || s.current_stamp()), 0);
         for i in 1..=6u64 {
             s.commit_publish(&[(8, i * 10)]);
         }
         for start in 1..=6u64 {
             assert_eq!(s.snapshot_read(8, start), Some(start * 10));
         }
-        s.deregister_ro(0);
+        s.snapshots().release(slot);
+    }
+
+    #[test]
+    fn the_floor_is_the_clamp_or_the_oldest_pinned_snapshot() {
+        let live = LiveSnapshots::default();
+        assert_eq!(live.floor(7), 7, "nothing claimed: the clamp");
+        let slots: Vec<usize> = (0..SNAPSHOT_SLOTS).map(|_| live.claim().unwrap()).collect();
+        assert_eq!(live.claim(), None, "every slot owned");
+        assert_eq!(live.floor(7), 7, "idle slots pin nothing");
+        assert_eq!(live.pin(slots[40], || 3), 3);
+        assert_eq!(live.pin(slots[2], || 5), 5);
+        assert_eq!(live.floor(7), 3);
+        assert_eq!(live.floor(1), 1, "a clamp below every pin");
+        live.unpin(slots[40]);
+        assert_eq!(live.floor(7), 5);
+        live.release(slots[2]);
+        assert_eq!(live.floor(7), 7);
+        assert_eq!(live.claim(), Some(2), "a released slot is claimed again");
+        assert!(reclaimable(5, 5) && !reclaimable(6, 5));
     }
 }

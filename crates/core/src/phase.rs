@@ -69,6 +69,7 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
 
 use hastm_sim::mutant::{armed, Mutant};
+use hastm_sim::words::CachePadded;
 
 use crate::config::Mode;
 
@@ -279,8 +280,11 @@ struct Heur {
 #[derive(Debug)]
 pub struct SharedModeState {
     params: PhasedParams,
-    /// The packed phase word (see module docs for the layout).
-    word: AtomicU64,
+    /// The packed phase word (see module docs for the layout). Every
+    /// attempt of every thread CASes it, so it has a line pair of its own,
+    /// away from the token and the heuristics (PhTM\*'s padded
+    /// `modeIndicator`).
+    word: CachePadded<AtomicU64>,
     /// Serial-execution token: 0 when free, else the holder's nonzero id.
     serial_token: AtomicU64,
     heur: Mutex<Heur>,
@@ -291,7 +295,7 @@ impl SharedModeState {
     pub fn new(params: PhasedParams) -> Self {
         SharedModeState {
             params,
-            word: AtomicU64::new(Phase::Hw as u64),
+            word: CachePadded::new(AtomicU64::new(Phase::Hw as u64)),
             serial_token: AtomicU64::new(0),
             heur: Mutex::new(Heur::default()),
         }

@@ -83,9 +83,9 @@ pub struct TxThread<'c, 'm> {
     /// Snapshot start stamp of an in-flight read-only transaction
     /// ([`crate::Versioning::Multi`] only).
     pub(crate) ro_start: u64,
-    /// Whether `ro_start` is registered live in the version store (so
-    /// abort paths deregister exactly once).
-    pub(crate) ro_registered: bool,
+    /// This thread's live-snapshot slot in the version store, claimed by
+    /// its first read-only transaction and given back on drop.
+    ro_slot: Option<usize>,
     /// The global phase this attempt entered under (`None` unless the
     /// policy is [`ModePolicy::Phased`]).
     pub(crate) phase: Option<Phase>,
@@ -162,7 +162,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
             undo_logged: WordTable::new(),
             kind: TxnKind::ReadWrite,
             ro_start: 0,
-            ro_registered: false,
+            ro_slot: None,
             phase: None,
             serial: false,
             loss_base: (0, 0),
@@ -200,12 +200,6 @@ impl<'c, 'm> TxThread<'c, 'm> {
     /// ordinary transaction that happens not to write.)
     pub fn is_snapshot(&self) -> bool {
         self.kind == TxnKind::ReadOnly && self.runtime.version_store().is_some()
-    }
-
-    /// Snapshot start stamp of an in-flight read-only transaction.
-    pub fn snapshot_start(&self) -> u64 {
-        debug_assert!(self.is_snapshot());
-        self.ro_start
     }
 
     /// This thread's transaction statistics.
@@ -300,18 +294,6 @@ impl<'c, 'm> TxThread<'c, 'm> {
     // Transaction lifecycle
     // ------------------------------------------------------------------
 
-    /// Whether the in-flight transaction runs the irrevocable serial
-    /// path (the [`Phase::Serial`] token holder).
-    pub fn is_serial(&self) -> bool {
-        self.serial
-    }
-
-    /// The global phase the in-flight attempt entered under (`None`
-    /// unless the policy is [`ModePolicy::Phased`]).
-    pub fn current_phase(&self) -> Option<Phase> {
-        self.phase
-    }
-
     /// Begins a top-level transaction attempt.
     pub(crate) fn begin(&mut self, attempt: u32) {
         debug_assert!(!self.active, "begin while active");
@@ -392,11 +374,12 @@ impl<'c, 'm> TxThread<'c, 'm> {
     /// [`TxnKind::ReadOnly`].
     ///
     /// Under [`crate::Versioning::Multi`] this arms the snapshot-read
-    /// path: the transaction captures the version store's current commit
-    /// stamp as its start stamp, registers itself live (pinning history
-    /// against reclamation), reads the newest version ≤ start of every
-    /// word, and commits without validation — it cannot conflict-abort.
-    /// Under [`crate::Versioning::Single`] it is an ordinary [`begin`].
+    /// path: the transaction pins the version store's current commit stamp
+    /// in its thread's live-snapshot slot (holding history against
+    /// reclamation) as its start stamp, reads the newest version ≤ start
+    /// of every word, and commits without validation — it cannot
+    /// conflict-abort. Under [`crate::Versioning::Single`], or with every
+    /// slot owned by other threads, it is an ordinary [`begin`].
     pub(crate) fn begin_ro(&mut self, attempt: u32) {
         self.begin(attempt);
         if self.serial {
@@ -410,30 +393,32 @@ impl<'c, 'm> TxThread<'c, 'm> {
         let Some(store) = self.runtime.version_store() else {
             return;
         };
+        // The claim needs no gated op: an idle slot pins nothing, and with
+        // no more threads than slots every claim succeeds.
+        self.ro_slot = self.ro_slot.or_else(|| store.snapshots().claim());
+        let Some(slot) = self.ro_slot else {
+            return;
+        };
         self.kind = TxnKind::ReadOnly;
-        // Capture the stamp and register live inside the gated op: the
-        // version store is side-band host state the gate cannot order on
-        // its own, and a racing writer's stamp issue must deterministically
-        // land before or after this capture. Doing both under one gated op
-        // also means no commit can slip between capture and registration.
-        self.ro_start = self.cpu.exec_sync(2, || {
-            // load global stamp + register
-            let start = store.current_stamp();
-            store.register_ro(start);
-            start
-        });
-        self.ro_registered = true;
+        // Pin and capture the stamp inside the gated op: the version store
+        // is side-band host state the gate cannot order on its own, and a
+        // racing writer's stamp issue must deterministically land before
+        // or after this capture. Doing both under one gated op also means
+        // no commit can slip between registration and capture.
+        let pin = || store.snapshots().pin(slot, || store.current_stamp());
+        self.ro_start = self.cpu.exec_sync(2, pin); // load global stamp + register
     }
 
-    /// Deregisters an in-flight snapshot transaction from the version
-    /// store (idempotent).
-    fn ro_deregister(&mut self) {
-        if self.ro_registered {
-            if let Some(store) = self.runtime.version_store() {
-                store.deregister_ro(self.ro_start);
-            }
-            self.ro_registered = false;
-        }
+    /// Idles the in-flight snapshot transaction's slot: the history it
+    /// pinned becomes reclaimable (lazily, at the next prune).
+    fn ro_unpin(&self) {
+        let store = self
+            .runtime
+            .version_store()
+            .expect("a snapshot has a store");
+        store
+            .snapshots()
+            .unpin(self.ro_slot.expect("a snapshot has a slot"));
     }
 
     /// Validates the read set (Figure 2 / Figure 6). Returns whether the
@@ -763,7 +748,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
                 });
         }
         self.cpu.exec(1); // commit is a single deregistering store
-        self.ro_deregister();
+        self.ro_unpin();
         self.stats.commits += 1;
         self.stats.ro_commits += 1;
         self.cpu.trace(hastm_sim::TraceEvent::TxnCommit);
@@ -788,7 +773,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
                 "snapshot read-only transaction aborted with {cause:?}"
             );
             self.stats.ro_aborts += 1;
-            self.ro_deregister();
+            self.ro_unpin();
         }
         // Roll back newest-first so overlapping writes restore correctly.
         for i in (0..self.undo_log.len()).rev() {
@@ -937,6 +922,14 @@ impl<'c, 'm> TxThread<'c, 'm> {
         let (obj, header) = self.runtime.alloc_obj_shell(self.cpu, data_words);
         self.cpu.store_u64(obj.header(), header);
         obj
+    }
+}
+
+impl Drop for TxThread<'_, '_> {
+    fn drop(&mut self) {
+        if let (Some(slot), Some(store)) = (self.ro_slot, self.runtime.version_store()) {
+            store.snapshots().release(slot);
+        }
     }
 }
 

@@ -23,9 +23,9 @@ enum StoreOp {
     Seed { addr: u64, val: u64 },
     /// Commit-publish a write set (later duplicates win).
     Commit { writes: Vec<(u64, u64)> },
-    /// Register a read-only transaction at the current stamp.
+    /// Pin a read-only transaction's snapshot at the current stamp.
     Register,
-    /// Deregister one live reader (index modulo the live count).
+    /// Release one live reader's slot (index modulo the live count).
     Deregister { pick: usize },
     /// Compare every `(live reader, addr)` read against the model.
     ReadAll,
@@ -104,8 +104,10 @@ proptest! {
         }
 
         let store = VersionStore::new(depth);
+        let snapshots = store.snapshots();
         let mut model = History::default();
-        let mut live: Vec<u64> = Vec::new();
+        // `(slot, start)` per live reader; a script pins at most 40.
+        let mut live: Vec<(usize, u64)> = Vec::new();
 
         for op in &ops {
             match op {
@@ -119,34 +121,34 @@ proptest! {
                     prop_assert_eq!(stamp, model.stamp, "stamps must stay in lockstep");
                 }
                 StoreOp::Register => {
-                    let start = store.current_stamp();
-                    store.register_ro(start);
-                    live.push(start);
+                    let slot = snapshots.claim().expect("a free slot");
+                    let start = snapshots.pin(slot, || store.current_stamp());
+                    live.push((slot, start));
                 }
                 StoreOp::Deregister { pick } => {
                     if !live.is_empty() {
-                        let start = live.swap_remove(pick % live.len());
-                        store.deregister_ro(start);
+                        let (slot, _) = live.swap_remove(pick % live.len());
+                        snapshots.release(slot);
                     }
                 }
                 StoreOp::ReadAll => {
-                    for &start in &live {
+                    for &(_, start) in &live {
                         check_reader(&store, &model, start)?;
                     }
                     // A fresh reader beginning now must see the newest
                     // committed state regardless of pruning.
-                    let now = store.current_stamp();
-                    store.register_ro(now);
+                    let slot = snapshots.claim().expect("a free slot");
+                    let now = snapshots.pin(slot, || store.current_stamp());
                     check_reader(&store, &model, now)?;
-                    store.deregister_ro(now);
+                    snapshots.release(slot);
                 }
             }
         }
 
         // With every reader gone, pruning converges each ring to its
         // depth bound while the newest committed values survive.
-        for start in live.drain(..) {
-            store.deregister_ro(start);
+        for (slot, _) in live.drain(..) {
+            snapshots.release(slot);
         }
         store.prune_all();
         let now = store.current_stamp();

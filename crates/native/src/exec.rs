@@ -33,17 +33,15 @@
 //! each attempt, so a warm executor begins, reads, writes, aborts and
 //! commits without touching the allocator (`tests/alloc_regression.rs`).
 
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{Release, SeqCst},
-};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
+use hastm::mvcc::LiveSnapshots;
 use hastm::phase::{Access, Entry, Wait};
 use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
 use hastm_sim::mutant::{armed, Mutant};
 use hastm_sim::words::{RedoLog, WordTable};
 
-use crate::tl2::{NativeRuntime, NativeStats, WritebackHook, RO_IDLE};
+use crate::tl2::{NativeRuntime, NativeStats, WritebackHook};
 
 /// `false` only while [`Mutant::NoEpochCheck`] is armed: the filter fast
 /// path and commit then trust stale filters.
@@ -226,7 +224,7 @@ impl<'r> NativeExec<'r> {
     fn write_back(&mut self, wv: u64, hook: Option<WritebackHook>) {
         let rt = self.rt;
         let total = self.writes.len();
-        let floor = rt.is_multi().then(|| rt.ro_floor());
+        let floor = rt.snapshots().map(|live| live.floor(rt.clock()));
         for (done, &(addr, value)) in self.writes.entries().iter().enumerate() {
             if let Some(floor) = floor {
                 let pre_image = rt.heap().load(addr);
@@ -241,12 +239,12 @@ impl<'r> NativeExec<'r> {
         }
     }
 
-    /// This executor's live-snapshot registry slot, claimed on first use;
-    /// `None` while the runtime has none to give.
-    fn ro_slot(&mut self) -> Option<&'r AtomicU64> {
-        let rt = self.rt;
-        self.ro_slot = self.ro_slot.or_else(|| rt.claim_ro_slot());
-        self.ro_slot.map(|slot| rt.ro_slot(slot))
+    /// The runtime's live-snapshot registry and this executor's slot in
+    /// it, claimed on first use; `None` while the runtime has none to give.
+    fn ro_slot(&mut self) -> Option<(&'r LiveSnapshots, usize)> {
+        let live = self.rt.snapshots()?;
+        self.ro_slot = self.ro_slot.or_else(|| live.claim());
+        Some((live, self.ro_slot?))
     }
 
     /// Enters the global phase gate for one attempt; `None` when the
@@ -332,8 +330,8 @@ impl<'r> NativeExec<'r> {
 
 impl Drop for NativeExec<'_> {
     fn drop(&mut self) {
-        if let Some(slot) = self.ro_slot {
-            self.rt.release_ro_slot(slot);
+        if let (Some(slot), Some(live)) = (self.ro_slot, self.rt.snapshots()) {
+            live.release(slot);
         }
     }
 }
@@ -429,15 +427,15 @@ impl TmExec for NativeExec<'_> {
         }
     }
 
-    /// Under `Multi` a snapshot region, which cannot abort — for the
-    /// first [`crate::RO_SLOTS`] executors of the runtime to ask (a slot
-    /// is an executor's until it is dropped). Any further executor, like
+    /// Under `Multi` a snapshot region, which cannot abort — for the first
+    /// [`hastm::mvcc::SNAPSHOT_SLOTS`] executors of the runtime to ask (a
+    /// slot is an executor's until it is dropped). Any further executor, like
     /// every executor under `Single`, gets [`TmExec::atomic`].
     fn atomic_ro<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
         // No version rings under Single, no live-snapshot slot left under
         // Multi: the region runs as an ordinary (validated, abortable)
         // transaction.
-        let Some(slot) = self.ro_slot() else {
+        let Some((live, slot)) = self.ro_slot() else {
             return self.atomic(f);
         };
         let rt = self.rt;
@@ -458,20 +456,11 @@ impl TmExec for NativeExec<'_> {
                     }
                 }
             }
-            // Register-then-capture: store a clock lower bound into the
-            // live-snapshot slot *first*, then capture `rv` from a second
-            // clock load. A pruning scan that saw the store uses a floor
-            // <= slot <= rv; one that missed it is covered by the scan's
-            // own clock clamp (see `NativeRuntime::ro_floor`). Either
-            // way, every version this region can need outlives it. Both
-            // stay `SeqCst`: the argument orders this store before this
-            // thread's next load, which only `SeqCst` does.
-            slot.store(rt.clock(), SeqCst);
-            let rv = rt.clock();
+            // Register-then-capture (`LiveSnapshots::pin`): every version
+            // this region can need outlives it.
+            let rv = live.pin(slot, || rt.clock());
             let out = f(&mut NativeRoTxn { exec: self, rv });
-            // Release: the region's loads stay before the slot goes idle;
-            // a scan that still sees the old `rv` only prunes less.
-            slot.store(RO_IDLE, Release);
+            live.unpin(slot);
             match out {
                 Ok(r) => {
                     self.stats.ro_commits += 1;
@@ -1135,7 +1124,8 @@ mod tests {
         let mut setup = NativeExec::new(&rt);
         let o = setup.alloc_obj(1);
         setup.atomic(|ctx| ctx.ctx_write(o, 0, 7));
-        let mut owners: Vec<_> = (0..crate::RO_SLOTS).map(|_| NativeExec::new(&rt)).collect();
+        let slots = hastm::mvcc::SNAPSHOT_SLOTS;
+        let mut owners: Vec<_> = (0..slots).map(|_| NativeExec::new(&rt)).collect();
         for ex in &mut owners {
             assert_eq!(ex.atomic_ro(|ctx| ctx.ctx_read(o, 0)), 7);
             assert_eq!(ex.stats().ro_commits, 1, "a slot each");
@@ -1147,8 +1137,8 @@ mod tests {
         assert_eq!((st.slow_reads, st.snapshot_reads), (1, 0));
         // Pruning still sees all 64 owners: pin the last one's snapshot.
         let pinned = owners.last_mut().unwrap();
-        pinned.ro_slot().unwrap().store(rt.clock(), SeqCst);
-        let rv = rt.clock();
+        let (live, slot) = pinned.ro_slot().unwrap();
+        let rv = live.pin(slot, || rt.clock());
         for i in 8..12 {
             setup.atomic(|ctx| ctx.ctx_write(o, 0, i));
         }
@@ -1169,13 +1159,13 @@ mod tests {
         let o = a.alloc_obj(1);
         a.atomic(|ctx| ctx.ctx_write(o, 0, 1));
         // Pin a snapshot by hand (slot + rv), then let B commit past it.
-        a.ro_slot().unwrap().store(rt.clock(), SeqCst);
-        let rv = rt.clock();
+        let (live, slot) = a.ro_slot().unwrap();
+        let rv = live.pin(slot, || rt.clock());
         b.atomic(|ctx| ctx.ctx_write(o, 0, 2));
         b.atomic(|ctx| ctx.ctx_write(o, 0, 3));
         let mut txn = NativeRoTxn { exec: &mut a, rv };
         assert_eq!(txn.snapshot_read_at(o.word(0).0), 1, "snapshot at rv");
-        a.ro_slot().unwrap().store(RO_IDLE, SeqCst);
+        live.unpin(slot);
         assert_eq!(rt.peek(o.word(0)), 3, "memory moved on past the snapshot");
     }
 
@@ -1211,8 +1201,8 @@ mod tests {
         let mut b = NativeExec::new(&rt);
         let o = a.alloc_obj(1);
         a.atomic(|ctx| ctx.ctx_write(o, 0, 1));
-        a.ro_slot().unwrap().store(rt.clock(), SeqCst);
-        let rv = rt.clock();
+        let (live, slot) = a.ro_slot().unwrap();
+        let rv = live.pin(slot, || rt.clock());
         for i in 2..=5u64 {
             b.atomic(|ctx| ctx.ctx_write(o, 0, i));
         }
@@ -1223,7 +1213,7 @@ mod tests {
         );
         let mut txn = NativeRoTxn { exec: &mut a, rv };
         assert_eq!(txn.snapshot_read_at(o.word(0).0), 1);
-        a.ro_slot().unwrap().store(RO_IDLE, SeqCst);
+        live.unpin(slot);
         // Next commit prunes with no live readers.
         b.atomic(|ctx| ctx.ctx_write(o, 0, 6));
         assert_eq!(rt.ring_versions(o.word(0)).len(), 1);

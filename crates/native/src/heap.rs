@@ -12,47 +12,11 @@ use std::sync::atomic::{
 };
 use std::sync::OnceLock;
 
+use hastm::mvcc::reclaimable;
+use hastm_sim::words::CachePadded;
+
 /// First allocatable word index (keeps a full line clear of `Addr::NULL`).
 const FIRST_WORD: usize = 8;
-
-/// Gives an 8-byte word every thread hammers (the clock, the epoch, the
-/// bump pointer, a live-snapshot slot) a cache-line pair to itself — 128
-/// bytes, because adjacent-line prefetch pulls lines in pairs — so its
-/// traffic does not evict the read-mostly fields beside it. Wherever the
-/// word lands, the 120 bytes on either side of it are this padding.
-///
-/// Padding on both sides, not `#[repr(align(128))]`: an over-aligned
-/// type inside an `Arc` (the ro slots) is allocated with
-/// `posix_memalign`, and on the reference host glibc then served that
-/// worker's later allocations from the main arena, which put 2.7 MB
-/// (20 %) on `native_ro`'s peak RSS (EXPERIMENTS.md).
-#[repr(C)]
-pub(crate) struct CachePadded<T> {
-    _before: [u8; PAD],
-    value: T,
-    _after: [u8; PAD],
-}
-
-/// A line pair less the word itself.
-const PAD: usize = 120;
-
-impl<T> CachePadded<T> {
-    pub(crate) fn new(value: T) -> Self {
-        CachePadded {
-            _before: [0; PAD],
-            value,
-            _after: [0; PAD],
-        }
-    }
-}
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
 
 /// A shared, concurrently allocatable word heap.
 pub struct NativeHeap {
@@ -262,8 +226,9 @@ impl VersionStore {
 
     /// Publishes `(wv, value)` as the newest version of the word at
     /// `addr`, whose stripe the caller holds and whose heap word still
-    /// reads `pre_image`; `floor` is [`crate::NativeRuntime::ro_floor`].
-    /// Returns how many entries it reclaimed.
+    /// reads `pre_image`; `floor` is the live snapshots' floor
+    /// ([`hastm::mvcc::LiveSnapshots::floor`]). Returns how many entries
+    /// it reclaimed.
     pub(crate) fn publish(
         &self,
         addr: u64,
@@ -281,8 +246,9 @@ impl VersionStore {
             block.set_entry(0, (0, pre_image));
             len = 1;
         }
-        // An entry may go once its successor serves every live reader.
-        if len == self.k && floor >= if len > 1 { block.entry(1).0 } else { wv } {
+        // The oldest entry's successor: the next one, or the one publishing.
+        let successor = || if len > 1 { block.entry(1).0 } else { wv };
+        if len == self.k && reclaimable(successor(), floor) {
             (1..len).for_each(|i| block.set_entry(i - 1, block.entry(i)));
             (len, reclaimed) = (len - 1, 1);
         } else if len == self.k {
@@ -311,7 +277,7 @@ impl VersionStore {
             } else {
                 self.linked(newer)
             };
-            if next.entry(0).0 > floor {
+            if !reclaimable(next.entry(0).0, floor) {
                 break;
             }
             match newer {

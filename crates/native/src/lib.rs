@@ -34,4 +34,4 @@ pub mod tl2;
 
 pub use exec::{NativeExec, NativeRoTxn, NativeTxn};
 pub use heap::NativeHeap;
-pub use tl2::{NativeConfig, NativeRuntime, NativeStats, StripeState, WritebackHook, RO_SLOTS};
+pub use tl2::{NativeConfig, NativeRuntime, NativeStats, StripeState, WritebackHook};

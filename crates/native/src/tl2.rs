@@ -29,15 +29,17 @@
 //! default; with it off nothing reads or writes the epoch.
 
 use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicUsize,
+    AtomicBool, AtomicU64,
     Ordering::{Acquire, Release, SeqCst},
 };
 use std::sync::{Arc, Mutex};
 
+use hastm::mvcc::LiveSnapshots;
 use hastm::{ObjRef, PhasedParams, SharedModeState, Versioning};
+use hastm_sim::words::CachePadded;
 use hastm_sim::{counters, Addr};
 
-use crate::heap::{CachePadded, NativeHeap, VersionStore};
+use crate::heap::{NativeHeap, VersionStore};
 
 /// Configuration of one [`NativeRuntime`].
 #[derive(Clone, Debug)]
@@ -50,9 +52,6 @@ pub struct NativeConfig {
     /// default, which is plain TL2 (the STM analog): the emulation is not
     /// sound (DESIGN §9c) and loses at every thread count.
     pub mark_filter: bool,
-    /// Bounded spins when acquiring a write lock before giving up and
-    /// aborting (keeps commit lock-acquisition livelock-free).
-    pub max_lock_spins: u32,
     /// Per-thread filter capacity in stripes; reads past it stay on the
     /// slow path (mirrors finite mark-bit cache capacity).
     pub filter_capacity: usize,
@@ -61,8 +60,8 @@ pub struct NativeConfig {
     /// `(version, value)` pairs beside every written word, giving read-only
     /// transactions ([`crate::NativeExec`]'s `atomic_ro`) an abort-free
     /// snapshot-read path with no lock–load–lock sandwich — for up to
-    /// [`RO_SLOTS`] executors at a time; the regions of any more run
-    /// validated, as under `Single`.
+    /// [`hastm::mvcc::SNAPSHOT_SLOTS`] executors at a time; the regions of
+    /// any more run validated, as under `Single`.
     pub versioning: Versioning,
     /// Enable the PhTM-style global phase controller
     /// ([`hastm::ModePolicy::Phased`]'s native twin): executors enter the
@@ -79,7 +78,6 @@ impl Default for NativeConfig {
             heap_words: 1 << 20,
             stripes: 1 << 16,
             mark_filter: false,
-            max_lock_spins: 128,
             filter_capacity: 4096,
             versioning: Versioning::Single,
             phased: None,
@@ -164,15 +162,9 @@ impl NativeStats {
 /// commit may still abort after `(0, n)`, having stored nothing.
 pub type WritebackHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
-/// Live-snapshot slots of a `Multi` runtime: how many executors can be
-/// inside, or between, snapshot regions at once. One more runs its
-/// read-only regions as ordinary transactions until a slot is given back.
-pub const RO_SLOTS: usize = 64;
-/// A slot no executor owns.
-const RO_FREE: u64 = u64::MAX;
-/// An owned slot outside any region. Like [`RO_FREE`] it is above every
-/// clock value, so a floor scan passes over it.
-pub(crate) const RO_IDLE: u64 = u64::MAX - 1;
+/// Bounded spins when acquiring a write lock before giving up and
+/// aborting (keeps commit lock-acquisition livelock-free).
+const MAX_LOCK_SPINS: u32 = 128;
 
 /// Shared state of the native backend; threads hold `&NativeRuntime` and
 /// drive it through per-thread [`crate::NativeExec`]s.
@@ -194,14 +186,11 @@ pub struct NativeRuntime {
     /// first entry, seeded at version 0, is the word's pre-transactional
     /// image, read from the heap.
     versions: Option<VersionStore>,
-    /// Live read-only snapshot registry (empty under `Single`): a slot
-    /// holds its owner's snapshot `rv` while an `atomic_ro` region runs.
-    /// Each is alone on its line pair — committers scan the claimed ones,
-    /// an owner stores to its own twice per region — and commit-time
-    /// pruning keeps every version a registered reader can still need.
-    ro_slots: Box<[CachePadded<AtomicU64>]>,
-    /// One past the highest slot ever claimed: where a floor scan stops.
-    ro_high: AtomicUsize,
+    /// The live-snapshot registry (`Some` only under `Multi`): a slot
+    /// holds its owner's snapshot `rv` while an `atomic_ro` region runs,
+    /// and commit-time pruning keeps every version a pinned reader can
+    /// still need.
+    snapshots: Option<LiveSnapshots>,
     /// The scheme-wide phase machine (`Some` only under
     /// [`NativeConfig::phased`]) — the same [`SharedModeState`] the
     /// simulator backend gates, here driven by real `SeqCst` atomics.
@@ -215,7 +204,6 @@ impl NativeRuntime {
         let locks: Vec<AtomicU64> = (0..stripes).map(|_| AtomicU64::new(0)).collect();
         let multi = cfg.versioning.is_multi();
         let versions = multi.then(|| VersionStore::new(cfg.heap_words, cfg.versioning.depth()));
-        let ro_slots = if multi { RO_SLOTS } else { 0 };
         let phase = cfg.phased.map(SharedModeState::new);
         NativeRuntime {
             heap: NativeHeap::new(cfg.heap_words),
@@ -228,10 +216,7 @@ impl NativeRuntime {
             hook: Mutex::new(None),
             start: std::time::Instant::now(),
             versions,
-            ro_slots: (0..ro_slots)
-                .map(|_| CachePadded::new(AtomicU64::new(RO_FREE)))
-                .collect(),
-            ro_high: AtomicUsize::new(0),
+            snapshots: multi.then(LiveSnapshots::default),
             phase,
         }
     }
@@ -308,11 +293,11 @@ impl NativeRuntime {
         self.locks[stripe].load(Acquire)
     }
 
-    /// Tries to lock `stripe`, spinning at most `max_lock_spins` times.
+    /// Tries to lock `stripe`, spinning at most [`MAX_LOCK_SPINS`] times.
     /// Returns the pre-lock version on success.
     pub(crate) fn try_lock_stripe(&self, stripe: usize) -> Option<u64> {
         let lock = &self.locks[stripe];
-        for _ in 0..=self.cfg.max_lock_spins {
+        for _ in 0..=MAX_LOCK_SPINS {
             // Acquire: only a guess for the CAS, which is the lock's RMW.
             let cur = lock.load(Acquire);
             if cur & 1 == 0 {
@@ -334,52 +319,10 @@ impl NativeRuntime {
     }
 
     /// Whether the runtime keeps multi-version rings.
-    pub fn is_multi(&self) -> bool {
-        self.cfg.versioning.is_multi()
-    }
-
-    /// Claims a live-snapshot slot for one executor, which gives it back
-    /// when dropped; `None` while all [`RO_SLOTS`] are owned (and always
-    /// under `Single`, which has none). The slot is idle; `atomic_ro`
-    /// stores its `rv` there for the duration of a region so pruning
-    /// cannot reclaim versions the region can still read.
-    pub(crate) fn claim_ro_slot(&self) -> Option<usize> {
-        let claim = |slot: &CachePadded<AtomicU64>| {
-            slot.load(Acquire) == RO_FREE
-                && slot
-                    .compare_exchange(RO_FREE, RO_IDLE, SeqCst, SeqCst)
-                    .is_ok()
-        };
-        let slot = self.ro_slots.iter().position(claim)?;
-        self.ro_high.fetch_max(slot + 1, SeqCst);
-        Some(slot)
-    }
-
-    /// Live-snapshot slot `slot`.
-    pub(crate) fn ro_slot(&self, slot: usize) -> &AtomicU64 {
-        &self.ro_slots[slot]
-    }
-
-    /// Gives a claimed slot back.
-    pub(crate) fn release_ro_slot(&self, slot: usize) {
-        self.ro_slots[slot].store(RO_FREE, Release);
-    }
-
-    /// Reclamation floor for commit-time pruning: the minimum of every
-    /// live snapshot's `rv` and the clock *as sampled before the scan*,
-    /// taken without a lock. The clamp covers what the scan can miss — a
-    /// slot claimed past `ro_high` as loaded, or the `rv` store of a
-    /// region just beginning: that reader's claim, its store and then its
-    /// `rv` clock load all come after the missing load in the `SeqCst`
-    /// total order, which the clamp's clock load precedes, so
-    /// `rv >= clamp >= floor` and the prune keeps everything it needs (an
-    /// entry is dropped only when its successor's version is `<= floor`,
-    /// so the successor still serves any `rv >= floor`).
-    pub(crate) fn ro_floor(&self) -> u64 {
-        let clamp = self.clock.load(SeqCst);
-        let high = self.ro_high.load(SeqCst);
-        let live = self.ro_slots[..high].iter().map(|s| s.load(SeqCst));
-        live.fold(clamp, u64::min)
+    /// The live-snapshot registry of a `Multi` runtime; `None` under
+    /// `Single`, which has no snapshot regions.
+    pub(crate) fn snapshots(&self) -> Option<&LiveSnapshots> {
+        self.snapshots.as_ref()
     }
 
     /// The version rings of a `Multi` runtime.

@@ -4,8 +4,9 @@
 //! protocol (snoops, inclusion, mark-counter effects) lives in
 //! [`crate::hierarchy`].
 
-use crate::addr::{LineId, SUBBLOCKS_PER_LINE};
+use crate::addr::LineId;
 use crate::config::CacheConfig;
+use crate::hierarchy::MarkOp;
 
 /// Number of independent mark-bit filters the hardware provides. The paper
 /// implements one but notes "one could support multiple filters
@@ -142,6 +143,13 @@ pub struct Cache {
     tick: u64,
     /// Resident lines, kept by `insert` and `remove`.
     resident: usize,
+    /// `(set, way)` of the line the last `lookup` hit or `insert` filled:
+    /// what [`Cache::mark`] operates on.
+    touched: (usize, usize),
+    /// One bit per set and filter (filter-major, a whole number of words
+    /// per filter), set when [`Cache::mark`] leaves a mark in the set, so
+    /// [`Cache::clear_all_marks`] visits only sets that may hold one.
+    marked_sets: Box<[u64]>,
 }
 
 impl Cache {
@@ -149,9 +157,11 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         Cache {
             sets: (0..config.sets).map(|_| Set::default()).collect(),
+            marked_sets: vec![0; NUM_FILTERS * config.sets.div_ceil(64)].into_boxed_slice(),
             config,
             tick: 0,
             resident: 0,
+            touched: (0, 0),
         }
     }
 
@@ -173,16 +183,43 @@ impl Cache {
         set.way_of(id).map(|way| &set.lines[way])
     }
 
-    /// Looks up a line, refreshing its LRU position on hit.
+    /// Looks up a line, refreshing its LRU position on hit. Mark bits
+    /// change only through [`Cache::mark`].
     #[inline]
     pub fn lookup(&mut self, id: LineId) -> Option<&mut LineState> {
         let tick = self.bump();
-        let set = self.set_index(id);
-        let set = &mut self.sets[set];
+        let index = self.set_index(id);
+        let set = &mut self.sets[index];
         let way = set.way_of(id)?;
+        self.touched = (index, way);
         let line = &mut set.lines[way];
         line.lru = tick;
         Some(line)
+    }
+
+    /// Applies `op` to the sub-blocks `mask` covers in `filter`'s mark
+    /// bits of the line the last [`Cache::lookup`] hit or [`Cache::insert`]
+    /// filled, which must still be where that left it. Returns the test
+    /// result: whether every covered bit is set (`false` for the other
+    /// ops).
+    #[inline]
+    pub fn mark(&mut self, filter: FilterId, op: MarkOp, mask: u8) -> bool {
+        let f = filter.idx();
+        let (set, way) = self.touched;
+        let marks = &mut self.sets[set].lines[way].marks[f];
+        match op {
+            MarkOp::Set => {
+                *marks |= mask;
+                let words = self.marked_sets.len() / NUM_FILTERS;
+                self.marked_sets[f * words + set / 64] |= 1 << (set % 64);
+                false
+            }
+            MarkOp::Reset => {
+                *marks &= !mask;
+                false
+            }
+            MarkOp::Test => *marks & mask == mask,
+        }
     }
 
     /// Whether the line is resident.
@@ -207,8 +244,8 @@ impl Cache {
         debug_assert!(!self.contains(id), "insert of resident {id}");
         let tick = self.bump();
         let ways = self.config.ways;
-        let set = self.set_index(id);
-        let set = &mut self.sets[set];
+        let index = self.set_index(id);
+        let set = &mut self.sets[index];
         let victim = if set.tags.len() == ways {
             let (vi, _) = set
                 .lines
@@ -221,6 +258,7 @@ impl Cache {
             self.resident += 1;
             None
         };
+        self.touched = (index, set.tags.len());
         set.tags.push(id);
         set.lines.push(LineState {
             state,
@@ -242,15 +280,22 @@ impl Cache {
 
     /// Clears every mark bit of `filter` in the cache and reports how many
     /// lines carried that filter's marks (the `resetmarkall` instruction
-    /// clears marks *without* invalidating the lines themselves).
+    /// clears marks *without* invalidating the lines themselves). Visits
+    /// only the sets a mark was set in since the last clear.
     pub fn clear_all_marks(&mut self, filter: FilterId) -> u64 {
         let mut cleared = 0;
         let f = filter.idx();
-        for set in &mut self.sets {
-            for line in set.lines.iter_mut() {
-                if line.marks[f] != 0 {
-                    cleared += 1;
-                    line.marks[f] = 0;
+        let words = self.marked_sets.len() / NUM_FILTERS;
+        for w in 0..words {
+            let mut bits = std::mem::take(&mut self.marked_sets[f * words + w]);
+            while bits != 0 {
+                let set = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for line in &mut self.sets[set].lines {
+                    if line.marks[f] != 0 {
+                        cleared += 1;
+                        line.marks[f] = 0;
+                    }
                 }
             }
         }
@@ -294,15 +339,6 @@ impl Cache {
     pub fn config(&self) -> &CacheConfig {
         &self.config
     }
-}
-
-/// Validates a mark mask (low [`SUBBLOCKS_PER_LINE`] bits).
-#[inline]
-pub fn assert_mark_mask(mask: u8) {
-    debug_assert!(
-        mask != 0 && mask < (1 << SUBBLOCKS_PER_LINE),
-        "invalid mark mask {mask:#b}"
-    );
 }
 
 #[cfg(test)]
@@ -349,7 +385,8 @@ mod tests {
     fn eviction_carries_marks() {
         let mut c = tiny();
         c.insert(LineId(0), Mesi::Exclusive);
-        c.lookup(LineId(0)).unwrap().marks[0] = 0b0101;
+        c.lookup(LineId(0));
+        c.mark(FilterId::READ, MarkOp::Set, 0b0101);
         c.insert(LineId(2), Mesi::Exclusive);
         let victim = c.insert(LineId(4), Mesi::Exclusive).expect("evicts");
         assert_eq!(victim.id, LineId(0));
@@ -382,8 +419,9 @@ mod tests {
         let mut c = tiny();
         c.insert(LineId(0), Mesi::Exclusive);
         c.insert(LineId(1), Mesi::Exclusive);
-        c.lookup(LineId(1)).unwrap().marks[0] = 0b1111;
-        c.lookup(LineId(1)).unwrap().marks[1] = 0b0001;
+        c.lookup(LineId(1));
+        c.mark(FilterId::READ, MarkOp::Set, 0b1111);
+        c.mark(FilterId::WRITE, MarkOp::Set, 0b0001);
         assert_eq!(c.marked_lines(FilterId::READ), 1);
         assert_eq!(c.clear_all_marks(FilterId::READ), 1);
         assert_eq!(c.marked_lines(FilterId::READ), 0);
@@ -435,7 +473,7 @@ mod tests {
         // back in must start with clear marks and the new MESI state.
         let mut c = tiny();
         c.insert(LineId(0), Mesi::Modified);
-        c.lookup(LineId(0)).unwrap().marks[0] = 0b0011;
+        c.mark(FilterId::READ, MarkOp::Set, 0b0011);
         let evicted = c.remove(LineId(0)).expect("resident");
         assert!(evicted.is_marked());
         c.insert(LineId(0), Mesi::Shared);
@@ -525,10 +563,12 @@ mod tests {
                 match op {
                     Op::Touch(id, marks) => {
                         let id = LineId(id);
-                        let got = cache.lookup(id).map(|l| {
-                            l.marks = [l.marks[0] | marks[0], l.marks[1] | marks[1]];
-                            *l
-                        });
+                        let hit = cache.lookup(id).is_some();
+                        if hit {
+                            cache.mark(FilterId::READ, MarkOp::Set, marks[0]);
+                            cache.mark(FilterId::WRITE, MarkOp::Set, marks[1]);
+                        }
+                        let got = hit.then(|| *cache.peek(id).unwrap());
                         let want = model.lookup(id).map(|l| {
                             l.marks = [l.marks[0] | marks[0], l.marks[1] | marks[1]];
                             *l

@@ -8,12 +8,14 @@
 //!
 //! The one operation that need not wait is a stall ([`Cpu::tick`], and with
 //! it [`Cpu::exec`] and [`Cpu::mark_branch_penalty`]): it touches nothing
-//! but this core's own clock. On a plain run, with no quantum open, a stall
-//! is therefore *deferred* — added to the handle's own copy of the clock
-//! and to `Cpu::stalled_cycles` — and published into the shared clock by
-//! the next operation that does take a turn, before the gate decides on
-//! it. No other operation starts at a different `(clock, core)` for that,
-//! and the gate still admits them in that order; see DESIGN §5c.
+//! but this core's own clock. On a plain run a stall is therefore
+//! *deferred* — added to the handle's own copy of the clock and to
+//! `Cpu::stalled_cycles` — and published into the shared clock by the next
+//! operation that does take a turn, before the gate decides on it: at
+//! admission with no quantum open, or inside an open quantum, where the
+//! core gives up the turn if the stalls carried it past its bound. No
+//! other operation starts at a different `(clock, core)` for that, and the
+//! gate still admits them in that order; see DESIGN §5c.
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::cache::FilterId;
@@ -68,8 +70,7 @@ pub struct Cpu<'a> {
     /// whole run.
     plain: bool,
     /// Cycles of the stalls deferred since this core last took a turn, not
-    /// yet in `clocks[id]`. Nonzero only on a plain run with no quantum
-    /// open.
+    /// yet in `clocks[id]`. Nonzero only on a plain run.
     stalled_cycles: u64,
     /// How many stalls those were: not yet in `op_count`, and capped at
     /// [`STALL_DEFER_CAP`].
@@ -105,6 +106,7 @@ impl Drop for Cpu<'_> {
             if self.tracing && !self.trace_pending.is_empty() {
                 st.sys.trace_push_tail(self.id, &mut self.trace_pending);
             }
+            self.fold_stalls(&mut st);
             self.shared.handoff(st, self.id);
         } else if self.tracing && !self.trace_pending.is_empty() {
             let mut st = self.shared.state.lock();
@@ -212,15 +214,30 @@ impl<'a> Cpu<'a> {
     /// Waits until it is this core's turn, then returns the locked state.
     ///
     /// Inside an open quantum the guard is already held and admission was
-    /// decided by `finish`'s keep-check; otherwise this blocks in the gate
-    /// and, under [`GateMode::Quantum`], caches the competitor bound the
-    /// new quantum will run against.
+    /// decided by `finish`'s keep-check — unless stalls deferred since
+    /// then carried the core past its bound, when it gives up the turn
+    /// and waits for it again. Otherwise this blocks in the gate and,
+    /// under [`GateMode::Quantum`], caches the competitor bound the new
+    /// quantum will run against.
     #[inline]
     fn turn(&mut self) -> StateGuard<'a> {
-        if let Some(st) = self.held.take() {
-            return st;
+        if let Some(mut st) = self.held.take() {
+            if self.stalled_ops == 0 || self.fold_stalls(&mut st) {
+                return st;
+            }
+            self.shared.handoff(st, self.id);
         }
         self.admit()
+    }
+
+    /// Adds the stalls deferred inside the open quantum to this core's
+    /// clock and the op count; returns whether the core is still below
+    /// its bound.
+    fn fold_stalls(&mut self, st: &mut SimState) -> bool {
+        let clock = st.clocks[self.id] + std::mem::take(&mut self.stalled_cycles);
+        st.clocks[self.id] = clock;
+        st.op_count += std::mem::take(&mut self.stalled_ops);
+        self.bound.is_none_or(|b| (clock, self.id) < b)
     }
 
     /// Gate admission, out of line: everything that is decided once per
@@ -240,10 +257,11 @@ impl<'a> Cpu<'a> {
         st
     }
 
-    /// Adds the stalls deferred by [`Cpu::tick`] to this core's shared
-    /// clock and to the op count. That moves the turn like any other clock
-    /// advance, so it ends in a handoff: on host threads a core parked
-    /// behind the stale clock is woken by nothing else.
+    /// Adds the stalls deferred by [`Cpu::tick`] with no quantum open to
+    /// this core's shared clock and to the op count. That moves the turn
+    /// like any other clock advance, so it ends in a handoff: on host
+    /// threads a core parked behind the stale clock is woken by nothing
+    /// else.
     fn publish_stalls(&mut self) {
         if self.stalled_ops == 0 {
             return;
@@ -324,7 +342,7 @@ impl<'a> Cpu<'a> {
         if cycles == 0 {
             return;
         }
-        if self.plain && self.held.is_none() && self.stalled_ops < STALL_DEFER_CAP {
+        if self.plain && self.stalled_ops < STALL_DEFER_CAP {
             // Nothing to observe and nothing to touch but this core's own
             // clock: the stall takes no turn (module docs).
             self.stalled_cycles += cycles;

@@ -663,6 +663,12 @@ impl MemSystem {
             self.last_access = Some((line, false));
         }
         let (latency, was_miss) = self.ensure_resident(core, line, AccessKind::Load);
+        // Mark the line `ensure_resident` just refreshed or filled, before
+        // the prefetch below: that fills the next line, which lands in
+        // another set unless the L1 has only one, so marks and LRU order
+        // are as if the line were marked after it.
+        let marked = (self.isa == IsaLevel::Full)
+            .then(|| self.l1s[core].mark(filter, op, subblock_mask(addr, len)));
         self.stage(
             core,
             TraceEvent::CacheAccess {
@@ -679,32 +685,16 @@ impl MemSystem {
             }
         }
 
-        if self.isa == IsaLevel::Default {
+        let Some(result) = marked else {
             // §3.3 default behavior: loadsetmark increments the counter,
             // loadresetmark is a plain load, loadtestmark clears the flag.
             if op == MarkOp::Set {
                 self.bump_mark_counter(core, filter);
             }
             return (latency, false);
-        }
-
-        let mask = subblock_mask(addr, len);
-        let f = filter.idx();
-        let line_id = addr.line();
-        let line = self.l1s[core].lookup(line_id).expect("just filled");
-        let result = match op {
-            MarkOp::Set => {
-                line.marks[f] |= mask;
-                false
-            }
-            MarkOp::Reset => {
-                line.marks[f] &= !mask;
-                false
-            }
-            MarkOp::Test => line.marks[f] & mask == mask,
         };
         if op == MarkOp::Set {
-            self.stage(core, TraceEvent::MarkSet { line: line_id });
+            self.stage(core, TraceEvent::MarkSet { line });
         }
         if op == MarkOp::Test && result {
             self.core_stats[core].mark_test_hits += 1;

@@ -81,11 +81,6 @@ impl KernelStream {
     pub fn params(&self) -> &KernelParams {
         &self.params
     }
-
-    /// Number of critical sections in the stream.
-    pub fn section_count(&self) -> usize {
-        self.sections.len()
-    }
 }
 
 /// Generates the deterministic access stream for `params`.
