@@ -16,6 +16,13 @@
 //! core gives up the turn if the stalls carried it past its bound. No
 //! other operation starts at a different `(clock, core)` for that, and the
 //! gate still admits them in that order; see DESIGN §5c.
+//!
+//! Every per-op method is `#[inline]`, so a caller in another crate runs
+//! the op's fast arm in its own body rather than calling into this one
+//! (without LTO a crate edge is a real call). What is decided once per
+//! quantum or once per miss — admission, the gated stall, the epilogue of
+//! a run that is not plain, and the cache model's miss and upgrade paths
+//! — stays out of line.
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::cache::FilterId;
@@ -324,6 +331,7 @@ impl<'a> Cpu<'a> {
     /// Stalls until [`Cpu::now`] reaches `tick`; returns at once if it
     /// already has. The open-loop arrival wait of every simulated
     /// `TmExec`.
+    #[inline]
     pub fn idle_until(&mut self, tick: u64) {
         let now = self.now();
         if tick > now {
@@ -338,6 +346,7 @@ impl<'a> Cpu<'a> {
     /// [`crate::SchedulePolicy::Pct`] a stall of
     /// `machine::PCT_YIELD_CYCLES` or more demotes this core, so
     /// spin-waiters cannot starve the core they wait on.
+    #[inline]
     pub fn tick(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -350,6 +359,14 @@ impl<'a> Cpu<'a> {
             self.last_clock += cycles;
             return;
         }
+        self.gated_tick(cycles);
+    }
+
+    /// A stall that takes a turn: on a run that is not plain, or past
+    /// [`STALL_DEFER_CAP`]. Out of line, so the deferred arm above is all
+    /// that inlines into a caller.
+    #[inline(never)]
+    fn gated_tick(&mut self, cycles: u64) {
         let mut st = self.turn();
         if cycles >= crate::machine::PCT_YIELD_CYCLES {
             st.pct_note_yield(self.id);
@@ -359,6 +376,7 @@ impl<'a> Cpu<'a> {
 
     /// Executes `insns` non-memory instructions, charged at the cost
     /// model's sustained IPC (fractions carry over between calls).
+    #[inline]
     pub fn exec(&mut self, insns: u64) {
         let cycles = self.issue(insns);
         self.tick(cycles);
@@ -375,6 +393,7 @@ impl<'a> Cpu<'a> {
     /// reach it (on host threads it even races). Running the closure
     /// inside the gated op makes its effect atomic with the op and totally
     /// ordered by the deterministic admission schedule.
+    #[inline]
     pub fn exec_sync<R>(&mut self, insns: u64, f: impl FnOnce() -> R) -> R {
         let cycles = self.issue(insns);
         let st = self.turn();
@@ -384,6 +403,7 @@ impl<'a> Cpu<'a> {
     }
 
     /// Loads a naturally aligned `u64`.
+    #[inline]
     pub fn load_u64(&mut self, addr: Addr) -> u64 {
         let issue = self.issue(1);
         let mut st = self.turn();
@@ -398,6 +418,7 @@ impl<'a> Cpu<'a> {
     /// indivisible: were they two gated ops, a remote commit could land
     /// between them and the conflict it implies would never be delivered
     /// (a lost update).
+    #[inline]
     pub fn load_watch_u64(&mut self, addr: Addr, kind: WatchKind) -> u64 {
         let issue = self.issue(1);
         let mut st = self.turn();
@@ -409,6 +430,7 @@ impl<'a> Cpu<'a> {
     }
 
     /// Stores a naturally aligned `u64`.
+    #[inline]
     pub fn store_u64(&mut self, addr: Addr, value: u64) {
         let issue = self.issue(1);
         let mut st = self.turn();
@@ -419,6 +441,7 @@ impl<'a> Cpu<'a> {
 
     /// Atomic compare-and-swap on a `u64`. Returns the value observed at
     /// `addr`; the swap succeeded iff the return value equals `expected`.
+    #[inline]
     pub fn cas_u64(&mut self, addr: Addr, expected: u64, new: u64) -> u64 {
         let issue = self.issue(1);
         let mut st = self.turn();
@@ -434,6 +457,7 @@ impl<'a> Cpu<'a> {
         old
     }
 
+    #[inline]
     fn mark_load(&mut self, addr: Addr, len: u64, op: MarkOp, filter: FilterId) -> (u64, bool) {
         // Mark-setting loads issue an extra µop (store-queue entry, §7).
         let issue = self.issue(if op == MarkOp::Test { 1 } else { 2 });
@@ -450,12 +474,14 @@ impl<'a> Cpu<'a> {
 
     /// `loadsetmark(addr)`: loads the `u64` at `addr` and sets the mark bit
     /// of its 16-byte sub-block (primary filter).
+    #[inline]
     pub fn load_set_mark_u64(&mut self, addr: Addr) -> u64 {
         self.mark_load(addr, 8, MarkOp::Set, FilterId::READ).0
     }
 
     /// `loadresetmark(addr)`: loads the `u64` at `addr` and clears the mark
     /// bit of its sub-block (primary filter).
+    #[inline]
     pub fn load_reset_mark_u64(&mut self, addr: Addr) -> u64 {
         self.mark_load(addr, 8, MarkOp::Reset, FilterId::READ).0
     }
@@ -463,22 +489,26 @@ impl<'a> Cpu<'a> {
     /// `loadtestmark(addr)`: loads the `u64` at `addr`; the returned flag is
     /// the mark bit of its sub-block (primary filter; the paper's carry
     /// flag).
+    #[inline]
     pub fn load_test_mark_u64(&mut self, addr: Addr) -> (u64, bool) {
         self.mark_load(addr, 8, MarkOp::Test, FilterId::READ)
     }
 
     /// Filtered `loadsetmark`: operates on an explicit mark filter (§3.1's
     /// multiple-independent-filters extension).
+    #[inline]
     pub fn load_set_mark_u64_f(&mut self, filter: FilterId, addr: Addr) -> u64 {
         self.mark_load(addr, 8, MarkOp::Set, filter).0
     }
 
     /// Filtered `loadresetmark`.
+    #[inline]
     pub fn load_reset_mark_u64_f(&mut self, filter: FilterId, addr: Addr) -> u64 {
         self.mark_load(addr, 8, MarkOp::Reset, filter).0
     }
 
     /// Filtered `loadtestmark`.
+    #[inline]
     pub fn load_test_mark_u64_f(&mut self, filter: FilterId, addr: Addr) -> (u64, bool) {
         self.mark_load(addr, 8, MarkOp::Test, filter)
     }
@@ -486,6 +516,7 @@ impl<'a> Cpu<'a> {
     /// Line-granularity mark load: marks/tests the *whole line* but loads
     /// the addressed word, matching the paper's
     /// `loadsetmark_granularity64 eax, [addr]`.
+    #[inline]
     fn mark_load_line(&mut self, addr: Addr, op: MarkOp) -> (u64, bool) {
         let issue = self.issue(if op == MarkOp::Test { 1 } else { 2 });
         let mut st = self.turn();
@@ -503,18 +534,21 @@ impl<'a> Cpu<'a> {
 
     /// `loadsetmark_granularity64`: loads the `u64` at `addr` and sets all
     /// four mark bits of its line.
+    #[inline]
     pub fn load_set_mark_line(&mut self, addr: Addr) -> u64 {
         self.mark_load_line(addr, MarkOp::Set).0
     }
 
     /// `loadresetmark_granularity64`: loads the `u64` at `addr` and clears
     /// the whole line's mark bits.
+    #[inline]
     pub fn load_reset_mark_line(&mut self, addr: Addr) -> u64 {
         self.mark_load_line(addr, MarkOp::Reset).0
     }
 
     /// `loadtestmark_granularity64`: loads the `u64` at `addr`; the flag is
     /// the AND of all four mark bits of the line.
+    #[inline]
     pub fn load_test_mark_line(&mut self, addr: Addr) -> (u64, bool) {
         self.mark_load_line(addr, MarkOp::Test)
     }
@@ -589,6 +623,7 @@ impl<'a> Cpu<'a> {
 
     /// Charges the extra delay of a conditional branch that depends on the
     /// immediately preceding `loadtestmark` (§7.3).
+    #[inline]
     pub fn mark_branch_penalty(&mut self) {
         let extra = self.cost.mark_branch_extra;
         self.tick(extra);
@@ -691,6 +726,7 @@ impl<'a> Cpu<'a> {
     // the resulting run-to-run wobble.)
 
     /// Registers a watch on `addr`'s line; see [`WatchKind`].
+    #[inline]
     pub fn watch(&mut self, addr: Addr, kind: WatchKind) {
         let mut st = self.turn();
         st.sys.watch(self.id, addr.line(), kind);
@@ -705,6 +741,7 @@ impl<'a> Cpu<'a> {
     }
 
     /// The first violation recorded against this core's watches, if any.
+    #[inline]
     pub fn violation(&mut self) -> Option<WatchViolation> {
         let st = self.turn();
         let v = st.sys.violation(self.id);

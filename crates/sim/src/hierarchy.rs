@@ -479,12 +479,10 @@ impl MemSystem {
         other_has
     }
 
-    /// Ensures `line` is in the L2, back-invalidating L1 copies of the L2
-    /// victim if the hierarchy is inclusive.
+    /// Brings `line`, which the L2 was just probed for and does not hold,
+    /// into the L2, back-invalidating L1 copies of the L2 victim if the
+    /// hierarchy is inclusive.
     fn l2_fill(&mut self, line: LineId) {
-        if self.l2.lookup(line).is_some() {
-            return;
-        }
         if let Some(victim) = self.l2.insert(line, Mesi::Exclusive) {
             self.machine_stats.l2_evictions += 1;
             self.stage(0, TraceEvent::L2Evict { line: victim.id });
@@ -543,51 +541,59 @@ impl MemSystem {
     }
 
     /// Makes `line` resident in `core`'s L1 with sufficient permission,
-    /// returning `(latency, was_miss)`. The hit path is first (it resolves
-    /// almost every access once caches are warm) and retires on a single
-    /// `lookup`; only the Shared→Modified upgrade needs a second pass,
-    /// because the snoop walks the other L1s.
+    /// returning `(latency, was_miss)`. Only the hit arm is here, forced
+    /// into every op that reaches it: it resolves almost every access once
+    /// caches are warm, on a single `lookup`. The Shared→Modified upgrade
+    /// (whose snoop walks the other L1s) and the miss are out of line, so
+    /// their frames and saved registers are paid only when they run.
+    #[inline(always)]
     fn ensure_resident(&mut self, core: usize, line: LineId, kind: AccessKind) -> (u64, bool) {
-        if let Some(l) = self.l1s[core].lookup(line) {
-            let needs_upgrade = match (kind, l.state) {
-                (AccessKind::Load, _) | (_, Mesi::Modified) => false,
-                (_, Mesi::Exclusive) => {
-                    l.state = Mesi::Modified;
-                    false
-                }
-                (_, Mesi::Shared) => true,
-            };
-            self.core_stats[core].l1_hits += 1;
-            if !needs_upgrade {
-                return (self.l1_hit, false);
+        let Some(l) = self.l1s[core].lookup(line) else {
+            return (self.fill(core, line, kind), true);
+        };
+        let needs_upgrade = match (kind, l.state) {
+            (AccessKind::Load, _) | (_, Mesi::Modified) => false,
+            (_, Mesi::Exclusive) => {
+                l.state = Mesi::Modified;
+                false
             }
-            self.invalidate_others(core, line);
-            self.l1s[core].lookup(line).expect("resident").state = Mesi::Modified;
-            return (self.l1_hit + self.upgrade, false);
+            (_, Mesi::Shared) => true,
+        };
+        self.core_stats[core].l1_hits += 1;
+        if needs_upgrade {
+            return (self.upgrade(core, line), false);
         }
+        (self.l1_hit, false)
+    }
 
+    /// A write hit on a Shared line: invalidates the other copies and
+    /// takes the line to Modified. Returns the latency.
+    #[inline(never)]
+    fn upgrade(&mut self, core: usize, line: LineId) -> u64 {
+        self.invalidate_others(core, line);
+        self.l1s[core].lookup(line).expect("resident").state = Mesi::Modified;
+        self.l1_hit + self.upgrade
+    }
+
+    /// An L1 miss: snoops the other L1s, probes the L2 once (refreshing
+    /// the line there if it hits), fills the L2 and then the L1. Returns
+    /// the latency.
+    #[inline(never)]
+    fn fill(&mut self, core: usize, line: LineId, kind: AccessKind) -> u64 {
         self.core_stats[core].l1_misses += 1;
         let other_has_before = (0..self.cores()).any(|c| c != core && self.l1s[c].contains(line));
-        let in_l2 = self.l2.contains(line);
+        // The snoops below touch only L1s, so probing the L2 here leaves
+        // every L2 stamp what a probe after them would have made it.
+        let in_l2 = self.l2.lookup(line).is_some();
 
-        let (state, still_shared) = match kind {
+        let state = match kind {
             AccessKind::Store | AccessKind::Rmw => {
                 self.invalidate_others(core, line);
-                (Mesi::Modified, false)
+                Mesi::Modified
             }
-            AccessKind::Load => {
-                let shared = self.downgrade_others(core, line);
-                (
-                    if shared {
-                        Mesi::Shared
-                    } else {
-                        Mesi::Exclusive
-                    },
-                    shared,
-                )
-            }
+            AccessKind::Load if self.downgrade_others(core, line) => Mesi::Shared,
+            AccessKind::Load => Mesi::Exclusive,
         };
-        let _ = still_shared;
 
         let service = if in_l2 || other_has_before {
             self.core_stats[core].l2_hits += 1;
@@ -596,15 +602,29 @@ impl MemSystem {
             self.core_stats[core].mem_accesses += 1;
             self.mem_lat
         };
-        self.l2_fill(line);
+        if !in_l2 {
+            self.l2_fill(line);
+        }
         if let Some(victim) = self.l1s[core].insert(line, state) {
             self.on_l1_loss(core, victim, LossCause::Eviction);
         }
-        (service, true)
+        service
+    }
+
+    /// Next-line prefetch after a miss on `line`: fills (and pollutes) the
+    /// L1 off the critical path; charged no latency.
+    #[cold]
+    fn prefetch_after(&mut self, core: usize, line: LineId) {
+        let next = LineId(line.0 + 1);
+        if !self.l1s[core].contains(next) {
+            self.core_stats[core].prefetch_fills += 1;
+            self.ensure_resident(core, next, AccessKind::Load);
+        }
     }
 
     /// Performs a plain load or store by `core` at `addr`, returning the
     /// latency in cycles. (Data itself lives in [`crate::mem::Memory`].)
+    #[inline(always)]
     pub fn access(&mut self, core: usize, addr: Addr, kind: AccessKind) -> u64 {
         match kind {
             AccessKind::Load => self.core_stats[core].loads += 1,
@@ -629,13 +649,7 @@ impl MemSystem {
             lat = lat.min(self.cost.store_latency_cap);
         }
         if self.prefetch && was_miss {
-            // Next-line prefetch: fills (and pollutes) the L1 off the
-            // critical path; charged no latency.
-            let next = LineId(line.0 + 1);
-            if !self.l1s[core].contains(next) {
-                self.core_stats[core].prefetch_fills += 1;
-                self.ensure_resident(core, next, AccessKind::Load);
-            }
+            self.prefetch_after(core, line);
         }
         lat
     }
@@ -644,6 +658,7 @@ impl MemSystem {
     /// `filter`, returning `(latency, test_result)`. `test_result` is
     /// meaningful only for [`MarkOp::Test`] and is the logical AND of the
     /// covered mark bits.
+    #[inline(always)]
     pub fn mark_access(
         &mut self,
         core: usize,
@@ -667,8 +682,10 @@ impl MemSystem {
         // the prefetch below: that fills the next line, which lands in
         // another set unless the L1 has only one, so marks and LRU order
         // are as if the line were marked after it.
-        let marked = (self.isa == IsaLevel::Full)
-            .then(|| self.l1s[core].mark(filter, op, subblock_mask(addr, len)));
+        let marked = match self.isa {
+            IsaLevel::Full => Some(self.l1s[core].mark(filter, op, subblock_mask(addr, len))),
+            IsaLevel::Default => None,
+        };
         self.stage(
             core,
             TraceEvent::CacheAccess {
@@ -678,11 +695,7 @@ impl MemSystem {
             },
         );
         if self.prefetch && was_miss {
-            let next = LineId(line.0 + 1);
-            if !self.l1s[core].contains(next) {
-                self.core_stats[core].prefetch_fills += 1;
-                self.ensure_resident(core, next, AccessKind::Load);
-            }
+            self.prefetch_after(core, line);
         }
 
         let Some(result) = marked else {
@@ -815,6 +828,67 @@ mod tests {
         let lat_rmw = s.access(0, A, AccessKind::Rmw);
         assert_eq!(lat_rmw, c.l1_hit + c.upgrade);
         assert!(!s.l1_contains(1, A.line()));
+    }
+
+    #[test]
+    fn every_l1_hit_arm_by_kind_and_state() {
+        use AccessKind::{Load, Rmw, Store};
+        use Mesi::{Exclusive, Modified, Shared};
+        let c = CostModel::default();
+        let (hit, up, cap) = (c.l1_hit, c.l1_hit + c.upgrade, c.store_latency_cap);
+        // (kind, core 0's state before, latency, state after, core 1's
+        // invalidations)
+        let table = [
+            (Load, Modified, hit, Modified, 0),
+            (Load, Exclusive, hit, Exclusive, 0),
+            (Load, Shared, hit, Shared, 0),
+            (Store, Modified, hit.min(cap), Modified, 0),
+            (Store, Exclusive, hit.min(cap), Modified, 0),
+            (Store, Shared, up.min(cap), Modified, 1),
+            (Rmw, Modified, hit, Modified, 0),
+            (Rmw, Exclusive, hit, Modified, 0),
+            (Rmw, Shared, up, Modified, 1),
+        ];
+        for (kind, before, lat, after, invals) in table {
+            let mut s = sys(2);
+            let warm: &[(usize, AccessKind)] = match before {
+                Modified => &[(0, Store)],
+                Exclusive => &[(0, Load)],
+                Shared => &[(0, Load), (1, Load)],
+            };
+            for &(core, k) in warm {
+                s.access(core, A, k);
+            }
+            assert_eq!(s.l1s[0].peek(A.line()).unwrap().state, before);
+            s.reset_stats();
+            let case = format!("{kind:?} on {before:?}");
+            assert_eq!(s.access(0, A, kind), lat, "{case}: latency");
+            assert_eq!(s.l1s[0].peek(A.line()).unwrap().state, after, "{case}");
+            assert_eq!(s.core_stats[0].l1_hits, 1, "{case}: l1_hits");
+            assert_eq!(s.core_stats[0].l1_misses, 0, "{case}: l1_misses");
+            let got = s.core_stats[1].invalidations_received;
+            assert_eq!(got, invals, "{case}: invalidations");
+        }
+    }
+
+    #[test]
+    fn an_l1_miss_served_by_the_l2_refreshes_the_l2_line() {
+        // Lines 0, 16, 32, 48, 64 share L2 set 0 (4 ways) and L1 set 0 (2
+        // ways), so line 0 leaves the L1 but stays in the L2.
+        let line = |k: u64| Addr(16 * 64 * k);
+        let mut s = sys(1);
+        for k in 0..4 {
+            s.access(0, line(k), AccessKind::Load);
+        }
+        assert!(!s.l1_contains(0, line(0).line()));
+        s.access(0, line(0), AccessKind::Load);
+        assert_eq!(s.core_stats[0].l2_hits, 1, "the L2 serves line 0");
+        // The L2 set is full; its least recently used line is now 16.
+        s.access(0, line(4), AccessKind::Load);
+        assert!(s.l2.contains(line(0).line()), "line 0 was refreshed");
+        assert!(!s.l2.contains(line(1).line()), "line 16 is the victim");
+        assert!(s.l1_contains(0, line(0).line()));
+        assert_eq!(s.machine_stats.back_invalidations, 0);
     }
 
     // --- Figure 1 state machine: mark bits ---

@@ -117,6 +117,7 @@ impl Memory {
     ///
     /// Panics if `addr` is not 8-byte aligned (simulated code is required to
     /// use natural alignment so accesses never straddle sub-blocks).
+    #[inline]
     pub fn read_u64(&self, addr: Addr) -> u64 {
         assert!(addr.is_aligned(8), "unaligned u64 read at {addr}");
         match self.page(addr) {
@@ -133,6 +134,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `addr` is not 8-byte aligned.
+    #[inline]
     pub fn write_u64(&mut self, addr: Addr, value: u64) {
         assert!(addr.is_aligned(8), "unaligned u64 write at {addr}");
         let o = Self::page_offset(addr);

@@ -1,15 +1,30 @@
 #!/bin/sh
 # Where a binary's CPU time goes, on a host without `perf`:
 #
-#     scripts/profile.sh <binary> [args...]
+#     scripts/profile.sh [--by-file] <binary> [args...]
 #
 # builds scripts/sigprof.c, preloads it into the run (whose own output goes
-# to stderr), and folds the sampled addresses into per-function shares — a
-# sample counts for the function whose code it is in, inlined callees
-# included, every function sampled, largest share first. Build the binary
-# with debug info (this workspace's release profile has it).
+# to stderr), and folds the sampled addresses, every key sampled, largest
+# share first:
+#
+# - by default into per-function shares: a sample counts for the function
+#   whose code it is in, inlined callees included;
+# - with --by-file into per-source-file shares: a sample counts for the
+#   file of the innermost frame, inlined frames included, that is not the
+#   Rust standard library's (a slice index or `Option::map` counts for the
+#   code that called it). Files are named from their crate directory on
+#   (`sim/src/hierarchy.rs`, `core/src/barrier.rs`, `benchmark/src/sim.rs`),
+#   so this is the split by layer even where inlining has merged the layers'
+#   functions into one.
+#
+# Build the binary with debug info (this workspace's release profile has it).
 set -eu
-[ $# -ge 1 ] || { echo "usage: $0 <binary> [args...]" >&2; exit 2; }
+by=function
+if [ "${1:-}" = --by-file ]; then
+    by=file
+    shift
+fi
+[ $# -ge 1 ] || { echo "usage: $0 [--by-file] <binary> [args...]" >&2; exit 2; }
 here=$(cd "$(dirname "$0")" && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -20,11 +35,26 @@ SIGPROF_OUT="$tmp/samples" LD_PRELOAD="$tmp/sigprof.so" "$bin" "$@" >&2
 # `addr2line -a -f -i`: the address, then a function line and a file:line
 # line per frame, innermost first; the last function line before the next
 # address is the frame that was not inlined.
-addr2line -a -f -C -i -e "$bin" <"$tmp/samples" | awk '
-    /^0x/ { if (fn != "") hits[fn]++; fn = ""; frame_line = 0; samples++; next }
-    { if (++frame_line % 2 == 1) fn = $0 }
+addr2line -a -f -C -i -e "$bin" <"$tmp/samples" | awk -v by="$by" '
+    function tally() {
+        if (frame_line == 0) return
+        key = by == "file" ? (own != "" ? own : innermost) : fn
+        if (key != "") hits[key]++
+    }
+    /^0x/ { tally(); fn = own = innermost = ""; frame_line = 0; samples++; next }
+    ++frame_line % 2 == 1 { fn = $0; next }
+    {
+        path = $0
+        sub(/:[0-9?]*( \(discriminator [0-9]+\))?$/, "", path)
+        std = path ~ /^\/rustc\// || path ~ /\/library\/(core|alloc|std)\//
+        if (match(path, /\/(crates|shims)\//)) path = substr(path, RSTART + RLENGTH)
+        else if (match(path, /\/(benchmark|library)\//)) path = substr(path, RSTART + 1)
+        else sub(/.*\//, "", path)
+        if (innermost == "") innermost = path
+        if (own == "" && !std) own = path
+    }
     END {
-        if (fn != "") hits[fn]++
-        printf "%d samples\n", samples
-        for (fn in hits) printf "%6.2f%% %8d  %s\n", 100 * hits[fn] / samples, hits[fn], fn
+        tally()
+        printf "%d samples, by %s\n", samples, by
+        for (key in hits) printf "%6.2f%% %8d  %s\n", 100 * hits[key] / samples, hits[key], key
     }' | sort -k1,1 -s -t% -rn
