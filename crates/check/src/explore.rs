@@ -397,6 +397,33 @@ mod tests {
     }
 
     #[test]
+    fn a_pin_ended_by_a_stall_leaves_backoff_to_separate_the_cores() {
+        // The explorer's 19th run at three threads. The favored core's
+        // backoff ends its pin; the watermark that keeps pinned clocks in
+        // one timeline used to stay on for the rest of the run, so every
+        // core's backoff moved every other core's clock and the three
+        // cores aborted one another forever.
+        let _quiet = arm(None);
+        let trial = ExploreConfig {
+            threads: 3,
+            ..ExploreConfig::default()
+        }
+        .trial();
+        let plan = RunPlan {
+            preemptions: crate::parse_trace("54@2").unwrap(),
+            ..RunPlan::default()
+        };
+        let (done, verdict) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(crate::check_trial_plan(&trial, &plan, true).map(|_| ()));
+        });
+        verdict
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the replay livelocked")
+            .unwrap();
+    }
+
+    #[test]
     fn pruning_dedups_equivalent_traces() {
         // With a bound of 2 the frontier revisits schedules reachable via
         // different traces (e.g. a directive at a no-op position); pruning

@@ -15,8 +15,12 @@
 //! cargo run -p hastm-check --release -- --replay \
 //!     --workload counter --combo hastm:obj:full:watermark \
 //!     --sched pct:3 --seed 17 --threads 3 --ops 8
+//!
+//! # Every sweep CI runs, each checked against its expected result:
+//! cargo run -p hastm-check --release -- --ci
 //! ```
 
+mod ci;
 use std::process::ExitCode;
 
 use hastm_check::explore::{explore, ExploreConfig};
@@ -42,6 +46,7 @@ USAGE:
                 [--threads N] [--ops N] [--trace T] [--trace-out FILE]
     hastm-check --validate-trace FILE
     hastm-check --list-combos
+    hastm-check --ci
 
 Each form takes only the options it lists.
 
@@ -49,6 +54,7 @@ OPTIONS:
     --seeds N        consecutive seeds to sweep            [default: 50]
     --start-seed N   first seed                            [default: 0]
     --threads N      worker threads per trial              [default: 3]
+                     (--explore: 1 to 3, default 2)
     --ops N          operations per thread per trial       [default: 32]
     --sched S        schedule policy: fuzzed | pct:<depth> | det
                                                            [default: fuzzed]
@@ -85,6 +91,8 @@ OPTIONS:
                      check that FILE is well-formed Chrome trace JSON, print
                      its event count, and exit
     --list-combos    print every combination slug and exit
+    --ci             run every sweep CI runs, each as a child process, and
+                     check each one's output against its expected lines
     --help           this text
 ";
 
@@ -115,7 +123,7 @@ struct Args {
     coverage: bool,
     seeds: u64,
     start_seed: u64,
-    threads: usize,
+    threads: Option<usize>,
     ops: Option<u64>,
     workload: Option<Workload>,
     combo: Option<Combo>,
@@ -138,7 +146,6 @@ struct Args {
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         seeds: 50,
-        threads: 3,
         pct_sched: Sched::Pct { depth: 3 },
         bound: 2,
         max_runs: 2_000,
@@ -149,12 +156,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
-            "--replay" | "--list-combos" | "--explore" => {}
+            "--replay" | "--list-combos" | "--explore" | "--ci" => {}
             "--quiet" => args.quiet = true,
             "--coverage" => args.coverage = true,
             "--seeds" => args.seeds = num(&value("--seeds")?)?,
             "--start-seed" => args.start_seed = num(&value("--start-seed")?)?,
-            "--threads" => args.threads = num(&value("--threads")?)? as usize,
+            "--threads" => args.threads = Some(num(&value("--threads")?)? as usize),
             "--ops" => args.ops = Some(num(&value("--ops")?)?),
             "--seed" => args.seed = num(&value("--seed")?)?,
             "--sched" => args.sched = Sched::parse(&value("--sched")?)?,
@@ -194,8 +201,15 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         args.sched = args.pct_sched;
         args.coverage = true;
     }
-    if args.threads == 0 || args.ops == Some(0) {
+    if args.threads == Some(0) || args.ops == Some(0) {
         return Err("--threads and --ops must be at least 1".into());
+    }
+    if form == "--explore" && *args.threads.get_or_insert(ExploreConfig::default().threads) > 3 {
+        return Err("--explore runs 1 to 3 threads".into());
+    }
+    // A sweep that runs no seed would still print `OK`.
+    if args.seeds == 0 || args.start_seed.checked_add(args.seeds).is_none() {
+        return Err("--seeds/--pct must be at least 1 and --start-seed plus it below 2^64".into());
     }
     Ok(args)
 }
@@ -282,7 +296,7 @@ fn replay(args: &Args) -> Result<ExitCode, String> {
         combo: args.combo.ok_or("--replay needs --combo")?,
         workload: args.workload.ok_or("--replay needs --workload")?,
         seed: args.seed,
-        threads: args.threads,
+        threads: args.threads.unwrap_or(3),
         ops: args.ops.unwrap_or(32),
         sched: args.sched,
     };
@@ -318,7 +332,7 @@ fn run_explore(args: &Args) -> ExitCode {
         combo: args.combo.unwrap_or(defaults.combo),
         workload: args.workload.unwrap_or(defaults.workload),
         seed: args.seed,
-        threads: args.threads.min(3),
+        threads: args.threads.unwrap_or(defaults.threads),
         ops: args.ops.unwrap_or(2),
         bound: args.bound,
         max_runs: args.max_runs,
@@ -391,6 +405,9 @@ fn dispatch(args: &Args) -> Result<ExitCode, String> {
     if args.form == "--explore" {
         return Ok(run_explore(args));
     }
+    if args.form == "--ci" {
+        return ci::run();
+    }
     let mut clean = true;
     if args.backend != Backend::Native {
         clean &= run_sim_suite(args);
@@ -432,7 +449,7 @@ fn run_sim_suite(args: &Args) -> bool {
     let mut cfg = CheckConfig {
         seeds: args.seeds,
         start_seed: args.start_seed,
-        threads: args.threads,
+        threads: args.threads.unwrap_or(3),
         ops: args.ops.unwrap_or(32),
         sched: args.sched,
         coverage: args.coverage,
@@ -578,6 +595,7 @@ mod tests {
             ),
             ("--replay --explore", "--replay", "--explore"),
             ("--list-combos --quiet", "--quiet", "--list-combos"),
+            ("--ci --seeds 49", "--seeds", "--ci"),
             (
                 "--validate-trace t.json --seed 1",
                 "--seed",
@@ -602,9 +620,42 @@ mod tests {
             "--replay --workload counter --combo hytm:obj:full --sched det --seed 0",
             "--validate-trace trace.json",
             "--list-combos",
+            "--ci",
         ] {
             parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
+    }
+
+    #[test]
+    fn a_sweep_that_would_run_nothing_is_an_error() {
+        for line in [
+            "--seeds 0",
+            "--pct 0",
+            "--backend native --seeds 0",
+            "--start-seed 18446744073709551615 --seeds 2",
+            "--pct 2 --start-seed 18446744073709551615",
+            "--start-seed 18446744073709551615 --seeds 1",
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(
+                err.starts_with("--seeds/--pct must be at least 1"),
+                "{line}: {err}"
+            );
+        }
+        let last = parse("--start-seed 18446744073709551614 --seeds 1").unwrap();
+        assert_eq!((last.start_seed, last.seeds), (u64::MAX - 1, 1));
+    }
+
+    #[test]
+    fn explore_defaults_to_its_own_thread_count_and_rejects_more_than_three() {
+        let threads = |line| parse(line).unwrap().threads;
+        assert_eq!(threads("--explore"), Some(ExploreConfig::default().threads));
+        assert_eq!(threads("--explore --threads 3"), Some(3));
+        assert_eq!(
+            parse("--explore --threads 9").unwrap_err(),
+            "--explore runs 1 to 3 threads"
+        );
+        assert_eq!(parse("--threads 9").unwrap().threads, Some(9));
     }
 
     #[test]

@@ -115,15 +115,13 @@ fn dropped_discard_event_is_caught_by_reconciliation() {
         // Op 1 resets the counter, op 2 is the marking load; the fault
         // fires once op 2 completes and back-invalidates the only
         // resident L2 line, the marked one.
-        let mut m = Machine::new(MachineConfig {
-            trace: Some(TraceConfig::default()),
-            faults: vec![FaultEvent {
-                at_op: 2,
-                core: 0,
-                kind: FaultKind::BackInvalidate { nth: 0 },
-            }],
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig::default());
+        m.set_tracing(Some(TraceConfig::default()));
+        m.set_faults(vec![FaultEvent {
+            at_op: 2,
+            core: 0,
+            kind: FaultKind::BackInvalidate { nth: 0 },
+        }]);
         let (counter, report) = m.run_one(|cpu| {
             cpu.reset_mark_counter();
             cpu.load_set_mark_u64(Addr(0x700));

@@ -116,9 +116,9 @@ fn run(s: &Scenario) -> Vec<(u64, u64)> {
 fn run_traced(s: &Scenario) -> (TimeBreakdown, PhaseSums, bool) {
     let mut m = Machine::new(MachineConfig {
         schedule: s.schedule,
-        trace: Some(TraceConfig::default()),
         ..MachineConfig::with_cores(s.threads)
     });
+    m.set_tracing(Some(TraceConfig::default()));
     let config = match s.barrier {
         BarrierKind::Stm => StmConfig::stm(s.granularity),
         BarrierKind::Hastm => StmConfig::hastm(s.granularity, s.policy),

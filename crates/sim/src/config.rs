@@ -273,27 +273,6 @@ pub struct MachineConfig {
     /// overtaken quantum gating (see [`GateMode`]). Schedule-identical;
     /// only host-side synchronization cost differs.
     pub gate: GateMode,
-    /// Explicit preemption trace (must be sorted by `at_op`): schedule
-    /// directives that favor a chosen core from a chosen global op index.
-    /// Empty means no steering. Composes with any [`SchedulePolicy`]; while
-    /// a directive is in force it overrides the policy's priorities.
-    pub preemptions: Vec<Preemption>,
-    /// Fault-injection plan (must be sorted by `at_op`): forced evictions,
-    /// back-invalidations, and spurious aborts at chosen op indices. Empty
-    /// means no injected faults.
-    pub faults: Vec<FaultEvent>,
-    /// Record the per-op schedule log (admitted core + touched line per
-    /// gated op) during runs, retrievable via `Machine::take_schedule_log`.
-    /// Off by default; the explorer uses it to find conflict ops and to
-    /// fingerprint schedules.
-    pub record_schedule: bool,
-    /// Structured event tracing (see [`crate::trace`]). `None` (the
-    /// default) records nothing and keeps every emission site a single
-    /// never-taken branch: disabled runs are allocation-free and
-    /// bit-identical to a build without the tracing layer. Also armed and
-    /// harvested at run time via `Machine::set_tracing` /
-    /// `Machine::take_trace`.
-    pub trace: Option<crate::trace::TraceConfig>,
 }
 
 impl MachineConfig {
@@ -318,10 +297,6 @@ impl Default for MachineConfig {
             cost: CostModel::default(),
             schedule: SchedulePolicy::default(),
             gate: GateMode::default(),
-            preemptions: Vec::new(),
-            faults: Vec::new(),
-            record_schedule: false,
-            trace: None,
         }
     }
 }
@@ -373,13 +348,5 @@ mod tests {
             SchedulePolicy::Pct { seed: 0, depth: 2 },
             SchedulePolicy::Fuzzed { seed: 0 }
         );
-    }
-
-    #[test]
-    fn exploration_config_defaults_are_empty() {
-        let m = MachineConfig::default();
-        assert!(m.preemptions.is_empty());
-        assert!(m.faults.is_empty());
-        assert!(!m.record_schedule);
     }
 }

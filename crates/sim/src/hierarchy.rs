@@ -225,10 +225,7 @@ impl MemSystem {
             scratch: Vec::new(),
             record_accesses: false,
             last_access: None,
-            trace: config
-                .trace
-                .as_ref()
-                .map(|tc| TraceRecorder::new(cores, tc)),
+            trace: None,
         }
     }
 

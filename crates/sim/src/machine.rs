@@ -189,7 +189,7 @@ impl PctState {
 }
 
 /// One entry of the recorded schedule log
-/// ([`MachineConfig::record_schedule`]): which core the gate admitted for
+/// ([`Machine::set_record_schedule`]): which core the gate admitted for
 /// each global op, and the memory line that op touched (if it made a
 /// data access).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -234,15 +234,17 @@ pub(crate) struct SimState {
     /// Global count of gated ops completed in the current run.
     pub(crate) op_count: u64,
     /// Explicit preemption trace (sorted by `at_op`); see
-    /// [`MachineConfig::preemptions`].
+    /// [`Machine::set_preemptions`].
     preemptions: Vec<Preemption>,
     /// Next unfired entry of `preemptions`.
     trace_pos: usize,
-    /// Core currently favored by the preemption trace: while it is active
-    /// it runs exclusively, overriding every schedule policy.
+    /// Core currently favored by the preemption trace: it runs
+    /// exclusively, overriding every schedule policy. Always an active
+    /// core: the pin ends (`SimState::end_pin`) when it stalls or finishes,
+    /// and a directive naming a finished core ends it too.
     favored: Option<usize>,
     /// Fault-injection plan (sorted by `at_op`); see
-    /// [`MachineConfig::faults`].
+    /// [`Machine::set_faults`].
     faults: Vec<FaultEvent>,
     /// Next unfired entry of `faults`.
     fault_pos: usize,
@@ -250,13 +252,14 @@ pub(crate) struct SimState {
     record_schedule: bool,
     /// Per-op schedule log of the current run (when recording is on).
     schedule_log: Vec<ScheduleEvent>,
-    /// End time (cycles) of the latest op completed under a *rank-based*
-    /// schedule (PCT ranks or a preemption trace's favored pin). Those
-    /// policies admit cores out of clock order; a core admitted with a
-    /// lagging clock was descheduled, not executing in the past, so its
-    /// clock jumps to this watermark at admission. That keeps per-core
-    /// clocks embeddable in one global timeline — the property the
-    /// serializability oracle's commit-window analysis relies on.
+    /// End time (cycles) of the latest completed op (kept on runs that are
+    /// not plain). PCT ranks and a preemption trace's favored pin admit
+    /// cores out of clock order; a core admitted with a lagging clock was
+    /// descheduled, not executing in the past, so its clock jumps to this
+    /// watermark at admission, and every waiting core's does when a pin
+    /// ends. That keeps per-core clocks embeddable in one global timeline —
+    /// the property the serializability oracle's commit-window analysis
+    /// relies on.
     serial_now: u64,
 }
 
@@ -272,13 +275,11 @@ impl SimState {
     /// jitter term when schedule perturbation is on.
     fn priority(&self, core: usize) -> u64 {
         if let Some(f) = self.favored {
-            if self.active[f] {
-                return if core == f {
-                    0
-                } else {
-                    self.clocks[core] | FAVOR_DEMOTED
-                };
-            }
+            return if core == f {
+                0
+            } else {
+                self.clocks[core] | FAVOR_DEMOTED
+            };
         }
         if let Some(pct) = &self.pct {
             return pct.ranks[core];
@@ -349,19 +350,30 @@ impl SimState {
         }
     }
 
-    /// Whether the current policy admits cores by rank rather than clock
-    /// (PCT, or an explicit preemption trace) — the policies that need the
-    /// `serial_now` causal clock sync.
-    fn rank_based(&self) -> bool {
-        self.pct.is_some() || !self.preemptions.is_empty()
+    /// Admission hook: while cores are admitted by rank rather than clock
+    /// (under PCT, or while a preemption directive's pin is in force),
+    /// pulls the admitted core's clock up to the end of the latest
+    /// completed op, so an op's cycle window never precedes work that was
+    /// admitted before it. Outside a pin the clocks order admission again,
+    /// and a core's stall must not move anyone else's clock: otherwise
+    /// backoff never separates contenders.
+    pub(crate) fn note_admission(&mut self, core: usize) {
+        if (self.pct.is_some() || self.favored.is_some()) && self.clocks[core] < self.serial_now {
+            self.clocks[core] = self.serial_now;
+        }
     }
 
-    /// Admission hook: under a rank-based schedule, pulls the admitted
-    /// core's clock up to the end of the latest completed op, so an op's
-    /// cycle window never precedes work that was admitted before it.
-    pub(crate) fn note_admission(&mut self, core: usize) {
-        if self.rank_based() && self.clocks[core] < self.serial_now {
-            self.clocks[core] = self.serial_now;
+    /// Ends the preemption pin, if one is in force: raises every active
+    /// core's clock to the watermark once, so the cores that waited out the
+    /// pin resume after the work it admitted, and the clocks stay
+    /// embeddable in one timeline.
+    fn end_pin(&mut self) {
+        if self.favored.take().is_some() {
+            for (clock, &active) in self.clocks.iter_mut().zip(&self.active) {
+                if active && *clock < self.serial_now {
+                    *clock = self.serial_now;
+                }
+            }
         }
     }
 
@@ -373,9 +385,7 @@ impl SimState {
     /// occasionally injects cache pressure.
     pub(crate) fn after_op(&mut self, core: usize) {
         self.op_count += 1;
-        if self.rank_based() && self.serial_now < self.clocks[core] {
-            self.serial_now = self.clocks[core];
-        }
+        self.serial_now = self.serial_now.max(self.clocks[core]);
         if self.record_schedule {
             let line = self.sys.take_last_access();
             self.schedule_log.push(ScheduleEvent {
@@ -432,7 +442,7 @@ impl SimState {
             pct.next_demote += 1;
         }
         if self.favored == Some(core) {
-            self.favored = None;
+            self.end_pin();
         }
     }
 
@@ -443,8 +453,13 @@ impl SimState {
         while self.trace_pos < self.preemptions.len()
             && self.preemptions[self.trace_pos].at_op <= self.op_count
         {
-            self.favored = Some(self.preemptions[self.trace_pos].core);
+            let core = self.preemptions[self.trace_pos].core;
             self.trace_pos += 1;
+            if self.active[core] {
+                self.favored = Some(core);
+            } else {
+                self.end_pin();
+            }
         }
         while self.fault_pos < self.faults.len()
             && self.faults[self.fault_pos].at_op <= self.op_count
@@ -488,6 +503,9 @@ impl Shared {
                 if st.active[id] {
                     st.active[id] = false;
                     st.active_count -= 1;
+                }
+                if st.favored == Some(id) {
+                    st.end_pin();
                 }
                 // Deactivation can promote another core to minimal.
                 shared.handoff(st, id);
@@ -549,22 +567,9 @@ impl Machine {
             SchedulePolicy::Deterministic | SchedulePolicy::Pct { .. } => None,
             SchedulePolicy::Fuzzed { seed } => Some(FuzzState::new(seed, config.cores)),
         };
-        debug_assert!(
-            config
-                .preemptions
-                .windows(2)
-                .all(|w| w[0].at_op <= w[1].at_op),
-            "preemption trace must be sorted by at_op"
-        );
-        debug_assert!(
-            config.faults.windows(2).all(|w| w[0].at_op <= w[1].at_op),
-            "fault plan must be sorted by at_op"
-        );
-        let mut sys = MemSystem::new(&config);
-        sys.set_record_accesses(config.record_schedule);
         let state = SimState {
             mem: Memory::new(),
-            sys,
+            sys: MemSystem::new(&config),
             clocks: vec![0; config.cores],
             active: vec![false; config.cores],
             active_count: 0,
@@ -572,13 +577,13 @@ impl Machine {
             fuzz,
             pct: None,
             op_count: 0,
-            preemptions: config.preemptions.clone(),
+            preemptions: Vec::new(),
             trace_pos: 0,
             favored: None,
             serial_now: 0,
-            faults: config.faults.clone(),
+            faults: Vec::new(),
             fault_pos: 0,
-            record_schedule: config.record_schedule,
+            record_schedule: false,
             schedule_log: Vec::new(),
         };
         Machine {
@@ -617,7 +622,6 @@ impl Machine {
             trace.windows(2).all(|w| w[0].at_op <= w[1].at_op),
             "preemption trace must be sorted by at_op"
         );
-        self.config.preemptions = trace.clone();
         self.shared.state.get_mut().preemptions = trace;
     }
 
@@ -628,21 +632,18 @@ impl Machine {
             plan.windows(2).all(|w| w[0].at_op <= w[1].at_op),
             "fault plan must be sorted by at_op"
         );
-        self.config.faults = plan.clone();
         self.shared.state.get_mut().faults = plan;
     }
 
     /// Turns per-op schedule-log recording on or off for subsequent runs.
     pub fn set_record_schedule(&mut self, on: bool) {
-        self.config.record_schedule = on;
         let st = self.shared.state.get_mut();
         st.record_schedule = on;
         st.sys.set_record_accesses(on);
     }
 
     /// Takes (and clears) the schedule log recorded by the most recent run.
-    /// Empty unless [`MachineConfig::record_schedule`] (or
-    /// [`Machine::set_record_schedule`]) enabled recording.
+    /// Empty unless [`Machine::set_record_schedule`] enabled recording.
     pub fn take_schedule_log(&mut self) -> Vec<ScheduleEvent> {
         std::mem::take(&mut self.shared.state.get_mut().schedule_log)
     }
@@ -653,7 +654,6 @@ impl Machine {
     /// charges no cycles, gates no ops, and leaves the simulated run
     /// bit-identical to an untraced run.
     pub fn set_tracing(&mut self, config: Option<crate::trace::TraceConfig>) {
-        self.config.trace = config;
         self.shared.state.get_mut().sys.set_trace(config);
     }
 
@@ -1000,10 +1000,8 @@ mod tests {
         // Core 0 would normally run first (clock tie broken by id); the
         // directive favors core 1 from op 0, so its store is ordered
         // before core 0's load.
-        let mut m = Machine::new(MachineConfig {
-            preemptions: vec![Preemption { at_op: 0, core: 1 }],
-            ..MachineConfig::with_cores(2)
-        });
+        let mut m = Machine::new(MachineConfig::with_cores(2));
+        m.set_preemptions(vec![Preemption { at_op: 0, core: 1 }]);
         m.run(vec![
             Box::new(|cpu: &mut Cpu| {
                 assert_eq!(
@@ -1021,14 +1019,12 @@ mod tests {
     #[test]
     fn preemption_trace_switches_at_op_and_is_logged() {
         use crate::config::Preemption;
-        let mut m = Machine::new(MachineConfig {
-            preemptions: vec![
-                Preemption { at_op: 0, core: 1 },
-                Preemption { at_op: 2, core: 0 },
-            ],
-            record_schedule: true,
-            ..MachineConfig::with_cores(2)
-        });
+        let mut m = Machine::new(MachineConfig::with_cores(2));
+        m.set_preemptions(vec![
+            Preemption { at_op: 0, core: 1 },
+            Preemption { at_op: 2, core: 0 },
+        ]);
+        m.set_record_schedule(true);
         m.run(vec![
             Box::new(|cpu: &mut Cpu| {
                 for i in 0..4 {
@@ -1066,14 +1062,12 @@ mod tests {
         // Op 1 = reset counter, op 2 = marking load; the fault fires once
         // op 2 completes and evicts the only resident L1 line — the marked
         // one — bumping the counter exactly like an organic eviction.
-        let mut m = Machine::new(MachineConfig {
-            faults: vec![FaultEvent {
-                at_op: 2,
-                core: 0,
-                kind: FaultKind::EvictL1 { nth: 0 },
-            }],
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig::default());
+        m.set_faults(vec![FaultEvent {
+            at_op: 2,
+            core: 0,
+            kind: FaultKind::EvictL1 { nth: 0 },
+        }]);
         let (counter, _) = m.run_one(|cpu| {
             cpu.reset_mark_counter();
             cpu.load_set_mark_u64(Addr(0x700));
@@ -1081,14 +1075,12 @@ mod tests {
         });
         assert_eq!(counter, 1, "forced eviction must bump the mark counter");
 
-        let mut m = Machine::new(MachineConfig {
-            faults: vec![FaultEvent {
-                at_op: 2,
-                core: 0,
-                kind: FaultKind::BackInvalidate { nth: 0 },
-            }],
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig::default());
+        m.set_faults(vec![FaultEvent {
+            at_op: 2,
+            core: 0,
+            kind: FaultKind::BackInvalidate { nth: 0 },
+        }]);
         let (counter, _) = m.run_one(|cpu| {
             cpu.reset_mark_counter();
             cpu.load_set_mark_u64(Addr(0x700));
@@ -1104,14 +1096,12 @@ mod tests {
     fn fault_plan_injects_spurious_abort() {
         use crate::config::{FaultEvent, FaultKind};
         use crate::hierarchy::{ViolationCause, WatchKind};
-        let mut m = Machine::new(MachineConfig {
-            faults: vec![FaultEvent {
-                at_op: 1,
-                core: 0,
-                kind: FaultKind::SpuriousAbort,
-            }],
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig::default());
+        m.set_faults(vec![FaultEvent {
+            at_op: 1,
+            core: 0,
+            kind: FaultKind::SpuriousAbort,
+        }]);
         let (violation, _) = m.run_one(|cpu| {
             cpu.load_watch_u64(Addr(0x800), WatchKind::Read);
             cpu.violation()
@@ -1126,14 +1116,12 @@ mod tests {
     #[test]
     fn spurious_abort_without_watches_is_a_noop() {
         use crate::config::{FaultEvent, FaultKind};
-        let mut m = Machine::new(MachineConfig {
-            faults: vec![FaultEvent {
-                at_op: 1,
-                core: 0,
-                kind: FaultKind::SpuriousAbort,
-            }],
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig::default());
+        m.set_faults(vec![FaultEvent {
+            at_op: 1,
+            core: 0,
+            kind: FaultKind::SpuriousAbort,
+        }]);
         let (v, _) = m.run_one(|cpu| {
             cpu.load_u64(Addr(0x800));
             cpu.tick(5);

@@ -21,12 +21,14 @@ const ROUNDS: u64 = 12;
 /// Shared footprint small enough that the cores conflict constantly.
 const FOOTPRINT_LINES: u64 = 8;
 
-fn config(gate: GateMode, schedule: SchedulePolicy) -> MachineConfig {
-    let mut mc = MachineConfig::with_cores(CORES);
-    mc.gate = gate;
-    mc.schedule = schedule;
-    mc.trace = Some(TraceConfig::default());
-    mc
+fn traced_machine(gate: GateMode, schedule: SchedulePolicy) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        gate,
+        schedule,
+        ..MachineConfig::with_cores(CORES)
+    });
+    machine.set_tracing(Some(TraceConfig::default()));
+    machine
 }
 
 /// A contended mark-heavy workload: every event class the memory system
@@ -51,7 +53,7 @@ fn workers<'env>() -> Vec<WorkerFn<'env>> {
 }
 
 fn traced_run(gate: GateMode, schedule: SchedulePolicy) -> TraceLog {
-    let mut machine = Machine::new(config(gate, schedule));
+    let mut machine = traced_machine(gate, schedule);
     machine.run(workers());
     machine.take_trace().expect("tracing was armed")
 }
@@ -105,7 +107,7 @@ fn rerun_on_one_machine_resets_the_trace() {
     // The recorder is reset at the start of every run: harvesting after a
     // second run must yield only the second run's events, and those must
     // equal a fresh machine's.
-    let mut machine = Machine::new(config(GateMode::Quantum, SchedulePolicy::Deterministic));
+    let mut machine = traced_machine(GateMode::Quantum, SchedulePolicy::Deterministic);
     machine.run(workers());
     let first = machine.take_trace().expect("tracing was armed");
     machine.run(workers());

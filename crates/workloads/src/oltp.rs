@@ -30,7 +30,7 @@
 
 use hastm::{Granularity, LatencyStats, MetricsSnapshot, ObjRef, OracleMode, TmExec, TxnStats};
 use hastm_native::{NativeConfig, NativeStats};
-use hastm_sim::{FaultEvent, MachineConfig, Preemption, TraceConfig, TraceLog};
+use hastm_sim::{FaultEvent, MachineConfig, TraceConfig, TraceLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -563,8 +563,6 @@ pub struct OltpSimConfig {
     /// Overrides `StmConfig::validation_period`; the zombie scenarios use
     /// a huge period to *delay* read-set revalidation.
     pub validation_period: Option<u32>,
-    /// Forced scheduler switches, fired by gated-op index.
-    pub preemptions: Vec<Preemption>,
     /// Injected faults (forced evictions, back-invalidations, spurious
     /// watch violations / HTM aborts).
     pub faults: Vec<FaultEvent>,
@@ -584,7 +582,6 @@ impl OltpSimConfig {
             mode_policy_override: None,
             oracle: OracleMode::Record,
             validation_period: None,
-            preemptions: Vec::new(),
             faults: Vec::new(),
             trace: None,
         }
@@ -638,7 +635,6 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
     // The ledger is populated sequentially (untraced, unfaulted); the
     // fault plan and tracing are armed for the measured run only.
     let plan = RunPlan {
-        preemptions: cfg.preemptions.clone(),
         faults: cfg.faults.clone(),
         trace: cfg.trace,
         ..RunPlan::default()
