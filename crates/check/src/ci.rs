@@ -4,10 +4,10 @@
 
 /// Name, arguments, expected line starts. The trace rows write what the validate rows read.
 const ROWS: &[(&str, &str, &[&str])] = &[
-    ("suite", "--seeds 50 --quiet", &["OK: 21000 trials, 0 violations (determinism re-checked on seed 0)"]),
+    ("suite", "--seeds 50 --quiet", &["OK: 14000 trials, 0 violations (determinism re-checked on seed 0)"]),
     ("pct", "--pct 5 --depth 3 --coverage --quiet", &[
-        "coverage: 2100 runs, 1295 distinct schedules, 18 conflict-pair orderings, 3 abort causes [conflict, hw-conflict, mark-dirty]",
-        "OK: 2100 trials, 0 violations (determinism re-checked on seed 0)",
+        "coverage: 1400 runs, 1295 distinct schedules, 18 conflict-pair orderings, 3 abort causes [conflict, hw-conflict, mark-dirty]",
+        "OK: 1400 trials, 0 violations (determinism re-checked on seed 0)",
     ]),
     ("explore-stm", "--explore --combo stm:obj:full --threads 2 --ops 2 --bound 2", &[
         "  818 runs, 486 pruned as duplicate schedules",
@@ -19,7 +19,7 @@ const ROWS: &[(&str, &str, &[&str])] = &[
     ]),
     ("native", "--backend native --seeds 64 --quiet", &["OK: 5120 native trials, 0 divergences from the simulated reference"]),
     ("oltp", "--workload oltp --backend both --seeds 16 --quiet", &[
-        "OK: 1344 trials, 0 violations (determinism re-checked on seed 0)",
+        "OK: 896 trials, 0 violations (determinism re-checked on seed 0)",
         "OK: 256 native trials, 0 divergences from the simulated reference",
     ]),
     ("trace-stm", "--replay --workload counter --combo hastm:obj:full --seed 0 --threads 2 --ops 4 --trace 4@1,9@0 --trace-out trace-stm.json", &[

@@ -1,13 +1,13 @@
 //! The configuration matrix as data.
 //!
 //! [`AXES`] has one row per axis: its name, its slug-component ↔ value
-//! pairs in sweep order, which schemes have it, and how the suite relates
+//! pairs in sweep order, which schemes read it, and how the suite relates
 //! same-seed trials that differ only along it. [`Combo::all`],
 //! [`Combo::slug`], [`Combo::parse`] (hence `--list-combos`), the
 //! per-axis erase key and the suite's cross-check loop all read that one
 //! table, so **adding an axis is one [`Combo`] field plus one row**.
 
-use hastm::{Granularity, ModePolicy, PhasedParams, StmConfig, Versioning};
+use hastm::{BarrierKind, Granularity, ModePolicy, PhasedParams, StmConfig, Versioning};
 use hastm_sim::IsaLevel;
 use hastm_workloads::Scheme;
 
@@ -94,10 +94,13 @@ pub struct Axis {
     values: &'static [Value],
     /// How many leading `values` the matrix sweeps; the rest only parse.
     swept: usize,
-    /// `None` for a positional axis every slug spells out. `Some(has)` for
-    /// an optional suffix: only schemes with `has(scheme)` sweep it or may
-    /// carry a non-[`BASE`] value, and the `BASE` value is never spelled.
-    pub only: Option<fn(Scheme) -> bool>,
+    /// `false` for a positional axis every slug spells out; `true` for an
+    /// optional suffix, whose [`BASE`] value is never spelled.
+    optional: bool,
+    /// Which schemes read this axis. Every other scheme keeps its [`BASE`]
+    /// value: the matrix does not sweep the axis there, and a slug may not
+    /// set another value.
+    pub only: fn(Scheme) -> bool,
     /// The cross-check along this axis, if any.
     pub relation: Option<Relation>,
 }
@@ -114,22 +117,39 @@ const PHASED: ModePolicy = ModePolicy::Phased(PhasedParams {
     hw_retry_budget: 2,
 });
 
+/// Whether `scheme`'s executor consults transaction records — the STM
+/// engine, and the hybrid's hardware path and software fallback — which is
+/// all the granularity changes. Sequential and lock executors do not.
+fn reads_records(scheme: Scheme) -> bool {
+    scheme.is_stm_based() || scheme == Scheme::Hytm
+}
+
+/// Whether `scheme`'s barriers execute mark instructions, the only code the
+/// ISA level changes.
+fn uses_marks(scheme: Scheme) -> bool {
+    scheme.stm_config(BASE.granularity, 1).barrier == BarrierKind::Hastm
+}
+
 /// Every axis, in slug (and sweep-nesting) order.
 pub static AXES: [Axis; 5] = [
     Axis {
         name: "scheme",
+        // `hastm-cautious` and `naive-aggressive` only parse: each builds
+        // exactly the `hastm` runtime under the `cautious` or `naive`
+        // policy, which the policy axis sweeps.
         values: &[
             ("seq", |c| c.scheme = Scheme::Sequential),
             ("lock", |c| c.scheme = Scheme::Lock),
             ("stm", |c| c.scheme = Scheme::Stm),
-            ("hastm-cautious", |c| c.scheme = Scheme::HastmCautious),
             ("hastm", |c| c.scheme = Scheme::Hastm),
             ("hastm-noreuse", |c| c.scheme = Scheme::HastmNoReuse),
-            ("naive-aggressive", |c| c.scheme = Scheme::NaiveAggressive),
             ("hytm", |c| c.scheme = Scheme::Hytm),
+            ("hastm-cautious", |c| c.scheme = Scheme::HastmCautious),
+            ("naive-aggressive", |c| c.scheme = Scheme::NaiveAggressive),
         ],
-        swept: 8,
-        only: None,
+        swept: 6,
+        optional: false,
+        only: |_| true,
         relation: None,
     },
     Axis {
@@ -139,7 +159,8 @@ pub static AXES: [Axis; 5] = [
             ("line", |c| c.granularity = Granularity::CacheLine),
         ],
         swept: 2,
-        only: None,
+        optional: false,
+        only: reads_records,
         relation: None,
     },
     Axis {
@@ -149,7 +170,8 @@ pub static AXES: [Axis; 5] = [
             ("default", |c| c.isa = IsaLevel::Default),
         ],
         swept: 2,
-        only: None,
+        optional: false,
+        only: uses_marks,
         relation: None,
     },
     Axis {
@@ -164,7 +186,8 @@ pub static AXES: [Axis; 5] = [
             ("ph", |c| c.policy = Some(PHASED)),
         ],
         swept: 5,
-        only: Some(|scheme| scheme == Scheme::Hastm),
+        optional: true,
+        only: |scheme| scheme == Scheme::Hastm,
         // Restricted to the phased / watermark pair: the phase controller
         // must be observationally invisible in the final state (serial-phase
         // soundness included).
@@ -188,7 +211,8 @@ pub static AXES: [Axis; 5] = [
             ("v2", |c| c.versioning = Versioning::Multi { k: 2 }),
         ],
         swept: 2,
-        only: Some(Scheme::is_stm_based),
+        optional: true,
+        only: Scheme::is_stm_based,
         relation: Some(Relation {
             label: "versioning",
             comparator: Comparator::FinalState,
@@ -214,7 +238,7 @@ impl Axis {
             .values
             .iter()
             .find(|(_, set)| Axis::with(combo, *set) == *combo)?;
-        (self.only.is_none() || Axis::with(&BASE, *set) != BASE).then_some(*slug)
+        (!self.optional || Axis::with(&BASE, *set) != BASE).then_some(*slug)
     }
 
     /// `combo` with this axis canonicalized away — the key the suite's
@@ -225,19 +249,21 @@ impl Axis {
 }
 
 impl Combo {
-    /// The full matrix: the product of every axis's swept values, an
-    /// optional axis expanding only the schemes that have it — 48
-    /// single-version combinations ([`Scheme::Hastm`] swept over every mode
-    /// policy) plus a [`Versioning::Multi`]`{k: 3}` twin of each of the 36
-    /// STM-based ones, 84 total. Later axes nest innermost, so a twin rides
-    /// directly after its single-version original.
+    /// The full matrix: the product of every axis's swept values, each
+    /// axis expanding only the schemes that read it — 30 single-version
+    /// combinations (sequential and lock once each, STM and the hybrid per
+    /// granularity, the two HASTM barriers per granularity and ISA level,
+    /// [`Scheme::Hastm`] under every mode policy) plus a
+    /// [`Versioning::Multi`]`{k: 3}` twin of each of the 26 STM-based ones,
+    /// 56 total. Later axes nest innermost, so a twin rides directly after
+    /// its single-version original.
     pub fn all() -> Vec<Combo> {
         let mut combos = vec![BASE];
         for axis in &AXES {
             combos = combos
                 .iter()
                 .flat_map(|c| {
-                    if axis.only.is_none_or(|has| has(c.scheme)) {
+                    if (axis.only)(c.scheme) {
                         let swept = &axis.values[..axis.swept];
                         swept.iter().map(|(_, set)| Axis::with(c, *set)).collect()
                     } else {
@@ -276,9 +302,7 @@ impl Combo {
                 Some((part, set)) => {
                     set(&mut combo);
                     // The scheme is parsed first, so it is final here.
-                    if axis.only.is_some_and(|has| !has(combo.scheme))
-                        && axis.component(&combo).is_some()
-                    {
+                    if !(axis.only)(combo.scheme) && Axis::with(&BASE, *set) != BASE {
                         return Err(format!(
                             "combo `{s}`: this scheme has no {} axis, so `{part}` cannot apply",
                             axis.name
@@ -286,7 +310,7 @@ impl Combo {
                     }
                     parts.next();
                 }
-                None if axis.only.is_some() => {}
+                None if axis.optional => {}
                 None => {
                     let part = parts.peek().unwrap_or(&"");
                     return Err(format!(
@@ -326,6 +350,115 @@ impl std::fmt::Display for Combo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_trial_plan, schedule_hash, RunPlan, Sched, Trial, Workload};
+    use hastm_sim::mutant::arm;
+
+    /// The matrix once swept every scheme name, and granularity and ISA
+    /// level under every scheme: 84 combos. Each one it no longer sweeps
+    /// must run seed 0 of every workload bit for bit like the swept combo
+    /// it maps to, and no two swept combos may run alike.
+    #[test]
+    fn every_dropped_combo_reruns_a_swept_one_bit_for_bit() {
+        let _quiet = arm(None);
+        // What the matrix swept before: every scheme name, and granularity
+        // and ISA level under every scheme.
+        let mut old = vec![BASE];
+        for (i, axis) in AXES.iter().enumerate() {
+            let values = if i == 0 {
+                axis.values
+            } else {
+                &axis.values[..axis.swept]
+            };
+            old = old
+                .iter()
+                .flat_map(|c| {
+                    if axis.optional && !(axis.only)(c.scheme) {
+                        vec![*c]
+                    } else {
+                        values.iter().map(|(_, set)| Axis::with(c, *set)).collect()
+                    }
+                })
+                .collect();
+        }
+        assert_eq!(old.len(), 84);
+        // The swept combo each old one maps to.
+        let kept = |c: &Combo| {
+            let mut k = *c;
+            let policy = match c.scheme {
+                Scheme::HastmCautious => Some(ModePolicy::AlwaysCautious),
+                Scheme::NaiveAggressive => Some(ModePolicy::NaiveAggressive),
+                _ => None,
+            };
+            if policy.is_some() {
+                (k.scheme, k.policy) = (Scheme::Hastm, policy);
+            }
+            if !reads_records(k.scheme) {
+                k.granularity = BASE.granularity;
+            }
+            if !uses_marks(k.scheme) {
+                k.isa = BASE.isa;
+            }
+            k
+        };
+        let plan = RunPlan {
+            record_schedule: true,
+            ..RunPlan::default()
+        };
+        let run = |combo: Combo| -> Vec<_> {
+            Workload::ALL
+                .iter()
+                .map(|&workload| {
+                    let trial = Trial {
+                        combo,
+                        workload,
+                        seed: 0,
+                        threads: 3,
+                        ops: 8,
+                        sched: Sched::Fuzzed,
+                    };
+                    let (fp, obs) =
+                        run_trial_plan(&trial, &plan).unwrap_or_else(|e| panic!("{trial}: {e}"));
+                    let counts = (obs.commits, obs.aborts, obs.ro_commits, obs.ro_aborts);
+                    let phases = (obs.phase_transitions, obs.serial_commits);
+                    let hash = schedule_hash(&obs.schedule);
+                    let causes = obs.abort_causes;
+                    (fp, counts, phases, causes, obs.breakdown, hash, obs.report)
+                })
+                .collect()
+        };
+        let all = Combo::all();
+        let swept: Vec<_> = all.iter().map(|&c| run(c)).collect();
+        // The watermark policy starts cautious and turns aggressive only
+        // once its dirty ratio falls under the watermark, which trials
+        // this short rarely reach: that pair may coincide by behaviour,
+        // not by construction, so both stay swept.
+        let stayed_cautious = |a: &Combo, b: &Combo| {
+            let [.., policy, _] = &AXES;
+            let pair = [a.policy, b.policy];
+            policy.erase(a) == policy.erase(b)
+                && pair.contains(&Some(WATERMARK))
+                && pair.contains(&Some(ModePolicy::AlwaysCautious))
+        };
+        let mut alike = vec![];
+        for (i, a) in swept.iter().enumerate() {
+            let same = |&j: &usize| swept[j] == *a && !stayed_cautious(&all[i], &all[j]);
+            for j in (0..i).filter(same) {
+                alike.push(format!("{} = {}", all[i], all[j]));
+            }
+        }
+        assert!(alike.is_empty(), "swept combos that run alike: {alike:?}");
+        let mut dropped = 0;
+        for c in &old {
+            let k = kept(c);
+            let i = all.iter().position(|s| *s == k);
+            let i = i.unwrap_or_else(|| panic!("{c} maps to {k}, which is not swept"));
+            if k != *c {
+                assert_eq!(run(*c), swept[i], "{c} must run exactly like {k}");
+                dropped += 1;
+            }
+        }
+        assert_eq!(dropped, 84 - all.len());
+    }
 
     #[test]
     fn gate_components_are_rejected_by_name() {

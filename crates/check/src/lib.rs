@@ -2,10 +2,10 @@
 //!
 //! Runs small workloads with *interleaving-independent expected answers*
 //! under every `Scheme` × `Granularity` × `IsaLevel` × `ModePolicy` ×
-//! `Versioning` combination ([`Combo`], generated from the [`AXES`]
-//! table), across many seeds of the simulator's
-//! [`SchedulePolicy::Fuzzed`] schedule/pressure perturbation, and
-//! cross-checks:
+//! `Versioning` combination, each axis swept only under the schemes that
+//! read it ([`Combo`], generated from the [`AXES`] table), across many
+//! seeds of the simulator's [`SchedulePolicy::Fuzzed`] schedule/pressure
+//! perturbation, and cross-checks:
 //!
 //! * **exact answers** — a shared-counter workload whose final sum must be
 //!   exactly `threads × ops` under every scheme (lost updates and dirty
@@ -798,15 +798,16 @@ mod tests {
         let all = Combo::all();
         assert_eq!(
             all.len(),
-            84,
-            "8 schemes, Hastm x5 policies, x2 gran x2 isa, + v3 twins of the 36 STM-based combos"
+            56,
+            "seq, lock, stm x2 gran, hytm x2 gran, hastm-noreuse x2 gran x2 isa, \
+             hastm x2 gran x2 isa x5 policies, + v3 twins of the 26 STM-based combos"
         );
         assert_eq!(
             all.iter()
                 .filter(|c| c.versioning.is_multi())
                 .inspect(|c| assert!(c.scheme.is_stm_based()))
                 .count(),
-            36
+            26
         );
         let mut slugs = std::collections::BTreeSet::new();
         for combo in &all {
@@ -832,6 +833,16 @@ mod tests {
         assert_eq!(v2.versioning, Versioning::Multi { k: 2 });
         assert_eq!(v2.slug(), "hastm:line:full:watermark:v2");
         assert!(!slugs.contains(&v2.slug()));
+        // So do the two scheme names that are `hastm` under one policy.
+        for slug in [
+            "hastm-cautious:obj:full",
+            "naive-aggressive:line:default:v3",
+        ] {
+            assert!(
+                !slugs.contains(&Combo::parse(slug).unwrap().slug()),
+                "{slug}"
+            );
+        }
         // A policy-less hastm combo keeps the scheme's own policy.
         let bare = Combo::parse("hastm:obj:full").unwrap();
         assert_eq!(bare.policy, None);
@@ -843,6 +854,13 @@ mod tests {
             ("stm:obj:partial", "unknown isa level"),
             ("hastm:obj", "missing isa level"),
             ("stm:obj:full:watermark", "policy only for hastm"),
+            ("seq:line:full", "granularity only where records are read"),
+            ("lock:obj:default", "isa level only for the hastm barriers"),
+            ("hytm:line:default", "isa level only for the hastm barriers"),
+            (
+                "stm:obj:default:v3",
+                "isa level only for the hastm barriers",
+            ),
             (
                 "seq:obj:full:v3",
                 "multi-versioning needs an STM-based scheme",
@@ -859,6 +877,8 @@ mod tests {
         ] {
             assert!(Combo::parse(bad).is_err(), "`{bad}` must not parse: {why}");
         }
+        let err = Combo::parse("seq:line:full").unwrap_err();
+        assert!(err.contains("this scheme has no granularity axis"), "{err}");
     }
 
     #[test]
@@ -1094,14 +1114,7 @@ mod tests {
             // phase controller. (No lock row: `SpinLock::release`
             // debug-asserts through a simulated load, so lock makespans
             // differ between debug and release builds.)
-            (
-                "stm:line:default:v3",
-                Map,
-                7,
-                fuzzed,
-                0x329345c259a4230d,
-                3929,
-            ),
+            ("stm:line:full:v3", Map, 7, fuzzed, 0x329345c259a4230d, 3929),
             ("hytm:obj:full", Bst, 2, det, 0x5544c60fa2a62e12, 10218),
             (
                 "hastm:line:full:ph",

@@ -1,7 +1,7 @@
 //! Command-line entry point for the differential-testing harness.
 //!
 //! ```text
-//! # Sweep the full 84-combination matrix across 100 seeds:
+//! # Sweep the full 56-combination matrix across 100 seeds:
 //! cargo run -p hastm-check --release -- --seeds 100
 //!
 //! # PCT sweep: 200 depth-3 schedules over every workload:
@@ -76,10 +76,12 @@ OPTIONS:
                      (suite mode sweeps all five; passing one restricts the
                      sim and native sweeps to it) [explore default: counter]
     --combo C        combination scheme:gran:isa[:policy][:v1|v2|v3], e.g.
-                     hastm:obj:full:watermark or stm:line:full:v3 (policy
-                     only for hastm; versioning suffix optional, default
-                     v1 = single-version, v2|v3 = k-deep snapshot rings;
-                     see --list-combos for the 84 swept; in suite mode
+                     hastm:obj:full:watermark or stm:line:full:v3 (line
+                     only where records are read, not for seq|lock;
+                     default only for the hastm barriers; policy only for
+                     hastm; versioning suffix optional, default v1 =
+                     single-version, v2|v3 = k-deep snapshot rings; see
+                     --list-combos for the 56 swept; in suite mode
                      restricts the sim sweep to this single combination)
     --seed N         replay/explore seed                   [default: 0]
     --trace T        replay preemption trace, e.g. 12@1,30@0

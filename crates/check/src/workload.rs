@@ -241,7 +241,7 @@ impl PartitionedMap {
             expected: None,
         };
         let sequential = Sim {
-            combo: Combo::parse("seq:line:full").expect("static slug"),
+            combo: Combo::parse("seq:obj:full").expect("static slug"),
             threads: 1,
             schedule: SchedulePolicy::Deterministic,
             plan: &RunPlan::default(),

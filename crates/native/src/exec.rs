@@ -50,6 +50,13 @@ fn epoch_checks() -> bool {
     !armed(Mutant::NoEpochCheck)
 }
 
+/// Every transaction kind's `ctx_work`: one spin per simulated cycle keeps
+/// relative app-work costs without a simulated clock.
+#[inline]
+fn app_work(cycles: u64) {
+    (0..cycles).for_each(|_| std::hint::spin_loop());
+}
+
 /// Source of serial-token owner ids: one per executor, low bit set so an
 /// id can never collide with the token's "free" value (0).
 static NEXT_TOKEN_ID: AtomicU64 = AtomicU64::new(0);
@@ -748,12 +755,7 @@ impl TmContext for NativeTxn<'_, '_> {
     }
 
     fn ctx_work(&mut self, cycles: u64) {
-        // Keep relative app-work costs present (the cycle counts are
-        // small per-op constants) without a simulated clock: one spin per
-        // simulated cycle.
-        for _ in 0..cycles {
-            std::hint::spin_loop();
-        }
+        app_work(cycles);
     }
 }
 
@@ -803,9 +805,7 @@ impl TmContext for NativeSerialTxn<'_, '_> {
     }
 
     fn ctx_work(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            std::hint::spin_loop();
-        }
+        app_work(cycles);
     }
 }
 
@@ -926,9 +926,7 @@ impl TmContext for NativeRoTxn<'_, '_> {
     }
 
     fn ctx_work(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            std::hint::spin_loop();
-        }
+        app_work(cycles);
     }
 }
 

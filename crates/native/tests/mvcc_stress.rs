@@ -242,7 +242,7 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
         });
         let cells = ledger(&rt);
         let scanning = AtomicUsize::new(2);
-        std::thread::scope(|s| {
+        let ring_reads: u64 = std::thread::scope(|s| {
             s.spawn(|| {
                 let mut ex = NativeExec::new(&rt);
                 for i in 0.. {
@@ -258,9 +258,10 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
                     });
                 }
             });
+            let mut scanners = vec![];
             for scanner in 0..2 {
                 let (rt, cells, scanning) = (&rt, &cells, &scanning);
-                s.spawn(move || {
+                scanners.push(s.spawn(move || {
                     let _done = Done(scanning);
                     let mut ex = NativeExec::new(rt);
                     for round in 0..20_000 {
@@ -276,9 +277,13 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
                         assert_eq!(sum, total(), "k={k}: torn snapshot");
                     }
                     assert_eq!(ex.stats().ro_aborts, 0);
-                });
+                    ex.stats().ring_reads
+                }));
             }
+            scanners.into_iter().map(|h| h.join().unwrap()).sum()
         });
+        // Scans that never outlived a commit would pass without a ring.
+        assert!(ring_reads > 0, "k={k}: no snapshot read took the ring");
         for c in &cells {
             let ring = rt.ring_versions(c.word(0));
             assert!(ring.windows(2).all(|pair| pair[0] < pair[1]), "{ring:?}");
