@@ -46,6 +46,10 @@ fn accumulate(filter_writes: bool, rewrites: u32) -> (u64, u64, u64) {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("usage: ablation  (unknown arg {arg:?})");
+        std::process::exit(2);
+    }
     let mut table = Table::new(
         "Ablation: write-barrier + undo-log filtering (second mark filter, §5 extension)",
         &[

@@ -23,6 +23,10 @@ fn rows(table: &mut Table, backend: &str, rows: &[ServingRow]) {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("usage: oltp  (unknown arg {arg:?})");
+        std::process::exit(2);
+    }
     let scale = env_or_exit(Scale::from_env());
     let cfg = mill_config(scale, 0.0);
     let mut table = Table::new(

@@ -96,6 +96,29 @@ fn bad_arguments_are_usage_errors() {
     }
 }
 
+/// Runs `exe` with one unknown argument: a usage error, exit 2, before
+/// any table runs.
+fn rejects_an_unknown_argument(exe: &str, name: &str) {
+    let out = Command::new(exe)
+        .arg("--bogus")
+        .output()
+        .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+    assert_eq!(out.status.code(), Some(2), "{name} --bogus");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");
+    assert!(out.stdout.is_empty(), "no table on a usage error");
+}
+
+#[test]
+fn oltp_rejects_an_unknown_argument() {
+    rejects_an_unknown_argument(env!("CARGO_BIN_EXE_oltp"), "oltp");
+}
+
+#[test]
+fn ablation_rejects_an_unknown_argument() {
+    rejects_an_unknown_argument(env!("CARGO_BIN_EXE_ablation"), "ablation");
+}
+
 #[test]
 fn a_malformed_environment_is_an_error_not_a_default() {
     for (var, accepted) in [

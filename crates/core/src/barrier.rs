@@ -418,7 +418,7 @@ impl TxThread<'_, '_> {
         debug_assert!(self.is_active(), "write outside a transaction");
         assert!(
             !self.is_snapshot(),
-            "transactional write inside a read-only (snapshot) transaction"
+            "transactional write inside an atomic_ro region on a snapshot path"
         );
         if self.serial {
             self.serial_write(obj.word(index), value, meta);

@@ -912,7 +912,7 @@ impl TmContext for NativeRoTxn<'_, '_> {
 
     fn ctx_write(&mut self, obj: ObjRef, index: u32, value: u64) -> TxResult<()> {
         let _ = (obj, index, value);
-        panic!("transactional write inside an atomic_ro (read-only) region")
+        panic!("transactional write inside an atomic_ro region on a snapshot path")
     }
 
     fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {

@@ -146,13 +146,21 @@ impl Bst {
         Ok((node, removed))
     }
 
-    fn count(ctx: &mut dyn TmContext, node: ObjRef) -> TxResult<u64> {
+    /// Calls `visit` on every node of the subtree at `node`, in preorder.
+    /// The walk itself reads `LEFT` and `RIGHT` only.
+    fn walk(
+        ctx: &mut dyn TmContext,
+        node: ObjRef,
+        visit: &mut dyn FnMut(&mut dyn TmContext, ObjRef) -> TxResult<()>,
+    ) -> TxResult<()> {
         if node.is_null() {
-            return Ok(0);
+            return Ok(());
         }
+        visit(ctx, node)?;
         let l = as_ref(ctx.ctx_read(node, LEFT)?);
         let r = as_ref(ctx.ctx_read(node, RIGHT)?);
-        Ok(1 + Self::count(ctx, l)? + Self::count(ctx, r)?)
+        Self::walk(ctx, l, visit)?;
+        Self::walk(ctx, r, visit)
     }
 
     /// Verifies BST key order and heap priority order; returns the node
@@ -224,7 +232,20 @@ impl TxMap for Bst {
 
     fn len(&self, ctx: &mut dyn TmContext) -> TxResult<u64> {
         let root = as_ref(ctx.ctx_read(self.root_holder, 0)?);
-        Self::count(ctx, root)
+        let mut n = 0;
+        Self::walk(ctx, root, &mut |_, _| {
+            n += 1;
+            Ok(())
+        })?;
+        Ok(n)
+    }
+
+    fn for_each(&self, ctx: &mut dyn TmContext, f: &mut dyn FnMut(u64, u64)) -> TxResult<()> {
+        let root = as_ref(ctx.ctx_read(self.root_holder, 0)?);
+        Self::walk(ctx, root, &mut |ctx, node| {
+            f(ctx.ctx_read(node, KEY)?, ctx.ctx_read(node, VALUE)?);
+            Ok(())
+        })
     }
 }
 

@@ -398,16 +398,23 @@ impl BTree {
         }
     }
 
-    fn count(ctx: &mut dyn TmContext, x: Node) -> TxResult<u64> {
+    /// Calls `visit(node, nkeys)` on every node of the subtree at `x`, in
+    /// preorder. The walk itself reads `nkeys`, the leaf flag and the
+    /// children only.
+    fn walk(
+        ctx: &mut dyn TmContext,
+        x: Node,
+        visit: &mut dyn FnMut(&mut dyn TmContext, &Node, u32) -> TxResult<()>,
+    ) -> TxResult<()> {
         let n = x.nkeys(ctx)?;
-        let mut total = n as u64;
+        visit(ctx, &x, n)?;
         if !x.is_leaf(ctx)? {
             for i in 0..=n {
                 let c = x.child(ctx, i)?;
-                total += Self::count(ctx, c)?;
+                Self::walk(ctx, c, visit)?;
             }
         }
-        Ok(total)
+        Ok(())
     }
 
     /// Verifies key ordering and node-fill invariants; returns the key
@@ -507,7 +514,22 @@ impl TxMap for BTree {
 
     fn len(&self, ctx: &mut dyn TmContext) -> TxResult<u64> {
         let root = self.root(ctx)?;
-        Self::count(ctx, root)
+        let mut total = 0;
+        Self::walk(ctx, root, &mut |_, _, n| {
+            total += u64::from(n);
+            Ok(())
+        })?;
+        Ok(total)
+    }
+
+    fn for_each(&self, ctx: &mut dyn TmContext, f: &mut dyn FnMut(u64, u64)) -> TxResult<()> {
+        let root = self.root(ctx)?;
+        Self::walk(ctx, root, &mut |ctx, x, n| {
+            for i in 0..n {
+                f(x.key(ctx, i)?, x.val(ctx, i)?);
+            }
+            Ok(())
+        })
     }
 }
 

@@ -17,7 +17,7 @@ use crate::fnv1a;
 use crate::hashtable::HashTable;
 use crate::map::TxMap;
 use crate::scheme::{ExecStats, Scheme, ThreadExec};
-use crate::session::{RunPlan, SimSession};
+use crate::session::{RunPlan, SimRun, SimSession};
 
 /// Which evaluation data structure to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -88,6 +88,13 @@ impl TxMap for AnyMap {
             AnyMap::Hash(m) => m.len(ctx),
             AnyMap::Bst(m) => m.len(ctx),
             AnyMap::BTree(m) => m.len(ctx),
+        }
+    }
+    fn for_each(&self, ctx: &mut dyn TmContext, f: &mut dyn FnMut(u64, u64)) -> TxResult<()> {
+        match self {
+            AnyMap::Hash(m) => m.for_each(ctx, f),
+            AnyMap::Bst(m) => m.for_each(ctx, f),
+            AnyMap::BTree(m) => m.for_each(ctx, f),
         }
     }
 }
@@ -205,10 +212,11 @@ pub struct WorkloadResult {
     /// Total operations performed.
     pub total_ops: u64,
     /// Order-independent digest of the final map contents (every resident
-    /// `(key, value)` pair), taken by a sequential sweep after the measured
-    /// run. Two runs that end in the same abstract map state — regardless
-    /// of scheme or interleaving — produce the same digest; `hastm-check`
-    /// differential-compares it across schemes.
+    /// `(key, value)` pair), taken by one [`TxMap::for_each`] walk over
+    /// memory at rest after the measured run. Two runs that end in the
+    /// same abstract map state — regardless of scheme or interleaving —
+    /// produce the same digest; `hastm-check` differential-compares it
+    /// across schemes.
     pub digest: u64,
     /// The version store's counters over populate, warm-up and measured
     /// run (zero unless [`Versioning::Multi`]).
@@ -257,6 +265,39 @@ pub fn run_workload_traced(
     cfg: &WorkloadConfig,
     trace: Option<hastm_sim::TraceConfig>,
 ) -> (WorkloadResult, Option<hastm_sim::TraceLog>) {
+    let (session, map, measured) = run_cell(cfg, trace);
+
+    // Digest sweep, over memory at rest (so it costs the metrics nothing,
+    // and the host no simulated loads).
+    let digest = session.at_rest().atomic(|ctx| digest(&map, ctx));
+
+    // All phases are quiesced: settle the oracle's deferred serializability
+    // obligations against the committed-write journal. (A no-op unless the
+    // oracle is on; panics here under `OracleMode::Panic`.)
+    let ExecStats { mut txn, hytm } = measured.stats;
+    txn.oracle_violations += session.settle().len() as u64;
+
+    (
+        WorkloadResult {
+            cycles: measured.report.makespan(),
+            total_ops: cfg.ops_per_thread * cfg.threads as u64,
+            report: measured.report,
+            txn,
+            hytm,
+            digest,
+            versions: session.version_stats(),
+        },
+        measured.trace,
+    )
+}
+
+/// Builds and populates the map, then runs the warm-up and the measured
+/// run (traced when `trace` is set). Returns the session at rest, the map
+/// and the measured run.
+fn run_cell(
+    cfg: &WorkloadConfig,
+    trace: Option<hastm_sim::TraceConfig>,
+) -> (SimSession, AnyMap, SimRun<()>) {
     assert!(
         cfg.update_pct + cfg.scan_pct <= 100,
         "update_pct + scan_pct must leave room for lookups"
@@ -322,37 +363,18 @@ pub fn run_workload_traced(
         let seed = cfg.seed ^ (tid as u64).wrapping_mul(0x9e37);
         stream(ex, seed, cfg.ops_per_thread)
     });
+    (session, map, measured)
+}
 
-    // Digest sweep, over memory at rest (so it costs the metrics nothing,
-    // and the host no simulated loads): fold every resident pair with a
-    // commutative combine, so the digest depends only on the final
-    // abstract map state.
-    let mut at_rest = session.at_rest();
+/// Order-independent digest of `map`'s resident pairs: one walk, each pair
+/// folded with a commutative combine, so the digest depends only on the
+/// abstract map state.
+fn digest(map: &AnyMap, ctx: &mut dyn TmContext) -> TxResult<u64> {
     let mut digest = 0u64;
-    for key in 0..cfg.key_range {
-        if let Some(value) = at_rest.atomic(|ctx| map.get(ctx, key)) {
-            digest = digest.wrapping_add(fnv1a([key, value]));
-        }
-    }
-
-    // All phases are quiesced: settle the oracle's deferred serializability
-    // obligations against the committed-write journal. (A no-op unless the
-    // oracle is on; panics here under `OracleMode::Panic`.)
-    let ExecStats { mut txn, hytm } = measured.stats;
-    txn.oracle_violations += session.settle().len() as u64;
-
-    (
-        WorkloadResult {
-            cycles: measured.report.makespan(),
-            total_ops: cfg.ops_per_thread * cfg.threads as u64,
-            report: measured.report,
-            txn,
-            hytm,
-            digest,
-            versions: session.version_stats(),
-        },
-        measured.trace,
-    )
+    map.for_each(ctx, &mut |key, value| {
+        digest = digest.wrapping_add(fnv1a([key, value]));
+    })?;
+    Ok(digest)
 }
 
 /// One operation of the mixed map stream: `roll` (in `0..100`) selects
@@ -380,6 +402,125 @@ fn map_op(ex: &mut ThreadExec<'_, '_>, map: &AnyMap, cfg: &WorkloadConfig, key: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hastm::ObjRef;
+
+    /// The sweep the walk replaced: one point lookup per key in
+    /// `0..key_range`.
+    fn lookup_digest(map: &AnyMap, ctx: &mut dyn TmContext, key_range: u64) -> TxResult<u64> {
+        let mut digest = 0u64;
+        for key in 0..key_range {
+            if let Some(value) = map.get(ctx, key)? {
+                digest = digest.wrapping_add(fnv1a([key, value]));
+            }
+        }
+        Ok(digest)
+    }
+
+    /// Counts the reads a walk makes through the context it wraps.
+    struct CountingReads<'c> {
+        inner: &'c mut dyn TmContext,
+        reads: u64,
+    }
+
+    impl TmContext for CountingReads<'_> {
+        fn ctx_read(&mut self, obj: ObjRef, index: u32) -> TxResult<u64> {
+            self.reads += 1;
+            self.inner.ctx_read(obj, index)
+        }
+        fn ctx_write(&mut self, obj: ObjRef, index: u32, value: u64) -> TxResult<()> {
+            self.inner.ctx_write(obj, index, value)
+        }
+        fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
+            self.inner.ctx_alloc(data_words)
+        }
+        fn ctx_work(&mut self, cycles: u64) {
+            self.inner.ctx_work(cycles);
+        }
+    }
+
+    /// Reads `f` makes of `session`'s memory at rest, and what it returned.
+    fn reads_at_rest<R>(
+        session: &SimSession,
+        f: impl FnOnce(&mut dyn TmContext) -> TxResult<R>,
+    ) -> (u64, R) {
+        let mut at_rest = session.at_rest();
+        let mut counting = CountingReads {
+            inner: &mut at_rest,
+            reads: 0,
+        };
+        let out = f(&mut counting).expect("a read of memory at rest cannot abort");
+        (counting.reads, out)
+    }
+
+    /// The keys `for_each` yields from `session`'s memory at rest.
+    fn resident_keys(session: &SimSession, map: &AnyMap) -> std::collections::BTreeSet<u64> {
+        let (_, keys) = reads_at_rest(session, |ctx| {
+            let mut keys = std::collections::BTreeSet::new();
+            map.for_each(ctx, &mut |key, _| {
+                keys.insert(key);
+            })?;
+            Ok(keys)
+        });
+        keys
+    }
+
+    #[test]
+    fn walked_digest_equals_the_lookup_digest() {
+        for structure in Structure::ALL {
+            for scheme in [Scheme::Stm, Scheme::Hytm, Scheme::Lock] {
+                for threads in [1, 2] {
+                    for seed in [0x5eed, 7] {
+                        let mut cfg = small(structure, scheme, threads);
+                        cfg.ops_per_thread = 400;
+                        cfg.seed = seed;
+                        let cell = format!("{structure}/{scheme}/{threads}t/seed {seed:#x}");
+                        let (session, map, _) = run_cell(&cfg, None);
+                        let (_, walked) = reads_at_rest(&session, |ctx| digest(&map, ctx));
+                        let (_, looked_up) =
+                            reads_at_rest(&session, |ctx| lookup_digest(&map, ctx, cfg.key_range));
+                        assert_eq!(walked, looked_up, "{cell}");
+                        // The walk must have met a structure that removes
+                        // reshaped: some key resident after populate is gone.
+                        let populated = WorkloadConfig {
+                            ops_per_thread: 0,
+                            ..cfg.clone()
+                        };
+                        let (before, before_map, _) = run_cell(&populated, None);
+                        let resident = resident_keys(&session, &map);
+                        assert!(
+                            !resident_keys(&before, &before_map).is_subset(&resident),
+                            "{cell}: no populated key was removed"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_walk_reads_each_pair_once() {
+        // One paper-default cell per structure, as the benchmark's set-up
+        // phase builds it: 512 keys populated in a 1 024-key range, one
+        // warm-up op, no measured op. A point lookup per key made
+        // 3 538 / 23 556 / 30 056 reads here.
+        for (structure, pinned) in [
+            (Structure::HashTable, 2_048),
+            (Structure::Bst, 2_049),
+            (Structure::BTree, 1_378),
+        ] {
+            let mut cfg = WorkloadConfig::paper_default(structure, Scheme::Stm, 1);
+            cfg.ops_per_thread = 0;
+            let (session, map, _) = run_cell(&cfg, None);
+            let (reads, walked) = reads_at_rest(&session, |ctx| digest(&map, ctx));
+            let (_, looked_up) =
+                reads_at_rest(&session, |ctx| lookup_digest(&map, ctx, cfg.key_range));
+            assert_eq!(walked, looked_up, "{structure}");
+            assert_eq!(
+                reads, pinned,
+                "{structure}: at-rest reads of the digest walk"
+            );
+        }
+    }
 
     fn small(structure: Structure, scheme: Scheme, threads: usize) -> WorkloadConfig {
         let mut c = WorkloadConfig::paper_default(structure, scheme, threads);

@@ -66,6 +66,23 @@ impl HashTable {
         }
         Ok((prev, ObjRef::NULL, b))
     }
+
+    /// Calls `visit` on every node, chain by chain in bucket order. The
+    /// walk itself reads bucket heads and `NEXT` links only.
+    fn walk(
+        &self,
+        ctx: &mut dyn TmContext,
+        visit: &mut dyn FnMut(&mut dyn TmContext, ObjRef) -> TxResult<()>,
+    ) -> TxResult<()> {
+        for b in 0..self.nbuckets {
+            let mut node = ObjRef(Addr(ctx.ctx_read(self.buckets_obj, b)?));
+            while !node.is_null() {
+                visit(ctx, node)?;
+                node = ObjRef(Addr(ctx.ctx_read(node, NEXT)?));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl TxMap for HashTable {
@@ -109,14 +126,18 @@ impl TxMap for HashTable {
 
     fn len(&self, ctx: &mut dyn TmContext) -> TxResult<u64> {
         let mut n = 0;
-        for b in 0..self.nbuckets {
-            let mut node = ObjRef(Addr(ctx.ctx_read(self.buckets_obj, b)?));
-            while !node.is_null() {
-                n += 1;
-                node = ObjRef(Addr(ctx.ctx_read(node, NEXT)?));
-            }
-        }
+        self.walk(ctx, &mut |_, _| {
+            n += 1;
+            Ok(())
+        })?;
         Ok(n)
+    }
+
+    fn for_each(&self, ctx: &mut dyn TmContext, f: &mut dyn FnMut(u64, u64)) -> TxResult<()> {
+        self.walk(ctx, &mut |ctx, node| {
+            f(ctx.ctx_read(node, KEY)?, ctx.ctx_read(node, VALUE)?);
+            Ok(())
+        })
     }
 }
 

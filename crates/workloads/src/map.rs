@@ -31,12 +31,23 @@ pub trait TxMap {
     /// Propagates transactional aborts.
     fn get(&self, ctx: &mut dyn TmContext, key: u64) -> TxResult<Option<u64>>;
 
-    /// Number of keys (walks the structure; test/verification aid).
+    /// Number of keys: one walk over the structure that reads its links
+    /// and no key or value (the whole-structure scan of the
+    /// multi-version evaluation).
     ///
     /// # Errors
     ///
     /// Propagates transactional aborts.
     fn len(&self, ctx: &mut dyn TmContext) -> TxResult<u64>;
+
+    /// Calls `f(key, value)` once per resident pair, in the structure's
+    /// walk order: [`len`](TxMap::len)'s walk, plus each pair's key and
+    /// value reads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transactional aborts.
+    fn for_each(&self, ctx: &mut dyn TmContext, f: &mut dyn FnMut(u64, u64)) -> TxResult<()>;
 
     /// Whether the map is empty.
     ///
@@ -49,7 +60,9 @@ pub trait TxMap {
 }
 
 /// Exercises any [`TxMap`] implementation against a reference
-/// `BTreeMap` with a deterministic operation stream. Panics on divergence.
+/// `BTreeMap` with a deterministic operation stream, then checks that
+/// [`TxMap::for_each`] yields exactly the reference's pairs, each once,
+/// and as many as [`TxMap::len`] counts. Panics on divergence.
 /// Used by each structure's tests and by the cross-crate property tests.
 pub fn check_against_reference<M: TxMap>(
     map: &M,
@@ -84,5 +97,17 @@ pub fn check_against_reference<M: TxMap>(
     }
     let len = map.len(ctx).expect("len");
     assert_eq!(len, reference.len() as u64, "length diverged");
+    let mut walked = std::collections::BTreeMap::new();
+    let mut yielded = 0u64;
+    map.for_each(ctx, &mut |key, value| {
+        yielded += 1;
+        assert!(
+            walked.insert(key, value).is_none(),
+            "for_each yielded {key} twice"
+        );
+    })
+    .expect("for_each");
+    assert_eq!(yielded, len, "for_each and len disagree");
+    assert_eq!(walked, reference, "for_each diverged");
     reference
 }

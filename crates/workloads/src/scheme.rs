@@ -433,6 +433,70 @@ mod tests {
         }
     }
 
+    /// A transactional write inside `atomic_ro`: on a snapshot path
+    /// (`Multi { k: 3 }` under the simulator's STM family, or
+    /// `NativeRoTxn`) it panics, with one message on both backends; where
+    /// `atomic_ro` runs as `atomic` (`Single`, or a scheme without
+    /// snapshots) the write commits.
+    #[test]
+    fn a_write_inside_atomic_ro_panics_only_on_a_snapshot_path() {
+        use hastm::Versioning;
+        use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        const MESSAGE: &str = "transactional write inside an atomic_ro region on a snapshot path";
+
+        /// Writes inside `atomic_ro`: the panic's message, or `None` once
+        /// the write reads back committed.
+        fn write_in_ro(ex: &mut impl TmExec) -> Option<String> {
+            let o = ex.alloc_obj(1);
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                ex.atomic_ro(|ctx| ctx.ctx_write(o, 0, 7))
+            }));
+            match out {
+                Ok(()) => {
+                    assert_eq!(ex.atomic(|ctx| ctx.ctx_read(o, 0)), 7, "the write commits");
+                    None
+                }
+                Err(payload) => Some(match payload.downcast::<String>() {
+                    Ok(message) => *message,
+                    Err(payload) => payload
+                        .downcast_ref::<&str>()
+                        .expect("a message")
+                        .to_string(),
+                }),
+            }
+        }
+        for versioning in [Versioning::Single, Versioning::Multi { k: 3 }] {
+            for scheme in Scheme::ALL {
+                let mut m = Machine::new(MachineConfig::default());
+                let cfg = scheme
+                    .stm_config(Granularity::CacheLine, 1)
+                    .with_versioning(versioning);
+                let rt = StmRuntime::new(&mut m, cfg);
+                let lock = SpinLock::alloc(rt.heap());
+                let (panic, _) =
+                    m.run_one(|cpu| write_in_ro(&mut ThreadExec::new(scheme, &rt, cpu, lock)));
+                let snapshot = scheme.is_stm_based() && versioning.is_multi();
+                assert_eq!(
+                    panic.as_deref(),
+                    snapshot.then_some(MESSAGE),
+                    "{scheme}, {versioning:?}"
+                );
+            }
+            let rt = NativeRuntime::new(NativeConfig {
+                versioning,
+                ..NativeConfig::default()
+            });
+            let panic = write_in_ro(&mut NativeExec::new(&rt));
+            assert_eq!(
+                panic.as_deref(),
+                versioning.is_multi().then_some(MESSAGE),
+                "native {versioning:?}"
+            );
+        }
+    }
+
     #[test]
     fn labels_are_unique() {
         let mut labels: Vec<_> = Scheme::ALL.iter().map(|s| s.label()).collect();

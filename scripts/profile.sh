@@ -1,7 +1,7 @@
 #!/bin/sh
 # Where a binary's CPU time goes, on a host without `perf`:
 #
-#     scripts/profile.sh [--by-file] <binary> [args...]
+#     scripts/profile.sh [--by-file | --by-line] <binary> [args...]
 #
 # builds scripts/sigprof.c, preloads it into the run (whose own output goes
 # to stderr), and folds the sampled addresses, every key sampled, largest
@@ -15,16 +15,19 @@
 #   code that called it). Files are named from their crate directory on
 #   (`sim/src/hierarchy.rs`, `core/src/barrier.rs`, `benchmark/src/sim.rs`),
 #   so this is the split by layer even where inlining has merged the layers'
-#   functions into one.
+#   functions into one;
+# - with --by-line into per-source-line shares: the same frame as --by-file,
+#   keyed by its `file:line` (`sim/src/cache.rs:212`), which says which
+#   loop or call inside a layer the time is in.
 #
 # Build the binary with debug info (this workspace's release profile has it).
 set -eu
 by=function
-if [ "${1:-}" = --by-file ]; then
-    by=file
-    shift
-fi
-[ $# -ge 1 ] || { echo "usage: $0 [--by-file] <binary> [args...]" >&2; exit 2; }
+case "${1:-}" in
+--by-file) by=file; shift ;;
+--by-line) by=line; shift ;;
+esac
+[ $# -ge 1 ] || { echo "usage: $0 [--by-file | --by-line] <binary> [args...]" >&2; exit 2; }
 here=$(cd "$(dirname "$0")" && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -38,20 +41,25 @@ SIGPROF_OUT="$tmp/samples" LD_PRELOAD="$tmp/sigprof.so" "$bin" "$@" >&2
 addr2line -a -f -C -i -e "$bin" <"$tmp/samples" | awk -v by="$by" '
     function tally() {
         if (frame_line == 0) return
-        key = by == "file" ? (own != "" ? own : innermost) : fn
+        site = own != "" ? own : innermost
+        if (by == "line") site = own != "" ? own ":" own_line : innermost ":" innermost_line
+        key = by == "function" ? fn : site
         if (key != "") hits[key]++
     }
     /^0x/ { tally(); fn = own = innermost = ""; frame_line = 0; samples++; next }
     ++frame_line % 2 == 1 { fn = $0; next }
     {
         path = $0
-        sub(/:[0-9?]*( \(discriminator [0-9]+\))?$/, "", path)
+        sub(/ \(discriminator [0-9]+\)$/, "", path)
+        line = path
+        sub(/.*:/, "", line)
+        sub(/:[0-9?]*$/, "", path)
         std = path ~ /^\/rustc\// || path ~ /\/library\/(core|alloc|std)\//
         if (match(path, /\/(crates|shims)\//)) path = substr(path, RSTART + RLENGTH)
         else if (match(path, /\/(benchmark|library)\//)) path = substr(path, RSTART + 1)
         else sub(/.*\//, "", path)
-        if (innermost == "") innermost = path
-        if (own == "" && !std) own = path
+        if (innermost == "") { innermost = path; innermost_line = line }
+        if (own == "" && !std) { own = path; own_line = line }
     }
     END {
         tally()
