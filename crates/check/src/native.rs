@@ -84,6 +84,18 @@ pub struct NativeOutcome {
     pub stats: NativeStats,
 }
 
+/// Heap words one operation of any check workload can take. An operation
+/// is one transaction, and the most one allocates is a B-tree insert that
+/// splits every node on its path: a new root and one node per level, 25
+/// words each (24 data words and a header). The tree holds at most 8 keys
+/// a thread, so with minimum degree 4 it has at most log4((8·threads +
+/// 1) / 2) + 1 levels: 7 up to 1 024 threads, hence 8 nodes.
+const OP_WORDS: usize = 8 * 25;
+
+/// Heap words for what a workload's setup allocates (the null line,
+/// bucket arrays, roots, the mill's accounts).
+const SETUP_WORDS: usize = 1 << 12;
+
 /// The host-thread backend: one [`NativeSession`] per trial, and the
 /// verdict: the snapshot guarantee, then the workload's own check.
 pub(crate) struct Native<'a>(pub(crate) &'a NativeTrial);
@@ -93,9 +105,17 @@ impl Backend for Native<'_> {
 
     fn run<W: Definition>(self, w: &W) -> Self::Outcome {
         let trial = self.0;
+        // Committed allocations are never reclaimed, and an aborted
+        // attempt's stay with its thread for the retries, so a thread holds
+        // at most one attempt's worth past its committed operations'.
+        // Capacity nobody touches costs no memory.
+        let heap_words = (trial.threads as u64)
+            .checked_mul(trial.ops + 1)
+            .and_then(|ops| usize::try_from(ops).ok()?.checked_mul(OP_WORDS))
+            .and_then(|words| words.checked_add(SETUP_WORDS))
+            .expect("trial too large for one native heap");
         let session = NativeSession::new(NativeConfig {
-            // The check workloads are tiny; a small heap keeps trials cheap.
-            heap_words: 1 << 16,
+            heap_words,
             stripes: 1 << 12,
             mark_filter: trial.mark_filter,
             versioning: trial.versioning,
@@ -256,6 +276,26 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Trials long enough to exhaust a heap sized for short ones: the
+    /// B-tree's splits and the maps' fresh nodes are never reclaimed. Eight
+    /// threads, the most a native sweep runs, for the most live words.
+    #[test]
+    fn long_map_trials_fit_their_heap() {
+        let _quiet = arm(None);
+        for workload in [Workload::Map, Workload::Bst, Workload::BTree] {
+            let trial = NativeTrial {
+                workload,
+                seed: 0,
+                threads: 8,
+                ops: 20_000,
+                mark_filter: false,
+                versioning: Versioning::Single,
+                phased: false,
+            };
+            run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
         }
     }
 

@@ -1,6 +1,8 @@
 //! The native transactional heap: a flat array of host `AtomicU64` words
 //! addressed by the same byte addresses ([`hastm_sim::Addr`]) the
 //! simulator uses, so `ObjRef`-based data structures traverse unchanged.
+//! Its words, like the version store's own blocks, are [`ZeroedWords`]:
+//! capacity nobody touches costs no memory.
 //!
 //! Word 0 (byte address 0) is never handed out: `Addr::NULL`/`ObjRef::NULL`
 //! must stay distinguishable from a real allocation, exactly as on the
@@ -15,12 +17,14 @@ use std::sync::OnceLock;
 use hastm::mvcc::reclaimable;
 use hastm_sim::words::CachePadded;
 
+use crate::zeroed::ZeroedWords;
+
 /// First allocatable word index (keeps a full line clear of `Addr::NULL`).
 const FIRST_WORD: usize = 8;
 
 /// A shared, concurrently allocatable word heap.
 pub struct NativeHeap {
-    words: Box<[AtomicU64]>,
+    words: ZeroedWords,
     next: CachePadded<AtomicUsize>,
 }
 
@@ -35,9 +39,8 @@ impl NativeHeap {
             words > FIRST_WORD,
             "native heap of {words} words is too small"
         );
-        let cells: Vec<AtomicU64> = (0..words).map(|_| AtomicU64::new(0)).collect();
         NativeHeap {
-            words: cells.into_boxed_slice(),
+            words: ZeroedWords::new(words),
             next: CachePadded::new(AtomicUsize::new(FIRST_WORD)),
         }
     }
@@ -108,19 +111,19 @@ impl std::fmt::Debug for NativeHeap {
     }
 }
 
-/// Blocks in a chunk of the version store. A chunk of own blocks is
-/// claimed whole, the first time a commit publishes for one of the
-/// `CHUNK_BLOCKS` heap words it serves, so the store's memory follows the
-/// written part of the heap; spill chunk `n` holds `CHUNK_BLOCKS << n`.
-const CHUNK_BLOCKS: usize = 256;
+/// Blocks in the first spill chunk; spill chunk `n` holds `SPILL_BLOCKS
+/// << n` and is claimed whole the first time a spill needs one of them.
+const SPILL_BLOCKS: usize = 256;
 
 /// The committed history of every transactionally written word (only
 /// under `Versioning::Multi { k }`), beside the heap instead of behind a
 /// hash: heap word `w` owns block `w` — two words of links, then `k`
-/// `(version, value)` pairs, oldest first. A commit writes it under the
-/// word's stripe lock; a snapshot read takes it seqlock-style with that
-/// lock word as the sequence (DESIGN §12b), so everything here is
-/// acquire/release atomics.
+/// `(version, value)` pairs, oldest first. The own blocks are one
+/// [`ZeroedWords`] array, so their memory follows the written part of the
+/// heap, a page at a time, and a block no commit has written reads
+/// `len = 0`. A commit writes a block under the word's stripe lock; a
+/// snapshot read takes it seqlock-style with that lock word as the
+/// sequence (DESIGN §12b), so everything here is acquire/release atomics.
 ///
 /// The own block keeps the word's newest versions. When it is full the
 /// oldest entry makes room, unless a live snapshot may still need it:
@@ -133,8 +136,10 @@ const CHUNK_BLOCKS: usize = 256;
 pub(crate) struct VersionStore {
     k: usize,
     heap_words: usize,
-    /// One chunk per `CHUNK_BLOCKS` heap words, then the spill chunks.
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    /// Block `w` of every heap word `w`, `2 + 2k` words each.
+    own_blocks: ZeroedWords,
+    /// The spill chunks, each claimed on first use.
+    spills: Box<[OnceLock<Box<[AtomicU64]>>]>,
     spilled: AtomicUsize,
 }
 
@@ -187,39 +192,49 @@ impl Block<'_> {
 impl VersionStore {
     /// A store of `k` versions a block for a heap of `heap_words` words.
     pub(crate) fn new(heap_words: usize, k: usize) -> Self {
-        let spill_chunks = (u32::MAX as usize / CHUNK_BLOCKS).ilog2() as usize;
-        let chunks = heap_words.div_ceil(CHUNK_BLOCKS) + spill_chunks;
+        let spill_chunks = (u32::MAX as usize / SPILL_BLOCKS).ilog2() as usize;
+        let own_words = heap_words
+            .checked_mul(2 + 2 * k)
+            .expect("version store size overflows");
         VersionStore {
             k,
             heap_words,
-            chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+            own_blocks: ZeroedWords::new(own_words),
+            spills: (0..spill_chunks).map(|_| OnceLock::new()).collect(),
             spilled: AtomicUsize::new(0),
         }
     }
 
-    /// Block `id`, if its chunk is claimed or `claim` says to claim it.
-    fn block(&self, id: usize, claim: bool) -> Option<Block<'_>> {
+    /// The block heap word `word` owns.
+    fn own(&self, word: usize) -> Block<'_> {
         let stride = 2 + 2 * self.k;
-        let (chunk, at, blocks) = match id.checked_sub(self.heap_words) {
-            None => (id / CHUNK_BLOCKS, id % CHUNK_BLOCKS, CHUNK_BLOCKS),
-            Some(spill) => {
-                // Spill chunk n starts at spill block CHUNK_BLOCKS * (2^n - 1).
-                let n = (spill / CHUNK_BLOCKS + 1).ilog2() as usize;
-                let at = spill + CHUNK_BLOCKS - (CHUNK_BLOCKS << n);
-                let own_chunks = self.heap_words.div_ceil(CHUNK_BLOCKS);
-                (own_chunks + n, at, CHUNK_BLOCKS << n)
-            }
+        Block(&self.own_blocks[word * stride..][..stride])
+    }
+
+    /// Block `id`: an own block, or a spill block if its chunk is claimed
+    /// or `claim` says to claim it.
+    fn block(&self, id: usize, claim: bool) -> Option<Block<'_>> {
+        let Some(spill) = id.checked_sub(self.heap_words) else {
+            return Some(self.own(id));
         };
-        let zeroed = || (0..blocks * stride).map(|_| AtomicU64::new(0)).collect();
+        let stride = 2 + 2 * self.k;
+        // Spill chunk n starts at spill block SPILL_BLOCKS * (2^n - 1).
+        let n = (spill / SPILL_BLOCKS + 1).ilog2() as usize;
+        let at = spill + SPILL_BLOCKS - (SPILL_BLOCKS << n);
+        let zeroed = || {
+            (0..(SPILL_BLOCKS << n) * stride)
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        };
         let words = match claim {
-            true => self.chunks[chunk].get_or_init(zeroed),
-            false => self.chunks[chunk].get()?,
+            true => self.spills[n].get_or_init(zeroed),
+            false => self.spills[n].get()?,
         };
         Some(Block(&words[at * stride..][..stride]))
     }
 
-    /// A block some block links to: its chunk was claimed before the link
-    /// was stored.
+    /// A block some block links to: a spill block's chunk was claimed
+    /// before the link was stored.
     fn linked(&self, id: usize) -> Block<'_> {
         self.block(id, false).expect("a linked block is claimed")
     }
@@ -237,7 +252,7 @@ impl VersionStore {
         pre_image: u64,
         floor: u64,
     ) -> u64 {
-        let block = self.block((addr >> 3) as usize, true).expect("claimed");
+        let block = self.own((addr >> 3) as usize);
         let ((mut len, mut older), (mut tail, mut spare)) = (block.halves(0), block.halves(1));
         let mut reclaimed = 0;
         if len == 0 {
@@ -303,8 +318,7 @@ impl VersionStore {
         rv: u64,
         stable: impl Fn() -> bool,
     ) -> Option<Option<(u64, u64)>> {
-        let own = self.block((addr >> 3) as usize, false);
-        let (mut entry, mut older) = own.map_or((None, 0), |own| own.newest_at(rv));
+        let (mut entry, mut older) = self.own((addr >> 3) as usize).newest_at(rv);
         if !stable() {
             return None;
         }
@@ -323,7 +337,7 @@ impl VersionStore {
     /// The version stamps kept for the word at `addr`, ascending; at rest.
     pub(crate) fn versions(&self, addr: u64) -> Vec<u64> {
         let mut versions = Vec::new();
-        let mut next = self.block((addr >> 3) as usize, false);
+        let mut next = Some(self.own((addr >> 3) as usize));
         while let Some(block) = next {
             let (len, older) = block.halves(0);
             versions.extend((0..len).rev().map(|i| block.entry(i).0));

@@ -31,6 +31,7 @@
 pub mod exec;
 pub mod heap;
 pub mod tl2;
+mod zeroed;
 
 pub use exec::{NativeExec, NativeRoTxn, NativeTxn};
 pub use heap::NativeHeap;

@@ -40,6 +40,7 @@ use hastm_sim::words::CachePadded;
 use hastm_sim::{counters, Addr};
 
 use crate::heap::{NativeHeap, VersionStore};
+use crate::zeroed::ZeroedWords;
 
 /// Configuration of one [`NativeRuntime`].
 #[derive(Clone, Debug)]
@@ -170,7 +171,8 @@ const MAX_LOCK_SPINS: u32 = 128;
 /// drive it through per-thread [`crate::NativeExec`]s.
 pub struct NativeRuntime {
     heap: NativeHeap,
-    locks: Box<[AtomicU64]>,
+    /// One lock word per stripe, on pages that cost memory once touched.
+    locks: ZeroedWords,
     stripe_mask: u64,
     /// Bumped by every writing commit — the epoch only with the filter on
     /// — so each sits on a line pair of its own, away from `stripe_mask`,
@@ -201,13 +203,12 @@ impl NativeRuntime {
     /// Builds a runtime with the given configuration.
     pub fn new(cfg: NativeConfig) -> Self {
         let stripes = cfg.stripes.next_power_of_two().max(2);
-        let locks: Vec<AtomicU64> = (0..stripes).map(|_| AtomicU64::new(0)).collect();
         let multi = cfg.versioning.is_multi();
         let versions = multi.then(|| VersionStore::new(cfg.heap_words, cfg.versioning.depth()));
         let phase = cfg.phased.map(SharedModeState::new);
         NativeRuntime {
             heap: NativeHeap::new(cfg.heap_words),
-            locks: locks.into_boxed_slice(),
+            locks: ZeroedWords::new(stripes),
             stripe_mask: (stripes - 1) as u64,
             clock: CachePadded::new(AtomicU64::new(0)),
             epoch: CachePadded::new(AtomicU64::new(0)),

@@ -6,10 +6,10 @@
 //! warm a transaction of ordinary size begins, reads, writes, aborts,
 //! retries and commits without calling the allocator; so does a snapshot
 //! region. Under `Multi` the one place a writing commit may allocate is
-//! version-ring publication, and only to claim a chunk of rings: one per
-//! 256 heap words, the first time a commit writes any of them, and one
-//! per 256 blocks of history that live snapshots pin past a ring's `k`
-//! slots. A counting `#[global_allocator]`, armed only around the
+//! version-ring publication, and only to claim a chunk of spill blocks:
+//! one per 256 blocks of history that live snapshots pin past a ring's `k`
+//! slots. A word's own ring is part of the runtime from the start, on a
+//! page the first write to it faults in. A counting `#[global_allocator]`, armed only around the
 //! measured loops, turns any regression into a test failure.
 //!
 //! The allocator is process-wide but the tests here run on parallel
@@ -144,8 +144,8 @@ fn warm_single_version_paths_do_not_allocate() {
     }
 }
 
-/// Heap words one chunk of version rings serves (`heap.rs`).
-const CHUNK_WORDS: u32 = 256;
+/// Heap words whose rings share a page at `k = 3` (8 words a ring).
+const PAGE_WORDS: u32 = 64;
 
 #[test]
 fn multi_version_commits_allocate_only_for_ring_publication() {
@@ -153,12 +153,13 @@ fn multi_version_commits_allocate_only_for_ring_publication() {
     let mut ex = NativeExec::new(&rt);
     let obj = ex.alloc_obj(WORDS);
     let neighbour = ex.alloc_obj(WORDS);
-    // Past the chunk the first two objects are in, and in one piece.
-    ex.alloc_obj(2 * CHUNK_WORDS);
+    // Past the page of rings the first two objects are in, and in one
+    // piece.
+    ex.alloc_obj(2 * PAGE_WORDS);
     let far = ex.alloc_obj(WORDS);
-    assert_eq!(far.word(0).0 >> 3 >> 8, far.word(WORDS - 1).0 >> 3 >> 8);
-    // One commit claims the chunk of `obj`'s rings; the first region
-    // claims the executor's snapshot slot.
+    assert_eq!(far.word(0).0 >> 3 >> 6, far.word(WORDS - 1).0 >> 3 >> 6);
+    // One commit sizes the executor's logs; the first region claims the
+    // executor's snapshot slot.
     read_modify_write(&mut ex, obj);
     abort_then_retry(&mut ex, obj);
     sum_ro(&mut ex, obj);
@@ -166,17 +167,17 @@ fn multi_version_commits_allocate_only_for_ring_publication() {
     let allocs = armed(|| (0..64).for_each(|_| assert!(sum_ro(&mut ex, obj) > 0)));
     assert_eq!(allocs, 0, "snapshot regions allocated");
     // Seeding a ring, filling it and turning it over all happen inside
-    // its chunk.
+    // its block.
     let allocs = armed(|| {
         (0..64).for_each(|_| read_modify_write(&mut ex, obj));
         (0..64).for_each(|_| abort_then_retry(&mut ex, obj));
         read_modify_write(&mut ex, neighbour);
     });
-    assert_eq!(allocs, 0, "commits over a claimed chunk allocated");
-    // The same transaction over words whose chunk nobody has written to:
-    // the one new piece of work is claiming it.
+    assert_eq!(allocs, 0, "commits over written rings allocated");
+    // The same transaction over words whose page of rings nobody has
+    // written to: the page faults in, and the allocator is not involved.
     let allocs = armed(|| read_modify_write(&mut ex, far));
-    assert_eq!(allocs, 1, "a first write claims its chunk, once");
+    assert_eq!(allocs, 0, "a first write into a fresh page allocated");
     assert_eq!(ex.stats().ring_reads, 0, "nothing ever moved past a region");
 
     // A pinned snapshot makes every ring it can still read spill: the
