@@ -1,5 +1,6 @@
-//! Regenerates the evaluation figures via the parallel cell sweep: all of
-//! them, or with `--fig N` (repeatable) just Figure N.
+//! Regenerates the evaluation figures and the reproduction's own tables
+//! via the parallel cell sweep: all of them, or with `--fig N` (repeatable)
+//! just Figure N, or `--fig phases` / `--fig ablation` just that table.
 //!
 //! Tables go to stdout in presentation order (bit-identical at any thread
 //! count — the simulator is deterministic per cell); progress and the
@@ -11,7 +12,7 @@
 use hastm_bench::{env_or_exit, sweep_selected, Scale, SweepConfig, FIGURES};
 
 fn usage(problem: &str) -> ! {
-    eprintln!("usage: all-figs [--fig N]... [--verify] [--serial]  ({problem})");
+    eprintln!("usage: all-figs [--fig N|phases|ablation]... [--verify]  ({problem})");
     std::process::exit(2);
 }
 
@@ -22,17 +23,17 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--verify" => config.verify = true,
-            "--serial" => config.threads = 1,
             "--fig" => {
                 let n = args
                     .next()
-                    .unwrap_or_else(|| usage("--fig needs a figure number"));
+                    .unwrap_or_else(|| usage("--fig needs a figure number or table name"));
+                // A figure goes by its number, a table by its name.
                 match FIGURES
                     .iter()
-                    .find(|f| f.name.strip_prefix("fig") == Some(&n))
+                    .find(|f| f.name.strip_prefix("fig").unwrap_or(f.name) == n)
                 {
                     Some(fig) => selected.push(fig.name),
-                    None => usage(&format!("no Figure {n}; have 11-22")),
+                    None => usage(&format!("no Figure {n}; have 11-22, phases and ablation")),
                 }
             }
             other => usage(&format!("unknown arg {other:?}")),
@@ -43,7 +44,7 @@ fn main() {
     }
     let scale = env_or_exit(Scale::from_env());
     eprintln!(
-        "running {} figure(s) at {scale:?} scale on {} host thread(s){}...",
+        "running {} table(s) at {scale:?} scale on {} host thread(s){}...",
         selected.len(),
         config.threads,
         if config.verify {
@@ -57,7 +58,7 @@ fn main() {
         fig.table.print();
     }
     eprintln!(
-        "swept {} unique cells across {} figures in {:.1}s ({} threads)",
+        "swept {} unique cells across {} tables in {:.1}s ({} threads)",
         report.unique_cells,
         report.figures.len(),
         report.wall.as_secs_f64(),

@@ -1,4 +1,6 @@
-//! Runners regenerating each evaluation figure of the paper.
+//! Runners regenerating each evaluation figure of the paper, plus two
+//! tables of this reproduction's own: the `phases` mode-policy comparison
+//! and the §5 write-filter `ablation`.
 //!
 //! Absolute cycle counts are a property of this simulator, not of the
 //! authors' (proprietary) one; what these runners reproduce — and what
@@ -19,14 +21,17 @@
 
 use std::collections::{HashMap, HashSet};
 
-use hastm::Granularity;
-use hastm_sim::{CacheConfig, MachineConfig};
+use hastm::{
+    Granularity, ModePolicy, ObjRef, OracleMode, Phase, StmConfig, StmRuntime, TxThread, TxnStats,
+};
+use hastm_sim::{CacheConfig, GateMode, Machine, MachineConfig};
 use hastm_workloads::{
-    analyze, generate_stream, run_kernel, run_workload, KernelParams, KernelResult, Scheme,
-    Structure, WorkloadConfig, WorkloadResult, PROFILES,
+    analyze, generate_stream, run_kernel, run_oltp_sim, run_workload, KernelParams, KernelResult,
+    OltpSimConfig, Scheme, Structure, WorkloadConfig, WorkloadResult, PROFILES,
 };
 
-use crate::table::{pct, ratio, Table};
+use crate::oltp::mill_config;
+use crate::table::{pct, ratio, share, Table};
 use crate::Scale;
 
 /// Named machine description used by a cell (kept as an enum rather than a
@@ -85,6 +90,10 @@ pub enum Cell {
         /// Structure-size multiplier (scaling figures use 16 so
         /// transactions are long enough for interference to land inside).
         size_mult: u64,
+        /// HASTM under the PhTM-style phased mode policy
+        /// ([`ModePolicy::phased`]) in place of the one `size_mult` and
+        /// the thread count select (the `phases` table).
+        phased: bool,
     },
     /// A synthetic critical-section kernel replay (Figure 15).
     Kernel {
@@ -96,6 +105,23 @@ pub enum Cell {
         miss_pct: u32,
         /// Number of critical sections replayed.
         sections: u32,
+    },
+    /// The OLTP traffic mill at the paper-default skew (θ = 0.9), its
+    /// oracle off (the `phases` table).
+    Mill {
+        /// Synchronization scheme.
+        scheme: Scheme,
+        /// Experiment scale.
+        scale: Scale,
+        /// As for [`Cell::Ds`].
+        phased: bool,
+    },
+    /// The single-core accumulator kernel of the write-filter ablation.
+    WriteFilter {
+        /// Whether the second mark filter guards the write barrier.
+        filter_writes: bool,
+        /// Times each hot word is rewritten per transaction.
+        rewrites: u32,
     },
 }
 
@@ -109,9 +135,10 @@ impl Cell {
                 threads,
                 machine,
                 size_mult,
+                phased,
                 ..
             } => format!(
-                "{}/{} {}p{}{}",
+                "{}/{} {}p{}{}{}",
                 structure.label().to_lowercase(),
                 scheme.label().to_lowercase(),
                 threads,
@@ -124,7 +151,8 @@ impl Cell {
                     format!(" x{size_mult}")
                 } else {
                     String::new()
-                }
+                },
+                if *phased { " phased" } else { "" }
             ),
             Cell::Kernel {
                 scheme,
@@ -137,6 +165,18 @@ impl Cell {
                 load_pct,
                 miss_pct
             ),
+            Cell::Mill { scheme, phased, .. } => format!(
+                "mill/{}{}",
+                scheme.label().to_lowercase(),
+                if *phased { " phased" } else { "" }
+            ),
+            Cell::WriteFilter {
+                filter_writes,
+                rewrites,
+            } => format!(
+                "writefilter/{} x{rewrites}",
+                if *filter_writes { "on" } else { "off" }
+            ),
         }
     }
 
@@ -144,45 +184,14 @@ impl Cell {
     pub fn cores(&self) -> usize {
         match self {
             Cell::Ds { threads, .. } => *threads,
-            Cell::Kernel { .. } => 1,
+            Cell::Mill { scale, .. } => mill_config(*scale, MILL_THETA).threads,
+            Cell::Kernel { .. } | Cell::WriteFilter { .. } => 1,
         }
-    }
-
-    /// The workload a [`Cell::Ds`] runs (`None` for a kernel replay).
-    /// Public so the cross-gate test can run a cell's exact workload under
-    /// the per-op reference gate.
-    pub fn workload_config(&self) -> Option<WorkloadConfig> {
-        let Cell::Ds {
-            structure,
-            scheme,
-            threads,
-            scale,
-            machine,
-            size_mult,
-        } = *self
-        else {
-            return None;
-        };
-        let mut cfg = WorkloadConfig::paper_default(structure, scheme, threads);
-        // Total work is fixed across thread counts (scaling experiments
-        // divide the same op budget among threads).
-        let total_ops = scale.ops() * 4;
-        cfg.ops_per_thread = (total_ops / threads as u64).max(1);
-        cfg.prepopulate = scale.prepopulate() * size_mult;
-        cfg.key_range = cfg.prepopulate * 2;
-        cfg.granularity = Granularity::CacheLine;
-        cfg.machine = machine.config();
-        if size_mult > 1 {
-            // Scaling experiments: the adaptive watermark policy governs
-            // HASTM at every thread count (the single-thread
-            // always-aggressive policy would thrash on the interference
-            // machine).
-            cfg.mode_policy_override =
-                Some(hastm::ModePolicy::AbortRatioWatermark { watermark: 0.1 });
-        }
-        Some(cfg)
     }
 }
+
+/// The mill's skew in [`Cell::Mill`].
+const MILL_THETA: f64 = 0.9;
 
 /// Output of one cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -191,6 +200,17 @@ pub enum CellOutput {
     Ds(WorkloadResult),
     /// Output of a [`Cell::Kernel`] run.
     Kernel(KernelResult),
+    /// Output of a [`Cell::Mill`] or [`Cell::WriteFilter`] run.
+    Txn {
+        /// Simulated cycles: the mill's makespan, the kernel's measured
+        /// transactions.
+        cycles: u64,
+        /// Digest of the final state: the mill's balances, the kernel's
+        /// hot words.
+        digest: u64,
+        /// STM statistics, merged across cores.
+        txn: TxnStats,
+    },
 }
 
 impl CellOutput {
@@ -199,13 +219,23 @@ impl CellOutput {
         match self {
             CellOutput::Ds(r) => r.cycles,
             CellOutput::Kernel(r) => r.cycles,
+            CellOutput::Txn { cycles, .. } => *cycles,
+        }
+    }
+
+    /// STM statistics (zeroed for non-STM schemes).
+    pub fn txn(&self) -> &TxnStats {
+        match self {
+            CellOutput::Ds(r) => &r.txn,
+            CellOutput::Kernel(r) => &r.txn,
+            CellOutput::Txn { txn, .. } => txn,
         }
     }
 
     fn ds(&self) -> &WorkloadResult {
         match self {
             CellOutput::Ds(r) => r,
-            CellOutput::Kernel(_) => panic!("expected a data-structure cell output"),
+            _ => panic!("expected a data-structure cell output"),
         }
     }
 }
@@ -213,11 +243,46 @@ impl CellOutput {
 /// Runs one cell. Pure up to determinism: equal cells produce equal
 /// outputs in any process, on any thread, in any order.
 pub fn run_cell(cell: &Cell) -> CellOutput {
+    run_cell_on(cell, GateMode::default())
+}
+
+/// Runs one cell with its simulated cores admitted under `gate`. The
+/// tables run the default, [`GateMode::Quantum`]; tests hold every
+/// multi-core cell to the [`GateMode::PerOp`] reference through here.
+/// Kernel replays run on [`run_kernel`]'s own single-core machine, where
+/// no gate has a second core to admit.
+pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
     match *cell {
-        Cell::Ds { .. } => {
-            let cfg = cell
-                .workload_config()
-                .expect("every Ds cell has a workload");
+        Cell::Ds {
+            structure,
+            scheme,
+            threads,
+            scale,
+            machine,
+            size_mult,
+            phased,
+        } => {
+            let mut cfg = WorkloadConfig::paper_default(structure, scheme, threads);
+            // Total work is fixed across thread counts (scaling experiments
+            // divide the same op budget among threads).
+            let total_ops = scale.ops() * 4;
+            cfg.ops_per_thread = (total_ops / threads as u64).max(1);
+            cfg.prepopulate = scale.prepopulate() * size_mult;
+            cfg.key_range = cfg.prepopulate * 2;
+            cfg.granularity = Granularity::CacheLine;
+            cfg.machine = MachineConfig {
+                gate,
+                ..machine.config()
+            };
+            if phased {
+                cfg.mode_policy_override = Some(ModePolicy::phased());
+            } else if size_mult > 1 {
+                // Scaling experiments: the adaptive watermark policy
+                // governs HASTM at every thread count (the single-thread
+                // always-aggressive policy would thrash on the
+                // interference machine).
+                cfg.mode_policy_override = Some(ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+            }
             CellOutput::Ds(run_workload(&cfg))
         }
         Cell::Kernel {
@@ -236,7 +301,80 @@ pub fn run_cell(cell: &Cell) -> CellOutput {
             let stream = generate_stream(&params);
             CellOutput::Kernel(run_kernel(scheme, &stream))
         }
+        Cell::Mill {
+            scheme,
+            scale,
+            phased,
+        } => {
+            let mut cfg = OltpSimConfig::new(
+                mill_config(scale, MILL_THETA),
+                scheme,
+                Granularity::CacheLine,
+            );
+            cfg.oracle = OracleMode::Off;
+            cfg.machine.gate = gate;
+            if phased {
+                cfg.mode_policy_override = Some(ModePolicy::phased());
+            }
+            let r = run_oltp_sim(&cfg);
+            CellOutput::Txn {
+                cycles: r.metrics.elapsed,
+                digest: r.digest,
+                txn: r.txn,
+            }
+        }
+        Cell::WriteFilter {
+            filter_writes,
+            rewrites,
+        } => accumulate(filter_writes, rewrites, gate),
     }
+}
+
+/// The write-filter ablation's kernel: each of 100 transactions rewrites
+/// 16 hot words `rewrites` times each (running sums, counters — the
+/// write-locality pattern the filter targets) under single-thread HASTM
+/// at object granularity.
+fn accumulate(filter_writes: bool, rewrites: u32, gate: GateMode) -> CellOutput {
+    let mut config = StmConfig::hastm(Granularity::Object, ModePolicy::SingleThreadAggressive);
+    config.filter_writes = filter_writes;
+    let mut machine = Machine::new(MachineConfig {
+        gate,
+        ..MachineConfig::default()
+    });
+    let runtime = StmRuntime::new(&mut machine, config);
+    machine
+        .run_one(|cpu| {
+            let mut tx = TxThread::new(&runtime, cpu);
+            let objs: Vec<ObjRef> = (0..16).map(|_| tx.alloc_obj(2)).collect();
+            tx.atomic(|tx| {
+                for o in &objs {
+                    tx.write_word(*o, 0, 0)?;
+                }
+                Ok(())
+            });
+            let t0 = tx.cpu().now();
+            for round in 0..100u64 {
+                tx.atomic(|tx| {
+                    for o in &objs {
+                        for k in 0..rewrites as u64 {
+                            let v = tx.read_word(*o, 0)?;
+                            tx.write_word(*o, 0, v + round + k)?;
+                        }
+                    }
+                    Ok(())
+                });
+            }
+            let cycles = tx.cpu().now() - t0;
+            let digest = objs.iter().fold(0, |d: u64, o| {
+                d.rotate_left(7) ^ tx.cpu().peek_u64(o.word(0))
+            });
+            CellOutput::Txn {
+                cycles,
+                digest,
+                txn: tx.stats().clone(),
+            }
+        })
+        .0
 }
 
 /// A memoizing serial resolver: runs each distinct cell once, in calling
@@ -259,6 +397,7 @@ fn ds_cell(structure: Structure, scheme: Scheme, threads: usize, scale: Scale) -
         scale,
         machine: MachinePreset::Default,
         size_mult: 1,
+        phased: false,
     }
 }
 
@@ -490,6 +629,7 @@ impl Scaling {
                 scale,
                 machine: self.machine,
                 size_mult: 16,
+                phased: false,
             })
             .cycles()
         };
@@ -513,6 +653,126 @@ impl Scaling {
     }
 }
 
+/// The HyTM cost-model table: the Figure 21/22 interference regime, an
+/// uncontended control and the OLTP mill under three HASTM mode policies —
+/// the naïve always-aggressive strawman, the adaptive abort-ratio
+/// watermark and the PhTM-style phased controller — with makespan and the
+/// per-phase counters (transitions, serial commits, time in each phase).
+///
+/// The naïve and watermark points of the interference regimes are
+/// Figures 21/22's own 4-core cells, so they run once.
+fn phases(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+    let mut table = Table::new(
+        "Phased execution: mode-policy comparison (HyTM cost model)",
+        &[
+            "workload", "policy", "cycles", "vs naive", "commits", "aborts", "trans", "serial",
+            "hw", "aggr", "caut", "ser",
+        ],
+    );
+    // A data-structure regime is a Figure 21/22-style cell; `None` is the
+    // mill.
+    let workloads = [
+        (
+            "bst interference",
+            Some((Structure::Bst, MachinePreset::Interference, 4)),
+        ),
+        (
+            "btree interference",
+            Some((Structure::BTree, MachinePreset::Interference, 4)),
+        ),
+        (
+            "bst uncontended",
+            Some((Structure::Bst, MachinePreset::Default, 2)),
+        ),
+        ("oltp mill", None),
+    ];
+    let policies = [
+        ("naive", Scheme::NaiveAggressive, false),
+        ("watermark", Scheme::Hastm, false),
+        ("phased", Scheme::Hastm, true),
+    ];
+    for (workload, ds) in workloads {
+        let cell = |scheme, phased| match ds {
+            Some((structure, machine, threads)) => Cell::Ds {
+                structure,
+                scheme,
+                threads,
+                scale,
+                machine,
+                size_mult: 16,
+                phased,
+            },
+            None => Cell::Mill {
+                scheme,
+                scale,
+                phased,
+            },
+        };
+        let naive = run(&cell(Scheme::NaiveAggressive, false)).cycles();
+        for (policy, scheme, phased) in policies {
+            let out = run(&cell(scheme, phased));
+            let txn = out.txn();
+            let in_phase =
+                |phase: Phase| share(txn.phase_cycles[phase.idx()], txn.phase_cycles.iter().sum());
+            table.row(vec![
+                workload.to_string(),
+                policy.to_string(),
+                out.cycles().to_string(),
+                ratio(out.cycles(), naive),
+                txn.commits.to_string(),
+                txn.aborts().to_string(),
+                txn.phase_transitions.to_string(),
+                txn.serial_commits.to_string(),
+                in_phase(Phase::Hw),
+                in_phase(Phase::Aggressive),
+                in_phase(Phase::Cautious),
+                in_phase(Phase::Serial),
+            ]);
+        }
+    }
+    table
+        .note("expected: phased beats naive-aggressive on the interference workloads (it stops re-executing doomed aggressive attempts) and stays within a few percent of the watermark policy when uncontended")
+        .note("hw/aggr/caut/ser columns: share of transaction cycles spent in each phase (phased policy only)");
+    table
+}
+
+/// The §5 write-filtering extension ("an implementation could also filter
+/// STM write barrier and undo logging operations using additional mark
+/// bits"), implemented on the hardware's second mark filter and measured
+/// against baseline HASTM on the store-heavy accumulator kernel. The
+/// kernel's size does not depend on the scale.
+fn ablation(_: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
+    let mut table = Table::new(
+        "Ablation: write-barrier + undo-log filtering (second mark filter, §5 extension)",
+        &[
+            "rewrites/word",
+            "HASTM",
+            "HASTM+writefilter",
+            "wr fast paths",
+            "undo elided",
+        ],
+    );
+    for rewrites in [1, 2, 4, 8] {
+        let base = run(&Cell::WriteFilter {
+            filter_writes: false,
+            rewrites,
+        });
+        let filtered = run(&Cell::WriteFilter {
+            filter_writes: true,
+            rewrites,
+        });
+        table.row(vec![
+            rewrites.to_string(),
+            "1.00".into(),
+            ratio(filtered.cycles(), base.cycles()),
+            filtered.txn().write_fast_path.to_string(),
+            filtered.txn().undo_elided.to_string(),
+        ]);
+    }
+    table.note("relative to baseline HASTM; expected: filtering pays increasingly as write locality grows, and is roughly neutral at 1 rewrite");
+    table
+}
+
 /// A figure's table builder: renders the table at the given scale,
 /// requesting each cell's output through the resolver.
 pub type BuildFn = fn(Scale, &mut dyn FnMut(&Cell) -> CellOutput) -> Table;
@@ -526,11 +786,11 @@ pub enum Build {
     Scaling(Scaling),
 }
 
-/// One figure in the registry. Its cells are whatever its builder asks
-/// for ([`Figure::cells`]); nothing else lists them.
+/// One figure (or table) in the registry. Its cells are whatever its
+/// builder asks for ([`Figure::cells`]); nothing else lists them.
 #[derive(Copy, Clone)]
 pub struct Figure {
-    /// Short name (`fig11` ... `fig22`).
+    /// Short name (`fig11` ... `fig22`, `phases`, `ablation`).
     pub name: &'static str,
     /// The table builder.
     pub build: Build,
@@ -572,6 +832,11 @@ impl Figure {
                     cycles: 1,
                     ..KernelResult::default()
                 }),
+                Cell::Mill { .. } | Cell::WriteFilter { .. } => CellOutput::Txn {
+                    cycles: 1,
+                    digest: 0,
+                    txn: TxnStats::default(),
+                },
             }
         });
         cells
@@ -581,9 +846,10 @@ impl Figure {
 const SCALING_SCHEMES: &[Scheme] = &[Scheme::Hastm, Scheme::Stm, Scheme::Lock];
 const AGGRESSIVE_SCHEMES: &[Scheme] = &[Scheme::Hastm, Scheme::NaiveAggressive, Scheme::Stm];
 
-/// Every figure in presentation order. Figure 13 is pure trace analysis
-/// and requests no cells.
-pub const FIGURES: [Figure; 12] = [
+/// Every figure in presentation order, then the two tables of this
+/// reproduction's own. Figure 13 is pure trace analysis and requests no
+/// cells.
+pub const FIGURES: [Figure; 14] = [
     Figure {
         name: "fig11",
         build: Build::Table(fig11),
@@ -672,9 +938,17 @@ pub const FIGURES: [Figure; 12] = [
             expected: "expected: same shape as Figure 21 on the btree",
         }),
     },
+    Figure {
+        name: "phases",
+        build: Build::Table(phases),
+    },
+    Figure {
+        name: "ablation",
+        build: Build::Table(ablation),
+    },
 ];
 
-/// The figure called `name` (`fig11` ... `fig22`).
+/// The figure called `name` (`fig11` ... `fig22`, `phases`, `ablation`).
 ///
 /// # Panics
 ///

@@ -2,9 +2,10 @@
 //!
 //! One runner per evaluation figure of *"Architectural Support for
 //! Software Transactional Memory"* (MICRO 2006). `all-figs --fig N`
-//! prints the rows/series of Figure N; plain `all-figs` runs the whole
-//! evaluation and `EXPERIMENTS.md` records the measured shapes against the
-//! paper's claims.
+//! prints the rows/series of Figure N, and `--fig phases` / `--fig
+//! ablation` this reproduction's mode-policy and write-filter tables;
+//! plain `all-figs` runs them all and `EXPERIMENTS.md` records the
+//! measured shapes against the paper's claims.
 //!
 //! Experiment sizes scale with the `HASTM_BENCH_SCALE` environment
 //! variable: `quick` (CI-sized; `ci` is an alias), `standard` (default),
@@ -12,7 +13,6 @@
 
 pub mod figures;
 pub mod oltp;
-pub mod phases;
 pub mod sweep;
 pub mod table;
 

@@ -2,8 +2,8 @@
 //! sweep run on both execution backends (the cycle-accurate simulator and
 //! the host-thread TL2 runtime), reporting the serving-style numbers the
 //! mill was built to expose — p50/p99 latency, goodput, and abort-retry
-//! amplification. Shared by the `perf` binary (BENCH.json `oltp` section)
-//! and the `oltp` table binary.
+//! amplification, printed by the `oltp` binary. [`mill_config`] is also
+//! the traffic of the `phases` table's mill cells.
 
 use hastm::{Granularity, OracleMode};
 use hastm_workloads::{

@@ -90,6 +90,15 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}", 100.0 * x)
 }
 
+/// Percent of `part` in `total`, rendered compactly (`-` for no total).
+pub fn share(part: u64, total: u64) -> String {
+    if total == 0 {
+        "-".into()
+    } else {
+        format!("{:.0}%", part as f64 * 100.0 / total as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

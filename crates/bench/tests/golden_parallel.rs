@@ -4,24 +4,25 @@
 //!    serial builders' for a representative slice of the evaluation — a
 //!    deep-thread figure (fig11), the time-breakdown figure (fig12), the
 //!    HASTM counterpart sweep (fig15), single-thread ratio figures
-//!    (fig16/fig17), and an interference-machine scaling figure (fig21) —
-//!    at CI scale.
+//!    (fig16/fig17), an interference-machine scaling figure (fig21), the
+//!    mode-policy comparison (phases: phased HASTM and the OLTP mill) and
+//!    the write-filter ablation — at CI scale.
 //!    `verify: true` additionally re-runs every cell serially inside the
 //!    sweep and asserts each `CellOutput` (cycles, counters, digest, txn
 //!    stats) matches the parallel one exactly.
 //! 2. The run-until-overtaken quantum gate must admit exactly the per-op
-//!    reference schedule: every *multi-core* cell of *every* figure
-//!    produces a bit-equal `WorkloadResult` — including the embedded
-//!    `RunReport` (all per-core and machine counters) — under both
-//!    `GateMode`s. Solo cells and kernel replays run one core, which
-//!    never hands off, so the gate cannot matter to them.
+//!    reference schedule: every *multi-core* cell of *every* table
+//!    produces a bit-equal `CellOutput` — for a data-structure cell
+//!    including the embedded `RunReport` (all per-core and machine
+//!    counters) — under both `GateMode`s. Solo cells and kernel replays
+//!    run one core, which never hands off, so the gate cannot matter to
+//!    them.
 
 use std::collections::HashSet;
 
-use hastm_bench::figures::{figure, Cell, FIGURES};
+use hastm_bench::figures::{figure, run_cell_on, Cell, FIGURES};
 use hastm_bench::{sweep_selected, Scale, SweepConfig};
 use hastm_sim::GateMode;
-use hastm_workloads::run_workload;
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
@@ -30,7 +31,9 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         threads: 4,
         verify: true,
     };
-    let names = ["fig11", "fig12", "fig15", "fig16", "fig17", "fig21"];
+    let names = [
+        "fig11", "fig12", "fig15", "fig16", "fig17", "fig21", "phases", "ablation",
+    ];
     let report = sweep_selected(&names, scale, &config);
     assert_eq!(report.figures.len(), names.len());
     for (run, name) in report.figures.iter().zip(names) {
@@ -59,17 +62,20 @@ fn gate_modes_produce_bit_identical_outputs() {
         "every figure's multi-core cells, deduplicated; got {}",
         multi_core.len()
     );
+    let mut transitions = 0;
     for cell in &multi_core {
-        let under = |gate| {
-            let mut cfg = cell.workload_config().expect("multi-core cells are Ds");
-            cfg.machine.gate = gate;
-            run_workload(&cfg)
-        };
+        let quantum = run_cell_on(cell, GateMode::Quantum);
         assert_eq!(
-            under(GateMode::PerOp),
-            under(GateMode::Quantum),
+            run_cell_on(cell, GateMode::PerOp),
+            quantum,
             "cell {} diverged across gate modes",
             cell.label()
         );
+        transitions += quantum.txn().phase_transitions;
     }
+    // Non-vacuity: the phased cells actually exercised the controller.
+    assert!(
+        transitions > 0,
+        "no cell published a phase transition; the phased rows are idle"
+    );
 }

@@ -1,7 +1,8 @@
-//! Smoke tests: `all-figs --fig N` must run every figure to completion at
-//! quick scale and print a well-formed table. These catch wiring rot (a
-//! figure whose config panics, a scheme that deadlocks at some thread
-//! count) without asserting anything about the numbers themselves.
+//! Smoke tests: `all-figs --fig N` must run every figure (and `--fig
+//! phases|ablation` each table) to completion at quick scale and print a
+//! well-formed table. These catch wiring rot (a figure whose config
+//! panics, a scheme that deadlocks at some thread count) without
+//! asserting anything about the numbers themselves.
 
 use std::process::{Command, Output};
 
@@ -33,12 +34,12 @@ fn run_figs(figs: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("figure output is UTF-8")
 }
 
-/// A figure table is recognizable by its title line and at least one data
-/// row containing a numeric cell.
-fn assert_looks_like_table(fig: &str, stdout: &str) {
+/// A table is recognizable by its title line and at least one data row
+/// containing a numeric cell.
+fn assert_looks_like_table(title: &str, stdout: &str) {
     assert!(
-        stdout.contains(&format!("Figure {fig}")),
-        "output lacks a 'Figure {fig}' title:\n{stdout}"
+        stdout.contains(&format!("== {title}")),
+        "output lacks a '{title}' title:\n{stdout}"
     );
     // Data rows follow the dashed header separator and carry numeric
     // cells (ratios like "1.07" or raw counts).
@@ -48,17 +49,14 @@ fn assert_looks_like_table(fig: &str, stdout: &str) {
         .skip(1)
         .filter(|l| l.chars().any(|c| c.is_ascii_digit()))
         .count();
-    assert!(
-        data_lines >= 1,
-        "no data rows in figure {fig} output:\n{stdout}"
-    );
+    assert!(data_lines >= 1, "no data rows in {title} output:\n{stdout}");
 }
 
 macro_rules! fig_smoke {
     ($($name:ident, $fig:literal;)*) => {$(
         #[test]
         fn $name() {
-            assert_looks_like_table($fig, &run_figs(&[$fig]));
+            assert_looks_like_table(concat!("Figure ", $fig), &run_figs(&[$fig]));
         }
     )*};
 }
@@ -87,7 +85,13 @@ fn repeated_fig_flags_select_in_flag_order() {
 
 #[test]
 fn bad_arguments_are_usage_errors() {
-    for args in [&["--fig", "23"][..], &["--fig"], &["--gate", "perop"]] {
+    for args in [
+        &["--fig", "23"][..],
+        &["--fig", "fig11"],
+        &["--fig"],
+        &["--gate", "perop"],
+        &["--serial"],
+    ] {
         let out = all_figs(args);
         assert_eq!(out.status.code(), Some(2), "all-figs {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -96,27 +100,28 @@ fn bad_arguments_are_usage_errors() {
     }
 }
 
-/// Runs `exe` with one unknown argument: a usage error, exit 2, before
-/// any table runs.
-fn rejects_an_unknown_argument(exe: &str, name: &str) {
+/// One unknown argument is a usage error, exit 2, before any table runs.
+#[test]
+fn oltp_rejects_an_unknown_argument() {
+    let exe = env!("CARGO_BIN_EXE_oltp");
     let out = Command::new(exe)
         .arg("--bogus")
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
-    assert_eq!(out.status.code(), Some(2), "{name} --bogus");
+    assert_eq!(out.status.code(), Some(2), "oltp --bogus");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");
+    assert!(stderr.contains("usage: oltp"), "{stderr}");
     assert!(out.stdout.is_empty(), "no table on a usage error");
 }
 
 #[test]
-fn oltp_rejects_an_unknown_argument() {
-    rejects_an_unknown_argument(env!("CARGO_BIN_EXE_oltp"), "oltp");
-}
-
-#[test]
-fn ablation_rejects_an_unknown_argument() {
-    rejects_an_unknown_argument(env!("CARGO_BIN_EXE_ablation"), "ablation");
+fn phases_and_ablation_tables_run() {
+    for (name, title) in [
+        ("phases", "Phased execution: mode-policy comparison"),
+        ("ablation", "Ablation: write-barrier + undo-log filtering"),
+    ] {
+        assert_looks_like_table(title, &run_figs(&[name]));
+    }
 }
 
 #[test]

@@ -13,4 +13,4 @@ pub mod exec;
 pub mod spinlock;
 
 pub use exec::{DirectCtx, LockExec, SeqExec};
-pub use spinlock::{SpinLock, TicketLock};
+pub use spinlock::SpinLock;

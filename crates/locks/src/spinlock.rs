@@ -70,52 +70,6 @@ impl SpinLock {
     }
 }
 
-/// A FIFO ticket lock: fair under contention, at the cost of a second
-/// contended word.
-#[derive(Copy, Clone, Debug)]
-pub struct TicketLock {
-    /// Next ticket to hand out.
-    next: Addr,
-    /// Ticket currently being served.
-    serving: Addr,
-}
-
-impl TicketLock {
-    /// Allocates a ticket lock (two words on one line; the serving word is
-    /// what waiters spin on).
-    pub fn alloc(heap: &SimHeap) -> Self {
-        let base = heap.alloc_line();
-        TicketLock {
-            next: base,
-            serving: base.offset(8),
-        }
-    }
-
-    /// Takes a ticket and spins until served.
-    pub fn acquire(&self, cpu: &mut Cpu<'_>) {
-        // Fetch-and-increment via CAS loop.
-        let my_ticket = loop {
-            let t = cpu.load_u64(self.next);
-            if cpu.cas_u64(self.next, t, t + 1) == t {
-                break t;
-            }
-            cpu.tick(8);
-        };
-        loop {
-            if cpu.load_u64(self.serving) == my_ticket {
-                return;
-            }
-            cpu.tick(16);
-        }
-    }
-
-    /// Passes the lock to the next ticket holder.
-    pub fn release(&self, cpu: &mut Cpu<'_>) {
-        let s = cpu.load_u64(self.serving);
-        cpu.store_u64(self.serving, s + 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,29 +139,6 @@ mod tests {
             assert!(lock.try_acquire(cpu));
             lock.release(cpu);
         });
-    }
-
-    #[test]
-    fn ticket_lock_mutual_exclusion_and_fairness() {
-        let mut m = Machine::new(MachineConfig::with_cores(4));
-        let heap = m.heap();
-        let lock = TicketLock::alloc(&heap);
-        let counter = heap.alloc_line();
-        let workers: Vec<WorkerFn<'_>> = (0..4)
-            .map(|_| {
-                Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                    for _ in 0..10 {
-                        lock.acquire(cpu);
-                        let v = cpu.load_u64(counter);
-                        cpu.tick(10);
-                        cpu.store_u64(counter, v + 1);
-                        lock.release(cpu);
-                    }
-                }) as WorkerFn<'_>
-            })
-            .collect();
-        m.run(workers);
-        assert_eq!(m.peek_u64(counter), 40);
     }
 
     #[test]

@@ -135,12 +135,13 @@ mod imp {
 
 #[cfg(not(all(target_arch = "x86_64", unix, not(hastm_thread_gate))))]
 mod imp {
-    use parking_lot::{Condvar, Mutex, MutexGuard};
+    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
     use super::*;
 
     /// Where a machine's [`SimState`] lives: the cores are host threads,
-    /// so exclusive access is a lock.
+    /// so exclusive access is a lock. Poisoning is mapped away: a worker's
+    /// panic is re-raised by `Machine::run` once every core has finished.
     pub(crate) struct StateCell(Mutex<SimState>);
 
     /// Exclusive access to the state; an open quantum is a kept guard.
@@ -155,12 +156,12 @@ mod imp {
         /// if the caller's own thread does).
         #[inline]
         pub(crate) fn lock(&self) -> StateGuard<'_> {
-            self.0.lock()
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
         /// The state of a machine nothing else can reach.
         pub(crate) fn get_mut(&mut self) -> &mut SimState {
-            self.0.get_mut()
+            self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
@@ -196,7 +197,9 @@ mod imp {
                 if let Ok(bound) = st.admission(core) {
                     return (st, bound);
                 }
-                self.turns.0[core].wait(&mut st);
+                st = self.turns.0[core]
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
 

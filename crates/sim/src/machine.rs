@@ -105,7 +105,7 @@ const FAVOR_DEMOTED: u64 = 1 << 63;
 /// would otherwise let a spin-waiting core starve the very core it waits
 /// on (livelock): every unbounded wait loop in this repository backs off
 /// with ticks that reach at least 16 cycles (spinlock exponential backoff,
-/// ticket-lock serving spin, STM/HTM contention waits), so each spin
+/// STM/HTM contention waits), so each spin
 /// iteration demotes the waiter and the owner runs.
 pub(crate) const PCT_YIELD_CYCLES: u64 = 16;
 

@@ -118,16 +118,12 @@ pub struct WorkloadConfig {
     /// multi-version evaluation. `update_pct + scan_pct` must not exceed
     /// 100; the remainder are point lookups.
     pub scan_pct: u32,
-    /// Route lookups and scans through declared read-only regions
-    /// (`atomic_ro`). Under [`Versioning::Multi`] these take
-    /// the abort-free snapshot path; under [`Versioning::Single`] (or a
-    /// non-STM scheme) they execute as ordinary atomic regions, so the
-    /// flag alone never changes results.
-    pub ro_reads: bool,
     /// Version retention for the STM-based schemes: [`Versioning::Single`]
     /// keeps only the latest committed value per word (the paper's base
     /// system), [`Versioning::Multi`] retains a bounded ring so read-only
-    /// transactions read a consistent snapshot without validation.
+    /// transactions read a consistent snapshot without validation. Under
+    /// `Multi`, lookups and scans run as declared read-only regions
+    /// (`atomic_ro`) and take that abort-free snapshot path.
     pub versioning: Versioning,
     /// Keys are drawn uniformly from `0..key_range`.
     pub key_range: u64,
@@ -160,7 +156,6 @@ impl WorkloadConfig {
             ops_per_thread: 1_000,
             update_pct: 20,
             scan_pct: 0,
-            ro_reads: false,
             versioning: Versioning::Single,
             key_range: 1_024,
             prepopulate: 512,
@@ -178,7 +173,6 @@ impl WorkloadConfig {
     pub fn read_heavy(structure: Structure, scheme: Scheme, threads: usize) -> Self {
         WorkloadConfig {
             update_pct: 4,
-            ro_reads: true,
             versioning: Versioning::Multi { k: 3 },
             ..WorkloadConfig::paper_default(structure, scheme, threads)
         }
@@ -190,7 +184,6 @@ impl WorkloadConfig {
     pub fn scan_heavy(structure: Structure, scheme: Scheme, threads: usize) -> Self {
         WorkloadConfig {
             scan_pct: 10,
-            ro_reads: true,
             versioning: Versioning::Multi { k: 3 },
             ..WorkloadConfig::paper_default(structure, scheme, threads)
         }
@@ -380,19 +373,19 @@ fn digest(map: &AnyMap, ctx: &mut dyn TmContext) -> TxResult<u64> {
 /// One operation of the mixed map stream: `roll` (in `0..100`) selects
 /// insert / remove / whole-structure scan / point lookup per the config's
 /// update and scan percentages. Scans and lookups run as declared
-/// read-only regions when `cfg.ro_reads` is set.
+/// read-only regions when the config retains multiple versions.
 fn map_op(ex: &mut ThreadExec<'_, '_>, map: &AnyMap, cfg: &WorkloadConfig, key: u64, roll: u32) {
     if roll < cfg.update_pct / 2 {
         ex.atomic(|ctx| map.insert(ctx, key, key ^ 0xff));
     } else if roll < cfg.update_pct {
         ex.atomic(|ctx| map.remove(ctx, key));
     } else if roll < cfg.update_pct + cfg.scan_pct {
-        if cfg.ro_reads {
+        if cfg.versioning.is_multi() {
             ex.atomic_ro(|ctx| map.len(ctx));
         } else {
             ex.atomic(|ctx| map.len(ctx));
         }
-    } else if cfg.ro_reads {
+    } else if cfg.versioning.is_multi() {
         ex.atomic_ro(|ctx| map.get(ctx, key));
     } else {
         ex.atomic(|ctx| map.get(ctx, key));
@@ -606,10 +599,9 @@ mod tests {
     #[test]
     fn single_thread_digest_is_versioning_independent() {
         // One thread means one op order, so Single and Multi must end in
-        // the identical abstract map state even with lookups rerouted
-        // through the snapshot path.
-        let mut single = small(Structure::HashTable, Scheme::Hastm, 1);
-        single.ro_reads = true;
+        // the identical abstract map state even though Multi reroutes
+        // lookups through the snapshot path.
+        let single = small(Structure::HashTable, Scheme::Hastm, 1);
         let mut multi = single.clone();
         multi.versioning = Versioning::Multi { k: 3 };
         let a = run_workload(&single);
