@@ -122,6 +122,9 @@ pub struct NativeExec<'r> {
     /// stored to (writes are buffered) and its address never left this
     /// thread.
     spare_allocs: Vec<(u32, ObjRef)>,
+    /// Every object a committed attempt allocated — kept only while
+    /// [`Mutant::EverFresh`] is armed, which takes them all for fresh.
+    ever_allocs: Vec<(u32, ObjRef)>,
 }
 
 impl<'r> NativeExec<'r> {
@@ -141,6 +144,7 @@ impl<'r> NativeExec<'r> {
             locks: Vec::new(),
             attempt_allocs: Vec::new(),
             spare_allocs: Vec::new(),
+            ever_allocs: Vec::new(),
         }
     }
 
@@ -227,17 +231,34 @@ impl<'r> NativeExec<'r> {
     /// and pruned of what no reader at or above the floor can need, while
     /// the caller holds the stripes — by lock, or by being alone in the
     /// serial phase — which is what lets a snapshot reader take the ring
-    /// and the word as one whole.
+    /// and the word as one whole. A word of an object this attempt
+    /// allocated publishes nothing: only this commit's stores make the
+    /// object reachable, so no snapshot older than `wv` can read it, and
+    /// the word's first later overwrite seeds version 0 with the value
+    /// stored here, which is what every snapshot that can reach it reads.
     fn write_back(&mut self, wv: u64, hook: Option<WritebackHook>) {
         let rt = self.rt;
         let total = self.writes.len();
         let floor = rt.snapshots().map(|live| live.floor(rt.clock()));
+        let fresh = match floor {
+            Some(_) if armed(Mutant::EverFresh) => {
+                self.ever_allocs.extend_from_slice(&self.attempt_allocs);
+                &self.ever_allocs
+            }
+            _ => &self.attempt_allocs,
+        };
         for (done, &(addr, value)) in self.writes.entries().iter().enumerate() {
             if let Some(floor) = floor {
-                let pre_image = rt.heap().load(addr);
-                self.stats.versions_published += 1;
-                self.stats.versions_reclaimed +=
-                    rt.versions().publish(addr, wv, value, pre_image, floor);
+                let contains_addr =
+                    |&(words, obj): &(u32, ObjRef)| (obj.0 .0..obj.word(words).0).contains(&addr);
+                if !fresh.iter().any(contains_addr) {
+                    let pre_image = rt.heap().load(addr);
+                    let (claimed, reclaimed) =
+                        rt.versions().publish(addr, wv, value, pre_image, floor);
+                    self.stats.versions_published += 1;
+                    self.stats.blocks_claimed += u64::from(claimed);
+                    self.stats.versions_reclaimed += reclaimed;
+                }
             }
             rt.heap().store(addr, value);
             if let Some(h) = &hook {
@@ -1426,6 +1447,54 @@ mod tests {
             "serial writes must publish ring history"
         );
         assert_eq!(ps.token_holder(), 0, "token released after commit");
+    }
+
+    /// The words of an object its committing attempt allocated get no
+    /// history at that commit, optimistic or serial; the first overwrite
+    /// seeds version 0 with what the allocating commit stored, and a
+    /// snapshot pinned between the two commits reads that.
+    #[test]
+    fn a_commit_publishes_nothing_for_the_objects_it_allocated() {
+        let serial = || {
+            let rt = phased_rt(hair_trigger(), hastm::Versioning::Multi { k: 3 });
+            let ps = rt.phase_state().expect("phased runtime");
+            while ps.phase() != hastm::Phase::Serial {
+                ps.on_event(hastm::PhaseEvent::CapacityAbort);
+            }
+            rt
+        };
+        for (rt, serial_commits) in [(multi_rt(3), 0), (serial(), 2)] {
+            let mut writer = NativeExec::new(&rt);
+            let mut reader = NativeExec::new(&rt);
+            let head = writer.alloc_obj(1);
+            let node = writer.atomic(|ctx| {
+                let node = ctx.ctx_alloc(2);
+                ctx.ctx_write(node, 0, 11)?;
+                ctx.ctx_write(node, 1, 12)?;
+                ctx.ctx_write(head, 0, node.0 .0)?;
+                Ok(node)
+            });
+            let wv1 = rt.clock();
+            assert_eq!(rt.ring_versions(head.word(0)), vec![0, wv1]);
+            for i in 0..2 {
+                assert_eq!(rt.ring_versions(node.word(i)), Vec::<u64>::new());
+            }
+            let (live, slot) = reader.ro_slot().unwrap();
+            let rv = live.pin(slot, || rt.clock());
+            writer.atomic(|ctx| ctx.ctx_write(node, 0, 21));
+            let wv2 = rt.clock();
+            assert_eq!(rt.ring_versions(node.word(0)), vec![0, wv2]);
+            let mut txn = NativeRoTxn {
+                exec: &mut reader,
+                rv,
+            };
+            assert_eq!(txn.snapshot_read_at(node.word(0).0), 11);
+            assert_eq!(txn.snapshot_read_at(node.word(1).0), 12);
+            live.unpin(slot);
+            let st = writer.stats();
+            assert_eq!(st.serial_commits, serial_commits, "{st:?}");
+            assert_eq!((st.versions_published, st.blocks_claimed), (2, 2), "{st:?}");
+        }
     }
 
     /// A stack of two-word nodes: `head` holds the top node's address.

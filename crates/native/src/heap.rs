@@ -1,8 +1,8 @@
 //! The native transactional heap: a flat array of host `AtomicU64` words
 //! addressed by the same byte addresses ([`hastm_sim::Addr`]) the
 //! simulator uses, so `ObjRef`-based data structures traverse unchanged.
-//! Its words, like the version store's own blocks, are [`ZeroedWords`]:
-//! capacity nobody touches costs no memory.
+//! Its words, like the version store's index and block pool, are
+//! [`ZeroedWords`]: capacity nobody touches costs no memory.
 //!
 //! Word 0 (byte address 0) is never handed out: `Addr::NULL`/`ObjRef::NULL`
 //! must stay distinguishable from a real allocation, exactly as on the
@@ -117,37 +117,45 @@ const SPILL_BLOCKS: usize = 256;
 
 /// The committed history of every transactionally written word (only
 /// under `Versioning::Multi { k }`), beside the heap instead of behind a
-/// hash: heap word `w` owns block `w` — two words of links, then `k`
-/// `(version, value)` pairs, oldest first. The own blocks are one
-/// [`ZeroedWords`] array, so their memory follows the written part of the
-/// heap, a page at a time, and a block no commit has written reads
-/// `len = 0`. A commit writes a block under the word's stripe lock; a
-/// snapshot read takes it seqlock-style with that lock word as the
-/// sequence (DESIGN §12b), so everything here is acquire/release atomics.
+/// hash. A word's *head block* — two words of links, then `k`
+/// `(version, value)` pairs, oldest first — is claimed from a pool the
+/// first time a commit publishes for the word, in publication order, and
+/// a per-heap-word index names it (0: never published, which is what an
+/// empty history is). Index and pool are [`ZeroedWords`] arrays, so their
+/// memory follows the words that have a history: a page of index serves
+/// 512 heap words, a page of pool 64 published words at `k = 3`. A commit
+/// writes a head block, and the index entry naming it, under the word's
+/// stripe lock; a snapshot read takes both seqlock-style with that lock
+/// word as the sequence (DESIGN §12b), so everything here is
+/// acquire/release atomics.
 ///
-/// The own block keeps the word's newest versions. When it is full the
+/// The head block keeps the word's newest versions. When it is full the
 /// oldest entry makes room, unless a live snapshot may still need it:
 /// then the whole block is copied to a *spill* block (ids from
 /// `heap_words` up) that becomes the head of the word's `older` chain.
-/// The chain is a queue — the own block knows its tail, a spill block
+/// The chain is a queue — the head block knows its tail, a spill block
 /// its newer neighbour — and the tail is retired as soon as the block
 /// after it serves every live snapshot, to be the word's next spill
 /// block. A spill block's entries are written once, before it is linked.
 pub(crate) struct VersionStore {
     k: usize,
     heap_words: usize,
-    /// Block `w` of every heap word `w`, `2 + 2k` words each.
-    own_blocks: ZeroedWords,
+    /// Per heap word, the id of its head block; 0 until its first
+    /// publication.
+    index: ZeroedWords,
+    /// The head blocks, `2 + 2k` words each, claimed in first-publication
+    /// order from id 1 (id 0 is "no block").
+    pool: ZeroedWords,
+    claimed: AtomicUsize,
     /// The spill chunks, each claimed on first use.
     spills: Box<[OnceLock<Box<[AtomicU64]>>]>,
     spilled: AtomicUsize,
 }
 
 /// One block: word 0 is `len << 32 | older` (the next older block of the
-/// chain, 0 — the null word's block — for none); word 1 is `tail << 32 |
-/// spare` in an own block (the chain's oldest block; the first retired
-/// one, the rest following by `older`) and `newer` in a spill block (0
-/// when that is the own block).
+/// chain, 0 for none); word 1 is `tail << 32 | spare` in a head block (the
+/// chain's oldest block; the first retired one, the rest following by
+/// `older`) and `newer` in a spill block (0 when that is the head block).
 #[derive(Copy, Clone)]
 struct Block<'a>(&'a [AtomicU64]);
 
@@ -193,29 +201,39 @@ impl VersionStore {
     /// A store of `k` versions a block for a heap of `heap_words` words.
     pub(crate) fn new(heap_words: usize, k: usize) -> Self {
         let spill_chunks = (u32::MAX as usize / SPILL_BLOCKS).ilog2() as usize;
-        let own_words = heap_words
+        let pool_words = heap_words
             .checked_mul(2 + 2 * k)
             .expect("version store size overflows");
         VersionStore {
             k,
             heap_words,
-            own_blocks: ZeroedWords::new(own_words),
+            index: ZeroedWords::new(heap_words),
+            pool: ZeroedWords::new(pool_words),
+            claimed: AtomicUsize::new(0),
             spills: (0..spill_chunks).map(|_| OnceLock::new()).collect(),
             spilled: AtomicUsize::new(0),
         }
     }
 
-    /// The block heap word `word` owns.
-    fn own(&self, word: usize) -> Block<'_> {
+    /// Head block `id` of the pool.
+    fn pooled(&self, id: usize) -> Block<'_> {
         let stride = 2 + 2 * self.k;
-        Block(&self.own_blocks[word * stride..][..stride])
+        Block(&self.pool[id * stride..][..stride])
     }
 
-    /// Block `id`: an own block, or a spill block if its chunk is claimed
+    /// The head block of the word at `addr`, if a commit has published it.
+    fn head(&self, addr: u64) -> Option<Block<'_>> {
+        match self.index[(addr >> 3) as usize].load(Acquire) {
+            0 => None,
+            id => Some(self.pooled(id as usize)),
+        }
+    }
+
+    /// Block `id`: a head block, or a spill block if its chunk is claimed
     /// or `claim` says to claim it.
     fn block(&self, id: usize, claim: bool) -> Option<Block<'_>> {
         let Some(spill) = id.checked_sub(self.heap_words) else {
-            return Some(self.own(id));
+            return Some(self.pooled(id));
         };
         let stride = 2 + 2 * self.k;
         // Spill chunk n starts at spill block SPILL_BLOCKS * (2^n - 1).
@@ -242,8 +260,9 @@ impl VersionStore {
     /// Publishes `(wv, value)` as the newest version of the word at
     /// `addr`, whose stripe the caller holds and whose heap word still
     /// reads `pre_image`; `floor` is the live snapshots' floor
-    /// ([`hastm::mvcc::LiveSnapshots::floor`]). Returns how many entries
-    /// it reclaimed.
+    /// ([`hastm::mvcc::LiveSnapshots::floor`]). Returns whether this was
+    /// the word's first publication, which claims its head block, and how
+    /// many entries it reclaimed.
     pub(crate) fn publish(
         &self,
         addr: u64,
@@ -251,8 +270,16 @@ impl VersionStore {
         value: u64,
         pre_image: u64,
         floor: u64,
-    ) -> u64 {
-        let block = self.own((addr >> 3) as usize);
+    ) -> (bool, u64) {
+        let slot = &self.index[(addr >> 3) as usize];
+        let (id, first) = match slot.load(Acquire) {
+            0 => (self.claimed.fetch_add(1, Relaxed) + 1, true),
+            id => (id as usize, false),
+        };
+        // A heap word claims at most once, and word 0 (no object word)
+        // never: head ids stay below the spill ids.
+        debug_assert!(id < self.heap_words);
+        let block = self.pooled(id);
         let ((mut len, mut older), (mut tail, mut spare)) = (block.halves(0), block.halves(1));
         let mut reclaimed = 0;
         if len == 0 {
@@ -304,30 +331,35 @@ impl VersionStore {
         }
         block.set_halves(1, tail, spare);
         block.set_halves(0, len + 1, older);
-        reclaimed
+        if first {
+            slot.store(id as u64, Release);
+        }
+        (first, reclaimed)
     }
 
     /// For a snapshot reader at `rv` whose live-snapshot slot says so:
     /// the newest `(version, value)` of the word at `addr` with a version
     /// at or below `rv` — failing that, the oldest — or `Some(None)` for
     /// a word no commit has published; `None` if `stable`, the caller's
-    /// stripe-unchanged test, failed after the own block was read.
+    /// stripe-unchanged test, failed after the index and head block were
+    /// read.
     pub(crate) fn lookup(
         &self,
         addr: u64,
         rv: u64,
         stable: impl Fn() -> bool,
     ) -> Option<Option<(u64, u64)>> {
-        let (mut entry, mut older) = self.own((addr >> 3) as usize).newest_at(rv);
+        let (mut entry, mut older) = self.head(addr).map_or((None, 0), |head| head.newest_at(rv));
         if !stable() {
             return None;
         }
-        // The own block was whole. So is the chain below it, however the
-        // stripe moves from here on, as far down as this reader goes — to
-        // the first entry at or below `rv`: the tail is retired only from
-        // behind a block that starts at or below the floor, the floor is
-        // at or below `rv`, and a linked spill block's entries are never
-        // rewritten, its `older` only when it becomes the tail.
+        // The head block was whole, or rightly absent. So is the chain
+        // below it, however the stripe moves from here on, as far down as
+        // this reader goes — to the first entry at or below `rv`: the tail
+        // is retired only from behind a block that starts at or below the
+        // floor, the floor is at or below `rv`, and a linked spill block's
+        // entries are never rewritten, its `older` only when it becomes
+        // the tail.
         while older != 0 && entry.is_some_and(|(version, _)| version > rv) {
             (entry, older) = self.linked(older).newest_at(rv);
         }
@@ -337,7 +369,7 @@ impl VersionStore {
     /// The version stamps kept for the word at `addr`, ascending; at rest.
     pub(crate) fn versions(&self, addr: u64) -> Vec<u64> {
         let mut versions = Vec::new();
-        let mut next = Some(self.own((addr >> 3) as usize));
+        let mut next = self.head(addr);
         while let Some(block) = next {
             let (len, older) = block.halves(0);
             versions.extend((0..len).rev().map(|i| block.entry(i).0));
@@ -394,7 +426,7 @@ mod tests {
         const PIN_SPAN: u64 = 60;
         for k in 1..=3 {
             let store = VersionStore::new(64, k);
-            let (word, addr) = (9usize, 9u64 << 3);
+            let addr = 9u64 << 3;
             let mut model = vec![(0u64, 5u64)];
             let mut pins: Vec<u64> = Vec::new();
             let (mut seed, mut wv) = (0x9e37_79b9_7f4a_7c15u64 + k as u64, 0u64);
@@ -422,15 +454,15 @@ mod tests {
                     );
                 }
 
-                let own = store.linked(word);
-                let (mut chain, mut below) = (Vec::new(), own.halves(0).1);
+                let head = store.head(addr).expect("published");
+                let (mut chain, mut below) = (Vec::new(), head.halves(0).1);
                 while below != 0 {
                     let newer = chain.last().copied().unwrap_or(0);
                     assert_eq!(store.linked(below).halves(1).1, newer, "back link");
                     chain.push(below);
                     below = store.linked(below).halves(0).1;
                 }
-                let (tail, mut spare) = own.halves(1);
+                let (tail, mut spare) = head.halves(1);
                 assert_eq!(tail, chain.last().copied().unwrap_or(0));
                 let mut spares = 0;
                 while spare != 0 {
@@ -442,6 +474,7 @@ mod tests {
                 assert!(kept.windows(2).all(|pair| pair[0] < pair[1]), "{kept:?}");
                 assert_eq!(kept.last(), Some(&wv));
             }
+            assert_eq!(store.claimed.load(Relaxed), 1, "one word, one head block");
             let spilled = store.spilled.load(Relaxed);
             assert!(spilled > 2, "k={k}: the pins forced spills");
             assert!(

@@ -138,6 +138,10 @@ counters! {
         versions_published: "txn.ro.versions_published",
         /// Ring entries reclaimed by this thread's commit-time pruning.
         versions_reclaimed: "native.ro.versions_reclaimed",
+        /// Head blocks this thread's commits claimed: one per word on its
+        /// first publication, so the version store's pool holds the sum
+        /// of every thread's (`2 + 2k` words each).
+        blocks_claimed: "native.ro.blocks_claimed",
         /// Committed irrevocable (serial-phase) transactions. Non-zero only
         /// under [`NativeConfig::phased`]; counted inside `commits` too.
         serial_commits: "phase.serial_commits",
@@ -319,7 +323,6 @@ impl NativeRuntime {
         self.locks[stripe].store(version << 1, Release);
     }
 
-    /// Whether the runtime keeps multi-version rings.
     /// The live-snapshot registry of a `Multi` runtime; `None` under
     /// `Single`, which has no snapshot regions.
     pub(crate) fn snapshots(&self) -> Option<&LiveSnapshots> {

@@ -14,6 +14,7 @@ use std::sync::{Arc, Barrier};
 
 use hastm::{ObjRef, TmExec, Versioning};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
+use hastm_sim::mutant::{prove, Mutant};
 
 const CELLS: usize = 8;
 
@@ -289,4 +290,150 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
             assert!(ring.windows(2).all(|pair| pair[0] < pair[1]), "{ring:?}");
         }
     }
+}
+
+/// Nodes each writer links before it only overwrites.
+const NODES: usize = 48;
+
+/// One run of the node round (below): `Err` names the first scan whose
+/// snapshot broke the invariant; `Ok` is how many snapshot reads took a
+/// ring.
+fn node_round() -> Result<u64, String> {
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+    use std::time::{Duration, Instant};
+    const WRITERS: usize = 2;
+    const SCANS: usize = 1_000;
+    struct Done<'a>(&'a AtomicUsize);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, SeqCst);
+        }
+    }
+    let rt = NativeRuntime::new(NativeConfig {
+        heap_words: 1 << 12,
+        stripes: 1 << 8,
+        versioning: Versioning::Multi { k: 3 },
+        ..NativeConfig::default()
+    });
+    // Per writer, the top of its list and the sum of its nodes' values,
+    // allocated outside any transaction.
+    let mut setup = NativeExec::new(&rt);
+    let heads: Vec<ObjRef> = (0..WRITERS).map(|_| setup.alloc_obj(1)).collect();
+    let sums: Vec<ObjRef> = (0..WRITERS).map(|_| setup.alloc_obj(1)).collect();
+    let scanning = AtomicUsize::new(2);
+    // Each writer's commits so far, and how many the scans want: a writer
+    // commits only while a scan waits on it.
+    let commits: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+    let wanted: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (rt, heads, sums, scanning) = (&rt, &heads, &sums, &scanning);
+            let (commits, wanted) = (&commits[w], &wanted[w]);
+            s.spawn(move || {
+                let mut ex = NativeExec::new(rt);
+                let mut nodes: Vec<ObjRef> = Vec::new();
+                for i in 1u64.. {
+                    while commits.load(SeqCst) >= wanted.load(SeqCst) {
+                        if scanning.load(SeqCst) == 0 {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                    let (head, sum) = (heads[w], sums[w]);
+                    if nodes.len() < NODES && (nodes.len() < 8 || i % 3 == 0) {
+                        // A node this transaction allocates: its words
+                        // get no history at this commit.
+                        nodes.push(ex.atomic(|ctx| {
+                            let node = ctx.ctx_alloc(2);
+                            let (top, total) = (ctx.ctx_read(head, 0)?, ctx.ctx_read(sum, 0)?);
+                            ctx.ctx_write(node, 0, i)?;
+                            ctx.ctx_write(node, 1, top)?;
+                            ctx.ctx_write(head, 0, node.0 .0)?;
+                            ctx.ctx_write(sum, 0, total + i)?;
+                            Ok(node)
+                        }));
+                    } else {
+                        // A node an earlier commit of this writer linked.
+                        let node = nodes[(i as usize * 7) % nodes.len()];
+                        ex.atomic(|ctx| {
+                            let (value, total) = (ctx.ctx_read(node, 0)?, ctx.ctx_read(sum, 0)?);
+                            ctx.ctx_write(node, 0, value + i)?;
+                            ctx.ctx_write(sum, 0, total + i)
+                        });
+                    }
+                    commits.fetch_add(1, SeqCst);
+                }
+            });
+        }
+        let scanners: Vec<_> = (0..2)
+            .map(|scanner| {
+                let (rt, heads, sums, scanning) = (&rt, &heads, &sums, &scanning);
+                let (commits, wanted) = (&commits, &wanted);
+                s.spawn(move || {
+                    let _done = Done(scanning);
+                    let mut ex = NativeExec::new(rt);
+                    for scan in 0..SCANS {
+                        let torn = ex.atomic_ro(|ctx| {
+                            for w in 0..WRITERS {
+                                let total = ctx.ctx_read(sums[w], 0)?;
+                                // Pinned at `rv` until the writer has
+                                // committed twice more (or a second has
+                                // passed, lest a failed writer hang this).
+                                let (from, since) = (commits[w].load(SeqCst), Instant::now());
+                                wanted[w].fetch_max(from + 2, SeqCst);
+                                while commits[w].load(SeqCst) < from + 2
+                                    && since.elapsed() < Duration::from_secs(1)
+                                {
+                                    std::thread::yield_now();
+                                }
+                                let (mut at, mut seen) = (ctx.ctx_read(heads[w], 0)?, 0u64);
+                                while at != 0 {
+                                    let node = ObjRef(hastm_sim::Addr(at));
+                                    seen += ctx.ctx_read(node, 0)?;
+                                    at = ctx.ctx_read(node, 1)?;
+                                }
+                                if seen != total {
+                                    return Ok(Some(format!(
+                                        "scanner {scanner}, scan {scan}: writer {w}'s \
+                                         nodes sum to {seen}, its sum cell says {total}"
+                                    )));
+                                }
+                            }
+                            Ok(None)
+                        });
+                        if let Some(torn) = torn {
+                            return Err(torn);
+                        }
+                    }
+                    assert_eq!(ex.stats().ro_aborts, 0);
+                    Ok(ex.stats().ring_reads)
+                })
+            })
+            .collect();
+        scanners
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .sum::<Result<u64, String>>()
+    })
+}
+
+/// Writers link nodes they allocate inside the transaction — whose
+/// words a commit publishes no history for — and later overwrite nodes
+/// their earlier commits linked, while two snapshot scans check that a
+/// writer's list sums to its sum cell, each scan waiting between the two
+/// for that writer to commit twice. An overwrite that published no
+/// history either (with `Mutant::EverFresh` armed) hands a scan pinned
+/// before it the new value beside the old sum.
+#[test]
+fn scans_of_nodes_linked_and_overwritten_in_transactions_stay_whole() {
+    let ring_reads = prove(
+        Mutant::EverFresh,
+        4,
+        |_| node_round(),
+        |d| d.contains("sum to"),
+    );
+    assert!(
+        ring_reads.iter().all(|&n| n > 0),
+        "no snapshot read took a ring: {ring_reads:?}"
+    );
 }

@@ -33,6 +33,11 @@ pub enum Mutant {
     /// The native filter skips its epoch checks. `hastm-native`'s
     /// `filter_stress.rs` paused-writer round, 8 of 8 rounds.
     NoEpochCheck,
+    /// Native `write_back` under `Multi` takes every object its executor
+    /// ever allocated in a committed attempt for fresh, so an overwrite
+    /// of one publishes no history. `hastm-native`'s `mvcc_stress.rs`
+    /// node round, 4 runs.
+    EverFresh,
     /// `hastm-check`'s counter increments in two atomic regions. That
     /// crate's unit tests (caught, shrunk, replayed).
     SplitIncrement,
