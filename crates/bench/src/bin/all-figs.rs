@@ -6,23 +6,22 @@
 //! count — the simulator is deterministic per cell); progress and the
 //! summary go to stderr so stdout stays diffable. Scale via
 //! `HASTM_BENCH_SCALE`, host threads via `HASTM_SWEEP_THREADS` (default:
-//! host parallelism), and `--verify` re-runs every cell serially and
-//! asserts the parallel outputs match.
+//! host parallelism). At ci scale stdout is pinned in
+//! `crates/bench/tests/pins/tables.txt`.
 
 use hastm_bench::{env_or_exit, sweep_selected, Scale, SweepConfig, FIGURES};
 
 fn usage(problem: &str) -> ! {
-    eprintln!("usage: all-figs [--fig N|phases|ablation]... [--verify]  ({problem})");
+    eprintln!("usage: all-figs [--fig N|phases|ablation]...  ({problem})");
     std::process::exit(2);
 }
 
 fn main() {
-    let mut config = env_or_exit(SweepConfig::from_env());
+    let config = env_or_exit(SweepConfig::from_env());
     let mut selected: Vec<&str> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--verify" => config.verify = true,
             "--fig" => {
                 let n = args
                     .next()
@@ -44,14 +43,9 @@ fn main() {
     }
     let scale = env_or_exit(Scale::from_env());
     eprintln!(
-        "running {} table(s) at {scale:?} scale on {} host thread(s){}...",
+        "running {} table(s) at {scale:?} scale on {} host thread(s)...",
         selected.len(),
         config.threads,
-        if config.verify {
-            " with serial verification"
-        } else {
-            ""
-        }
     );
     let report = sweep_selected(&selected, scale, &config);
     for fig in &report.figures {
@@ -59,7 +53,7 @@ fn main() {
     }
     eprintln!(
         "swept {} unique cells across {} tables in {:.1}s ({} threads)",
-        report.unique_cells,
+        report.cells.len(),
         report.figures.len(),
         report.wall.as_secs_f64(),
         report.threads,

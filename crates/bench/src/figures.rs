@@ -19,7 +19,7 @@
 //! requests are also the figure's only cell list — [`Figure::cells`] runs
 //! the builder against canned outputs and records what it asks for.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use hastm::{
     Granularity, ModePolicy, ObjRef, OracleMode, Phase, StmConfig, StmRuntime, TxThread, TxnStats,
@@ -375,18 +375,6 @@ fn accumulate(filter_writes: bool, rewrites: u32, gate: GateMode) -> CellOutput 
             }
         })
         .0
-}
-
-/// A memoizing serial resolver: runs each distinct cell once, in calling
-/// order, on the current thread, so repeated cells (e.g. a figure's shared
-/// baseline) cost one simulation.
-pub fn serial_resolver() -> impl FnMut(&Cell) -> CellOutput {
-    let mut memo: HashMap<Cell, CellOutput> = HashMap::new();
-    move |cell: &Cell| {
-        memo.entry(cell.clone())
-            .or_insert_with(|| run_cell(cell))
-            .clone()
-    }
 }
 
 fn ds_cell(structure: Structure, scheme: Scheme, threads: usize, scale: Scale) -> Cell {
@@ -805,12 +793,6 @@ impl Figure {
         }
     }
 
-    /// The table computed serially on this thread, each distinct cell
-    /// simulated once.
-    pub fn serial(&self, scale: Scale) -> Table {
-        self.table(scale, &mut serial_resolver())
-    }
-
     /// The cells the builder requests at `scale`, deduplicated, in
     /// first-seen order: the builder is run against a resolver that
     /// records each request and answers it with a canned output, so
@@ -963,6 +945,15 @@ pub fn figure(name: &str) -> &'static Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{sweep_selected, SweepConfig};
+
+    /// Figure `name` at quick scale, through the sweep.
+    fn quick(name: &str) -> Table {
+        let config = SweepConfig { threads: 2 };
+        sweep_selected(&[name], Scale::Quick, &config).figures[0]
+            .table
+            .clone()
+    }
 
     #[test]
     fn fig13_has_twelve_rows() {
@@ -975,7 +966,7 @@ mod tests {
 
     #[test]
     fn fig16_quick_shape() {
-        let t = figure("fig16").serial(Scale::Quick);
+        let t = quick("fig16");
         assert_eq!(t.rows.len(), 3);
         for r in 0..3 {
             let hastm = t.cell_f64(r, 1);
@@ -1005,7 +996,7 @@ mod tests {
 
     #[test]
     fn fig12_read_barrier_dominates() {
-        let t = figure("fig12").serial(Scale::Quick);
+        let t = quick("fig12");
         for r in 0..t.rows.len() {
             let rd = t.cell_f64(r, 1);
             let val = t.cell_f64(r, 2);

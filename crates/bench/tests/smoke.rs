@@ -1,10 +1,13 @@
-//! Smoke tests: `all-figs --fig N` must run every figure (and `--fig
-//! phases|ablation` each table) to completion at quick scale and print a
-//! well-formed table. These catch wiring rot (a figure whose config
-//! panics, a scheme that deadlocks at some thread count) without
-//! asserting anything about the numbers themselves.
+//! Smoke tests of the bench binaries. One ci-scale `all-figs` run on one
+//! sweep thread must print exactly the pinned tables (`tests/pins/`), and
+//! each of its tables must be well formed: a title and at least one data
+//! row, which a mistaken re-bless of the pin cannot take away. The rest
+//! are CLI checks: flag order, usage errors, a malformed environment.
+
+mod pins;
 
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 /// Runs `all-figs` with `args` at quick scale.
 fn all_figs(args: &[&str]) -> Output {
@@ -24,7 +27,11 @@ fn all_figs_under(args: &[&str], (name, value): (&str, &str)) -> Output {
 /// Runs the given figures and returns stdout.
 fn run_figs(figs: &[&str]) -> String {
     let args: Vec<&str> = figs.iter().flat_map(|fig| ["--fig", fig]).collect();
-    let out = all_figs(&args);
+    stdout_of(&args, all_figs(&args))
+}
+
+/// Stdout of a successful run.
+fn stdout_of(args: &[&str], out: Output) -> String {
     assert!(
         out.status.success(),
         "all-figs {args:?} exited with {:?}\nstderr:\n{}",
@@ -32,6 +39,38 @@ fn run_figs(figs: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("figure output is UTF-8")
+}
+
+/// Stdout of `HASTM_BENCH_SCALE=ci HASTM_SWEEP_THREADS=1 all-figs`: every
+/// table, run once for all the tests that read it.
+fn one_thread_run() -> &'static str {
+    static STDOUT: OnceLock<String> = OnceLock::new();
+    STDOUT.get_or_init(|| {
+        let exe = env!("CARGO_BIN_EXE_all-figs");
+        let out = Command::new(exe)
+            .env("HASTM_BENCH_SCALE", "ci")
+            .env("HASTM_SWEEP_THREADS", "1")
+            .output()
+            .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+        stdout_of(&[], out)
+    })
+}
+
+#[test]
+fn one_thread_run_prints_the_pinned_tables() {
+    pins::check(&[(pins::TABLES, one_thread_run())]);
+}
+
+/// The table of [`one_thread_run`] whose title starts with `title`.
+fn table_of(title: &str) -> &'static str {
+    let stdout = one_thread_run();
+    let start = stdout
+        .find(&format!("== {title}"))
+        .unwrap_or_else(|| panic!("output lacks a '{title}' title:\n{stdout}"));
+    let end = stdout[start + 1..]
+        .find("\n== ")
+        .map_or(stdout.len(), |len| start + 1 + len);
+    &stdout[start..end]
 }
 
 /// A table is recognizable by its title line and at least one data row
@@ -56,7 +95,8 @@ macro_rules! fig_smoke {
     ($($name:ident, $fig:literal;)*) => {$(
         #[test]
         fn $name() {
-            assert_looks_like_table(concat!("Figure ", $fig), &run_figs(&[$fig]));
+            let title = concat!("Figure ", $fig, ":");
+            assert_looks_like_table(title, table_of(title));
         }
     )*};
 }
@@ -91,6 +131,7 @@ fn bad_arguments_are_usage_errors() {
         &["--fig"],
         &["--gate", "perop"],
         &["--serial"],
+        &["--verify"],
     ] {
         let out = all_figs(args);
         assert_eq!(out.status.code(), Some(2), "all-figs {args:?}");
@@ -116,11 +157,11 @@ fn oltp_rejects_an_unknown_argument() {
 
 #[test]
 fn phases_and_ablation_tables_run() {
-    for (name, title) in [
-        ("phases", "Phased execution: mode-policy comparison"),
-        ("ablation", "Ablation: write-barrier + undo-log filtering"),
+    for title in [
+        "Phased execution: mode-policy comparison",
+        "Ablation: write-barrier + undo-log filtering",
     ] {
-        assert_looks_like_table(title, &run_figs(&[name]));
+        assert_looks_like_table(title, table_of(title));
     }
 }
 

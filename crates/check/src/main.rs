@@ -54,13 +54,15 @@ OPTIONS:
     --seeds N        consecutive seeds to sweep            [default: 50]
     --start-seed N   first seed                            [default: 0]
     --threads N      worker threads per trial              [default: 3]
-                     (--explore: 1 to 3, default 2)
+                     (--explore: 1 to 3, default 2; native backend:
+                     sweeps 1/2/4/8 unless given)
     --ops N          operations per thread per trial       [default: 32]
+                     (native backend: default 16)
     --sched S        schedule policy: fuzzed | pct:<depth> | det
                                                            [default: fuzzed]
     --backend B      execution backend: sim | native | both [default: sim]
                      native runs the workloads on real host threads over
-                     the TL2 runtime (1/2/4/8 threads, the mark filter
+                     the TL2 runtime (--threads, the mark filter
                      off as by default, single- and multi-version, phased
                      and not) and differential-checks final states
                      against the simulator's sequential reference
@@ -502,16 +504,26 @@ fn run_sim_suite(args: &Args) -> bool {
     }
 }
 
-fn run_native_backend(args: &Args) -> bool {
+/// The native sweep the suite flags describe: `--threads N` sweeps `[N]`
+/// alone, and unset keeps [`NativeCheckConfig`]'s host thread counts.
+fn native_config(args: &Args) -> NativeCheckConfig {
     let mut cfg = NativeCheckConfig {
         seeds: args.seeds,
         start_seed: args.start_seed,
         ops: args.ops.unwrap_or(16),
         ..NativeCheckConfig::default()
     };
+    if let Some(threads) = args.threads {
+        cfg.thread_counts = vec![threads];
+    }
     if let Some(w) = args.workload {
         cfg.workloads = vec![w];
     }
+    cfg
+}
+
+fn run_native_backend(args: &Args) -> bool {
+    let cfg = native_config(args);
     let per_seed = (cfg.thread_counts.len()
         * cfg.filter_modes.len()
         * cfg.versionings.len()
@@ -658,6 +670,24 @@ mod tests {
             "--explore runs 1 to 3 threads"
         );
         assert_eq!(parse("--threads 9").unwrap().threads, Some(9));
+    }
+
+    #[test]
+    fn the_native_sweep_takes_its_thread_count_and_ops_from_the_flags() {
+        let cfg = |line| native_config(&parse(line).unwrap());
+        let given = cfg("--backend native --threads 2 --ops 8 --workload map");
+        assert_eq!(given.thread_counts, [2]);
+        assert_eq!(given.ops, 8);
+        assert_eq!(given.workloads, [Workload::Map]);
+        // Unset: every host thread count, and the native default of 16 ops
+        // the usage text states.
+        let default = cfg("--backend native --seeds 64 --quiet");
+        assert_eq!(
+            default.thread_counts,
+            NativeCheckConfig::default().thread_counts
+        );
+        assert_eq!(default.ops, 16);
+        assert!(USAGE.contains("(native backend: default 16)"));
     }
 
     #[test]
