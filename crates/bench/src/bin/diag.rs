@@ -58,8 +58,7 @@ fn multicore_diag() {
     for scheme in [Scheme::Hastm, Scheme::NaiveAggressive, Scheme::Stm] {
         for threads in [1usize, 2, 4] {
             let mut cfg = WorkloadConfig::paper_default(Structure::BTree, scheme, threads);
-            cfg.mode_policy_override =
-                Some(hastm::ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+            cfg.mode_policy_override = Some(hastm::ModePolicy::AbortRatioWatermark);
             cfg.ops_per_thread = 600 / threads as u64;
             cfg.prepopulate = 2048;
             cfg.key_range = 4096;

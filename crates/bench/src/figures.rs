@@ -269,7 +269,6 @@ pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
             cfg.ops_per_thread = (total_ops / threads as u64).max(1);
             cfg.prepopulate = scale.prepopulate() * size_mult;
             cfg.key_range = cfg.prepopulate * 2;
-            cfg.granularity = Granularity::CacheLine;
             cfg.machine = MachineConfig {
                 gate,
                 ..machine.config()
@@ -281,7 +280,7 @@ pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
                 // governs HASTM at every thread count (the single-thread
                 // always-aggressive policy would thrash on the
                 // interference machine).
-                cfg.mode_policy_override = Some(ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+                cfg.mode_policy_override = Some(ModePolicy::AbortRatioWatermark);
             }
             CellOutput::Ds(run_workload(&cfg))
         }

@@ -5,7 +5,7 @@
 /// Name, arguments, expected line starts. The trace rows write what the validate rows read.
 const ROWS: &[(&str, &str, &[&str])] = &[
     ("suite", "--seeds 50 --quiet", &["OK: 14000 trials, 0 violations (determinism re-checked on seed 0)"]),
-    ("pct", "--pct 5 --depth 3 --coverage --quiet", &[
+    ("pct", "--seeds 5 --sched pct:3 --coverage --quiet", &[
         "coverage: 1400 runs, 1295 distinct schedules, 18 conflict-pair orderings, 3 abort causes [conflict, hw-conflict, mark-dirty]",
         "OK: 1400 trials, 0 violations (determinism re-checked on seed 0)",
     ]),

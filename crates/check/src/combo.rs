@@ -14,7 +14,7 @@ use hastm_workloads::Scheme;
 use crate::Fingerprint;
 
 /// One point in the configuration matrix under differential test.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Combo {
     /// Concurrency-control scheme.
     pub scheme: Scheme,
@@ -105,7 +105,7 @@ pub struct Axis {
     pub relation: Option<Relation>,
 }
 
-const WATERMARK: ModePolicy = ModePolicy::AbortRatioWatermark { watermark: 0.1 };
+const WATERMARK: ModePolicy = ModePolicy::AbortRatioWatermark;
 
 /// Tighter than the library defaults so the small suite workloads actually
 /// exercise transitions (including the serial phase) within a trial's few
@@ -197,7 +197,7 @@ pub static AXES: [Axis; 5] = [
             among: |c| {
                 matches!(
                     c.policy,
-                    Some(ModePolicy::Phased(_) | ModePolicy::AbortRatioWatermark { .. })
+                    Some(ModePolicy::Phased(_) | ModePolicy::AbortRatioWatermark)
                 )
             },
             claim: "the phase controller must not change what transactions commit",
@@ -418,11 +418,8 @@ mod tests {
                     };
                     let (fp, obs) =
                         run_trial_plan(&trial, &plan).unwrap_or_else(|e| panic!("{trial}: {e}"));
-                    let counts = (obs.commits, obs.aborts, obs.ro_commits, obs.ro_aborts);
-                    let phases = (obs.phase_transitions, obs.serial_commits);
                     let hash = schedule_hash(&obs.schedule);
-                    let causes = obs.abort_causes;
-                    (fp, counts, phases, causes, obs.breakdown, hash, obs.report)
+                    (fp, obs.stats, obs.abort_causes, hash, obs.report)
                 })
                 .collect()
         };
@@ -490,6 +487,18 @@ mod tests {
         let [.., policy, versioning] = &AXES;
         assert_eq!(policy.erase(&twin).slug(), "hastm:obj:full:cautious:v3");
         assert_eq!(versioning.erase(&twin).slug(), "hastm:obj:full:ph");
+        // The suite groups twins by the erased combo's value.
+        let parse = |slug| Combo::parse(slug).unwrap();
+        assert_eq!(policy.erase(&twin), parse("hastm:obj:full:cautious:v3"));
+        assert_eq!(
+            policy.erase(&twin),
+            policy.erase(&parse("hastm:obj:full:watermark:v3"))
+        );
+        assert_eq!(versioning.erase(&twin), parse("hastm:obj:full:ph"));
+        assert_eq!(
+            versioning.erase(&twin),
+            versioning.erase(&parse("hastm:obj:full:ph:v1"))
+        );
         let among = policy.relation.as_ref().unwrap().among;
         assert!(among(&twin));
         assert!(!among(&Combo::parse("hastm:obj:full:naive").unwrap()));

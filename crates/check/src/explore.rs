@@ -53,8 +53,6 @@ pub struct ExploreConfig {
     /// Maximum workload runs to spend before giving up on draining the
     /// frontier (the report marks truncation).
     pub max_runs: u64,
-    /// Maximum re-runs the trace shrinker may spend on a failure.
-    pub shrink_budget: u32,
 }
 
 impl Default for ExploreConfig {
@@ -67,7 +65,6 @@ impl Default for ExploreConfig {
             ops: 2,
             bound: 2,
             max_runs: 2_000,
-            shrink_budget: 64,
         }
     }
 }
@@ -195,18 +192,20 @@ fn candidates(cfg: &ExploreConfig, trace: &[Preemption], obs: &Observation) -> V
     out
 }
 
+/// Maximum re-runs [`shrink_trace`] spends on a failure.
+const SHRINK_BUDGET: u32 = 64;
+
 /// Greedily minimizes a failing trace: drop whole directives, then shrink
 /// `at_op` values toward the previous directive — keeping every candidate
-/// that still fails. Deterministic: candidates are tried in a fixed order
-/// and the (deterministic) runner decides, so the same input always
-/// shrinks to the same minimal trace.
+/// that still fails, within `SHRINK_BUDGET` (64) re-runs. Deterministic:
+/// candidates are tried in a fixed order and the (deterministic) runner
+/// decides, so the same input always shrinks to the same minimal trace.
 pub fn shrink_trace(
     trial: &Trial,
     trace: Vec<Preemption>,
     detail: String,
-    budget: u32,
 ) -> (Vec<Preemption>, String) {
-    let mut left = budget;
+    let mut left = SHRINK_BUDGET;
     let mut fails = move |t: &[Preemption]| -> Option<String> {
         if left == 0 {
             return None;
@@ -285,8 +284,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
         report.runs += 1;
         let obs = match run_traced(&trial, &trace) {
             Err(detail) => {
-                let (shrunk, shrunk_detail) =
-                    shrink_trace(&trial, trace.clone(), detail.clone(), cfg.shrink_budget);
+                let (shrunk, shrunk_detail) = shrink_trace(&trial, trace.clone(), detail.clone());
                 let replay = trace_replay_command(&trial, &shrunk);
                 let timeline = failure_timeline(&trial, &shrunk);
                 report.failure = Some(ExploreFailure {
@@ -388,8 +386,8 @@ mod tests {
         // same path to the exact same minimal trace (the shrinker only
         // consults the deterministic runner).
         let trial = cfg.trial();
-        let a = shrink_trace(&trial, failure.trace.clone(), failure.detail.clone(), 64);
-        let b = shrink_trace(&trial, failure.trace.clone(), failure.detail.clone(), 64);
+        let a = shrink_trace(&trial, failure.trace.clone(), failure.detail.clone());
+        let b = shrink_trace(&trial, failure.trace.clone(), failure.detail.clone());
         assert_eq!(a.0, b.0, "same minimal trace");
         assert_eq!(a.1, b.1, "same failure detail");
         assert!(a.0.len() <= failure.trace.len(), "shrinking never grows");

@@ -41,10 +41,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use hastm::{Abort, ModePolicy, OracleMode, TimeBreakdown};
+use hastm::{Abort, ModePolicy, OracleMode};
 use hastm_sim::mutant::{armed, Mutant};
 use hastm_sim::{MachineConfig, Preemption, RunReport, ScheduleEvent, SchedulePolicy, TraceLog};
-use hastm_workloads::{fnv1a, Definition, Scheme, SimRun, SimSession};
+use hastm_workloads::{fnv1a, Definition, ExecStats, Scheme, SimRun, SimSession};
 
 pub mod combo;
 pub mod explore;
@@ -223,37 +223,23 @@ pub fn parse_trace(s: &str) -> Result<Vec<Preemption>, String> {
 }
 
 /// What one measured run exposed beyond its fingerprint: the recorded
-/// schedule (empty unless the plan asked for it) and the abort causes the
-/// worker threads observed.
+/// schedule (empty unless the plan asked for it), the abort causes the
+/// worker threads observed and their summed counters.
 #[derive(Clone, Debug, Default)]
 pub struct Observation {
     /// Per-op schedule of the measured run (op index, core, touched line).
     pub schedule: Vec<ScheduleEvent>,
     /// Distinct abort causes observed across all worker threads.
     pub abort_causes: BTreeSet<&'static str>,
-    /// Committed transactions across all worker threads.
-    pub commits: u64,
-    /// Aborted transaction attempts across all worker threads.
-    pub aborts: u64,
-    /// Committed read-only snapshot transactions across all worker
-    /// threads (nonzero only under [`Versioning::Multi`]).
-    pub ro_commits: u64,
-    /// Read-only snapshot transaction attempts that did not commit.
-    /// Snapshot reads cannot conflict-abort, so any nonzero count here is
-    /// a runtime bug; the trial fails on it.
-    pub ro_aborts: u64,
-    /// Global phase transitions the worker threads published (nonzero only
-    /// under [`ModePolicy::Phased`]). The oscillation stress suite bounds
-    /// this against the transaction count to catch HW/SW ping-pong.
-    pub phase_transitions: u64,
-    /// Transactions committed inside the serial (irrevocable) phase.
-    pub serial_commits: u64,
+    /// The worker threads' counters, summed. `stats.txn.ro_aborts` is
+    /// nonzero only on a runtime bug (snapshot reads cannot
+    /// conflict-abort), and the trial fails on it;
+    /// `stats.txn.phase_transitions` is nonzero only under
+    /// [`ModePolicy::Phased`].
+    pub stats: ExecStats,
     /// Structured event trace of the measured run (`None` unless the plan
     /// armed [`RunPlan::trace`]).
     pub trace: Option<TraceLog>,
-    /// Summed per-thread time breakdown of the measured run (STM schemes
-    /// only; zero for schemes without [`hastm::TxnStats`]).
-    pub breakdown: TimeBreakdown,
     /// The measured run's machine report (`None` until the run finishes).
     pub report: Option<RunReport>,
 }
@@ -278,14 +264,8 @@ impl Observation {
         Observation {
             schedule: run.schedule,
             abort_causes,
-            commits: st.commits(),
-            aborts: st.aborts(),
-            ro_commits: st.txn.ro_commits,
-            ro_aborts: st.txn.ro_aborts,
-            phase_transitions: st.txn.phase_transitions,
-            serial_commits: st.txn.serial_commits,
+            stats: st,
             trace: run.trace,
-            breakdown: st.txn.breakdown,
             report: Some(run.report),
         }
     }
@@ -347,7 +327,7 @@ impl Backend for Sim<'_> {
                 "oracle: {v} ({} violations total)",
                 violations.len()
             )),
-            None => snapshot_abort_free(combo.versioning, obs.ro_aborts)
+            None => snapshot_abort_free(combo.versioning, obs.stats.txn.ro_aborts)
                 .and_then(|()| session.judge(w, &shared)),
         };
         (verdict.map(|state| Fingerprint { state, makespan }), obs)
@@ -523,14 +503,17 @@ pub fn check_trial(trial: &Trial, determinism: bool) -> Option<String> {
     check_trial_plan(trial, &RunPlan::default(), determinism).err()
 }
 
+/// Maximum trial re-runs [`shrink_failure`] spends per failure.
+const SHRINK_BUDGET: u32 = 48;
+
 /// Greedily shrinks a failing trial: halve/decrement `ops`, then reduce
 /// `threads`, then try small seeds — keeping every candidate that still
 /// fails. The predicate re-runs the (deterministic) trial, so the result
-/// is a genuinely minimal reproducer within `budget` re-runs.
-pub fn shrink_failure(trial: Trial, detail: String, budget: u32) -> (Trial, String) {
+/// is a genuinely minimal reproducer within `SHRINK_BUDGET` (48) re-runs.
+pub fn shrink_failure(trial: Trial, detail: String) -> (Trial, String) {
     let determinism = detail.starts_with("nondeterministic");
     let mut fails = {
-        let mut left = budget;
+        let mut left = SHRINK_BUDGET;
         move |t: &Trial| -> Option<String> {
             if left == 0 {
                 return None;
@@ -622,8 +605,6 @@ pub struct CheckConfig {
     pub combos: Vec<Combo>,
     /// Workloads to run (defaults to all five).
     pub workloads: Vec<Workload>,
-    /// Maximum trial re-runs the shrinker may spend per failure.
-    pub shrink_budget: u32,
     /// Schedule policy every trial runs under.
     pub sched: Sched,
     /// Record every trial's schedule and accumulate interleaving coverage
@@ -641,7 +622,6 @@ impl Default for CheckConfig {
             ops: 32,
             combos: Combo::all(),
             workloads: Workload::ALL.to_vec(),
-            shrink_budget: 48,
             sched: Sched::Fuzzed,
             coverage: false,
         }
@@ -693,10 +673,10 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
         ..RunPlan::default()
     };
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
-        // (axis, axis-erased combo slug, workload) → the first passing
-        // trial of that twin group; reset per seed so only same-seed
-        // trials are compared.
-        let mut firsts: HashMap<(usize, String, Workload), (Trial, Fingerprint)> = HashMap::new();
+        // (axis, axis-erased combo, workload) → the first passing trial of
+        // that twin group; reset per seed so only same-seed trials are
+        // compared.
+        let mut firsts: HashMap<(usize, Combo, Workload), (Trial, Fingerprint)> = HashMap::new();
         for combo in &cfg.combos {
             for &workload in &cfg.workloads {
                 let trial = Trial {
@@ -717,8 +697,7 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                 let mut fp = match outcome {
                     Ok(fp) => fp,
                     Err(detail) => {
-                        let (shrunk, shrunk_detail) =
-                            shrink_failure(trial, detail.clone(), cfg.shrink_budget);
+                        let (shrunk, shrunk_detail) = shrink_failure(trial, detail.clone());
                         let replay = replay_command(&shrunk);
                         report.failures.push(Failure {
                             trial,
@@ -743,7 +722,7 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                     if !(relation.among)(combo) {
                         continue;
                     }
-                    let key = (i, axis.erase(combo).slug(), workload);
+                    let key = (i, axis.erase(combo), workload);
                     let &mut (other, other_fp) = firsts.entry(key).or_insert((trial, fp));
                     // The group's own first trial, or the same combination
                     // listed twice: nothing to cross-check.
@@ -948,10 +927,10 @@ mod tests {
         let (res, obs) = run_trial_observed(&trial, &RunPlan::default());
         res.expect("multi-version map trial passes");
         assert!(
-            obs.ro_commits > 0,
+            obs.stats.txn.ro_commits > 0,
             "gets must run as snapshot transactions: {obs:?}"
         );
-        assert_eq!(obs.ro_aborts, 0, "snapshot reads are abort-free");
+        assert_eq!(obs.stats.txn.ro_aborts, 0, "snapshot reads are abort-free");
         // The single-version twin of the same trial reaches the identical
         // final state (the suite cross-checks this per seed; here the
         // relation is asserted directly).
@@ -1183,7 +1162,10 @@ mod tests {
             let (res, obs) = run_trial_observed(&trial, &RunPlan::default());
             assert_eq!(res, Ok(Fingerprint { state, makespan }), "{trial}");
             assert_eq!(
-                (obs.serial_commits, obs.phase_transitions),
+                (
+                    obs.stats.txn.serial_commits,
+                    obs.stats.txn.phase_transitions
+                ),
                 (serial, moves),
                 "{trial}"
             );
@@ -1315,8 +1297,8 @@ mod tests {
             .expect("the planted bug must fail within 8 seeds");
         // The shrinker only consults the (deterministic) runner, so the
         // same failing input must always reach the same minimal trial.
-        let a = shrink_failure(failing.0, failing.1.clone(), 64);
-        let b = shrink_failure(failing.0, failing.1, 64);
+        let a = shrink_failure(failing.0, failing.1.clone());
+        let b = shrink_failure(failing.0, failing.1);
         assert_eq!(a.0, b.0, "same minimal trial");
         assert_eq!(a.1, b.1, "same failure detail");
         assert!(a.0.ops <= failing.0.ops);

@@ -5,7 +5,7 @@
 //! cargo run -p hastm-check --release -- --seeds 100
 //!
 //! # PCT sweep: 200 depth-3 schedules over every workload:
-//! cargo run -p hastm-check --release -- --pct 200 --depth 3 --coverage
+//! cargo run -p hastm-check --release -- --seeds 200 --sched pct:3 --coverage
 //!
 //! # Bounded-exhaustive enumeration of a tiny counter workload:
 //! cargo run -p hastm-check --release -- --explore --combo stm:obj:full \
@@ -24,7 +24,9 @@ mod ci;
 use std::process::ExitCode;
 
 use hastm_check::explore::{explore, ExploreConfig};
-use hastm_check::native::{run_native_suite, NativeCheckConfig, NativeTrial};
+use hastm_check::native::{
+    heap_words, run_native_suite, NativeCheckConfig, NativeTrial, PHASED, VERSIONINGS,
+};
 use hastm_check::{
     check_trial_plan, parse_trace, run_suite, run_trial_observed, CheckConfig, Combo, Observation,
     RunPlan, Sched, Trial, Workload,
@@ -38,8 +40,6 @@ USAGE:
     hastm-check [--seeds N] [--start-seed N] [--threads N] [--ops N]
                 [--sched S] [--backend B] [--workload W] [--combo C]
                 [--coverage] [--quiet]
-    hastm-check --pct N [--depth D] [--start-seed N] [--threads N] [--ops N]
-                [--workload W] [--combo C] [--coverage] [--quiet]
     hastm-check --explore [--combo C] [--workload W] [--threads N] [--ops N]
                 [--bound B] [--max-runs N] [--seed N]
     hastm-check --replay --workload W --combo C --seed N [--sched S]
@@ -54,10 +54,14 @@ OPTIONS:
     --seeds N        consecutive seeds to sweep            [default: 50]
     --start-seed N   first seed                            [default: 0]
     --threads N      worker threads per trial              [default: 3]
-                     (--explore: 1 to 3, default 2; native backend:
-                     sweeps 1/2/4/8 unless given)
+                     (at most 64, the snapshot registry's slots: past
+                     them, read-only regions would run validated, not on
+                     snapshots; --explore: 1 to 3, default 2; native
+                     backend: sweeps 1/2/4/8 unless given)
     --ops N          operations per thread per trial       [default: 32]
-                     (native backend: default 16)
+                     (native backend: default 16); with --backend
+                     native|both, at most what one native heap holds at
+                     the swept thread counts
     --sched S        schedule policy: fuzzed | pct:<depth> | det
                                                            [default: fuzzed]
     --backend B      execution backend: sim | native | both [default: sim]
@@ -66,8 +70,6 @@ OPTIONS:
                      off as by default, single- and multi-version, phased
                      and not) and differential-checks final states
                      against the simulator's sequential reference
-    --pct N          shorthand for --seeds N --sched pct:<depth> --coverage
-    --depth D        PCT depth for --pct                   [default: 3]
     --coverage       record schedules; print interleaving coverage
     --explore        bounded-exhaustive preemption-trace enumeration
     --bound B        max preemptions per trace             [default: 2]
@@ -99,6 +101,10 @@ OPTIONS:
                      check each one's output against its expected lines
     --help           this text
 ";
+
+/// The most worker threads a trial runs: one per slot of the live-snapshot
+/// registry both backends share.
+const MAX_THREADS: usize = hastm::mvcc::SNAPSHOT_SLOTS;
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 enum Backend {
@@ -133,9 +139,6 @@ struct Args {
     combo: Option<Combo>,
     seed: u64,
     sched: Sched,
-    pct: Option<u64>,
-    /// What `--pct` sweeps under: `--depth`, checked by `Sched::parse`.
-    pct_sched: Sched,
     bound: usize,
     max_runs: u64,
     trace: Option<String>,
@@ -150,7 +153,6 @@ struct Args {
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         seeds: 50,
-        pct_sched: Sched::Pct { depth: 3 },
         bound: 2,
         max_runs: 2_000,
         ..Args::default()
@@ -169,8 +171,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--ops" => args.ops = Some(num(&value("--ops")?)?),
             "--seed" => args.seed = num(&value("--seed")?)?,
             "--sched" => args.sched = Sched::parse(&value("--sched")?)?,
-            "--pct" => args.pct = Some(num(&value("--pct")?)?),
-            "--depth" => args.pct_sched = Sched::parse(&format!("pct:{}", value("--depth")?))?,
             "--bound" => args.bound = num(&value("--bound")?)? as usize,
             "--max-runs" => args.max_runs = num(&value("--max-runs")?)?,
             "--trace" => args.trace = Some(value("--trace")?),
@@ -200,20 +200,31 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         return Err(format!("{flag} does not apply to {form}"));
     }
     args.form = form;
-    if let Some(runs) = args.pct {
-        args.seeds = runs;
-        args.sched = args.pct_sched;
-        args.coverage = true;
-    }
     if args.threads == Some(0) || args.ops == Some(0) {
         return Err("--threads and --ops must be at least 1".into());
+    }
+    if args.threads > Some(MAX_THREADS) {
+        return Err(format!("--threads must be at most {MAX_THREADS}"));
     }
     if form == "--explore" && *args.threads.get_or_insert(ExploreConfig::default().threads) > 3 {
         return Err("--explore runs 1 to 3 threads".into());
     }
     // A sweep that runs no seed would still print `OK`.
     if args.seeds == 0 || args.start_seed.checked_add(args.seeds).is_none() {
-        return Err("--seeds/--pct must be at least 1 and --start-seed plus it below 2^64".into());
+        return Err("--seeds must be at least 1 and --start-seed plus it below 2^64".into());
+    }
+    if args.backend != Backend::Sim {
+        let cfg = native_config(&args);
+        if cfg
+            .thread_counts
+            .iter()
+            .any(|&t| heap_words(t, cfg.ops).is_none())
+        {
+            return Err(format!(
+                "--ops {} is more than one native heap holds",
+                cfg.ops
+            ));
+        }
     }
     Ok(args)
 }
@@ -243,7 +254,7 @@ fn write_trace_out(path: &str, obs: &Observation) -> Result<(), String> {
         return Ok(());
     }
     let sums = log.phase_sums();
-    let bd = &obs.breakdown;
+    let bd = &obs.stats.txn.breakdown;
     if bd.total() == 0 && sums.total() > 0 {
         // HyTM / lock / sequential schemes keep no TimeBreakdown, but the
         // HyTM software fallback still emits phase events.
@@ -340,7 +351,6 @@ fn run_explore(args: &Args) -> ExitCode {
         ops: args.ops.unwrap_or(2),
         bound: args.bound,
         max_runs: args.max_runs,
-        ..defaults
     };
     println!(
         "exploring {} on {} (threads={}, ops={}, bound={}, budget={} runs)",
@@ -526,8 +536,8 @@ fn run_native_backend(args: &Args) -> bool {
     let cfg = native_config(args);
     let per_seed = (cfg.thread_counts.len()
         * cfg.filter_modes.len()
-        * cfg.versionings.len()
-        * cfg.phased_modes.len()
+        * VERSIONINGS.len()
+        * PHASED.len()
         * cfg.workloads.len()) as u64;
     if !args.quiet {
         println!(
@@ -536,7 +546,7 @@ fn run_native_backend(args: &Args) -> bool {
             cfg.workloads.len(),
             cfg.thread_counts,
             cfg.filter_modes,
-            cfg.versionings.len(),
+            VERSIONINGS.len(),
             cfg.seeds,
             per_seed * cfg.seeds,
             cfg.ops,
@@ -579,17 +589,20 @@ mod tests {
 
     #[test]
     fn pct_depth_is_checked_as_sched_parse_checks_it() {
-        // 2^32 used to wrap to 0 and 0 to saturate to 1, and a failure
-        // then printed a replay with `--sched pct:0`, which `--replay`
-        // rejects.
-        for bad in ["0", "4294967296", "-1", "three"] {
-            let err = parse(&format!("--pct 1 --depth {bad}")).unwrap_err();
-            assert!(err.starts_with(&format!("pct depth `{bad}`")), "{err}");
+        // Neither form that takes `--sched` may wrap 2^32 to 0 or saturate
+        // 0 to 1: a failure would then print a replay with
+        // `--sched pct:0`, which `--replay` rejects.
+        for form in [
+            "--seeds 1",
+            "--replay --workload counter --combo stm:obj:full",
+        ] {
+            for bad in ["0", "4294967296", "-1", "three"] {
+                let err = parse(&format!("{form} --sched pct:{bad}")).unwrap_err();
+                assert!(err.starts_with(&format!("pct depth `{bad}`")), "{err}");
+            }
+            let args = parse(&format!("{form} --sched pct:4294967295")).unwrap();
+            assert_eq!(args.sched, Sched::Pct { depth: u32::MAX });
         }
-        let args = parse("--pct 5 --depth 4294967295").unwrap();
-        assert_eq!(args.sched, Sched::Pct { depth: u32::MAX });
-        assert_eq!((args.seeds, args.coverage), (5, true));
-        assert_eq!(parse("--pct 5").unwrap().sched, Sched::Pct { depth: 3 });
     }
 
     #[test]
@@ -598,9 +611,6 @@ mod tests {
             // The suite sweeps from --start-seed; --seed used to be
             // dropped silently.
             ("--seed 7", "--seed", "the suite"),
-            ("--seeds 5 --depth 2", "--depth", "the suite"),
-            ("--pct 5 --sched det", "--sched", "--pct"),
-            ("--pct 5 --backend native", "--backend", "--pct"),
             ("--explore --trace 1@0", "--trace", "--explore"),
             (
                 "--replay --workload counter --bound 2",
@@ -625,7 +635,7 @@ mod tests {
     fn the_documented_command_lines_parse() {
         for line in [
             "--seeds 50",
-            "--pct 5 --depth 3 --coverage --quiet",
+            "--seeds 5 --sched pct:3 --coverage --quiet",
             "--combo stm:line:full:v3 --seeds 64 --quiet",
             "--workload oltp --backend both --seeds 16 --quiet",
             "--explore --combo stm:obj:full --threads 2 --ops 2 --bound 2",
@@ -644,15 +654,13 @@ mod tests {
     fn a_sweep_that_would_run_nothing_is_an_error() {
         for line in [
             "--seeds 0",
-            "--pct 0",
             "--backend native --seeds 0",
             "--start-seed 18446744073709551615 --seeds 2",
-            "--pct 2 --start-seed 18446744073709551615",
             "--start-seed 18446744073709551615 --seeds 1",
         ] {
             let err = parse(line).unwrap_err();
             assert!(
-                err.starts_with("--seeds/--pct must be at least 1"),
+                err.starts_with("--seeds must be at least 1"),
                 "{line}: {err}"
             );
         }
@@ -694,5 +702,51 @@ mod tests {
     fn a_flag_without_its_value_is_an_error() {
         assert_eq!(parse("--seeds").unwrap_err(), "--seeds needs a value");
         assert_eq!(parse("--bogus").unwrap_err(), "unknown argument `--bogus`");
+        // PCT sweeps are spelled `--seeds N --sched pct:D --coverage`.
+        assert_eq!(parse("--pct 5").unwrap_err(), "unknown argument `--pct`");
+        assert_eq!(
+            parse("--seeds 5 --depth 3").unwrap_err(),
+            "unknown argument `--depth`"
+        );
+    }
+
+    #[test]
+    fn more_threads_than_snapshot_slots_is_a_usage_error() {
+        // A native trial spawns one host thread per worker.
+        for line in [
+            "--backend native --threads 65",
+            "--threads 65",
+            "--replay --workload counter --combo stm:obj:full --threads 65",
+            "--threads 18446744073709551615",
+        ] {
+            assert_eq!(
+                parse(line).unwrap_err(),
+                "--threads must be at most 64",
+                "{line}"
+            );
+        }
+        let cfg = native_config(&parse("--backend both --threads 64").unwrap());
+        assert_eq!(cfg.thread_counts, [64]);
+    }
+
+    #[test]
+    fn ops_past_one_native_heap_is_a_usage_error() {
+        // Caught before the sweep starts, not as a panic in its middle.
+        for line in [
+            "--backend native --ops 18446744073709551615",
+            "--backend both --ops 18446744073709551614",
+            "--backend native --threads 64 --ops 400000",
+            "--backend native --ops 3000000",
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(
+                err.ends_with("is more than one native heap holds"),
+                "{line}: {err}"
+            );
+        }
+        // The simulator backend runs no native heap.
+        parse("--ops 18446744073709551615").unwrap();
+        let biggest = native_config(&parse("--backend native --threads 64 --ops 300000").unwrap());
+        assert!(heap_words(64, biggest.ops).is_some());
     }
 }

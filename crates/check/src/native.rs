@@ -96,6 +96,21 @@ const OP_WORDS: usize = 8 * 25;
 /// bucket arrays, roots, the mill's accounts).
 const SETUP_WORDS: usize = 1 << 12;
 
+/// Heap words a native trial of `threads` × `ops` needs, or `None` past
+/// what one native heap can hold: the version store names its blocks with
+/// 32-bit ids, so a heap stays below `u32::MAX` words. Committed
+/// allocations are never reclaimed, and an aborted attempt's stay with its
+/// thread for the retries, so a thread holds at most one attempt's worth
+/// past its committed operations'. Capacity nobody touches costs no
+/// memory.
+pub fn heap_words(threads: usize, ops: u64) -> Option<usize> {
+    let words = (threads as u64)
+        .checked_mul(ops.checked_add(1)?)?
+        .checked_mul(OP_WORDS as u64)?
+        .checked_add(SETUP_WORDS as u64)?;
+    (words < u64::from(u32::MAX)).then_some(words as usize)
+}
+
 /// The host-thread backend: one [`NativeSession`] per trial, and the
 /// verdict: the snapshot guarantee, then the workload's own check.
 pub(crate) struct Native<'a>(pub(crate) &'a NativeTrial);
@@ -105,17 +120,9 @@ impl Backend for Native<'_> {
 
     fn run<W: Definition>(self, w: &W) -> Self::Outcome {
         let trial = self.0;
-        // Committed allocations are never reclaimed, and an aborted
-        // attempt's stay with its thread for the retries, so a thread holds
-        // at most one attempt's worth past its committed operations'.
-        // Capacity nobody touches costs no memory.
-        let heap_words = (trial.threads as u64)
-            .checked_mul(trial.ops + 1)
-            .and_then(|ops| usize::try_from(ops).ok()?.checked_mul(OP_WORDS))
-            .and_then(|words| words.checked_add(SETUP_WORDS))
-            .expect("trial too large for one native heap");
         let session = NativeSession::new(NativeConfig {
-            heap_words,
+            heap_words: heap_words(trial.threads, trial.ops)
+                .expect("trial too large for one native heap"),
             stripes: 1 << 12,
             mark_filter: trial.mark_filter,
             versioning: trial.versioning,
@@ -165,12 +172,14 @@ pub struct NativeCheckConfig {
     /// [`NativeConfig`]'s default: the filter emulation is unsound
     /// (DESIGN §9c), so a sweep of it is a sweep for its known write skew.
     pub filter_modes: Vec<bool>,
-    /// Versioning settings to sweep (defaults to single-version and a
-    /// 3-deep multi-version ring).
-    pub versionings: Vec<Versioning>,
-    /// Phase-controller settings to sweep (defaults to both off and on).
-    pub phased_modes: Vec<bool>,
 }
+
+/// The version retentions every native sweep crosses: single-version and
+/// a 3-deep multi-version ring.
+pub const VERSIONINGS: [Versioning; 2] = [Versioning::Single, Versioning::Multi { k: 3 }];
+
+/// The phase-controller settings every native sweep crosses: off and on.
+pub const PHASED: [bool; 2] = [false, true];
 
 impl Default for NativeCheckConfig {
     fn default() -> Self {
@@ -181,8 +190,6 @@ impl Default for NativeCheckConfig {
             ops: 16,
             workloads: Workload::ALL.to_vec(),
             filter_modes: vec![false],
-            versionings: vec![Versioning::Single, Versioning::Multi { k: 3 }],
-            phased_modes: vec![false, true],
         }
     }
 }
@@ -208,9 +215,9 @@ pub struct NativeSuiteReport {
     pub stats: NativeStats,
 }
 
-/// Sweeps workloads × thread counts × filter modes × versionings across
-/// the seed range, calling `on_trial` after each trial with its pass/fail
-/// status.
+/// Sweeps workloads × thread counts × filter modes × [`VERSIONINGS`] ×
+/// [`PHASED`] across the seed range, calling `on_trial` after each trial
+/// with its pass/fail status.
 pub fn run_native_suite(
     cfg: &NativeCheckConfig,
     mut on_trial: impl FnMut(&NativeTrial, bool),
@@ -219,8 +226,8 @@ pub fn run_native_suite(
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
         for &threads in &cfg.thread_counts {
             for &mark_filter in &cfg.filter_modes {
-                for &versioning in &cfg.versionings {
-                    for &phased in &cfg.phased_modes {
+                for versioning in VERSIONINGS {
+                    for phased in PHASED {
                         for &workload in &cfg.workloads {
                             let trial = NativeTrial {
                                 workload,

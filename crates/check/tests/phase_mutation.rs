@@ -49,11 +49,11 @@ fn phased_trials(seed: u64) -> impl Iterator<Item = Trial> {
 fn phased_verdict(trial: &Trial) -> Result<Observation, String> {
     let (res, obs) = run_trial_observed(trial, &RunPlan::default());
     res.map_err(|detail| format!("state corruption: {detail}"))?;
-    if obs.phase_transitions > LATTICE_DEPTH {
+    if obs.stats.txn.phase_transitions > LATTICE_DEPTH {
         return Err(format!(
             "transition-count oracle: {} transitions under a demote-only \
              policy (lattice depth {LATTICE_DEPTH}) in {trial}",
-            obs.phase_transitions
+            obs.stats.txn.phase_transitions
         ));
     }
     Ok(obs)
@@ -94,12 +94,16 @@ mod unmutated {
     fn the_sweep_exercises_the_full_lattice_and_the_serial_phase() {
         let observed = clean_sweep();
         assert_eq!(
-            observed.iter().map(|o| o.phase_transitions).max(),
+            observed.iter().map(|o| o.stats.txn.phase_transitions).max(),
             Some(LATTICE_DEPTH),
             "the sweep never walked the full demote-only lattice"
         );
         assert!(
-            observed.iter().map(|o| o.serial_commits).sum::<u64>() > 0,
+            observed
+                .iter()
+                .map(|o| o.stats.txn.serial_commits)
+                .sum::<u64>()
+                > 0,
             "the sweep never reached the serial phase"
         );
     }

@@ -148,9 +148,9 @@ fn run_scenario(workload: Workload, sched: Sched, storm: Storm, seed: u64) -> Sc
         sched,
         storm,
         seed,
-        transitions: obs.phase_transitions,
-        events: obs.commits + obs.aborts,
-        serial_commits: obs.serial_commits,
+        transitions: obs.stats.txn.phase_transitions,
+        events: obs.stats.commits() + obs.stats.aborts(),
+        serial_commits: obs.stats.txn.serial_commits,
     }
 }
 

@@ -17,7 +17,7 @@
 
 use hastm_sim::Addr;
 
-use crate::config::{Abort, BarrierKind, ContentionPolicy, Granularity, Mode, TxResult};
+use crate::config::{Abort, BarrierKind, Granularity, Mode, TxResult};
 use crate::log::{ReadEntry, UndoEntry, WriteEntry};
 use crate::record::RecValue;
 use crate::runtime::ObjRef;
@@ -27,24 +27,23 @@ use crate::txn::TxThread;
 /// Descriptor offset of the mode word (must match `txn.rs`).
 const DESC_MODE: u64 = 32;
 
+/// Re-probes [`TxThread::handle_contention`] spends, with exponential
+/// backoff, on an owned record before it gives up and aborts.
+const MAX_PROBES: u32 = 16;
+
 impl TxThread<'_, '_> {
     // ------------------------------------------------------------------
     // Contention management
     // ------------------------------------------------------------------
 
-    /// The paper's `handleContention`: waits (policy-dependent) for an
-    /// owned record to return to the shared state and yields its version,
-    /// or aborts the transaction.
+    /// The paper's `handleContention`: waits, with bounded exponential
+    /// backoff, for an owned record to return to the shared state and
+    /// yields its version, or aborts the transaction.
     pub(crate) fn handle_contention(&mut self, rec: Addr) -> TxResult<RecValue> {
         self.stats.contention_encounters += 1;
-        let policy = self.runtime.config().contention;
-        let max_probes = match policy {
-            ContentionPolicy::Suicide => 0,
-            ContentionPolicy::Backoff { max_probes } => max_probes,
-        };
         let t0 = self.cpu.now();
         let mut result = Err(Abort::Conflict);
-        for probe in 0..max_probes {
+        for probe in 0..MAX_PROBES {
             // Exponential backoff with jitter before re-probing.
             let base = 16u64 << probe.min(8);
             let jitter = self.next_rand() % base.max(1);

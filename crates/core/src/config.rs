@@ -3,7 +3,7 @@
 use crate::oracle::OracleMode;
 
 /// Conflict-detection granularity (§4).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Granularity {
     /// Managed-environment style: every object carries a transaction record
     /// in its header word; conflicts are detected per object.
@@ -38,7 +38,7 @@ pub enum Mode {
 }
 
 /// Policy deciding the mode of each transaction attempt (§6, §7.4).
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum ModePolicy {
     /// Never use aggressive mode (the paper's "Cautious"/"HASTM-Cautious").
     AlwaysCautious,
@@ -47,14 +47,11 @@ pub enum ModePolicy {
     SingleThreadAggressive,
     /// Multi-threaded policy: go aggressive only while the running ratio of
     /// transactions that observed a dirty mark counter stays below the low
-    /// watermark. This is what makes HASTM "start off in cautious mode and
-    /// remain in cautious mode till the number of evictions/invalidations is
-    /// below a threshold" (§7.4).
-    AbortRatioWatermark {
-        /// Go aggressive while the exponentially weighted dirty/abort ratio
-        /// is below this value.
-        watermark: f64,
-    },
+    /// watermark ([`crate::mode::WATERMARK`]). This is what makes HASTM
+    /// "start off in cautious mode and remain in cautious mode till the
+    /// number of evictions/invalidations is below a threshold" (§7.4).
+    #[default]
+    AbortRatioWatermark,
     /// The naïve strawman of Figures 21–22 (an HTM-with-software-fallback
     /// analogue): always try aggressive first, re-execute cautiously after
     /// an abort.
@@ -66,12 +63,6 @@ pub enum ModePolicy {
     /// transactions irrevocably under a global token — no validation, no
     /// aborts. See [`crate::phase`].
     Phased(crate::phase::PhasedParams),
-}
-
-impl Default for ModePolicy {
-    fn default() -> Self {
-        ModePolicy::AbortRatioWatermark { watermark: 0.1 }
-    }
 }
 
 impl ModePolicy {
@@ -90,7 +81,7 @@ impl ModePolicy {
 /// [`TxnKind::ReadOnly`] read a consistent snapshot (newest version with
 /// stamp ≤ their start stamp) and commit without validation — they can
 /// never abort.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Versioning {
     /// Single committed version per record (the measured configuration).
     #[default]
@@ -131,27 +122,8 @@ pub enum TxnKind {
     ReadOnly,
 }
 
-/// What a barrier does when it finds a record owned by another transaction.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ContentionPolicy {
-    /// Abort immediately and let the re-execution loop back off.
-    Suicide,
-    /// Spin-wait (bounded, with exponential backoff) for the owner to
-    /// release the record; abort if it does not.
-    Backoff {
-        /// Maximum number of re-probes before giving up and aborting.
-        max_probes: u32,
-    },
-}
-
-impl Default for ContentionPolicy {
-    fn default() -> Self {
-        ContentionPolicy::Backoff { max_probes: 16 }
-    }
-}
-
 /// Per-runtime STM configuration.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StmConfig {
     /// Conflict-detection granularity.
     pub granularity: Granularity,
@@ -159,8 +131,6 @@ pub struct StmConfig {
     pub barrier: BarrierKind,
     /// Mode policy (only meaningful with [`BarrierKind::Hastm`]).
     pub mode_policy: ModePolicy,
-    /// Contention-management policy.
-    pub contention: ContentionPolicy,
     /// Validate the read set after this many read barriers (bounds the work
     /// a doomed "zombie" transaction can perform).
     pub validation_period: u32,
@@ -200,7 +170,6 @@ impl Default for StmConfig {
             granularity: Granularity::CacheLine,
             barrier: BarrierKind::Stm,
             mode_policy: ModePolicy::default(),
-            contention: ContentionPolicy::default(),
             validation_period: 16,
             clear_marks_between_txns: true,
             no_reuse: false,

@@ -19,9 +19,9 @@
 //!   watermark / naïve-always-aggressive);
 //! * the **language-integration surface** of §2: closed nested transactions
 //!   with partial rollback, `retry`/`orElse` condition synchronization,
-//!   user aborts, contention-management policies with diagnostics, and GC
-//!   suspension with log inspection and object relocation that does *not*
-//!   abort the suspended transaction.
+//!   user aborts, bounded-backoff contention management with diagnostics,
+//!   and GC suspension with log inspection and object relocation that does
+//!   *not* abort the suspended transaction.
 //!
 //! ## Quick start
 //!
@@ -62,8 +62,7 @@ pub mod stats;
 pub mod txn;
 
 pub use config::{
-    Abort, BarrierKind, ContentionPolicy, Granularity, Mode, ModePolicy, StmConfig, TxResult,
-    TxnKind, Versioning,
+    Abort, BarrierKind, Granularity, Mode, ModePolicy, StmConfig, TxResult, TxnKind, Versioning,
 };
 pub use context::{TmContext, TmExec};
 pub use gc::Inspector;

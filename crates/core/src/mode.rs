@@ -5,6 +5,10 @@ use crate::config::{Mode, ModePolicy};
 /// EWMA weight for the dirty-commit ratio.
 const EWMA: f64 = 0.125;
 
+/// [`ModePolicy::AbortRatioWatermark`] goes aggressive while the
+/// exponentially weighted dirty/abort ratio is below this value.
+pub const WATERMARK: f64 = 0.1;
+
 /// Why a transaction aborted, as far as the mode heuristics care: was the
 /// mark-counter loss (or record conflict) caused by a *remote writer* —
 /// a true data conflict — or by *capacity pressure* (evictions and
@@ -77,8 +81,8 @@ impl ModeController {
                     Mode::Cautious
                 }
             }
-            ModePolicy::AbortRatioWatermark { watermark } => {
-                if self.dirty_ratio < watermark {
+            ModePolicy::AbortRatioWatermark => {
+                if self.dirty_ratio < WATERMARK {
                     Mode::Aggressive
                 } else {
                     Mode::Cautious
@@ -164,19 +168,19 @@ mod tests {
 
     #[test]
     fn watermark_starts_cautious_and_converges() {
-        let mut c = ModeController::new(ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+        let mut c = ModeController::new(ModePolicy::AbortRatioWatermark);
         assert_eq!(c.mode_for(0), Mode::Cautious, "pessimistic start");
         // A run of clean commits drives the ratio below the watermark.
         for _ in 0..40 {
             c.on_commit(false);
         }
-        assert!(c.dirty_ratio() < 0.1);
+        assert!(c.dirty_ratio() < WATERMARK);
         assert_eq!(c.mode_for(0), Mode::Aggressive);
     }
 
     #[test]
     fn watermark_backs_off_under_interference() {
-        let mut c = ModeController::new(ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+        let mut c = ModeController::new(ModePolicy::AbortRatioWatermark);
         for _ in 0..40 {
             c.on_commit(false);
         }
@@ -187,7 +191,7 @@ mod tests {
         }
         assert_eq!(c.mode_for(0), Mode::Cautious);
         c.on_abort(AbortClass::Conflict);
-        assert!(c.dirty_ratio() > 0.1);
+        assert!(c.dirty_ratio() > WATERMARK);
     }
 
     #[test]
@@ -208,7 +212,7 @@ mod tests {
     #[test]
     fn both_abort_classes_push_the_ratio_up() {
         for class in [AbortClass::Conflict, AbortClass::Capacity] {
-            let mut c = ModeController::new(ModePolicy::AbortRatioWatermark { watermark: 0.1 });
+            let mut c = ModeController::new(ModePolicy::AbortRatioWatermark);
             for _ in 0..40 {
                 c.on_commit(false);
             }

@@ -167,7 +167,7 @@ impl Phase {
 
 /// Tuning of [`crate::ModePolicy::Phased`]. All plain integers so the
 /// policy stays `Copy`/`Eq` and shares cleanly with the native backend.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PhasedParams {
     /// Consecutive interference events (capacity-classified aborts,
     /// conflict aborts, or dirty commits) before demoting one level.

@@ -1,94 +1,38 @@
-//! End-to-end tests for contention management policies, `orElse`
+//! End-to-end tests for contention management, `orElse`
 //! composition, record-table aliasing, and log-overflow behavior.
 
-use hastm::{
-    Abort, ContentionPolicy, Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TxThread,
-};
+use hastm::{Abort, Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TxThread};
 use hastm_sim::{Machine, MachineConfig, WorkerFn};
 
-/// Both contention policies make progress under a two-core hot-spot.
+/// Bounded backoff makes progress under a two-core hot-spot.
 #[test]
 fn contention_policies_all_make_progress() {
-    for policy in [
-        ContentionPolicy::Suicide,
-        ContentionPolicy::Backoff { max_probes: 4 },
-        ContentionPolicy::Backoff { max_probes: 64 },
-    ] {
-        let mut cfg = StmConfig::stm(Granularity::Object);
-        cfg.contention = policy;
-        let mut m = Machine::new(MachineConfig::with_cores(2));
-        let rt = StmRuntime::new(&mut m, cfg);
-        let (o, _) = m.run_one(|cpu| {
-            let mut tx = TxThread::new(&rt, cpu);
-            tx.alloc_obj(1)
-        });
-        let rt_ref = &rt;
-        m.run(
-            (0..2)
-                .map(|_| {
-                    Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                        let mut tx = TxThread::new(rt_ref, cpu);
-                        for _ in 0..40 {
-                            tx.atomic(|tx| {
-                                let v = tx.read_word(o, 0)?;
-                                // Hold ownership for a while to force the
-                                // other core into contention handling.
-                                tx.cpu().tick(50);
-                                tx.write_word(o, 0, v + 1)
-                            });
-                        }
-                    }) as WorkerFn<'_>
-                })
-                .collect(),
-        );
-        assert_eq!(m.peek_u64(o.word(0)), 80, "policy {policy:?}");
-    }
-}
-
-/// Suicide self-aborts instead of waiting; backoff waits the owner out.
-#[test]
-fn suicide_aborts_more_than_backoff() {
-    fn aborts(policy: ContentionPolicy) -> u64 {
-        let mut cfg = StmConfig::stm(Granularity::Object);
-        cfg.contention = policy;
-        let mut m = Machine::new(MachineConfig::with_cores(2));
-        let rt = StmRuntime::new(&mut m, cfg);
-        let (o, _) = m.run_one(|cpu| {
-            let mut tx = TxThread::new(&rt, cpu);
-            tx.alloc_obj(1)
-        });
-        let rt_ref = &rt;
-        let total = std::sync::atomic::AtomicU64::new(0);
-        let total_ref = &total;
-        m.run(
-            (0..2)
-                .map(|_| {
-                    Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                        let mut tx = TxThread::new(rt_ref, cpu);
-                        for _ in 0..30 {
-                            tx.atomic(|tx| {
-                                let v = tx.read_word(o, 0)?;
-                                tx.write_word(o, 0, v)?;
-                                tx.cpu().tick(200); // long ownership window
-                                Ok(v)
-                            });
-                        }
-                        total_ref.fetch_add(
-                            tx.stats().aborts_conflict,
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
-                    }) as WorkerFn<'_>
-                })
-                .collect(),
-        );
-        total.into_inner()
-    }
-    let suicide = aborts(ContentionPolicy::Suicide);
-    let patient = aborts(ContentionPolicy::Backoff { max_probes: 64 });
-    assert!(
-        suicide > patient,
-        "suicide ({suicide}) should abort more than patient backoff ({patient})"
+    let mut m = Machine::new(MachineConfig::with_cores(2));
+    let rt = StmRuntime::new(&mut m, StmConfig::stm(Granularity::Object));
+    let (o, _) = m.run_one(|cpu| {
+        let mut tx = TxThread::new(&rt, cpu);
+        tx.alloc_obj(1)
+    });
+    let rt_ref = &rt;
+    m.run(
+        (0..2)
+            .map(|_| {
+                Box::new(move |cpu: &mut hastm_sim::Cpu| {
+                    let mut tx = TxThread::new(rt_ref, cpu);
+                    for _ in 0..40 {
+                        tx.atomic(|tx| {
+                            let v = tx.read_word(o, 0)?;
+                            // Hold ownership for a while to force the
+                            // other core into contention handling.
+                            tx.cpu().tick(50);
+                            tx.write_word(o, 0, v + 1)
+                        });
+                    }
+                }) as WorkerFn<'_>
+            })
+            .collect(),
     );
+    assert_eq!(m.peek_u64(o.word(0)), 80);
 }
 
 /// `orElse` composes three alternatives; the first non-retrying branch

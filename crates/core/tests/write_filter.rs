@@ -107,11 +107,8 @@ fn rollback_clears_write_filter_marks() {
 #[test]
 fn concurrent_increments_stay_atomic_with_write_filter() {
     let mut m = Machine::new(MachineConfig::with_cores(4));
-    let mut c = StmConfig::hastm(
-        Granularity::Object,
-        ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-    )
-    .with_oracle(OracleMode::Panic);
+    let mut c = StmConfig::hastm(Granularity::Object, ModePolicy::AbortRatioWatermark)
+        .with_oracle(OracleMode::Panic);
     c.filter_writes = true;
     let rt = StmRuntime::new(&mut m, c);
     let (o, _) = m.run_one(|cpu| {

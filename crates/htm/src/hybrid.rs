@@ -53,11 +53,14 @@ impl HytmStats {
     }
 }
 
+/// Hardware attempts [`HytmThread::atomic`] makes per transaction before
+/// it falls back to software.
+const HW_ATTEMPTS: u32 = 4;
+
 /// One thread's hybrid-TM execution state (hardware first, software STM
 /// fallback).
 pub struct HytmThread<'c, 'm> {
     tx: TxThread<'c, 'm>,
-    hw_attempts: u32,
     stats: HytmStats,
     /// The hardware path's store buffer and commit transitions, kept from
     /// one attempt to the next (each attempt's `HtmThread` borrows the
@@ -71,19 +74,17 @@ pub struct HytmThread<'c, 'm> {
 impl std::fmt::Debug for HytmThread<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HytmThread")
-            .field("hw_attempts", &self.hw_attempts)
             .field("stats", &self.stats)
             .finish()
     }
 }
 
 impl<'c, 'm> HytmThread<'c, 'm> {
-    /// Creates a hybrid thread that tries hardware `hw_attempts` times per
-    /// transaction before falling back to software.
-    pub fn new(runtime: &'c StmRuntime, cpu: &'c mut Cpu<'m>, hw_attempts: u32) -> Self {
+    /// Creates a hybrid thread that tries hardware `HW_ATTEMPTS` (4) times
+    /// per transaction before falling back to software.
+    pub fn new(runtime: &'c StmRuntime, cpu: &'c mut Cpu<'m>) -> Self {
         HytmThread {
             tx: TxThread::new(runtime, cpu),
-            hw_attempts,
             stats: HytmStats::default(),
             hw_logs: HtmLogs::default(),
             written: Vec::new(),
@@ -109,7 +110,7 @@ impl<'c, 'm> HytmThread<'c, 'm> {
     /// hardware failure. Retries until commit.
     pub fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
         let runtime = self.tx.runtime();
-        for attempt in 0..self.hw_attempts {
+        for attempt in 0..HW_ATTEMPTS {
             let mut hth = HtmThread::with_logs(self.tx.cpu(), std::mem::take(&mut self.hw_logs));
             let written = &mut self.written;
             written.clear();
@@ -261,7 +262,7 @@ mod tests {
     fn hybrid_commits_in_hardware() {
         let (mut m, rt) = setup(StmConfig::stm(Granularity::CacheLine));
         let (v, _) = m.run_one(|cpu| {
-            let mut hy = HytmThread::new(&rt, cpu, 4);
+            let mut hy = HytmThread::new(&rt, cpu);
             let o = hy.alloc_obj(1);
             hy.atomic(|ctx| {
                 ctx.ctx_write(o, 0, 7)?;
@@ -281,7 +282,7 @@ mod tests {
         // commit must fail validation afterwards.
         let (mut m, rt) = setup(StmConfig::stm(Granularity::Object));
         m.run_one(|cpu| {
-            let mut hy = HytmThread::new(&rt, cpu, 4);
+            let mut hy = HytmThread::new(&rt, cpu);
             let o = hy.alloc_obj(1);
             let rec_before = hy.software().cpu().load_u64(o.header());
             hy.atomic(|ctx| ctx.ctx_write(o, 0, 1));
@@ -302,7 +303,7 @@ mod tests {
         });
         let rt = StmRuntime::new(&mut m, StmConfig::stm(Granularity::CacheLine));
         m.run_one(|cpu| {
-            let mut hy = HytmThread::new(&rt, cpu, 2);
+            let mut hy = HytmThread::new(&rt, cpu);
             let objs: Vec<ObjRef> = {
                 let tx = hy.software();
                 (0..16)
@@ -324,7 +325,7 @@ mod tests {
             });
             assert_eq!(sum, 0);
             assert_eq!(hy.stats().sw_commits, 1, "fell back to software");
-            assert_eq!(hy.stats().hw_aborts_capacity, 2);
+            assert_eq!(hy.stats().hw_aborts_capacity, u64::from(HW_ATTEMPTS));
         });
     }
 
@@ -342,10 +343,10 @@ mod tests {
             Box::new(move |cpu: &mut hastm_sim::Cpu| {
                 // Give core 1 time to acquire the record.
                 cpu.tick(5_000);
-                let mut hy = HytmThread::new(rt_ref, cpu, 1);
+                let mut hy = HytmThread::new(rt_ref, cpu);
                 let v = hy.atomic(|ctx| ctx.ctx_read(o, 0));
                 // Fell back to software (which waits out the owner).
-                assert_eq!(hy.stats().hw_aborts_conflict, 1);
+                assert_eq!(hy.stats().hw_aborts_conflict, u64::from(HW_ATTEMPTS));
                 assert_eq!(hy.stats().sw_commits, 1);
                 assert_eq!(v, 9);
             }) as WorkerFn<'_>,
@@ -374,7 +375,7 @@ mod tests {
         let workers: Vec<WorkerFn<'_>> = (0..2)
             .map(|_| {
                 Box::new(move |cpu: &mut hastm_sim::Cpu| {
-                    let mut hy = HytmThread::new(rt_ref, cpu, 4);
+                    let mut hy = HytmThread::new(rt_ref, cpu);
                     for _ in 0..20 {
                         hy.atomic(|ctx| {
                             let v = ctx.ctx_read(o, 0)?;

@@ -46,7 +46,7 @@ impl CacheConfig {
 /// `loadtestmark` always reports the bit clear, and `resetmarkall` only
 /// increments the counter. Software then never observes a zero counter after
 /// marking anything, so it always falls back to full software validation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum IsaLevel {
     /// Mark bits and the mark counter are fully implemented in the L1.
     #[default]

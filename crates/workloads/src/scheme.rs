@@ -72,7 +72,7 @@ impl Scheme {
         let hastm_policy = if threads <= 1 {
             ModePolicy::SingleThreadAggressive
         } else {
-            ModePolicy::AbortRatioWatermark { watermark: 0.1 }
+            ModePolicy::AbortRatioWatermark
         };
         match self {
             Scheme::Sequential | Scheme::Lock | Scheme::Stm | Scheme::Hytm => {
@@ -186,7 +186,7 @@ impl<'c, 'm> ThreadExec<'c, 'm> {
         let inner = match scheme {
             Scheme::Sequential => Inner::Seq(SeqExec::new(runtime, cpu)),
             Scheme::Lock => Inner::Lock(LockExec::new(runtime, cpu, lock)),
-            Scheme::Hytm => Inner::Hytm(HytmThread::new(runtime, cpu, 4)),
+            Scheme::Hytm => Inner::Hytm(HytmThread::new(runtime, cpu)),
             _ => Inner::Stm(TxThread::new(runtime, cpu)),
         };
         ThreadExec { inner }
@@ -276,10 +276,7 @@ mod tests {
         let c = Scheme::Hastm.stm_config(Granularity::Object, 1);
         assert_eq!(c.mode_policy, ModePolicy::SingleThreadAggressive);
         let c = Scheme::Hastm.stm_config(Granularity::Object, 4);
-        assert!(matches!(
-            c.mode_policy,
-            ModePolicy::AbortRatioWatermark { .. }
-        ));
+        assert!(matches!(c.mode_policy, ModePolicy::AbortRatioWatermark));
         let c = Scheme::HastmNoReuse.stm_config(Granularity::CacheLine, 1);
         assert!(c.no_reuse);
         assert!(!Scheme::Hytm.is_stm_based());

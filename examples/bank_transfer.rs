@@ -38,10 +38,7 @@ fn main() {
     let mut machine = Machine::new(MachineConfig::with_cores(cores));
     let runtime = StmRuntime::new(
         &mut machine,
-        StmConfig::hastm(
-            Granularity::Object,
-            hastm::ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-        ),
+        StmConfig::hastm(Granularity::Object, hastm::ModePolicy::AbortRatioWatermark),
     );
 
     // Set up the accounts in a setup run on core 0.

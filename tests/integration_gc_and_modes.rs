@@ -146,10 +146,7 @@ fn context_switches_amid_concurrency() {
     let mut machine = Machine::new(MachineConfig::with_cores(3));
     let runtime = StmRuntime::new(
         &mut machine,
-        StmConfig::hastm(
-            Granularity::Object,
-            ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-        ),
+        StmConfig::hastm(Granularity::Object, ModePolicy::AbortRatioWatermark),
     );
     let (counter, _) = machine.run_one(|cpu| {
         let mut tx = TxThread::new(&runtime, cpu);

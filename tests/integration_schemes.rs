@@ -146,10 +146,7 @@ fn conservation_stm() {
 #[test]
 fn conservation_hastm_watermark() {
     conservation(
-        StmConfig::hastm(
-            Granularity::Object,
-            ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-        ),
+        StmConfig::hastm(Granularity::Object, ModePolicy::AbortRatioWatermark),
         4,
         120,
     );
@@ -172,10 +169,7 @@ fn conservation_naive_aggressive() {
 #[test]
 fn conservation_cacheline_granularity() {
     conservation(
-        StmConfig::hastm(
-            Granularity::CacheLine,
-            ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-        ),
+        StmConfig::hastm(Granularity::CacheLine, ModePolicy::AbortRatioWatermark),
         3,
         120,
     );
@@ -187,10 +181,7 @@ fn runs_are_deterministic() {
         let mut machine = Machine::new(MachineConfig::with_cores(3));
         let runtime = StmRuntime::new(
             &mut machine,
-            StmConfig::hastm(
-                Granularity::CacheLine,
-                ModePolicy::AbortRatioWatermark { watermark: 0.1 },
-            ),
+            StmConfig::hastm(Granularity::CacheLine, ModePolicy::AbortRatioWatermark),
         );
         let (obj, _) = machine.run_one(|cpu| {
             let mut tx = TxThread::new(&runtime, cpu);
