@@ -24,7 +24,7 @@ use std::collections::HashSet;
 use hastm::{
     Granularity, ModePolicy, ObjRef, OracleMode, Phase, StmConfig, StmRuntime, TxThread, TxnStats,
 };
-use hastm_sim::{CacheConfig, GateMode, Machine, MachineConfig};
+use hastm_sim::{CacheConfig, Machine, MachineConfig};
 use hastm_workloads::{
     analyze, generate_stream, run_kernel, run_oltp_sim, run_workload, KernelParams, KernelResult,
     OltpSimConfig, Scheme, Structure, WorkloadConfig, WorkloadResult, PROFILES,
@@ -243,15 +243,6 @@ impl CellOutput {
 /// Runs one cell. Pure up to determinism: equal cells produce equal
 /// outputs in any process, on any thread, in any order.
 pub fn run_cell(cell: &Cell) -> CellOutput {
-    run_cell_on(cell, GateMode::default())
-}
-
-/// Runs one cell with its simulated cores admitted under `gate`. The
-/// tables run the default, [`GateMode::Quantum`]; tests hold every
-/// multi-core cell to the [`GateMode::PerOp`] reference through here.
-/// Kernel replays run on [`run_kernel`]'s own single-core machine, where
-/// no gate has a second core to admit.
-pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
     match *cell {
         Cell::Ds {
             structure,
@@ -269,10 +260,7 @@ pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
             cfg.ops_per_thread = (total_ops / threads as u64).max(1);
             cfg.prepopulate = scale.prepopulate() * size_mult;
             cfg.key_range = cfg.prepopulate * 2;
-            cfg.machine = MachineConfig {
-                gate,
-                ..machine.config()
-            };
+            cfg.machine = machine.config();
             if phased {
                 cfg.mode_policy_override = Some(ModePolicy::phased());
             } else if size_mult > 1 {
@@ -311,7 +299,6 @@ pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
                 Granularity::CacheLine,
             );
             cfg.oracle = OracleMode::Off;
-            cfg.machine.gate = gate;
             if phased {
                 cfg.mode_policy_override = Some(ModePolicy::phased());
             }
@@ -325,7 +312,7 @@ pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
         Cell::WriteFilter {
             filter_writes,
             rewrites,
-        } => accumulate(filter_writes, rewrites, gate),
+        } => accumulate(filter_writes, rewrites),
     }
 }
 
@@ -333,13 +320,10 @@ pub fn run_cell_on(cell: &Cell, gate: GateMode) -> CellOutput {
 /// 16 hot words `rewrites` times each (running sums, counters — the
 /// write-locality pattern the filter targets) under single-thread HASTM
 /// at object granularity.
-fn accumulate(filter_writes: bool, rewrites: u32, gate: GateMode) -> CellOutput {
+fn accumulate(filter_writes: bool, rewrites: u32) -> CellOutput {
     let mut config = StmConfig::hastm(Granularity::Object, ModePolicy::SingleThreadAggressive);
     config.filter_writes = filter_writes;
-    let mut machine = Machine::new(MachineConfig {
-        gate,
-        ..MachineConfig::default()
-    });
+    let mut machine = Machine::new(MachineConfig::default());
     let runtime = StmRuntime::new(&mut machine, config);
     machine
         .run_one(|cpu| {

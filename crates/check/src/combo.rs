@@ -11,8 +11,6 @@ use hastm::{BarrierKind, Granularity, ModePolicy, PhasedParams, StmConfig, Versi
 use hastm_sim::IsaLevel;
 use hastm_workloads::Scheme;
 
-use crate::Fingerprint;
-
 /// One point in the configuration matrix under differential test.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Combo {
@@ -41,38 +39,14 @@ const BASE: Combo = Combo {
     versioning: Versioning::Single,
 };
 
-/// What same-seed twins must agree on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Comparator {
-    /// The final state only: the axis legitimately changes per-op cycle
-    /// costs, hence interleavings and makespans, but every suite workload
-    /// makes its final state interleaving-independent by construction.
-    FinalState,
-}
-
-impl Comparator {
-    /// Whether two twins' fingerprints agree under this comparator.
-    pub fn agrees(self, a: Fingerprint, b: Fingerprint) -> bool {
-        match self {
-            Comparator::FinalState => a.state == b.state,
-        }
-    }
-
-    /// The compared part of a fingerprint, as a divergence report prints it.
-    pub fn show(self, fp: Fingerprint) -> String {
-        match self {
-            Comparator::FinalState => format!("final state {:#018x}", fp.state),
-        }
-    }
-}
-
-/// How the suite relates same-seed trials that differ only along one axis.
+/// How the suite relates same-seed trials that differ only along one axis:
+/// they must reach the same final state. The axis may legitimately change
+/// per-op cycle costs, hence interleavings and makespans, but every suite
+/// workload makes its final state interleaving-independent by construction.
 #[derive(Debug)]
 pub struct Relation {
     /// What a failure and the report's comparison count call it.
     pub label: &'static str,
-    /// What the twins must agree on.
-    pub comparator: Comparator,
     /// Which combos take part (the others are left unrelated).
     pub among: fn(&Combo) -> bool,
     /// Why the twins must agree, as a failure says it.
@@ -97,7 +71,7 @@ pub struct Axis {
     /// `false` for a positional axis every slug spells out; `true` for an
     /// optional suffix, whose [`BASE`] value is never spelled.
     optional: bool,
-    /// Which schemes read this axis. Every other scheme keeps its [`BASE`]
+    /// Which schemes read this axis. Every other scheme keeps its `BASE`
     /// value: the matrix does not sweep the axis there, and a slug may not
     /// set another value.
     pub only: fn(Scheme) -> bool,
@@ -193,7 +167,6 @@ pub static AXES: [Axis; 5] = [
         // soundness included).
         relation: Some(Relation {
             label: "phase-policy",
-            comparator: Comparator::FinalState,
             among: |c| {
                 matches!(
                     c.policy,
@@ -215,7 +188,6 @@ pub static AXES: [Axis; 5] = [
         only: Scheme::is_stm_based,
         relation: Some(Relation {
             label: "versioning",
-            comparator: Comparator::FinalState,
             among: |_| true,
             claim: "multi-version writers must reach the single-version state",
         }),
@@ -324,7 +296,7 @@ impl Combo {
             return Err(if part == "perop" || part == "quantum" {
                 format!(
                     "combo `{s}`: the gate is no longer a combo axis — drop `{part}` \
-                     (every trial runs the quantum gate; per-op equivalence is a test)"
+                     (the simulator has one admission rule)"
                 )
             } else {
                 format!("combo `{s}`: `{part}` is unknown, repeated, or out of place; {SHAPE}")
@@ -503,13 +475,5 @@ mod tests {
         assert!(among(&twin));
         assert!(!among(&Combo::parse("hastm:obj:full:naive").unwrap()));
         assert!(!among(&Combo::parse("stm:obj:full").unwrap()));
-
-        let a = Fingerprint {
-            state: 1,
-            makespan: 10,
-        };
-        let b = Fingerprint { makespan: 11, ..a };
-        assert!(Comparator::FinalState.agrees(a, b));
-        assert!(!Comparator::FinalState.agrees(a, Fingerprint { state: 2, ..a }));
     }
 }

@@ -24,14 +24,14 @@
 //!   simulated makespan), the property that makes seed replay meaningful;
 //! * **twin agreement** — for every axis whose table row names a
 //!   [`Relation`], same-seed trials that differ only along that axis must
-//!   agree as its [`Comparator`] says (multi-version vs single-version,
-//!   phased vs watermark policy: equal final state); any divergence is
-//!   reported as a failure of its own.
+//!   reach the same final state (multi-version vs single-version, phased vs
+//!   watermark policy); any divergence is reported as a failure of its
+//!   own.
 //!
 //! Every workload is written once (a [`hastm_workloads::Definition`], named
 //! in [`workload`]) and every backend is one run session of
-//! `hastm-workloads` with this crate's verdict on top: [`Sim`] here,
-//! [`native::Native`] on host threads.
+//! `hastm-workloads` with this crate's verdict on top: `Sim` here,
+//! `native::Native` on host threads.
 //!
 //! On failure the harness **shrinks** the trial to a minimal failing
 //! `ops`/`threads`/`seed` and prints an exact replay command
@@ -52,7 +52,7 @@ pub mod native;
 pub mod workload;
 pub mod zombie;
 
-pub use combo::{Axis, Combo, Comparator, Relation, AXES};
+pub use combo::{Axis, Combo, Relation, AXES};
 pub use hastm_workloads::RunPlan;
 pub(crate) use workload::Backend;
 pub use workload::Workload;
@@ -146,7 +146,8 @@ pub struct Trial {
 }
 
 impl Trial {
-    fn effective_threads(&self) -> usize {
+    /// The worker threads the trial really runs.
+    pub fn effective_threads(&self) -> usize {
         if self.combo.scheme == Scheme::Sequential {
             1
         } else {
@@ -311,7 +312,6 @@ impl Backend for Sim<'_> {
         let Sim { combo, threads, .. } = self;
         let machine = MachineConfig {
             isa: combo.isa,
-            gate: self.plan.gate,
             schedule: self.schedule,
             ..MachineConfig::with_cores(threads)
         };
@@ -662,10 +662,9 @@ pub struct SuiteReport {
 /// each trial with its pass/fail status. The first seed of every
 /// combination additionally checks determinism by re-running. Within each
 /// seed, for every axis whose [`AXES`] row names a [`Relation`], passing
-/// trials that differ only along that axis are cross-checked as the
-/// relation's [`Comparator`] says; a divergence is reported as its own
-/// [`Failure`], and every comparison made is counted in
-/// [`SuiteReport::twin_comparisons`].
+/// trials that differ only along that axis must reach the same final
+/// state; a divergence is reported as its own [`Failure`], and every
+/// comparison made is counted in [`SuiteReport::twin_comparisons`].
 pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> SuiteReport {
     let mut report = SuiteReport::default();
     let plan = RunPlan {
@@ -730,19 +729,19 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                         continue;
                     }
                     *report.twin_comparisons.entry(relation.label).or_default() += 1;
-                    if relation.comparator.agrees(fp, other_fp) {
+                    if fp.state == other_fp.state {
                         continue;
                     }
                     // The divergence is a relation between two trials, so
                     // the single-trial shrinker cannot reproduce it; report
                     // the pair unshrunk with a replay for each side.
                     let detail = format!(
-                        "{} divergence: {} {} != {} {} ({})",
+                        "{} divergence: {} final state {:#018x} != {} final state {:#018x} ({})",
                         relation.label,
                         trial.combo,
-                        relation.comparator.show(fp),
+                        fp.state,
                         other.combo,
-                        relation.comparator.show(other_fp),
+                        other_fp.state,
                         relation.claim
                     );
                     report.failures.push(Failure {

@@ -306,7 +306,9 @@ fn run_validate_trace(path: &str) -> Result<ExitCode, String> {
     }
 }
 
-fn replay(args: &Args) -> Result<ExitCode, String> {
+/// The one trial `--replay` runs and its plan, checked before anything
+/// runs: every directive of `--trace` must name a core the trial has.
+fn replay_trial(args: &Args) -> Result<(Trial, RunPlan), String> {
     let trial = Trial {
         combo: args.combo.ok_or("--replay needs --combo")?,
         workload: args.workload.ok_or("--replay needs --workload")?,
@@ -315,11 +317,24 @@ fn replay(args: &Args) -> Result<ExitCode, String> {
         ops: args.ops.unwrap_or(32),
         sched: args.sched,
     };
+    let preemptions = parse_trace(args.trace.as_deref().unwrap_or(""))?;
+    let threads = trial.effective_threads();
+    if let Some(p) = preemptions.iter().find(|p| p.core >= threads) {
+        return Err(format!(
+            "trace directive `{}@{}` names core {}, but {} runs {threads} thread(s)",
+            p.at_op, p.core, p.core, trial.combo
+        ));
+    }
     let plan = RunPlan {
-        preemptions: parse_trace(args.trace.as_deref().unwrap_or(""))?,
+        preemptions,
         trace: args.trace_out.as_ref().map(|_| TraceConfig::default()),
         ..RunPlan::default()
     };
+    Ok((trial, plan))
+}
+
+fn replay(args: &Args) -> Result<ExitCode, String> {
+    let (trial, plan) = replay_trial(args)?;
     println!("replaying {trial}");
     let verdict = check_trial_plan(&trial, &plan, true);
     if let Some(path) = &args.trace_out {
@@ -648,6 +663,28 @@ mod tests {
         ] {
             parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
+    }
+
+    #[test]
+    fn a_replay_trace_naming_a_core_the_trial_lacks_is_an_error() {
+        let trial = |rest: &str| {
+            replay_trial(&parse(&format!("--replay --workload counter {rest}")).unwrap())
+        };
+        for (rest, threads) in [
+            ("--combo stm:obj:full --threads 2 --ops 2 --trace 5@9", 2),
+            ("--combo stm:obj:full --threads 2 --trace 0@1,3@2", 2),
+            ("--combo stm:obj:full --trace 4@3", 3),
+            // A `seq:` combo runs one thread whatever `--threads` says.
+            ("--combo seq:obj:full --threads 4 --trace 0@1", 1),
+        ] {
+            let err = trial(rest).unwrap_err();
+            assert!(
+                err.ends_with(&format!("runs {threads} thread(s)")),
+                "{rest}: {err}"
+            );
+        }
+        let (_, plan) = trial("--combo stm:obj:full --threads 2 --trace 0@1").expect("core 1 of 2");
+        assert_eq!(plan.preemptions.len(), 1);
     }
 
     #[test]

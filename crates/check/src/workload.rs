@@ -2,9 +2,9 @@
 //!
 //! Each is a [`Definition`] — `{setup, per-thread body, final-state check
 //! → digest}`, generic over [`TmExec`] — so the simulator backend
-//! ([`crate::Sim`]) and the host-thread backend ([`crate::native::Native`])
+//! (`Sim`) and the host-thread backend (`native::Native`)
 //! run the *same* operations and judge the *same* final state.
-//! [`Workload::run_on`] is the one place a workload name becomes a
+//! `Workload::run_on` is the one place a workload name becomes a
 //! definition; the mill's is `hastm-workloads`' own [`Mill`], the one its
 //! `run_oltp_sim`/`run_oltp_native` run.
 

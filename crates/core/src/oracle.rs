@@ -12,7 +12,7 @@
 //!   nobody else can touch the address, and a mismatch means memory
 //!   changed between our read and our first write — a committed or dirty
 //!   remote write our validation failed to catch. Checked in
-//!   [`Oracle::commit_evidence`] at commit, before the locks drop.
+//!   `Oracle::commit_evidence` at commit, before the locks drop.
 //!
 //! * **Read-only addresses (deferred, journal-based).** Comparing a
 //!   read-only address against *current* memory at commit is unsound: a

@@ -2,7 +2,7 @@
 //! addressed by the same byte addresses ([`hastm_sim::Addr`]) the
 //! simulator uses, so `ObjRef`-based data structures traverse unchanged.
 //! Its words, like the version store's index and block pool, are
-//! [`ZeroedWords`]: capacity nobody touches costs no memory.
+//! `ZeroedWords`: capacity nobody touches costs no memory.
 //!
 //! Word 0 (byte address 0) is never handed out: `Addr::NULL`/`ObjRef::NULL`
 //! must stay distinguishable from a real allocation, exactly as on the

@@ -117,34 +117,6 @@ impl Default for CostModel {
     }
 }
 
-/// How the logical-clock gate *admits* cores, i.e. how much host-side
-/// synchronization buys the deterministic interleaving.
-///
-/// Both modes admit the exact same interleaving — [`GateMode::Quantum`] is
-/// provably schedule-identical to [`GateMode::PerOp`] (see
-/// `crates/sim/src/machine.rs` and DESIGN.md for the argument) — so every
-/// simulated statistic, cycle count, and final memory image is bit-equal
-/// between them. `PerOp` is kept as the independently-simple reference
-/// implementation that the test suite cross-checks `Quantum` against.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub enum GateMode {
-    /// Reference scheduler: every simulated operation re-enters the gate
-    /// (acquire the state lock, check `(clock, core_id)` minimality,
-    /// release, hand off). One minimality scan per operation.
-    PerOp,
-    /// Run-until-overtaken quantum scheduler: an admitted core computes the
-    /// second-smallest competitor `(clock, core_id)` bound once and then
-    /// executes operations while *holding* the state lock until its own
-    /// clock meets that bound — no other core could have been admitted in
-    /// between, so the interleaving is identical to `PerOp` at a fraction
-    /// of the host synchronization cost. Under [`SchedulePolicy::Fuzzed`]
-    /// the quantum is clamped to a single operation (per-core priority
-    /// jitter is re-drawn after every op, so a precomputed bound would go
-    /// stale); fuzzed runs therefore behave exactly like `PerOp`.
-    #[default]
-    Quantum,
-}
-
 /// How the deterministic logical-clock gate orders the cores.
 ///
 /// Both policies are fully deterministic and replayable: given the same
@@ -181,8 +153,7 @@ pub enum SchedulePolicy {
     /// depth *d* (one needing *d* ordering constraints) is found with
     /// probability at least `1 / (n · k^(d-1))` per run, so directed search
     /// replaces [`SchedulePolicy::Fuzzed`]'s uniform luck. Change points
-    /// are drawn uniformly from `0..PCT_CHANGE_HORIZON` gated ops; like
-    /// `Fuzzed`, the quantum gate clamps to one op under this policy.
+    /// are drawn uniformly from `0..PCT_CHANGE_HORIZON` gated ops.
     Pct {
         /// Replay seed for the rank permutation and change points.
         seed: u64,
@@ -269,10 +240,6 @@ pub struct MachineConfig {
     /// Scheduler policy: canonical deterministic order, or seeded
     /// schedule/pressure perturbation (see [`SchedulePolicy`]).
     pub schedule: SchedulePolicy,
-    /// Gate admission strategy: per-op reference gating or run-until-
-    /// overtaken quantum gating (see [`GateMode`]). Schedule-identical;
-    /// only host-side synchronization cost differs.
-    pub gate: GateMode,
 }
 
 impl MachineConfig {
@@ -296,7 +263,6 @@ impl Default for MachineConfig {
             prefetch_next_line: false,
             cost: CostModel::default(),
             schedule: SchedulePolicy::default(),
-            gate: GateMode::default(),
         }
     }
 }
@@ -324,7 +290,6 @@ mod tests {
         assert_eq!(m.isa, IsaLevel::Full);
         assert!(m.inclusive_l2);
         assert_eq!(m.schedule, SchedulePolicy::Deterministic);
-        assert_eq!(m.gate, GateMode::Quantum);
         let m4 = MachineConfig::with_cores(4);
         assert_eq!(m4.cores, 4);
         assert_eq!(m4.l1, CacheConfig::l1_default());

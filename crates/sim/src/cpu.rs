@@ -12,24 +12,23 @@
 //! *deferred* — added to the handle's own copy of the clock and to
 //! `Cpu::stalled_cycles` — and published into the shared clock by the next
 //! operation that does take a turn, before the gate decides on it: at
-//! admission with no quantum open, or inside an open quantum, where the
-//! core gives up the turn if the stalls carried it past its bound. No
-//! other operation starts at a different `(clock, core)` for that, and the
-//! gate still admits them in that order; see DESIGN §5c.
+//! admission, or, for a core that runs alone and so keeps its guard, at
+//! its next op. No other operation starts at a different `(clock, core)`
+//! for that, and the gate still admits them in that order; see DESIGN §5c.
 //!
 //! Every per-op method is `#[inline]`, so a caller in another crate runs
 //! the op's fast arm in its own body rather than calling into this one
-//! (without LTO a crate edge is a real call). What is decided once per
-//! quantum or once per miss — admission, the gated stall, the epilogue of
-//! a run that is not plain, and the cache model's miss and upgrade paths
-//! — stays out of line.
+//! (without LTO a crate edge is a real call). What a core that runs alone
+//! skips, or meets once per miss — admission, the gated stall, the
+//! epilogue of a run that is not plain, and the cache model's miss and
+//! upgrade paths — stays out of line.
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::cache::FilterId;
-use crate::config::{CostModel, GateMode};
+use crate::config::CostModel;
 use crate::gate::StateGuard;
 use crate::hierarchy::{AccessKind, MarkOp, WatchKind, WatchViolation};
-use crate::machine::{Bound, Shared, SimState};
+use crate::machine::{Shared, SimState};
 use crate::mutant::{armed, Mutant};
 use crate::trace::{TimedEvent, TraceEvent};
 use crate::words::RedoLog;
@@ -56,20 +55,10 @@ pub struct Cpu<'a> {
     /// `log2(ipc)` when the IPC is a power of two (the default is 2), so
     /// [`Cpu::issue`] can shift and mask instead of dividing.
     ipc_shift: Option<u32>,
-    /// Whether the machine runs the run-until-overtaken quantum gate
-    /// ([`GateMode::Quantum`]); cached because gate mode never changes.
-    quantum: bool,
-    /// Open quantum: the state guard this core kept at the end of its last
-    /// op because its `(clock, id)` was still below [`Cpu::bound`]. While
-    /// `Some`, every other core is frozen (they need this lock to execute,
-    /// advance clocks, or deactivate), which is exactly what makes the
-    /// cached bound exact. Released by `finish` on overtake, or by `Drop`
-    /// at worker end.
+    /// The solo hold: the state guard this core kept at the end of its
+    /// last op because it was the only active core, which it stays until
+    /// its worker ends. Released by `Drop`.
     held: Option<StateGuard<'a>>,
-    /// Competitor bound cached at quantum admission: the minimal
-    /// `(clock, id)` among the *other* active cores. `None` means no
-    /// competitor exists (sole active core) and the quantum never expires.
-    bound: Bound,
     /// [`SimState::plain_run`]: the run has nothing to do after an op but
     /// advance the clock and count it, and nothing but clocks decides the
     /// turn. Its inputs change only through `&mut Machine`, which no run
@@ -106,9 +95,8 @@ impl Drop for Cpu<'_> {
         // Worker end: spill any still-buffered trace events into the
         // recorder's per-core tail (kept apart from the rings because
         // worker exits happen at host-racy times relative to other cores'
-        // flushes), then release a still-open quantum so the other cores
-        // (and this worker's deactivation guard, which runs after this
-        // drop) can take the lock.
+        // flushes), then release a kept guard so this worker's
+        // deactivation guard, which runs after this drop, can take it.
         if let Some(mut st) = self.held.take() {
             if self.tracing && !self.trace_pending.is_empty() {
                 st.sys.trace_push_tail(self.id, &mut self.trace_pending);
@@ -143,9 +131,7 @@ impl<'a> Cpu<'a> {
             plain,
             stalled_cycles: 0,
             stalled_ops: 0,
-            quantum: shared.gate == GateMode::Quantum,
             held: None,
-            bound: None,
             tracing,
             trace_pending: Vec::new(),
             last_clock: 0,
@@ -195,8 +181,8 @@ impl<'a> Cpu<'a> {
         self.id
     }
 
-    /// Reads the simulator state without gating. Must go through the open
-    /// quantum's guard when one is held — the state cell is not reentrant:
+    /// Reads the simulator state without gating. Must go through the kept
+    /// guard when this core holds one — the state cell is not reentrant:
     /// taking it again would panic on the context target (a second
     /// exclusive borrow) and self-deadlock on the thread target.
     #[inline]
@@ -219,44 +205,33 @@ impl<'a> Cpu<'a> {
     }
 
     /// Waits until it is this core's turn, then returns the locked state.
-    ///
-    /// Inside an open quantum the guard is already held and admission was
-    /// decided by `finish`'s keep-check — unless stalls deferred since
-    /// then carried the core past its bound, when it gives up the turn
-    /// and waits for it again. Otherwise this blocks in the gate and,
-    /// under [`GateMode::Quantum`], caches the competitor bound the new
-    /// quantum will run against.
+    /// A core that kept its guard is alone: its turn needs no gate.
     #[inline]
     fn turn(&mut self) -> StateGuard<'a> {
-        if let Some(mut st) = self.held.take() {
-            if self.stalled_ops == 0 || self.fold_stalls(&mut st) {
-                return st;
+        match self.held.take() {
+            Some(mut st) => {
+                if self.stalled_ops != 0 {
+                    self.fold_stalls(&mut st);
+                }
+                st
             }
-            self.shared.handoff(st, self.id);
+            None => self.admit(),
         }
-        self.admit()
     }
 
-    /// Adds the stalls deferred inside the open quantum to this core's
-    /// clock and the op count; returns whether the core is still below
-    /// its bound.
-    fn fold_stalls(&mut self, st: &mut SimState) -> bool {
-        let clock = st.clocks[self.id] + std::mem::take(&mut self.stalled_cycles);
-        st.clocks[self.id] = clock;
+    /// Adds the stalls deferred by [`Cpu::tick`] to this core's clock and
+    /// to the op count.
+    fn fold_stalls(&mut self, st: &mut SimState) {
+        st.clocks[self.id] += std::mem::take(&mut self.stalled_cycles);
         st.op_count += std::mem::take(&mut self.stalled_ops);
-        self.bound.is_none_or(|b| (clock, self.id) < b)
     }
 
-    /// Gate admission, out of line: everything that is decided once per
-    /// quantum rather than once per op.
+    /// Gate admission, out of line: a core that runs alone skips it.
     #[inline(never)]
     fn admit(&mut self) -> StateGuard<'a> {
         // The gate must decide on this core's true clock.
         self.publish_stalls();
-        let (mut st, bound) = self.shared.wait_turn(self.id);
-        // The bound this core was admitted against is the one its quantum
-        // runs up to. (A dynamic schedule never lets `finish` consult it.)
-        self.bound = bound;
+        let mut st = self.shared.wait_turn(self.id);
         if !self.plain {
             st.note_admission(self.id);
         }
@@ -264,34 +239,28 @@ impl<'a> Cpu<'a> {
         st
     }
 
-    /// Adds the stalls deferred by [`Cpu::tick`] with no quantum open to
-    /// this core's shared clock and to the op count. That moves the turn
-    /// like any other clock advance, so it ends in a handoff: on host
-    /// threads a core parked behind the stale clock is woken by nothing
-    /// else.
+    /// Folds the stalls deferred with no guard kept into the shared state.
+    /// That moves the turn like any other clock advance, so it ends in a
+    /// handoff: on host threads a core parked behind the stale clock is
+    /// woken by nothing else.
     fn publish_stalls(&mut self) {
         if self.stalled_ops == 0 {
             return;
         }
         let mut st = self.shared.state.lock();
-        st.clocks[self.id] += std::mem::take(&mut self.stalled_cycles);
-        st.op_count += std::mem::take(&mut self.stalled_ops);
+        self.fold_stalls(&mut st);
         self.shared.handoff(st, self.id);
     }
 
     /// Completes an op that cost `cycles`: advances the clock, runs what
-    /// the run hangs on the end of an op, and either keeps the quantum open
-    /// or gives up the turn.
+    /// the run hangs on the end of an op, and either keeps the guard or
+    /// gives up the turn.
     #[inline]
     fn finish(&mut self, mut st: StateGuard<'a>, cycles: u64) {
         let clock = st.clocks[self.id] + cycles;
         st.clocks[self.id] = clock;
         self.last_clock = clock;
-        // Dynamic schedules (fuzz jitter re-draws, PCT demotions,
-        // preemption directives, fault plans) can change priorities between
-        // ops, which would invalidate the bound cached at admission — they
-        // always hand off, clamping the quantum to one op.
-        let bound_holds = if self.plain {
+        let static_schedule = if self.plain {
             // `SimState::after_op` would count the op and find every hook
             // absent.
             st.op_count += 1;
@@ -299,12 +268,14 @@ impl<'a> Cpu<'a> {
         } else {
             self.observe_op(&mut st)
         };
-        // Run-until-overtaken: keep the lock while this core's
-        // `(clock, id)` is still below the bound. No other core can run,
-        // advance, or deactivate while we hold the lock, so the bound is
-        // exact and this test is equivalent to the per-op `is_turn`
-        // minimality check.
-        if self.quantum && bound_holds && self.bound.is_none_or(|b| (clock, self.id) < b) {
+        // The solo hold: a core that is the only active core stays so
+        // until its worker ends, so its next turn is certain and it keeps
+        // the guard. Admitting a lone core op by op costs `sim_solo` about
+        // a third of its throughput (0.66x). Every other op goes through
+        // `SimState::admission`, and a dynamic schedule (fuzz jitter
+        // re-draws, PCT demotions, preemption directives, fault plans)
+        // hands off after every op.
+        if static_schedule && st.active_count == 1 {
             self.held = Some(st);
             return;
         }
@@ -313,7 +284,8 @@ impl<'a> Cpu<'a> {
 
     /// The end of an op on a run that is not plain — fuzzed, PCT,
     /// preempted, faulted, schedule-recorded or traced. Returns whether the
-    /// schedule is static, so that the cached competitor bound still holds.
+    /// schedule is static, so that a core that runs alone may keep its
+    /// guard.
     #[inline(never)]
     fn observe_op(&mut self, st: &mut SimState) -> bool {
         if self.tracing && !self.trace_pending.is_empty() {

@@ -25,7 +25,7 @@
 //! Either way the cell is not re-entrant: a second `lock` while a guard is
 //! alive panics on contexts and self-deadlocks on threads.
 
-use crate::machine::{Bound, Shared, SimState, WorkerFn};
+use crate::machine::{Shared, SimState, WorkerFn};
 
 /// First panic payload of a run's workers.
 pub(crate) type Payload = Box<dyn std::any::Any + Send + 'static>;
@@ -41,7 +41,7 @@ mod imp {
     /// one host thread, so exclusive access is a borrow.
     pub(crate) struct StateCell(RefCell<SimState>);
 
-    /// Exclusive access to the state; an open quantum is a kept guard.
+    /// Exclusive access to the state; a core that runs alone keeps it.
     pub(crate) type StateGuard<'a> = RefMut<'a, SimState>;
 
     impl StateCell {
@@ -90,13 +90,12 @@ mod imp {
             self.turns.0.run(tasks, first, &|_| self.next_core())
         }
 
-        /// Returns the state once the gate admits `core`, with the bound
-        /// it was admitted against, running the cores ahead of it in the
-        /// meantime.
-        pub(crate) fn wait_turn(&self, core: usize) -> (StateGuard<'_>, Bound) {
+        /// Returns the state once the gate admits `core`, running the
+        /// cores ahead of it in the meantime.
+        pub(crate) fn wait_turn(&self, core: usize) -> StateGuard<'_> {
             let st = self.state.lock();
             let owner = match st.admission(core) {
-                Ok(bound) => return (st, bound),
+                Ok(()) => return st,
                 Err(owner) => owner,
             };
             drop(st);
@@ -111,12 +110,12 @@ mod imp {
             // A suspended core is resumed by a waiter that found it to be
             // the one to wait for, or by `next_core`: both name the minimal
             // active core, and nothing ran in between, so being resumed
-            // *is* admission. Only the bound has to be computed afresh.
+            // *is* admission.
             let st = self.state.lock();
-            match st.admission(core) {
-                Ok(bound) => (st, bound),
-                Err(owner) => unreachable!("core {core} resumed in core {owner}'s turn"),
+            if let Err(owner) = st.admission(core) {
+                unreachable!("core {core} resumed in core {owner}'s turn");
             }
+            st
         }
 
         /// Gives up the turn `core` took with [`Shared::wait_turn`], or
@@ -144,7 +143,7 @@ mod imp {
     /// panic is re-raised by `Machine::run` once every core has finished.
     pub(crate) struct StateCell(Mutex<SimState>);
 
-    /// Exclusive access to the state; an open quantum is a kept guard.
+    /// Exclusive access to the state; a core that runs alone keeps it.
     pub(crate) type StateGuard<'a> = MutexGuard<'a, SimState>;
 
     impl StateCell {
@@ -190,12 +189,12 @@ mod imp {
         }
 
         /// Blocks until the gate admits `core`, then returns the locked
-        /// state and the bound it was admitted against.
-        pub(crate) fn wait_turn(&self, core: usize) -> (StateGuard<'_>, Bound) {
+        /// state.
+        pub(crate) fn wait_turn(&self, core: usize) -> StateGuard<'_> {
             let mut st = self.state.lock();
             loop {
-                if let Ok(bound) = st.admission(core) {
-                    return (st, bound);
+                if st.admission(core).is_ok() {
+                    return st;
                 }
                 st = self.turns.0[core]
                     .wait(st)
@@ -233,7 +232,7 @@ mod imp {
 
         /// Core 0 takes one turn and then only stalls, which on a plain
         /// run leaves its published clock behind. Core 1 runs past that
-        /// stale clock, gives up its quantum and parks behind it. When
+        /// stale clock, gives up the turn and parks behind it. When
         /// core 0 then publishes its stalls it is far ahead and parks too
         /// — so the publication itself has to wake core 1, as any other
         /// change of the turn does. Without that wake-up both cores sleep

@@ -15,18 +15,16 @@
 //!   mark-clearing instruction conservatively increments the counter, making
 //!   software fall back to its slow paths while remaining correct.
 //!
-//! # Visibility contract with the quantum scheduler
+//! # Visibility contract with the scheduler
 //!
 //! Everything in this module — cache state, watch sets, mark bits and
 //! counters, coherence side effects on *other* cores (invalidations,
 //!   downgrades, back-invalidations, watch violations) — is mutated only
 //! from inside a gated operation, i.e. while the executing core holds the
-//! machine's state lock. Under [`crate::GateMode::Quantum`] that lock is
-//! held for a whole quantum, so a remote core observes the effects exactly
-//! when it is next admitted (its quantum boundary) — the same point in
-//! *logical* time at which the per-op gate would have admitted it. Nothing
-//! here is read outside the lock, so coherence events that change which
-//! core the gate favors next are always visible to the handoff computation.
+//! machine's state guard, so a remote core observes the effects exactly
+//! when it is next admitted. Nothing here is read outside the guard, so
+//! coherence events that change which core the gate favors next are
+//! always visible to the handoff computation.
 
 use crate::addr::{subblock_mask, Addr, LineId};
 use crate::cache::{Cache, FilterId, Mesi, NUM_FILTERS};

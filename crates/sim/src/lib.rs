@@ -64,7 +64,7 @@ pub mod words;
 pub use addr::{Addr, LineId, LINE_SIZE, SUBBLOCKS_PER_LINE, SUBBLOCK_SIZE};
 pub use cache::{FilterId, NUM_FILTERS};
 pub use config::{
-    CacheConfig, CostModel, FaultEvent, FaultKind, GateMode, IsaLevel, MachineConfig, Preemption,
+    CacheConfig, CostModel, FaultEvent, FaultKind, IsaLevel, MachineConfig, Preemption,
     SchedulePolicy,
 };
 pub use cpu::Cpu;

@@ -27,45 +27,18 @@
 //! is simply a call of its closure on the caller's stack.
 //!
 //! The state sits in `gate.rs`'s `StateCell`, and whoever touches it holds
-//! the cell's guard: that is what lets `Cpu` keep a quantum open by keeping
-//! a guard. With contexts the cell is a `RefCell` — one host thread, so
-//! exclusive access is a checked borrow and nothing is ever waited for; the
-//! one rule is that a core never switches away while holding the guard
-//! (`Shared::wait_turn` is reached only with no quantum open, and asserts
-//! it in debug builds). With threads it is the mutex the gate blocks on.
-//! Everything that takes `&mut Machine` reaches the state with no guard at
-//! all.
-//!
-//! # Gate admission: per-op vs run-until-overtaken quanta
-//!
-//! The gate supports two admission strategies ([`crate::GateMode`]):
-//!
-//! * **Per-op** (reference): every simulated operation acquires the state
-//!   lock, checks `(clock, core_id)` minimality, performs the op, releases,
-//!   and hands off. Simple, but one minimality scan and one lock
-//!   round-trip per simulated operation.
-//!
-//! * **Quantum** (default): when the gate admits core *C*, it computes the
-//!   second-smallest competitor bound *B* = min over the *other* active
-//!   cores of `(clock, core_id)` **once**, and then *C* keeps executing
-//!   operations while holding the state lock until its own `(clock, C)`
-//!   reaches *B*. Only then does it release and re-enter the gate.
-//!
-//! The quantum schedule is **provably bit-identical** to per-op gating:
-//! while *C* holds the state lock, no other core can execute an operation,
-//! advance its clock, or deactivate (all of those require the lock), so the
-//! cached bound *B* stays exact for the whole quantum — and the
-//! keep-running test `(clock_C, C) < B` is precisely the per-op
-//! admission test (`SimState::admission`), evaluated against state that
-//! cannot have changed. The two modes therefore admit the same operation
-//! sequence and differ only in host-side synchronization cost. Under
-//! [`SchedulePolicy::Fuzzed`] the per-core priority jitter is re-drawn
-//! after *every* operation, which invalidates a cached bound, so the
-//! quantum clamps to one operation (`Cpu::finish` requires
-//! `fuzz.is_none()` to extend a quantum) — fuzzed runs take the per-op
-//! path regardless of gate mode.
+//! the cell's guard. Every op is admitted by `SimState::admission`, with
+//! one exception: a core that is the only active core keeps its guard from
+//! op to op until its worker ends (`Cpu::finish`) — cores activate only at
+//! run start, so a core that is alone stays alone. With contexts the cell
+//! is a `RefCell` — one host thread, so exclusive access is a checked
+//! borrow and nothing is ever waited for; the one rule is that a core never
+//! switches away while holding the guard (`Shared::wait_turn` is reached
+//! only with no guard kept, and asserts it in debug builds). With threads
+//! it is the mutex the gate blocks on. Everything that takes
+//! `&mut Machine` reaches the state with no guard at all.
 
-use crate::config::{FaultEvent, FaultKind, GateMode, MachineConfig, Preemption, SchedulePolicy};
+use crate::config::{FaultEvent, FaultKind, MachineConfig, Preemption, SchedulePolicy};
 use crate::cpu::Cpu;
 use crate::gate::{StateCell, Turns};
 use crate::heap::SimHeap;
@@ -204,11 +177,6 @@ pub struct ScheduleEvent {
     pub line: Option<(crate::addr::LineId, bool)>,
 }
 
-/// Minimal `(priority, id)` among the active cores *other than* the one
-/// asking. `None` means it has no competitors (it is the sole active core)
-/// and may run to the end of its worker without re-entering the gate.
-pub(crate) type Bound = Option<(u64, usize)>;
-
 pub(crate) struct SimState {
     pub(crate) mem: Memory,
     pub(crate) sys: MemSystem,
@@ -289,12 +257,9 @@ impl SimState {
     }
 
     /// Whether any scheduling layer can change priorities (or must observe
-    /// state) between ops. When true, the quantum gate clamps to one op:
-    /// its cached competitor bound is in clock units and would go stale the
-    /// moment a jitter re-draw, PCT demotion, or preemption directive
-    /// fires. Clamping preserves the schedule exactly (per-op and quantum
-    /// admission are schedule-identical), so dynamic policies behave the
-    /// same under either gate mode.
+    /// state) between ops: a jitter re-draw, PCT demotion, preemption
+    /// directive or fault can fire after any op, so even a core that runs
+    /// alone hands off after every op.
     pub(crate) fn dynamic_schedule(&self) -> bool {
         self.fuzz.is_some()
             || self.pct.is_some()
@@ -312,8 +277,8 @@ impl SimState {
 
     /// Minimal `(priority, id)` among the active cores, leaving out
     /// `except`. `None` when there is none.
-    fn min_active_except(&self, except: Option<usize>) -> Bound {
-        let mut best: Bound = None;
+    fn min_active_except(&self, except: Option<usize>) -> Option<(u64, usize)> {
+        let mut best = None;
         for id in 0..self.clocks.len() {
             if self.active[id] && Some(id) != except {
                 let t = (self.priority(id), id);
@@ -332,21 +297,20 @@ impl SimState {
     }
 
     /// The gate's decision for active core `core`, from one scan of its
-    /// competitors: `Ok` with the [`Bound`] it is admitted against — the
-    /// one the quantum scheduler then runs up to — or `Err` with the core
-    /// it must wait for, the one that holds the bound.
-    pub(crate) fn admission(&self, core: usize) -> Result<Bound, usize> {
+    /// competitors: `Ok` when it is admitted, or `Err` with the core it
+    /// must wait for.
+    pub(crate) fn admission(&self, core: usize) -> Result<(), usize> {
         debug_assert!(
             self.active[core],
             "core {core} asks for a turn while inactive"
         );
         // Fast path: a sole active core never has anyone to defer to.
         if self.active_count == 1 {
-            return Ok(None);
+            return Ok(());
         }
         match self.min_active_except(Some(core)) {
             Some(ahead) if ahead < (self.priority(core), core) => Err(ahead.1),
-            bound => Ok(bound),
+            _ => Ok(()),
         }
     }
 
@@ -486,8 +450,6 @@ pub(crate) struct Shared {
     /// Host side of the gate: what the cores run on and how they wait
     /// (see `gate.rs`, which also holds `wait_turn` and `handoff`).
     pub(crate) turns: Turns,
-    /// Gate admission strategy ([`MachineConfig::gate`]).
-    pub(crate) gate: GateMode,
 }
 
 impl Shared {
@@ -512,7 +474,7 @@ impl Shared {
             }
         }
         let _guard = Deactivate(self, id);
-        // Dropped before the guard, releasing any quantum still open.
+        // Dropped before the guard, releasing a guard it still keeps.
         let mut cpu = Cpu::new(id, self);
         worker(&mut cpu);
     }
@@ -590,7 +552,6 @@ impl Machine {
             shared: Shared {
                 state: StateCell::new(state),
                 turns: Turns::new(config.cores),
-                gate: config.gate,
             },
             config,
             heap: SimHeap::new(),
@@ -853,20 +814,15 @@ mod tests {
         ]);
     }
 
-    /// Shared harness for the scheduler tests: `cores` cores race CAS
-    /// increments; returns the final count and the full run report.
-    fn cas_race_on(
-        schedule: crate::config::SchedulePolicy,
-        gate: GateMode,
-        cores: usize,
-    ) -> (u64, RunReport) {
+    /// Shared harness for the scheduler tests: two cores race CAS
+    /// increments; returns the final count and the makespan.
+    fn cas_race(schedule: crate::config::SchedulePolicy) -> (u64, u64) {
         let mut m = Machine::new(MachineConfig {
             schedule,
-            gate,
-            ..MachineConfig::with_cores(cores)
+            ..MachineConfig::with_cores(2)
         });
         let report = m.run(
-            (0..cores)
+            (0..2)
                 .map(|_| {
                     Box::new(|cpu: &mut Cpu| {
                         for _ in 0..50 {
@@ -881,47 +837,7 @@ mod tests {
                 })
                 .collect(),
         );
-        (m.peek_u64(Addr(0x100)), report)
-    }
-
-    /// Shared harness for the scheduler tests: two cores race CAS
-    /// increments; returns the final count and the makespan.
-    fn cas_race(schedule: crate::config::SchedulePolicy) -> (u64, u64) {
-        let (v, report) = cas_race_on(schedule, GateMode::default(), 2);
-        (v, report.makespan())
-    }
-
-    #[test]
-    fn quantum_gate_is_bit_identical_to_per_op() {
-        use crate::config::SchedulePolicy;
-        for cores in [1, 2, 3, 4, 8] {
-            let per_op = cas_race_on(SchedulePolicy::Deterministic, GateMode::PerOp, cores);
-            let quantum = cas_race_on(SchedulePolicy::Deterministic, GateMode::Quantum, cores);
-            assert_eq!(per_op.0, (cores as u64) * 50);
-            assert_eq!(
-                per_op, quantum,
-                "gate modes must admit the same schedule at {cores} cores"
-            );
-        }
-    }
-
-    #[test]
-    fn fuzzed_quantum_clamps_to_per_op_schedule() {
-        use crate::config::SchedulePolicy;
-        // Under Fuzzed the jitter is re-drawn after every op, so the
-        // quantum scheduler must clamp quanta to a single operation —
-        // i.e. reproduce the per-op fuzzed schedule exactly.
-        for seed in [0u64, 0xf00d, 0xdead_beef] {
-            let policy = SchedulePolicy::Fuzzed { seed };
-            for cores in [2, 4] {
-                let per_op = cas_race_on(policy, GateMode::PerOp, cores);
-                let quantum = cas_race_on(policy, GateMode::Quantum, cores);
-                assert_eq!(
-                    per_op, quantum,
-                    "fuzzed seed {seed:#x} diverged across gates at {cores} cores"
-                );
-            }
-        }
+        (m.peek_u64(Addr(0x100)), report.makespan())
     }
 
     #[test]
@@ -962,22 +878,6 @@ mod tests {
             let b = cas_race(policy);
             assert_eq!(a.0, 100, "PCT depth {depth} lost an increment");
             assert_eq!(a, b, "PCT depth {depth} must replay exactly");
-        }
-    }
-
-    #[test]
-    fn pct_quantum_clamps_to_per_op_schedule() {
-        use crate::config::SchedulePolicy;
-        for seed in [0u64, 7, 0xbeef] {
-            let policy = SchedulePolicy::Pct { seed, depth: 3 };
-            for cores in [2, 4] {
-                let per_op = cas_race_on(policy, GateMode::PerOp, cores);
-                let quantum = cas_race_on(policy, GateMode::Quantum, cores);
-                assert_eq!(
-                    per_op, quantum,
-                    "PCT seed {seed:#x} diverged across gates at {cores} cores"
-                );
-            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! soundness rests on, at one site that asks [`armed`]. That is the
 //! constant `false` unless the `mutants` feature is on, which only the
 //! `[dev-dependencies]` of `hastm-check` and `hastm-native` do: a test can
-//! then [`arm`] one mutant at a time and [`prove`] its detector.
+//! then `arm` one mutant at a time and `prove` its detector.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 #[cfg(feature = "mutants")]

@@ -112,9 +112,7 @@ impl TxnPhase {
 /// line, not the core whose access triggered it).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// The gate admitted this core for global op `op` (one per gated op;
-    /// identical between per-op and quantum gating, which admit the same
-    /// logical schedule).
+    /// The gate admitted this core for global op `op` (one per gated op).
     GateAdmit {
         /// Global gated-op index.
         op: u64,

@@ -9,7 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use hastm_sim::{Addr, Cpu, GateMode, Machine, MachineConfig, RunReport, WorkerFn, LINE_SIZE};
+use hastm_sim::{Addr, Cpu, Machine, MachineConfig, RunReport, WorkerFn, LINE_SIZE};
 
 /// `cores` workers that each CAS-increment one shared word `rounds`
 /// times: every increment contends, so the cores hand the turn back and
@@ -49,55 +49,50 @@ impl Drop for Owned<'_> {
 #[test]
 fn a_panic_mid_run_is_reraised_leaks_nothing_and_leaves_the_machine_usable() {
     const CORES: usize = 4;
-    for gate in [GateMode::Quantum, GateMode::PerOp] {
-        let mut machine = Machine::new(MachineConfig {
-            gate,
-            ..MachineConfig::with_cores(CORES)
-        });
-        for culprit in 0..CORES {
-            let dropped = AtomicUsize::new(0);
-            let workers: Vec<WorkerFn<'_>> = (0..CORES)
-                .map(|id| {
-                    let captured = Owned(&dropped);
-                    let dropped = &dropped;
-                    Box::new(move |cpu: &mut Cpu| {
-                        let _captured = captured;
-                        let _local = Owned(dropped);
-                        // Private lines: long quanta, so the others are
-                        // in the middle of one when the culprit panics.
-                        let mine = Addr(0x1000 + id as u64 * LINE_SIZE);
-                        for i in 0..200 {
-                            cpu.store_u64(mine, i);
-                            if id == culprit && i == 100 {
-                                panic!("core {culprit} gives up");
-                            }
+    let mut machine = Machine::new(MachineConfig::with_cores(CORES));
+    for culprit in 0..CORES {
+        let dropped = AtomicUsize::new(0);
+        let workers: Vec<WorkerFn<'_>> = (0..CORES)
+            .map(|id| {
+                let captured = Owned(&dropped);
+                let dropped = &dropped;
+                Box::new(move |cpu: &mut Cpu| {
+                    let _captured = captured;
+                    let _local = Owned(dropped);
+                    // Private lines: the others are in the middle of
+                    // their workers when the culprit panics.
+                    let mine = Addr(0x1000 + id as u64 * LINE_SIZE);
+                    for i in 0..200 {
+                        cpu.store_u64(mine, i);
+                        if id == culprit && i == 100 {
+                            panic!("core {culprit} gives up");
                         }
-                    }) as WorkerFn<'_>
-                })
-                .collect();
-            let payload = catch_unwind(AssertUnwindSafe(|| machine.run(workers)))
-                .expect_err("the culprit's panic must come out of run");
+                    }
+                }) as WorkerFn<'_>
+            })
+            .collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| machine.run(workers)))
+            .expect_err("the culprit's panic must come out of run");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("core {culprit} gives up").as_str()),
+            "run must re-raise the worker's own payload"
+        );
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            2 * CORES,
+            "every worker's captures and locals are dropped, the culprit's by unwinding"
+        );
+        for id in (0..CORES).filter(|&id| id != culprit) {
             assert_eq!(
-                payload.downcast_ref::<String>().map(String::as_str),
-                Some(format!("core {culprit} gives up").as_str()),
-                "run must re-raise the worker's own payload"
+                machine.peek_u64(Addr(0x1000 + id as u64 * LINE_SIZE)),
+                199,
+                "core {id} must run to completion after core {culprit} panicked"
             );
-            assert_eq!(
-                dropped.load(Ordering::Relaxed),
-                2 * CORES,
-                "every worker's captures and locals are dropped, the culprit's by unwinding"
-            );
-            for id in (0..CORES).filter(|&id| id != culprit) {
-                assert_eq!(
-                    machine.peek_u64(Addr(0x1000 + id as u64 * LINE_SIZE)),
-                    199,
-                    "core {id} must run to completion after core {culprit} panicked"
-                );
-            }
-            // The same machine runs again, and deterministically so.
-            let (count, _) = counting_run(&mut machine, CORES, 20);
-            assert_eq!(count, CORES as u64 * 20);
         }
+        // The same machine runs again, and deterministically so.
+        let (count, _) = counting_run(&mut machine, CORES, 20);
+        assert_eq!(count, CORES as u64 * 20);
     }
 }
 
@@ -208,51 +203,43 @@ fn a_core_that_only_stalls_lets_the_others_run_and_loses_no_cycle() {
     // switch nowhere else: were no stall ever to take one, core 1 would
     // never run. The spin is bounded so that this fails instead of hanging.
     const GIVE_UP: u64 = 50_000_000;
-    for gate in [GateMode::Quantum, GateMode::PerOp] {
-        let mut machine = Machine::new(MachineConfig {
-            gate,
-            ..MachineConfig::with_cores(2)
-        });
-        let done = AtomicBool::new(false);
-        let mut ticks = 0;
-        let report = machine.run(vec![
-            Box::new(|cpu: &mut Cpu| {
-                while !done.load(Ordering::Acquire) && ticks < GIVE_UP {
-                    cpu.tick(1);
-                    ticks += 1;
-                }
-            }),
-            Box::new(|cpu: &mut Cpu| {
-                for i in 0..8 {
-                    cpu.store_u64(Addr(0x100 + i * LINE_SIZE), i);
-                }
-                done.store(true, Ordering::Release);
-            }),
-        ]);
-        assert!(ticks < GIVE_UP, "core 1 never got to run ({gate:?})");
-        assert_eq!(report.cores[1].stores, 8);
-        // Every stall is in the reported clock, whether a turn published
-        // it or the end of the worker did.
-        assert_eq!(report.cores[0].cycles, ticks, "{gate:?}");
-    }
+    let mut machine = Machine::new(MachineConfig::with_cores(2));
+    let done = AtomicBool::new(false);
+    let mut ticks = 0;
+    let report = machine.run(vec![
+        Box::new(|cpu: &mut Cpu| {
+            while !done.load(Ordering::Acquire) && ticks < GIVE_UP {
+                cpu.tick(1);
+                ticks += 1;
+            }
+        }),
+        Box::new(|cpu: &mut Cpu| {
+            for i in 0..8 {
+                cpu.store_u64(Addr(0x100 + i * LINE_SIZE), i);
+            }
+            done.store(true, Ordering::Release);
+        }),
+    ]);
+    assert!(ticks < GIVE_UP, "core 1 never got to run");
+    assert_eq!(report.cores[1].stores, 8);
+    // Every stall is in the reported clock, whether a turn published
+    // it or the end of the worker did.
+    assert_eq!(report.cores[0].cycles, ticks);
 }
 
 #[test]
-fn eight_cores_take_turns_identically_under_both_gates() {
-    let run = |gate| {
-        let mut machine = Machine::new(MachineConfig {
-            gate,
-            ..MachineConfig::with_cores(8)
-        });
+fn eight_cores_take_turns_after_a_run_of_fewer_and_replay_exactly() {
+    let run = || {
+        let mut machine = Machine::new(MachineConfig::with_cores(8));
         // Fewer workers than cores first: only their contexts are needed.
         let few = counting_run(&mut machine, 3, 30);
         let all = counting_run(&mut machine, 8, 30);
         (few, all)
     };
-    let quantum = run(GateMode::Quantum);
-    assert_eq!(quantum.0 .0, 90);
-    assert_eq!(quantum.1 .0, 240);
-    assert_eq!(quantum, run(GateMode::PerOp));
+    let first = run();
+    assert_eq!(first.0 .0, 90);
+    assert_eq!(first.1 .0, 240);
+    assert_eq!(first, run());
 }
 
 #[test]

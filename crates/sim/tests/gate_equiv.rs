@@ -2,16 +2,16 @@
 //!
 //! Random straight-line programs — loads, stores, CASes, `exec_sync`
 //! sections, plain instructions and stalls over a few contended lines, on
-//! 2–4 cores — run twice, and everything observable must be bit-equal:
+//! 1–4 cores — run twice, and everything observable must be bit-equal:
 //! what each core's ops returned, the order the `exec_sync` sections ran
-//! in, the full [`RunReport`] (every per-core and machine counter, every
-//! clock), and final memory.
+//! in, the [`RunReport`] (every per-core counter, every clock), and final
+//! memory.
 //!
-//! * The run-until-overtaken quantum gate admits exactly the schedule of
-//!   the per-op reference gate, on the deterministic, fuzzed and PCT
-//!   schedules; here the recorded op-by-op admission log is compared too.
-//!   `PerOp` exists to be this reference; nothing outside the test suites
-//!   selects it.
+//! * A core that is the only active core keeps the turn from op to op
+//!   without asking the gate (the solo hold). The reference is the same
+//!   programs run beside one more core that stalls past every other
+//!   core's clock before its one load: no real core is ever alone there,
+//!   so every op of theirs is admitted by the gate.
 //! * A *plain* run — nothing recorded, traced, fuzzed or planned, which is
 //!   what every figure is made of — takes `Cpu`'s short epilogue and lets
 //!   stalls take no turn; a recorded run of the same programs does
@@ -19,9 +19,7 @@
 
 use std::sync::Mutex;
 
-use hastm_sim::{
-    Addr, Cpu, GateMode, Machine, MachineConfig, RunReport, ScheduleEvent, SchedulePolicy, WorkerFn,
-};
+use hastm_sim::{Addr, Cpu, Machine, MachineConfig, RunReport, ScheduleEvent, WorkerFn};
 use proptest::prelude::*;
 
 /// Shared words: 16 consecutive words, so two cache lines are contended and
@@ -70,14 +68,6 @@ fn stalling_program() -> impl Strategy<Value = Vec<Op>> {
         .prop_map(|(pieces, tail)| pieces.into_iter().flatten().chain(tail).collect())
 }
 
-fn schedule() -> impl Strategy<Value = SchedulePolicy> {
-    prop_oneof![
-        Just(SchedulePolicy::Deterministic),
-        any::<u64>().prop_map(|seed| SchedulePolicy::Fuzzed { seed }),
-        (any::<u64>(), 1..5u32).prop_map(|(seed, depth)| SchedulePolicy::Pct { seed, depth }),
-    ]
-}
-
 /// Everything observable about one run.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -92,19 +82,20 @@ struct Observed {
     memory: Vec<u64>,
 }
 
-/// Runs one program per core, recording the schedule or not.
-fn run(programs: &[Vec<Op>], schedule: SchedulePolicy, gate: GateMode, record: bool) -> Observed {
-    let mut machine = Machine::new(MachineConfig {
-        gate,
-        schedule,
-        ..MachineConfig::with_cores(programs.len())
-    });
+/// Runs one program per core on the deterministic schedule, recording it
+/// or not. With `bystander`, one more core first stalls past every other
+/// core's clock and then loads a line of its own, so no other core ever
+/// runs alone; its entry in the report is dropped.
+fn run(programs: &[Vec<Op>], record: bool, bystander: bool) -> Observed {
+    let cores = programs.len();
+    let mut machine = Machine::new(MachineConfig::with_cores(cores + usize::from(bystander)));
     let base = machine.heap().alloc_aligned(SLOTS * 8, 64);
     let word = move |slot: u64| Addr(base.0 + slot * 8);
+    let own_line = machine.heap().alloc_aligned(64, 64);
     machine.set_record_schedule(record);
     let mut returned: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
     let syncs = Mutex::new(Vec::new());
-    let workers: Vec<WorkerFn<'_>> = programs
+    let mut workers: Vec<WorkerFn<'_>> = programs
         .iter()
         .zip(&mut returned)
         .map(|(program, returned)| {
@@ -139,7 +130,14 @@ fn run(programs: &[Vec<Op>], schedule: SchedulePolicy, gate: GateMode, record: b
             }) as WorkerFn<'_>
         })
         .collect();
-    let report = machine.run(workers);
+    if bystander {
+        workers.push(Box::new(move |cpu: &mut Cpu| {
+            cpu.tick(u64::MAX / 4);
+            cpu.load_u64(own_line);
+        }));
+    }
+    let mut report = machine.run(workers);
+    report.cores.truncate(cores);
     Observed {
         returned,
         syncs: syncs.into_inner().expect("no section panics"),
@@ -153,22 +151,24 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
-    fn quantum_gate_replays_the_per_op_schedule_op_for_op(
-        programs in proptest::collection::vec(proptest::collection::vec(op(), 0..40), 2..5),
-        schedule in schedule(),
+    fn a_core_alone_runs_as_it_does_beside_a_bystander(
+        programs in proptest::collection::vec(stalling_program(), 1..5),
     ) {
-        let per_op = run(&programs, schedule, GateMode::PerOp, true);
-        let quantum = run(&programs, schedule, GateMode::Quantum, true);
-        prop_assert_eq!(per_op, quantum);
+        let alone = run(&programs, false, false);
+        let beside = run(&programs, false, true);
+        // The bystander's load moves the machine-wide counters.
+        prop_assert_eq!(alone.returned, beside.returned);
+        prop_assert_eq!(alone.syncs, beside.syncs);
+        prop_assert_eq!(alone.report.cores, beside.report.cores);
+        prop_assert_eq!(alone.memory, beside.memory);
     }
 
     #[test]
     fn plain_runs_match_recorded_runs(
         programs in proptest::collection::vec(stalling_program(), 2..5),
-        gate in prop_oneof![Just(GateMode::PerOp), Just(GateMode::Quantum)],
     ) {
-        let plain = run(&programs, SchedulePolicy::Deterministic, gate, false);
-        let recorded = run(&programs, SchedulePolicy::Deterministic, gate, true);
+        let plain = run(&programs, false, false);
+        let recorded = run(&programs, true, false);
         prop_assert!(plain.log.is_empty(), "the plain run was recorded");
         // (An `exec` short of a whole cycle is no op and leaves no entry.)
         let ops = programs.iter().flatten().filter(|op| !matches!(op, Op::Exec(_)));

@@ -1,19 +1,13 @@
 //! Golden-trace determinism tests.
 //!
 //! The event trace is an *observation* of the simulation, never a
-//! participant: recording charges no cycles and gates no ops. Two
-//! consequences are pinned here as golden properties:
-//!
-//! * **replay identity** — the same configuration and seed must produce a
-//!   byte-identical event stream, run after run (the property that makes
-//!   a trace file a faithful artifact of a replayed repro);
-//! * **gate-mode identity** — the per-op and quantum gate admission modes
-//!   are schedule-identical by construction, so their traces must match
-//!   event-for-event, cycle-for-cycle, not merely "logically".
+//! participant: recording charges no cycles and gates no ops. Pinned here:
+//! the same configuration and seed must produce a byte-identical event
+//! stream, run after run (the property that makes a trace file a faithful
+//! artifact of a replayed repro), and every gated op is admitted once.
 
 use hastm_sim::{
-    Addr, Cpu, GateMode, Machine, MachineConfig, SchedulePolicy, TraceConfig, TraceLog, WorkerFn,
-    LINE_SIZE,
+    Addr, Cpu, Machine, MachineConfig, SchedulePolicy, TraceConfig, TraceLog, WorkerFn, LINE_SIZE,
 };
 
 const CORES: usize = 3;
@@ -21,9 +15,8 @@ const ROUNDS: u64 = 12;
 /// Shared footprint small enough that the cores conflict constantly.
 const FOOTPRINT_LINES: u64 = 8;
 
-fn traced_machine(gate: GateMode, schedule: SchedulePolicy) -> Machine {
+fn traced_machine(schedule: SchedulePolicy) -> Machine {
     let mut machine = Machine::new(MachineConfig {
-        gate,
         schedule,
         ..MachineConfig::with_cores(CORES)
     });
@@ -52,8 +45,8 @@ fn workers<'env>() -> Vec<WorkerFn<'env>> {
         .collect()
 }
 
-fn traced_run(gate: GateMode, schedule: SchedulePolicy) -> TraceLog {
-    let mut machine = traced_machine(gate, schedule);
+fn traced_run(schedule: SchedulePolicy) -> TraceLog {
+    let mut machine = traced_machine(schedule);
     machine.run(workers());
     machine.take_trace().expect("tracing was armed")
 }
@@ -64,8 +57,8 @@ fn same_config_and_seed_is_byte_identical() {
         SchedulePolicy::Deterministic,
         SchedulePolicy::Fuzzed { seed: 7 },
     ] {
-        let a = traced_run(GateMode::Quantum, schedule);
-        let b = traced_run(GateMode::Quantum, schedule);
+        let a = traced_run(schedule);
+        let b = traced_run(schedule);
         assert_eq!(a, b, "replayed trace diverged under {schedule:?}");
         // Belt and braces: the rendered form (what a golden file would
         // hold) is byte-identical too.
@@ -76,24 +69,8 @@ fn same_config_and_seed_is_byte_identical() {
 }
 
 #[test]
-fn perop_and_quantum_gates_trace_identically() {
-    for schedule in [
-        SchedulePolicy::Deterministic,
-        SchedulePolicy::Fuzzed { seed: 3 },
-        SchedulePolicy::Fuzzed { seed: 1234 },
-    ] {
-        let perop = traced_run(GateMode::PerOp, schedule);
-        let quantum = traced_run(GateMode::Quantum, schedule);
-        assert_eq!(
-            perop, quantum,
-            "gate modes must be trace-identical under {schedule:?}"
-        );
-    }
-}
-
-#[test]
 fn gate_admissions_partition_the_op_sequence() {
-    let log = traced_run(GateMode::Quantum, SchedulePolicy::Deterministic);
+    let log = traced_run(SchedulePolicy::Deterministic);
     let ops = log.gate_ops();
     let expected: Vec<u64> = (0..ops.len() as u64).collect();
     assert_eq!(
@@ -107,7 +84,7 @@ fn rerun_on_one_machine_resets_the_trace() {
     // The recorder is reset at the start of every run: harvesting after a
     // second run must yield only the second run's events, and those must
     // equal a fresh machine's.
-    let mut machine = traced_machine(GateMode::Quantum, SchedulePolicy::Deterministic);
+    let mut machine = traced_machine(SchedulePolicy::Deterministic);
     machine.run(workers());
     let first = machine.take_trace().expect("tracing was armed");
     machine.run(workers());

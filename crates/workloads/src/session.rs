@@ -26,8 +26,8 @@ use hastm::{
 use hastm_locks::SpinLock;
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
 use hastm_sim::{
-    Addr, Cpu, FaultEvent, GateMode, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent,
-    SimHeap, TraceConfig, TraceLog, WorkerFn,
+    Addr, Cpu, FaultEvent, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent, SimHeap,
+    TraceConfig, TraceLog, WorkerFn,
 };
 
 use crate::scheme::{ExecStats, Scheme, ThreadExec};
@@ -46,12 +46,6 @@ pub struct RunPlan {
     pub record_schedule: bool,
     /// Record the run's structured event trace ([`SimRun::trace`]).
     pub trace: Option<TraceConfig>,
-    /// Gate admission mode of the machine the plan is for. The gate
-    /// belongs to the machine, not to a run: whoever builds the session
-    /// copies this into its [`MachineConfig`]. No binary sets it; the
-    /// gate-equivalence test selects [`GateMode::PerOp`], the reference
-    /// schedule the default quantum gate must reproduce op for op.
-    pub gate: GateMode,
 }
 
 /// What one [`SimSession::run`] produced.
@@ -457,7 +451,6 @@ mod tests {
                 .collect(),
             record_schedule: true,
             trace: Some(TraceConfig::default()),
-            gate: GateMode::default(),
         };
         // Each core counts on a line of its own: however the run was
         // perturbed, it leaves every cache holding what a plain run leaves.

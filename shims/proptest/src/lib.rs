@@ -1,10 +1,11 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no network access to crates.io, so this
-//! workspace vendors the slice of proptest it uses: the [`Strategy`]
-//! trait with `prop_map`/`boxed`, integer-range / tuple / `Just` /
-//! `any::<T>()` strategies, `collection::vec`, the `proptest!`,
-//! `prop_oneof!`, and `prop_assert*` macros, and `ProptestConfig`.
+//! workspace vendors the slice of proptest it uses: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`boxed`,
+//! integer-range / tuple / `Just` / `any::<T>()` strategies,
+//! `collection::vec`, the `proptest!`, `prop_oneof!`, and `prop_assert*`
+//! macros, and `ProptestConfig`.
 //!
 //! Differences from real proptest, deliberately accepted:
 //!
@@ -267,7 +268,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         pub min: usize,

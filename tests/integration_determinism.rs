@@ -15,7 +15,7 @@
 //! an exact [`hastm_sim::RunReport`] comparison is the assertion here.
 
 use hastm::OracleMode;
-use hastm_sim::{GateMode, MachineConfig, SchedulePolicy};
+use hastm_sim::{MachineConfig, SchedulePolicy};
 use hastm_workloads::{run_workload, Scheme, Structure, WorkloadConfig};
 
 /// A small-but-contended configuration that exercises aborts, log
@@ -65,35 +65,6 @@ fn fuzzed_schedule_is_equally_reproducible() {
             let cfg = config(scheme, threads, SchedulePolicy::Fuzzed { seed: 0xfeed });
             assert_reproducible(&cfg, &format!("{scheme:?} x{threads} fuzzed"));
         }
-    }
-}
-
-#[test]
-fn fuzzed_quantum_gate_replays_the_per_op_schedule_exactly() {
-    // Under `SchedulePolicy::Fuzzed` the per-core priority jitter is
-    // re-drawn after every op, so the quantum gate must clamp its quantum
-    // to a single op and degenerate into per-op admission. The assertion
-    // is total: for a fixed fuzz seed, the quantum run's makespan, every
-    // per-core and machine-wide counter, transaction stats, and final
-    // digest must be bit-identical to the per-op reference at every
-    // simulated core count — including 1 (solo fast path) and 8
-    // (more cores than the fuzzed default exercises elsewhere).
-    for threads in [1, 2, 4, 8] {
-        let mut per_op = config(
-            Scheme::Hastm,
-            threads,
-            SchedulePolicy::Fuzzed { seed: 0xfeed },
-        );
-        per_op.machine.gate = GateMode::PerOp;
-        let mut quantum = per_op.clone();
-        quantum.machine.gate = GateMode::Quantum;
-        let a = run_workload(&per_op);
-        let b = run_workload(&quantum);
-        let label = format!("fuzzed x{threads} per-op vs quantum");
-        assert_eq!(a.cycles, b.cycles, "{label}: makespan diverged");
-        assert_eq!(a.report, b.report, "{label}: simulator counters diverged");
-        assert_eq!(a.txn, b.txn, "{label}: transaction stats diverged");
-        assert_eq!(a.digest, b.digest, "{label}: final state diverged");
     }
 }
 
