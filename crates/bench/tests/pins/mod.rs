@@ -4,6 +4,8 @@
 //! `HASTM_BENCH_SCALE=ci all-figs`. Simulated results are golden values:
 //! a change that moves one fails [`check`], which names the first moved
 //! cell or table and prints the `cp` that blesses the new pin.
+//! `tables_standard.txt`, the stdout of `HASTM_BENCH_SCALE=standard
+//! all-figs`, is held by CI's release build only.
 
 // Each test binary that includes this module uses part of it.
 #![allow(dead_code)]

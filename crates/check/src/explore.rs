@@ -413,7 +413,7 @@ mod tests {
         };
         let (done, verdict) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = done.send(crate::check_trial_plan(&trial, &plan, true).map(|_| ()));
+            let _ = done.send(crate::check_trial_plan(&trial, &plan, true).0.map(|_| ()));
         });
         verdict
             .recv_timeout(std::time::Duration::from_secs(60))

@@ -465,42 +465,39 @@ impl Coverage {
 }
 
 /// Runs a trial under a plan (twice when `determinism` is set) and returns
-/// its fingerprint and observation, or the failure detail. With schedule
+/// its fingerprint, or the failure detail, with the first run's
+/// observation either way (as [`run_trial_observed`] does). With schedule
 /// recording on, the determinism re-run must reproduce the schedule
 /// bit-for-bit, not just the fingerprint.
-///
-/// # Errors
-///
-/// Returns the invariant-violation or nondeterminism detail.
 pub fn check_trial_plan(
     trial: &Trial,
     plan: &RunPlan,
     determinism: bool,
-) -> Result<(Fingerprint, Observation), String> {
-    let (fp, obs) = run_trial_plan(trial, plan)?;
-    if determinism {
-        match run_trial_plan(trial, plan) {
-            Err(detail) => return Err(format!("nondeterministic: re-run failed: {detail}")),
-            Ok((fp2, _)) if fp2 != fp => {
-                return Err(format!(
-                    "nondeterministic: fingerprint {fp:?} then {fp2:?} from identical trials"
-                ))
-            }
-            Ok((_, obs2)) if schedule_hash(&obs2.schedule) != schedule_hash(&obs.schedule) => {
-                return Err(
-                    "nondeterministic: identical trials recorded different schedules".into(),
-                )
-            }
-            Ok(_) => {}
+) -> (Result<Fingerprint, String>, Observation) {
+    let (res, obs) = run_trial_observed(trial, plan);
+    let res = res.and_then(|fp| {
+        if !determinism {
+            return Ok(fp);
         }
-    }
-    Ok((fp, obs))
+        match run_trial_plan(trial, plan) {
+            Err(detail) => Err(format!("nondeterministic: re-run failed: {detail}")),
+            Ok((fp2, _)) if fp2 != fp => Err(format!(
+                "nondeterministic: fingerprint {fp:?} then {fp2:?} from identical trials"
+            )),
+            Ok((_, obs2)) if schedule_hash(&obs2.schedule) != schedule_hash(&obs.schedule) => {
+                Err("nondeterministic: identical trials recorded different schedules".into())
+            }
+            Ok(_) => Ok(fp),
+        }
+    });
+    (res, obs)
 }
 
 /// Runs a trial (twice when `determinism` is set) and returns `Some`
 /// failure detail, or `None` when every invariant holds.
 pub fn check_trial(trial: &Trial, determinism: bool) -> Option<String> {
-    check_trial_plan(trial, &RunPlan::default(), determinism).err()
+    let (res, _) = check_trial_plan(trial, &RunPlan::default(), determinism);
+    res.err()
 }
 
 /// Maximum trial re-runs [`shrink_failure`] spends per failure.
@@ -687,10 +684,10 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                     sched: cfg.sched,
                 };
                 let determinism = seed == cfg.start_seed;
-                let outcome = check_trial_plan(&trial, &plan, determinism).map(|(fp, obs)| {
+                let (outcome, obs) = check_trial_plan(&trial, &plan, determinism);
+                if outcome.is_ok() {
                     report.coverage.note(&obs);
-                    fp
-                });
+                }
                 report.trials += 1;
                 on_trial(&trial, outcome.is_ok());
                 let mut fp = match outcome {

@@ -28,8 +28,8 @@ use hastm_check::native::{
     heap_words, run_native_suite, NativeCheckConfig, NativeTrial, PHASED, VERSIONINGS,
 };
 use hastm_check::{
-    check_trial_plan, parse_trace, run_suite, run_trial_observed, CheckConfig, Combo, Observation,
-    RunPlan, Sched, Trial, Workload,
+    check_trial_plan, parse_trace, run_suite, CheckConfig, Combo, Observation, RunPlan, Sched,
+    Trial, Workload,
 };
 use hastm_sim::{chrome_trace_json, reconcile_mark_discards, validate_chrome_trace, TraceConfig};
 
@@ -185,6 +185,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
+        // A second value would silently override the first, so the run
+        // would not be the one the first value names.
+        if given.contains(&arg) {
+            return Err(format!("{arg} given twice"));
+        }
         given.push(arg);
     }
     let (_, synopsis) = USAGE.split_once("USAGE:").expect("USAGE has a synopsis");
@@ -208,6 +213,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     }
     if form == "--explore" && *args.threads.get_or_insert(ExploreConfig::default().threads) > 3 {
         return Err("--explore runs 1 to 3 threads".into());
+    }
+    // An exploration that runs nothing would still print `OK`.
+    if args.max_runs == 0 {
+        return Err("--max-runs must be at least 1".into());
     }
     // A sweep that runs no seed would still print `OK`.
     if args.seeds == 0 || args.start_seed.checked_add(args.seeds).is_none() {
@@ -336,12 +345,11 @@ fn replay_trial(args: &Args) -> Result<(Trial, RunPlan), String> {
 fn replay(args: &Args) -> Result<ExitCode, String> {
     let (trial, plan) = replay_trial(args)?;
     println!("replaying {trial}");
-    let verdict = check_trial_plan(&trial, &plan, true);
+    // The first run's observation comes back failing or not, so a failing
+    // replay still leaves a trace file behind (the whole point of
+    // replaying a shrunk repro).
+    let (verdict, obs) = check_trial_plan(&trial, &plan, true);
     if let Some(path) = &args.trace_out {
-        // Harvest the trace from a dedicated observed run so a *failing*
-        // replay still leaves a trace file behind (the whole point of
-        // replaying a shrunk repro).
-        let (_, obs) = run_trial_observed(&trial, &plan);
         write_trace_out(path, &obs)?;
     }
     match verdict {
@@ -703,6 +711,36 @@ mod tests {
         }
         let last = parse("--start-seed 18446744073709551614 --seeds 1").unwrap();
         assert_eq!((last.start_seed, last.seeds), (u64::MAX - 1, 1));
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_an_error() {
+        // A pasted replay line with a stray second value must not run a
+        // different trial than its first value names.
+        for (line, flag) in [
+            (
+                "--replay --workload counter --combo stm:obj:full --combo seq:obj:full \
+                 --seed 0 --threads 2 --ops 2",
+                "--combo",
+            ),
+            (
+                "--seeds 1 --seeds 2 --workload counter --combo stm:obj:full --quiet",
+                "--seeds",
+            ),
+            ("--quiet --quiet", "--quiet"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), format!("{flag} given twice"));
+        }
+    }
+
+    #[test]
+    fn an_exploration_that_would_run_nothing_is_an_error() {
+        assert_eq!(
+            parse("--explore --max-runs 0").unwrap_err(),
+            "--max-runs must be at least 1"
+        );
+        // A bound of 0 still runs the base schedule.
+        assert_eq!(parse("--explore --bound 0 --max-runs 1").unwrap().bound, 0);
     }
 
     #[test]

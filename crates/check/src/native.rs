@@ -127,7 +127,6 @@ impl Backend for Native<'_> {
             mark_filter: trial.mark_filter,
             versioning: trial.versioning,
             phased: trial.phased.then(phased_params),
-            ..NativeConfig::default()
         });
         let (shared, run) = session.run_definition(w, trial.threads);
         // The map streams' gets run through `atomic_ro`, so multi-version

@@ -150,9 +150,6 @@ pub struct StmConfig {
     /// repeat writes and to elide duplicate undo entries within a nesting
     /// scope. Off by default (the paper's measured configuration).
     pub filter_writes: bool,
-    /// Capacity, in entries, of each simulated log region before the
-    /// overflow slow path allocates another chunk.
-    pub log_capacity: u32,
     /// Serializability-oracle mode ([`crate::Oracle`]): commit-time
     /// cross-checking of every transactional read against the
     /// pre-transaction memory image. Off by default (verification aid, not
@@ -174,7 +171,6 @@ impl Default for StmConfig {
             clear_marks_between_txns: true,
             no_reuse: false,
             filter_writes: false,
-            log_capacity: 4096,
             oracle: OracleMode::default(),
             versioning: Versioning::default(),
         }

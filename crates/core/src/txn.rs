@@ -27,6 +27,10 @@ const READ_ENTRY_WORDS: u32 = 2; // rec, version
 const WRITE_ENTRY_WORDS: u32 = 2; // rec, prev version
 const UNDO_ENTRY_WORDS: u32 = 3; // addr, old value, GC metadata
 
+/// Entries per chunk of each simulated log region: a transaction that logs
+/// more overflows into further chunks.
+const LOG_CAPACITY: u32 = 4096;
+
 /// One thread's transactional execution context.
 ///
 /// Owns the thread's simulated descriptor, logs, mode controller, and
@@ -115,26 +119,25 @@ impl<'c, 'm> TxThread<'c, 'm> {
     pub fn new(runtime: &'c StmRuntime, cpu: &'c mut Cpu<'m>) -> Self {
         let heap = runtime.heap();
         let desc = cpu.alloc_aligned(heap, 64, 64);
-        let cap = runtime.config().log_capacity;
         let rd_region = LogRegion::new(
             cpu,
             heap,
             desc.offset(DESC_RDLOG_PTR),
-            cap,
+            LOG_CAPACITY,
             READ_ENTRY_WORDS,
         );
         let wr_region = LogRegion::new(
             cpu,
             heap,
             desc.offset(DESC_WRLOG_PTR),
-            cap,
+            LOG_CAPACITY,
             WRITE_ENTRY_WORDS,
         );
         let undo_region = LogRegion::new(
             cpu,
             heap,
             desc.offset(DESC_UNDOLOG_PTR),
-            cap,
+            LOG_CAPACITY,
             UNDO_ENTRY_WORDS,
         );
         // Initialize the descriptor's mode word.

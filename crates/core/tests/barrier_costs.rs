@@ -1,5 +1,5 @@
 //! Cost-shape tests: the paper's headline micro-claims about barrier
-//! costs, checked in cycles on the default cost model.
+//! costs, checked in cycles on the simulator's fixed cost model.
 
 use hastm::{Granularity, ModePolicy, StmConfig, StmRuntime, TxThread};
 use hastm_sim::{Machine, MachineConfig};

@@ -129,17 +129,17 @@ fn record_table_aliasing_is_safe() {
     assert_eq!(m.peek_u64(b.word(0)), 50);
 }
 
-/// Log regions overflow into fresh chunks without corrupting transactions
-/// (a transaction with far more reads than `log_capacity`).
+/// Log regions overflow into fresh chunks without corrupting transactions:
+/// 5 000 distinct objects written, then read, pass the 4 096 entries of a
+/// log chunk in the read, write and undo logs alike.
 #[test]
 fn log_overflow_keeps_transactions_correct() {
-    let mut cfg = StmConfig::stm(Granularity::Object);
-    cfg.log_capacity = 8; // force overflow constantly
+    const OBJS: u64 = 5000;
     let mut m = Machine::new(MachineConfig::default());
-    let rt = StmRuntime::new(&mut m, cfg);
+    let rt = StmRuntime::new(&mut m, StmConfig::stm(Granularity::Object));
     m.run_one(|cpu| {
         let mut tx = TxThread::new(&rt, cpu);
-        let objs: Vec<ObjRef> = (0..64).map(|_| tx.alloc_obj(1)).collect();
+        let objs: Vec<ObjRef> = (0..OBJS).map(|_| tx.alloc_obj(1)).collect();
         tx.atomic(|tx| {
             for (i, o) in objs.iter().enumerate() {
                 tx.write_word(*o, 0, i as u64)?;
@@ -153,7 +153,7 @@ fn log_overflow_keeps_transactions_correct() {
             }
             Ok(s)
         });
-        assert_eq!(sum, (0..64u64).sum());
+        assert_eq!(sum, (0..OBJS).sum());
     });
 }
 

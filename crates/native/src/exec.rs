@@ -43,6 +43,10 @@ use hastm_sim::words::{RedoLog, WordTable};
 
 use crate::tl2::{NativeRuntime, NativeStats, WritebackHook};
 
+/// Per-thread filter capacity in stripes; reads past it stay on the slow
+/// path (mirrors finite mark-bit cache capacity).
+const FILTER_CAPACITY: usize = 4096;
+
 /// `false` only while [`Mutant::NoEpochCheck`] is armed: the filter fast
 /// path and commit then trust stale filters.
 #[inline]
@@ -619,7 +623,7 @@ impl NativeTxn<'_, '_> {
                 self.exec.filter_epoch = e0;
             }
             // File the stripe only if the window is still open.
-            if rt.epoch() == e0 && self.exec.filter.len() < rt.config().filter_capacity {
+            if rt.epoch() == e0 && self.exec.filter.len() < FILTER_CAPACITY {
                 self.exec.filter.insert(stripe as u64, ());
             }
         }
@@ -735,7 +739,7 @@ impl NativeTxn<'_, '_> {
             if epoch_checks() && prev_epoch == exec.filter_epoch {
                 exec.filter_epoch = prev_epoch + 1;
                 for &(stripe, _) in &exec.locks {
-                    if exec.filter.len() >= rt.config().filter_capacity {
+                    if exec.filter.len() >= FILTER_CAPACITY {
                         break;
                     }
                     exec.filter.insert(stripe as u64, ());
@@ -1421,7 +1425,6 @@ mod tests {
             mark_filter,
             versioning: hastm::Versioning::Multi { k: 2 },
             phased: Some(hair_trigger()),
-            ..NativeConfig::default()
         });
         let ps = rt.phase_state().expect("phased runtime");
         // Force the phase to Serial by hand, then run one transaction.

@@ -53,9 +53,6 @@ pub struct NativeConfig {
     /// default, which is plain TL2 (the STM analog): the emulation is not
     /// sound (DESIGN §9c) and loses at every thread count.
     pub mark_filter: bool,
-    /// Per-thread filter capacity in stripes; reads past it stay on the
-    /// slow path (mirrors finite mark-bit cache capacity).
-    pub filter_capacity: usize,
     /// Version management: [`Versioning::Single`] is plain TL2;
     /// [`Versioning::Multi`] keeps a k-slot ring of committed
     /// `(version, value)` pairs beside every written word, giving read-only
@@ -79,7 +76,6 @@ impl Default for NativeConfig {
             heap_words: 1 << 20,
             stripes: 1 << 16,
             mark_filter: false,
-            filter_capacity: 4096,
             versioning: Versioning::Single,
             phased: None,
         }

@@ -1,4 +1,4 @@
-//! Machine, cache, and cost-model configuration.
+//! Machine and cache configuration, and the simulator's fixed cycle costs.
 
 /// Geometry of one cache level. Line size is fixed at 64 bytes
 /// ([`crate::addr::LINE_SIZE`]); only sets and ways are configurable.
@@ -55,67 +55,40 @@ pub enum IsaLevel {
     Default,
 }
 
-/// Cycle costs charged by the simulator.
-///
-/// The reproduction is execution-driven, not pipeline-accurate: every
-/// simulated instruction costs [`CostModel::tick`] cycles plus, for memory
-/// instructions, the latency of the level that services the access.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct CostModel {
-    /// Base cost of one instruction (ALU op, branch, address generation)
-    /// before ILP amortization.
-    pub tick: u64,
-    /// Sustained instructions per cycle for straight-line code. The paper
-    /// evaluates on an out-of-order IA32 core where barrier ALU sequences
-    /// largely overlap with surrounding work ("the STM code sequences are
-    /// friendly to out of order execution", §7.3); `Cpu::exec` charges
-    /// `instructions / ipc` cycles, while memory latencies and explicit
-    /// stalls are charged in full.
-    pub ipc: u64,
-    /// Extra cycles for an access that hits in the L1.
-    pub l1_hit: u64,
-    /// Extra cycles for an access serviced by the shared L2 (or by a
-    /// cache-to-cache transfer through it).
-    pub l2_hit: u64,
-    /// Extra cycles for an access serviced by memory.
-    pub mem: u64,
-    /// Extra cycles to upgrade a Shared line to Modified (invalidation
-    /// round-trip).
-    pub upgrade: u64,
-    /// Extra cycles for the atomic portion of a compare-and-swap.
-    pub cas_extra: u64,
-    /// Maximum latency a plain store charges the pipeline: stores retire
-    /// through the store buffer, so a store miss fills the line off the
-    /// critical path (cache-state effects still happen in full). Atomic
-    /// RMWs are exempt (they serialize).
-    pub store_latency_cap: u64,
-    /// Extra *raw* cycles for mark-setting loads beyond the additional
-    /// issued µop they already pay (the paper notes `loadsetmark` consumes
-    /// a store-queue entry in addition to the load port, §7).
-    pub mark_op_extra: u64,
-    /// Extra cycles modeling the slower resolution of a conditional branch
-    /// that depends on the immediately preceding `loadtestmark` (§7.3 uses
-    /// this to explain why cautious mode can be slower than the STM despite
-    /// executing fewer instructions).
-    pub mark_branch_extra: u64,
-}
+// The cycle costs the simulator charges. The reproduction is
+// execution-driven, not pipeline-accurate: every simulated instruction
+// costs one issue slot, amortized at `IPC`, plus, for memory
+// instructions, the latency of the level that services the access.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            tick: 1,
-            ipc: 2,
-            l1_hit: 1,
-            l2_hit: 12,
-            mem: 100,
-            upgrade: 10,
-            cas_extra: 4,
-            store_latency_cap: 2,
-            mark_op_extra: 0,
-            mark_branch_extra: 2,
-        }
-    }
-}
+/// Sustained instructions per cycle for straight-line code. The paper
+/// evaluates on an out-of-order IA32 core where barrier ALU sequences
+/// largely overlap with surrounding work ("the STM code sequences are
+/// friendly to out of order execution", §7.3); `Cpu::exec` charges
+/// `instructions / IPC` cycles, while memory latencies and explicit
+/// stalls are charged in full.
+pub(crate) const IPC: u64 = 2;
+/// Extra cycles for an access that hits in the L1.
+pub(crate) const L1_HIT: u64 = 1;
+/// Extra cycles for an access serviced by the shared L2 (or by a
+/// cache-to-cache transfer through it).
+pub(crate) const L2_HIT: u64 = 12;
+/// Extra cycles for an access serviced by memory.
+pub(crate) const MEM: u64 = 100;
+/// Extra cycles to upgrade a Shared line to Modified (invalidation
+/// round-trip).
+pub(crate) const UPGRADE: u64 = 10;
+/// Extra cycles for the atomic portion of a compare-and-swap.
+pub(crate) const CAS_EXTRA: u64 = 4;
+/// Maximum latency a plain store charges the pipeline: stores retire
+/// through the store buffer, so a store miss fills the line off the
+/// critical path (cache-state effects still happen in full). Atomic
+/// RMWs are exempt (they serialize).
+pub(crate) const STORE_LATENCY_CAP: u64 = 2;
+/// Extra cycles modeling the slower resolution of a conditional branch
+/// that depends on the immediately preceding `loadtestmark` (§7.3 uses
+/// this to explain why cautious mode can be slower than the STM despite
+/// executing fewer instructions).
+pub(crate) const MARK_BRANCH_EXTRA: u64 = 2;
 
 /// How the deterministic logical-clock gate orders the cores.
 ///
@@ -186,9 +159,9 @@ pub enum FaultKind {
         /// Index into the core's resident lines, wrapped modulo occupancy.
         nth: usize,
     },
-    /// Evict the `nth` (modulo occupancy) L2 line; with an inclusive L2
-    /// this back-invalidates every L1 copy (capacity pressure). The `core`
-    /// field of the event is ignored.
+    /// Evict the `nth` (modulo occupancy) L2 line, back-invalidating every
+    /// L1 copy (capacity pressure). The `core` field of the event is
+    /// ignored.
     BackInvalidate {
         /// Index into the L2's resident lines, wrapped modulo occupancy.
         nth: usize,
@@ -221,12 +194,10 @@ pub struct MachineConfig {
     pub cores: usize,
     /// Per-core L1 geometry.
     pub l1: CacheConfig,
-    /// Shared L2 geometry.
+    /// Shared L2 geometry. The L2 is inclusive of the L1s: an L2 eviction
+    /// back-invalidates every L1 copy, which is one of the paper's sources
+    /// of "accidental" marked-line loss in multi-core runs (§7.4).
     pub l2: CacheConfig,
-    /// Whether the L2 is inclusive of the L1s. Inclusive hierarchies
-    /// back-invalidate L1 lines on L2 eviction, which is one of the paper's
-    /// sources of "accidental" marked-line loss in multi-core runs (§7.4).
-    pub inclusive_l2: bool,
     /// ISA implementation level.
     pub isa: IsaLevel,
     /// Enable a next-line hardware prefetcher: every demand L1 miss also
@@ -235,8 +206,6 @@ pub struct MachineConfig {
     /// ("prefetches and speculative accesses from one core kick out marked
     /// cache lines from another core", §7.4).
     pub prefetch_next_line: bool,
-    /// Cycle costs.
-    pub cost: CostModel,
     /// Scheduler policy: canonical deterministic order, or seeded
     /// schedule/pressure perturbation (see [`SchedulePolicy`]).
     pub schedule: SchedulePolicy,
@@ -258,10 +227,8 @@ impl Default for MachineConfig {
             cores: 1,
             l1: CacheConfig::l1_default(),
             l2: CacheConfig::l2_default(),
-            inclusive_l2: true,
             isa: IsaLevel::Full,
             prefetch_next_line: false,
-            cost: CostModel::default(),
             schedule: SchedulePolicy::default(),
         }
     }
@@ -288,7 +255,6 @@ mod tests {
         let m = MachineConfig::default();
         assert_eq!(m.cores, 1);
         assert_eq!(m.isa, IsaLevel::Full);
-        assert!(m.inclusive_l2);
         assert_eq!(m.schedule, SchedulePolicy::Deterministic);
         let m4 = MachineConfig::with_cores(4);
         assert_eq!(m4.cores, 4);

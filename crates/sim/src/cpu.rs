@@ -25,7 +25,7 @@
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::cache::FilterId;
-use crate::config::CostModel;
+use crate::config::{CAS_EXTRA, IPC, MARK_BRANCH_EXTRA};
 use crate::gate::StateGuard;
 use crate::hierarchy::{AccessKind, MarkOp, WatchKind, WatchViolation};
 use crate::machine::{Shared, SimState};
@@ -48,13 +48,9 @@ const STALL_DEFER_CAP: u64 = 16;
 pub struct Cpu<'a> {
     id: usize,
     shared: &'a Shared,
-    cost: CostModel,
     /// Instruction-issue accumulator for ILP amortization (see
-    /// [`CostModel::ipc`]).
+    /// [`IPC`]).
     insn_acc: u64,
-    /// `log2(ipc)` when the IPC is a power of two (the default is 2), so
-    /// [`Cpu::issue`] can shift and mask instead of dividing.
-    ipc_shift: Option<u32>,
     /// The solo hold: the state guard this core kept at the end of its
     /// last op because it was the only active core, which it stays until
     /// its worker ends. Released by `Drop`.
@@ -115,19 +111,14 @@ impl Drop for Cpu<'_> {
 
 impl<'a> Cpu<'a> {
     pub(crate) fn new(id: usize, shared: &'a Shared) -> Self {
-        let (cost, tracing, plain) = {
+        let (tracing, plain) = {
             let st = shared.state.lock();
-            (st.sys_cost(), st.sys.tracing(), st.plain_run())
+            (st.sys.tracing(), st.plain_run())
         };
         Cpu {
             id,
             shared,
-            cost,
             insn_acc: 0,
-            ipc_shift: cost
-                .ipc
-                .is_power_of_two()
-                .then(|| cost.ipc.trailing_zeros()),
             plain,
             stalled_cycles: 0,
             stalled_ops: 0,
@@ -159,21 +150,13 @@ impl<'a> Cpu<'a> {
         }
     }
 
-    /// Converts `insns` issued instructions into cycles at the configured
-    /// IPC, carrying the remainder forward.
+    /// Converts `insns` issued instructions into cycles at [`IPC`],
+    /// carrying the remainder forward.
     #[inline]
     fn issue(&mut self, insns: u64) -> u64 {
-        let ipc = self.cost.ipc;
-        let total = self.insn_acc + insns * self.cost.tick;
-        let (cycles, carry) = if total < ipc {
-            (0, total)
-        } else if let Some(shift) = self.ipc_shift {
-            (total >> shift, total & (ipc - 1))
-        } else {
-            (total / ipc, total % ipc)
-        };
-        self.insn_acc = carry;
-        cycles
+        let total = self.insn_acc + insns;
+        self.insn_acc = total % IPC;
+        total / IPC
     }
 
     /// This core's id (0-based).
@@ -346,8 +329,8 @@ impl<'a> Cpu<'a> {
         self.finish(st, cycles);
     }
 
-    /// Executes `insns` non-memory instructions, charged at the cost
-    /// model's sustained IPC (fractions carry over between calls).
+    /// Executes `insns` non-memory instructions, charged at the sustained
+    /// IPC of 2 (fractions carry over between calls).
     #[inline]
     pub fn exec(&mut self, insns: u64) {
         let cycles = self.issue(insns);
@@ -425,7 +408,7 @@ impl<'a> Cpu<'a> {
         if old == expected {
             st.mem.write_u64(addr, new);
         }
-        self.finish(st, issue + lat + self.cost.cas_extra);
+        self.finish(st, issue + lat + CAS_EXTRA);
         old
     }
 
@@ -436,11 +419,7 @@ impl<'a> Cpu<'a> {
         let mut st = self.turn();
         let (lat, flag) = st.sys.mark_access(self.id, addr, len, op, filter);
         let v = st.mem.read_u64(addr);
-        let extra = match op {
-            MarkOp::Set | MarkOp::Reset => self.cost.mark_op_extra,
-            MarkOp::Test => 0,
-        };
-        self.finish(st, issue + lat + extra);
+        self.finish(st, issue + lat);
         (v, flag)
     }
 
@@ -496,11 +475,7 @@ impl<'a> Cpu<'a> {
             st.sys
                 .mark_access(self.id, addr.line_base(), LINE_SIZE, op, FilterId::READ);
         let v = st.mem.read_u64(addr);
-        let extra = match op {
-            MarkOp::Set | MarkOp::Reset => self.cost.mark_op_extra,
-            MarkOp::Test => 0,
-        };
-        self.finish(st, issue + lat + extra);
+        self.finish(st, issue + lat);
         (v, flag)
     }
 
@@ -597,8 +572,7 @@ impl<'a> Cpu<'a> {
     /// immediately preceding `loadtestmark` (§7.3).
     #[inline]
     pub fn mark_branch_penalty(&mut self) {
-        let extra = self.cost.mark_branch_extra;
-        self.tick(extra);
+        self.tick(MARK_BRANCH_EXTRA);
     }
 
     /// Atomically commits a speculative store buffer: in one indivisible
@@ -728,17 +702,12 @@ impl<'a> Cpu<'a> {
         self.finish(st, 0);
         n
     }
-
-    /// The configured cost model (read-only).
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::addr::Addr;
-    use crate::config::{CostModel, IsaLevel, MachineConfig};
+    use crate::config::{IsaLevel, MachineConfig, IPC, L1_HIT, MEM};
     use crate::machine::Machine;
 
     #[test]
@@ -842,39 +811,29 @@ mod tests {
     fn costs_accumulate() {
         let mut m = Machine::new(MachineConfig::default());
         let (_, report) = m.run_one(|cpu| {
-            let c = cpu.cost_model();
             let t0 = cpu.now();
             cpu.load_u64(Addr(0x400)); // cold miss pays the memory latency
             let cold = cpu.now() - t0;
-            assert!(
-                cold >= c.mem && cold <= c.mem + c.tick,
-                "cold load cost {cold}"
-            );
+            assert!((MEM..=MEM + 1).contains(&cold), "cold load cost {cold}");
             let t1 = cpu.now();
-            cpu.load_u64(Addr(0x400)); // hit pays at most l1_hit + issue
+            cpu.load_u64(Addr(0x400)); // hit pays at most L1_HIT + issue
             let hit = cpu.now() - t1;
-            assert!(hit <= c.l1_hit + c.tick, "hit cost {hit}");
+            assert!(hit <= L1_HIT + 1, "hit cost {hit}");
         });
         assert!(report.makespan() > 0);
     }
 
     proptest::proptest! {
-        /// `issue` is `total / ipc` cycles carrying `total % ipc`, whatever
-        /// shortcut it takes: clocks after each `exec` match that
-        /// definition for every cost model, power-of-two IPC or not. The
-        /// trailing single instructions flush out a wrong final carry.
+        /// `issue` is `total / IPC` cycles carrying `total % IPC`: clocks
+        /// after each `exec` match that definition. The trailing single
+        /// instructions flush out a wrong final carry.
         #[test]
         fn issue_matches_the_division_definition(
-            ipc in 1..=8u64,
-            tick in 1..=3u64,
             insns in proptest::collection::vec(0..20u64, 0..60),
         ) {
-            let mut m = Machine::new(MachineConfig {
-                cost: CostModel { ipc, tick, ..CostModel::default() },
-                ..MachineConfig::default()
-            });
+            let mut m = Machine::new(MachineConfig::default());
             let program: Vec<u64> =
-                insns.into_iter().chain(std::iter::repeat_n(1, ipc as usize)).collect();
+                insns.into_iter().chain(std::iter::repeat_n(1, IPC as usize)).collect();
             let (clocks, _) = m.run_one(|cpu| {
                 let after = |&n| {
                     cpu.exec(n);
@@ -884,9 +843,9 @@ mod tests {
             });
             let (mut clock, mut carry) = (0, 0);
             let want: Vec<u64> = program.iter().map(|n| {
-                let total = carry + n * tick;
-                clock += total / ipc;
-                carry = total % ipc;
+                let total = carry + n;
+                clock += total / IPC;
+                carry = total % IPC;
                 clock
             }).collect();
             proptest::prop_assert_eq!(clocks, want);
@@ -897,12 +856,11 @@ mod tests {
     fn exec_amortizes_at_ipc() {
         let mut m = Machine::new(MachineConfig::default());
         m.run_one(|cpu| {
-            let ipc = cpu.cost_model().ipc;
             let t0 = cpu.now();
             for _ in 0..30 {
                 cpu.exec(1);
             }
-            assert_eq!(cpu.now() - t0, 30 / ipc, "30 instructions at IPC");
+            assert_eq!(cpu.now() - t0, 30 / IPC, "30 instructions at IPC");
         });
     }
 }

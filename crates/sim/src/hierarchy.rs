@@ -1,6 +1,6 @@
 //! Multi-core cache hierarchy: per-core L1s kept coherent with MESI, a
-//! shared (optionally inclusive) L2, the HASTM mark bits / mark counter, and
-//! line-watch sets used by the HTM baseline.
+//! shared inclusive L2, the HASTM mark bits / mark counter, and line-watch
+//! sets used by the HTM baseline.
 //!
 //! Mark-bit semantics implemented here (paper §3):
 //!
@@ -28,7 +28,7 @@
 
 use crate::addr::{subblock_mask, Addr, LineId};
 use crate::cache::{Cache, FilterId, Mesi, NUM_FILTERS};
-use crate::config::{IsaLevel, MachineConfig};
+use crate::config::{IsaLevel, MachineConfig, L1_HIT, L2_HIT, MEM, STORE_LATENCY_CAP, UPGRADE};
 use crate::mutant::{armed, Mutant};
 use crate::stats::{CoreStats, MachineStats};
 use crate::trace::{LossCause, TimedEvent, TraceConfig, TraceEvent, TraceLog, TraceRecorder};
@@ -40,7 +40,7 @@ pub enum AccessKind {
     /// A load (or the load half of `loadtestmark` etc.).
     Load,
     /// A plain store (requires exclusive ownership; latency capped by the
-    /// store buffer, [`crate::CostModel::store_latency_cap`]).
+    /// store buffer at 2 cycles).
     Store,
     /// An atomic read-modify-write: same coherence behavior as a store but
     /// fully serializing (uncapped latency).
@@ -168,7 +168,6 @@ impl WatchSet {
 pub struct MemSystem {
     l1s: Vec<Cache>,
     l2: Cache,
-    inclusive: bool,
     isa: IsaLevel,
     prefetch: bool,
     /// Saturating mark counters: `[core][filter]`.
@@ -178,11 +177,6 @@ pub struct MemSystem {
     pub core_stats: Vec<CoreStats>,
     /// Machine-wide counters.
     pub machine_stats: MachineStats,
-    cost: crate::config::CostModel,
-    l1_hit: u64,
-    l2_hit: u64,
-    mem_lat: u64,
-    upgrade: u64,
     /// Reused line-id buffer for the snapshot paths (`flush_caches`), so
     /// those entry points stop allocating a fresh `Vec` per call.
     scratch: Vec<LineId>,
@@ -208,18 +202,12 @@ impl MemSystem {
         MemSystem {
             l1s: (0..cores).map(|_| Cache::new(config.l1)).collect(),
             l2: Cache::new(config.l2),
-            inclusive: config.inclusive_l2,
             isa: config.isa,
             prefetch: config.prefetch_next_line,
             mark_counters: vec![[u64::MAX; NUM_FILTERS]; cores],
             watches: (0..cores).map(|_| WatchSet::default()).collect(),
             core_stats: vec![CoreStats::default(); cores],
             machine_stats: MachineStats::default(),
-            cost: config.cost,
-            l1_hit: config.cost.l1_hit,
-            l2_hit: config.cost.l2_hit,
-            mem_lat: config.cost.mem,
-            upgrade: config.cost.upgrade,
             scratch: Vec::new(),
             record_accesses: false,
             last_access: None,
@@ -318,11 +306,6 @@ impl MemSystem {
     /// Number of cores.
     pub fn cores(&self) -> usize {
         self.l1s.len()
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> crate::config::CostModel {
-        self.cost
     }
 
     /// Mutable access to a core's counters (used by the CPU layer for
@@ -475,19 +458,22 @@ impl MemSystem {
     }
 
     /// Brings `line`, which the L2 was just probed for and does not hold,
-    /// into the L2, back-invalidating L1 copies of the L2 victim if the
-    /// hierarchy is inclusive.
+    /// into the L2, evicting a victim if its set is full.
     fn l2_fill(&mut self, line: LineId) {
         if let Some(victim) = self.l2.insert(line, Mesi::Exclusive) {
-            self.machine_stats.l2_evictions += 1;
-            self.stage(0, TraceEvent::L2Evict { line: victim.id });
-            if self.inclusive {
-                for core in 0..self.cores() {
-                    if let Some(l1_victim) = self.l1s[core].remove(victim.id) {
-                        self.machine_stats.back_invalidations += 1;
-                        self.on_l1_loss(core, l1_victim, LossCause::BackInval);
-                    }
-                }
+            self.l2_evicted(victim.id);
+        }
+    }
+
+    /// Accounts for `line` having left the L2 and, the L2 being
+    /// inclusive, back-invalidates every L1 copy of it.
+    fn l2_evicted(&mut self, line: LineId) {
+        self.machine_stats.l2_evictions += 1;
+        self.stage(0, TraceEvent::L2Evict { line });
+        for core in 0..self.cores() {
+            if let Some(victim) = self.l1s[core].remove(line) {
+                self.machine_stats.back_invalidations += 1;
+                self.on_l1_loss(core, victim, LossCause::BackInval);
             }
         }
     }
@@ -510,11 +496,11 @@ impl MemSystem {
         true
     }
 
-    /// Evicts the `nth` (modulo residency) line from the shared L2 and, if
-    /// the hierarchy is inclusive, back-invalidates every L1 copy — the
-    /// same effect as an organic L2 conflict eviction ("prefetches and
-    /// speculative accesses from one core kick out marked cache lines from
-    /// another core", §7.4). Returns whether a line was evicted.
+    /// Evicts the `nth` (modulo residency) line from the shared L2 and
+    /// back-invalidates every L1 copy — the same effect as an organic L2
+    /// conflict eviction ("prefetches and speculative accesses from one
+    /// core kick out marked cache lines from another core", §7.4). Returns
+    /// whether a line was evicted.
     pub fn inject_back_invalidation(&mut self, nth: usize) -> bool {
         let resident = self.l2.resident_lines();
         if resident == 0 {
@@ -522,16 +508,7 @@ impl MemSystem {
         }
         let id = self.l2.nth_resident(nth % resident).expect("resident line");
         self.l2.remove(id);
-        self.machine_stats.l2_evictions += 1;
-        self.stage(0, TraceEvent::L2Evict { line: id });
-        if self.inclusive {
-            for core in 0..self.cores() {
-                if let Some(victim) = self.l1s[core].remove(id) {
-                    self.machine_stats.back_invalidations += 1;
-                    self.on_l1_loss(core, victim, LossCause::BackInval);
-                }
-            }
-        }
+        self.l2_evicted(id);
         true
     }
 
@@ -558,7 +535,7 @@ impl MemSystem {
         if needs_upgrade {
             return (self.upgrade(core, line), false);
         }
-        (self.l1_hit, false)
+        (L1_HIT, false)
     }
 
     /// A write hit on a Shared line: invalidates the other copies and
@@ -567,7 +544,7 @@ impl MemSystem {
     fn upgrade(&mut self, core: usize, line: LineId) -> u64 {
         self.invalidate_others(core, line);
         self.l1s[core].lookup(line).expect("resident").state = Mesi::Modified;
-        self.l1_hit + self.upgrade
+        L1_HIT + UPGRADE
     }
 
     /// An L1 miss: snoops the other L1s, probes the L2 once (refreshing
@@ -592,10 +569,10 @@ impl MemSystem {
 
         let service = if in_l2 || other_has_before {
             self.core_stats[core].l2_hits += 1;
-            self.l2_hit
+            L2_HIT
         } else {
             self.core_stats[core].mem_accesses += 1;
-            self.mem_lat
+            MEM
         };
         if !in_l2 {
             self.l2_fill(line);
@@ -641,7 +618,7 @@ impl MemSystem {
         if kind == AccessKind::Store {
             // Store-buffer absorption: the fill happens off the critical
             // path; cache-state effects above are already applied.
-            lat = lat.min(self.cost.store_latency_cap);
+            lat = lat.min(STORE_LATENCY_CAP);
         }
         if self.prefetch && was_miss {
             self.prefetch_after(core, line);
@@ -747,17 +724,15 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheConfig, CostModel};
+    use crate::config::CacheConfig;
 
     fn sys(cores: usize) -> MemSystem {
         let cfg = MachineConfig {
             cores,
             l1: CacheConfig::new(4, 2),
             l2: CacheConfig::new(16, 4),
-            inclusive_l2: true,
             isa: IsaLevel::Full,
             prefetch_next_line: false,
-            cost: CostModel::default(),
             ..MachineConfig::default()
         };
         MemSystem::new(&cfg)
@@ -770,9 +745,9 @@ mod tests {
     fn cold_miss_then_hit() {
         let mut s = sys(1);
         let miss = s.access(0, A, AccessKind::Load);
-        assert_eq!(miss, CostModel::default().mem);
+        assert_eq!(miss, MEM);
         let hit = s.access(0, A, AccessKind::Load);
-        assert_eq!(hit, CostModel::default().l1_hit);
+        assert_eq!(hit, L1_HIT);
         assert_eq!(s.core_stats[0].l1_hits, 1);
         assert_eq!(s.core_stats[0].l1_misses, 1);
         assert_eq!(s.core_stats[0].mem_accesses, 1);
@@ -783,7 +758,7 @@ mod tests {
         let mut s = sys(2);
         s.access(0, A, AccessKind::Load);
         let lat = s.access(1, A, AccessKind::Load);
-        assert_eq!(lat, CostModel::default().l2_hit);
+        assert_eq!(lat, L2_HIT);
         assert_eq!(s.core_stats[1].l2_hits, 1);
     }
 
@@ -816,12 +791,11 @@ mod tests {
         // but the invalidation still happens; an RMW pays the full
         // round-trip.
         let lat = s.access(0, A, AccessKind::Store);
-        let c = CostModel::default();
-        assert_eq!(lat, c.store_latency_cap);
+        assert_eq!(lat, STORE_LATENCY_CAP);
         assert!(!s.l1_contains(1, A.line()));
         s.access(1, A, AccessKind::Load);
         let lat_rmw = s.access(0, A, AccessKind::Rmw);
-        assert_eq!(lat_rmw, c.l1_hit + c.upgrade);
+        assert_eq!(lat_rmw, L1_HIT + UPGRADE);
         assert!(!s.l1_contains(1, A.line()));
     }
 
@@ -829,8 +803,7 @@ mod tests {
     fn every_l1_hit_arm_by_kind_and_state() {
         use AccessKind::{Load, Rmw, Store};
         use Mesi::{Exclusive, Modified, Shared};
-        let c = CostModel::default();
-        let (hit, up, cap) = (c.l1_hit, c.l1_hit + c.upgrade, c.store_latency_cap);
+        let (hit, up, cap) = (L1_HIT, L1_HIT + UPGRADE, STORE_LATENCY_CAP);
         // (kind, core 0's state before, latency, state after, core 1's
         // invalidations)
         let table = [
@@ -1007,30 +980,23 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_l2_back_invalidates() {
-        // L2 of 16 sets x 4 ways: lines mapping to L2 set 0 are ids 0,16,32...
+    fn l2_eviction_back_invalidates_l1_copies() {
+        // L2 of 16 sets x 4 ways: lines 0, 16, 32, 48, 64 share L2 set 0
+        // (and L1 set 0, of 2 ways). Re-touching the marked line before each
+        // fill keeps it the L1's most recent, so the L1 evicts only the
+        // others; the L2, which an L1 hit does not refresh, evicts it first.
         let mut s = sys(1);
         s.reset_mark_counter(0, FilterId::READ);
-        let mk = Addr(0); // line id 0 -> L2 set 0, L1 set 0
+        let mk = Addr(0);
         s.mark_access(0, mk, 8, MarkOp::Set, FilterId::READ);
-        // Fill L2 set 0 with 4 more lines whose L1 sets differ (ids 16,32,48,64
-        // -> L1 sets 0..3 after &3: 0,0,0,0 — careful, keep them from evicting
-        // the marked line out of L1 set 0 first. Use ids 17,33,49,65? They map
-        // to L2 set 1. Instead pick L1-set-diverse ids in L2 set 0: id 16 -> L1
-        // set 0. All multiples of 16 land in L1 set 0 with 4 L1 sets. So give
-        // the L1 more room by touching only 1 extra per L1 set... Simplest:
-        // accept that one of the L2-set-0 fills may evict the marked line via
-        // L1 capacity; in either case the counter bumps exactly once when the
-        // marked line is lost.
         for k in 1..=4u64 {
+            s.access(0, mk, AccessKind::Load);
             s.access(0, Addr(16 * 64 * k), AccessKind::Load);
         }
+        assert_eq!(s.machine_stats.l2_evictions, 1, "L2 set 0 overflowed once");
+        assert_eq!(s.machine_stats.back_invalidations, 1);
         assert!(!s.l1_contains(0, mk.line()), "marked line back-invalidated");
-        assert_eq!(s.mark_counter(0, FilterId::READ), 1);
-        assert!(
-            s.machine_stats.l2_evictions >= 1,
-            "L2 must have evicted at least once"
-        );
+        assert_eq!(s.mark_counter(0, FilterId::READ), 1, "marks lost");
     }
 
     #[test]
@@ -1136,7 +1102,7 @@ mod tests {
         assert_eq!(s.core_stats[0].prefetch_fills, 1);
         // The prefetched line now hits.
         let lat = s.access(0, Addr(0x1040), AccessKind::Load);
-        assert_eq!(lat, CostModel::default().l1_hit);
+        assert_eq!(lat, L1_HIT);
         // Hits do not prefetch.
         s.access(0, Addr(0x1000), AccessKind::Load);
         assert_eq!(s.core_stats[0].prefetch_fills, 1);
@@ -1157,13 +1123,12 @@ mod tests {
     #[test]
     fn store_latency_is_capped_but_rmw_is_not() {
         let mut s = sys(1);
-        let c = CostModel::default();
         // Cold store: full miss handled off the critical path.
         let lat = s.access(0, Addr(0x9000), AccessKind::Store);
-        assert_eq!(lat, c.store_latency_cap);
+        assert_eq!(lat, STORE_LATENCY_CAP);
         // Cold RMW: pays the whole memory latency.
         let lat = s.access(0, Addr(0xa000), AccessKind::Rmw);
-        assert_eq!(lat, c.mem);
+        assert_eq!(lat, MEM);
     }
 
     #[test]
@@ -1220,7 +1185,7 @@ mod tests {
         assert!(!s.l1_contains(0, A.line()));
         // Next access is a cold miss again.
         let lat = s.access(0, A, AccessKind::Load);
-        assert_eq!(lat, CostModel::default().mem);
+        assert_eq!(lat, MEM);
     }
 
     // --- Fuzzed-scheduler pressure injection ---
@@ -1285,34 +1250,6 @@ mod tests {
         assert_eq!(s.mark_counter(0, FilterId::WRITE), 1);
         assert_eq!(s.mark_counter(0, FilterId::READ), 0);
         assert_eq!(s.core_stats[0].marked_lines_lost, 1);
-    }
-
-    #[test]
-    fn non_inclusive_l2_eviction_leaves_l1_copies_alone() {
-        let cfg = MachineConfig {
-            cores: 1,
-            l1: CacheConfig::new(4, 2),
-            l2: CacheConfig::new(16, 4),
-            inclusive_l2: false,
-            isa: IsaLevel::Full,
-            prefetch_next_line: false,
-            ..MachineConfig::default()
-        };
-        let mut s = MemSystem::new(&cfg);
-        s.reset_mark_counter(0, FilterId::READ);
-        let mk = Addr(0); // line id 0 -> L2 set 0
-        s.mark_access(0, mk, 8, MarkOp::Set, FilterId::READ);
-        // Overflow L2 set 0 (ids 16,32,48,64 — these collide with L1 set 0
-        // too, but the L1 holds 2 ways, so keep the marked line fresh by
-        // re-touching it between fills).
-        for k in 1..=4u64 {
-            s.access(0, Addr(16 * 64 * k), AccessKind::Load);
-            s.access(0, mk, AccessKind::Load);
-        }
-        assert!(s.machine_stats.l2_evictions >= 1, "L2 set overflowed");
-        assert_eq!(s.machine_stats.back_invalidations, 0, "non-inclusive");
-        assert!(s.l1_contains(0, mk.line()), "L1 copy survives L2 eviction");
-        assert_eq!(s.mark_counter(0, FilterId::READ), 0, "marks survive");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! The simulator models:
 //!
-//! * per-core L1 caches kept coherent with MESI, plus a shared, optionally
-//!   inclusive L2 (inclusive-L2 back-invalidation is one of the paper's
-//!   sources of spurious marked-line loss in multi-core runs);
+//! * per-core L1 caches kept coherent with MESI, plus a shared inclusive
+//!   L2 (its back-invalidation is one of the paper's sources of spurious
+//!   marked-line loss in multi-core runs);
 //! * mark bits that are discarded — bumping the mark counter — whenever a
 //!   marked line is evicted, snooped away by a remote store, or
 //!   back-invalidated;
@@ -24,8 +24,9 @@
 //!   the watch sets, the STM, the HTM and the native backend — keeps its
 //!   per-attempt sets;
 //! * a conservative logical-clock scheduler that makes multi-core
-//!   interleavings fully deterministic and charges every instruction an
-//!   explicit cycle cost.
+//!   interleavings fully deterministic and charges every instruction a
+//!   fixed cycle cost: 2 instructions per cycle, plus 1, 12 or 100 cycles
+//!   for an access the L1, the L2 or memory services.
 //!
 //! ## Quick start
 //!
@@ -64,8 +65,7 @@ pub mod words;
 pub use addr::{Addr, LineId, LINE_SIZE, SUBBLOCKS_PER_LINE, SUBBLOCK_SIZE};
 pub use cache::{FilterId, NUM_FILTERS};
 pub use config::{
-    CacheConfig, CostModel, FaultEvent, FaultKind, IsaLevel, MachineConfig, Preemption,
-    SchedulePolicy,
+    CacheConfig, FaultEvent, FaultKind, IsaLevel, MachineConfig, Preemption, SchedulePolicy,
 };
 pub use cpu::Cpu;
 pub use heap::SimHeap;

@@ -232,10 +232,6 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    pub(crate) fn sys_cost(&self) -> crate::config::CostModel {
-        self.sys.cost_model()
-    }
-
     /// Gate priority of `core` (lower wins). In order of precedence: an
     /// in-force preemption directive pins the favored core to priority 0
     /// and demotes everyone else; under PCT the priority is the core's

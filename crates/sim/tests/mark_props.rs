@@ -35,7 +35,6 @@ fn tiny_sys(cores: usize) -> MemSystem {
         cores,
         l1: CacheConfig::new(4, 1),
         l2: CacheConfig::new(16, 2),
-        inclusive_l2: true,
         ..MachineConfig::default()
     })
 }

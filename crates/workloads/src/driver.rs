@@ -374,22 +374,17 @@ fn digest(map: &AnyMap, ctx: &mut dyn TmContext) -> TxResult<u64> {
 /// One operation of the mixed map stream: `roll` (in `0..100`) selects
 /// insert / remove / whole-structure scan / point lookup per the config's
 /// update and scan percentages. Scans and lookups run as declared
-/// read-only regions when the config retains multiple versions.
+/// read-only regions, which take the snapshot path when the config retains
+/// multiple versions and are plain transactions otherwise (DESIGN §12).
 fn map_op(ex: &mut ThreadExec<'_, '_>, map: &AnyMap, cfg: &WorkloadConfig, key: u64, roll: u32) {
     if roll < cfg.update_pct / 2 {
         ex.atomic(|ctx| map.insert(ctx, key, key ^ 0xff));
     } else if roll < cfg.update_pct {
         ex.atomic(|ctx| map.remove(ctx, key));
     } else if roll < cfg.update_pct + cfg.scan_pct {
-        if cfg.versioning.is_multi() {
-            ex.atomic_ro(|ctx| map.len(ctx));
-        } else {
-            ex.atomic(|ctx| map.len(ctx));
-        }
-    } else if cfg.versioning.is_multi() {
-        ex.atomic_ro(|ctx| map.get(ctx, key));
+        ex.atomic_ro(|ctx| map.len(ctx));
     } else {
-        ex.atomic(|ctx| map.get(ctx, key));
+        ex.atomic_ro(|ctx| map.get(ctx, key));
     }
 }
 
