@@ -98,11 +98,11 @@ const SETUP_WORDS: usize = 1 << 12;
 
 /// Heap words a native trial of `threads` × `ops` needs, or `None` past
 /// what one native heap can hold: the version store names its blocks with
-/// 32-bit ids, so a heap stays below `u32::MAX` words. Committed
-/// allocations are never reclaimed, and an aborted attempt's stay with its
-/// thread for the retries, so a thread holds at most one attempt's worth
-/// past its committed operations'. Capacity nobody touches costs no
-/// memory.
+/// 32-bit ids, so a heap stays below `u32::MAX` words. Sized as if no
+/// committed allocation were reclaimed (a thread reuses only what its own
+/// commits free), and an aborted attempt's stay with its thread for the
+/// retries, so a thread holds at most one attempt's worth past its
+/// committed operations'. Capacity nobody touches costs no memory.
 pub fn heap_words(threads: usize, ops: u64) -> Option<usize> {
     let words = (threads as u64)
         .checked_mul(ops.checked_add(1)?)?
@@ -285,9 +285,9 @@ mod tests {
         }
     }
 
-    /// Trials long enough to exhaust a heap sized for short ones: the
-    /// B-tree's splits and the maps' fresh nodes are never reclaimed. Eight
-    /// threads, the most a native sweep runs, for the most live words.
+    /// Trials long enough to exhaust a heap sized for short ones, were it
+    /// not sized as if nothing were reclaimed. Eight threads, the most a
+    /// native sweep runs, for the most live words.
     #[test]
     fn long_map_trials_fit_their_heap() {
         let _quiet = arm(None);

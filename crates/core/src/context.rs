@@ -4,7 +4,7 @@
 //! The paper's evaluation runs the *same* data-structure code under
 //! coarse-grained locks, the base STM, HASTM variants, and best-case HyTM.
 //! [`TmContext`] is that common surface: transactional reads/writes of
-//! object words plus allocation. Each synchronization scheme provides an
+//! object words plus allocation and its end. Each synchronization scheme provides an
 //! executor that repeatedly runs a closure over a `TmContext`
 //! implementation (`TxThread` here; lock/sequential/HyTM executors live in
 //! the `hastm-locks`, `hastm-htm`, and `hastm-workloads` crates).
@@ -32,8 +32,17 @@ pub trait TmContext {
     /// back.
     fn ctx_write(&mut self, obj: ObjRef, index: u32, value: u64) -> TxResult<()>;
 
-    /// Allocates a fresh object with `data_words` payload words.
+    /// Allocates an object with `data_words` payload words, every one of
+    /// which reads 0 until the region writes it.
     fn ctx_alloc(&mut self, data_words: u32) -> ObjRef;
+
+    /// Declares `obj`, allocated with `data_words` payload words,
+    /// unreachable once the enclosing region commits: the region has
+    /// unlinked it. An aborted region's frees are dropped with it. On the
+    /// simulator's executors this is a no-op that costs nothing: the
+    /// paper's heap is garbage-collected and never reused. The native
+    /// executor hands the object out again (DESIGN §9a).
+    fn ctx_free(&mut self, obj: ObjRef, data_words: u32);
 
     /// Bounds doomed-transaction ("zombie") execution: long pointer chases
     /// call this periodically; optimistic schemes revalidate and abort if
@@ -122,6 +131,9 @@ impl TmContext for TxThread<'_, '_> {
     fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
         self.alloc_obj(data_words)
     }
+
+    /// The simulated heap is garbage-collected: nothing to do.
+    fn ctx_free(&mut self, _: ObjRef, _: u32) {}
 
     fn ctx_guard(&mut self) -> TxResult<()> {
         self.validate_now()

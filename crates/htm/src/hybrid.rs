@@ -237,6 +237,9 @@ impl TmContext for HybridHwCtx<'_, '_, '_, '_> {
         obj
     }
 
+    /// The simulated heap is garbage-collected: nothing to do.
+    fn ctx_free(&mut self, _: ObjRef, _: u32) {}
+
     fn ctx_guard(&mut self) -> TxResult<()> {
         self.txn.status().map_err(|_| Abort::Conflict)
     }

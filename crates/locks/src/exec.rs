@@ -43,6 +43,9 @@ impl TmContext for DirectCtx<'_, '_> {
         obj
     }
 
+    /// The simulated heap is garbage-collected: nothing to do.
+    fn ctx_free(&mut self, _: ObjRef, _: u32) {}
+
     fn ctx_work(&mut self, cycles: u64) {
         self.cpu.exec(cycles);
     }

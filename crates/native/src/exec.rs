@@ -18,7 +18,7 @@
 //! locked and validated but not yet bumped is invisible to a fast read of
 //! a stripe it holds, and two transactions whose reads and writes cross
 //! can both commit — write skew. DESIGN §9c has the whole account,
-//! `tests/tl2_props.rs` the specimen, ROADMAP item 2 the deletion. With
+//! `tests/tl2_props.rs` the specimen, ROADMAP item 1 the deletion. With
 //! the filter off, which is the default, none of this runs and nothing
 //! touches the epoch.
 //!
@@ -29,13 +29,16 @@
 //! ## Where an attempt's state lives
 //!
 //! The read set, the redo log, the commit's lock list and the attempt's
-//! allocations belong to the executor and are cleared — not rebuilt — by
-//! each attempt, so a warm executor begins, reads, writes, aborts and
-//! commits without touching the allocator (`tests/alloc_regression.rs`).
+//! allocations and frees belong to the executor and are cleared — not
+//! rebuilt — by each attempt, so a warm executor begins, reads, writes,
+//! aborts and commits without touching the allocator
+//! (`tests/alloc_regression.rs`). What a commit frees goes on the
+//! executor's free list (`FreeList`, DESIGN §9b).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-use hastm::mvcc::LiveSnapshots;
+use hastm::mvcc::{reclaimable, LiveSnapshots};
 use hastm::phase::{Access, Entry, Wait};
 use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
 use hastm_sim::mutant::{armed, Mutant};
@@ -117,18 +120,68 @@ pub struct NativeExec<'r> {
     /// The commit's lock list: the written stripes, ascending, each with
     /// the version it held before this commit locked it.
     locks: Vec<(usize, u64)>,
-    /// `(data_words, object)` of everything the current attempt
-    /// allocated. A commit publishes them; otherwise the next attempt
-    /// moves them to `spare_allocs`.
-    attempt_allocs: Vec<(u32, ObjRef)>,
-    /// Objects of attempts that did not commit, handed out again before
-    /// the shared heap is asked. Sound because such an object was never
-    /// stored to (writes are buffered) and its address never left this
-    /// thread.
-    spare_allocs: Vec<(u32, ObjRef)>,
+    /// Everything the current attempt allocated. A commit publishes
+    /// them; otherwise the next attempt puts them back on `free`.
+    attempt_allocs: Vec<Stamped>,
+    /// `(data_words, object)` of everything the current attempt freed:
+    /// onto `free` at a writing commit, dropped otherwise.
+    attempt_frees: Vec<(u32, ObjRef)>,
+    /// Objects this executor may hand out again.
+    free: FreeList,
     /// Every object a committed attempt allocated — kept only while
     /// [`Mutant::EverFresh`] is armed, which takes them all for fresh.
-    ever_allocs: Vec<(u32, ObjRef)>,
+    ever_allocs: Vec<Stamped>,
+}
+
+/// An object with its free-list stamp: the write version of the commit
+/// that freed it, or 0 for an object no commit has published.
+#[derive(Copy, Clone, Debug)]
+struct Stamped {
+    words: u32,
+    obj: ObjRef,
+    stamp: u64,
+}
+
+impl Stamped {
+    /// Whether byte address `addr` is one of the object's data words.
+    fn holds(&self, addr: u64) -> bool {
+        (self.obj.0 .0..self.obj.word(self.words).0).contains(&addr)
+    }
+}
+
+/// One executor's free list: per object size, a queue of `(stamp,
+/// object)`. A commit appends what it freed, so each queue's stamps rise
+/// from front to back, except that what an attempt that did not commit
+/// allocated goes to the front: it was taken from the heap (stamp 0) or
+/// from the front once the floor had passed its stamp, and the floor
+/// never falls back.
+#[derive(Debug, Default)]
+struct FreeList(Vec<(u32, VecDeque<(u64, ObjRef)>)>);
+
+impl FreeList {
+    /// The queue of objects of `words` data words.
+    fn queue(&mut self, words: u32) -> &mut VecDeque<(u64, ObjRef)> {
+        let i = match self.0.iter().position(|&(size, _)| size == words) {
+            Some(i) => i,
+            None => {
+                self.0.push((words, VecDeque::new()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].1
+    }
+}
+
+/// Whether an object freed by the commit at `stamp` may be handed out
+/// again: under `Multi`, once the floor has reached `stamp`, so that every
+/// pinned snapshot sees it unlinked; under `Single`, which pins none, at
+/// once — an optimistic reader that still holds its address finds its
+/// stripes moved past its `rv` by the next life's commit and aborts.
+fn reusable(rt: &NativeRuntime, stamp: u64) -> bool {
+    let Some(live) = rt.snapshots() else {
+        return true;
+    };
+    reclaimable(stamp, live.floor(rt.clock())) || armed(Mutant::RecycleEarly)
 }
 
 impl<'r> NativeExec<'r> {
@@ -147,7 +200,8 @@ impl<'r> NativeExec<'r> {
             writes: RedoLog::new(),
             locks: Vec::new(),
             attempt_allocs: Vec::new(),
-            spare_allocs: Vec::new(),
+            attempt_frees: Vec::new(),
+            free: FreeList::default(),
             ever_allocs: Vec::new(),
         }
     }
@@ -176,28 +230,53 @@ impl<'r> NativeExec<'r> {
     }
 
     /// Empties the logs for a new attempt. Whatever the previous attempt
-    /// allocated is still listed only if it did not commit (it aborted,
-    /// waited on `Retry`, or was dropped), so those objects become
-    /// spares.
+    /// allocated or freed is still listed only if it did not commit (it
+    /// aborted, waited on `Retry`, or was dropped): its frees are void,
+    /// and what it allocated goes back to the front of the free list with
+    /// the stamp it came with. Sound because such an object was not
+    /// stored to in that attempt (writes are buffered) and its address
+    /// never left this thread.
     fn reset_attempt(&mut self) {
         self.reads.clear();
         self.writes.clear();
-        self.spare_allocs.append(&mut self.attempt_allocs);
+        self.attempt_frees.clear();
+        for s in self.attempt_allocs.drain(..) {
+            self.free.queue(s.words).push_front((s.stamp, s.obj));
+        }
     }
 
-    /// Allocates inside an attempt: a spare of the same size if there is
-    /// one, the shared heap otherwise.
+    /// Allocates inside an attempt: the front of the free list's queue of
+    /// the size if it may be reused, the shared heap otherwise. An object
+    /// a commit freed still holds its last life's words, so its every
+    /// word is logged as 0: it reads as a fresh one does, and its commit
+    /// writes all of it.
     fn attempt_alloc(&mut self, data_words: u32) -> ObjRef {
-        let spare = self
-            .spare_allocs
-            .iter()
-            .rposition(|&(words, _)| words == data_words);
-        let obj = match spare {
-            Some(i) => self.spare_allocs.swap_remove(i).1,
-            None => self.rt.alloc_obj(data_words),
+        let queue = self.free.queue(data_words);
+        let taken = match queue.front() {
+            Some(&(stamp, _)) if reusable(self.rt, stamp) => queue.pop_front(),
+            _ => None,
         };
-        self.attempt_allocs.push((data_words, obj));
+        let (stamp, obj) = taken.unwrap_or_else(|| (0, self.rt.alloc_obj(data_words)));
+        if stamp > 0 {
+            self.stats.recycled += 1;
+            for i in 0..data_words {
+                self.writes.insert(obj.word(i).0, 0);
+            }
+        }
+        self.attempt_allocs.push(Stamped {
+            words: data_words,
+            obj,
+            stamp,
+        });
         obj
+    }
+
+    /// What the writing commit at `wv` freed goes on the free list,
+    /// stamped `wv`: the version that unlinked it.
+    fn retire_frees(&mut self, wv: u64) {
+        for (words, obj) in self.attempt_frees.drain(..) {
+            self.free.queue(words).push_back((wv, obj));
+        }
     }
 
     /// Fills `locks` with the redo log's stripes, ascending and distinct
@@ -236,10 +315,13 @@ impl<'r> NativeExec<'r> {
     /// the caller holds the stripes — by lock, or by being alone in the
     /// serial phase — which is what lets a snapshot reader take the ring
     /// and the word as one whole. A word of an object this attempt
-    /// allocated publishes nothing: only this commit's stores make the
-    /// object reachable, so no snapshot older than `wv` can read it, and
-    /// the word's first later overwrite seeds version 0 with the value
-    /// stored here, which is what every snapshot that can reach it reads.
+    /// allocated publishes nothing unless it already has a history (a
+    /// recycled object's word may, from its last life): only this
+    /// commit's stores make the object reachable, and a recycled one was
+    /// taken only once every pinned snapshot saw it unlinked, so no
+    /// snapshot older than `wv` can read it, and the word's first later
+    /// overwrite seeds version 0 with the value stored here, which is what
+    /// every snapshot that can reach it reads.
     fn write_back(&mut self, wv: u64, hook: Option<WritebackHook>) {
         let rt = self.rt;
         let total = self.writes.len();
@@ -253,9 +335,8 @@ impl<'r> NativeExec<'r> {
         };
         for (done, &(addr, value)) in self.writes.entries().iter().enumerate() {
             if let Some(floor) = floor {
-                let contains_addr =
-                    |&(words, obj): &(u32, ObjRef)| (obj.0 .0..obj.word(words).0).contains(&addr);
-                if !fresh.iter().any(contains_addr) {
+                let no_history = || !rt.versions().has_history(addr);
+                if !(fresh.iter().any(|s| s.holds(addr)) && no_history()) {
                     let pre_image = rt.heap().load(addr);
                     let (claimed, reclaimed) =
                         rt.versions().publish(addr, wv, value, pre_image, floor);
@@ -331,6 +412,7 @@ impl<'r> NativeExec<'r> {
                     self.filter.clear();
                     self.filter_epoch = prev_epoch + 1;
                 }
+                self.retire_frees(wv);
             }
             self.attempt_allocs.clear();
             self.stats.commits += 1;
@@ -730,6 +812,7 @@ impl NativeTxn<'_, '_> {
             rt.unlock_stripe(stripe, wv);
         }
         exec.attempt_allocs.clear();
+        exec.retire_frees(wv);
 
         // Filter upkeep: if no other commit intervened since the filter
         // window opened, the window simply advances over our own commit —
@@ -754,7 +837,8 @@ impl NativeTxn<'_, '_> {
     }
 
     /// Abandons the attempt: nothing was published, and the executor's
-    /// next attempt empties the logs and reuses the allocations.
+    /// next attempt empties the logs, voids the frees and reuses the
+    /// allocations.
     pub fn rollback(self) {}
 }
 
@@ -770,6 +854,10 @@ impl TmContext for NativeTxn<'_, '_> {
 
     fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
         self.exec.attempt_alloc(data_words)
+    }
+
+    fn ctx_free(&mut self, obj: ObjRef, data_words: u32) {
+        self.exec.attempt_frees.push((data_words, obj));
     }
 
     fn ctx_guard(&mut self) -> TxResult<()> {
@@ -822,6 +910,10 @@ impl TmContext for NativeSerialTxn<'_, '_> {
 
     fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
         self.exec.attempt_alloc(data_words)
+    }
+
+    fn ctx_free(&mut self, obj: ObjRef, data_words: u32) {
+        self.exec.attempt_frees.push((data_words, obj));
     }
 
     fn ctx_guard(&mut self) -> TxResult<()> {
@@ -942,6 +1034,11 @@ impl TmContext for NativeRoTxn<'_, '_> {
 
     fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
         self.exec.rt.alloc_obj(data_words)
+    }
+
+    fn ctx_free(&mut self, _: ObjRef, _: u32) {
+        // A snapshot region writes nothing, so it unlinks nothing: there
+        // is nothing to take back.
     }
 
     fn ctx_guard(&mut self) -> TxResult<()> {

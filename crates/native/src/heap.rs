@@ -46,9 +46,8 @@ impl NativeHeap {
     }
 
     /// Allocates `n` contiguous words and returns the byte address of the
-    /// first (a lock-free bump allocation; transactional allocations are
-    /// never reclaimed, matching the harness lifetimes this backend
-    /// serves).
+    /// first (a lock-free bump allocation; the heap takes no words back —
+    /// each executor hands out again what its commits freed).
     ///
     /// # Panics
     ///
@@ -227,6 +226,12 @@ impl VersionStore {
             0 => None,
             id => Some(self.pooled(id as usize)),
         }
+    }
+
+    /// Whether a commit has published the word at `addr`; asked by a
+    /// committer holding its stripe.
+    pub(crate) fn has_history(&self, addr: u64) -> bool {
+        self.head(addr).is_some()
     }
 
     /// Block `id`: a head block, or a spill block if its chunk is claimed

@@ -23,8 +23,9 @@
 //! The backend exists for *differential testing* (the same workloads run
 //! on the simulator and natively, and must agree) and for native
 //! throughput numbers (`benchmark/`); it is not a production STM — in
-//! particular, a committed transaction's allocations are never reclaimed
-//! (an aborted attempt's are reused by the same executor).
+//! particular, an object a commit frees (`TmContext::ctx_free`) is
+//! reused only by the executor that freed it, and memory is never given
+//! back to the heap.
 //!
 //! [Dice, Shalev, Shavit 2006]: https://doi.org/10.1007/11864219_14
 

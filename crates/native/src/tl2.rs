@@ -138,6 +138,10 @@ counters! {
         /// first publication, so the version store's pool holds the sum
         /// of every thread's (`2 + 2k` words each).
         blocks_claimed: "native.ro.blocks_claimed",
+        /// Objects `ctx_alloc` took from the executor's free list that a
+        /// commit had freed (not the unpublished allocations of attempts
+        /// that did not commit, which it also takes back).
+        recycled: "native.heap.recycled",
         /// Committed irrevocable (serial-phase) transactions. Non-zero only
         /// under [`NativeConfig::phased`]; counted inside `commits` too.
         serial_commits: "phase.serial_commits",

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use hastm::{ObjRef, TmExec, Versioning};
+use hastm::{ObjRef, TmContext, TmExec, TxResult, Versioning};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
 use hastm_sim::mutant::{prove, Mutant};
 
@@ -292,17 +292,100 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
     }
 }
 
-/// Nodes each writer links before it only overwrites.
+/// Nodes each writer of the node round links before it only overwrites.
 const NODES: usize = 48;
 
-/// One run of the node round (below): `Err` names the first scan whose
-/// snapshot broke the invariant; `Ok` is how many snapshot reads took a
-/// ring.
-fn node_round() -> Result<u64, String> {
+/// One writer commit of a list round, given the writer's executor, the
+/// top of its list, its sum cell, the nodes it has linked (top last)
+/// and the commit's number, `i`: it changes the list and the sum cell
+/// together.
+type WriterStep = fn(&mut NativeExec<'_>, ObjRef, ObjRef, &mut Vec<ObjRef>, u64);
+
+/// The node round's step: link a node this transaction allocates — its
+/// words get no history at this commit — or overwrite one an earlier
+/// commit of this writer linked.
+fn link_or_overwrite(
+    ex: &mut NativeExec<'_>,
+    head: ObjRef,
+    sum: ObjRef,
+    nodes: &mut Vec<ObjRef>,
+    i: u64,
+) {
+    if nodes.len() < NODES && (nodes.len() < 8 || i.is_multiple_of(3)) {
+        nodes.push(ex.atomic(|ctx| push(ctx, head, sum, i)));
+    } else {
+        let node = nodes[(i as usize * 7) % nodes.len()];
+        ex.atomic(|ctx| {
+            let (value, total) = (ctx.ctx_read(node, 0)?, ctx.ctx_read(sum, 0)?);
+            ctx.ctx_write(node, 0, value + i)?;
+            ctx.ctx_write(sum, 0, total + i)
+        });
+    }
+}
+
+/// The unlink round's step: past four nodes, unlink and free the top
+/// node on odd commits; otherwise link a node this transaction allocates,
+/// which the free list serves once the floor allows. A scan's two commits
+/// start at an even count (each wants two more), so they are an unlink
+/// and then a push.
+fn unlink_or_push(
+    ex: &mut NativeExec<'_>,
+    head: ObjRef,
+    sum: ObjRef,
+    nodes: &mut Vec<ObjRef>,
+    i: u64,
+) {
+    if nodes.len() < 4 || i.is_multiple_of(2) {
+        nodes.push(ex.atomic(|ctx| push(ctx, head, sum, i)));
+        return;
+    }
+    ex.atomic(|ctx| {
+        let top = ObjRef(hastm_sim::Addr(ctx.ctx_read(head, 0)?));
+        let (value, next, total) = (
+            ctx.ctx_read(top, 0)?,
+            ctx.ctx_read(top, 1)?,
+            ctx.ctx_read(sum, 0)?,
+        );
+        ctx.ctx_write(head, 0, next)?;
+        ctx.ctx_write(sum, 0, total - value)?;
+        ctx.ctx_free(top, 2);
+        Ok(())
+    });
+    nodes.pop();
+}
+
+/// Links a new node holding `i` on top of `head`'s list and adds `i` to
+/// `sum`; returns the node.
+fn push(ctx: &mut dyn TmContext, head: ObjRef, sum: ObjRef, i: u64) -> TxResult<ObjRef> {
+    let node = ctx.ctx_alloc(2);
+    let (top, total) = (ctx.ctx_read(head, 0)?, ctx.ctx_read(sum, 0)?);
+    ctx.ctx_write(node, 0, i)?;
+    ctx.ctx_write(node, 1, top)?;
+    ctx.ctx_write(head, 0, node.0 .0)?;
+    ctx.ctx_write(sum, 0, total + i)?;
+    Ok(node)
+}
+
+/// What the clean runs of a list round count: snapshot reads that took
+/// a ring, and objects the writers took back from their free lists.
+#[derive(Debug)]
+struct Counted {
+    ring_reads: u64,
+    recycled: u64,
+}
+
+/// One run of a list round: two writers change their lists with `step`
+/// while two snapshot scans check that a writer's list sums to its sum
+/// cell, each scan waiting between the two for that writer to commit
+/// twice. `Err` names the first scan whose snapshot broke the invariant.
+fn list_round(step: WriterStep) -> Result<Counted, String> {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
     use std::time::{Duration, Instant};
     const WRITERS: usize = 2;
     const SCANS: usize = 1_000;
+    /// Far longer than any list a writer keeps: a walk this long is
+    /// going round a cycle no committed state has.
+    const WALK: usize = 10 * NODES;
     struct Done<'a>(&'a AtomicUsize);
     impl Drop for Done<'_> {
         fn drop(&mut self) {
@@ -310,7 +393,7 @@ fn node_round() -> Result<u64, String> {
         }
     }
     let rt = NativeRuntime::new(NativeConfig {
-        heap_words: 1 << 12,
+        heap_words: 1 << 16,
         stripes: 1 << 8,
         versioning: Versioning::Multi { k: 3 },
         ..NativeConfig::default()
@@ -326,45 +409,27 @@ fn node_round() -> Result<u64, String> {
     let commits: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
     let wanted: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
     std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            let (rt, heads, sums, scanning) = (&rt, &heads, &sums, &scanning);
-            let (commits, wanted) = (&commits[w], &wanted[w]);
-            s.spawn(move || {
-                let mut ex = NativeExec::new(rt);
-                let mut nodes: Vec<ObjRef> = Vec::new();
-                for i in 1u64.. {
-                    while commits.load(SeqCst) >= wanted.load(SeqCst) {
-                        if scanning.load(SeqCst) == 0 {
-                            return;
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (rt, heads, sums, scanning) = (&rt, &heads, &sums, &scanning);
+                let (commits, wanted) = (&commits[w], &wanted[w]);
+                s.spawn(move || {
+                    let mut ex = NativeExec::new(rt);
+                    let mut nodes: Vec<ObjRef> = Vec::new();
+                    for i in 1u64.. {
+                        while commits.load(SeqCst) >= wanted.load(SeqCst) {
+                            if scanning.load(SeqCst) == 0 {
+                                return ex.stats().recycled;
+                            }
+                            std::thread::yield_now();
                         }
-                        std::thread::yield_now();
+                        step(&mut ex, heads[w], sums[w], &mut nodes, i);
+                        commits.fetch_add(1, SeqCst);
                     }
-                    let (head, sum) = (heads[w], sums[w]);
-                    if nodes.len() < NODES && (nodes.len() < 8 || i % 3 == 0) {
-                        // A node this transaction allocates: its words
-                        // get no history at this commit.
-                        nodes.push(ex.atomic(|ctx| {
-                            let node = ctx.ctx_alloc(2);
-                            let (top, total) = (ctx.ctx_read(head, 0)?, ctx.ctx_read(sum, 0)?);
-                            ctx.ctx_write(node, 0, i)?;
-                            ctx.ctx_write(node, 1, top)?;
-                            ctx.ctx_write(head, 0, node.0 .0)?;
-                            ctx.ctx_write(sum, 0, total + i)?;
-                            Ok(node)
-                        }));
-                    } else {
-                        // A node an earlier commit of this writer linked.
-                        let node = nodes[(i as usize * 7) % nodes.len()];
-                        ex.atomic(|ctx| {
-                            let (value, total) = (ctx.ctx_read(node, 0)?, ctx.ctx_read(sum, 0)?);
-                            ctx.ctx_write(node, 0, value + i)?;
-                            ctx.ctx_write(sum, 0, total + i)
-                        });
-                    }
-                    commits.fetch_add(1, SeqCst);
-                }
-            });
-        }
+                    unreachable!()
+                })
+            })
+            .collect();
         let scanners: Vec<_> = (0..2)
             .map(|scanner| {
                 let (rt, heads, sums, scanning) = (&rt, &heads, &sums, &scanning);
@@ -387,16 +452,26 @@ fn node_round() -> Result<u64, String> {
                                     std::thread::yield_now();
                                 }
                                 let (mut at, mut seen) = (ctx.ctx_read(heads[w], 0)?, 0u64);
-                                while at != 0 {
+                                for _ in 0..WALK {
+                                    if at == 0 {
+                                        break;
+                                    }
                                     let node = ObjRef(hastm_sim::Addr(at));
-                                    seen += ctx.ctx_read(node, 0)?;
+                                    seen = seen.wrapping_add(ctx.ctx_read(node, 0)?);
                                     at = ctx.ctx_read(node, 1)?;
                                 }
+                                let torn = |what: String| {
+                                    Ok(Some(format!(
+                                        "scanner {scanner}, scan {scan}: writer {w}'s {what}"
+                                    )))
+                                };
+                                if at != 0 {
+                                    return torn(format!("list does not end in {WALK} nodes"));
+                                }
                                 if seen != total {
-                                    return Ok(Some(format!(
-                                        "scanner {scanner}, scan {scan}: writer {w}'s \
-                                         nodes sum to {seen}, its sum cell says {total}"
-                                    )));
+                                    return torn(format!(
+                                        "nodes sum to {seen}, its sum cell says {total}"
+                                    ));
                                 }
                             }
                             Ok(None)
@@ -410,10 +485,15 @@ fn node_round() -> Result<u64, String> {
                 })
             })
             .collect();
-        scanners
+        let ring_reads = scanners
             .into_iter()
             .map(|h| h.join().unwrap())
-            .sum::<Result<u64, String>>()
+            .sum::<Result<u64, String>>()?;
+        let recycled = writers.into_iter().map(|h| h.join().unwrap()).sum();
+        Ok(Counted {
+            ring_reads,
+            recycled,
+        })
     })
 }
 
@@ -426,14 +506,36 @@ fn node_round() -> Result<u64, String> {
 /// before it the new value beside the old sum.
 #[test]
 fn scans_of_nodes_linked_and_overwritten_in_transactions_stay_whole() {
-    let ring_reads = prove(
+    let clean = prove(
         Mutant::EverFresh,
         4,
-        |_| node_round(),
+        |_| list_round(link_or_overwrite),
         |d| d.contains("sum to"),
     );
     assert!(
-        ring_reads.iter().all(|&n| n > 0),
-        "no snapshot read took a ring: {ring_reads:?}"
+        clean.iter().all(|c| c.ring_reads > 0),
+        "no snapshot read took a ring: {clean:?}"
+    );
+}
+
+/// Writers unlink and free their top node on every other commit and link
+/// a node they allocate on the others, while the scans stay pinned across
+/// two of a writer's commits. The free list must not hand a node a pinned
+/// scan can still reach to the push that follows its unlink: that push's
+/// words publish no history (they have none), so the scan would read the
+/// new life's value, or link, where the old one was. With
+/// `Mutant::RecycleEarly` armed it does; disarmed, the writers still take
+/// nodes back once no scan predates their unlink.
+#[test]
+fn scans_of_nodes_unlinked_and_freed_in_transactions_stay_whole() {
+    let clean = prove(
+        Mutant::RecycleEarly,
+        4,
+        |_| list_round(unlink_or_push),
+        |d| d.contains("sum to") || d.contains("does not end"),
+    );
+    assert!(
+        clean.iter().all(|c| c.recycled > 0),
+        "no writer took a freed node back: {clean:?}"
     );
 }

@@ -406,8 +406,8 @@ fn only_filter_on_commits_touch_the_epoch() {
     }
 }
 
-/// **The filter's defect, as a specimen** (DESIGN §9c; ROADMAP item 2,
-/// step 0): delete this test with the filter. T1 reads `x` on the fast
+/// **The filter's defect, as a specimen** (DESIGN §9c; ROADMAP item 1,
+/// the filter's deletion): delete this test with the filter. T1 reads `x` on the fast
 /// path and writes `y`; T2 reads `y` on the slow path and writes `x`. The
 /// hook's `(0, n)` call parks T2 where the protocol has its hole — write
 /// stripe locked, read set validated, epoch not yet bumped — and T1 runs

@@ -38,6 +38,10 @@ pub enum Mutant {
     /// of one publishes no history. `hastm-native`'s `mvcc_stress.rs`
     /// node round, 4 runs.
     EverFresh,
+    /// The native free list hands out an object a commit freed while a
+    /// pinned snapshot still predates that commit. `hastm-native`'s
+    /// `mvcc_stress.rs` unlink round, 4 runs.
+    RecycleEarly,
     /// `hastm-check`'s counter increments in two atomic regions. That
     /// crate's unit tests (caught, shrunk, replayed).
     SplitIncrement,

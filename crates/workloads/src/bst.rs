@@ -21,6 +21,8 @@ const VALUE: u32 = 1;
 const PRIO: u32 = 2;
 const LEFT: u32 = 3;
 const RIGHT: u32 = 4;
+/// Data words of a node.
+const NODE_WORDS: u32 = 5;
 
 /// A treap keyed by `u64`, with priorities derived deterministically from
 /// keys (so runs are reproducible).
@@ -51,7 +53,7 @@ impl Bst {
     }
 
     fn alloc_node(ctx: &mut dyn TmContext, key: u64, value: u64) -> TxResult<ObjRef> {
-        let node = ctx.ctx_alloc(5);
+        let node = ctx.ctx_alloc(NODE_WORDS);
         ctx.ctx_write(node, KEY, key)?;
         ctx.ctx_write(node, VALUE, value)?;
         ctx.ctx_write(node, PRIO, priority(key))?;
@@ -135,6 +137,7 @@ impl Bst {
             let l = as_ref(ctx.ctx_read(node, LEFT)?);
             let r = as_ref(ctx.ctx_read(node, RIGHT)?);
             let merged = Self::merge(ctx, l, r)?;
+            ctx.ctx_free(node, NODE_WORDS);
             return Ok((merged, true));
         }
         let slot = if key < nkey { LEFT } else { RIGHT };

@@ -251,6 +251,7 @@ impl BTree {
             x.set_child(ctx, j, &c)?;
         }
         x.set_nkeys(ctx, xn - 1)?;
+        ctx.ctx_free(z.0, NODE_WORDS);
         Ok(())
     }
 
@@ -487,6 +488,7 @@ impl TxMap for BTree {
         if root.nkeys(ctx)? == 0 && !root.is_leaf(ctx)? {
             let only = root.child(ctx, 0)?;
             ctx.ctx_write(self.root_holder, 0, only.0 .0 .0)?;
+            ctx.ctx_free(root.0, NODE_WORDS);
         }
         Ok(removed)
     }

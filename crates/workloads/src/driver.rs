@@ -422,6 +422,9 @@ mod tests {
         fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
             self.inner.ctx_alloc(data_words)
         }
+        fn ctx_free(&mut self, obj: ObjRef, data_words: u32) {
+            self.inner.ctx_free(obj, data_words);
+        }
         fn ctx_work(&mut self, cycles: u64) {
             self.inner.ctx_work(cycles);
         }

@@ -17,6 +17,8 @@ use crate::map::TxMap;
 const KEY: u32 = 0;
 const VALUE: u32 = 1;
 const NEXT: u32 = 2;
+/// Data words of a node.
+const NODE_WORDS: u32 = 3;
 
 /// A fixed-bucket chained hash table.
 #[derive(Copy, Clone, Debug)]
@@ -93,7 +95,7 @@ impl TxMap for HashTable {
             return Ok(false);
         }
         let head = ctx.ctx_read(self.buckets_obj, b)?;
-        let new = ctx.ctx_alloc(3);
+        let new = ctx.ctx_alloc(NODE_WORDS);
         ctx.ctx_write(new, KEY, key)?;
         ctx.ctx_write(new, VALUE, value)?;
         ctx.ctx_write(new, NEXT, head)?;
@@ -112,6 +114,7 @@ impl TxMap for HashTable {
         } else {
             ctx.ctx_write(prev, NEXT, next)?;
         }
+        ctx.ctx_free(node, NODE_WORDS);
         Ok(true)
     }
 

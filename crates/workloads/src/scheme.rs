@@ -494,6 +494,116 @@ mod tests {
         }
     }
 
+    /// `TmContext::ctx_free`'s contract, on every executor. A free in an
+    /// attempt that aborts is void. After a commit only the native
+    /// executor hands the object out again, and only the executor that
+    /// freed it; under `Multi`, not while a snapshot pinned before the
+    /// free is still pinned. Whatever `ctx_alloc` returns reads 0.
+    #[test]
+    fn only_the_native_executor_that_freed_an_object_reuses_it() {
+        use hastm::{Abort, TxThread, Versioning};
+        use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
+        use std::sync::Barrier;
+
+        /// A two-word object, allocated inside a region, that reads 0.
+        fn alloc(ex: &mut impl TmExec) -> ObjRef {
+            ex.atomic(|ctx| {
+                let obj = ctx.ctx_alloc(2);
+                assert_eq!((ctx.ctx_read(obj, 0)?, ctx.ctx_read(obj, 1)?), (0, 0));
+                Ok(obj)
+            })
+        }
+
+        /// Frees a written object in an attempt that aborts (where
+        /// attempts can), then in one that commits, and calls `between`
+        /// on it before this executor allocates again; returns whether
+        /// that allocation returned it.
+        fn lifetime(ex: &mut impl TmExec, aborts: bool, between: impl FnOnce(ObjRef)) -> bool {
+            let (obj, holder) = (ex.alloc_obj(2), ex.alloc_obj(1));
+            ex.atomic(|ctx| {
+                ctx.ctx_write(obj, 0, 7)?;
+                ctx.ctx_write(obj, 1, 7)
+            });
+            let mut attempts = 0;
+            ex.atomic(|ctx| {
+                attempts += 1;
+                if aborts && attempts == 1 {
+                    ctx.ctx_free(obj, 2);
+                    return Err(Abort::Conflict);
+                }
+                ctx.ctx_write(holder, 0, 1)
+            });
+            assert_ne!(alloc(ex), obj, "a free in an aborted attempt is void");
+            ex.atomic(|ctx| {
+                ctx.ctx_write(holder, 0, 2)?;
+                ctx.ctx_free(obj, 2);
+                Ok(())
+            });
+            between(obj);
+            alloc(ex) == obj
+        }
+
+        let mut m = Machine::new(MachineConfig::default());
+        let rt = StmRuntime::new(&mut m, StmConfig::stm(Granularity::CacheLine));
+        let (reused, _) = m.run_one(|cpu| lifetime(&mut TxThread::new(&rt, cpu), true, drop));
+        assert!(!reused, "TxThread");
+        for scheme in Scheme::ALL {
+            let mut m = Machine::new(MachineConfig::default());
+            let rt = StmRuntime::new(&mut m, scheme.stm_config(Granularity::CacheLine, 1));
+            let lock = SpinLock::alloc(rt.heap());
+            let aborts = !matches!(scheme, Scheme::Sequential | Scheme::Lock);
+            let (reused, _) = m.run_one(|cpu| {
+                lifetime(&mut ThreadExec::new(scheme, &rt, cpu, lock), aborts, drop)
+            });
+            assert!(!reused, "{scheme}");
+        }
+        for versioning in [Versioning::Single, Versioning::Multi { k: 3 }] {
+            let rt = NativeRuntime::new(NativeConfig {
+                versioning,
+                ..NativeConfig::default()
+            });
+            let mut other = NativeExec::new(&rt);
+            let reused = lifetime(&mut NativeExec::new(&rt), true, |obj| {
+                assert_ne!(
+                    alloc(&mut other),
+                    obj,
+                    "native {versioning:?}: another executor"
+                );
+            });
+            assert!(reused, "native {versioning:?}");
+        }
+
+        // A snapshot pinned before the free holds the object back.
+        let rt = NativeRuntime::new(NativeConfig {
+            versioning: Versioning::Multi { k: 3 },
+            ..NativeConfig::default()
+        });
+        let mut ex = NativeExec::new(&rt);
+        let (obj, holder) = (ex.alloc_obj(2), ex.alloc_obj(1));
+        let (pinned, unpin) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                NativeExec::new(&rt).atomic_ro(|_| {
+                    pinned.wait();
+                    unpin.wait();
+                    Ok(())
+                })
+            });
+            pinned.wait();
+            ex.atomic(|ctx| {
+                ctx.ctx_write(holder, 0, 1)?;
+                ctx.ctx_free(obj, 2);
+                Ok(())
+            });
+            let used = rt.heap().used_words();
+            assert_ne!(alloc(&mut ex), obj, "freed after a live pin");
+            assert_eq!(rt.heap().used_words(), used + 3, "fresh heap words");
+            unpin.wait();
+        });
+        assert_eq!(alloc(&mut ex), obj, "taken back once the pin is gone");
+        assert_eq!(ex.stats().recycled, 1);
+    }
+
     #[test]
     fn labels_are_unique() {
         let mut labels: Vec<_> = Scheme::ALL.iter().map(|s| s.label()).collect();

@@ -247,6 +247,10 @@ impl TmContext for AtRest<'_> {
         panic!("allocation in memory at rest")
     }
 
+    fn ctx_free(&mut self, _: ObjRef, _: u32) {
+        panic!("free in memory at rest")
+    }
+
     fn ctx_work(&mut self, _: u64) {}
 }
 

@@ -189,4 +189,5 @@ fn native_mill_fills_the_registry_under_the_simulators_keys() {
     ] {
         get(key);
     }
+    assert_eq!(get("native.heap.recycled"), 0, "the mill frees nothing");
 }
