@@ -1,7 +1,7 @@
 //! OLTP traffic-mill serving metrics: the 3-point Zipf-θ sweep on both
 //! execution backends — the cycle-accurate simulator running HASTM at
 //! cache-line granularity, and the host-thread TL2 runtime at its default
-//! configuration (mark-bit filter off) — as a `hastm-bench` table. Scale via
+//! configuration — as a `hastm-bench` table. Scale via
 //! `HASTM_BENCH_SCALE=quick|standard|full`.
 
 use hastm_bench::oltp::{mill_config, native_sweep, sim_sweep, ServingRow};

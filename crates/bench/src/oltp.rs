@@ -98,7 +98,7 @@ pub fn sim_sweep(scale: Scale) -> Vec<ServingRow> {
 }
 
 /// Runs the θ sweep on host threads over the TL2 runtime at its default
-/// configuration, the mark-bit filter off.
+/// configuration.
 pub fn native_sweep(scale: Scale) -> Vec<ServingRow> {
     THETA_SWEEP
         .iter()

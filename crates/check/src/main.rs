@@ -66,9 +66,8 @@ OPTIONS:
                                                            [default: fuzzed]
     --backend B      execution backend: sim | native | both [default: sim]
                      native runs the workloads on real host threads over
-                     the TL2 runtime (--threads, the mark filter
-                     off as by default, single- and multi-version, phased
-                     and not) and differential-checks final states
+                     the TL2 runtime (--threads, single- and multi-version,
+                     phased and not) and differential-checks final states
                      against the simulator's sequential reference
     --coverage       record schedules; print interleaving coverage
     --explore        bounded-exhaustive preemption-trace enumeration
@@ -557,18 +556,14 @@ fn native_config(args: &Args) -> NativeCheckConfig {
 
 fn run_native_backend(args: &Args) -> bool {
     let cfg = native_config(args);
-    let per_seed = (cfg.thread_counts.len()
-        * cfg.filter_modes.len()
-        * VERSIONINGS.len()
-        * PHASED.len()
-        * cfg.workloads.len()) as u64;
+    let per_seed =
+        (cfg.thread_counts.len() * VERSIONINGS.len() * PHASED.len() * cfg.workloads.len()) as u64;
     if !args.quiet {
         println!(
-            "native backend: {} workloads x threads {:?} x filter {:?} x {} versionings \
+            "native backend: {} workloads x threads {:?} x {} versionings \
              x phased on/off x {} seeds ({} trials; ops={}, host cpus={})",
             cfg.workloads.len(),
             cfg.thread_counts,
-            cfg.filter_modes,
             VERSIONINGS.len(),
             cfg.seeds,
             per_seed * cfg.seeds,

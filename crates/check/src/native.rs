@@ -35,8 +35,6 @@ pub struct NativeTrial {
     pub threads: usize,
     /// Operations per thread.
     pub ops: u64,
-    /// Whether the native mark-bit filter emulation is enabled.
-    pub mark_filter: bool,
     /// Version retention of the TL2 runtime. Under [`Versioning::Multi`]
     /// the map workloads' lookups run as read-only snapshot transactions,
     /// which must commit abort-free.
@@ -63,12 +61,11 @@ impl std::fmt::Display for NativeTrial {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "native/{} seed={} threads={} ops={} filter={} v={}{}",
+            "native/{} seed={} threads={} ops={} v={}{}",
             self.workload.slug(),
             self.seed,
             self.threads,
             self.ops,
-            if self.mark_filter { "on" } else { "off" },
             self.versioning.depth().max(1),
             if self.phased { " phased" } else { "" },
         )
@@ -124,9 +121,9 @@ impl Backend for Native<'_> {
             heap_words: heap_words(trial.threads, trial.ops)
                 .expect("trial too large for one native heap"),
             stripes: 1 << 12,
-            mark_filter: trial.mark_filter,
             versioning: trial.versioning,
             phased: trial.phased.then(phased_params),
+            ..NativeConfig::default()
         });
         let (shared, run) = session.run_definition(w, trial.threads);
         // The map streams' gets run through `atomic_ro`, so multi-version
@@ -167,10 +164,6 @@ pub struct NativeCheckConfig {
     pub ops: u64,
     /// Workloads to run (defaults to all five).
     pub workloads: Vec<Workload>,
-    /// Mark-filter settings to sweep. Defaults to off alone, which is
-    /// [`NativeConfig`]'s default: the filter emulation is unsound
-    /// (DESIGN §9c), so a sweep of it is a sweep for its known write skew.
-    pub filter_modes: Vec<bool>,
 }
 
 /// The version retentions every native sweep crosses: single-version and
@@ -188,7 +181,6 @@ impl Default for NativeCheckConfig {
             thread_counts: vec![1, 2, 4, 8],
             ops: 16,
             workloads: Workload::ALL.to_vec(),
-            filter_modes: vec![false],
         }
     }
 }
@@ -214,8 +206,7 @@ pub struct NativeSuiteReport {
     pub stats: NativeStats,
 }
 
-/// Sweeps workloads × thread counts × filter modes × [`VERSIONINGS`] ×
-/// [`PHASED`] across the seed range, calling `on_trial` after each trial
+/// Sweeps workloads × thread counts × [`VERSIONINGS`] × [`PHASED`] across the seed range, calling `on_trial` after each trial
 /// with its pass/fail status.
 pub fn run_native_suite(
     cfg: &NativeCheckConfig,
@@ -224,28 +215,23 @@ pub fn run_native_suite(
     let mut report = NativeSuiteReport::default();
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
         for &threads in &cfg.thread_counts {
-            for &mark_filter in &cfg.filter_modes {
-                for versioning in VERSIONINGS {
-                    for phased in PHASED {
-                        for &workload in &cfg.workloads {
-                            let trial = NativeTrial {
-                                workload,
-                                seed,
-                                threads,
-                                ops: cfg.ops,
-                                mark_filter,
-                                versioning,
-                                phased,
-                            };
-                            let outcome = run_native_trial(&trial);
-                            report.trials += 1;
-                            on_trial(&trial, outcome.is_ok());
-                            match outcome {
-                                Ok(out) => report.stats.merge(&out.stats),
-                                Err(detail) => {
-                                    report.failures.push(NativeFailure { trial, detail })
-                                }
-                            }
+            for versioning in VERSIONINGS {
+                for phased in PHASED {
+                    for &workload in &cfg.workloads {
+                        let trial = NativeTrial {
+                            workload,
+                            seed,
+                            threads,
+                            ops: cfg.ops,
+                            versioning,
+                            phased,
+                        };
+                        let outcome = run_native_trial(&trial);
+                        report.trials += 1;
+                        on_trial(&trial, outcome.is_ok());
+                        match outcome {
+                            Ok(out) => report.stats.merge(&out.stats),
+                            Err(detail) => report.failures.push(NativeFailure { trial, detail }),
                         }
                     }
                 }
@@ -266,28 +252,27 @@ mod tests {
     fn native_trials_pass_on_every_workload() {
         let _quiet = arm(None);
         for workload in Workload::ALL {
-            for filter in [true, false] {
-                for versioning in [Versioning::Single, Versioning::Multi { k: 3 }] {
-                    for phased in [false, true] {
-                        let trial = NativeTrial {
-                            workload,
-                            seed: 7,
-                            threads: 3,
-                            ops: 12,
-                            mark_filter: filter,
-                            versioning,
-                            phased,
-                        };
-                        run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
-                    }
+            for versioning in VERSIONINGS {
+                for phased in PHASED {
+                    let trial = NativeTrial {
+                        workload,
+                        seed: 7,
+                        threads: 3,
+                        ops: 12,
+                        versioning,
+                        phased,
+                    };
+                    run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
                 }
             }
         }
     }
 
-    /// Trials long enough to exhaust a heap sized for short ones, were it
-    /// not sized as if nothing were reclaimed. Eight threads, the most a
-    /// native sweep runs, for the most live words.
+    /// Trials far longer than a sweep's still fit their heap: `heap_words`
+    /// grows with `ops` as if no committed allocation were ever reused, a
+    /// bound that holds however little each executor takes back of what
+    /// its own commits free. Eight threads, the most a native sweep runs,
+    /// for the most live words.
     #[test]
     fn long_map_trials_fit_their_heap() {
         let _quiet = arm(None);
@@ -297,7 +282,6 @@ mod tests {
                 seed: 0,
                 threads: 8,
                 ops: 20_000,
-                mark_filter: false,
                 versioning: Versioning::Single,
                 phased: false,
             };
@@ -361,7 +345,6 @@ mod tests {
             seed: 3,
             threads: 4,
             ops: 24,
-            mark_filter: false,
             versioning: Versioning::Multi { k: 3 },
             phased: false,
         };

@@ -22,13 +22,7 @@ fn sweep(workloads: Vec<Workload>, thread_counts: Vec<usize>, ops: u64) {
         thread_counts,
         ops,
         workloads,
-        // The filter as users get it: off. What the emulation does when
-        // switched on is `filter_on_and_off_agree_on_final_state`'s
-        // business, and its known write skew (DESIGN §9c) a specimen in
-        // `crates/native/tests/tl2_props.rs`.
-        ..NativeCheckConfig::default()
     };
-    assert_eq!(cfg.filter_modes, [false]);
     // Each point runs single- and multi-version, phased and not.
     let expected = cfg.seeds * (cfg.thread_counts.len() * 2 * 2 * cfg.workloads.len()) as u64;
     let report = run_native_suite(&cfg, |_, _| {});
@@ -64,37 +58,6 @@ fn btree_matches_reference_across_seeds_and_threads() {
 }
 
 #[test]
-fn filter_on_and_off_agree_on_final_state() {
-    // The mark-bit filter emulation is a pure fast path: for identical
-    // trials it must never change the final state either backend reports.
-    for workload in Workload::ALL {
-        for seed in 0..4 {
-            let outcome = |mark_filter| {
-                run_native_trial(&NativeTrial {
-                    workload,
-                    seed,
-                    threads: 2,
-                    ops: 16,
-                    mark_filter,
-                    versioning: Versioning::Single,
-                    phased: false,
-                })
-                .unwrap_or_else(|e| panic!("{workload:?} seed={seed}: {e}"))
-            };
-            let (on, off) = (outcome(true), outcome(false));
-            assert_eq!(
-                on.state, off.state,
-                "{workload:?} seed={seed}: filter changed the final state"
-            );
-            assert_eq!(
-                off.stats.fast_reads, 0,
-                "{workload:?} seed={seed}: a fast read with the filter off"
-            );
-        }
-    }
-}
-
-#[test]
 fn single_and_multi_versioning_agree_on_final_state() {
     // Snapshot reads are a pure read-path optimisation: for identical
     // trials the k-deep version rings must never change the final state a
@@ -110,7 +73,6 @@ fn single_and_multi_versioning_agree_on_final_state() {
                     seed,
                     threads: 4,
                     ops: 16,
-                    mark_filter: false,
                     versioning,
                     phased: false,
                 })
@@ -143,7 +105,6 @@ fn multi_version_ro_scans_sweep_abort_free_across_thread_counts() {
                     seed,
                     threads,
                     ops: 16,
-                    mark_filter: false,
                     versioning: Versioning::Multi { k: 3 },
                     phased: false,
                 };
@@ -181,7 +142,6 @@ fn phased_and_unphased_agree_on_final_state() {
                     seed,
                     threads: 4,
                     ops: 16,
-                    mark_filter: false,
                     versioning: Versioning::Single,
                     phased,
                 })
@@ -208,7 +168,6 @@ fn oversubscribed_thread_count_still_converges() {
                 seed: 99,
                 threads: 8,
                 ops: 32,
-                mark_filter: false,
                 versioning,
                 phased: false,
             };

@@ -1,7 +1,6 @@
 //! Sim-vs-native differential suite for the OLTP traffic mill, mirroring
 //! `native_differential.rs`: the mill runs on real host threads over the
-//! TL2 runtime at 1/2/4/8 threads across 32 seeds with the mark filter on
-//! and off, and the final ledger must match the closed-form expectation —
+//! TL2 runtime at 1/2/4/8 threads across 32 seeds, and the final ledger must match the closed-form expectation —
 //! the same interleaving-independent reference the simulator backend is
 //! checked against, so zero divergence here is zero sim-vs-native
 //! divergence.
@@ -17,18 +16,16 @@ use hastm_check::{run_trial, Combo, Sched, Trial, Workload};
 const SEEDS: u64 = 32;
 
 #[test]
-fn oltp_matches_reference_across_seeds_threads_and_filter_modes() {
+fn oltp_matches_reference_across_seeds_and_threads() {
     let cfg = NativeCheckConfig {
         seeds: SEEDS,
         start_seed: 0,
         thread_counts: vec![1, 2, 4, 8],
         ops: 12,
         workloads: vec![Workload::Oltp],
-        filter_modes: vec![true, false],
     };
     // Each point runs single- and multi-version, phased and not.
-    let expected = cfg.seeds
-        * (cfg.thread_counts.len() * cfg.filter_modes.len() * 2 * 2 * cfg.workloads.len()) as u64;
+    let expected = cfg.seeds * (cfg.thread_counts.len() * 2 * 2 * cfg.workloads.len()) as u64;
     let report = run_native_suite(&cfg, |_, _| {});
     assert_eq!(report.trials, expected);
     assert!(
@@ -53,7 +50,6 @@ fn sim_and_native_digests_agree_directly() {
                 seed,
                 threads,
                 ops: 12,
-                mark_filter: true,
                 versioning: Versioning::Single,
                 phased: false,
             };
@@ -78,29 +74,6 @@ fn sim_and_native_digests_agree_directly() {
 }
 
 #[test]
-fn filter_on_and_off_agree_on_the_ledger() {
-    for seed in 0..8u64 {
-        let outcome = |mark_filter| {
-            run_native_trial(&NativeTrial {
-                workload: Workload::Oltp,
-                seed,
-                threads: 4,
-                ops: 16,
-                mark_filter,
-                versioning: Versioning::Single,
-                phased: false,
-            })
-            .unwrap_or_else(|e| panic!("oltp seed={seed}: {e}"))
-        };
-        assert_eq!(
-            outcome(true).state,
-            outcome(false).state,
-            "oltp seed={seed}: filter changed the final ledger"
-        );
-    }
-}
-
-#[test]
 fn oversubscribed_mill_still_converges() {
     // 8 host threads on any core count forces preemption mid-transaction
     // (including inside the open-loop idle spins); TL2 must still converge
@@ -110,7 +83,6 @@ fn oversubscribed_mill_still_converges() {
         seed: 99,
         threads: 8,
         ops: 24,
-        mark_filter: true,
         versioning: Versioning::Multi { k: 3 },
         phased: false,
     };

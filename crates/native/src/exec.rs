@@ -1,30 +1,13 @@
 //! Per-thread execution: [`NativeExec`] (the host-thread analog of the
-//! simulator executors, with the retry loop, the attempt's logs and the
-//! mark-bit filter state) and [`NativeTxn`] (one transaction attempt,
-//! implementing [`TmContext`] so the unmodified data structures run on
-//! it).
+//! simulator executors, with the retry loop and the attempt's logs) and
+//! [`NativeTxn`] (one transaction attempt, implementing [`TmContext`] so
+//! the unmodified data structures run on it).
 //!
-//! ## The filter: opt-in, and not sound
-//!
-//! With [`crate::NativeConfig::mark_filter`] on, a read of a stripe in
-//! the thread's filter returns `load(value); load(epoch)` with no
-//! sandwich and no read-set entry, accepted iff the epoch equals the
-//! filter's. Every writing commit bumps the epoch *after* validation and
-//! *before* its first store, so an unchanged epoch means no store since
-//! the filter window opened; a transaction anchors to the window of its
-//! *first* fast read (`fast_epoch`) and must commit in it, which a writer
-//! checks atomically with its own bump (the `fetch_add`'s return value).
-//! What that misses is the other side of the bump: a committer that has
-//! locked and validated but not yet bumped is invisible to a fast read of
-//! a stripe it holds, and two transactions whose reads and writes cross
-//! can both commit — write skew. DESIGN §9c has the whole account,
-//! `tests/tl2_props.rs` the specimen, ROADMAP item 1 the deletion. With
-//! the filter off, which is the default, none of this runs and nothing
-//! touches the epoch.
-//!
-//! [`Mutant::NoEpochCheck`] removes the epoch checks altogether;
-//! `tests/filter_stress.rs` proves the resulting stale-filter reads are
-//! caught by the stress suite.
+//! An optimistic read has one path, the TL2 lock–load–lock sandwich, and
+//! a commit touches the clock and the stripes it writes, nothing else.
+//! There is no native mark filter: a read that skips the per-stripe
+//! check cannot see a committer that has validated but not yet written
+//! back (DESIGN §9c).
 //!
 //! ## Where an attempt's state lives
 //!
@@ -40,22 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use hastm::mvcc::{reclaimable, LiveSnapshots};
 use hastm::phase::{Access, Entry, Wait};
-use hastm::{Abort, Mode, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
+use hastm::{Abort, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
 use hastm_sim::mutant::{armed, Mutant};
-use hastm_sim::words::{RedoLog, WordTable};
+use hastm_sim::words::RedoLog;
 
 use crate::tl2::{NativeRuntime, NativeStats, WritebackHook};
-
-/// Per-thread filter capacity in stripes; reads past it stay on the slow
-/// path (mirrors finite mark-bit cache capacity).
-const FILTER_CAPACITY: usize = 4096;
-
-/// `false` only while [`Mutant::NoEpochCheck`] is armed: the filter fast
-/// path and commit then trust stale filters.
-#[inline]
-fn epoch_checks() -> bool {
-    !armed(Mutant::NoEpochCheck)
-}
 
 /// Every transaction kind's `ctx_work`: one spin per simulated cycle keeps
 /// relative app-work costs without a simulated clock.
@@ -96,9 +68,6 @@ impl Access for HostWord {
 /// One host thread's executor over a shared [`NativeRuntime`].
 pub struct NativeExec<'r> {
     rt: &'r NativeRuntime,
-    /// Stripes read while the epoch was exactly `filter_epoch`.
-    filter: WordTable<()>,
-    filter_epoch: u64,
     stats: NativeStats,
     backoff: u64,
     /// This executor's live-snapshot registry slot (idle when no
@@ -107,13 +76,8 @@ pub struct NativeExec<'r> {
     ro_slot: Option<usize>,
     /// This executor's serial-token owner id (always odd, never 0).
     token_id: u64,
-    /// Whether the current attempt may serve reads from the filter fast
-    /// path. Always `true` unphased; under a phase controller the
-    /// `Cautious` phase (and post-budget `Hw` re-executions) clear it, so
-    /// every read takes the fully validated slow path.
-    fast_path_ok: bool,
-    /// The current attempt's slow-path reads, as stripes (validated
-    /// again at commit).
+    /// The current attempt's reads, as stripes (validated again at
+    /// commit).
     reads: Vec<usize>,
     /// The current attempt's redo log.
     writes: RedoLog,
@@ -189,13 +153,10 @@ impl<'r> NativeExec<'r> {
     pub fn new(rt: &'r NativeRuntime) -> Self {
         NativeExec {
             rt,
-            filter: WordTable::new(),
-            filter_epoch: 0,
             stats: NativeStats::default(),
             backoff: 0x9e37_79b9_7f4a_7c15,
             ro_slot: None,
             token_id: (NEXT_TOKEN_ID.fetch_add(1, SeqCst) << 1) | 1,
-            fast_path_ok: true,
             reads: Vec::new(),
             writes: RedoLog::new(),
             locks: Vec::new(),
@@ -222,11 +183,7 @@ impl<'r> NativeExec<'r> {
     pub fn txn(&mut self) -> NativeTxn<'_, 'r> {
         self.reset_attempt();
         let rv = self.rt.read_version();
-        NativeTxn {
-            exec: self,
-            rv,
-            fast_epoch: None,
-        }
+        NativeTxn { exec: self, rv }
     }
 
     /// Empties the logs for a new attempt. Whatever the previous attempt
@@ -296,16 +253,13 @@ impl<'r> NativeExec<'r> {
     }
 
     /// Validation is over and nothing is published yet: says so to the
-    /// test hook, `(0, n)`, and — only with the filter on, the one
-    /// configuration that reads it — bumps the epoch. Returns the hook
-    /// for [`Self::write_back`] and the pre-bump epoch.
-    fn announce(&self) -> (Option<WritebackHook>, Option<u64>) {
+    /// test hook, `(0, n)`, and returns the hook for [`Self::write_back`].
+    fn announce(&self) -> Option<WritebackHook> {
         let hook = self.rt.writeback_hook();
         if let Some(h) = &hook {
             h(0, self.writes.len());
         }
-        let filter = self.rt.config().mark_filter;
-        (hook, filter.then(|| self.rt.bump_epoch()))
+        hook
     }
 
     /// Writes the (sorted) redo log back at `wv`. Under Multi, each
@@ -384,10 +338,8 @@ impl<'r> NativeExec<'r> {
     /// Runs one irrevocable attempt under the held serial token: plain
     /// heap reads (checked against the redo log for read-after-write),
     /// buffered writes, and a commit with no locks, no validation, and no
-    /// abort path. The commit still claims a write version, bumps the
-    /// epoch when there are filters to kill (every one anchored before
-    /// it is stale now), publishes version-ring entries under `Multi`,
-    /// and advances the written stripes to `wv`, so it is
+    /// abort path. The commit still claims a write version, publishes
+    /// version-ring entries under `Multi`, and advances the written stripes to `wv`, so it is
     /// indistinguishable from an ordinary commit to every later reader.
     /// The token is released on exit.
     fn run_serial<R>(
@@ -401,16 +353,10 @@ impl<'r> NativeExec<'r> {
             if !self.writes.is_empty() {
                 self.collect_write_stripes();
                 let wv = rt.next_write_version();
-                let (hook, prev_epoch) = self.announce();
+                let hook = self.announce();
                 self.write_back(wv, hook);
                 for &(stripe, _) in &self.locks {
                     rt.unlock_stripe(stripe, wv);
-                }
-                if let Some(prev_epoch) = prev_epoch {
-                    // Our own filter died with the epoch like everyone
-                    // else's.
-                    self.filter.clear();
-                    self.filter_epoch = prev_epoch + 1;
                 }
                 self.retire_frees(wv);
             }
@@ -453,8 +399,6 @@ impl Drop for NativeExec<'_> {
 impl std::fmt::Debug for NativeExec<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeExec")
-            .field("filter_len", &self.filter.len())
-            .field("filter_epoch", &self.filter_epoch)
             .field("stats", &self.stats)
             .finish()
     }
@@ -485,18 +429,6 @@ impl TmExec for NativeExec<'_> {
                     }
                 }
             }
-            self.fast_path_ok = match entry {
-                Some(Entry::Optimistic(p)) => {
-                    let budget = self
-                        .rt
-                        .config()
-                        .phased
-                        .map_or(1, |params| params.hw_retry_budget);
-                    matches!(p.mode_for(attempt, budget), Mode::Aggressive)
-                }
-                _ => true,
-            };
-            let stale_before = self.stats.aborts_filter_stale;
             let mut txn = self.txn();
             let outcome = match f(&mut txn) {
                 Ok(r) => txn.commit().map(|()| r),
@@ -524,17 +456,7 @@ impl TmExec for NativeExec<'_> {
                     // so poll with a yield like the simulator's timed wait.
                     std::thread::yield_now();
                 }
-                Err(_) => {
-                    // A stale-filter abort is capacity pressure (the
-                    // spurious-HTM analog); a validation failure is a
-                    // true data conflict.
-                    let ev = if self.stats.aborts_filter_stale > stale_before {
-                        PhaseEvent::CapacityAbort
-                    } else {
-                        PhaseEvent::ConflictAbort
-                    };
-                    self.phase_leave(entry, Some(ev));
-                }
+                Err(_) => self.phase_leave(entry, Some(PhaseEvent::ConflictAbort)),
             }
             attempt = attempt.saturating_add(1);
             self.backoff(attempt);
@@ -628,13 +550,6 @@ impl TmExec for NativeExec<'_> {
 pub struct NativeTxn<'e, 'r> {
     exec: &'e mut NativeExec<'r>,
     rv: u64,
-    /// Epoch window the txn's fast-path reads are anchored to (set by the
-    /// first fast read). Commit must observe this exact epoch: fast reads
-    /// carry no read-set entry, so "no commit since the window opened" is
-    /// their only commit-time revalidation. Anchoring to the *first* fast
-    /// read's window — not the possibly-rebased `filter_epoch` — is what
-    /// keeps a later slow-read rebase from laundering a stale fast read.
-    fast_epoch: Option<u64>,
 }
 
 impl NativeTxn<'_, '_> {
@@ -643,52 +558,13 @@ impl NativeTxn<'_, '_> {
         self.rv
     }
 
-    /// Whether any read was served by the filter fast path.
-    pub fn used_fast_path(&self) -> bool {
-        self.fast_epoch.is_some()
-    }
-
     fn read_word_at(&mut self, addr: u64) -> TxResult<u64> {
         if let Some(buffered) = self.exec.writes.get(addr) {
             return Ok(buffered);
         }
         let rt = self.exec.rt;
         let stripe = rt.stripe_of(addr);
-        let filtered = rt.config().mark_filter
-            && self.exec.fast_path_ok
-            && self.exec.filter.get(stripe as u64).is_some();
-        if filtered {
-            let value = rt.heap().load(addr);
-            if !epoch_checks() {
-                self.fast_epoch.get_or_insert(self.exec.filter_epoch);
-                self.exec.stats.fast_reads += 1;
-                return Ok(value);
-            }
-            if rt.epoch() != self.exec.filter_epoch {
-                // A commit moved the epoch: every filter entry is stale.
-                self.exec.filter.clear();
-            } else if self
-                .fast_epoch
-                .is_none_or(|fe| fe == self.exec.filter_epoch)
-            {
-                self.fast_epoch.get_or_insert(self.exec.filter_epoch);
-                self.exec.stats.fast_reads += 1;
-                return Ok(value);
-            }
-            // else: earlier fast reads are anchored to an older window;
-            // mixing windows would leave them unvalidatable at commit, so
-            // this read takes the slow path (the commit epoch check will
-            // settle the older anchors).
-        }
-        // Slow path: the TL2 lock–load–lock sandwich. `e0` pins the epoch
-        // window this read can be filed under; it must be taken before
-        // the value load (filing the read under a *later* window would
-        // let the fast path treat pre-window values as current).
-        let e0 = if rt.config().mark_filter {
-            rt.epoch()
-        } else {
-            0
-        };
+        // The TL2 lock–load–lock sandwich.
         let v1 = rt.lock_word(stripe);
         if v1 & 1 == 1 || (v1 >> 1) > self.rv {
             return Err(Abort::Conflict);
@@ -699,41 +575,21 @@ impl NativeTxn<'_, '_> {
         }
         self.exec.reads.push(stripe);
         self.exec.stats.slow_reads += 1;
-        if rt.config().mark_filter {
-            if self.exec.filter_epoch != e0 {
-                self.exec.filter.clear();
-                self.exec.filter_epoch = e0;
-            }
-            // File the stripe only if the window is still open.
-            if rt.epoch() == e0 && self.exec.filter.len() < FILTER_CAPACITY {
-                self.exec.filter.insert(stripe as u64, ());
-            }
-        }
         Ok(value)
     }
 
-    /// Commits the attempt: lock (sorted), claim `wv`, validate reads and
-    /// — with the filter on — the filter window, bumping the epoch; write
-    /// back, release at `wv`. With the filter off the commit touches the
-    /// clock and the stripes it writes, nothing else.
+    /// Commits the attempt: lock (sorted), claim `wv`, validate reads,
+    /// write back, release at `wv`. The commit touches the clock and the
+    /// stripes it writes, nothing else.
     ///
     /// # Errors
     ///
     /// Returns the abort cause; the heap and lock table are untouched by
     /// a failed commit.
     pub fn commit(self) -> TxResult<()> {
-        let NativeTxn {
-            exec,
-            rv,
-            fast_epoch,
-        } = self;
+        let NativeTxn { exec, rv } = self;
         let rt = exec.rt;
         if exec.writes.is_empty() {
-            if epoch_checks() && fast_epoch.is_some_and(|fe| rt.epoch() != fe) {
-                exec.filter.clear();
-                exec.stats.aborts_filter_stale += 1;
-                return Err(Abort::Conflict);
-            }
             exec.attempt_allocs.clear();
             return Ok(());
         }
@@ -761,9 +617,9 @@ impl NativeTxn<'_, '_> {
 
         let wv = rt.next_write_version();
 
-        // Revalidate every slow read: unchanged since rv and not locked
-        // by anyone else. For a stripe we hold, the pre-lock version is
-        // what matters; one somebody else holds is as good as newer.
+        // Revalidate every read: unchanged since rv and not locked by
+        // anyone else. For a stripe we hold, the pre-lock version is what
+        // matters; one somebody else holds is as good as newer.
         for &stripe in &exec.reads {
             let version = match exec.locks.binary_search_by_key(&stripe, |&(s, _)| s) {
                 Ok(i) => exec.locks[i].1,
@@ -778,61 +634,14 @@ impl NativeTxn<'_, '_> {
                 return Err(Abort::Conflict);
             }
         }
-        // Advisory early-out on an already-stale anchor: cheaper than the
-        // authoritative check below (no spurious epoch bump to invalidate
-        // other threads' filters), but a plain load — a racing committer
-        // can still slip in after it, so it decides nothing on its own.
-        if epoch_checks() && fast_epoch.is_some_and(|fe| rt.epoch() != fe) {
-            release(&exec.locks);
-            exec.filter.clear();
-            exec.stats.aborts_filter_stale += 1;
-            return Err(Abort::Conflict);
-        }
 
-        // Publish: with the filter on, epoch first (fast-path readers
-        // must never observe a store from this commit under the old
-        // epoch; with it off nobody reads the epoch), then write back
-        // under the held locks, then release at wv. The fetch_add's
-        // return value doubles as the *authoritative* fast-read
-        // revalidation: `prev_epoch == fast_epoch` means no writing
-        // commit anywhere landed between the anchor window opening and
-        // this commit claiming publication — checked and bumped in one
-        // atomic step, so no commit can slide into a gap between them.
-        let (hook, prev_epoch) = exec.announce();
-        if epoch_checks() && fast_epoch.is_some_and(|fe| prev_epoch != Some(fe)) {
-            // Nothing has been stored yet, so aborting is still safe;
-            // the wasted bump only costs other threads their filters.
-            release(&exec.locks);
-            exec.filter.clear();
-            exec.stats.aborts_filter_stale += 1;
-            return Err(Abort::Conflict);
-        }
+        let hook = exec.announce();
         exec.write_back(wv, hook);
         for &(stripe, _) in &exec.locks {
             rt.unlock_stripe(stripe, wv);
         }
         exec.attempt_allocs.clear();
         exec.retire_frees(wv);
-
-        // Filter upkeep: if no other commit intervened since the filter
-        // window opened, the window simply advances over our own commit —
-        // the filter (plus our written stripes) stays valid. This is the
-        // native analog of mark bits surviving the thread's own commits.
-        if let Some(prev_epoch) = prev_epoch {
-            if epoch_checks() && prev_epoch == exec.filter_epoch {
-                exec.filter_epoch = prev_epoch + 1;
-                for &(stripe, _) in &exec.locks {
-                    if exec.filter.len() >= FILTER_CAPACITY {
-                        break;
-                    }
-                    exec.filter.insert(stripe as u64, ());
-                }
-                exec.stats.filter_retained += 1;
-            } else if epoch_checks() {
-                exec.filter.clear();
-                exec.filter_epoch = prev_epoch + 1;
-            }
-        }
         Ok(())
     }
 
@@ -878,7 +687,6 @@ impl std::fmt::Debug for NativeTxn<'_, '_> {
             .field("rv", &self.rv)
             .field("reads", &self.exec.reads.len())
             .field("writes", &self.exec.writes.len())
-            .field("fast_epoch", &self.fast_epoch)
             .finish()
     }
 }
@@ -1063,38 +871,35 @@ mod tests {
     use super::*;
     use crate::tl2::NativeConfig;
 
-    fn small_rt(mark_filter: bool) -> NativeRuntime {
+    fn small_rt() -> NativeRuntime {
         NativeRuntime::new(NativeConfig {
             heap_words: 1 << 12,
             stripes: 1 << 8,
-            mark_filter,
             ..NativeConfig::default()
         })
     }
 
     #[test]
     fn read_write_commit_roundtrip() {
-        for filter in [false, true] {
-            let rt = small_rt(filter);
-            let mut ex = NativeExec::new(&rt);
-            let o = ex.alloc_obj(2);
-            ex.atomic(|ctx| {
-                ctx.ctx_write(o, 0, 41)?;
-                ctx.ctx_write(o, 1, 1)
-            });
-            let v = ex.atomic(|ctx| {
-                let a = ctx.ctx_read(o, 0)?;
-                let b = ctx.ctx_read(o, 1)?;
-                Ok(a + b)
-            });
-            assert_eq!(v, 42, "filter={filter}");
-            assert_eq!(ex.stats().commits, 2);
-        }
+        let rt = small_rt();
+        let mut ex = NativeExec::new(&rt);
+        let o = ex.alloc_obj(2);
+        ex.atomic(|ctx| {
+            ctx.ctx_write(o, 0, 41)?;
+            ctx.ctx_write(o, 1, 1)
+        });
+        let v = ex.atomic(|ctx| {
+            let a = ctx.ctx_read(o, 0)?;
+            let b = ctx.ctx_read(o, 1)?;
+            Ok(a + b)
+        });
+        assert_eq!(v, 42);
+        assert_eq!(ex.stats().commits, 2);
     }
 
     #[test]
     fn buffered_writes_are_invisible_until_commit_and_read_back() {
-        let rt = small_rt(true);
+        let rt = small_rt();
         let mut ex = NativeExec::new(&rt);
         let o = ex.alloc_obj(1);
         ex.atomic(|ctx| {
@@ -1107,72 +912,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_serves_repeat_reads_and_survives_own_commits() {
-        let rt = small_rt(true);
-        let mut ex = NativeExec::new(&rt);
-        let o = ex.alloc_obj(1);
-        ex.atomic(|ctx| ctx.ctx_write(o, 0, 1));
-        for i in 2..10u64 {
-            ex.atomic(|ctx| {
-                let v = ctx.ctx_read(o, 0)?;
-                ctx.ctx_write(o, 0, v + 1)
-            });
-            assert_eq!(rt.peek(o.word(0)), i);
-        }
-        assert!(
-            ex.stats().fast_reads >= 7,
-            "single-thread reuse must hit the fast path: {:?}",
-            ex.stats()
-        );
-        assert!(ex.stats().filter_retained >= 7, "{:?}", ex.stats());
-    }
-
-    #[test]
-    fn no_filter_config_never_fast_paths() {
-        let rt = small_rt(false);
-        let mut ex = NativeExec::new(&rt);
-        let o = ex.alloc_obj(1);
-        for _ in 0..8 {
-            ex.atomic(|ctx| {
-                let v = ctx.ctx_read(o, 0)?;
-                ctx.ctx_write(o, 0, v + 1)
-            });
-        }
-        assert_eq!(ex.stats().fast_reads, 0);
-        assert_eq!(rt.peek(o.word(0)), 8);
-    }
-
-    #[test]
-    fn stale_fast_anchor_aborts_writer_commit() {
-        let rt = small_rt(true);
-        let mut a = NativeExec::new(&rt);
-        let mut b = NativeExec::new(&rt);
-        let x = a.alloc_obj(1);
-        let y = a.alloc_obj(1);
-        a.atomic(|ctx| {
-            ctx.ctx_write(x, 0, 5)?;
-            ctx.ctx_write(y, 0, 0)
-        });
-        // Warm A's filter on x (read-only commit keeps the filter).
-        a.atomic(|ctx| ctx.ctx_read(x, 0).map(|_| ()));
-
-        let mut txn = a.txn();
-        let rx = txn.ctx_read(x, 0).unwrap();
-        assert_eq!(rx, 5);
-        assert!(txn.used_fast_path(), "warmed stripe must fast-path");
-        txn.ctx_write(y, 0, rx + 1).unwrap();
-
-        // B commits a write to x — the anchor window is gone, so A's
-        // fast-read value is stale and its commit must refuse.
-        b.atomic(|ctx| ctx.ctx_write(x, 0, 7));
-        assert_eq!(txn.commit(), Err(Abort::Conflict));
-        assert_eq!(a.stats().aborts_filter_stale, 1, "{:?}", a.stats());
-        assert_eq!(rt.peek(y.word(0)), 0, "refused commit must not publish");
-    }
-
-    #[test]
     fn read_time_conflicts_are_counted() {
-        let rt = small_rt(false);
+        let rt = small_rt();
         let mut setup = NativeExec::new(&rt);
         let o = setup.alloc_obj(1);
         setup.atomic(|ctx| ctx.ctx_write(o, 0, 1));
@@ -1228,7 +969,7 @@ mod tests {
 
     #[test]
     fn atomic_ro_falls_back_to_plain_transactions_under_single() {
-        let rt = small_rt(true);
+        let rt = small_rt();
         let mut ex = NativeExec::new(&rt);
         let o = ex.alloc_obj(1);
         ex.atomic(|ctx| ctx.ctx_write(o, 0, 7));
@@ -1509,20 +1250,8 @@ mod tests {
     }
 
     #[test]
-    fn serial_commit_advances_stripes_epoch_and_rings() {
-        for mark_filter in [false, true] {
-            serial_commit_advances_stripes_and_rings_and_the_epoch_iff(mark_filter);
-        }
-    }
-
-    fn serial_commit_advances_stripes_and_rings_and_the_epoch_iff(mark_filter: bool) {
-        let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 12,
-            stripes: 1 << 8,
-            mark_filter,
-            versioning: hastm::Versioning::Multi { k: 2 },
-            phased: Some(hair_trigger()),
-        });
+    fn serial_commit_advances_stripes_and_rings() {
+        let rt = phased_rt(hair_trigger(), hastm::Versioning::Multi { k: 2 });
         let ps = rt.phase_state().expect("phased runtime");
         // Force the phase to Serial by hand, then run one transaction.
         while ps.phase() != hastm::Phase::Serial {
@@ -1533,11 +1262,6 @@ mod tests {
         ex.atomic(|ctx| ctx.ctx_write(o, 0, 99));
         assert_eq!(rt.peek(o.word(0)), 99);
         assert_eq!(ex.stats().serial_commits, 1, "{:?}", ex.stats());
-        assert_eq!(
-            rt.epoch(),
-            u64::from(mark_filter),
-            "a serial commit kills filters, and touches the epoch for nothing else"
-        );
         let stripe = rt.stripe_of(o.word(0).0);
         let state = rt.stripe_state(stripe);
         assert!(!state.locked);
@@ -1715,25 +1439,23 @@ mod tests {
 
     #[test]
     fn concurrent_counter_loses_no_increments() {
-        for filter in [false, true] {
-            let rt = small_rt(filter);
-            let mut setup = NativeExec::new(&rt);
-            let cell = setup.alloc_obj(1);
-            setup.atomic(|ctx| ctx.ctx_write(cell, 0, 0));
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        let mut ex = NativeExec::new(&rt);
-                        for _ in 0..500 {
-                            ex.atomic(|ctx| {
-                                let v = ctx.ctx_read(cell, 0)?;
-                                ctx.ctx_write(cell, 0, v + 1)
-                            });
-                        }
-                    });
-                }
-            });
-            assert_eq!(rt.peek(cell.word(0)), 4 * 500, "filter={filter}");
-        }
+        let rt = small_rt();
+        let mut setup = NativeExec::new(&rt);
+        let cell = setup.alloc_obj(1);
+        setup.atomic(|ctx| ctx.ctx_write(cell, 0, 0));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut ex = NativeExec::new(&rt);
+                    for _ in 0..500 {
+                        ex.atomic(|ctx| {
+                            let v = ctx.ctx_read(cell, 0)?;
+                            ctx.ctx_write(cell, 0, v + 1)
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(rt.peek(cell.word(0)), 4 * 500);
     }
 }

@@ -85,8 +85,8 @@ impl NativeHeap {
 
     /// Atomically stores the word at byte address `byte`.
     pub fn store(&self, byte: u64, value: u64) {
-        // Release: orders the stripe CAS-lock, the clock and epoch RMWs
-        // and the ring publication before the value becomes visible.
+        // Release: orders the stripe CAS-lock, the clock RMW and the ring
+        // publication before the value becomes visible.
         self.words[self.index(byte)].store(value, Release);
     }
 

@@ -12,13 +12,10 @@
 //! [`NativeConfig::default`] is that and nothing else. Two things are
 //! opt-in: `versioning: Multi { k }` keeps a k-slot ring of committed
 //! versions beside every written word, so `atomic_ro` regions read a
-//! snapshot and never abort; and `mark_filter: true` emulates the paper's
-//! mark-bit fast path as a per-thread stripe filter plus a global commit
-//! epoch (a filtered read is two loads — value, epoch — mirroring the
-//! two-instruction marked read barrier). The emulation is **off by
-//! default because it is not sound** — it admits write skew about once
-//! in 10⁹ transactions; [`exec`] says what is known — and it loses at
-//! every thread count.
+//! snapshot and never abort; and `phased` runs the PhTM-style phase
+//! controller, whose serial phase is irrevocable. The paper's mark-bit
+//! filter has no native counterpart: every optimistic read takes the TL2
+//! sandwich (DESIGN §9c says why).
 //!
 //! The backend exists for *differential testing* (the same workloads run
 //! on the simulator and natively, and must agree) and for native

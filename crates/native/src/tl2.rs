@@ -1,7 +1,6 @@
 //! The shared state of the native TL2 runtime: the global version clock,
-//! the per-stripe versioned write-lock table, the live-snapshot slots and
-//! version rings of `Multi`, and the commit epoch of the opt-in emulation
-//! of the paper's mark-bit filter.
+//! the per-stripe versioned write-lock table, and the live-snapshot slots
+//! and version rings of `Multi`.
 //!
 //! ## Protocol (TL2, word-stripe variant)
 //!
@@ -17,16 +16,10 @@
 //!   revalidate the read set against `rv`, write back, and release every
 //!   stripe at `wv`.
 //!
-//! ## Mark-bit filter emulation (opt-in)
-//!
-//! Real ISAs have no mark bits, so with [`NativeConfig::mark_filter`] on
-//! the backend emulates the paper's *filter* with per-thread state
-//! (`NativeExec`) plus one word here: a global **commit epoch**, bumped
-//! by every writing commit after validation and before write-back. While
-//! it stands still no transaction has committed a write, and a read of a
-//! stripe the thread filed under that epoch needs no sandwich and no
-//! read-set entry. The emulation is not sound (DESIGN §9c) and is off by
-//! default; with it off nothing reads or writes the epoch.
+//! The paper's mark-bit filter lives in the simulator only: real ISAs
+//! have no mark bits, and a read that checks no per-location metadata
+//! cannot see a committer that has validated but not yet written back
+//! (DESIGN §9c).
 
 use std::sync::atomic::{
     AtomicBool, AtomicU64,
@@ -49,9 +42,9 @@ pub struct NativeConfig {
     pub heap_words: usize,
     /// Stripe-lock table size (rounded up to a power of two).
     pub stripes: usize,
-    /// Enable the mark-bit filter emulation (the HASTM analog). Off by
-    /// default, which is plain TL2 (the STM analog): the emulation is not
-    /// sound (DESIGN §9c) and loses at every thread count.
+    /// Ignored: the native mark-bit filter is gone (DESIGN §9c), and every
+    /// read takes the TL2 sandwich. Kept only until `benchmark/`, which
+    /// still sets it, is edited to drop it.
     pub mark_filter: bool,
     /// Version management: [`Versioning::Single`] is plain TL2;
     /// [`Versioning::Multi`] keeps a k-slot ring of committed
@@ -63,10 +56,11 @@ pub struct NativeConfig {
     pub versioning: Versioning,
     /// Enable the PhTM-style global phase controller
     /// ([`hastm::ModePolicy::Phased`]'s native twin): executors enter the
-    /// shared phase word before every attempt, the `Cautious` phase
-    /// suppresses the filter fast path, and the `Serial` phase runs
-    /// irrevocable transactions under the global token (no validation,
-    /// no aborts). `None` keeps the plain free-running TL2 scheme.
+    /// shared phase word before every attempt and feed it each attempt's
+    /// outcome, and the `Serial` phase runs irrevocable transactions under
+    /// the global token (no validation, no aborts); the optimistic phases
+    /// run plain TL2 alike. `None` keeps the plain free-running TL2
+    /// scheme.
     pub phased: Option<PhasedParams>,
 }
 
@@ -100,16 +94,16 @@ counters! {
         commits: "txn.commits",
         /// Aborts from read/lock validation conflicts.
         aborts_conflict: "txn.aborts.conflict",
-        /// Aborts from a stale filter detected at commit time.
+        /// Always zero: nothing counts it since the native filter was
+        /// deleted. Kept only until `benchmark/`, which still reads it, is
+        /// edited to drop it.
         aborts_filter_stale: "native.aborts.filter_stale",
-        /// Reads served by the filter fast path (no sandwich, no read-set
-        /// entry).
+        /// Always zero: nothing counts it since the native filter was
+        /// deleted. Kept only until `benchmark/`, which still reads it, is
+        /// edited to drop it.
         fast_reads: "native.read.fast",
         /// Reads served by the full TL2 sandwich.
         slow_reads: "native.read.slow",
-        /// Writing commits that kept their filter alive across the commit
-        /// (the single-thread reuse win of §6).
-        filter_retained: "native.filter_retained",
         /// Committed read-only (`atomic_ro`) transactions. Under
         /// [`Versioning::Multi`] these ran on the snapshot path; under
         /// [`Versioning::Single`] (or with every live-snapshot slot owned)
@@ -154,17 +148,14 @@ counters! {
 impl NativeStats {
     /// Total aborted attempts.
     pub fn aborts(&self) -> u64 {
-        self.aborts_conflict + self.aborts_filter_stale
+        self.aborts_conflict
     }
 }
 
 /// Test hook invoked by a commit as `(words_written, words_total)` — once
 /// with `(0, n)` when the read set has validated and nothing is published
-/// yet (no store, no epoch bump), and once after each store. Lets the
-/// stress tests freeze a committer while it holds its stripe locks. With
-/// [`NativeConfig::mark_filter`] on, the bump that follows `(0, n)` is
-/// also the commit's last check — of its fast reads' window — so a
-/// commit may still abort after `(0, n)`, having stored nothing.
+/// yet, and once after each store. Lets the stress tests freeze a
+/// committer while it holds its stripe locks.
 pub type WritebackHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
 /// Bounded spins when acquiring a write lock before giving up and
@@ -178,11 +169,10 @@ pub struct NativeRuntime {
     /// One lock word per stripe, on pages that cost memory once touched.
     locks: ZeroedWords,
     stripe_mask: u64,
-    /// Bumped by every writing commit — the epoch only with the filter on
-    /// — so each sits on a line pair of its own, away from `stripe_mask`,
-    /// `locks` and `cfg`, which every read of every thread loads.
+    /// Bumped by every writing commit, so it sits on a line pair of its
+    /// own, away from `stripe_mask`, `locks` and `cfg`, which every read
+    /// of every thread loads.
     clock: CachePadded<AtomicU64>,
-    epoch: CachePadded<AtomicU64>,
     cfg: NativeConfig,
     hook_armed: AtomicBool,
     hook: Mutex<Option<WritebackHook>>,
@@ -215,7 +205,6 @@ impl NativeRuntime {
             locks: ZeroedWords::new(stripes),
             stripe_mask: (stripes - 1) as u64,
             clock: CachePadded::new(AtomicU64::new(0)),
-            epoch: CachePadded::new(AtomicU64::new(0)),
             cfg,
             hook_armed: AtomicBool::new(false),
             hook: Mutex::new(None),
@@ -268,11 +257,6 @@ impl NativeRuntime {
         self.clock.load(SeqCst)
     }
 
-    /// Current commit epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(SeqCst)
-    }
-
     /// Snapshots the clock for a beginning transaction.
     pub(crate) fn read_version(&self) -> u64 {
         self.clock.load(SeqCst)
@@ -281,13 +265,6 @@ impl NativeRuntime {
     /// Claims a fresh write version.
     pub(crate) fn next_write_version(&self) -> u64 {
         self.clock.fetch_add(1, SeqCst) + 1
-    }
-
-    /// Bumps the commit epoch (validation passed, write-back imminent;
-    /// filter on only); returns the pre-bump value so the committer can
-    /// tell whether its own filter was still current.
-    pub(crate) fn bump_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, SeqCst)
     }
 
     /// Raw lock word of `stripe`.
@@ -400,8 +377,6 @@ impl std::fmt::Debug for NativeRuntime {
             .field("heap", &self.heap)
             .field("stripes", &self.locks.len())
             .field("clock", &self.clock())
-            .field("epoch", &self.epoch())
-            .field("mark_filter", &self.cfg.mark_filter)
             .field("versioning", &self.cfg.versioning)
             .finish()
     }

@@ -72,11 +72,10 @@ fn armed(f: impl FnOnce()) -> u64 {
 
 const WORDS: u32 = 8;
 
-fn runtime(mark_filter: bool, versioning: Versioning) -> NativeRuntime {
+fn runtime(versioning: Versioning) -> NativeRuntime {
     NativeRuntime::new(NativeConfig {
         heap_words: 1 << 12,
         stripes: 1 << 8,
-        mark_filter,
         versioning,
         ..NativeConfig::default()
     })
@@ -125,23 +124,21 @@ fn sum_ro(ex: &mut NativeExec<'_>, obj: ObjRef) -> u64 {
 
 #[test]
 fn warm_single_version_paths_do_not_allocate() {
-    for mark_filter in [false, true] {
-        let rt = runtime(mark_filter, Versioning::Single);
-        let mut ex = NativeExec::new(&rt);
-        let obj = ex.alloc_obj(WORDS);
-        // One round of each shape sizes every log.
-        read_modify_write(&mut ex, obj);
-        abort_then_retry(&mut ex, obj);
-        sum_ro(&mut ex, obj);
+    let rt = runtime(Versioning::Single);
+    let mut ex = NativeExec::new(&rt);
+    let obj = ex.alloc_obj(WORDS);
+    // One round of each shape sizes every log.
+    read_modify_write(&mut ex, obj);
+    abort_then_retry(&mut ex, obj);
+    sum_ro(&mut ex, obj);
 
-        let allocs = armed(|| (0..64).for_each(|_| read_modify_write(&mut ex, obj)));
-        assert_eq!(allocs, 0, "filter={mark_filter}: atomic allocated");
-        let allocs = armed(|| (0..64).for_each(|_| abort_then_retry(&mut ex, obj)));
-        assert_eq!(allocs, 0, "filter={mark_filter}: abort + retry allocated");
-        let allocs = armed(|| (0..64).for_each(|_| assert!(sum_ro(&mut ex, obj) > 0)));
-        assert_eq!(allocs, 0, "filter={mark_filter}: atomic_ro allocated");
-        assert_eq!(ex.stats().aborts_conflict, 65);
-    }
+    let allocs = armed(|| (0..64).for_each(|_| read_modify_write(&mut ex, obj)));
+    assert_eq!(allocs, 0, "atomic allocated");
+    let allocs = armed(|| (0..64).for_each(|_| abort_then_retry(&mut ex, obj)));
+    assert_eq!(allocs, 0, "abort + retry allocated");
+    let allocs = armed(|| (0..64).for_each(|_| assert!(sum_ro(&mut ex, obj) > 0)));
+    assert_eq!(allocs, 0, "atomic_ro allocated");
+    assert_eq!(ex.stats().aborts_conflict, 65);
 }
 
 /// Heap words whose rings share a page at `k = 3` (8 words a ring).
@@ -149,7 +146,7 @@ const PAGE_WORDS: u32 = 64;
 
 #[test]
 fn multi_version_commits_allocate_only_for_ring_publication() {
-    let rt = runtime(false, Versioning::Multi { k: 3 });
+    let rt = runtime(Versioning::Multi { k: 3 });
     let mut ex = NativeExec::new(&rt);
     let obj = ex.alloc_obj(WORDS);
     let neighbour = ex.alloc_obj(WORDS);

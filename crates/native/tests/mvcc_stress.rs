@@ -3,9 +3,7 @@
 //! region abort-free — no matter how hard concurrent writers churn the
 //! version rings.
 //!
-//! Companion to `filter_stress.rs`, which pins the mark-filter fast-read
-//! protocol with the same zero-sum-ledger technique. Here the invariant
-//! under attack is snapshot isolation: every cell a read-only scan
+//! The invariant under attack is snapshot isolation: every cell a read-only scan
 //! observes must come from the single committed prefix at the scan's
 //! `rv`, even when writers have published (and pruned) generations of
 //! newer versions mid-scan.
@@ -28,11 +26,10 @@ fn total() -> u64 {
     (0..CELLS).map(initial).sum()
 }
 
-fn multi_rt(k: usize, mark_filter: bool) -> Arc<NativeRuntime> {
+fn multi_rt(k: usize) -> Arc<NativeRuntime> {
     Arc::new(NativeRuntime::new(NativeConfig {
         heap_words: 1 << 10,
         stripes: 1 << 8,
-        mark_filter,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     }))
@@ -60,12 +57,7 @@ fn ledger(rt: &NativeRuntime) -> Vec<ObjRef> {
 /// every version the pinned `rv` can need.
 #[test]
 fn pinned_snapshot_outlives_ring_churn_from_racing_commits() {
-    for mark_filter in [false, true] {
-        pinned_snapshot_outlives_ring_churn(multi_rt(2, mark_filter));
-    }
-}
-
-fn pinned_snapshot_outlives_ring_churn(rt: Arc<NativeRuntime>) {
+    let rt = multi_rt(2);
     let cells = ledger(&rt);
     let writer_go = Arc::new(Barrier::new(2));
     let writer_done = Arc::new(Barrier::new(2));
@@ -148,12 +140,7 @@ fn pinned_snapshot_outlives_ring_churn(rt: Arc<NativeRuntime>) {
 /// balance, and under Multi(k) not one may abort.
 #[test]
 fn live_ro_scans_conserve_the_ledger_and_never_abort() {
-    for mark_filter in [false, true] {
-        live_ro_scans_conserve_the_ledger(multi_rt(3, mark_filter));
-    }
-}
-
-fn live_ro_scans_conserve_the_ledger(rt: Arc<NativeRuntime>) {
+    let rt = multi_rt(3);
     let cells = ledger(&rt);
     let rounds = 300u64;
     std::thread::scope(|s| {

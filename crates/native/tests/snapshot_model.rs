@@ -25,11 +25,10 @@ const WORDS: u32 = WRITTEN + UNTOUCHED;
 /// One committed transaction: `(word, value)` writes, applied in order.
 type Commit = Vec<(u32, u64)>;
 
-fn runtime(k: usize, mark_filter: bool) -> NativeRuntime {
+fn runtime(k: usize) -> NativeRuntime {
     NativeRuntime::new(NativeConfig {
         heap_words: 64,
         stripes: 2,
-        mark_filter,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     })
@@ -52,9 +51,8 @@ fn pinned_region_sees_its_prefix(
     history: &[Commit],
     pin: usize,
     k: usize,
-    mark_filter: bool,
 ) -> Result<(), TestCaseError> {
-    let rt = runtime(k, mark_filter);
+    let rt = runtime(k);
     let mut writer = NativeExec::new(&rt);
     let mut reader = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
@@ -129,10 +127,9 @@ proptest! {
             1..10,
         ),
         k in 1usize..4,
-        mark_filter in any::<bool>(),
     ) {
         for pin in 0..=history.len() {
-            pinned_region_sees_its_prefix(&history, pin, k, mark_filter)?;
+            pinned_region_sees_its_prefix(&history, pin, k)?;
         }
     }
 }
@@ -141,7 +138,7 @@ proptest! {
 /// the counters.
 #[test]
 fn each_path_serves_its_case() {
-    let rt = runtime(3, false);
+    let rt = runtime(3);
     let mut writer = NativeExec::new(&rt);
     let mut reader = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
@@ -186,7 +183,7 @@ fn each_path_serves_its_case() {
 #[test]
 fn a_pinned_region_outlives_many_turns_of_the_ring() {
     const K: usize = 2;
-    let rt = runtime(K, false);
+    let rt = runtime(K);
     let mut writer = NativeExec::new(&rt);
     let (mut early, mut late) = (NativeExec::new(&rt), NativeExec::new(&rt));
     let obj = writer.alloc_obj(WORDS);
@@ -242,7 +239,7 @@ fn a_pinned_region_outlives_many_turns_of_the_ring() {
 /// each word's own history, and a word nobody wrote has none.
 #[test]
 fn words_aliased_onto_one_stripe_keep_their_own_rings() {
-    let rt = runtime(2, false);
+    let rt = runtime(2);
     let mut writer = NativeExec::new(&rt);
     let mut reader = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
@@ -288,7 +285,7 @@ fn words_aliased_onto_one_stripe_keep_their_own_rings() {
 fn readers_of_a_half_written_commit_wait_and_read_whole_pairs() {
     use std::sync::{Arc, Barrier};
     // k = 1: the commit cannot leave the old entry where it was.
-    let rt = Arc::new(runtime(1, false));
+    let rt = Arc::new(runtime(1));
     let mut writer = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
     assert_ne!(rt.stripe_of(obj.word(0).0), rt.stripe_of(obj.word(1).0));

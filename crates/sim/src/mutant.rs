@@ -30,9 +30,6 @@ pub enum Mutant {
     /// The transition-count oracle (lattice depth 3) in `hastm-check`'s
     /// `tests/phase_mutation.rs`, 16 seeds.
     StalePhaseView,
-    /// The native filter skips its epoch checks. `hastm-native`'s
-    /// `filter_stress.rs` paused-writer round, 8 of 8 rounds.
-    NoEpochCheck,
     /// Native `write_back` under `Multi` takes every object its executor
     /// ever allocated in a committed attempt for fresh, so an overwrite
     /// of one publishes no history. `hastm-native`'s `mvcc_stress.rs`

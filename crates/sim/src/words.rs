@@ -7,7 +7,7 @@
 //! They are the only structures of their kind in the workspace. The
 //! simulator's per-core line-watch sets, the STM's ownership and
 //! undo-dedup maps, the version store's ring index, the HTM's speculative
-//! store buffer and the native executor's filter and redo log are all one
+//! store buffer and the native executor's redo log are all one
 //! of the first two, so no executor's per-access or per-attempt path
 //! hashes with SipHash or, once warm, calls the allocator.
 

@@ -675,7 +675,7 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
 pub struct OltpNativeConfig {
     /// Traffic parameters; `oltp.threads` host threads are used.
     pub oltp: OltpConfig,
-    /// TL2 runtime parameters, including the mark-bit filter toggle.
+    /// TL2 runtime parameters.
     pub native: NativeConfig,
 }
 
@@ -798,18 +798,15 @@ mod tests {
 
     #[test]
     fn native_mill_matches_ledger() {
-        for filter in [false, true] {
-            let mut cfg = OltpNativeConfig {
-                oltp: OltpConfig::quick(4),
-                native: NativeConfig::default(),
-            };
-            cfg.native.mark_filter = filter;
-            let expected = expected_balances(&cfg.oltp);
-            let r = run_oltp_native(&cfg);
-            assert_eq!(r.balances, expected, "filter={filter}: ledger divergence");
-            assert_eq!(r.metrics.latency.count(), cfg.oltp.total_txns());
-            assert!(r.stats.commits >= cfg.oltp.total_txns());
-        }
+        let cfg = OltpNativeConfig {
+            oltp: OltpConfig::quick(4),
+            native: NativeConfig::default(),
+        };
+        let expected = expected_balances(&cfg.oltp);
+        let r = run_oltp_native(&cfg);
+        assert_eq!(r.balances, expected, "ledger divergence");
+        assert_eq!(r.metrics.latency.count(), cfg.oltp.total_txns());
+        assert!(r.stats.commits >= cfg.oltp.total_txns());
     }
 
     #[test]
