@@ -120,7 +120,6 @@ impl Backend for Native<'_> {
         let session = NativeSession::new(NativeConfig {
             heap_words: heap_words(trial.threads, trial.ops)
                 .expect("trial too large for one native heap"),
-            stripes: 1 << 12,
             versioning: trial.versioning,
             phased: trial.phased.then(phased_params),
             ..NativeConfig::default()
@@ -298,7 +297,6 @@ mod tests {
         // still be exact.
         let rt = NativeRuntime::new(NativeConfig {
             heap_words: 1 << 14,
-            stripes: 1 << 10,
             phased: Some(PhasedParams {
                 demote_after: 1,
                 promote_after: 1 << 20,

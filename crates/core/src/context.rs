@@ -84,7 +84,7 @@ pub trait TmExec {
 
     /// Runs `f` as one atomic region **declared read-only**. Backends
     /// with a snapshot path ([`crate::Versioning::Multi`] on the
-    /// simulator, the k-versioned TL2 stripes on the native backend) read
+    /// simulator, the k-versioned TL2 heap words on the native backend) read
     /// a consistent snapshot and commit without validation — the region
     /// cannot conflict-abort. `f` must not write. The default falls back
     /// to [`TmExec::atomic`] for backends without one. `Err(Abort::Explicit)`

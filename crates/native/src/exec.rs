@@ -4,8 +4,8 @@
 //! the unmodified data structures run on it).
 //!
 //! An optimistic read has one path, the TL2 lock–load–lock sandwich, and
-//! a commit touches the clock and the stripes it writes, nothing else.
-//! There is no native mark filter: a read that skips the per-stripe
+//! a commit touches the clock and the words it writes, nothing else.
+//! There is no native mark filter: a read that skips the per-word lock
 //! check cannot see a committer that has validated but not yet written
 //! back (DESIGN §9c).
 //!
@@ -236,8 +236,8 @@ impl<'r> NativeExec<'r> {
         }
     }
 
-    /// Fills `locks` with the redo log's stripes, ascending and distinct
-    /// (versions zeroed), and sorts the log itself for write-back.
+    /// Sorts the redo log for write-back and fills `locks` with its
+    /// stripes, ascending and distinct as its addresses (versions zeroed).
     fn collect_write_stripes(&mut self) {
         let rt = self.rt;
         self.writes.sort();
@@ -248,8 +248,6 @@ impl<'r> NativeExec<'r> {
                 .iter()
                 .map(|&(addr, _)| (rt.stripe_of(addr), 0)),
         );
-        self.locks.sort_unstable();
-        self.locks.dedup();
     }
 
     /// Validation is over and nothing is published yet: says so to the
@@ -339,8 +337,9 @@ impl<'r> NativeExec<'r> {
     /// heap reads (checked against the redo log for read-after-write),
     /// buffered writes, and a commit with no locks, no validation, and no
     /// abort path. The commit still claims a write version, publishes
-    /// version-ring entries under `Multi`, and advances the written stripes to `wv`, so it is
-    /// indistinguishable from an ordinary commit to every later reader.
+    /// version-ring entries under `Multi`, and advances the written
+    /// words' locks to `wv`, so it is indistinguishable from an ordinary
+    /// commit to every later reader.
     /// The token is released on exit.
     fn run_serial<R>(
         &mut self,
@@ -584,8 +583,8 @@ impl NativeTxn<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Returns the abort cause; the heap and lock table are untouched by
-    /// a failed commit.
+    /// Returns the abort cause; heap words and lock words are untouched
+    /// by a failed commit.
     pub fn commit(self) -> TxResult<()> {
         let NativeTxn { exec, rv } = self;
         let rt = exec.rt;
@@ -778,20 +777,19 @@ impl NativeRoTxn<'_, '_> {
                 }
                 std::hint::spin_loop();
             };
-            // Versions are unique and rise per stripe, so the same
-            // unlocked word on both sides of some loads means no commit —
-            // to this word or any word aliased onto the stripe — stored
-            // or published in between (a reader that sees a written-back
-            // value or ring entry also sees its stripe locked or moved;
-            // an aborted locker restores the version but never stored; a
-            // serial-phase committer, which stores without locking, is
-            // alone: this region counts into the window it drained).
+            // Versions are unique and rise per word, so the same unlocked
+            // lock word on both sides of some loads means no commit to the
+            // word stored or published in between (a reader that sees a
+            // written-back value or ring entry also sees its lock held or
+            // moved; an aborted locker restores the version but never
+            // stored; a serial-phase committer, which stores without
+            // locking, is alone: this region counts into its window).
             let stable = || rt.lock_word(stripe) == v1;
             let ringed = || rt.versions().lookup(addr, self.rv, stable);
             let value = rt.heap().load(addr);
             if v1 >> 1 <= self.rv {
                 // Current version first: nothing newer than rv has been
-                // committed to the stripe, so the heap word is the
+                // committed to the word, so the heap word is the
                 // snapshot's value.
                 if stable() {
                     debug_assert!(
@@ -803,10 +801,10 @@ impl NativeRoTxn<'_, '_> {
                 }
                 continue;
             }
-            // The stripe has moved past rv: the word's ring, or — for a
-            // word no commit has ever written, so that it has none — the
-            // heap word just loaded, still its pre-transactional value.
-            // The ring's head is written under the stripe lock, so like
+            // The word has moved past rv: its ring, or — for one its
+            // allocating commit stored without history (`write_back`) —
+            // the heap word just loaded, what any region reaching it reads.
+            // The ring's head is written under the word's lock, so like
             // the word it is whole if the lock word has not changed.
             // Entries all newer than rv would mean pruning dropped a
             // version this region had pinned: flagged in debug builds,
@@ -874,7 +872,6 @@ mod tests {
     fn small_rt() -> NativeRuntime {
         NativeRuntime::new(NativeConfig {
             heap_words: 1 << 12,
-            stripes: 1 << 8,
             ..NativeConfig::default()
         })
     }
@@ -945,7 +942,6 @@ mod tests {
     fn multi_rt(k: usize) -> NativeRuntime {
         NativeRuntime::new(NativeConfig {
             heap_words: 1 << 12,
-            stripes: 1 << 8,
             versioning: hastm::Versioning::Multi { k },
             ..NativeConfig::default()
         })
@@ -1135,7 +1131,6 @@ mod tests {
     fn phased_rt(params: hastm::PhasedParams, versioning: hastm::Versioning) -> NativeRuntime {
         NativeRuntime::new(NativeConfig {
             heap_words: 1 << 12,
-            stripes: 1 << 8,
             versioning,
             phased: Some(params),
             ..NativeConfig::default()

@@ -1,8 +1,9 @@
 //! The native transactional heap: a flat array of host `AtomicU64` words
 //! addressed by the same byte addresses ([`hastm_sim::Addr`]) the
 //! simulator uses, so `ObjRef`-based data structures traverse unchanged.
-//! Its words, like the version store's index and block pool, are
-//! `ZeroedWords`: capacity nobody touches costs no memory.
+//! Each word sits beside its TL2 lock word, in one cache line. Its words,
+//! like the version store's index and block pool, are `ZeroedWords`:
+//! capacity nobody touches costs no memory.
 //!
 //! Word 0 (byte address 0) is never handed out: `Addr::NULL`/`ObjRef::NULL`
 //! must stay distinguishable from a real allocation, exactly as on the
@@ -24,7 +25,8 @@ const FIRST_WORD: usize = 8;
 
 /// A shared, concurrently allocatable word heap.
 pub struct NativeHeap {
-    words: ZeroedWords,
+    /// `[lock, value]` per word, so a 64-byte line holds four of each.
+    slots: ZeroedWords,
     next: CachePadded<AtomicUsize>,
 }
 
@@ -40,7 +42,7 @@ impl NativeHeap {
             "native heap of {words} words is too small"
         );
         NativeHeap {
-            words: ZeroedWords::new(words),
+            slots: ZeroedWords::new(words.checked_mul(2).expect("native heap size overflows")),
             next: CachePadded::new(AtomicUsize::new(FIRST_WORD)),
         }
     }
@@ -56,10 +58,10 @@ impl NativeHeap {
     pub fn alloc_words(&self, n: usize) -> u64 {
         let start = self.next.fetch_add(n, SeqCst);
         assert!(
-            start.checked_add(n).is_some_and(|end| end <= self.words.len()),
+            start.checked_add(n).is_some_and(|end| end <= self.capacity_words()),
             "native heap exhausted: {n} words requested, {} of {} used (raise NativeConfig::heap_words)",
             start,
-            self.words.len()
+            self.capacity_words()
         );
         (start as u64) << 3
     }
@@ -68,43 +70,48 @@ impl NativeHeap {
         debug_assert_eq!(byte & 7, 0, "misaligned native word address {byte:#x}");
         let i = (byte >> 3) as usize;
         assert!(
-            i < self.words.len(),
+            i < self.capacity_words(),
             "address {byte:#x} is outside the native heap ({} words)",
-            self.words.len()
+            self.capacity_words()
         );
         i
+    }
+
+    /// The lock word of word index `word`.
+    pub(crate) fn lock(&self, word: usize) -> &AtomicU64 {
+        &self.slots[2 * word]
     }
 
     /// Atomically loads the word at byte address `byte`.
     pub fn load(&self, byte: u64) -> u64 {
         // Acquire: pairs with `store`'s release, so a reader that sees a
-        // written-back value also sees the writer's stripe lock (taken
-        // before the store) when it re-reads the lock word afterwards.
-        self.words[self.index(byte)].load(Acquire)
+        // written-back value also sees the writer's lock (taken before
+        // the store) when it re-reads the lock word afterwards.
+        self.slots[2 * self.index(byte) + 1].load(Acquire)
     }
 
     /// Atomically stores the word at byte address `byte`.
     pub fn store(&self, byte: u64, value: u64) {
-        // Release: orders the stripe CAS-lock, the clock RMW and the ring
+        // Release: orders the CAS-lock, the clock RMW and the ring
         // publication before the value becomes visible.
-        self.words[self.index(byte)].store(value, Release);
+        self.slots[2 * self.index(byte) + 1].store(value, Release);
     }
 
     /// Words handed out so far (including the reserved null region).
     pub fn used_words(&self) -> usize {
-        self.next.load(SeqCst).min(self.words.len())
+        self.next.load(SeqCst).min(self.capacity_words())
     }
 
     /// Total capacity in words.
     pub fn capacity_words(&self) -> usize {
-        self.words.len()
+        self.slots.len() / 2
     }
 }
 
 impl std::fmt::Debug for NativeHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeHeap")
-            .field("capacity_words", &self.words.len())
+            .field("capacity_words", &self.capacity_words())
             .field("used_words", &self.used_words())
             .finish()
     }
@@ -124,7 +131,7 @@ const SPILL_BLOCKS: usize = 256;
 /// memory follows the words that have a history: a page of index serves
 /// 512 heap words, a page of pool 64 published words at `k = 3`. A commit
 /// writes a head block, and the index entry naming it, under the word's
-/// stripe lock; a snapshot read takes both seqlock-style with that lock
+/// lock; a snapshot read takes both seqlock-style with that lock
 /// word as the sequence (DESIGN §12b), so everything here is
 /// acquire/release atomics.
 ///
@@ -229,7 +236,7 @@ impl VersionStore {
     }
 
     /// Whether a commit has published the word at `addr`; asked by a
-    /// committer holding its stripe.
+    /// committer holding its lock.
     pub(crate) fn has_history(&self, addr: u64) -> bool {
         self.head(addr).is_some()
     }
@@ -263,7 +270,7 @@ impl VersionStore {
     }
 
     /// Publishes `(wv, value)` as the newest version of the word at
-    /// `addr`, whose stripe the caller holds and whose heap word still
+    /// `addr`, whose lock the caller holds and whose heap word still
     /// reads `pre_image`; `floor` is the live snapshots' floor
     /// ([`hastm::mvcc::LiveSnapshots::floor`]). Returns whether this was
     /// the word's first publication, which claims its head block, and how
@@ -346,7 +353,7 @@ impl VersionStore {
     /// the newest `(version, value)` of the word at `addr` with a version
     /// at or below `rv` — failing that, the oldest — or `Some(None)` for
     /// a word no commit has published; `None` if `stable`, the caller's
-    /// stripe-unchanged test, failed after the index and head block were
+    /// lock-unchanged test, failed after the index and head block were
     /// read.
     pub(crate) fn lookup(
         &self,
@@ -359,7 +366,7 @@ impl VersionStore {
             return None;
         }
         // The head block was whole, or rightly absent. So is the chain
-        // below it, however the stripe moves from here on, as far down as
+        // below it, however the lock moves from here on, as far down as
         // this reader goes — to the first entry at or below `rv`: the tail
         // is retired only from behind a block that starts at or below the
         // floor, the floor is at or below `rv`, and a linked spill block's
@@ -400,6 +407,21 @@ mod tests {
         heap.store(b, 9);
         assert_eq!(heap.load(a), 7);
         assert_eq!(heap.load(b), 9);
+    }
+
+    /// A word's lock and its value share a 64-byte line, at either end of
+    /// the heap and between, so a read's sandwich loads one line.
+    #[test]
+    fn every_word_shares_a_line_with_its_lock() {
+        let heap = NativeHeap::new(1 << 16);
+        let line = |word: &AtomicU64| word as *const AtomicU64 as usize / 64;
+        for i in (0..heap.capacity_words())
+            .step_by(97)
+            .chain([1, 3, 4, 7, (1 << 16) - 1])
+        {
+            let value = &heap.slots[2 * heap.index((i as u64) << 3) + 1];
+            assert_eq!(line(heap.lock(i)), line(value), "word {i}");
+        }
     }
 
     #[test]

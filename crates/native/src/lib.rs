@@ -6,7 +6,8 @@
 //! TL2-style timestamp-ordered STM ([Dice, Shalev, Shavit 2006]):
 //!
 //! * a global version clock ([`NativeRuntime::clock`]),
-//! * per-stripe versioned write-locks (`version << 1 | locked`),
+//! * a versioned write-lock (`version << 1 | locked`) beside every heap
+//!   word, in the word's own cache line,
 //! * commit-time lock → validate → write-back → release-at-`wv`.
 //!
 //! [`NativeConfig::default`] is that and nothing else. Two things are

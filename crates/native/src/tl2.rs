@@ -1,13 +1,15 @@
 //! The shared state of the native TL2 runtime: the global version clock,
-//! the per-stripe versioned write-lock table, and the live-snapshot slots
-//! and version rings of `Multi`.
+//! the heap with a versioned write-lock beside every word, and the
+//! live-snapshot slots and version rings of `Multi`.
 //!
-//! ## Protocol (TL2, word-stripe variant)
+//! ## Protocol (TL2, per-word locks)
 //!
-//! * Every 8-byte heap word hashes to one **stripe**; each stripe owns a
-//!   versioned write-lock word: `version << 1 | locked`. Locking CASes
-//!   `v << 1` to `(v << 1) | 1`, so the pre-lock version stays readable
-//!   while the stripe is held.
+//! * Every 8-byte heap word is its own **stripe**: it owns a versioned
+//!   write-lock word, `version << 1 | locked`, in the same cache line
+//!   ([`NativeHeap`]). Locking CASes `v << 1` to `(v << 1) | 1`, so the
+//!   pre-lock version stays readable while the stripe is held. No two
+//!   words share a lock, so no commit moves the version of a word it did
+//!   not write.
 //! * A transaction snapshots the global clock at begin (`rv`). Reads use
 //!   the lock–load–lock sandwich: the stripe must be unlocked with
 //!   `version <= rv` both before and after the value load.
@@ -33,15 +35,12 @@ use hastm_sim::words::CachePadded;
 use hastm_sim::{counters, Addr};
 
 use crate::heap::{NativeHeap, VersionStore};
-use crate::zeroed::ZeroedWords;
 
 /// Configuration of one [`NativeRuntime`].
 #[derive(Clone, Debug)]
 pub struct NativeConfig {
-    /// Heap capacity in 8-byte words.
+    /// Heap capacity in 8-byte words (16 bytes each, with its lock).
     pub heap_words: usize,
-    /// Stripe-lock table size (rounded up to a power of two).
-    pub stripes: usize,
     /// Ignored: the native mark-bit filter is gone (DESIGN §9c), and every
     /// read takes the TL2 sandwich. Kept only until `benchmark/`, which
     /// still sets it, is edited to drop it.
@@ -68,7 +67,6 @@ impl Default for NativeConfig {
     fn default() -> Self {
         NativeConfig {
             heap_words: 1 << 20,
-            stripes: 1 << 16,
             mark_filter: false,
             versioning: Versioning::Single,
             phased: None,
@@ -76,10 +74,10 @@ impl Default for NativeConfig {
     }
 }
 
-/// Decoded state of one stripe lock word.
+/// Decoded state of one stripe's (word's) lock word.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct StripeState {
-    /// Version of the last committed write to the stripe.
+    /// Version of the last committed write to the word.
     pub version: u64,
     /// Whether a committing writer currently holds the stripe.
     pub locked: bool,
@@ -165,13 +163,11 @@ const MAX_LOCK_SPINS: u32 = 128;
 /// Shared state of the native backend; threads hold `&NativeRuntime` and
 /// drive it through per-thread [`crate::NativeExec`]s.
 pub struct NativeRuntime {
+    /// The words and, beside each, its lock.
     heap: NativeHeap,
-    /// One lock word per stripe, on pages that cost memory once touched.
-    locks: ZeroedWords,
-    stripe_mask: u64,
     /// Bumped by every writing commit, so it sits on a line pair of its
-    /// own, away from `stripe_mask`, `locks` and `cfg`, which every read
-    /// of every thread loads.
+    /// own, away from `heap` and `cfg`, which every read of every thread
+    /// loads.
     clock: CachePadded<AtomicU64>,
     cfg: NativeConfig,
     hook_armed: AtomicBool,
@@ -196,14 +192,11 @@ pub struct NativeRuntime {
 impl NativeRuntime {
     /// Builds a runtime with the given configuration.
     pub fn new(cfg: NativeConfig) -> Self {
-        let stripes = cfg.stripes.next_power_of_two().max(2);
         let multi = cfg.versioning.is_multi();
         let versions = multi.then(|| VersionStore::new(cfg.heap_words, cfg.versioning.depth()));
         let phase = cfg.phased.map(SharedModeState::new);
         NativeRuntime {
             heap: NativeHeap::new(cfg.heap_words),
-            locks: ZeroedWords::new(stripes),
-            stripe_mask: (stripes - 1) as u64,
             clock: CachePadded::new(AtomicU64::new(0)),
             cfg,
             hook_armed: AtomicBool::new(false),
@@ -237,10 +230,10 @@ impl NativeRuntime {
         &self.heap
     }
 
-    /// Stripe index of a byte address (8-byte striping, like the
-    /// word-granular lock tables of the TL2 lineage).
+    /// Stripe index of a byte address: its word index, since every word
+    /// has its own lock.
     pub fn stripe_of(&self, byte: u64) -> usize {
-        ((byte >> 3) & self.stripe_mask) as usize
+        (byte >> 3) as usize
     }
 
     /// Decoded lock word of `stripe`.
@@ -272,13 +265,13 @@ impl NativeRuntime {
         // Acquire: pairs with `unlock_stripe`'s release, so a reader that
         // sees a stripe released at `wv` sees that commit's write-back
         // (and ring entries), and its value load stays after this load.
-        self.locks[stripe].load(Acquire)
+        self.heap.lock(stripe).load(Acquire)
     }
 
     /// Tries to lock `stripe`, spinning at most [`MAX_LOCK_SPINS`] times.
     /// Returns the pre-lock version on success.
     pub(crate) fn try_lock_stripe(&self, stripe: usize) -> Option<u64> {
-        let lock = &self.locks[stripe];
+        let lock = self.heap.lock(stripe);
         for _ in 0..=MAX_LOCK_SPINS {
             // Acquire: only a guess for the CAS, which is the lock's RMW.
             let cur = lock.load(Acquire);
@@ -297,7 +290,7 @@ impl NativeRuntime {
     pub(crate) fn unlock_stripe(&self, stripe: usize, version: u64) {
         // Release: every write-back store (and ring publication) of the
         // holder is visible to whoever acquires the released word.
-        self.locks[stripe].store(version << 1, Release);
+        self.heap.lock(stripe).store(version << 1, Release);
     }
 
     /// The live-snapshot registry of a `Multi` runtime; `None` under
@@ -354,14 +347,7 @@ impl NativeRuntime {
     /// it). Returns the pre-lock version, or `None` if already locked.
     #[doc(hidden)]
     pub fn debug_lock_stripe(&self, stripe: usize) -> Option<u64> {
-        let cur = self.locks[stripe].load(SeqCst);
-        if cur & 1 == 1 {
-            return None;
-        }
-        self.locks[stripe]
-            .compare_exchange(cur, cur | 1, SeqCst, SeqCst)
-            .ok()
-            .map(|prev| prev >> 1)
+        self.try_lock_stripe(stripe)
     }
 
     /// Test-only: release a stripe locked by [`Self::debug_lock_stripe`].
@@ -375,7 +361,6 @@ impl std::fmt::Debug for NativeRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeRuntime")
             .field("heap", &self.heap)
-            .field("stripes", &self.locks.len())
             .field("clock", &self.clock())
             .field("versioning", &self.cfg.versioning)
             .finish()
@@ -390,7 +375,6 @@ mod tests {
     fn lock_word_encodes_version_and_held_bit() {
         let rt = NativeRuntime::new(NativeConfig {
             heap_words: 64,
-            stripes: 8,
             ..NativeConfig::default()
         });
         let s = rt.stripe_of(rt.alloc_obj(1).word(0).0);
@@ -417,14 +401,5 @@ mod tests {
                 locked: false
             }
         );
-    }
-
-    #[test]
-    fn adjacent_words_fall_in_distinct_stripes() {
-        let rt = NativeRuntime::new(NativeConfig::default());
-        let o = rt.alloc_obj(4);
-        let stripes: Vec<usize> = (0..4).map(|i| rt.stripe_of(o.word(i).0)).collect();
-        let unique: std::collections::HashSet<&usize> = stripes.iter().collect();
-        assert_eq!(unique.len(), 4, "8-byte striping separates adjacent words");
     }
 }

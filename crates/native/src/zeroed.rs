@@ -1,14 +1,14 @@
 //! Large zeroed word arrays that cost memory only where they are touched.
 //!
-//! The heap, the stripe-lock table and the version store's index and
-//! block pool are sized for the largest run a configuration allows, and
-//! most runs write a small part of each. On Linux (x86-64 and AArch64) a
+//! The heap (each word with its lock word) and the version store's index
+//! and block pool are sized for the largest run a configuration allows,
+//! and most runs write a small part of each. On Linux (x86-64 and AArch64) a
 //! [`ZeroedWords`] is an anonymous private mapping: the kernel supplies
 //! each page zeroed on its first touch, so building one costs a system
 //! call rather than a `memset` of its full size, and the resident set
 //! follows what a run writes. `MAP_NORESERVE` keeps untouched capacity
 //! from being charged against the commit limit. Other targets take a
-//! zeroed allocation.
+//! zeroed allocation. Either way an array starts on a 64-byte line.
 //!
 //! This module holds the crate's only `unsafe`: getting the memory, the
 //! slice over it and giving it back. Everything it exports is safe to
@@ -57,7 +57,8 @@ impl ZeroedWords {
     }
 
     fn layout(len: usize) -> Layout {
-        Layout::array::<AtomicU64>(len).expect("zeroed word array size overflows")
+        let line_aligned = Layout::array::<AtomicU64>(len).and_then(|words| words.align_to(64));
+        line_aligned.expect("zeroed word array size overflows")
     }
 }
 

@@ -75,7 +75,6 @@ const WORDS: u32 = 8;
 fn runtime(versioning: Versioning) -> NativeRuntime {
     NativeRuntime::new(NativeConfig {
         heap_words: 1 << 12,
-        stripes: 1 << 8,
         versioning,
         ..NativeConfig::default()
     })

@@ -29,7 +29,6 @@ fn total() -> u64 {
 fn multi_rt(k: usize) -> Arc<NativeRuntime> {
     Arc::new(NativeRuntime::new(NativeConfig {
         heap_words: 1 << 10,
-        stripes: 1 << 8,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     }))
@@ -205,11 +204,11 @@ fn live_ro_scans_conserve_the_ledger_and_never_abort() {
 }
 
 /// Scans against commits that never pause: one writer moves value round
-/// a ledger whose cells share four stripes for as long as two scanners
-/// are at it, so on a host with a CPU to spare most snapshot reads find
-/// their stripe moved past `rv` and take the ring — at `k = 1` the ring
-/// a commit is turning over or spilling as they read it. Every scan must
-/// still see one committed prefix.
+/// the ledger, half its cells a commit, for as long as two scanners are
+/// at it, so on a host with a CPU to spare about half the snapshot reads
+/// find their cell moved past `rv` and take the ring — at `k = 1` the
+/// ring a commit is turning over or spilling as they read it. Every scan
+/// must still see one committed prefix.
 #[test]
 fn scans_racing_a_tireless_writer_read_whole_rings() {
     use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -224,7 +223,6 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
     for k in [1, 2] {
         let rt = NativeRuntime::new(NativeConfig {
             heap_words: 1 << 10,
-            stripes: 4,
             versioning: Versioning::Multi { k },
             ..NativeConfig::default()
         });
@@ -237,12 +235,18 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
                     if scanning.load(SeqCst) == 0 {
                         break;
                     }
-                    let (from, to) = (cells[i % CELLS], cells[(i * 3 + 1) % CELLS]);
+                    // Two transfers over four distinct cells, half the
+                    // ledger: the second is the first moved by CELLS / 2.
                     ex.atomic(|ctx| {
-                        let vf = ctx.ctx_read(from, 0)?;
-                        ctx.ctx_write(from, 0, vf.wrapping_sub(1))?;
-                        let vt = ctx.ctx_read(to, 0)?;
-                        ctx.ctx_write(to, 0, vt.wrapping_add(1))
+                        for shift in [0, CELLS / 2] {
+                            let from = cells[(i + shift) % CELLS];
+                            let to = cells[(i * 3 + 1 + shift) % CELLS];
+                            let vf = ctx.ctx_read(from, 0)?;
+                            ctx.ctx_write(from, 0, vf.wrapping_sub(1))?;
+                            let vt = ctx.ctx_read(to, 0)?;
+                            ctx.ctx_write(to, 0, vt.wrapping_add(1))?;
+                        }
+                        Ok(())
                     });
                 }
             });
@@ -381,7 +385,6 @@ fn list_round(step: WriterStep) -> Result<Counted, String> {
     }
     let rt = NativeRuntime::new(NativeConfig {
         heap_words: 1 << 16,
-        stripes: 1 << 8,
         versioning: Versioning::Multi { k: 3 },
         ..NativeConfig::default()
     });

@@ -1,8 +1,8 @@
 //! A runtime's resident memory follows what it touches, not what it can
 //! hold.
 //!
-//! `NativeConfig::default()` sizes the heap at 2^20 words and the
-//! stripe-lock table at 2^16: 8.5 MB that a build used to zero in full.
+//! `NativeConfig::default()` sizes the heap at 2^20 words, each beside
+//! its lock word: 16 MB that a build would zero in full.
 //! Built on pages the kernel zero-fills on first touch, a runtime nobody
 //! has written costs next to nothing resident, however many came before
 //! it. This file is its own test process holding one test, so `VmRSS` is

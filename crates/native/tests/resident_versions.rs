@@ -36,8 +36,6 @@ const BATCH: usize = 64;
 fn history_costs_its_blocks_not_a_page_per_written_word() {
     let rt = NativeRuntime::new(NativeConfig {
         heap_words: WORDS * SPACING + 64,
-        // A lock table too small to matter next to the history.
-        stripes: 1 << 8,
         versioning: Versioning::Multi { k: 3 },
         ..NativeConfig::default()
     });

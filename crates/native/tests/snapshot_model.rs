@@ -1,16 +1,18 @@
 //! Model test for snapshot reads: whichever way a read inside an
-//! `atomic_ro` region is served — from the word itself while its stripe
+//! `atomic_ro` region is served — from the word itself while its lock
 //! has not moved past the region's `rv`, from the version ring once it
-//! has, or from the heap for a word no commit ever wrote — it returns the
-//! value the word had when the region began.
+//! has, or from the heap for a word whose allocating commit stored it
+//! without a ring — it returns the value the word had when the region
+//! began (for that last kind, the value every region that can reach the
+//! word reads).
 //!
 //! Nothing races here. One thread drives a writer executor and a reader
 //! executor by hand: the reader's region is opened after a prefix of the
 //! history (which pins its `rv` through its live-snapshot slot), and the
 //! rest of the history commits from *inside* the region's closure, with
-//! every word re-read after every commit. The runtime has two stripes, so
-//! every word aliases half the others and a commit to one word moves the
-//! version of words it never touched.
+//! every word re-read after every commit. Every word has its own lock, so
+//! a read goes past the current version exactly when a commit since `rv`
+//! wrote that word.
 
 use hastm::{ObjRef, TmExec, Versioning};
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
@@ -28,7 +30,6 @@ type Commit = Vec<(u32, u64)>;
 fn runtime(k: usize) -> NativeRuntime {
     NativeRuntime::new(NativeConfig {
         heap_words: 64,
-        stripes: 2,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     })
@@ -56,7 +57,6 @@ fn pinned_region_sees_its_prefix(
     let mut writer = NativeExec::new(&rt);
     let mut reader = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
-    let stripe = |word: u32| rt.stripe_of(obj.word(word).0);
 
     let mut model = [0u64; WORDS as usize];
     for commit in &history[..pin] {
@@ -66,9 +66,9 @@ fn pinned_region_sees_its_prefix(
         }
     }
 
-    // Stripes some commit has written since the region began: a read of a
-    // word on one of them cannot be served from the current version.
-    let mut moved = [false; 2];
+    // Words some commit has written since the region began: a read of one
+    // of them cannot be served from the current version.
+    let mut moved = [false; WORDS as usize];
     let (mut reads, mut past_current) = (0u64, 0u64);
     let mut wrong = Vec::new();
     reader.atomic_ro(|ctx| {
@@ -76,7 +76,7 @@ fn pinned_region_sees_its_prefix(
             for word in 0..WORDS {
                 let got = ctx.ctx_read(obj, word)?;
                 reads += 1;
-                past_current += u64::from(moved[stripe(word)]);
+                past_current += u64::from(moved[word as usize]);
                 if got != model[word as usize] {
                     wrong.push((step, word, got));
                 }
@@ -84,7 +84,7 @@ fn pinned_region_sees_its_prefix(
             if let Some(commit) = history.get(step) {
                 apply(&mut writer, obj, commit);
                 for &(word, _) in commit {
-                    moved[stripe(word)] = true;
+                    moved[word as usize] = true;
                 }
             }
         }
@@ -103,7 +103,7 @@ fn pinned_region_sees_its_prefix(
     prop_assert_eq!(
         stats.ring_reads,
         past_current,
-        "exactly the reads of moved stripes go past the current version"
+        "exactly the reads of moved words go past the current version"
     );
     for word in WRITTEN..WORDS {
         prop_assert!(rt.ring_versions(obj.word(word)).is_empty());
@@ -134,44 +134,51 @@ proptest! {
     }
 }
 
-/// The three ways a snapshot read is served, one word each, told apart by
-/// the counters.
+/// The three ways a snapshot read is served, told apart by the counters:
+/// the current version of a word no commit has moved past `rv`; the ring
+/// of one a commit has (its entry at `rv`, or its seed, the pre-image);
+/// and, for a word whose lock moved with no ring — one its allocating
+/// commit stored without history — the heap word, which holds the value
+/// every region that can reach it reads.
 #[test]
 fn each_path_serves_its_case() {
     let rt = runtime(3);
     let mut writer = NativeExec::new(&rt);
     let mut reader = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
-    let stripe = |word: u32| rt.stripe_of(obj.word(word).0);
-    // Words 0 and 2 share a stripe with the never-written word 6; word 1
-    // is on the other one.
-    assert_eq!(stripe(0), stripe(2));
-    assert_eq!(stripe(0), stripe(6));
-    assert_ne!(stripe(0), stripe(1));
     apply(&mut writer, obj, &vec![(0, 10), (1, 11)]);
 
+    let mut fresh = ObjRef::NULL;
     reader.atomic_ro(|ctx| {
         // Nothing has moved: all three from the current version.
         assert_eq!(ctx.ctx_read(obj, 0)?, 10);
         assert_eq!(ctx.ctx_read(obj, 1)?, 11);
         assert_eq!(ctx.ctx_read(obj, 6)?, 0);
-        // A commit to word 2 moves the stripe of words 0 and 6 past rv,
-        // and overwrites word 0 for good measure.
-        apply(&mut writer, obj, &vec![(2, 22), (0, 20)]);
-        assert_eq!(ctx.ctx_read(obj, 1)?, 11, "untouched stripe: still current");
+        // One commit writes word 2 for the first time, overwrites word 0,
+        // and stores an object it allocates.
+        fresh = writer.atomic(|w| {
+            w.ctx_write(obj, 2, 22)?;
+            w.ctx_write(obj, 0, 20)?;
+            let fresh = w.ctx_alloc(1);
+            w.ctx_write(fresh, 0, 30)?;
+            Ok(fresh)
+        });
+        assert_eq!(ctx.ctx_read(obj, 1)?, 11, "untouched word: still current");
+        assert_eq!(ctx.ctx_read(obj, 6)?, 0, "unwritten word: still current");
         assert_eq!(
             ctx.ctx_read(obj, 0)?,
             10,
             "ring entry at rv, not the new 20"
         );
         assert_eq!(ctx.ctx_read(obj, 2)?, 0, "ring seed: the pre-image");
-        assert_eq!(ctx.ctx_read(obj, 6)?, 0, "no ring: the frozen heap word");
+        assert_eq!(ctx.ctx_read(fresh, 0)?, 30, "no ring: the heap word");
         Ok(())
     });
     let stats = reader.stats();
-    assert_eq!(stats.snapshot_reads, 7);
+    assert_eq!(stats.snapshot_reads, 8);
     assert_eq!(stats.ring_reads, 3, "{stats:?}");
     assert!(rt.ring_versions(obj.word(6)).is_empty());
+    assert!(rt.ring_versions(fresh.word(0)).is_empty());
     assert_eq!(rt.ring_versions(obj.word(2)).first(), Some(&0));
     assert_eq!(reader.atomic_ro(|ctx| ctx.ctx_read(obj, 0)), 20);
 }
@@ -234,17 +241,17 @@ fn a_pinned_region_outlives_many_turns_of_the_ring() {
     );
 }
 
-/// Two words on one stripe share a lock word, not a ring: commits to
-/// either move the stripe past a pinned region's `rv`, the region reads
-/// each word's own history, and a word nobody wrote has none.
+/// Neighbouring words, which share a cache line with each other's locks,
+/// keep their own locks and their own rings: a commit to one moves only
+/// its lock past a pinned region's `rv`, the region reads each word's own
+/// history, and a word nobody wrote has none and stays current.
 #[test]
-fn words_aliased_onto_one_stripe_keep_their_own_rings() {
+fn neighbouring_words_keep_their_own_locks_and_rings() {
     let rt = runtime(2);
     let mut writer = NativeExec::new(&rt);
     let mut reader = NativeExec::new(&rt);
     let obj = writer.alloc_obj(WORDS);
-    let stripe = |word: u32| rt.stripe_of(obj.word(word).0);
-    assert!(stripe(0) == stripe(2) && stripe(0) == stripe(6));
+    let version = |word: u32| rt.stripe_state(rt.stripe_of(obj.word(word).0)).version;
     apply(&mut writer, obj, &vec![(0, 10)]);
     apply(&mut writer, obj, &vec![(2, 12)]);
 
@@ -257,16 +264,21 @@ fn words_aliased_onto_one_stripe_keep_their_own_rings() {
                 _ => vec![(2, 12 + turn)],
             };
             apply(&mut writer, obj, &commit);
+            let wrote = |word: u32| commit.iter().any(|&(w, _)| w == word);
+            assert_eq!(wrote(0), version(0) == rt.clock(), "turn {turn}");
+            assert_eq!(wrote(2), version(2) == rt.clock(), "turn {turn}");
+            assert_eq!(version(6), 0, "turn {turn}");
             assert_eq!(ctx.ctx_read(obj, 0)?, 10, "turn {turn}");
             assert_eq!(ctx.ctx_read(obj, 2)?, 12, "turn {turn}");
             assert_eq!(ctx.ctx_read(obj, 6)?, 0, "turn {turn}");
         }
         Ok(())
     });
+    // Word 0 moved at turn 1, word 2 at turn 2, word 6 never.
     assert_eq!(
         reader.stats().ring_reads,
-        18,
-        "every read was past the stripe's version"
+        6 + 5,
+        "exactly the reads of a word written since rv took its ring"
     );
     // Commits 1 and 2, then turns 1, 3, 4, 6 wrote word 0 and turns
     // 2, 3, 5, 6 word 2; the clock ticked once per commit. Each ring
@@ -278,7 +290,7 @@ fn words_aliased_onto_one_stripe_keep_their_own_rings() {
 
 /// Readers that arrive while the write-back hook has a committer parked
 /// mid-commit — one word's ring turned over and its value stored, the
-/// other's not yet — wait for the stripes and then read a whole pair: the
+/// other's not yet — wait for the locks and then read a whole pair: the
 /// old one for a region pinned before the commit, the new one for a
 /// region begun during it. Never one word of each.
 #[test]
@@ -328,7 +340,7 @@ fn readers_of_a_half_written_commit_wait_and_read_whole_pairs() {
             let pair = pair(&mut ex, &Barrier::new(1));
             (pair, ex.stats().ring_reads)
         });
-        // Both readers are spinning on a locked stripe by now, or will
+        // Both readers are spinning on a held lock by now, or will
         // find one; either way what they return is the same.
         std::thread::sleep(std::time::Duration::from_millis(20));
         release.wait();

@@ -3,6 +3,9 @@
 //! * a committed transaction's write-back matches a host-side model, the
 //!   written stripes advance to the commit's write version, and every
 //!   lock is released;
+//! * every word is its own stripe: a commit moves the versions of exactly
+//!   the words it wrote, and words a former lock table's length apart do
+//!   not conflict;
 //! * no read of a locked-or-newer stripe survives validation — at read
 //!   time (the lock–load–lock sandwich) and at commit time (read-set
 //!   revalidation);
@@ -13,7 +16,7 @@
 //!   write-back, every written stripe's lock bit is observably held;
 //! * the redo log is a map: against a `HashMap` reference, a read sees
 //!   the attempt's last write to that word, and the commit stores the
-//!   last value per address and locks each written stripe once;
+//!   last value per address and holds each written word's lock;
 //! * under live races, transfers conserve their total, no reader sees a
 //!   torn sum, and an anti-dependency cycle ends in a serializable state;
 //! * a read of a stripe held by a commit parked between validation and
@@ -30,7 +33,6 @@ use proptest::prelude::*;
 fn runtime() -> NativeRuntime {
     NativeRuntime::new(NativeConfig {
         heap_words: 1 << 12,
-        stripes: 1 << 10,
         ..NativeConfig::default()
     })
 }
@@ -95,6 +97,53 @@ proptest! {
                     "written stripe of cell {} must advance to the commit wv", i
                 );
             }
+        }
+    }
+
+    /// Every word has a lock of its own: a commit moves the versions of
+    /// exactly the words it wrote, to its `wv`, and leaves every other
+    /// allocated word's as it was — whatever earlier commits left where,
+    /// and however the written words sit among the rest.
+    #[test]
+    fn a_commit_moves_exactly_the_versions_of_the_words_it_wrote(
+        sizes in proptest::collection::vec(1..24u32, 1..6),
+        earlier in proptest::collection::vec((any::<usize>(), any::<u64>()), 0..24),
+        writes in proptest::collection::vec((any::<usize>(), any::<u64>()), 1..16),
+    ) {
+        let rt = runtime();
+        let mut ex = NativeExec::new(&rt);
+        let words: Vec<(ObjRef, u32)> = sizes
+            .iter()
+            .flat_map(|&n| {
+                let obj = ex.alloc_obj(n);
+                (0..n).map(move |i| (obj, i))
+            })
+            .collect();
+        let word = |at: usize| words[at % words.len()];
+        for &(at, value) in &earlier {
+            let (obj, i) = word(at);
+            ex.atomic(|ctx| ctx.ctx_write(obj, i, value));
+        }
+        let version = |addr: u64| rt.stripe_state(rt.stripe_of(addr)).version;
+        let allocated: Vec<u64> = (0..rt.heap().used_words() as u64).map(|w| w << 3).collect();
+        let before: Vec<u64> = allocated.iter().map(|&addr| version(addr)).collect();
+
+        let written: BTreeSet<u64> = writes
+            .iter()
+            .map(|&(at, _)| word(at))
+            .map(|(obj, i)| obj.word(i).0)
+            .collect();
+        ex.atomic(|ctx| {
+            for &(at, value) in &writes {
+                let (obj, i) = word(at);
+                ctx.ctx_write(obj, i, value)?;
+            }
+            Ok(())
+        });
+        let wv = rt.clock();
+        for (&addr, &was) in allocated.iter().zip(&before) {
+            let expect = if written.contains(&addr) { wv } else { was };
+            prop_assert_eq!(version(addr), expect, "word at {:#x}", addr);
         }
     }
 
@@ -183,10 +232,32 @@ proptest! {
     }
 }
 
-/// Words of the redo-log object: five times the summary word's 64 bits
-/// and twenty times [`LOG_STRIPES`], so distinct words collide in both.
+/// Words 2^16 apart — one lock table's length apart when words were
+/// hashed onto a table of 2^16 stripes, and so sharing a lock — each have
+/// their own: a commit to one neither aborts a reader of the other at read
+/// time nor fails that reader's commit-time validation.
+#[test]
+fn words_a_table_apart_do_not_conflict() {
+    const APART: u32 = 1 << 16;
+    let rt = NativeRuntime::new(NativeConfig::default());
+    let obj = rt.alloc_obj(APART + 2);
+    let (mut reader, mut writer) = (NativeExec::new(&rt), NativeExec::new(&rt));
+    let mut txn = reader.txn();
+    assert_eq!(txn.ctx_read(obj, 0), Ok(0));
+    writer.atomic(|ctx| ctx.ctx_write(obj, APART, 7));
+    assert_eq!(
+        txn.ctx_read(obj, 0),
+        Ok(0),
+        "read after the far word's commit"
+    );
+    txn.ctx_write(obj, 1, 1).unwrap();
+    assert_eq!(txn.commit(), Ok(()), "the read still validates");
+    assert_eq!((rt.peek(obj.word(1)), rt.peek(obj.word(APART))), (1, 7));
+}
+
+/// Words of the redo-log object: five times the summary word's 64 bits,
+/// so distinct words collide in it.
 const LOG_WORDS: u32 = 320;
-const LOG_STRIPES: usize = 16;
 
 /// One write-back hook call: `(done, total)` and the stripes held then.
 type HookCall = (usize, usize, BTreeSet<usize>);
@@ -200,10 +271,10 @@ proptest! {
 
     /// One attempt's reads and writes against a `HashMap`: read-after-write
     /// and overwrite at every log length (a few entries, scanned; hundreds,
-    /// indexed), words that share a summary bit, many words per stripe.
-    /// Then the commit, watched from the write-back hook: one store per
-    /// distinct address, exactly the written stripes locked, and afterwards
-    /// the last value per address in the heap.
+    /// indexed), words that share a summary bit. Then the commit, watched
+    /// from the write-back hook: one store per distinct address, exactly
+    /// the written words' locks held, and afterwards the last value per
+    /// address in the heap.
     #[test]
     fn redo_log_matches_a_hashmap_reference(
         ops in proptest::collection::vec((0..LOG_WORDS, any::<u64>(), any::<bool>()), 1..400),
@@ -211,7 +282,6 @@ proptest! {
     ) {
         let rt = Arc::new(NativeRuntime::new(NativeConfig {
             heap_words: 1 << 10,
-            stripes: LOG_STRIPES,
             ..NativeConfig::default()
         }));
         let mut ex = NativeExec::new(&rt);
@@ -226,8 +296,8 @@ proptest! {
             prop_assert_eq!(rt.peek(obj.word(word)), initial_word(word));
         }
 
-        // A narrow case keeps to five words that share one summary bit and
-        // one stripe, so most writes overwrite and every lookup is a hit.
+        // A narrow case keeps to five words that share one summary bit, so
+        // most writes overwrite and every lookup is a hit.
         let word_of = |word: u32| if narrow { word % 5 * 64 } else { word };
         let mut model: HashMap<u32, u64> = HashMap::new();
         let mut txn = ex.txn();
@@ -242,13 +312,14 @@ proptest! {
             }
         }
 
+        let stripes = (0..LOG_WORDS).map(|w| rt.stripe_of(obj.word(w).0)).collect::<Vec<_>>();
         let written: BTreeSet<usize> =
             model.keys().map(|&w| rt.stripe_of(obj.word(w).0)).collect();
         let seen: Arc<Mutex<Vec<HookCall>>> = Arc::default();
         let hook: WritebackHook = {
-            let (rt, seen) = (Arc::clone(&rt), Arc::clone(&seen));
+            let (rt, seen, stripes) = (Arc::clone(&rt), Arc::clone(&seen), stripes.clone());
             Arc::new(move |done, total| {
-                let locked = (0..LOG_STRIPES).filter(|&s| rt.stripe_state(s).locked).collect();
+                let locked = stripes.iter().copied().filter(|&s| rt.stripe_state(s).locked).collect();
                 seen.lock().unwrap().push((done, total, locked));
             })
         };
@@ -264,7 +335,7 @@ proptest! {
             prop_assert_eq!(seen.len(), model.len() + 1, "one store per distinct address");
             for (i, (done, total, locked)) in seen.iter().enumerate() {
                 prop_assert_eq!((*done, *total), (i, model.len()));
-                prop_assert_eq!(locked, &written, "exactly the written stripes are held");
+                prop_assert_eq!(locked, &written, "exactly the written words' locks are held");
             }
         }
         let wv = rt.clock();
@@ -272,7 +343,7 @@ proptest! {
             let expect = model.get(&word).copied().unwrap_or(initial_word(word));
             prop_assert_eq!(rt.peek(obj.word(word)), expect, "word {}", word);
         }
-        for stripe in 0..LOG_STRIPES {
+        for stripe in stripes {
             let st = rt.stripe_state(stripe);
             prop_assert!(!st.locked);
             prop_assert_eq!(st.version == wv, written.contains(&stripe), "stripe {}", stripe);
@@ -288,15 +359,15 @@ fn writeback_holds_every_written_stripe_lock() {
     let rt = Arc::new(runtime());
     let mut ex = NativeExec::new(&rt);
     let cells = alloc_cells(&mut ex);
-    let stripes: Vec<usize> = cells.iter().map(|c| rt.stripe_of(c.word(0).0)).collect();
+    let written: Vec<usize> = cells.iter().map(|c| rt.stripe_of(c.word(0).0)).collect();
 
     let violation = Arc::new(AtomicBool::new(false));
     let hook: WritebackHook = {
         let violation = Arc::clone(&violation);
         let rt = Arc::clone(&rt);
-        let stripes = stripes.clone();
+        let written = written.clone();
         Arc::new(move |_done, _total| {
-            for &s in &stripes {
+            for &s in &written {
                 if !rt.stripe_state(s).locked {
                     violation.store(true, Ordering::SeqCst);
                 }
