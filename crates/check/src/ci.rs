@@ -17,10 +17,10 @@ const ROWS: &[(&str, &str, &[&str])] = &[
         "  359 runs, 179 pruned as duplicate schedules",
         "  coverage: 359 runs, 180 distinct schedules, 4 conflict-pair orderings, 1 abort causes [hw-conflict]",
     ]),
-    ("native", "--backend native --seeds 64 --quiet", &["OK: 5120 native trials, 0 divergences from the simulated reference"]),
+    ("native", "--backend native --seeds 64 --quiet", &["OK: 2560 native trials, 0 divergences from the simulated reference"]),
     ("oltp", "--workload oltp --backend both --seeds 16 --quiet", &[
         "OK: 896 trials, 0 violations (determinism re-checked on seed 0)",
-        "OK: 256 native trials, 0 divergences from the simulated reference",
+        "OK: 128 native trials, 0 divergences from the simulated reference",
     ]),
     ("trace-stm", "--replay --workload counter --combo hastm:obj:full --seed 0 --threads 2 --ops 4 --trace 4@1,9@0 --trace-out trace-stm.json", &[
         "  trace: 632 records -> trace-stm.json (valid Chrome trace JSON)",

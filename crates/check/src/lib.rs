@@ -24,9 +24,9 @@
 //!   simulated makespan), the property that makes seed replay meaningful;
 //! * **twin agreement** — for every axis whose table row names a
 //!   [`Relation`], same-seed trials that differ only along that axis must
-//!   reach the same final state (multi-version vs single-version, phased vs
-//!   watermark policy); any divergence is reported as a failure of its
-//!   own.
+//!   reach the same final state (multi-version vs single-version, and the
+//!   simulator's phased vs watermark policy); any divergence is reported
+//!   as a failure of its own.
 //!
 //! Every workload is written once (a [`hastm_workloads::Definition`], named
 //! in [`workload`]) and every backend is one run session of
@@ -1125,8 +1125,16 @@ mod tests {
         // commit/abort hooks: `SharedModeState::{enter, leave}` must issue
         // the same gated ops in the same order. Every row but the PCT one
         // commits inside `Phase::Serial`; the `v3` rows send snapshot
-        // regions through the gate as well.
+        // regions through the gate as well. The hair trigger demotes on
+        // every bad event and recovers within a short window, so even a
+        // 24-op trial descends to `Serial` and climbs back out.
         use Workload::*;
+        let hair = hastm::PhasedParams {
+            demote_after: 1,
+            promote_after: 4,
+            hysteresis: 2,
+            hw_retry_budget: 2,
+        };
         let (fuzzed, pct, det) = (Sched::Fuzzed, Sched::Pct { depth: 3 }, Sched::Det);
         let obj = "hastm:obj:full:ph";
         let line = "hastm:line:full:ph";
@@ -1145,7 +1153,7 @@ mod tests {
         for (slug, hair_trigger, workload, seed, sched, state, makespan, serial, moves) in rows {
             let mut combo = Combo::parse(slug).unwrap();
             if hair_trigger {
-                combo.policy = Some(ModePolicy::Phased(native::phased_params()));
+                combo.policy = Some(ModePolicy::Phased(hair));
             }
             let trial = Trial {
                 combo,

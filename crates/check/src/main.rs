@@ -25,7 +25,7 @@ use std::process::ExitCode;
 
 use hastm_check::explore::{explore, ExploreConfig};
 use hastm_check::native::{
-    heap_words, run_native_suite, NativeCheckConfig, NativeTrial, PHASED, VERSIONINGS,
+    heap_words, run_native_suite, NativeCheckConfig, NativeTrial, VERSIONINGS,
 };
 use hastm_check::{
     check_trial_plan, parse_trace, run_suite, CheckConfig, Combo, Observation, RunPlan, Sched,
@@ -66,9 +66,9 @@ OPTIONS:
                                                            [default: fuzzed]
     --backend B      execution backend: sim | native | both [default: sim]
                      native runs the workloads on real host threads over
-                     the TL2 runtime (--threads, single- and multi-version,
-                     phased and not) and differential-checks final states
-                     against the simulator's sequential reference
+                     the TL2 runtime (--threads, single- and multi-version)
+                     and differential-checks final states against the
+                     simulator's sequential reference
     --coverage       record schedules; print interleaving coverage
     --explore        bounded-exhaustive preemption-trace enumeration
     --bound B        max preemptions per trace             [default: 2]
@@ -556,12 +556,11 @@ fn native_config(args: &Args) -> NativeCheckConfig {
 
 fn run_native_backend(args: &Args) -> bool {
     let cfg = native_config(args);
-    let per_seed =
-        (cfg.thread_counts.len() * VERSIONINGS.len() * PHASED.len() * cfg.workloads.len()) as u64;
+    let per_seed = (cfg.thread_counts.len() * VERSIONINGS.len() * cfg.workloads.len()) as u64;
     if !args.quiet {
         println!(
             "native backend: {} workloads x threads {:?} x {} versionings \
-             x phased on/off x {} seeds ({} trials; ops={}, host cpus={})",
+             x {} seeds ({} trials; ops={}, host cpus={})",
             cfg.workloads.len(),
             cfg.thread_counts,
             VERSIONINGS.len(),

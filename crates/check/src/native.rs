@@ -18,7 +18,7 @@
 //! failure reports the exact trial parameters instead, which rerun the
 //! same streams under fresh host interleavings.
 
-use hastm::{PhasedParams, Versioning};
+use hastm::Versioning;
 use hastm_native::{NativeConfig, NativeStats};
 use hastm_workloads::{Definition, NativeSession};
 
@@ -39,35 +39,18 @@ pub struct NativeTrial {
     /// the map workloads' lookups run as read-only snapshot transactions,
     /// which must commit abort-free.
     pub versioning: Versioning,
-    /// Whether the PhTM-style global phase controller runs (with the
-    /// hair-trigger [`phased_params`], so small trials actually sweep the
-    /// lattice — serial-lock phase included — and recover).
-    pub phased: bool,
-}
-
-/// Phase parameters for phased native trials: hair-trigger demotion with
-/// a short recovery window, so even a 16-op trial can descend to the
-/// serial phase and climb back out.
-pub fn phased_params() -> PhasedParams {
-    PhasedParams {
-        demote_after: 1,
-        promote_after: 4,
-        hysteresis: 2,
-        hw_retry_budget: 2,
-    }
 }
 
 impl std::fmt::Display for NativeTrial {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "native/{} seed={} threads={} ops={} v={}{}",
+            "native/{} seed={} threads={} ops={} v={}",
             self.workload.slug(),
             self.seed,
             self.threads,
             self.ops,
             self.versioning.depth().max(1),
-            if self.phased { " phased" } else { "" },
         )
     }
 }
@@ -121,7 +104,6 @@ impl Backend for Native<'_> {
             heap_words: heap_words(trial.threads, trial.ops)
                 .expect("trial too large for one native heap"),
             versioning: trial.versioning,
-            phased: trial.phased.then(phased_params),
             ..NativeConfig::default()
         });
         let (shared, run) = session.run_definition(w, trial.threads);
@@ -169,9 +151,6 @@ pub struct NativeCheckConfig {
 /// a 3-deep multi-version ring.
 pub const VERSIONINGS: [Versioning; 2] = [Versioning::Single, Versioning::Multi { k: 3 }];
 
-/// The phase-controller settings every native sweep crosses: off and on.
-pub const PHASED: [bool; 2] = [false, true];
-
 impl Default for NativeCheckConfig {
     fn default() -> Self {
         NativeCheckConfig {
@@ -205,8 +184,8 @@ pub struct NativeSuiteReport {
     pub stats: NativeStats,
 }
 
-/// Sweeps workloads × thread counts × [`VERSIONINGS`] × [`PHASED`] across the seed range, calling `on_trial` after each trial
-/// with its pass/fail status.
+/// Sweeps workloads × thread counts × [`VERSIONINGS`] across the seed
+/// range, calling `on_trial` after each trial with its pass/fail status.
 pub fn run_native_suite(
     cfg: &NativeCheckConfig,
     mut on_trial: impl FnMut(&NativeTrial, bool),
@@ -215,23 +194,20 @@ pub fn run_native_suite(
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
         for &threads in &cfg.thread_counts {
             for versioning in VERSIONINGS {
-                for phased in PHASED {
-                    for &workload in &cfg.workloads {
-                        let trial = NativeTrial {
-                            workload,
-                            seed,
-                            threads,
-                            ops: cfg.ops,
-                            versioning,
-                            phased,
-                        };
-                        let outcome = run_native_trial(&trial);
-                        report.trials += 1;
-                        on_trial(&trial, outcome.is_ok());
-                        match outcome {
-                            Ok(out) => report.stats.merge(&out.stats),
-                            Err(detail) => report.failures.push(NativeFailure { trial, detail }),
-                        }
+                for &workload in &cfg.workloads {
+                    let trial = NativeTrial {
+                        workload,
+                        seed,
+                        threads,
+                        ops: cfg.ops,
+                        versioning,
+                    };
+                    let outcome = run_native_trial(&trial);
+                    report.trials += 1;
+                    on_trial(&trial, outcome.is_ok());
+                    match outcome {
+                        Ok(out) => report.stats.merge(&out.stats),
+                        Err(detail) => report.failures.push(NativeFailure { trial, detail }),
                     }
                 }
             }
@@ -243,8 +219,6 @@ pub fn run_native_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hastm::TmExec;
-    use hastm_native::{NativeExec, NativeRuntime};
     use hastm_sim::mutant::arm;
 
     #[test]
@@ -252,17 +226,14 @@ mod tests {
         let _quiet = arm(None);
         for workload in Workload::ALL {
             for versioning in VERSIONINGS {
-                for phased in PHASED {
-                    let trial = NativeTrial {
-                        workload,
-                        seed: 7,
-                        threads: 3,
-                        ops: 12,
-                        versioning,
-                        phased,
-                    };
-                    run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
-                }
+                let trial = NativeTrial {
+                    workload,
+                    seed: 7,
+                    threads: 3,
+                    ops: 12,
+                    versioning,
+                };
+                run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
             }
         }
     }
@@ -282,57 +253,9 @@ mod tests {
                 threads: 8,
                 ops: 20_000,
                 versioning: Versioning::Single,
-                phased: false,
             };
             run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
         }
-    }
-
-    #[test]
-    fn forced_serial_native_counter_is_exact_and_all_serial() {
-        use hastm::{Phase, PhaseEvent};
-        // Promotion out of Serial is unreachable, and the phase is driven
-        // to Serial before the workers start: every single commit must go
-        // through the irrevocable serial-lock path, and the counter must
-        // still be exact.
-        let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 14,
-            phased: Some(PhasedParams {
-                demote_after: 1,
-                promote_after: 1 << 20,
-                hysteresis: 1,
-                hw_retry_budget: 2,
-            }),
-            ..NativeConfig::default()
-        });
-        let ps = rt.phase_state().expect("phased runtime");
-        while ps.phase() != Phase::Serial {
-            ps.on_event(PhaseEvent::CapacityAbort);
-        }
-        let cell = {
-            let mut ex = NativeExec::new(&rt);
-            ex.alloc_obj(1)
-        };
-        let merged = std::sync::Mutex::new(NativeStats::default());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut ex = NativeExec::new(&rt);
-                    for _ in 0..200 {
-                        ex.atomic(|ctx| {
-                            let v = ctx.ctx_read(cell, 0)?;
-                            ctx.ctx_write(cell, 0, v + 1)
-                        });
-                    }
-                    merged.lock().unwrap().merge(ex.stats());
-                });
-            }
-        });
-        assert_eq!(rt.peek(cell.word(0)), 4 * 200);
-        let st = merged.into_inner().unwrap();
-        assert_eq!(st.commits, 4 * 200);
-        assert_eq!(st.serial_commits, 4 * 200, "every commit serial: {st:?}");
-        assert_eq!(st.aborts(), 0, "the serial phase has no abort path");
     }
 
     #[test]
@@ -344,7 +267,6 @@ mod tests {
             threads: 4,
             ops: 24,
             versioning: Versioning::Multi { k: 3 },
-            phased: false,
         };
         let out = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
         assert!(
@@ -366,7 +288,7 @@ mod tests {
             ..NativeCheckConfig::default()
         };
         let report = run_native_suite(&cfg, |_, _| {});
-        assert_eq!(report.trials, 2 * 2 * 2 * 2 * 5);
+        assert_eq!(report.trials, 2 * 2 * 2 * 5);
         assert!(
             report.failures.is_empty(),
             "native suite failures: {:?}",

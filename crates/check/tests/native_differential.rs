@@ -23,8 +23,8 @@ fn sweep(workloads: Vec<Workload>, thread_counts: Vec<usize>, ops: u64) {
         ops,
         workloads,
     };
-    // Each point runs single- and multi-version, phased and not.
-    let expected = cfg.seeds * (cfg.thread_counts.len() * 2 * 2 * cfg.workloads.len()) as u64;
+    // Each point runs single- and multi-version.
+    let expected = cfg.seeds * (cfg.thread_counts.len() * 2 * cfg.workloads.len()) as u64;
     let report = run_native_suite(&cfg, |_, _| {});
     assert_eq!(report.trials, expected);
     assert!(
@@ -74,7 +74,6 @@ fn single_and_multi_versioning_agree_on_final_state() {
                     threads: 4,
                     ops: 16,
                     versioning,
-                    phased: false,
                 })
                 .unwrap_or_else(|e| panic!("{workload:?} seed={seed}: {e}"))
             };
@@ -106,7 +105,6 @@ fn multi_version_ro_scans_sweep_abort_free_across_thread_counts() {
                     threads,
                     ops: 16,
                     versioning: Versioning::Multi { k: 3 },
-                    phased: false,
                 };
                 let out = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
                 assert!(out.stats.commits > 0, "{trial}: no commits recorded");
@@ -128,35 +126,6 @@ fn multi_version_ro_scans_sweep_abort_free_across_thread_counts() {
 }
 
 #[test]
-fn phased_and_unphased_agree_on_final_state() {
-    // The phase controller may reorder and serialize execution, but it
-    // must never change what the workloads commit — phased and unphased
-    // twins of a trial land on the same final state (both are already
-    // pinned to the simulated sequential reference inside
-    // `run_native_trial`; this pins them to each other too).
-    for workload in Workload::ALL {
-        for seed in 0..4 {
-            let outcome = |phased| {
-                run_native_trial(&NativeTrial {
-                    workload,
-                    seed,
-                    threads: 4,
-                    ops: 16,
-                    versioning: Versioning::Single,
-                    phased,
-                })
-                .unwrap_or_else(|e| panic!("{workload:?} seed={seed}: {e}"))
-            };
-            assert_eq!(
-                outcome(true).state,
-                outcome(false).state,
-                "{workload:?} seed={seed}: the phase controller changed the final state"
-            );
-        }
-    }
-}
-
-#[test]
 fn oversubscribed_thread_count_still_converges() {
     // 8 host threads on any core count (this suite also runs on 1-CPU
     // hosts) forces preemption mid-transaction; TL2 must still converge
@@ -169,7 +138,6 @@ fn oversubscribed_thread_count_still_converges() {
                 threads: 8,
                 ops: 32,
                 versioning,
-                phased: false,
             };
             run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
         }

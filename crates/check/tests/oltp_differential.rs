@@ -24,8 +24,8 @@ fn oltp_matches_reference_across_seeds_and_threads() {
         ops: 12,
         workloads: vec![Workload::Oltp],
     };
-    // Each point runs single- and multi-version, phased and not.
-    let expected = cfg.seeds * (cfg.thread_counts.len() * 2 * 2 * cfg.workloads.len()) as u64;
+    // Each point runs single- and multi-version.
+    let expected = cfg.seeds * (cfg.thread_counts.len() * 2 * cfg.workloads.len()) as u64;
     let report = run_native_suite(&cfg, |_, _| {});
     assert_eq!(report.trials, expected);
     assert!(
@@ -51,7 +51,6 @@ fn sim_and_native_digests_agree_directly() {
                 threads,
                 ops: 12,
                 versioning: Versioning::Single,
-                phased: false,
             };
             let native = run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
             // Base STM at line granularity under the fuzzed schedule.
@@ -84,7 +83,6 @@ fn oversubscribed_mill_still_converges() {
         threads: 8,
         ops: 24,
         versioning: Versioning::Multi { k: 3 },
-        phased: false,
     };
     run_native_trial(&trial).unwrap_or_else(|e| panic!("{trial}: {e}"));
 }

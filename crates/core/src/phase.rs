@@ -40,11 +40,14 @@
 //! instead acquires the global token and waits for `active` to drain to
 //! zero, after which it is provably alone.
 //!
-//! ## One protocol, two backends
+//! ## One protocol, the simulator's
 //!
 //! Entry and exit are written once, in [`SharedModeState::enter`] and
-//! [`SharedModeState::leave`]; a backend supplies only an [`Access`]: how
-//! one step on the shared words is issued and how a wait passes time.
+//! [`SharedModeState::leave`]; the caller supplies only an [`Access`]:
+//! how one step on the shared words is issued and how a wait passes time.
+//! The simulator is the one backend that runs the machine (the native
+//! TL2 backend has no hardware path to choose, so no phases); the unit
+//! tests below supply a recording fake.
 //!
 //! The phase word is side-band host state — it is not simulated memory,
 //! so the admission gate cannot order accesses to it by itself. The
@@ -52,8 +55,7 @@
 //! `Cpu::exec_sync` (canonical admission), which makes it atomic with one
 //! gated instruction and totally ordered by the deterministic admission
 //! schedule: the same seed yields the same transition history across gate
-//! modes and host sweep widths. The native backend's `sync` calls the
-//! step directly: the steps are `SeqCst` atomics already.
+//! modes and host sweep widths.
 //!
 //! ## The planted lost transition
 //!
@@ -62,8 +64,7 @@
 //! old phase back, silently dropping a concurrent phase publication — a
 //! thread can keep running aggressive inside the `Serial` phase while the
 //! token holder believes it is alone. `hastm-check`'s transition-count
-//! oracle must catch it (`tests/phase_mutation.rs`); the one entry loop means
-//! both backends are mutated at once.
+//! oracle must catch it (`tests/phase_mutation.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
@@ -166,7 +167,7 @@ impl Phase {
 }
 
 /// Tuning of [`crate::ModePolicy::Phased`]. All plain integers so the
-/// policy stays `Copy`/`Eq` and shares cleanly with the native backend.
+/// policy stays `Copy`/`Eq`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PhasedParams {
     /// Consecutive interference events (capacity-classified aborts,
@@ -230,7 +231,7 @@ pub enum Wait {
     Token(u64),
 }
 
-/// How a backend reaches the shared phase state. Everything the entry
+/// How a caller reaches the shared phase state. Everything the entry
 /// and exit protocol does to the phase word and the token goes through
 /// `sync`, so a test can substitute a fake that records the order of
 /// steps and moves the other threads between them.
@@ -263,10 +264,9 @@ impl Entry {
     }
 }
 
-/// Heuristic state behind the transitions, serialized by a host mutex.
-/// On the simulator backend the mutex is uncontended by construction
-/// (every `on_event` runs inside one gated op); on the native backend it
-/// is a real, short critical section.
+/// Heuristic state behind the transitions, serialized by a host mutex,
+/// which is uncontended on the simulator by construction (every
+/// `on_event` runs inside one gated op).
 #[derive(Debug, Default)]
 struct Heur {
     streak_bad: u32,
@@ -275,8 +275,8 @@ struct Heur {
 }
 
 /// The scheme-wide shared phase state (the `SharedModeState` seam): one
-/// per [`crate::StmRuntime`] (and one per native runtime), created only
-/// under [`crate::ModePolicy::Phased`].
+/// per [`crate::StmRuntime`], created only under
+/// [`crate::ModePolicy::Phased`].
 #[derive(Debug)]
 pub struct SharedModeState {
     params: PhasedParams,
@@ -306,8 +306,8 @@ impl SharedModeState {
         self.params
     }
 
-    /// The raw packed word (one load — callers on the simulator backend
-    /// wrap this in a gated op).
+    /// The raw packed word (one load — callers on the simulator wrap this
+    /// in a gated op).
     pub fn word(&self) -> u64 {
         self.word.load(SeqCst)
     }

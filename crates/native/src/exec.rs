@@ -19,11 +19,9 @@
 //! executor's free list (`FreeList`, DESIGN §9b).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use hastm::mvcc::{reclaimable, LiveSnapshots};
-use hastm::phase::{Access, Entry, Wait};
-use hastm::{Abort, ObjRef, PhaseEvent, TmContext, TmExec, TxResult};
+use hastm::{Abort, ObjRef, TmContext, TmExec, TxResult};
 use hastm_sim::mutant::{armed, Mutant};
 use hastm_sim::words::RedoLog;
 
@@ -36,35 +34,6 @@ fn app_work(cycles: u64) {
     (0..cycles).for_each(|_| std::hint::spin_loop());
 }
 
-/// Source of serial-token owner ids: one per executor, low bit set so an
-/// id can never collide with the token's "free" value (0).
-static NEXT_TOKEN_ID: AtomicU64 = AtomicU64::new(0);
-
-/// The native access to the phase word: its steps are `SeqCst` atomics
-/// already, so they are called directly. A wait spins; from the 65th
-/// pause of one entry on it yields, because on an oversubscribed host the
-/// thread it waits for — the token holder, or an optimistic transaction
-/// the drain waits on — needs the core.
-#[derive(Default)]
-struct HostWord {
-    pauses: u32,
-}
-
-impl Access for HostWord {
-    fn sync<T>(&mut self, step: impl FnOnce() -> T) -> T {
-        step()
-    }
-
-    fn pause(&mut self, _: Wait) {
-        self.pauses = self.pauses.saturating_add(1);
-        if self.pauses > 64 {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
 /// One host thread's executor over a shared [`NativeRuntime`].
 pub struct NativeExec<'r> {
     rt: &'r NativeRuntime,
@@ -74,8 +43,6 @@ pub struct NativeExec<'r> {
     /// `atomic_ro` region is running), claimed from the runtime by the
     /// first read-only region and given back on drop.
     ro_slot: Option<usize>,
-    /// This executor's serial-token owner id (always odd, never 0).
-    token_id: u64,
     /// The current attempt's reads, as stripes (validated again at
     /// commit).
     reads: Vec<usize>,
@@ -156,7 +123,6 @@ impl<'r> NativeExec<'r> {
             stats: NativeStats::default(),
             backoff: 0x9e37_79b9_7f4a_7c15,
             ro_slot: None,
-            token_id: (NEXT_TOKEN_ID.fetch_add(1, SeqCst) << 1) | 1,
             reads: Vec::new(),
             writes: RedoLog::new(),
             locks: Vec::new(),
@@ -228,47 +194,14 @@ impl<'r> NativeExec<'r> {
         obj
     }
 
-    /// What the writing commit at `wv` freed goes on the free list,
-    /// stamped `wv`: the version that unlinked it.
-    fn retire_frees(&mut self, wv: u64) {
-        for (words, obj) in self.attempt_frees.drain(..) {
-            self.free.queue(words).push_back((wv, obj));
-        }
-    }
-
-    /// Sorts the redo log for write-back and fills `locks` with its
-    /// stripes, ascending and distinct as its addresses (versions zeroed).
-    fn collect_write_stripes(&mut self) {
-        let rt = self.rt;
-        self.writes.sort();
-        self.locks.clear();
-        self.locks.extend(
-            self.writes
-                .entries()
-                .iter()
-                .map(|&(addr, _)| (rt.stripe_of(addr), 0)),
-        );
-    }
-
-    /// Validation is over and nothing is published yet: says so to the
-    /// test hook, `(0, n)`, and returns the hook for [`Self::write_back`].
-    fn announce(&self) -> Option<WritebackHook> {
-        let hook = self.rt.writeback_hook();
-        if let Some(h) = &hook {
-            h(0, self.writes.len());
-        }
-        hook
-    }
-
     /// Writes the (sorted) redo log back at `wv`. Under Multi, each
     /// word's `(wv, value)` is published into its version ring *before*
     /// the store (the ring's seed is the pre-image, read from the heap)
     /// and pruned of what no reader at or above the floor can need, while
-    /// the caller holds the stripes — by lock, or by being alone in the
-    /// serial phase — which is what lets a snapshot reader take the ring
-    /// and the word as one whole. A word of an object this attempt
-    /// allocated publishes nothing unless it already has a history (a
-    /// recycled object's word may, from its last life): only this
+    /// the caller holds the stripes' locks, which is what lets a snapshot
+    /// reader take the ring and the word as one whole. A word of an object
+    /// this attempt allocated publishes nothing unless it already has a
+    /// history (a recycled object's word may, from its last life): only this
     /// commit's stores make the object reachable, and a recycled one was
     /// taken only once every pinned snapshot saw it unlinked, so no
     /// snapshot older than `wv` can read it, and the word's first later
@@ -310,65 +243,6 @@ impl<'r> NativeExec<'r> {
         let live = self.rt.snapshots()?;
         self.ro_slot = self.ro_slot.or_else(|| live.claim());
         Some((live, self.ro_slot?))
-    }
-
-    /// Enters the global phase gate for one attempt; `None` when the
-    /// runtime has no phase controller.
-    fn phase_enter(&mut self) -> Option<Entry> {
-        let ps = self.rt.phase_state()?;
-        Some(ps.enter(self.token_id, &mut HostWord::default()))
-    }
-
-    /// Leaves the phase gate, feeding the attempt's outcome to the
-    /// transition heuristics (when it has one) and counting any phase
-    /// transition this thread's event published.
-    fn phase_leave(&mut self, entry: Option<Entry>, ev: Option<PhaseEvent>) {
-        let Some(entry) = entry else {
-            return;
-        };
-        let ps = self.rt.phase_state().expect("a phase was entered");
-        let moved = ps.leave(entry, self.token_id, ev, &mut HostWord::default());
-        if moved.is_some() {
-            self.stats.phase_transitions += 1;
-        }
-    }
-
-    /// Runs one irrevocable attempt under the held serial token: plain
-    /// heap reads (checked against the redo log for read-after-write),
-    /// buffered writes, and a commit with no locks, no validation, and no
-    /// abort path. The commit still claims a write version, publishes
-    /// version-ring entries under `Multi`, and advances the written
-    /// words' locks to `wv`, so it is indistinguishable from an ordinary
-    /// commit to every later reader.
-    /// The token is released on exit.
-    fn run_serial<R>(
-        &mut self,
-        f: &mut impl FnMut(&mut dyn TmContext) -> TxResult<R>,
-    ) -> TxResult<R> {
-        let rt = self.rt;
-        self.reset_attempt();
-        let out = f(&mut NativeSerialTxn { exec: self });
-        if out.is_ok() {
-            if !self.writes.is_empty() {
-                self.collect_write_stripes();
-                let wv = rt.next_write_version();
-                let hook = self.announce();
-                self.write_back(wv, hook);
-                for &(stripe, _) in &self.locks {
-                    rt.unlock_stripe(stripe, wv);
-                }
-                self.retire_frees(wv);
-            }
-            self.attempt_allocs.clear();
-            self.stats.commits += 1;
-            self.stats.serial_commits += 1;
-        }
-        // Otherwise `retry` (a condition wait): nothing was published, so
-        // giving the token back is a complete rollback (the next attempt
-        // empties the logs).
-        let event = out.is_ok().then_some(PhaseEvent::SerialCommit);
-        self.phase_leave(Some(Entry::Serial), event);
-        out
     }
 
     /// Deterministic-per-thread bounded backoff between attempts.
@@ -414,20 +288,6 @@ impl TmExec for NativeExec<'_> {
     fn atomic<R>(&mut self, mut f: impl FnMut(&mut dyn TmContext) -> TxResult<R>) -> R {
         let mut attempt: u32 = 0;
         loop {
-            let entry = self.phase_enter();
-            if let Some(Entry::Serial) = entry {
-                match self.run_serial(&mut f) {
-                    Ok(r) => return r,
-                    Err(Abort::Explicit) => explicit_abort("atomic"),
-                    Err(_) => {
-                        // Only `retry` reaches here: serial attempts
-                        // cannot conflict-abort.
-                        std::thread::yield_now();
-                        attempt = attempt.saturating_add(1);
-                        continue;
-                    }
-                }
-            }
             let mut txn = self.txn();
             let outcome = match f(&mut txn) {
                 Ok(r) => txn.commit().map(|()| r),
@@ -445,17 +305,13 @@ impl TmExec for NativeExec<'_> {
             match outcome {
                 Ok(r) => {
                     self.stats.commits += 1;
-                    self.phase_leave(entry, Some(PhaseEvent::CleanCommit));
                     return r;
                 }
                 Err(Abort::Explicit) => explicit_abort("atomic"),
-                Err(Abort::Retry) => {
-                    self.phase_leave(entry, None);
-                    // `retry` condition wait: no condition variables here,
-                    // so poll with a yield like the simulator's timed wait.
-                    std::thread::yield_now();
-                }
-                Err(_) => self.phase_leave(entry, Some(PhaseEvent::ConflictAbort)),
+                // `retry` condition wait: no condition variables here, so
+                // poll with a yield like the simulator's timed wait.
+                Err(Abort::Retry) => std::thread::yield_now(),
+                Err(_) => {}
             }
             attempt = attempt.saturating_add(1);
             self.backoff(attempt);
@@ -475,22 +331,6 @@ impl TmExec for NativeExec<'_> {
         };
         let rt = self.rt;
         loop {
-            // Snapshot regions enter the phase gate too: they count into
-            // the active window (so the serial drain really means
-            // "alone"), and in the serial phase they run irrevocably
-            // under the token — mirroring the simulator backend, where a
-            // serial read-only begin stays a full transaction.
-            let entry = self.phase_enter();
-            if let Some(Entry::Serial) = entry {
-                match self.run_serial(&mut f) {
-                    Ok(r) => return r,
-                    Err(Abort::Explicit) => explicit_abort("atomic_ro"),
-                    Err(_) => {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                }
-            }
             // Register-then-capture (`LiveSnapshots::pin`): every version
             // this region can need outlives it.
             let rv = live.pin(slot, || rt.clock());
@@ -500,16 +340,13 @@ impl TmExec for NativeExec<'_> {
                 Ok(r) => {
                     self.stats.ro_commits += 1;
                     self.stats.commits += 1;
-                    self.phase_leave(entry, Some(PhaseEvent::CleanCommit));
                     return r;
                 }
                 Err(Abort::Retry) => {
                     // User condition wait, not a conflict: the snapshot
                     // path itself cannot abort. Counted like the
-                    // simulator backend counts it, and fed to no
-                    // heuristic (a wait is not an outcome).
+                    // simulator backend counts it.
                     self.stats.ro_aborts += 1;
-                    self.phase_leave(entry, None);
                     std::thread::yield_now();
                 }
                 Err(Abort::Explicit) => explicit_abort("atomic_ro"),
@@ -594,7 +431,16 @@ impl NativeTxn<'_, '_> {
         }
 
         // Deterministic ascending lock order forbids lock-order cycles.
-        exec.collect_write_stripes();
+        // The sorted log's addresses are distinct, and so are their
+        // stripes (versions filled in as each is locked).
+        exec.writes.sort();
+        exec.locks.clear();
+        exec.locks.extend(
+            exec.writes
+                .entries()
+                .iter()
+                .map(|&(addr, _)| (rt.stripe_of(addr), 0)),
+        );
         let release = |held: &[(usize, u64)]| {
             for &(stripe, version) in held {
                 rt.unlock_stripe(stripe, version);
@@ -634,13 +480,22 @@ impl NativeTxn<'_, '_> {
             }
         }
 
-        let hook = exec.announce();
+        // Validation is over and nothing is published yet: say so to the
+        // test hook, `(0, n)`.
+        let hook = rt.writeback_hook();
+        if let Some(h) = &hook {
+            h(0, exec.writes.len());
+        }
         exec.write_back(wv, hook);
         for &(stripe, _) in &exec.locks {
             rt.unlock_stripe(stripe, wv);
         }
         exec.attempt_allocs.clear();
-        exec.retire_frees(wv);
+        // What the commit freed goes on the free list, stamped `wv`: the
+        // version that unlinked it.
+        for (words, obj) in exec.attempt_frees.drain(..) {
+            exec.free.queue(words).push_back((wv, obj));
+        }
         Ok(())
     }
 
@@ -690,57 +545,6 @@ impl std::fmt::Debug for NativeTxn<'_, '_> {
     }
 }
 
-/// One irrevocable (serial-phase) attempt: the token holder is provably
-/// alone — the active window drained to zero before it started — so
-/// reads are plain heap loads (checked against the executor's redo log
-/// first for read-after-write), writes buffer into that log, and the
-/// commit in [`NativeExec`]'s serial path publishes with no locks, no
-/// validation, and no abort path.
-struct NativeSerialTxn<'e, 'r> {
-    exec: &'e mut NativeExec<'r>,
-}
-
-impl TmContext for NativeSerialTxn<'_, '_> {
-    fn ctx_read(&mut self, obj: ObjRef, index: u32) -> TxResult<u64> {
-        let addr = obj.word(index).0;
-        Ok(self
-            .exec
-            .writes
-            .get(addr)
-            .unwrap_or_else(|| self.exec.rt.heap().load(addr)))
-    }
-
-    fn ctx_write(&mut self, obj: ObjRef, index: u32, value: u64) -> TxResult<()> {
-        self.exec.writes.insert(obj.word(index).0, value);
-        Ok(())
-    }
-
-    fn ctx_alloc(&mut self, data_words: u32) -> ObjRef {
-        self.exec.attempt_alloc(data_words)
-    }
-
-    fn ctx_free(&mut self, obj: ObjRef, data_words: u32) {
-        self.exec.attempt_frees.push((data_words, obj));
-    }
-
-    fn ctx_guard(&mut self) -> TxResult<()> {
-        // Irrevocable: the snapshot is memory itself, never inconsistent.
-        Ok(())
-    }
-
-    fn ctx_work(&mut self, cycles: u64) {
-        app_work(cycles);
-    }
-}
-
-impl std::fmt::Debug for NativeSerialTxn<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NativeSerialTxn")
-            .field("writes", &self.exec.writes.len())
-            .finish()
-    }
-}
-
 /// One read-only snapshot region (only under
 /// [`hastm::Versioning::Multi`]): reads resolve at the region's `rv` —
 /// from the word itself while its stripe has not moved past `rv`, from
@@ -782,8 +586,7 @@ impl NativeRoTxn<'_, '_> {
             // word stored or published in between (a reader that sees a
             // written-back value or ring entry also sees its lock held or
             // moved; an aborted locker restores the version but never
-            // stored; a serial-phase committer, which stores without
-            // locking, is alone: this region counts into its window).
+            // stored).
             let stable = || rt.lock_word(stripe) == v1;
             let ringed = || rt.versions().lookup(addr, self.rv, stable);
             let value = rt.heap().load(addr);
@@ -866,6 +669,8 @@ impl std::fmt::Debug for NativeRoTxn<'_, '_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering::SeqCst;
+
     use super::*;
     use crate::tl2::NativeConfig;
 
@@ -1128,192 +933,42 @@ mod tests {
         });
     }
 
-    fn phased_rt(params: hastm::PhasedParams, versioning: hastm::Versioning) -> NativeRuntime {
-        NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 12,
-            versioning,
-            phased: Some(params),
-            ..NativeConfig::default()
-        })
-    }
-
-    /// Hair-trigger params: every bad event demotes one level, and the
-    /// promote threshold is high enough that `Serial`, once reached,
-    /// sticks for the remainder of the run.
-    fn hair_trigger() -> hastm::PhasedParams {
-        hastm::PhasedParams {
-            demote_after: 1,
-            promote_after: 1 << 20,
-            hysteresis: 1,
-            hw_retry_budget: 2,
-        }
-    }
-
-    #[test]
-    fn phased_counter_is_exact_and_reaches_the_serial_phase() {
-        let rt = phased_rt(hair_trigger(), hastm::Versioning::Single);
-        let mut setup = NativeExec::new(&rt);
-        let cell = setup.alloc_obj(1);
-        setup.atomic(|ctx| ctx.ctx_write(cell, 0, 0));
-        let merged = std::sync::Mutex::new(NativeStats::default());
-        // Every thread's first attempt reads, then waits for the other
-        // three to have read too: one of the four commits and three abort
-        // — the three demotions to `Serial` — however few CPUs the host
-        // lends this test. Later attempts race as they come.
-        let all_have_read = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut ex = NativeExec::new(&rt);
-                    let mut first_attempt = true;
-                    for _ in 0..2000 {
-                        ex.atomic(|ctx| {
-                            let v = ctx.ctx_read(cell, 0)?;
-                            if std::mem::take(&mut first_attempt) {
-                                all_have_read.wait();
-                            }
-                            ctx.ctx_work(50);
-                            ctx.ctx_write(cell, 0, v + 1)
-                        });
-                    }
-                    merged.lock().unwrap().merge(ex.stats());
-                });
-            }
-        });
-        assert_eq!(rt.peek(cell.word(0)), 4 * 2000, "lost updates under Phased");
-        let st = merged.into_inner().unwrap();
-        assert_eq!(st.commits, 4 * 2000);
-        assert!(st.phase_transitions > 0, "hair-trigger params never moved");
-        assert!(
-            st.serial_commits > 0,
-            "contention never reached the serial phase: {st:?}"
-        );
-        assert_eq!(
-            rt.phase_state().expect("phased runtime").phase(),
-            hastm::Phase::Serial,
-            "promote_after is unreachable, the scheme must end serial"
-        );
-    }
-
-    #[test]
-    fn phased_snapshot_scans_stay_consistent_through_serial_commits() {
-        // Writers demoting the scheme to serial must not tear concurrent
-        // snapshot scans: serial commits publish version-ring entries
-        // like any other commit.
-        let rt = phased_rt(hair_trigger(), hastm::Versioning::Multi { k: 3 });
-        let mut setup = NativeExec::new(&rt);
-        let cells: Vec<ObjRef> = (0..8).map(|_| setup.alloc_obj(1)).collect();
-        setup.atomic(|ctx| {
-            for c in &cells {
-                ctx.ctx_write(*c, 0, 100)?;
-            }
-            Ok(())
-        });
-        use std::sync::atomic::AtomicBool;
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for t in 0..2usize {
-                let (cells, stop, rt) = (&cells, &stop, &rt);
-                s.spawn(move || {
-                    let mut ex = NativeExec::new(rt);
-                    let mut i = t;
-                    while !stop.load(SeqCst) {
-                        let (from, to) = (cells[i % 8], cells[(i + 3) % 8]);
-                        ex.atomic(|ctx| {
-                            let a = ctx.ctx_read(from, 0)?;
-                            let b = ctx.ctx_read(to, 0)?;
-                            ctx.ctx_write(from, 0, a.wrapping_sub(1))?;
-                            ctx.ctx_write(to, 0, b + 1)
-                        });
-                        i += 1;
-                    }
-                });
-            }
-            let mut ro = NativeExec::new(&rt);
-            for _ in 0..200 {
-                let total = ro.atomic_ro(|ctx| {
-                    let mut sum = 0u64;
-                    for c in cells.iter() {
-                        sum = sum.wrapping_add(ctx.ctx_read(*c, 0)?);
-                    }
-                    Ok(sum)
-                });
-                assert_eq!(total, 800, "scan tore across a serial commit");
-            }
-            stop.store(true, SeqCst);
-        });
-    }
-
-    #[test]
-    fn serial_commit_advances_stripes_and_rings() {
-        let rt = phased_rt(hair_trigger(), hastm::Versioning::Multi { k: 2 });
-        let ps = rt.phase_state().expect("phased runtime");
-        // Force the phase to Serial by hand, then run one transaction.
-        while ps.phase() != hastm::Phase::Serial {
-            ps.on_event(hastm::PhaseEvent::CapacityAbort);
-        }
-        let mut ex = NativeExec::new(&rt);
-        let o = ex.alloc_obj(1);
-        ex.atomic(|ctx| ctx.ctx_write(o, 0, 99));
-        assert_eq!(rt.peek(o.word(0)), 99);
-        assert_eq!(ex.stats().serial_commits, 1, "{:?}", ex.stats());
-        let stripe = rt.stripe_of(o.word(0).0);
-        let state = rt.stripe_state(stripe);
-        assert!(!state.locked);
-        assert!(state.version > 0, "stripe version must advance");
-        assert!(
-            !rt.ring_versions(o.word(0)).is_empty(),
-            "serial writes must publish ring history"
-        );
-        assert_eq!(ps.token_holder(), 0, "token released after commit");
-    }
-
     /// The words of an object its committing attempt allocated get no
-    /// history at that commit, optimistic or serial; the first overwrite
-    /// seeds version 0 with what the allocating commit stored, and a
-    /// snapshot pinned between the two commits reads that.
+    /// history at that commit; the first overwrite seeds version 0 with
+    /// what the allocating commit stored, and a snapshot pinned between
+    /// the two commits reads that.
     #[test]
     fn a_commit_publishes_nothing_for_the_objects_it_allocated() {
-        let serial = || {
-            let rt = phased_rt(hair_trigger(), hastm::Versioning::Multi { k: 3 });
-            let ps = rt.phase_state().expect("phased runtime");
-            while ps.phase() != hastm::Phase::Serial {
-                ps.on_event(hastm::PhaseEvent::CapacityAbort);
-            }
-            rt
-        };
-        for (rt, serial_commits) in [(multi_rt(3), 0), (serial(), 2)] {
-            let mut writer = NativeExec::new(&rt);
-            let mut reader = NativeExec::new(&rt);
-            let head = writer.alloc_obj(1);
-            let node = writer.atomic(|ctx| {
-                let node = ctx.ctx_alloc(2);
-                ctx.ctx_write(node, 0, 11)?;
-                ctx.ctx_write(node, 1, 12)?;
-                ctx.ctx_write(head, 0, node.0 .0)?;
-                Ok(node)
-            });
-            let wv1 = rt.clock();
-            assert_eq!(rt.ring_versions(head.word(0)), vec![0, wv1]);
-            for i in 0..2 {
-                assert_eq!(rt.ring_versions(node.word(i)), Vec::<u64>::new());
-            }
-            let (live, slot) = reader.ro_slot().unwrap();
-            let rv = live.pin(slot, || rt.clock());
-            writer.atomic(|ctx| ctx.ctx_write(node, 0, 21));
-            let wv2 = rt.clock();
-            assert_eq!(rt.ring_versions(node.word(0)), vec![0, wv2]);
-            let mut txn = NativeRoTxn {
-                exec: &mut reader,
-                rv,
-            };
-            assert_eq!(txn.snapshot_read_at(node.word(0).0), 11);
-            assert_eq!(txn.snapshot_read_at(node.word(1).0), 12);
-            live.unpin(slot);
-            let st = writer.stats();
-            assert_eq!(st.serial_commits, serial_commits, "{st:?}");
-            assert_eq!((st.versions_published, st.blocks_claimed), (2, 2), "{st:?}");
+        let rt = multi_rt(3);
+        let mut writer = NativeExec::new(&rt);
+        let mut reader = NativeExec::new(&rt);
+        let head = writer.alloc_obj(1);
+        let node = writer.atomic(|ctx| {
+            let node = ctx.ctx_alloc(2);
+            ctx.ctx_write(node, 0, 11)?;
+            ctx.ctx_write(node, 1, 12)?;
+            ctx.ctx_write(head, 0, node.0 .0)?;
+            Ok(node)
+        });
+        let wv1 = rt.clock();
+        assert_eq!(rt.ring_versions(head.word(0)), vec![0, wv1]);
+        for i in 0..2 {
+            assert_eq!(rt.ring_versions(node.word(i)), Vec::<u64>::new());
         }
+        let (live, slot) = reader.ro_slot().unwrap();
+        let rv = live.pin(slot, || rt.clock());
+        writer.atomic(|ctx| ctx.ctx_write(node, 0, 21));
+        let wv2 = rt.clock();
+        assert_eq!(rt.ring_versions(node.word(0)), vec![0, wv2]);
+        let mut txn = NativeRoTxn {
+            exec: &mut reader,
+            rv,
+        };
+        assert_eq!(txn.snapshot_read_at(node.word(0).0), 11);
+        assert_eq!(txn.snapshot_read_at(node.word(1).0), 12);
+        live.unpin(slot);
+        let st = writer.stats();
+        assert_eq!((st.versions_published, st.blocks_claimed), (2, 2), "{st:?}");
     }
 
     /// A stack of two-word nodes: `head` holds the top node's address.
@@ -1399,36 +1054,6 @@ mod tests {
             push_node(&mut txn, head, round).unwrap();
             txn.commit().unwrap();
         }
-        assert_one_node_per_commit(&rt, head, used);
-    }
-
-    #[test]
-    fn serial_attempts_that_wait_hand_their_allocations_to_the_retry() {
-        let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 16,
-            phased: Some(hair_trigger()),
-            ..NativeConfig::default()
-        });
-        let ps = rt.phase_state().expect("phased runtime");
-        while ps.phase() != hastm::Phase::Serial {
-            ps.on_event(hastm::PhaseEvent::CapacityAbort);
-        }
-        let mut ex = NativeExec::new(&rt);
-        let head = ex.alloc_obj(1);
-        let used = rt.heap().used_words();
-        for round in 0..ROUNDS {
-            let mut attempts = 0;
-            ex.atomic(|ctx| {
-                attempts += 1;
-                push_node(ctx, head, round)?;
-                if attempts == 1 {
-                    // The one way a serial attempt does not commit.
-                    return Err(Abort::Retry);
-                }
-                Ok(())
-            });
-        }
-        assert_eq!(ex.stats().serial_commits, ROUNDS, "{:?}", ex.stats());
         assert_one_node_per_commit(&rt, head, used);
     }
 

@@ -10,12 +10,14 @@
 //!   word, in the word's own cache line,
 //! * commit-time lock → validate → write-back → release-at-`wv`.
 //!
-//! [`NativeConfig::default`] is that and nothing else. Two things are
+//! [`NativeConfig::default`] is that and nothing else. One thing is
 //! opt-in: `versioning: Multi { k }` keeps a k-slot ring of committed
 //! versions beside every written word, so `atomic_ro` regions read a
-//! snapshot and never abort; and `phased` runs the PhTM-style phase
-//! controller, whose serial phase is irrevocable. The paper's mark-bit
-//! filter has no native counterpart: every optimistic read takes the TL2
+//! snapshot and never abort. Every region runs this one optimistic
+//! protocol: there is no phase controller and no serial lane (the
+//! simulator's phase lattice chooses between a hardware and a software
+//! path, and this backend has only the one). The paper's mark-bit filter
+//! has no native counterpart either: every optimistic read takes the TL2
 //! sandwich (DESIGN §9c says why).
 //!
 //! The backend exists for *differential testing* (the same workloads run

@@ -30,7 +30,7 @@ use std::sync::atomic::{
 use std::sync::{Arc, Mutex};
 
 use hastm::mvcc::LiveSnapshots;
-use hastm::{ObjRef, PhasedParams, SharedModeState, Versioning};
+use hastm::{ObjRef, Versioning};
 use hastm_sim::words::CachePadded;
 use hastm_sim::{counters, Addr};
 
@@ -53,14 +53,6 @@ pub struct NativeConfig {
     /// [`hastm::mvcc::SNAPSHOT_SLOTS`] executors at a time; the regions of
     /// any more run validated, as under `Single`.
     pub versioning: Versioning,
-    /// Enable the PhTM-style global phase controller
-    /// ([`hastm::ModePolicy::Phased`]'s native twin): executors enter the
-    /// shared phase word before every attempt and feed it each attempt's
-    /// outcome, and the `Serial` phase runs irrevocable transactions under
-    /// the global token (no validation, no aborts); the optimistic phases
-    /// run plain TL2 alike. `None` keeps the plain free-running TL2
-    /// scheme.
-    pub phased: Option<PhasedParams>,
 }
 
 impl Default for NativeConfig {
@@ -69,7 +61,6 @@ impl Default for NativeConfig {
             heap_words: 1 << 20,
             mark_filter: false,
             versioning: Versioning::Single,
-            phased: None,
         }
     }
 }
@@ -134,12 +125,6 @@ counters! {
         /// commit had freed (not the unpublished allocations of attempts
         /// that did not commit, which it also takes back).
         recycled: "native.heap.recycled",
-        /// Committed irrevocable (serial-phase) transactions. Non-zero only
-        /// under [`NativeConfig::phased`]; counted inside `commits` too.
-        serial_commits: "phase.serial_commits",
-        /// Phase transitions this thread's events published. Non-zero only
-        /// under [`NativeConfig::phased`].
-        phase_transitions: "phase.transitions",
     }
 }
 
@@ -183,10 +168,6 @@ pub struct NativeRuntime {
     /// and commit-time pruning keeps every version a pinned reader can
     /// still need.
     snapshots: Option<LiveSnapshots>,
-    /// The scheme-wide phase machine (`Some` only under
-    /// [`NativeConfig::phased`]) — the same [`SharedModeState`] the
-    /// simulator backend gates, here driven by real `SeqCst` atomics.
-    phase: Option<SharedModeState>,
 }
 
 impl NativeRuntime {
@@ -194,7 +175,6 @@ impl NativeRuntime {
     pub fn new(cfg: NativeConfig) -> Self {
         let multi = cfg.versioning.is_multi();
         let versions = multi.then(|| VersionStore::new(cfg.heap_words, cfg.versioning.depth()));
-        let phase = cfg.phased.map(SharedModeState::new);
         NativeRuntime {
             heap: NativeHeap::new(cfg.heap_words),
             clock: CachePadded::new(AtomicU64::new(0)),
@@ -204,13 +184,7 @@ impl NativeRuntime {
             start: std::time::Instant::now(),
             versions,
             snapshots: multi.then(LiveSnapshots::default),
-            phase,
         }
-    }
-
-    /// The shared phase machine, when the runtime is phased.
-    pub fn phase_state(&self) -> Option<&SharedModeState> {
-        self.phase.as_ref()
     }
 
     /// Nanoseconds elapsed since the runtime was built — the native

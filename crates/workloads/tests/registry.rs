@@ -183,8 +183,6 @@ fn native_mill_fills_the_registry_under_the_simulators_keys() {
         "txn.ro.aborts",
         "txn.ro.snapshot_reads",
         "txn.ro.versions_published",
-        "phase.transitions",
-        "phase.serial_commits",
         "native.read.slow",
     ] {
         get(key);
