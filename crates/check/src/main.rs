@@ -24,9 +24,7 @@ mod ci;
 use std::process::ExitCode;
 
 use hastm_check::explore::{explore, ExploreConfig};
-use hastm_check::native::{
-    heap_words, run_native_suite, NativeCheckConfig, NativeTrial, VERSIONINGS,
-};
+use hastm_check::native::{run_native_suite, NativeCheckConfig, NativeTrial, VERSIONINGS};
 use hastm_check::{
     check_trial_plan, parse_trace, run_suite, CheckConfig, Combo, Observation, RunPlan, Sched,
     Trial, Workload,
@@ -59,9 +57,10 @@ OPTIONS:
                      snapshots; --explore: 1 to 3, default 2; native
                      backend: sweeps 1/2/4/8 unless given)
     --ops N          operations per thread per trial       [default: 32]
-                     (native backend: default 16); with --backend
-                     native|both, at most what one native heap holds at
-                     the swept thread counts
+                     (native backend: default 16); at most 1048576 (2^20)
+                     on every backend, since each thread's operations are
+                     generated before its trial runs (24 B each for the
+                     map workloads)
     --sched S        schedule policy: fuzzed | pct:<depth> | det
                                                            [default: fuzzed]
     --backend B      execution backend: sim | native | both [default: sim]
@@ -104,6 +103,12 @@ OPTIONS:
 /// The most worker threads a trial runs: one per slot of the live-snapshot
 /// registry both backends share.
 const MAX_THREADS: usize = hastm::mvcc::SNAPSHOT_SLOTS;
+
+/// The most operations a thread runs in one trial, on any backend. A
+/// trial builds each thread's operation stream before it starts, so past
+/// a bound a mistyped `--ops` would fail an allocation, not a parse. This
+/// one is over 50 times the longest trial any test or `--ci` row runs.
+const MAX_OPS: u64 = 1 << 20;
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 enum Backend {
@@ -210,6 +215,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if args.threads > Some(MAX_THREADS) {
         return Err(format!("--threads must be at most {MAX_THREADS}"));
     }
+    if args.ops > Some(MAX_OPS) {
+        return Err(format!("--ops must be at most {MAX_OPS}"));
+    }
     if form == "--explore" && *args.threads.get_or_insert(ExploreConfig::default().threads) > 3 {
         return Err("--explore runs 1 to 3 threads".into());
     }
@@ -220,19 +228,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     // A sweep that runs no seed would still print `OK`.
     if args.seeds == 0 || args.start_seed.checked_add(args.seeds).is_none() {
         return Err("--seeds must be at least 1 and --start-seed plus it below 2^64".into());
-    }
-    if args.backend != Backend::Sim {
-        let cfg = native_config(&args);
-        if cfg
-            .thread_counts
-            .iter()
-            .any(|&t| heap_words(t, cfg.ops).is_none())
-        {
-            return Err(format!(
-                "--ops {} is more than one native heap holds",
-                cfg.ops
-            ));
-        }
     }
     Ok(args)
 }
@@ -799,23 +794,24 @@ mod tests {
     }
 
     #[test]
-    fn ops_past_one_native_heap_is_a_usage_error() {
-        // Caught before the sweep starts, not as a panic in its middle.
-        for line in [
-            "--backend native --ops 18446744073709551615",
-            "--backend both --ops 18446744073709551614",
-            "--backend native --threads 64 --ops 400000",
-            "--backend native --ops 3000000",
+    fn ops_past_the_bound_is_a_usage_error_on_every_backend() {
+        // Caught before a stream is built, not as a failed allocation in
+        // the middle of the sweep.
+        for form in [
+            "--backend sim",
+            "--backend native",
+            "--backend both --threads 64",
+            "--replay --workload map --combo stm:obj:full --seed 0",
+            "--explore",
         ] {
-            let err = parse(line).unwrap_err();
-            assert!(
-                err.ends_with("is more than one native heap holds"),
-                "{line}: {err}"
-            );
+            for ops in [MAX_OPS + 1, u64::MAX] {
+                let line = format!("{form} --ops {ops}");
+                let err = parse(&line).unwrap_err();
+                assert_eq!(err, "--ops must be at most 1048576", "{line}");
+            }
+            let max = parse(&format!("{form} --ops {MAX_OPS}")).unwrap();
+            assert_eq!(max.ops, Some(MAX_OPS), "{form}");
         }
-        // The simulator backend runs no native heap.
-        parse("--ops 18446744073709551615").unwrap();
-        let biggest = native_config(&parse("--backend native --threads 64 --ops 300000").unwrap());
-        assert!(heap_words(64, biggest.ops).is_some());
+        assert!(USAGE.contains("at most 1048576 (2^20)"));
     }
 }

@@ -64,33 +64,6 @@ pub struct NativeOutcome {
     pub stats: NativeStats,
 }
 
-/// Heap words one operation of any check workload can take. An operation
-/// is one transaction, and the most one allocates is a B-tree insert that
-/// splits every node on its path: a new root and one node per level, 25
-/// words each (24 data words and a header). The tree holds at most 8 keys
-/// a thread, so with minimum degree 4 it has at most log4((8·threads +
-/// 1) / 2) + 1 levels: 7 up to 1 024 threads, hence 8 nodes.
-const OP_WORDS: usize = 8 * 25;
-
-/// Heap words for what a workload's setup allocates (the null line,
-/// bucket arrays, roots, the mill's accounts).
-const SETUP_WORDS: usize = 1 << 12;
-
-/// Heap words a native trial of `threads` × `ops` needs, or `None` past
-/// what one native heap can hold: the version store names its blocks with
-/// 32-bit ids, so a heap stays below `u32::MAX` words. Sized as if no
-/// committed allocation were reclaimed (a thread reuses only what its own
-/// commits free), and an aborted attempt's stay with its thread for the
-/// retries, so a thread holds at most one attempt's worth past its
-/// committed operations'. Capacity nobody touches costs no memory.
-pub fn heap_words(threads: usize, ops: u64) -> Option<usize> {
-    let words = (threads as u64)
-        .checked_mul(ops.checked_add(1)?)?
-        .checked_mul(OP_WORDS as u64)?
-        .checked_add(SETUP_WORDS as u64)?;
-    (words < u64::from(u32::MAX)).then_some(words as usize)
-}
-
 /// The host-thread backend: one [`NativeSession`] per trial, and the
 /// verdict: the snapshot guarantee, then the workload's own check.
 pub(crate) struct Native<'a>(pub(crate) &'a NativeTrial);
@@ -101,8 +74,6 @@ impl Backend for Native<'_> {
     fn run<W: Definition>(self, w: &W) -> Self::Outcome {
         let trial = self.0;
         let session = NativeSession::new(NativeConfig {
-            heap_words: heap_words(trial.threads, trial.ops)
-                .expect("trial too large for one native heap"),
             versioning: trial.versioning,
             ..NativeConfig::default()
         });
@@ -238,11 +209,9 @@ mod tests {
         }
     }
 
-    /// Trials far longer than a sweep's still fit their heap: `heap_words`
-    /// grows with `ops` as if no committed allocation were ever reused, a
-    /// bound that holds however little each executor takes back of what
-    /// its own commits free. Eight threads, the most a native sweep runs,
-    /// for the most live words.
+    /// Trials far longer than a sweep's still fit the one native heap.
+    /// Eight threads, the most a native sweep runs, for the most live
+    /// words.
     #[test]
     fn long_map_trials_fit_their_heap() {
         let _quiet = arm(None);

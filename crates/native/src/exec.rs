@@ -226,7 +226,7 @@ impl<'r> NativeExec<'r> {
                     let (claimed, reclaimed) =
                         rt.versions().publish(addr, wv, value, pre_image, floor);
                     self.stats.versions_published += 1;
-                    self.stats.blocks_claimed += u64::from(claimed);
+                    self.stats.blocks_claimed += claimed;
                     self.stats.versions_reclaimed += reclaimed;
                 }
             }
@@ -674,16 +674,9 @@ mod tests {
     use super::*;
     use crate::tl2::NativeConfig;
 
-    fn small_rt() -> NativeRuntime {
-        NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 12,
-            ..NativeConfig::default()
-        })
-    }
-
     #[test]
     fn read_write_commit_roundtrip() {
-        let rt = small_rt();
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut ex = NativeExec::new(&rt);
         let o = ex.alloc_obj(2);
         ex.atomic(|ctx| {
@@ -701,7 +694,7 @@ mod tests {
 
     #[test]
     fn buffered_writes_are_invisible_until_commit_and_read_back() {
-        let rt = small_rt();
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut ex = NativeExec::new(&rt);
         let o = ex.alloc_obj(1);
         ex.atomic(|ctx| {
@@ -715,7 +708,7 @@ mod tests {
 
     #[test]
     fn read_time_conflicts_are_counted() {
-        let rt = small_rt();
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut setup = NativeExec::new(&rt);
         let o = setup.alloc_obj(1);
         setup.atomic(|ctx| ctx.ctx_write(o, 0, 1));
@@ -746,7 +739,6 @@ mod tests {
 
     fn multi_rt(k: usize) -> NativeRuntime {
         NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 12,
             versioning: hastm::Versioning::Multi { k },
             ..NativeConfig::default()
         })
@@ -770,7 +762,7 @@ mod tests {
 
     #[test]
     fn atomic_ro_falls_back_to_plain_transactions_under_single() {
-        let rt = small_rt();
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut ex = NativeExec::new(&rt);
         let o = ex.alloc_obj(1);
         ex.atomic(|ctx| ctx.ctx_write(o, 0, 7));
@@ -1010,10 +1002,7 @@ mod tests {
 
     #[test]
     fn aborted_attempts_hand_their_allocations_to_the_retry() {
-        let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 16,
-            ..NativeConfig::default()
-        });
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut ex = NativeExec::new(&rt);
         let head = ex.alloc_obj(1);
         let used = rt.heap().used_words();
@@ -1034,10 +1023,7 @@ mod tests {
 
     #[test]
     fn rolled_back_and_dropped_manual_attempts_hand_their_allocations_on() {
-        let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 16,
-            ..NativeConfig::default()
-        });
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut ex = NativeExec::new(&rt);
         let head = ex.alloc_obj(1);
         let used = rt.heap().used_words();
@@ -1059,7 +1045,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_loses_no_increments() {
-        let rt = small_rt();
+        let rt = NativeRuntime::new(NativeConfig::default());
         let mut setup = NativeExec::new(&rt);
         let cell = setup.alloc_obj(1);
         setup.atomic(|ctx| ctx.ctx_write(cell, 0, 0));

@@ -1,9 +1,9 @@
 //! The native transactional heap: a flat array of host `AtomicU64` words
 //! addressed by the same byte addresses ([`hastm_sim::Addr`]) the
 //! simulator uses, so `ObjRef`-based data structures traverse unchanged.
-//! Each word sits beside its TL2 lock word, in one cache line. Its words,
-//! like the version store's index and block pool, are `ZeroedWords`:
-//! capacity nobody touches costs no memory.
+//! Each word sits beside its TL2 lock word, in one cache line. Reserved
+//! once at [`HEAP_WORDS`], its words, like the version store's index and
+//! block pool, are `ZeroedWords`: capacity nobody touches costs no memory.
 //!
 //! Word 0 (byte address 0) is never handed out: `Addr::NULL`/`ObjRef::NULL`
 //! must stay distinguishable from a real allocation, exactly as on the
@@ -18,10 +18,14 @@ use std::sync::OnceLock;
 use hastm::mvcc::reclaimable;
 use hastm_sim::words::CachePadded;
 
-use crate::zeroed::ZeroedWords;
+use crate::zeroed::{ZeroedWords, DEMAND_ZERO};
 
 /// First allocatable word index (keeps a full line clear of `Addr::NULL`).
 const FIRST_WORD: usize = 8;
+
+/// Words every heap reserves: 2^31 (32 GiB with their locks) where
+/// untouched pages cost nothing, 2^20 where all are zeroed up front.
+pub const HEAP_WORDS: usize = if DEMAND_ZERO { 1 << 31 } else { 1 << 20 };
 
 /// A shared, concurrently allocatable word heap.
 pub struct NativeHeap {
@@ -31,18 +35,10 @@ pub struct NativeHeap {
 }
 
 impl NativeHeap {
-    /// Builds a zero-initialized heap of `words` 8-byte words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is too small to hold the reserved null region.
-    pub fn new(words: usize) -> Self {
-        assert!(
-            words > FIRST_WORD,
-            "native heap of {words} words is too small"
-        );
+    /// Builds a zero-initialized heap of [`HEAP_WORDS`] 8-byte words.
+    pub(crate) fn new() -> Self {
         NativeHeap {
-            slots: ZeroedWords::new(words.checked_mul(2).expect("native heap size overflows")),
+            slots: ZeroedWords::new(2 * HEAP_WORDS),
             next: CachePadded::new(AtomicUsize::new(FIRST_WORD)),
         }
     }
@@ -53,28 +49,20 @@ impl NativeHeap {
     ///
     /// # Panics
     ///
-    /// Panics when the heap is exhausted — a configuration error, not a
-    /// recoverable condition, for a differential-testing backend.
+    /// Panics when the heap is exhausted: its [`HEAP_WORDS`] words hold
+    /// more than any run that fits in memory keeps live.
     pub fn alloc_words(&self, n: usize) -> u64 {
-        let start = self.next.fetch_add(n, SeqCst);
+        let (start, capacity) = (self.next.fetch_add(n, SeqCst), self.capacity_words());
         assert!(
-            start.checked_add(n).is_some_and(|end| end <= self.capacity_words()),
-            "native heap exhausted: {n} words requested, {} of {} used (raise NativeConfig::heap_words)",
-            start,
-            self.capacity_words()
+            start.checked_add(n).is_some_and(|end| end <= capacity),
+            "native heap exhausted: {n} words requested, {start} of {capacity} used"
         );
         (start as u64) << 3
     }
 
-    fn index(&self, byte: u64) -> usize {
+    fn index(byte: u64) -> usize {
         debug_assert_eq!(byte & 7, 0, "misaligned native word address {byte:#x}");
-        let i = (byte >> 3) as usize;
-        assert!(
-            i < self.capacity_words(),
-            "address {byte:#x} is outside the native heap ({} words)",
-            self.capacity_words()
-        );
-        i
+        (byte >> 3) as usize
     }
 
     /// The lock word of word index `word`.
@@ -87,14 +75,14 @@ impl NativeHeap {
         // Acquire: pairs with `store`'s release, so a reader that sees a
         // written-back value also sees the writer's lock (taken before
         // the store) when it re-reads the lock word afterwards.
-        self.slots[2 * self.index(byte) + 1].load(Acquire)
+        self.slots[2 * Self::index(byte) + 1].load(Acquire)
     }
 
     /// Atomically stores the word at byte address `byte`.
     pub fn store(&self, byte: u64, value: u64) {
         // Release: orders the CAS-lock, the clock RMW and the ring
         // publication before the value becomes visible.
-        self.slots[2 * self.index(byte) + 1].store(value, Release);
+        self.slots[2 * Self::index(byte) + 1].store(value, Release);
     }
 
     /// Words handed out so far (including the reserved null region).
@@ -117,45 +105,44 @@ impl std::fmt::Debug for NativeHeap {
     }
 }
 
-/// Blocks in the first spill chunk; spill chunk `n` holds `SPILL_BLOCKS
-/// << n` and is claimed whole the first time a spill needs one of them.
-const SPILL_BLOCKS: usize = 256;
+/// Blocks in the pool's first chunk; chunk `n` holds `POOL_BLOCKS << n`
+/// and is claimed whole the first time a block of it is handed out.
+const POOL_BLOCKS: usize = 1 << 12;
+
+/// Chunks enough for every 32-bit block id: `2^33 - POOL_BLOCKS` blocks.
+const POOL_CHUNKS: usize = 33 - POOL_BLOCKS.ilog2() as usize;
 
 /// The committed history of every transactionally written word (only
 /// under `Versioning::Multi { k }`), beside the heap instead of behind a
 /// hash. A word's *head block* — two words of links, then `k`
 /// `(version, value)` pairs, oldest first — is claimed from a pool the
-/// first time a commit publishes for the word, in publication order, and
-/// a per-heap-word index names it (0: never published, which is what an
-/// empty history is). Index and pool are [`ZeroedWords`] arrays, so their
+/// first time a commit publishes for the word, and a per-heap-word index
+/// names it (0: never published, which is what an empty history is). The
+/// index and the pool's chunks are [`ZeroedWords`] arrays, so their
 /// memory follows the words that have a history: a page of index serves
-/// 512 heap words, a page of pool 64 published words at `k = 3`. A commit
-/// writes a head block, and the index entry naming it, under the word's
-/// lock; a snapshot read takes both seqlock-style with that lock
-/// word as the sequence (DESIGN §12b), so everything here is
-/// acquire/release atomics.
+/// 512 heap words, a page of pool 64 blocks at `k = 3`. A commit writes a
+/// head block, and the index entry naming it, under the word's lock; a
+/// snapshot read takes both seqlock-style with that lock word as the
+/// sequence (DESIGN §12b), so everything here is acquire/release atomics.
 ///
 /// The head block keeps the word's newest versions. When it is full the
 /// oldest entry makes room, unless a live snapshot may still need it:
-/// then the whole block is copied to a *spill* block (ids from
-/// `heap_words` up) that becomes the head of the word's `older` chain.
-/// The chain is a queue — the head block knows its tail, a spill block
-/// its newer neighbour — and the tail is retired as soon as the block
-/// after it serves every live snapshot, to be the word's next spill
-/// block. A spill block's entries are written once, before it is linked.
+/// then the whole block is copied to a *spill* block from the same pool
+/// that becomes the head of the word's `older` chain. The chain is a
+/// queue — the head block knows its tail, a spill block its newer
+/// neighbour — and the tail is retired as soon as the block after it
+/// serves every live snapshot, to be the word's next spill block. A spill
+/// block's entries are written once, before it is linked.
 pub(crate) struct VersionStore {
     k: usize,
-    heap_words: usize,
     /// Per heap word, the id of its head block; 0 until its first
     /// publication.
     index: ZeroedWords,
-    /// The head blocks, `2 + 2k` words each, claimed in first-publication
-    /// order from id 1 (id 0 is "no block").
-    pool: ZeroedWords,
+    /// The pool: blocks of `2 + 2k` words, head and spill blocks alike,
+    /// handed out in claim order from id 1 (id 0 is "no block"). Chunk `n`
+    /// holds ids from `POOL_BLOCKS * (2^n - 1)` up.
+    chunks: [OnceLock<ZeroedWords>; POOL_CHUNKS],
     claimed: AtomicUsize,
-    /// The spill chunks, each claimed on first use.
-    spills: Box<[OnceLock<Box<[AtomicU64]>>]>,
-    spilled: AtomicUsize,
 }
 
 /// One block: word 0 is `len << 32 | older` (the next older block of the
@@ -204,34 +191,45 @@ impl Block<'_> {
 }
 
 impl VersionStore {
-    /// A store of `k` versions a block for a heap of `heap_words` words.
-    pub(crate) fn new(heap_words: usize, k: usize) -> Self {
-        let spill_chunks = (u32::MAX as usize / SPILL_BLOCKS).ilog2() as usize;
-        let pool_words = heap_words
-            .checked_mul(2 + 2 * k)
-            .expect("version store size overflows");
+    /// A store of `k` versions a block.
+    pub(crate) fn new(k: usize) -> Self {
         VersionStore {
             k,
-            heap_words,
-            index: ZeroedWords::new(heap_words),
-            pool: ZeroedWords::new(pool_words),
+            index: ZeroedWords::new(HEAP_WORDS),
+            chunks: [const { OnceLock::new() }; POOL_CHUNKS],
             claimed: AtomicUsize::new(0),
-            spills: (0..spill_chunks).map(|_| OnceLock::new()).collect(),
-            spilled: AtomicUsize::new(0),
         }
     }
 
-    /// Head block `id` of the pool.
-    fn pooled(&self, id: usize) -> Block<'_> {
+    /// Chunk `n` of the pool and the offset of block `id` in it.
+    fn chunk_of(id: usize) -> (usize, usize) {
+        let n = (id / POOL_BLOCKS + 1).ilog2() as usize;
+        (n, id + POOL_BLOCKS - (POOL_BLOCKS << n))
+    }
+
+    /// Hands out a fresh block, claiming its chunk if it is the first.
+    fn claim(&self) -> usize {
+        let id = self.claimed.fetch_add(1, Relaxed) + 1;
+        assert!(id <= u32::MAX as usize, "block ids are 32 bits");
+        let n = Self::chunk_of(id).0;
+        self.chunks[n].get_or_init(|| ZeroedWords::new((POOL_BLOCKS << n) * (2 + 2 * self.k)));
+        id
+    }
+
+    /// Block `id`, which the pool has handed out: its chunk was claimed
+    /// before any index entry or link named it.
+    fn block(&self, id: usize) -> Block<'_> {
         let stride = 2 + 2 * self.k;
-        Block(&self.pool[id * stride..][..stride])
+        let (n, at) = Self::chunk_of(id);
+        let chunk = self.chunks[n].get().expect("a named block is claimed");
+        Block(&chunk[at * stride..][..stride])
     }
 
     /// The head block of the word at `addr`, if a commit has published it.
     fn head(&self, addr: u64) -> Option<Block<'_>> {
         match self.index[(addr >> 3) as usize].load(Acquire) {
             0 => None,
-            id => Some(self.pooled(id as usize)),
+            id => Some(self.block(id as usize)),
         }
     }
 
@@ -241,39 +239,12 @@ impl VersionStore {
         self.head(addr).is_some()
     }
 
-    /// Block `id`: a head block, or a spill block if its chunk is claimed
-    /// or `claim` says to claim it.
-    fn block(&self, id: usize, claim: bool) -> Option<Block<'_>> {
-        let Some(spill) = id.checked_sub(self.heap_words) else {
-            return Some(self.pooled(id));
-        };
-        let stride = 2 + 2 * self.k;
-        // Spill chunk n starts at spill block SPILL_BLOCKS * (2^n - 1).
-        let n = (spill / SPILL_BLOCKS + 1).ilog2() as usize;
-        let at = spill + SPILL_BLOCKS - (SPILL_BLOCKS << n);
-        let zeroed = || {
-            (0..(SPILL_BLOCKS << n) * stride)
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        };
-        let words = match claim {
-            true => self.spills[n].get_or_init(zeroed),
-            false => self.spills[n].get()?,
-        };
-        Some(Block(&words[at * stride..][..stride]))
-    }
-
-    /// A block some block links to: a spill block's chunk was claimed
-    /// before the link was stored.
-    fn linked(&self, id: usize) -> Block<'_> {
-        self.block(id, false).expect("a linked block is claimed")
-    }
-
     /// Publishes `(wv, value)` as the newest version of the word at
     /// `addr`, whose lock the caller holds and whose heap word still
     /// reads `pre_image`; `floor` is the live snapshots' floor
-    /// ([`hastm::mvcc::LiveSnapshots::floor`]). Returns whether this was
-    /// the word's first publication, which claims its head block, and how
+    /// ([`hastm::mvcc::LiveSnapshots::floor`]). Returns how many blocks
+    /// it claimed from the pool (the word's head block on its first
+    /// publication, a spill block when no retired one is spare) and how
     /// many entries it reclaimed.
     pub(crate) fn publish(
         &self,
@@ -282,16 +253,14 @@ impl VersionStore {
         value: u64,
         pre_image: u64,
         floor: u64,
-    ) -> (bool, u64) {
+    ) -> (u64, u64) {
         let slot = &self.index[(addr >> 3) as usize];
         let (id, first) = match slot.load(Acquire) {
-            0 => (self.claimed.fetch_add(1, Relaxed) + 1, true),
+            0 => (self.claim(), true),
             id => (id as usize, false),
         };
-        // A heap word claims at most once, and word 0 (no object word)
-        // never: head ids stay below the spill ids.
-        debug_assert!(id < self.heap_words);
-        let block = self.pooled(id);
+        let mut claimed = u64::from(first);
+        let block = self.block(id);
         let ((mut len, mut older), (mut tail, mut spare)) = (block.halves(0), block.halves(1));
         let mut reclaimed = 0;
         if len == 0 {
@@ -307,17 +276,19 @@ impl VersionStore {
             (len, reclaimed) = (len - 1, 1);
         } else if len == self.k {
             let spill = match spare {
-                0 => self.heap_words + self.spilled.fetch_add(1, Relaxed),
-                retired => std::mem::replace(&mut spare, self.linked(retired).halves(0).1),
+                0 => {
+                    claimed += 1;
+                    self.claim()
+                }
+                retired => std::mem::replace(&mut spare, self.block(retired).halves(0).1),
             };
-            assert!(spill < u32::MAX as usize, "block ids are 32 bits");
-            let to = self.block(spill, true).expect("claimed");
+            let to = self.block(spill);
             (0..len).for_each(|i| to.set_entry(i, block.entry(i)));
             to.set_halves(0, len, older);
             to.set_halves(1, 0, 0);
             match older {
                 0 => tail = spill,
-                head => self.linked(head).set_halves(1, 0, spill),
+                head => self.block(head).set_halves(1, 0, spill),
             }
             (len, older) = (0, spill);
         }
@@ -325,12 +296,8 @@ impl VersionStore {
         // Retire the tail while the block after it starts at or below the
         // floor: that entry serves every live reader.
         while tail != 0 {
-            let newer = self.linked(tail).halves(1).1;
-            let next = if newer == 0 {
-                block
-            } else {
-                self.linked(newer)
-            };
+            let newer = self.block(tail).halves(1).1;
+            let next = if newer == 0 { block } else { self.block(newer) };
             if !reclaimable(next.entry(0).0, floor) {
                 break;
             }
@@ -338,7 +305,7 @@ impl VersionStore {
                 0 => older = 0,
                 _ => next.set_halves(0, self.k, 0),
             }
-            self.linked(tail).set_halves(0, 0, spare);
+            self.block(tail).set_halves(0, 0, spare);
             (spare, tail, reclaimed) = (tail, newer, reclaimed + self.k as u64);
         }
         block.set_halves(1, tail, spare);
@@ -346,7 +313,7 @@ impl VersionStore {
         if first {
             slot.store(id as u64, Release);
         }
-        (first, reclaimed)
+        (claimed, reclaimed)
     }
 
     /// For a snapshot reader at `rv` whose live-snapshot slot says so:
@@ -373,7 +340,7 @@ impl VersionStore {
         // entries are never rewritten, its `older` only when it becomes
         // the tail.
         while older != 0 && entry.is_some_and(|(version, _)| version > rv) {
-            (entry, older) = self.linked(older).newest_at(rv);
+            (entry, older) = self.block(older).newest_at(rv);
         }
         Some(entry)
     }
@@ -385,7 +352,7 @@ impl VersionStore {
         while let Some(block) = next {
             let (len, older) = block.halves(0);
             versions.extend((0..len).rev().map(|i| block.entry(i).0));
-            next = (older != 0).then(|| self.linked(older));
+            next = (older != 0).then(|| self.block(older));
         }
         versions.reverse();
         versions
@@ -396,9 +363,17 @@ impl VersionStore {
 mod tests {
     use super::*;
 
+    /// A heap of `words` words, for tests that walk or exhaust one.
+    fn sized(words: usize) -> NativeHeap {
+        NativeHeap {
+            slots: ZeroedWords::new(2 * words),
+            next: CachePadded::new(AtomicUsize::new(FIRST_WORD)),
+        }
+    }
+
     #[test]
     fn allocations_never_return_null_and_do_not_overlap() {
-        let heap = NativeHeap::new(64);
+        let heap = sized(64);
         let a = heap.alloc_words(4);
         let b = heap.alloc_words(2);
         assert!(a >= (FIRST_WORD as u64) << 3, "null line stays reserved");
@@ -413,20 +388,20 @@ mod tests {
     /// the heap and between, so a read's sandwich loads one line.
     #[test]
     fn every_word_shares_a_line_with_its_lock() {
-        let heap = NativeHeap::new(1 << 16);
+        let heap = sized(1 << 16);
         let line = |word: &AtomicU64| word as *const AtomicU64 as usize / 64;
         for i in (0..heap.capacity_words())
             .step_by(97)
             .chain([1, 3, 4, 7, (1 << 16) - 1])
         {
-            let value = &heap.slots[2 * heap.index((i as u64) << 3) + 1];
+            let value = &heap.slots[2 * NativeHeap::index((i as u64) << 3) + 1];
             assert_eq!(line(heap.lock(i)), line(value), "word {i}");
         }
     }
 
     #[test]
     fn concurrent_allocations_are_disjoint() {
-        let heap = NativeHeap::new(4096);
+        let heap = NativeHeap::new();
         let mut starts: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| s.spawn(|| (0..32).map(|_| heap.alloc_words(3)).collect::<Vec<u64>>()))
@@ -452,11 +427,12 @@ mod tests {
     fn publish_keeps_what_every_rv_from_the_floor_up_reads() {
         const PIN_SPAN: u64 = 60;
         for k in 1..=3 {
-            let store = VersionStore::new(64, k);
+            let store = VersionStore::new(k);
             let addr = 9u64 << 3;
             let mut model = vec![(0u64, 5u64)];
             let mut pins: Vec<u64> = Vec::new();
             let (mut seed, mut wv) = (0x9e37_79b9_7f4a_7c15u64 + k as u64, 0u64);
+            let mut claimed = 0;
             for _ in 0..4_000 {
                 seed ^= seed << 13;
                 seed ^= seed >> 7;
@@ -470,7 +446,7 @@ mod tests {
                 pins.retain(|&rv| rv + PIN_SPAN > wv);
                 wv += 1 + (seed >> 32) % 3;
                 let floor = pins.iter().copied().fold(wv, u64::min);
-                store.publish(addr, wv, wv * 3, 5, floor);
+                claimed += store.publish(addr, wv, wv * 3, 5, floor).0;
                 model.push((wv, wv * 3));
                 for rv in floor..=wv {
                     let at = model.partition_point(|&(version, _)| version <= rv);
@@ -485,36 +461,53 @@ mod tests {
                 let (mut chain, mut below) = (Vec::new(), head.halves(0).1);
                 while below != 0 {
                     let newer = chain.last().copied().unwrap_or(0);
-                    assert_eq!(store.linked(below).halves(1).1, newer, "back link");
+                    assert_eq!(store.block(below).halves(1).1, newer, "back link");
                     chain.push(below);
-                    below = store.linked(below).halves(0).1;
+                    below = store.block(below).halves(0).1;
                 }
                 let (tail, mut spare) = head.halves(1);
                 assert_eq!(tail, chain.last().copied().unwrap_or(0));
                 let mut spares = 0;
                 while spare != 0 {
                     assert!(!chain.contains(&spare), "a spare is off the chain");
-                    (spares, spare) = (spares + 1, store.linked(spare).halves(0).1);
+                    (spares, spare) = (spares + 1, store.block(spare).halves(0).1);
                 }
-                assert_eq!(chain.len() + spares, store.spilled.load(Relaxed));
+                assert_eq!(1 + chain.len() + spares, store.claimed.load(Relaxed));
                 let kept = store.versions(addr);
                 assert!(kept.windows(2).all(|pair| pair[0] < pair[1]), "{kept:?}");
                 assert_eq!(kept.last(), Some(&wv));
             }
-            assert_eq!(store.claimed.load(Relaxed), 1, "one word, one head block");
-            let spilled = store.spilled.load(Relaxed);
+            assert_eq!(claimed, store.claimed.load(Relaxed) as u64, "k={k}");
+            // One word: one head block, and every other block a spill.
+            let spilled = claimed - 1;
             assert!(spilled > 2, "k={k}: the pins forced spills");
-            assert!(
-                spilled as u64 <= PIN_SPAN / k as u64 + 2,
-                "k={k}: {spilled}"
-            );
+            assert!(spilled <= PIN_SPAN / k as u64 + 2, "k={k}: {spilled}");
+        }
+    }
+
+    /// Ids run on from one chunk into the next, twice the size, with no
+    /// block shared: `3 * POOL_BLOCKS` first publications (ids 1 to
+    /// `3 * POOL_BLOCKS`, into a third chunk) each read back their own
+    /// history.
+    #[test]
+    fn head_blocks_past_the_first_chunk_keep_their_own_history() {
+        let store = VersionStore::new(2);
+        let words = 3 * POOL_BLOCKS as u64;
+        let addr = |i: u64| (FIRST_WORD as u64 + i) << 3;
+        for i in 0..words {
+            assert_eq!(store.publish(addr(i), 1, i, !i, 0), (1, 0));
+        }
+        assert_eq!(store.chunks.iter().filter(|c| c.get().is_some()).count(), 3);
+        for i in 0..words {
+            assert_eq!(store.lookup(addr(i), 0, || true), Some(Some((0, !i))));
+            assert_eq!(store.lookup(addr(i), 1, || true), Some(Some((1, i))));
         }
     }
 
     #[test]
     #[should_panic(expected = "native heap exhausted")]
     fn exhaustion_panics() {
-        let heap = NativeHeap::new(16);
+        let heap = sized(16);
         heap.alloc_words(1000);
     }
 }

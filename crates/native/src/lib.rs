@@ -25,7 +25,8 @@
 //! throughput numbers (`benchmark/`); it is not a production STM — in
 //! particular, an object a commit frees (`TmContext::ctx_free`) is
 //! reused only by the executor that freed it, and memory is never given
-//! back to the heap.
+//! back to the heap. Nor is the heap sized: every runtime reserves
+//! [`heap::HEAP_WORDS`] words, and its version blocks come from one pool.
 //!
 //! [Dice, Shalev, Shavit 2006]: https://doi.org/10.1007/11864219_14
 

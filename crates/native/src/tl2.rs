@@ -1,6 +1,7 @@
 //! The shared state of the native TL2 runtime: the global version clock,
 //! the heap with a versioned write-lock beside every word, and the
-//! live-snapshot slots and version rings of `Multi`.
+//! live-snapshot slots and version rings of `Multi`, none of them sized
+//! by the configuration ([`crate::heap::HEAP_WORDS`]).
 //!
 //! ## Protocol (TL2, per-word locks)
 //!
@@ -39,7 +40,8 @@ use crate::heap::{NativeHeap, VersionStore};
 /// Configuration of one [`NativeRuntime`].
 #[derive(Clone, Debug)]
 pub struct NativeConfig {
-    /// Heap capacity in 8-byte words (16 bytes each, with its lock).
+    /// Ignored: every heap has [`crate::heap::HEAP_WORDS`] words. Kept
+    /// only until `benchmark/` drops it.
     pub heap_words: usize,
     /// Ignored: the native mark-bit filter is gone (DESIGN §9c), and every
     /// read takes the TL2 sandwich. Kept only until `benchmark/`, which
@@ -117,9 +119,9 @@ counters! {
         versions_published: "txn.ro.versions_published",
         /// Ring entries reclaimed by this thread's commit-time pruning.
         versions_reclaimed: "native.ro.versions_reclaimed",
-        /// Head blocks this thread's commits claimed: one per word on its
-        /// first publication, so the version store's pool holds the sum
-        /// of every thread's (`2 + 2k` words each).
+        /// Blocks this thread's commits claimed from the version store's
+        /// pool: a word's head block on its first publication, and a spill
+        /// block when the word had no retired one (`2 + 2k` words each).
         blocks_claimed: "native.ro.blocks_claimed",
         /// Objects `ctx_alloc` took from the executor's free list that a
         /// commit had freed (not the unpublished allocations of attempts
@@ -174,9 +176,9 @@ impl NativeRuntime {
     /// Builds a runtime with the given configuration.
     pub fn new(cfg: NativeConfig) -> Self {
         let multi = cfg.versioning.is_multi();
-        let versions = multi.then(|| VersionStore::new(cfg.heap_words, cfg.versioning.depth()));
+        let versions = multi.then(|| VersionStore::new(cfg.versioning.depth()));
         NativeRuntime {
-            heap: NativeHeap::new(cfg.heap_words),
+            heap: NativeHeap::new(),
             clock: CachePadded::new(AtomicU64::new(0)),
             cfg,
             hook_armed: AtomicBool::new(false),
@@ -347,10 +349,7 @@ mod tests {
 
     #[test]
     fn lock_word_encodes_version_and_held_bit() {
-        let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 64,
-            ..NativeConfig::default()
-        });
+        let rt = NativeRuntime::new(NativeConfig::default());
         let s = rt.stripe_of(rt.alloc_obj(1).word(0).0);
         assert_eq!(
             rt.stripe_state(s),

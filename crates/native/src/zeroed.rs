@@ -1,8 +1,8 @@
 //! Large zeroed word arrays that cost memory only where they are touched.
 //!
-//! The heap (each word with its lock word) and the version store's index
-//! and block pool are sized for the largest run a configuration allows,
-//! and most runs write a small part of each. On Linux (x86-64 and AArch64) a
+//! The heap (each word with its lock word), the version store's index
+//! and its block pool's chunks are reserved at fixed sizes, and most runs
+//! write a small part of each. On Linux (x86-64 and AArch64) a
 //! [`ZeroedWords`] is an anonymous private mapping: the kernel supplies
 //! each page zeroed on its first touch, so building one costs a system
 //! call rather than a `memset` of its full size, and the resident set
@@ -18,6 +18,13 @@ use std::alloc::{handle_alloc_error, Layout};
 use std::ops::Deref;
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
+
+/// Whether a [`ZeroedWords`] is a demand-zero mapping, whose untouched
+/// pages cost no memory, rather than an allocation zeroed in full.
+pub(crate) const DEMAND_ZERO: bool = cfg!(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+));
 
 /// A fixed-length array of `AtomicU64`s that starts out all zero.
 pub(crate) struct ZeroedWords {

@@ -28,7 +28,6 @@ fn total() -> u64 {
 
 fn multi_rt(k: usize) -> Arc<NativeRuntime> {
     Arc::new(NativeRuntime::new(NativeConfig {
-        heap_words: 1 << 10,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     }))
@@ -222,7 +221,6 @@ fn scans_racing_a_tireless_writer_read_whole_rings() {
     }
     for k in [1, 2] {
         let rt = NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 10,
             versioning: Versioning::Multi { k },
             ..NativeConfig::default()
         });
@@ -384,7 +382,6 @@ fn list_round(step: WriterStep) -> Result<Counted, String> {
         }
     }
     let rt = NativeRuntime::new(NativeConfig {
-        heap_words: 1 << 16,
         versioning: Versioning::Multi { k: 3 },
         ..NativeConfig::default()
     });

@@ -1,15 +1,17 @@
 //! A runtime's resident memory follows what it touches, not what it can
 //! hold.
 //!
-//! `NativeConfig::default()` sizes the heap at 2^20 words, each beside
-//! its lock word: 16 MB that a build would zero in full.
-//! Built on pages the kernel zero-fills on first touch, a runtime nobody
-//! has written costs next to nothing resident, however many came before
-//! it. This file is its own test process holding one test, so `VmRSS` is
-//! this test's alone.
+//! Every runtime reserves a heap of `HEAP_WORDS` (2^31) words, each beside
+//! its lock word: 32 GiB that a build would zero in full, and a
+//! `Multi` runtime 16 GiB more of version index. Built on pages the
+//! kernel zero-fills on first touch, a runtime nobody has written costs
+//! next to nothing resident, however many came before it. This file is
+//! its own test process holding one test, so `VmRSS` is this test's
+//! alone.
 
 #![cfg(target_os = "linux")]
 
+use hastm::Versioning;
 use hastm_native::{NativeConfig, NativeRuntime};
 
 /// This process's resident set, in bytes.
@@ -26,9 +28,13 @@ fn vm_rss() -> u64 {
 
 #[test]
 fn building_a_default_runtime_leaves_its_capacity_untouched() {
-    for build in 1..=5 {
+    let multi = NativeConfig {
+        versioning: Versioning::Multi { k: 3 },
+        ..NativeConfig::default()
+    };
+    for (build, cfg) in (1..=6).zip([NativeConfig::default(), multi].iter().cycle()) {
         let before = vm_rss();
-        let rt = NativeRuntime::new(NativeConfig::default());
+        let rt = NativeRuntime::new(cfg.clone());
         let rise = vm_rss().saturating_sub(before);
         assert!(
             rise < 1 << 20,

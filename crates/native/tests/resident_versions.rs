@@ -1,9 +1,9 @@
 //! A `Multi` runtime's version history costs memory per word that has
 //! one, not per page of heap those words are spread over.
 //!
-//! A word's head block (64 B at `k = 3`) is claimed from a pool in
-//! first-publication order, and a per-heap-word index (8 B a word) names
-//! it. Overwriting one word in every 64 therefore costs 64 B of pool plus
+//! A word's head block (64 B at `k = 3`) is claimed from the version
+//! store's block pool in first-publication order, and a per-heap-word
+//! index (8 B a word) names it; pool and index are demand-zero mappings. Overwriting one word in every 64 therefore costs 64 B of pool plus
 //! the 512 B of index around it, where a block kept at the word's own
 //! position would fault in a 4 KiB page per write. Like `resident.rs`,
 //! this file is its own test process holding one test, so `VmRSS` is
@@ -35,7 +35,6 @@ const BATCH: usize = 64;
 #[test]
 fn history_costs_its_blocks_not_a_page_per_written_word() {
     let rt = NativeRuntime::new(NativeConfig {
-        heap_words: WORDS * SPACING + 64,
         versioning: Versioning::Multi { k: 3 },
         ..NativeConfig::default()
     });

@@ -29,7 +29,6 @@ type Commit = Vec<(u32, u64)>;
 
 fn runtime(k: usize) -> NativeRuntime {
     NativeRuntime::new(NativeConfig {
-        heap_words: 64,
         versioning: Versioning::Multi { k },
         ..NativeConfig::default()
     })

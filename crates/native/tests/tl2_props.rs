@@ -31,10 +31,7 @@ use hastm_native::{NativeConfig, NativeExec, NativeRuntime, WritebackHook};
 use proptest::prelude::*;
 
 fn runtime() -> NativeRuntime {
-    NativeRuntime::new(NativeConfig {
-        heap_words: 1 << 12,
-        ..NativeConfig::default()
-    })
+    NativeRuntime::new(NativeConfig::default())
 }
 
 const CELLS: usize = 8;
@@ -280,10 +277,7 @@ proptest! {
         ops in proptest::collection::vec((0..LOG_WORDS, any::<u64>(), any::<bool>()), 1..400),
         narrow in any::<bool>(),
     ) {
-        let rt = Arc::new(NativeRuntime::new(NativeConfig {
-            heap_words: 1 << 10,
-            ..NativeConfig::default()
-        }));
+        let rt = Arc::new(NativeRuntime::new(NativeConfig::default()));
         let mut ex = NativeExec::new(&rt);
         let obj = ex.alloc_obj(LOG_WORDS);
         ex.atomic(|ctx| {

@@ -1,9 +1,10 @@
-//! The native heap takes back what commits unlink. A hash table whose
-//! heap holds its bucket array and about four times its live nodes runs
+//! The native heap takes back what commits unlink. A hash table runs
 //! 2 threads × 200 000 operations at 20 % updates — about 40 000 fresh
-//! inserts, ten times the heap's room for nodes — and must end with every
-//! tally conserved. Without `TmContext::ctx_free` every unlinked node
-//! stayed resident and the run ended in `native heap exhausted`.
+//! inserts — and must end with every tally conserved, having bumped no
+//! more of the heap than its bucket array and about four times its live
+//! nodes: `HEAP_BOUND` words, a tenth of what the inserts would take
+//! without reuse. Without `TmContext::ctx_free` every unlinked node stays
+//! allocated and the bound fails.
 
 use hastm::TmExec;
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime};
@@ -16,13 +17,12 @@ const BUCKETS: u32 = 1_024;
 const THREADS: usize = 2;
 const OPS: u64 = 200_000;
 const UPDATE_PCT: u32 = 20;
+/// Heap words the run may bump, the null line and setup included.
+const HEAP_BOUND: usize = 16 << 10;
 
 #[test]
 fn a_native_hash_table_runs_in_a_heap_sized_for_its_live_set() {
-    let rt = NativeRuntime::new(NativeConfig {
-        heap_words: 16 << 10,
-        ..NativeConfig::default()
-    });
+    let rt = NativeRuntime::new(NativeConfig::default());
     let mut setup = NativeExec::new(&rt);
     let table = setup.atomic(|ctx| Ok(HashTable::create(ctx, BUCKETS)));
     for key in (0..KEYS).step_by(2) {
@@ -75,6 +75,11 @@ fn a_native_hash_table_runs_in_a_heap_sized_for_its_live_set() {
     assert!(residents
         .iter()
         .all(|&(key, value)| key == value && key < KEYS));
+    let used = rt.heap().used_words();
+    assert!(
+        used <= HEAP_BOUND,
+        "{used} heap words bumped for {len} live nodes"
+    );
     assert!(
         recycled > inserted / 2,
         "{recycled} of {inserted} fresh inserts took a freed node"
