@@ -127,7 +127,7 @@ fn trace_diag(trace_out: Option<&str>, metrics_out: Option<&str>) {
     cfg.ops_per_thread = 300;
     cfg.prepopulate = 384;
     cfg.key_range = 768;
-    let (r, log) = run_workload_traced(&cfg, Some(hastm_sim::TraceConfig::default()));
+    let (r, log) = run_workload_traced(&cfg, Some(hastm_sim::TraceConfig));
     if let Some(path) = trace_out {
         let log = log.as_ref().expect("tracing was armed");
         let json = hastm_sim::chrome_trace_json(log);

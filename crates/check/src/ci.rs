@@ -9,6 +9,12 @@ const ROWS: &[(&str, &str, &[&str])] = &[
         "coverage: 1400 runs, 1295 distinct schedules, 18 conflict-pair orderings, 3 abort causes [conflict, hw-conflict, mark-dirty]",
         "OK: 1400 trials, 0 violations (determinism re-checked on seed 0)",
     ]),
+    // The default fuzzed schedule injects cache pressure after ops: the derived schedule's
+    // ordering of an op's own events against that fallout.
+    ("coverage-fuzzed", "--seeds 3 --coverage --quiet", &[
+        "coverage: 840 runs, 721 distinct schedules, 18 conflict-pair orderings, 5 abort causes [conflict, hw-capacity, hw-conflict, hw-fallback, mark-dirty]",
+        "OK: 840 trials, 0 violations (determinism re-checked on seed 0)",
+    ]),
     ("explore-stm", "--explore --combo stm:obj:full --threads 2 --ops 2 --bound 2", &[
         "  818 runs, 486 pruned as duplicate schedules",
         "  coverage: 818 runs, 332 distinct schedules, 6 conflict-pair orderings, 1 abort causes [conflict]",
@@ -56,7 +62,7 @@ pub fn run() -> Result<std::process::ExitCode, String> {
         let ok = out.status.success() && missing.is_empty();
         let secs = start.elapsed().as_secs_f64();
         println!(
-            "{name:<14} {secs:>6.1} s  {}",
+            "{name:<15} {secs:>6.1} s  {}",
             if ok { "ok" } else { "FAIL" }
         );
         if !ok {

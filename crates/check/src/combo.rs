@@ -373,7 +373,7 @@ mod tests {
             k
         };
         let plan = RunPlan {
-            record_schedule: true,
+            trace: Some(hastm_sim::TraceConfig),
             ..RunPlan::default()
         };
         let run = |combo: Combo| -> Vec<_> {
@@ -390,7 +390,7 @@ mod tests {
                     };
                     let (fp, obs) =
                         run_trial_plan(&trial, &plan).unwrap_or_else(|e| panic!("{trial}: {e}"));
-                    let hash = schedule_hash(&obs.schedule);
+                    let hash = schedule_hash(&obs.schedule());
                     (fp, obs.stats, obs.abort_causes, hash, obs.report)
                 })
                 .collect()

@@ -4,7 +4,7 @@
 //! base schedule ([`Sched::Det`]): each node is a trace (a sorted list of
 //! `at_op@core` directives, at most [`ExploreConfig::bound`] long), and
 //! each run replays the workload from scratch with that trace installed,
-//! recording the per-op schedule. Terminal states are cross-checked
+//! with its event trace armed, and reads the per-op schedule from it. Terminal states are cross-checked
 //! against the workload's interleaving-independent expected answer and the
 //! serializability oracle by the ordinary trial runner — any violation is
 //! a found bug, which the trace shrinker then minimizes.
@@ -23,11 +23,11 @@
 //! streams and the machine are deterministic, so two runs with equal
 //! hashes are *the same run*; when a trace reproduces an
 //! already-expanded schedule, its subtree is a duplicate (child candidates
-//! are derived from the identical log) and is pruned.
+//! are derived from the identical schedule) and is pruned.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use hastm_sim::{LineId, Preemption};
+use hastm_sim::{LineId, Preemption, ScheduleEvent, TraceConfig};
 
 use crate::{
     replay_command, run_trial_observed, run_trial_plan, schedule_hash, trace_slug, Combo, Coverage,
@@ -111,7 +111,7 @@ const TIMELINE_LINES_PER_CORE: usize = 40;
 fn failure_timeline(trial: &Trial, trace: &[Preemption]) -> String {
     let plan = RunPlan {
         preemptions: trace.to_vec(),
-        trace: Some(hastm_sim::TraceConfig::default()),
+        trace: Some(TraceConfig),
         ..RunPlan::default()
     };
     let (_, obs) = run_trial_observed(trial, &plan);
@@ -142,7 +142,7 @@ pub struct ExploreReport {
 fn run_traced(trial: &Trial, trace: &[Preemption]) -> Result<Observation, String> {
     let plan = RunPlan {
         preemptions: trace.to_vec(),
-        record_schedule: true,
+        trace: Some(TraceConfig),
         ..RunPlan::default()
     };
     run_trial_plan(trial, &plan).map(|(_, obs)| obs)
@@ -150,9 +150,9 @@ fn run_traced(trial: &Trial, trace: &[Preemption]) -> Result<Observation, String
 
 /// The lines more than one core touched, with at least one write — the
 /// ops where a preemption can change the final abstract state.
-fn conflict_lines(obs: &Observation) -> HashSet<LineId> {
+fn conflict_lines(schedule: &[ScheduleEvent]) -> HashSet<LineId> {
     let mut readers_writers: HashMap<LineId, (HashSet<usize>, bool)> = HashMap::new();
-    for ev in &obs.schedule {
+    for ev in schedule {
         let Some((line, write)) = ev.line else {
             continue;
         };
@@ -167,15 +167,19 @@ fn conflict_lines(obs: &Observation) -> HashSet<LineId> {
         .collect()
 }
 
-/// Child directives of a trace, derived from its recorded run: at each op
-/// on a conflict line (past the trace's last directive), hand the machine
-/// to each other core.
-fn candidates(cfg: &ExploreConfig, trace: &[Preemption], obs: &Observation) -> Vec<Preemption> {
-    let conflicts = conflict_lines(obs);
+/// Child directives of a trace, derived from its run's schedule: at each
+/// op on a conflict line (past the trace's last directive), hand the
+/// machine to each other core.
+fn candidates(
+    cfg: &ExploreConfig,
+    trace: &[Preemption],
+    schedule: &[ScheduleEvent],
+) -> Vec<Preemption> {
+    let conflicts = conflict_lines(schedule);
     let min_at = trace.last().map_or(0, |p| p.at_op + 1);
     let mut out = Vec::new();
     let mut seen = HashSet::new();
-    for ev in &obs.schedule {
+    for ev in schedule {
         if ev.op < min_at {
             continue;
         }
@@ -300,12 +304,13 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
             Ok(obs) => obs,
         };
         report.coverage.note(&obs);
-        if !expanded.insert(schedule_hash(&obs.schedule)) {
+        let schedule = obs.schedule();
+        if !expanded.insert(schedule_hash(&schedule)) {
             report.pruned += 1;
             continue;
         }
         if trace.len() < cfg.bound {
-            for directive in candidates(cfg, &trace, &obs) {
+            for directive in candidates(cfg, &trace, &schedule) {
                 let mut child = trace.clone();
                 child.push(directive);
                 frontier.push_back(child);

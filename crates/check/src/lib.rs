@@ -43,7 +43,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hastm::{Abort, ModePolicy, OracleMode};
 use hastm_sim::mutant::{armed, Mutant};
-use hastm_sim::{MachineConfig, Preemption, RunReport, ScheduleEvent, SchedulePolicy, TraceLog};
+use hastm_sim::words::WordTable;
+use hastm_sim::{
+    MachineConfig, Preemption, RunReport, ScheduleEvent, SchedulePolicy, TraceConfig, TraceLog,
+};
 use hastm_workloads::{fnv1a, Definition, ExecStats, Scheme, SimRun, SimSession};
 
 pub mod combo;
@@ -223,13 +226,11 @@ pub fn parse_trace(s: &str) -> Result<Vec<Preemption>, String> {
     Ok(trace)
 }
 
-/// What one measured run exposed beyond its fingerprint: the recorded
-/// schedule (empty unless the plan asked for it), the abort causes the
-/// worker threads observed and their summed counters.
+/// What one measured run exposed beyond its fingerprint: the abort
+/// causes the worker threads observed, their summed counters, and the
+/// event trace when the plan armed one.
 #[derive(Clone, Debug, Default)]
 pub struct Observation {
-    /// Per-op schedule of the measured run (op index, core, touched line).
-    pub schedule: Vec<ScheduleEvent>,
     /// Distinct abort causes observed across all worker threads.
     pub abort_causes: BTreeSet<&'static str>,
     /// The worker threads' counters, summed. `stats.txn.ro_aborts` is
@@ -239,7 +240,8 @@ pub struct Observation {
     /// [`ModePolicy::Phased`].
     pub stats: ExecStats,
     /// Structured event trace of the measured run (`None` unless the plan
-    /// armed [`RunPlan::trace`]).
+    /// armed [`RunPlan::trace`]); its [`TraceLog::schedule`] is the run's
+    /// per-op schedule.
     pub trace: Option<TraceLog>,
     /// The measured run's machine report (`None` until the run finishes).
     pub report: Option<RunReport>,
@@ -263,12 +265,19 @@ impl Observation {
         .filter_map(|(n, label)| (n > 0).then_some(label))
         .collect();
         Observation {
-            schedule: run.schedule,
             abort_causes,
             stats: st,
             trace: run.trace,
             report: Some(run.report),
         }
+    }
+
+    /// The measured run's per-op schedule (op index, core, touched line),
+    /// derived from its trace; empty when the run was not traced.
+    pub fn schedule(&self) -> Vec<ScheduleEvent> {
+        self.trace
+            .as_ref()
+            .map_or_else(Vec::new, TraceLog::schedule)
     }
 }
 
@@ -339,7 +348,7 @@ impl Backend for Sim<'_> {
 // ---------------------------------------------------------------------------
 
 /// Runs one trial under a [`RunPlan`] and returns its fingerprint plus
-/// what the run exposed (recorded schedule, abort causes), or a
+/// what the run exposed (abort causes, event trace), or a
 /// description of the violated invariant.
 ///
 /// # Errors
@@ -395,18 +404,17 @@ pub type ConflictOrdering = (usize, usize, bool, bool);
 /// campaign that keeps replaying one schedule shows flat coverage.
 #[derive(Clone, Debug, Default)]
 pub struct Coverage {
-    /// Distinct ordered conflict pairs observed (requires recorded
-    /// schedules).
+    /// Distinct ordered conflict pairs observed (requires traced runs).
     pub conflict_orderings: BTreeSet<ConflictOrdering>,
     /// Distinct abort causes observed across all runs.
     pub abort_causes: BTreeSet<&'static str>,
-    /// Distinct whole-run schedule hashes (requires recorded schedules).
+    /// Distinct whole-run schedule hashes (requires traced runs).
     pub schedules: BTreeSet<u64>,
     /// Runs folded in.
     pub runs: u64,
 }
 
-/// FNV-1a hash of a recorded schedule: the `(core, line, is_write)`
+/// FNV-1a hash of a run's schedule: the `(core, line, is_write)`
 /// sequence of every gated op. Two runs with equal hashes executed the
 /// same interleaving of the same per-core op streams, hence (the machine
 /// being deterministic) are the same run.
@@ -427,23 +435,23 @@ impl Coverage {
     pub fn note(&mut self, obs: &Observation) {
         self.runs += 1;
         self.abort_causes.extend(obs.abort_causes.iter());
-        if obs.schedule.is_empty() {
+        let schedule = obs.schedule();
+        if schedule.is_empty() {
             return;
         }
-        self.schedules.insert(schedule_hash(&obs.schedule));
-        let mut last: std::collections::HashMap<hastm_sim::LineId, (usize, bool)> =
-            std::collections::HashMap::new();
-        for ev in &obs.schedule {
+        self.schedules.insert(schedule_hash(&schedule));
+        // Per line, the core and kind of its latest access.
+        let mut last: WordTable<(usize, bool)> = WordTable::default();
+        for ev in &schedule {
             let Some((line, write)) = ev.line else {
                 continue;
             };
-            if let Some(&(prev_core, prev_write)) = last.get(&line) {
-                if prev_core != ev.core && (prev_write || write) {
-                    self.conflict_orderings
-                        .insert((prev_core, ev.core, prev_write, write));
-                }
+            let seen = last.get_or_insert(line.0, (ev.core, write));
+            let (prev_core, prev_write) = std::mem::replace(seen, (ev.core, write));
+            if prev_core != ev.core && (prev_write || write) {
+                self.conflict_orderings
+                    .insert((prev_core, ev.core, prev_write, write));
             }
-            last.insert(line, (ev.core, write));
         }
     }
 
@@ -466,9 +474,9 @@ impl Coverage {
 
 /// Runs a trial under a plan (twice when `determinism` is set) and returns
 /// its fingerprint, or the failure detail, with the first run's
-/// observation either way (as [`run_trial_observed`] does). With schedule
-/// recording on, the determinism re-run must reproduce the schedule
-/// bit-for-bit, not just the fingerprint.
+/// observation either way (as [`run_trial_observed`] does). With a trace
+/// armed, the determinism re-run must reproduce the whole trace
+/// event for event, not just the fingerprint.
 pub fn check_trial_plan(
     trial: &Trial,
     plan: &RunPlan,
@@ -484,8 +492,8 @@ pub fn check_trial_plan(
             Ok((fp2, _)) if fp2 != fp => Err(format!(
                 "nondeterministic: fingerprint {fp:?} then {fp2:?} from identical trials"
             )),
-            Ok((_, obs2)) if schedule_hash(&obs2.schedule) != schedule_hash(&obs.schedule) => {
-                Err("nondeterministic: identical trials recorded different schedules".into())
+            Ok((_, obs2)) if obs2.trace != obs.trace => {
+                Err("nondeterministic: identical trials recorded different traces".into())
             }
             Ok(_) => Ok(fp),
         }
@@ -604,8 +612,8 @@ pub struct CheckConfig {
     pub workloads: Vec<Workload>,
     /// Schedule policy every trial runs under.
     pub sched: Sched,
-    /// Record every trial's schedule and accumulate interleaving coverage
-    /// into the report (small per-trial cost; abort-cause coverage is
+    /// Trace every trial's measured run and accumulate interleaving
+    /// coverage from its schedule into the report (abort-cause coverage is
     /// collected regardless).
     pub coverage: bool,
 }
@@ -665,7 +673,7 @@ pub struct SuiteReport {
 pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> SuiteReport {
     let mut report = SuiteReport::default();
     let plan = RunPlan {
-        record_schedule: cfg.coverage,
+        trace: cfg.coverage.then_some(TraceConfig),
         ..RunPlan::default()
     };
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {

@@ -116,7 +116,7 @@ fn dropped_discard_event_is_caught_by_reconciliation() {
         // fires once op 2 completes and back-invalidates the only
         // resident L2 line, the marked one.
         let mut m = Machine::new(MachineConfig::default());
-        m.set_tracing(Some(TraceConfig::default()));
+        m.set_tracing(Some(TraceConfig));
         m.set_faults(vec![FaultEvent {
             at_op: 2,
             core: 0,

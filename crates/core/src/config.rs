@@ -134,12 +134,6 @@ pub struct StmConfig {
     /// Validate the read set after this many read barriers (bounds the work
     /// a doomed "zombie" transaction can perform).
     pub validation_period: u32,
-    /// Clear mark bits at transaction end, disabling the inter-atomic-block
-    /// reuse optimization of Figure 10. The paper's measurements keep this
-    /// `true` ("we cleared the mark bits at the end of every transaction
-    /// thus eliminating inter-atomic optimizations ... the measurements
-    /// represent HASTM performance conservatively").
-    pub clear_marks_between_txns: bool,
     /// Ablation (Figure 17, "HASTM-NoReuse"): disable the mark-bit *filter*
     /// fast path while keeping read-log elimination and mark-counter
     /// validation.
@@ -168,7 +162,6 @@ impl Default for StmConfig {
             barrier: BarrierKind::Stm,
             mode_policy: ModePolicy::default(),
             validation_period: 16,
-            clear_marks_between_txns: true,
             no_reuse: false,
             filter_writes: false,
             oracle: OracleMode::default(),
@@ -270,7 +263,6 @@ mod tests {
     fn defaults_are_paper_defaults() {
         let c = StmConfig::default();
         assert_eq!(c.granularity, Granularity::CacheLine);
-        assert!(c.clear_marks_between_txns);
         assert!(!c.no_reuse);
         assert_eq!(c.oracle, OracleMode::Off, "oracle off in measured config");
     }

@@ -345,16 +345,12 @@ impl<'c, 'm> TxThread<'c, 'm> {
         self.cpu
             .store_u64(self.desc.offset(DESC_MODE), self.mode as u64);
         if self.hastm() {
-            // Cautious mode's 2-instruction fast path is sound only under
-            // the invariant "marked => logged or owned by THIS
-            // transaction", so cautious attempts always start from a clean
-            // slate. Only aggressive attempts may inherit marks from the
-            // previous transaction (the Figure 10 inter-atomic
-            // optimization): there, a fast-path read needs no log entry
-            // because commit requires the counter to stay clean.
-            if self.runtime.config().clear_marks_between_txns || self.mode == Mode::Cautious {
-                self.cpu.reset_mark_all();
-            }
+            // Every attempt starts from a clean mark slate: cautious mode's
+            // 2-instruction fast path is sound only under the invariant
+            // "marked => logged or owned by THIS transaction". The paper's
+            // measurements clear marks between transactions too, forgoing
+            // Figure 10's inter-atomic reuse.
+            self.cpu.reset_mark_all();
             self.cpu.reset_mark_counter();
             if self.runtime.config().filter_writes {
                 // The write filter's invariant ("write-marked => owned by
@@ -804,8 +800,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
         };
         if self.hastm() {
             // Discard all marks: released records must not satisfy a later
-            // transaction's fast path as if they were logged or owned
-            // (essential when inter-atomic mark reuse is enabled).
+            // transaction's fast path as if they were logged or owned.
             self.cpu.reset_mark_all();
             if let Some(class) = class {
                 self.controller.on_abort(class);

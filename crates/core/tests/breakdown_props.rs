@@ -7,7 +7,10 @@
 use hastm::{
     BarrierKind, Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TimeBreakdown, TxThread,
 };
-use hastm_sim::{Machine, MachineConfig, PhaseSums, SchedulePolicy, TraceConfig, WorkerFn};
+use hastm_sim::{
+    reconcile_mark_discards, Machine, MachineConfig, PhaseSums, RunReport, SchedulePolicy,
+    TraceConfig, TraceLog, WorkerFn,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -112,13 +115,13 @@ fn run(s: &Scenario) -> Vec<(u64, u64)> {
 }
 
 /// Runs the scenario with event tracing armed and returns the summed
-/// per-thread breakdown alongside the trace's per-phase cycle sums.
-fn run_traced(s: &Scenario) -> (TimeBreakdown, PhaseSums, bool) {
+/// per-thread breakdown, the trace and the run's report.
+fn run_traced(s: &Scenario) -> (TimeBreakdown, TraceLog, RunReport) {
     let mut m = Machine::new(MachineConfig {
         schedule: s.schedule,
         ..MachineConfig::with_cores(s.threads)
     });
-    m.set_tracing(Some(TraceConfig::default()));
+    m.set_tracing(Some(TraceConfig));
     let config = match s.barrier {
         BarrierKind::Stm => StmConfig::stm(s.granularity),
         BarrierKind::Hastm => StmConfig::hastm(s.granularity, s.policy),
@@ -150,13 +153,47 @@ fn run_traced(s: &Scenario) -> (TimeBreakdown, PhaseSums, bool) {
             }) as WorkerFn<'_>
         })
         .collect();
-    m.run(workers);
+    let report = m.run(workers);
     let log = m.take_trace().expect("tracing was armed");
-    (
-        merged.into_inner().unwrap(),
-        log.phase_sums(),
-        log.dropped_any(),
-    )
+    (merged.into_inner().unwrap(), log, report)
+}
+
+/// A breakdown in the trace's shape.
+fn as_sums(bd: &TimeBreakdown) -> PhaseSums {
+    PhaseSums {
+        tls: bd.tls,
+        read_barrier: bd.read_barrier,
+        write_barrier: bd.write_barrier,
+        validate: bd.validate,
+        commit: bd.commit,
+        contention: bd.contention,
+        app: bd.app,
+    }
+}
+
+/// A run with more than 65 536 events on one core: the trace holds every
+/// event, so both reconciliations hold exactly.
+#[test]
+fn a_long_traced_run_reconciles_exactly() {
+    let s = Scenario {
+        granularity: Granularity::CacheLine,
+        barrier: BarrierKind::Hastm,
+        policy: ModePolicy::default(),
+        schedule: SchedulePolicy::Fuzzed { seed: 3 },
+        threads: 2,
+        txns_per_thread: 1_500,
+        seed: 11,
+    };
+    let (bd, log, report) = run_traced(&s);
+    let longest = log.per_core.iter().map(Vec::len).max().unwrap_or(0);
+    assert!(
+        longest > 65_536,
+        "only {longest} events on the busiest core"
+    );
+    assert_eq!(log.phase_sums(), as_sums(&bd));
+    let lost: Vec<u64> = report.cores.iter().map(|c| c.marked_lines_lost).collect();
+    assert!(lost.iter().sum::<u64>() > 0, "no marked line was lost");
+    reconcile_mark_discards(&log, &lost).unwrap();
 }
 
 proptest! {
@@ -184,8 +221,8 @@ proptest! {
     /// double-count a cycle.
     #[test]
     fn trace_phase_sums_equal_breakdown_categories(s in scenario()) {
-        let (bd, sums, dropped) = run_traced(&s);
-        prop_assert!(!dropped, "scenario overflowed the trace ring: {:?}", &s);
+        let (bd, log, _) = run_traced(&s);
+        let sums = log.phase_sums();
         for (name, traced, counted) in [
             ("tls", sums.tls, bd.tls),
             ("read_barrier", sums.read_barrier, bd.read_barrier),

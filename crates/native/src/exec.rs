@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use hastm::mvcc::{reclaimable, LiveSnapshots};
 use hastm::{Abort, ObjRef, TmContext, TmExec, TxResult};
-use hastm_sim::mutant::{armed, Mutant};
+use hastm_sim::mutant::{armed, Mutant, PLANTED};
 use hastm_sim::words::RedoLog;
 
 use crate::tl2::{NativeRuntime, NativeStats, WritebackHook};
@@ -404,6 +404,9 @@ impl NativeTxn<'_, '_> {
         let v1 = rt.lock_word(stripe);
         if v1 & 1 == 1 || (v1 >> 1) > self.rv {
             return Err(Abort::Conflict);
+        }
+        if PLANTED {
+            rt.read_paused(addr);
         }
         let value = rt.heap().load(addr);
         if rt.lock_word(stripe) != v1 {

@@ -27,6 +27,14 @@ const FIRST_WORD: usize = 8;
 /// untouched pages cost nothing, 2^20 where all are zeroed up front.
 pub const HEAP_WORDS: usize = if DEMAND_ZERO { 1 << 31 } else { 1 << 20 };
 
+/// Bytes of address space a runtime reserves when it is built: the heap
+/// with its lock words, and under `Multi` the version index beside it
+/// (the block pool's chunks come later, on demand).
+pub(crate) const fn runtime_reservation(multi: bool) -> usize {
+    let arrays = if multi { 3 } else { 2 };
+    arrays * HEAP_WORDS * std::mem::size_of::<u64>()
+}
+
 /// A shared, concurrently allocatable word heap.
 pub struct NativeHeap {
     /// `[lock, value]` per word, so a 64-byte line holds four of each.
@@ -38,7 +46,7 @@ impl NativeHeap {
     /// Builds a zero-initialized heap of [`HEAP_WORDS`] 8-byte words.
     pub(crate) fn new() -> Self {
         NativeHeap {
-            slots: ZeroedWords::new(2 * HEAP_WORDS),
+            slots: ZeroedWords::new("native heap", 2 * HEAP_WORDS),
             next: CachePadded::new(AtomicUsize::new(FIRST_WORD)),
         }
     }
@@ -195,7 +203,7 @@ impl VersionStore {
     pub(crate) fn new(k: usize) -> Self {
         VersionStore {
             k,
-            index: ZeroedWords::new(HEAP_WORDS),
+            index: ZeroedWords::new("version index", HEAP_WORDS),
             chunks: [const { OnceLock::new() }; POOL_CHUNKS],
             claimed: AtomicUsize::new(0),
         }
@@ -212,7 +220,9 @@ impl VersionStore {
         let id = self.claimed.fetch_add(1, Relaxed) + 1;
         assert!(id <= u32::MAX as usize, "block ids are 32 bits");
         let n = Self::chunk_of(id).0;
-        self.chunks[n].get_or_init(|| ZeroedWords::new((POOL_BLOCKS << n) * (2 + 2 * self.k)));
+        self.chunks[n].get_or_init(|| {
+            ZeroedWords::new("version block pool", (POOL_BLOCKS << n) * (2 + 2 * self.k))
+        });
         id
     }
 
@@ -366,7 +376,7 @@ mod tests {
     /// A heap of `words` words, for tests that walk or exhaust one.
     fn sized(words: usize) -> NativeHeap {
         NativeHeap {
-            slots: ZeroedWords::new(2 * words),
+            slots: ZeroedWords::new("native heap", 2 * words),
             next: CachePadded::new(AtomicUsize::new(FIRST_WORD)),
         }
     }

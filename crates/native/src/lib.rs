@@ -37,4 +37,4 @@ mod zeroed;
 
 pub use exec::{NativeExec, NativeRoTxn, NativeTxn};
 pub use heap::NativeHeap;
-pub use tl2::{NativeConfig, NativeRuntime, NativeStats, StripeState, WritebackHook};
+pub use tl2::{NativeConfig, NativeRuntime, NativeStats, ReadHook, StripeState, WritebackHook};

@@ -143,6 +143,12 @@ impl NativeStats {
 /// committer while it holds its stripe locks.
 pub type WritebackHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
+/// Test hook invoked by an optimistic read with the word's address,
+/// between the sandwich's first lock-word check and its value load. Lets
+/// a stress test freeze a reader inside the sandwich. Only builds with
+/// [`hastm_sim::mutant::PLANTED`] call it.
+pub type ReadHook = Arc<dyn Fn(u64) + Send + Sync>;
+
 /// Bounded spins when acquiring a write lock before giving up and
 /// aborting (keeps commit lock-acquisition livelock-free).
 const MAX_LOCK_SPINS: u32 = 128;
@@ -159,6 +165,8 @@ pub struct NativeRuntime {
     cfg: NativeConfig,
     hook_armed: AtomicBool,
     hook: Mutex<Option<WritebackHook>>,
+    read_hook_armed: AtomicBool,
+    read_hook: Mutex<Option<ReadHook>>,
     start: std::time::Instant,
     /// The version rings (`Some` only under [`Versioning::Multi`]).
     /// Writers publish here *before* each write-back store: a ring's
@@ -183,6 +191,8 @@ impl NativeRuntime {
             cfg,
             hook_armed: AtomicBool::new(false),
             hook: Mutex::new(None),
+            read_hook_armed: AtomicBool::new(false),
+            read_hook: Mutex::new(None),
             start: std::time::Instant::now(),
             versions,
             snapshots: multi.then(LiveSnapshots::default),
@@ -317,6 +327,30 @@ impl NativeRuntime {
             return None;
         }
         self.hook.lock().unwrap().clone()
+    }
+
+    /// Installs (or clears) the read pause hook. Test-only machinery,
+    /// called only in builds with [`hastm_sim::mutant::PLANTED`]; there
+    /// the armed flag keeps every other read to one relaxed boolean load.
+    #[doc(hidden)]
+    pub fn set_read_hook(&self, hook: Option<ReadHook>) {
+        self.read_hook_armed.store(hook.is_some(), SeqCst);
+        *self.read_hook.lock().unwrap() = hook;
+    }
+
+    /// Calls the read hook, if armed, for the word at `addr` (the lock is
+    /// not held during the call, so the hook may disarm itself).
+    pub(crate) fn read_paused(&self, addr: u64) {
+        if !self
+            .read_hook_armed
+            .load(std::sync::atomic::Ordering::Relaxed)
+        {
+            return;
+        }
+        let hook = self.read_hook.lock().unwrap().clone();
+        if let Some(h) = hook {
+            h(addr);
+        }
     }
 
     /// Test-only: force-lock a stripe (as if a committer stalled holding

@@ -14,7 +14,7 @@
 //! slice over it and giving it back. Everything it exports is safe to
 //! call.
 
-use std::alloc::{handle_alloc_error, Layout};
+use std::alloc::Layout;
 use std::ops::Deref;
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
@@ -40,13 +40,16 @@ unsafe impl Send for ZeroedWords {}
 unsafe impl Sync for ZeroedWords {}
 
 impl ZeroedWords {
-    /// An array of `len` words, all zero.
+    /// An array of `len` words, all zero; `what` names it in the panic
+    /// below.
     ///
     /// # Panics
     ///
-    /// Panics if `len` words overflow the address space; aborts, as any
-    /// failed allocation does, if the memory cannot be had.
-    pub(crate) fn new(len: usize) -> Self {
+    /// Panics if `len` words overflow the address space, or if the memory
+    /// cannot be had — typically an address-space limit (`ulimit -v`)
+    /// below what a runtime reserves. The message names the array, the
+    /// bytes asked for and that reservation.
+    pub(crate) fn new(what: &str, len: usize) -> Self {
         let layout = Self::layout(len);
         if layout.size() == 0 {
             return ZeroedWords {
@@ -54,18 +57,35 @@ impl ZeroedWords {
                 len,
             };
         }
-        match NonNull::new(sys::alloc_zeroed(layout)) {
-            Some(base) => ZeroedWords {
-                base: base.cast(),
-                len,
-            },
-            None => handle_alloc_error(layout),
+        let Some(base) = NonNull::new(sys::alloc_zeroed(layout)) else {
+            let size = |multi| human_size(crate::heap::runtime_reservation(multi));
+            panic!(
+                "cannot reserve the {what}: {} bytes of address space refused; \
+                 a native runtime reserves {} ({} under Multi), so an \
+                 address-space limit (`ulimit -v`) must allow that much",
+                layout.size(),
+                size(false),
+                size(true),
+            );
+        };
+        ZeroedWords {
+            base: base.cast(),
+            len,
         }
     }
 
     fn layout(len: usize) -> Layout {
         let line_aligned = Layout::array::<AtomicU64>(len).and_then(|words| words.align_to(64));
         line_aligned.expect("zeroed word array size overflows")
+    }
+}
+
+/// `bytes` in whole GiB, or MiB below one GiB.
+fn human_size(bytes: usize) -> String {
+    if bytes >= 1 << 30 {
+        format!("{} GiB", bytes >> 30)
+    } else {
+        format!("{} MiB", bytes >> 20)
     }
 }
 
@@ -190,14 +210,16 @@ mod tests {
     #[test]
     fn fresh_arrays_read_zero_even_after_a_written_one_is_dropped() {
         const LEN: usize = 3 << 18; // 6 MiB: past any allocator's threshold
-        let first = ZeroedWords::new(LEN);
+        let first = ZeroedWords::new("test array", LEN);
         assert_eq!(first.len(), LEN);
         reads_zero_at_ends_and_middle(&first);
         first.iter().step_by(512).for_each(|w| w.store(!0, Relaxed));
         first[LEN - 1].store(!0, Relaxed);
         drop(first);
-        let second = ZeroedWords::new(LEN);
+        let second = ZeroedWords::new("test array", LEN);
         reads_zero_at_ends_and_middle(&second);
-        assert!(ZeroedWords::new(0).is_empty());
+        assert!(ZeroedWords::new("test array", 0).is_empty());
+        assert_eq!(human_size(48 << 30), "48 GiB");
+        assert_eq!(human_size(24 << 20), "24 MiB");
     }
 }

@@ -17,8 +17,10 @@
 //! * the redo log is a map: against a `HashMap` reference, a read sees
 //!   the attempt's last write to that word, and the commit stores the
 //!   last value per address and holds each written word's lock;
-//! * under live races, transfers conserve their total, no reader sees a
-//!   torn sum, and an anti-dependency cycle ends in a serializable state;
+//! * under live races, transfers conserve their total; with a reader
+//!   parked inside the read sandwich, or a committer parked between
+//!   validation and write-back, no reader sees a torn sum and an
+//!   anti-dependency cycle ends in a serializable state;
 //! * a read of a stripe held by a commit parked between validation and
 //!   write-back aborts, so the two transactions cannot both commit.
 
@@ -432,42 +434,73 @@ fn concurrent_transfers_conserve_total_balance() {
     assert_eq!(total, 4_000, "balance not conserved");
 }
 
-/// What `live_race_never_tears_reads`' writer keeps its two cells summing to.
-const TOTAL: u64 = 1_000;
+/// Runs `txn` on its own thread with `rt`'s write-back hook parking its
+/// commit between validation and write-back, and `meanwhile` on this
+/// thread while it is parked; returns both results.
+fn with_parked_commit<A: Send, B>(
+    rt: &Arc<NativeRuntime>,
+    txn: impl FnOnce() -> A + Send,
+    meanwhile: impl FnOnce() -> B,
+) -> (A, B) {
+    let (parked, resume) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let hook: WritebackHook = {
+        let (parked, resume) = (Arc::clone(&parked), Arc::clone(&resume));
+        Arc::new(move |done, _total| {
+            if done == 0 {
+                parked.wait();
+                resume.wait();
+            }
+        })
+    };
+    rt.set_writeback_hook(Some(hook));
+    std::thread::scope(|s| {
+        let parked_txn = s.spawn(txn);
+        parked.wait();
+        rt.set_writeback_hook(None);
+        let other = meanwhile();
+        resume.wait();
+        (parked_txn.join().unwrap(), other)
+    })
+}
 
-/// Anti-dependency cycle stress: thread 1 runs `Y := X + 1`, thread 2
-/// runs `X := Y + 1`. Every serializable history ends with the last
-/// committer's cell exactly one above the other, so at quiescence
-/// `|X - Y| == 1`. A commit that publishes against a stale read lets
-/// both transactions read the pre-state and converge the cells
-/// (`X == Y`), which this asserts against.
+/// Anti-dependency cycle: T1 runs `Y := X + 1`, T2 runs `X := Y + 1`.
+/// Every serializable history ends with the last committer's cell exactly
+/// one above the other, so `|X - Y| == 1`. T1 reads `X`, then T2 commits
+/// and parks holding `X`'s lock, its value not yet written back; T1's
+/// commit must then fail read-set validation. A commit that publishes
+/// against that stale read leaves both cells at 1. Each transaction takes
+/// each role once.
 #[test]
 fn anti_dependency_cycle_stays_serializable() {
-    for round in 0..20 {
-        let rt = runtime();
-        let (x, y) = {
-            let mut ex = NativeExec::new(&rt);
-            let x = ex.alloc_obj(1);
-            let y = ex.alloc_obj(1);
-            ex.atomic(|ctx| {
-                ctx.ctx_write(x, 0, 0)?;
-                ctx.ctx_write(y, 0, 0)
-            });
-            (x, y)
-        };
-        std::thread::scope(|s| {
-            for (src, dst) in [(x, y), (y, x)] {
-                let rt = &rt;
-                s.spawn(move || {
-                    let mut ex = NativeExec::new(rt);
-                    for _ in 0..200 {
-                        ex.atomic(|ctx| {
-                            let v = ctx.ctx_read(src, 0)?;
-                            ctx.ctx_write(dst, 0, v + 1)
-                        });
-                    }
-                });
-            }
+    for round in 0..2 {
+        let rt = Arc::new(runtime());
+        let (mut t1, mut t2) = (NativeExec::new(&rt), NativeExec::new(&rt));
+        let (x, y) = (t1.alloc_obj(1), t1.alloc_obj(1));
+        t1.atomic(|ctx| {
+            ctx.ctx_write(x, 0, 0)?;
+            ctx.ctx_write(y, 0, 0)
+        });
+        let (src, dst) = if round == 0 { (x, y) } else { (y, x) };
+        let mut t1_txn = t1.txn();
+        let seen = t1_txn.ctx_read(src, 0).unwrap();
+        let (t2_commit, t1_commit) = with_parked_commit(
+            &rt,
+            || {
+                let mut txn = t2.txn();
+                let v = txn.ctx_read(dst, 0).unwrap();
+                txn.ctx_write(src, 0, v + 1).unwrap();
+                txn.commit()
+            },
+            || {
+                t1_txn.ctx_write(dst, 0, seen + 1).unwrap();
+                t1_txn.commit()
+            },
+        );
+        assert_eq!(t2_commit, Ok(()), "round {round}");
+        assert_eq!(t1_commit, Err(Abort::Conflict), "round {round}");
+        t1.atomic(|ctx| {
+            let v = ctx.ctx_read(src, 0)?;
+            ctx.ctx_write(dst, 0, v + 1)
         });
         let (vx, vy) = (rt.peek(x.word(0)), rt.peek(y.word(0)));
         assert_eq!(
@@ -478,47 +511,72 @@ fn anti_dependency_cycle_stays_serializable() {
     }
 }
 
-/// Live-race stress (no pausing): an invariant-preserving writer and a
-/// reader race on two cells; the reader may never see a torn sum.
+/// What `live_race_never_tears_reads`' writer keeps its two cells summing to.
+const TOTAL: u64 = 1_000;
+
+/// A reader of two cells a writer keeps summing to [`TOTAL`] never sees a
+/// torn sum. A read-only attempt commits without validation, so the
+/// sandwich's second lock-word check is all that stops a value stored
+/// after its first check. The read hook parks the reader right there, on
+/// `b` with `a` already read, while the writer commits a transfer; its
+/// write-back hook parks the writer once between validation and
+/// write-back, so the reader also tries `a` under a held lock.
 #[test]
 fn live_race_never_tears_reads() {
-    let rt = runtime();
-    let (a, b) = {
-        let mut ex = NativeExec::new(&rt);
-        let (a, b) = (ex.alloc_obj(1), ex.alloc_obj(1));
-        ex.atomic(|ctx| {
-            ctx.ctx_write(a, 0, TOTAL / 2)?;
-            ctx.ctx_write(b, 0, TOTAL - TOTAL / 2)
-        });
-        (a, b)
-    };
-    let rounds = 300;
-    std::thread::scope(|s| {
-        let rt = &rt;
-        s.spawn(move || {
-            let mut ex = NativeExec::new(rt);
-            for i in 0..rounds {
-                let shift = (i % 7) + 1;
-                ex.atomic(|ctx| {
-                    let va = ctx.ctx_read(a, 0)?;
-                    let vb = ctx.ctx_read(b, 0)?;
-                    ctx.ctx_write(a, 0, va.wrapping_add(shift))?;
-                    ctx.ctx_write(b, 0, vb.wrapping_sub(shift))
-                });
-            }
-        });
-        s.spawn(move || {
-            let mut ex = NativeExec::new(rt);
-            for _ in 0..rounds {
-                let sum = ex.atomic(|ctx| {
-                    let va = ctx.ctx_read(a, 0)?;
-                    let vb = ctx.ctx_read(b, 0)?;
-                    Ok(va.wrapping_add(vb))
-                });
-                assert_eq!(sum, TOTAL, "torn read under live race");
-            }
-        });
+    let rt = Arc::new(runtime());
+    let (mut reader, mut writer) = (NativeExec::new(&rt), NativeExec::new(&rt));
+    let (a, b) = (writer.alloc_obj(1), writer.alloc_obj(1));
+    writer.atomic(|ctx| {
+        ctx.ctx_write(a, 0, TOTAL / 2)?;
+        ctx.ctx_write(b, 0, TOTAL - TOTAL / 2)
     });
+    let transfer = |ex: &mut NativeExec<'_>, shift: u64| {
+        ex.atomic(|ctx| {
+            let va = ctx.ctx_read(a, 0)?;
+            let vb = ctx.ctx_read(b, 0)?;
+            ctx.ctx_write(a, 0, va + shift)?;
+            ctx.ctx_write(b, 0, vb - shift)
+        })
+    };
+    let sum = |ex: &mut NativeExec<'_>| {
+        let mut txn = ex.txn();
+        let va = txn.ctx_read(a, 0)?;
+        let vb = txn.ctx_read(b, 0)?;
+        txn.commit()?;
+        Ok(va + vb)
+    };
+
+    // The reader parked inside the sandwich while a transfer commits.
+    let (parked, resume) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let b_addr = b.word(0).0;
+    rt.set_read_hook(Some({
+        let (parked, resume) = (Arc::clone(&parked), Arc::clone(&resume));
+        Arc::new(move |addr| {
+            if addr == b_addr {
+                parked.wait();
+                resume.wait();
+            }
+        })
+    }));
+    let inside = std::thread::scope(|s| {
+        let read = s.spawn(|| sum(&mut reader));
+        parked.wait();
+        rt.set_read_hook(None);
+        transfer(&mut writer, 3);
+        resume.wait();
+        read.join().unwrap()
+    });
+    assert_eq!(inside, Err(Abort::Conflict), "a torn read got through");
+
+    // A transfer parked with both locks held: the reader's first check.
+    let (commit, outside) =
+        with_parked_commit(&rt, || transfer(&mut writer, 5), || sum(&mut reader));
+    assert_eq!((commit, outside), ((), Err(Abort::Conflict)));
+    assert_eq!(sum(&mut reader), Ok(TOTAL));
+    assert_eq!(
+        (rt.peek(a.word(0)), rt.peek(b.word(0))),
+        (TOTAL / 2 + 8, TOTAL - TOTAL / 2 - 8)
+    );
 }
 
 /// T2 reads `y` and writes `x`; the hook's `(0, n)` call parks its

@@ -71,7 +71,7 @@ pub struct Cpu<'a> {
     /// cached so [`Cpu::trace`] is one branch when tracing is off.
     tracing: bool,
     /// Software-layer events ([`Cpu::trace`]) stamped locally and flushed
-    /// into this core's ring at the next gated op (or into the tail buffer
+    /// into this core's stream at the next gated op (or into the tail buffer
     /// at worker end).
     trace_pending: Vec<TimedEvent>,
     /// This core's clock, mirrored at gate admission and after every op so
@@ -89,7 +89,7 @@ impl std::fmt::Debug for Cpu<'_> {
 impl Drop for Cpu<'_> {
     fn drop(&mut self) {
         // Worker end: spill any still-buffered trace events into the
-        // recorder's per-core tail (kept apart from the rings because
+        // recorder's per-core tail (kept apart from the streams because
         // worker exits happen at host-racy times relative to other cores'
         // flushes), then release a kept guard so this worker's
         // deactivation guard, which runs after this drop, can take it.
@@ -266,18 +266,18 @@ impl<'a> Cpu<'a> {
     }
 
     /// The end of an op on a run that is not plain — fuzzed, PCT,
-    /// preempted, faulted, schedule-recorded or traced. Returns whether the
+    /// preempted, faulted or traced. Returns whether the
     /// schedule is static, so that a core that runs alone may keep its
     /// guard.
     #[inline(never)]
     fn observe_op(&mut self, st: &mut SimState) -> bool {
         if self.tracing && !self.trace_pending.is_empty() {
             // Route software-layer events buffered since the last gated op
-            // (already stamped) into this core's ring, ahead of this op's
+            // (already stamped) into this core's stream, ahead of this op's
             // own events.
             st.sys.trace_push_stamped(self.id, &mut self.trace_pending);
         }
-        // Counts the op, logs it, fires due directives and faults, re-draws
+        // Counts the op, fires due directives and faults, re-draws
         // priorities, routes the op's trace events.
         st.after_op(self.id);
         !st.dynamic_schedule()

@@ -180,12 +180,6 @@ pub struct MemSystem {
     /// Reused line-id buffer for the snapshot paths (`flush_caches`), so
     /// those entry points stop allocating a fresh `Vec` per call.
     scratch: Vec<LineId>,
-    /// When set, `access`/`mark_access` stash `(line, was_write)` of each
-    /// data access here for the scheduler's schedule log. Off by default so
-    /// the hot path pays nothing outside recording runs.
-    record_accesses: bool,
-    /// The stash `take_last_access` drains once per gated op.
-    last_access: Option<(LineId, bool)>,
     /// Structured event recorder (see [`crate::trace`]). `None` keeps every
     /// emission site a single never-taken branch.
     trace: Option<TraceRecorder>,
@@ -209,8 +203,6 @@ impl MemSystem {
             core_stats: vec![CoreStats::default(); cores],
             machine_stats: MachineStats::default(),
             scratch: Vec::new(),
-            record_accesses: false,
-            last_access: None,
             trace: None,
         }
     }
@@ -224,7 +216,7 @@ impl MemSystem {
     /// Arms (or disarms, with `None`) the structured event recorder.
     pub(crate) fn set_trace(&mut self, config: Option<TraceConfig>) {
         let cores = self.cores();
-        self.trace = config.map(|tc| TraceRecorder::new(cores, &tc));
+        self.trace = config.map(|TraceConfig| TraceRecorder::new(cores));
     }
 
     /// Clears all recorded events (run start).
@@ -245,13 +237,11 @@ impl MemSystem {
     /// by `core`, then stamps and routes everything the op staged.
     pub(crate) fn trace_op_end(&mut self, core: usize, op: u64, cycle: u64) {
         if let Some(t) = self.trace.as_mut() {
-            use crate::trace::TraceSink;
-            t.record(core, cycle, TraceEvent::GateAdmit { op });
-            t.flush(cycle);
+            t.op_end(core, op, cycle);
         }
     }
 
-    /// Appends a worker's pre-stamped local events to `core`'s ring.
+    /// Appends a worker's pre-stamped local events to `core`'s stream.
     pub(crate) fn trace_push_stamped(&mut self, core: usize, events: &mut Vec<TimedEvent>) {
         if let Some(t) = self.trace.as_mut() {
             t.push_stamped(core, events);
@@ -277,21 +267,6 @@ impl MemSystem {
         if let Some(t) = self.trace.as_mut() {
             t.stage(core, ev);
         }
-    }
-
-    /// Enables or disables last-access recording (see
-    /// [`MemSystem::take_last_access`]).
-    pub fn set_record_accesses(&mut self, on: bool) {
-        self.record_accesses = on;
-        if !on {
-            self.last_access = None;
-        }
-    }
-
-    /// Drains the `(line, was_write)` of the most recent data access since
-    /// the last drain. Always `None` unless recording is enabled.
-    pub fn take_last_access(&mut self) -> Option<(LineId, bool)> {
-        self.last_access.take()
     }
 
     /// Raises a spurious watch violation on `core`: its current
@@ -603,9 +578,6 @@ impl MemSystem {
             AccessKind::Store | AccessKind::Rmw => self.core_stats[core].stores += 1,
         }
         let line = addr.line();
-        if self.record_accesses {
-            self.last_access = Some((line, kind != AccessKind::Load));
-        }
         let (mut lat, was_miss) = self.ensure_resident(core, line, kind);
         self.stage(
             core,
@@ -646,9 +618,6 @@ impl MemSystem {
             MarkOp::Reset => {}
         }
         let line = addr.line();
-        if self.record_accesses {
-            self.last_access = Some((line, false));
-        }
         let (latency, was_miss) = self.ensure_resident(core, line, AccessKind::Load);
         // Mark the line `ensure_resident` just refreshed or filled, before
         // the prefetch below: that fills the next line, which lands in

@@ -70,10 +70,10 @@ pub use config::{
 pub use cpu::Cpu;
 pub use heap::SimHeap;
 pub use hierarchy::{AccessKind, MarkOp, ViolationCause, WatchKind, WatchViolation};
-pub use machine::{Machine, ScheduleEvent, WorkerFn, PCT_CHANGE_HORIZON};
+pub use machine::{Machine, WorkerFn, PCT_CHANGE_HORIZON};
 pub use stats::{CoreStats, MachineStats, RunReport};
 pub use trace::{
     chrome_trace_json, reconcile_mark_discards, summarize, validate_chrome_trace, LossCause,
-    PhaseSums, TimedEvent, TraceConfig, TraceEvent, TraceLog, TraceRecorder, TraceSink, TxnPhase,
-    TXN_PHASES,
+    PhaseSums, ScheduleEvent, TimedEvent, TraceConfig, TraceEvent, TraceLog, TraceRecorder,
+    TxnPhase, TXN_PHASES,
 };

@@ -161,22 +161,6 @@ impl PctState {
     }
 }
 
-/// One entry of the recorded schedule log
-/// ([`Machine::set_record_schedule`]): which core the gate admitted for
-/// each global op, and the memory line that op touched (if it made a
-/// data access).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ScheduleEvent {
-    /// Global gated-op index, 0-based.
-    pub op: u64,
-    /// Core that executed the op.
-    pub core: usize,
-    /// `(line, was_write)` of the op's data access, when it made one.
-    /// Multi-access ops (e.g. HTM commit write-back) record their last
-    /// access.
-    pub line: Option<(crate::addr::LineId, bool)>,
-}
-
 pub(crate) struct SimState {
     pub(crate) mem: Memory,
     pub(crate) sys: MemSystem,
@@ -216,10 +200,6 @@ pub(crate) struct SimState {
     faults: Vec<FaultEvent>,
     /// Next unfired entry of `faults`.
     fault_pos: usize,
-    /// Whether to append to `schedule_log` after each gated op.
-    record_schedule: bool,
-    /// Per-op schedule log of the current run (when recording is on).
-    schedule_log: Vec<ScheduleEvent>,
     /// End time (cycles) of the latest completed op (kept on runs that are
     /// not plain). PCT ranks and a preemption trace's favored pin admit
     /// cores out of clock order; a core admitted with a lagging clock was
@@ -264,11 +244,11 @@ impl SimState {
     }
 
     /// Whether [`SimState::after_op`] has nothing to do in this run but
-    /// count the op: no dynamic schedule layer, no schedule log, no
-    /// tracing. All of those are installed through `&mut Machine`, between
-    /// runs, so the answer holds from a run's first admission to its last.
+    /// count the op: no dynamic schedule layer and no tracing. Both are
+    /// installed through `&mut Machine`, between runs, so the answer holds
+    /// from a run's first admission to its last.
     pub(crate) fn plain_run(&self) -> bool {
-        !self.dynamic_schedule() && !self.record_schedule && !self.sys.tracing()
+        !self.dynamic_schedule() && !self.sys.tracing()
     }
 
     /// Minimal `(priority, id)` among the active cores, leaving out
@@ -339,21 +319,13 @@ impl SimState {
 
     /// Post-operation hook, called by the CPU layer (under the state lock)
     /// each time `core` completes one simulated operation. Advances the
-    /// global op counter, appends to the schedule log, fires due preemption
-    /// directives / fault events / PCT change points, and — under the
-    /// fuzzed scheduler — re-draws the core's priority jitter and
-    /// occasionally injects cache pressure.
+    /// global op counter, fires due preemption directives / fault events /
+    /// PCT change points, under the fuzzed scheduler re-draws the core's
+    /// priority jitter and occasionally injects cache pressure, and routes
+    /// the op's trace events.
     pub(crate) fn after_op(&mut self, core: usize) {
         self.op_count += 1;
         self.serial_now = self.serial_now.max(self.clocks[core]);
-        if self.record_schedule {
-            let line = self.sys.take_last_access();
-            self.schedule_log.push(ScheduleEvent {
-                op: self.op_count - 1,
-                core,
-                line,
-            });
-        }
         self.fire_due_events();
         if let Some(pct) = &mut self.pct {
             // Each change point the run crosses demotes the *currently
@@ -541,8 +513,6 @@ impl Machine {
             serial_now: 0,
             faults: Vec::new(),
             fault_pos: 0,
-            record_schedule: false,
-            schedule_log: Vec::new(),
         };
         Machine {
             shared: Shared {
@@ -592,19 +562,6 @@ impl Machine {
         self.shared.state.get_mut().faults = plan;
     }
 
-    /// Turns per-op schedule-log recording on or off for subsequent runs.
-    pub fn set_record_schedule(&mut self, on: bool) {
-        let st = self.shared.state.get_mut();
-        st.record_schedule = on;
-        st.sys.set_record_accesses(on);
-    }
-
-    /// Takes (and clears) the schedule log recorded by the most recent run.
-    /// Empty unless [`Machine::set_record_schedule`] enabled recording.
-    pub fn take_schedule_log(&mut self) -> Vec<ScheduleEvent> {
-        std::mem::take(&mut self.shared.state.get_mut().schedule_log)
-    }
-
     /// Arms (with `Some`) or disarms (with `None`) structured event tracing
     /// for subsequent runs. Lets a harness run setup phases untraced and
     /// trace the measured run only. Tracing is purely observational: it
@@ -652,7 +609,6 @@ impl Machine {
             st.trace_pos = 0;
             st.fault_pos = 0;
             st.favored = None;
-            st.schedule_log.clear();
             st.serial_now = 0;
             st.pct = match self.config.schedule {
                 SchedulePolicy::Pct { seed, depth } => {
@@ -920,7 +876,7 @@ mod tests {
             Preemption { at_op: 0, core: 1 },
             Preemption { at_op: 2, core: 0 },
         ]);
-        m.set_record_schedule(true);
+        m.set_tracing(Some(crate::trace::TraceConfig));
         m.run(vec![
             Box::new(|cpu: &mut Cpu| {
                 for i in 0..4 {
@@ -933,7 +889,7 @@ mod tests {
                 }
             }),
         ]);
-        let log = m.take_schedule_log();
+        let log = m.take_trace().expect("armed").schedule();
         let cores: Vec<usize> = log.iter().map(|e| e.core).collect();
         // Core 1 runs ops 0..2, then core 0 is favored for its whole
         // worker, then core 1 drains.
@@ -946,10 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_log_is_empty_without_recording() {
+    fn no_trace_without_arming() {
         let mut m = Machine::new(MachineConfig::default());
         m.run_one(|cpu| cpu.store_u64(Addr(0x40), 1));
-        assert!(m.take_schedule_log().is_empty());
+        assert!(m.take_trace().is_none());
     }
 
     #[test]
@@ -1068,27 +1024,19 @@ mod tests {
             let (core_1_first, report) = run(m);
             assert!(!core_1_first, "schedule after clearing {cleared}");
             assert_eq!(&report, plain, "report after clearing {cleared}");
-            assert!(m.take_schedule_log().is_empty(), "{cleared} cleared");
             assert!(m.take_trace().is_none(), "{cleared} cleared");
         };
 
         let (core_1_first, plain) = run(&mut m);
         assert!(!core_1_first);
 
-        m.set_tracing(Some(TraceConfig::default()));
+        m.set_tracing(Some(TraceConfig));
         let (_, traced) = run(&mut m);
-        let events = m.take_trace().expect("armed").total_events();
-        assert!(events >= OPS, "{events} events: that run was recorded");
+        let log = m.take_trace().expect("armed");
+        assert_eq!(log.schedule().len(), OPS, "every op of that run");
         assert_eq!(traced, plain, "tracing only observes");
         m.set_tracing(None);
         run_plain_again(&mut m, &mut run, &plain, "tracing");
-
-        m.set_record_schedule(true);
-        let (_, recorded) = run(&mut m);
-        assert_eq!(m.take_schedule_log().len(), OPS, "every op of that run");
-        assert_eq!(recorded, plain, "recording only observes");
-        m.set_record_schedule(false);
-        run_plain_again(&mut m, &mut run, &plain, "schedule recording");
 
         // Late in the run every line in core 0's L1 is marked.
         m.set_faults(vec![FaultEvent {

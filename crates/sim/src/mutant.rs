@@ -47,6 +47,11 @@ pub enum Mutant {
     TwinDivergence,
 }
 
+/// Whether this build compiles the planted bugs in (the `mutants`
+/// feature), and with them the runtimes' test seams: code behind it is
+/// compiled away in every other build.
+pub const PLANTED: bool = cfg!(feature = "mutants");
+
 /// The armed mutant (0: none) — or, with [`WATCHED`], the one whose site
 /// visits [`prove`]'s clean sweep counts.
 static STATE: AtomicU32 = AtomicU32::new(0);
@@ -56,7 +61,7 @@ static VISITS: AtomicU64 = AtomicU64::new(0);
 /// Whether `m` is armed: the constant `false` without `mutants`.
 #[inline]
 pub fn armed(m: Mutant) -> bool {
-    cfg!(feature = "mutants") && {
+    PLANTED && {
         let state = STATE.load(SeqCst);
         if state == WATCHED | m as u32 {
             VISITS.fetch_add(1, SeqCst);

@@ -1,6 +1,7 @@
-//! Structured tracing and metrics: typed events with cycle timestamps, a
-//! per-core ring-buffer recorder, a Chrome/Perfetto `trace_events` JSON
-//! exporter, and trace-vs-statistics reconciliation checks.
+//! Structured tracing and metrics: typed events with cycle timestamps, an
+//! exact per-core recorder, a Chrome/Perfetto `trace_events` JSON
+//! exporter, the run's schedule derived from its events, and
+//! trace-vs-statistics reconciliation checks.
 //!
 //! # Zero cost when off
 //!
@@ -10,10 +11,16 @@
 //! to a never-traced run (tracing charges no cycles and is never a gated
 //! operation, so it cannot shift the global op counter or the schedule).
 //!
+//! # Exact
+//!
+//! Each core's stream is a plain growing vector: a trace holds every event
+//! of the run, so memory is linear in the run's length, and every
+//! reconciliation applies to every trace.
+//!
 //! # Determinism
 //!
 //! Events are staged while the executing core holds the machine's state
-//! lock and are routed to the *affected* core's ring at the end of each
+//! lock and are routed to the *affected* core's stream at the end of each
 //! gated operation, in gate order. The only host-racy moment — a worker's
 //! `Cpu` dropping with locally buffered events — lands in a separate
 //! per-core tail buffer, so the harvested [`TraceLog`] is a pure function
@@ -21,22 +28,11 @@
 
 use crate::addr::LineId;
 
-/// Configuration for the trace recorder.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Maximum retained events per core. When a ring overflows, the oldest
-    /// events are overwritten and [`TraceLog::dropped`] counts the loss
-    /// (reconciliation checks are skipped on lossy traces).
-    pub per_core_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            per_core_capacity: 65_536,
-        }
-    }
-}
+/// Arms the trace recorder (`Machine::set_tracing(Some(TraceConfig))`).
+/// It has nothing left to set: every trace is exact. `Default` stays for
+/// callers that spell it `TraceConfig::default()` (`benchmark/`).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceConfig;
 
 /// Why a line left an L1 (the mark-discard / watch-violation paths).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -198,68 +194,20 @@ pub struct TimedEvent {
     pub ev: TraceEvent,
 }
 
-/// Anything that can receive trace events. The simulator's built-in
-/// implementation is [`TraceRecorder`]; tests can implement this to collect
-/// events differently.
-pub trait TraceSink {
-    /// Records `ev` against `core` at logical `cycle`.
-    fn record(&mut self, core: usize, cycle: u64, ev: TraceEvent);
-}
+/// Events each core's stream has room for before it first grows: a
+/// checker trial fits, so tracing one costs no regrowth copies. Only a
+/// starting size; a stream grows as far as the run goes.
+const STREAM_RESERVE: usize = 1 << 14;
 
-/// Fixed-capacity per-core event ring.
-#[derive(Clone, Debug)]
-struct Ring {
-    buf: Vec<TimedEvent>,
-    /// Index of the oldest retained event once the ring has wrapped.
-    start: usize,
-    cap: usize,
-    dropped: u64,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Self {
-        Ring {
-            buf: Vec::with_capacity(cap),
-            start: 0,
-            cap: cap.max(1),
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, ev: TimedEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.start] = ev;
-            self.start = (self.start + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Contents oldest-first, leaving the ring empty (capacity retained).
-    fn drain_ordered(&mut self) -> Vec<TimedEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.start..]);
-        out.extend_from_slice(&self.buf[..self.start]);
-        self.buf.clear();
-        self.start = 0;
-        out
-    }
-
-    fn reset(&mut self) {
-        self.buf.clear();
-        self.start = 0;
-        self.dropped = 0;
-    }
-}
-
-/// The built-in ring-buffer recorder. Owned by the memory system (under
-/// the machine's state lock); harvested through `Machine::take_trace`.
+/// The run's recorder: one exact event stream per core. Owned by the
+/// memory system (under the machine's state lock); harvested through
+/// `Machine::take_trace`.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    rings: Vec<Ring>,
+    /// Each core's events, in routing order.
+    streams: Vec<Vec<TimedEvent>>,
     /// Worker-exit spill: events a `Cpu` still held locally when it was
-    /// dropped. Kept apart from the rings because drops happen at
+    /// dropped. Kept apart from the streams because drops happen at
     /// host-racy times relative to other cores' flushes.
     tails: Vec<Vec<TimedEvent>>,
     /// Events staged during the current gated op, `(affected_core, event)`,
@@ -268,11 +216,11 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder for `cores` cores with per-core capacity from `config`.
-    pub fn new(cores: usize, config: &TraceConfig) -> Self {
+    /// A recorder for `cores` cores.
+    pub fn new(cores: usize) -> Self {
         TraceRecorder {
-            rings: (0..cores)
-                .map(|_| Ring::new(config.per_core_capacity))
+            streams: (0..cores)
+                .map(|_| Vec::with_capacity(STREAM_RESERVE))
                 .collect(),
             tails: vec![Vec::new(); cores],
             pending: Vec::with_capacity(64),
@@ -286,19 +234,28 @@ impl TraceRecorder {
     }
 
     /// Stamps every staged event with `cycle` and routes it to the
-    /// affected core's ring.
+    /// affected core's stream.
     pub(crate) fn flush(&mut self, cycle: u64) {
         for (core, ev) in self.pending.drain(..) {
-            self.rings[core].push(TimedEvent { cycle, ev });
+            self.streams[core].push(TimedEvent { cycle, ev });
         }
     }
 
+    /// End of gated op `op` by `core` at `cycle`: records the gate
+    /// admission, then routes everything the op staged — so an op's own
+    /// events follow its [`TraceEvent::GateAdmit`] in `core`'s stream.
+    pub(crate) fn op_end(&mut self, core: usize, op: u64, cycle: u64) {
+        self.streams[core].push(TimedEvent {
+            cycle,
+            ev: TraceEvent::GateAdmit { op },
+        });
+        self.flush(cycle);
+    }
+
     /// Appends pre-stamped events (a `Cpu`'s local buffer) to `core`'s
-    /// ring, clearing the buffer.
+    /// stream, clearing the buffer.
     pub(crate) fn push_stamped(&mut self, core: usize, events: &mut Vec<TimedEvent>) {
-        for ev in events.drain(..) {
-            self.rings[core].push(ev);
-        }
+        self.streams[core].append(events);
     }
 
     /// Spills a dropping `Cpu`'s leftover events into `core`'s tail.
@@ -306,13 +263,10 @@ impl TraceRecorder {
         self.tails[core].append(events);
     }
 
-    /// Clears all retained events (run start).
+    /// Clears all recorded events (run start).
     pub(crate) fn reset(&mut self) {
-        for r in &mut self.rings {
-            r.reset();
-        }
-        for t in &mut self.tails {
-            t.clear();
+        for events in self.streams.iter_mut().chain(&mut self.tails) {
+            events.clear();
         }
         self.pending.clear();
     }
@@ -321,23 +275,17 @@ impl TraceRecorder {
     /// empty.
     pub(crate) fn take(&mut self) -> TraceLog {
         self.flush(u64::MAX); // stamp any stragglers (normally empty)
-        let mut per_core = Vec::with_capacity(self.rings.len());
-        let mut dropped = Vec::with_capacity(self.rings.len());
-        for (ring, tail) in self.rings.iter_mut().zip(self.tails.iter_mut()) {
-            dropped.push(ring.dropped);
-            let mut events = ring.drain_ordered();
-            events.append(tail);
-            ring.dropped = 0;
-            per_core.push(events);
-        }
-        TraceLog { per_core, dropped }
-    }
-}
-
-impl TraceSink for TraceRecorder {
-    #[inline]
-    fn record(&mut self, core: usize, cycle: u64, ev: TraceEvent) {
-        self.rings[core].push(TimedEvent { cycle, ev });
+        let per_core = self
+            .streams
+            .iter_mut()
+            .zip(&mut self.tails)
+            .map(|(stream, tail)| {
+                let mut events = std::mem::take(stream);
+                events.append(tail);
+                events
+            })
+            .collect();
+        TraceLog { per_core }
     }
 }
 
@@ -395,28 +343,35 @@ impl PhaseSums {
     }
 }
 
-/// A harvested trace: per-core event streams plus per-core drop counts.
+/// One gated op of a run, derived from its trace by
+/// [`TraceLog::schedule`]: which core the gate admitted for the op, and
+/// the memory line the op touched (if it made a data access).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct ScheduleEvent {
+    /// Global gated-op index, 0-based.
+    pub op: u64,
+    /// Core that executed the op.
+    pub core: usize,
+    /// `(line, was_write)` of the op's data access, when it made one.
+    /// Multi-access ops (e.g. HTM commit write-back) give their last
+    /// access.
+    pub line: Option<(LineId, bool)>,
+}
+
+/// A harvested trace: every event of the run, per core.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceLog {
     /// Events per core, oldest first.
     pub per_core: Vec<Vec<TimedEvent>>,
-    /// Events lost to ring overflow, per core (0 everywhere for a lossless
-    /// trace).
-    pub dropped: Vec<u64>,
 }
 
 impl TraceLog {
-    /// Total retained events across all cores.
+    /// Total events across all cores.
     pub fn total_events(&self) -> usize {
         self.per_core.iter().map(Vec::len).sum()
     }
 
-    /// Whether any core's ring overflowed.
-    pub fn dropped_any(&self) -> bool {
-        self.dropped.iter().any(|&d| d > 0)
-    }
-
-    /// Iterates `(core, event)` over every retained event.
+    /// Iterates `(core, event)` over every event.
     pub fn iter_all(&self) -> impl Iterator<Item = (usize, &TimedEvent)> {
         self.per_core
             .iter()
@@ -459,6 +414,51 @@ impl TraceLog {
         ops.sort_unstable();
         ops
     }
+
+    /// The run's schedule, in op order: for each
+    /// [`TraceEvent::GateAdmit`], the admitted core and the last
+    /// [`TraceEvent::CacheAccess`] that follows it in that core's stream
+    /// (an op's own events come right after its admission, before the
+    /// core's next one). Each core's stream holds its ops in order, so the
+    /// streams merge by op without a sort.
+    pub fn schedule(&self) -> Vec<ScheduleEvent> {
+        let is_admit = |e: &TimedEvent| matches!(e.ev, TraceEvent::GateAdmit { .. });
+        // Per core, the index of its next unmerged admission (or the end).
+        let mut next: Vec<usize> = self
+            .per_core
+            .iter()
+            .map(|events| events.iter().position(is_admit).unwrap_or(events.len()))
+            .collect();
+        let mut schedule = Vec::with_capacity(self.total_events() / 2);
+        loop {
+            let mut first: Option<(u64, usize)> = None;
+            for (core, events) in self.per_core.iter().enumerate() {
+                if let Some(TimedEvent {
+                    ev: TraceEvent::GateAdmit { op },
+                    ..
+                }) = events.get(next[core])
+                {
+                    if first.is_none_or(|(lowest, _)| *op < lowest) {
+                        first = Some((*op, core));
+                    }
+                }
+            }
+            let Some((op, core)) = first else {
+                return schedule;
+            };
+            let events = &self.per_core[core];
+            let mut line = None;
+            let mut i = next[core] + 1;
+            while let Some(e) = events.get(i).filter(|e| !is_admit(e)) {
+                if let TraceEvent::CacheAccess { line: l, write, .. } = e.ev {
+                    line = Some((l, write));
+                }
+                i += 1;
+            }
+            next[core] = i;
+            schedule.push(ScheduleEvent { op, core, line });
+        }
+    }
 }
 
 /// Reconciles the trace against the per-core `marked_lines_lost` counters:
@@ -469,15 +469,8 @@ impl TraceLog {
 ///
 /// # Errors
 ///
-/// Returns a description of the first core whose counts disagree, or of a
-/// lossy ring (overflowed traces cannot be reconciled).
+/// Returns a description of the first core whose counts disagree.
 pub fn reconcile_mark_discards(log: &TraceLog, marked_lines_lost: &[u64]) -> Result<(), String> {
-    if log.dropped_any() {
-        return Err(format!(
-            "trace ring overflowed (dropped per core: {:?}); raise per_core_capacity",
-            log.dropped
-        ));
-    }
     let discards = log.mark_discards();
     for (core, &lost) in marked_lines_lost.iter().enumerate() {
         let seen = discards.get(core).copied().unwrap_or(0);
@@ -699,20 +692,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_retains_newest_and_counts_drops() {
-        let mut r = Ring::new(3);
-        for i in 0..5u64 {
-            r.push(ev(i, TraceEvent::GateAdmit { op: i }));
-        }
-        assert_eq!(r.dropped, 2);
-        let out = r.drain_ordered();
-        let cycles: Vec<u64> = out.iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 3, 4], "oldest-first after wrap");
-    }
-
-    #[test]
     fn recorder_routes_pending_to_affected_core() {
-        let mut rec = TraceRecorder::new(2, &TraceConfig::default());
+        let mut rec = TraceRecorder::new(2);
         rec.stage(1, TraceEvent::MarkCounterBump { filter: 0 });
         rec.stage(0, TraceEvent::L2Evict { line: LineId(7) });
         rec.flush(42);
@@ -720,7 +701,53 @@ mod tests {
         assert_eq!(log.per_core[0].len(), 1);
         assert_eq!(log.per_core[1].len(), 1);
         assert_eq!(log.per_core[1][0].cycle, 42);
-        assert!(!log.dropped_any());
+    }
+
+    #[test]
+    fn schedule_takes_each_ops_core_and_final_line() {
+        let access = |line, write| TraceEvent::CacheAccess {
+            line: LineId(line),
+            write,
+            miss: false,
+        };
+        let mut rec = TraceRecorder::new(2);
+        // Op 0 by core 1: two accesses, the last one counts. Op 1 by core
+        // 0 stages a loss on core 1, which is not an access of op 0.
+        rec.stage(1, access(3, false));
+        rec.stage(1, access(4, true));
+        rec.op_end(1, 0, 10);
+        rec.stage(
+            1,
+            TraceEvent::LineLoss {
+                line: LineId(4),
+                cause: LossCause::Remote,
+            },
+        );
+        rec.stage(0, access(4, true));
+        rec.op_end(0, 1, 12);
+        // Op 2 by core 1: a stall, no access.
+        rec.op_end(1, 2, 20);
+        let schedule = rec.take().schedule();
+        let got: Vec<_> = schedule.iter().map(|e| (e.op, e.core, e.line)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 1, Some((LineId(4), true))),
+                (1, 0, Some((LineId(4), true))),
+                (2, 1, None),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_stream_keeps_every_event() {
+        let mut rec = TraceRecorder::new(1);
+        for op in 0..200_000 {
+            rec.op_end(0, op, op);
+        }
+        let log = rec.take();
+        assert_eq!(log.total_events(), 200_000);
+        assert_eq!(log.gate_ops(), (0..200_000).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -749,7 +776,6 @@ mod tests {
                     },
                 ),
             ]],
-            dropped: vec![0],
         };
         let sums = log.phase_sums();
         assert_eq!(sums.read_barrier, 10);
@@ -767,7 +793,6 @@ mod tests {
                     cause: LossCause::Remote,
                 },
             )]],
-            dropped: vec![0],
         };
         assert!(reconcile_mark_discards(&log, &[1]).is_ok());
         assert!(reconcile_mark_discards(&log, &[2]).is_err());
@@ -787,7 +812,6 @@ mod tests {
                 ),
                 ev(9, TraceEvent::TxnCommit),
             ]],
-            dropped: vec![0],
         };
         let json = chrome_trace_json(&log);
         let n = validate_chrome_trace(&json).expect("valid trace");
@@ -814,7 +838,6 @@ mod tests {
                 ],
                 vec![],
             ],
-            dropped: vec![0, 0],
         };
         let s = summarize(&log, 10);
         assert!(s.contains("core 0"));

@@ -219,7 +219,7 @@ fn disabled_tracing_is_allocation_free_and_bit_identical() {
     // must produce bit-identical reports (tracing is an observation, not a
     // participant) …
     let mut toggled = Machine::new(MachineConfig::with_cores(2));
-    toggled.set_tracing(Some(hastm_sim::TraceConfig::default()));
+    toggled.set_tracing(Some(hastm_sim::TraceConfig));
     toggled.run(trace_probe_workers());
     let log = toggled.take_trace().expect("tracing was armed");
     assert!(
@@ -235,7 +235,7 @@ fn disabled_tracing_is_allocation_free_and_bit_identical() {
     // … so compare fresh machines: never-traced vs armed-then-disarmed
     // constructions, same workload.
     let mut disabled = Machine::new(MachineConfig::with_cores(2));
-    disabled.set_tracing(Some(hastm_sim::TraceConfig::default()));
+    disabled.set_tracing(Some(hastm_sim::TraceConfig));
     disabled.set_tracing(None);
     let report = disabled.run(trace_probe_workers());
     assert_eq!(

@@ -12,14 +12,16 @@
 //!   programs run beside one more core that stalls past every other
 //!   core's clock before its one load: no real core is ever alone there,
 //!   so every op of theirs is admitted by the gate.
-//! * A *plain* run — nothing recorded, traced, fuzzed or planned, which is
-//!   what every figure is made of — takes `Cpu`'s short epilogue and lets
-//!   stalls take no turn; a recorded run of the same programs does
-//!   neither, and is the reference.
+//! * A *plain* run — nothing traced, fuzzed or planned, which is what
+//!   every figure is made of — takes `Cpu`'s short epilogue and lets
+//!   stalls take no turn; a traced run of the same programs does neither,
+//!   and is the reference.
 
 use std::sync::Mutex;
 
-use hastm_sim::{Addr, Cpu, Machine, MachineConfig, RunReport, ScheduleEvent, WorkerFn};
+use hastm_sim::{
+    Addr, Cpu, Machine, MachineConfig, RunReport, ScheduleEvent, TraceConfig, WorkerFn,
+};
 use proptest::prelude::*;
 
 /// Shared words: 16 consecutive words, so two cache lines are contended and
@@ -76,23 +78,24 @@ struct Observed {
     returned: Vec<Vec<u64>>,
     /// Which core ran each `exec_sync` section, in the order they ran.
     syncs: Vec<usize>,
-    /// The admission log; empty unless the run was recorded.
+    /// The schedule derived from the run's trace; empty unless the run was
+    /// traced.
     log: Vec<ScheduleEvent>,
     report: RunReport,
     memory: Vec<u64>,
 }
 
-/// Runs one program per core on the deterministic schedule, recording it
-/// or not. With `bystander`, one more core first stalls past every other
+/// Runs one program per core on the deterministic schedule, traced or
+/// not. With `bystander`, one more core first stalls past every other
 /// core's clock and then loads a line of its own, so no other core ever
 /// runs alone; its entry in the report is dropped.
-fn run(programs: &[Vec<Op>], record: bool, bystander: bool) -> Observed {
+fn run(programs: &[Vec<Op>], traced: bool, bystander: bool) -> Observed {
     let cores = programs.len();
     let mut machine = Machine::new(MachineConfig::with_cores(cores + usize::from(bystander)));
     let base = machine.heap().alloc_aligned(SLOTS * 8, 64);
     let word = move |slot: u64| Addr(base.0 + slot * 8);
     let own_line = machine.heap().alloc_aligned(64, 64);
-    machine.set_record_schedule(record);
+    machine.set_tracing(traced.then_some(TraceConfig));
     let mut returned: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
     let syncs = Mutex::new(Vec::new());
     let mut workers: Vec<WorkerFn<'_>> = programs
@@ -141,7 +144,9 @@ fn run(programs: &[Vec<Op>], record: bool, bystander: bool) -> Observed {
     Observed {
         returned,
         syncs: syncs.into_inner().expect("no section panics"),
-        log: machine.take_schedule_log(),
+        log: machine
+            .take_trace()
+            .map_or_else(Vec::new, |log| log.schedule()),
         report,
         memory: (0..SLOTS).map(|s| machine.peek_u64(word(s))).collect(),
     }
@@ -168,11 +173,11 @@ proptest! {
         programs in proptest::collection::vec(stalling_program(), 2..5),
     ) {
         let plain = run(&programs, false, false);
-        let recorded = run(&programs, true, false);
-        prop_assert!(plain.log.is_empty(), "the plain run was recorded");
+        let traced = run(&programs, true, false);
+        prop_assert!(plain.log.is_empty(), "the plain run was traced");
         // (An `exec` short of a whole cycle is no op and leaves no entry.)
         let ops = programs.iter().flatten().filter(|op| !matches!(op, Op::Exec(_)));
-        prop_assert!(recorded.log.len() >= ops.count(), "the recorded run was not");
-        prop_assert_eq!(plain, Observed { log: Vec::new(), ..recorded });
+        prop_assert!(traced.log.len() >= ops.count(), "the traced run was not");
+        prop_assert_eq!(plain, Observed { log: Vec::new(), ..traced });
     }
 }

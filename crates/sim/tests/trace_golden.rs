@@ -20,7 +20,7 @@ fn traced_machine(schedule: SchedulePolicy) -> Machine {
         schedule,
         ..MachineConfig::with_cores(CORES)
     });
-    machine.set_tracing(Some(TraceConfig::default()));
+    machine.set_tracing(Some(TraceConfig));
     machine
 }
 
@@ -63,7 +63,6 @@ fn same_config_and_seed_is_byte_identical() {
         // Belt and braces: the rendered form (what a golden file would
         // hold) is byte-identical too.
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(!a.dropped_any(), "this workload must fit the ring");
         assert!(a.total_events() > 0, "the workload must emit events");
     }
 }

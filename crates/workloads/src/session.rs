@@ -26,8 +26,8 @@ use hastm::{
 use hastm_locks::SpinLock;
 use hastm_native::{NativeConfig, NativeExec, NativeRuntime, NativeStats};
 use hastm_sim::{
-    Addr, Cpu, FaultEvent, Machine, MachineConfig, Preemption, RunReport, ScheduleEvent, SimHeap,
-    TraceConfig, TraceLog, WorkerFn,
+    Addr, Cpu, FaultEvent, Machine, MachineConfig, Preemption, RunReport, SimHeap, TraceConfig,
+    TraceLog, WorkerFn,
 };
 
 use crate::scheme::{ExecStats, Scheme, ThreadExec};
@@ -42,8 +42,6 @@ pub struct RunPlan {
     /// Fault events, sorted by `at_op` (evictions, back-invalidations,
     /// spurious HTM aborts).
     pub faults: Vec<FaultEvent>,
-    /// Record the run's per-op schedule ([`SimRun::schedule`]).
-    pub record_schedule: bool,
     /// Record the run's structured event trace ([`SimRun::trace`]).
     pub trace: Option<TraceConfig>,
 }
@@ -59,8 +57,6 @@ pub struct SimRun<T> {
     pub stats: ExecStats,
     /// The run's event trace (`None` unless the plan armed one).
     pub trace: Option<TraceLog>,
-    /// The run's per-op schedule (empty unless the plan recorded it).
-    pub schedule: Vec<ScheduleEvent>,
 }
 
 /// The simulator session: one machine, the STM runtime on it and the
@@ -133,7 +129,6 @@ impl SimSession {
         let machine = &mut self.machine;
         machine.set_preemptions(plan.preemptions.clone());
         machine.set_faults(plan.faults.clone());
-        machine.set_record_schedule(plan.record_schedule);
         machine.set_tracing(plan.trace);
 
         let mut slots: Vec<Option<(T, ExecStats)>> = Vec::new();
@@ -151,11 +146,9 @@ impl SimSession {
             .collect();
         let report = machine.run(workers);
 
-        let schedule = machine.take_schedule_log();
         let trace = machine.take_trace();
         machine.set_preemptions(Vec::new());
         machine.set_faults(Vec::new());
-        machine.set_record_schedule(false);
         machine.set_tracing(None);
 
         let mut stats = ExecStats::default();
@@ -172,7 +165,6 @@ impl SimSession {
             outputs,
             stats,
             trace,
-            schedule,
         }
     }
 
@@ -442,8 +434,8 @@ mod tests {
 
     #[test]
     fn a_plan_armed_for_one_run_is_gone_afterwards() {
-        // Spurious aborts on every core, a forced switch, and both
-        // recorders: everything a plan can arm.
+        // Spurious aborts on every core, a forced switch, and the trace:
+        // everything a plan can arm.
         let faulted = RunPlan {
             preemptions: vec![Preemption { at_op: 12, core: 2 }],
             faults: (0..9)
@@ -453,8 +445,7 @@ mod tests {
                     kind: FaultKind::SpuriousAbort,
                 })
                 .collect(),
-            record_schedule: true,
-            trace: Some(TraceConfig::default()),
+            trace: Some(TraceConfig),
         };
         // Each core counts on a line of its own: however the run was
         // perturbed, it leaves every cache holding what a plain run leaves.
@@ -469,7 +460,6 @@ mod tests {
                 ex.clock()
             });
             assert!(session.machine.take_trace().is_none());
-            assert!(session.machine.take_schedule_log().is_empty());
 
             let second = session.run(&RunPlan::default(), body);
             assert!(own.iter().all(|cell| session.peek(cell.word(0)) == 16));
@@ -480,13 +470,16 @@ mod tests {
         let (plain, plain_between, fresh) = history(&RunPlan::default());
         assert!(armed.stats.hytm.hw_aborts_spurious > 0, "the faults fired");
         assert_ne!(armed.report, plain.report, "and cost something");
-        assert!(armed.trace.is_some() && !armed.schedule.is_empty());
-        assert!(plain.trace.is_none() && plain.schedule.is_empty());
+        assert!(armed
+            .trace
+            .as_ref()
+            .is_some_and(|log| !log.schedule().is_empty()));
+        assert!(plain.trace.is_none());
 
         assert_eq!(armed_between, plain_between);
         assert_eq!(after.report, fresh.report);
         assert_eq!(after.stats, fresh.stats);
-        assert!(after.trace.is_none() && after.schedule.is_empty());
+        assert!(after.trace.is_none());
     }
 
     #[test]

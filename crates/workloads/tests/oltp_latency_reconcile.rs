@@ -21,7 +21,7 @@ fn traced_run(seed: u64, scheme: Scheme) -> (hastm_workloads::OltpSimResult, Olt
         ..OltpConfig::quick(3)
     };
     let mut cfg = OltpSimConfig::new(oltp.clone(), scheme, Granularity::Object);
-    cfg.trace = Some(TraceConfig::default());
+    cfg.trace = Some(TraceConfig);
     (run_oltp_sim(&cfg), oltp)
 }
 
@@ -46,10 +46,6 @@ fn mill_ends_equal_trace_commit_stamps_exactly() {
         for scheme in [Scheme::Stm, Scheme::Hastm] {
             let (r, _) = traced_run(seed, scheme);
             let trace = r.trace.as_ref().expect("tracing was armed");
-            assert!(
-                !trace.dropped_any(),
-                "trace ring overflowed; grow per_core_capacity"
-            );
             let stamps = commit_stamps(trace);
             for (tid, mill) in r.per_thread.iter().enumerate() {
                 assert_eq!(
@@ -67,7 +63,6 @@ fn percentiles_recomputed_from_the_trace_agree() {
     for seed in [1u64, 42] {
         let (r, oltp) = traced_run(seed, Scheme::Stm);
         let trace = r.trace.as_ref().expect("tracing was armed");
-        assert!(!trace.dropped_any());
         let stamps = commit_stamps(trace);
         // Rebuild the open-loop latency samples from scratch: the arrival
         // schedule from the seeded generator, the completion stamps from

@@ -2,7 +2,7 @@
 //! context switches, default-ISA correctness) and mode-policy behavior,
 //! end to end.
 
-use hastm::{Granularity, Mode, ModePolicy, ObjRef, OracleMode, StmConfig, StmRuntime, TxThread};
+use hastm::{Granularity, Mode, ModePolicy, OracleMode, StmConfig, StmRuntime, TxThread};
 use hastm_sim::{IsaLevel, Machine, MachineConfig, WorkerFn};
 use hastm_workloads::{run_workload, Scheme, Structure, WorkloadConfig};
 
@@ -233,47 +233,5 @@ fn watermark_policy_stays_cautious_under_interference() {
     assert!(
         naive.txn.aggressive_commits > hastm.txn.aggressive_commits,
         "naive keeps gambling on aggressive mode"
-    );
-}
-
-/// Inter-atomic mark reuse (Figure 10): with mark clearing disabled,
-/// consecutive aggressive transactions filter reads of data cached by
-/// earlier transactions — and stay correct.
-#[test]
-fn inter_atomic_reuse_accelerates_aggressive_mode() {
-    let run = |clear: bool| {
-        let mut machine = Machine::new(MachineConfig::default());
-        let mut cfg = StmConfig::hastm(Granularity::Object, ModePolicy::SingleThreadAggressive);
-        cfg.clear_marks_between_txns = clear;
-        let runtime = StmRuntime::new(&mut machine, cfg);
-        machine
-            .run_one(|cpu| {
-                let mut tx = TxThread::new(&runtime, cpu);
-                let objs: Vec<ObjRef> = (0..16).map(|_| tx.alloc_obj(1)).collect();
-                // Repeated read-mostly transactions over the same objects.
-                let mut total = 0;
-                for _ in 0..20 {
-                    total = tx.atomic(|tx| {
-                        let mut s = 0;
-                        for o in &objs {
-                            s += tx.read_word(*o, 0)?;
-                        }
-                        Ok(s)
-                    });
-                }
-                (total, tx.stats().read_fast_path, tx.cpu().now())
-            })
-            .0
-    };
-    let (total_clear, fast_clear, cycles_clear) = run(true);
-    let (total_reuse, fast_reuse, cycles_reuse) = run(false);
-    assert_eq!(total_clear, total_reuse, "same answers");
-    assert!(
-        fast_reuse > fast_clear,
-        "inter-atomic reuse filters more reads: {fast_reuse} vs {fast_clear}"
-    );
-    assert!(
-        cycles_reuse < cycles_clear,
-        "and is faster: {cycles_reuse} vs {cycles_clear}"
     );
 }
