@@ -11,6 +11,7 @@
 //! `--metrics-out FILE` the same run's unified counters registry
 //! ([`hastm::MetricsSnapshot`]) is dumped as flat JSON.
 
+use hastm::ModePolicy;
 use hastm_workloads::{
     generate_stream, run_kernel, run_workload, run_workload_traced, KernelParams, Scheme,
     Structure, WorkloadConfig,
@@ -24,7 +25,7 @@ fn workload_diag() {
             Scheme::Sequential,
             Scheme::Hytm,
             Scheme::Hastm,
-            Scheme::HastmCautious,
+            Scheme::HastmUnder(ModePolicy::AlwaysCautious),
             Scheme::Stm,
         ] {
             let mut cfg = WorkloadConfig::paper_default(structure, scheme, 1);
@@ -55,10 +56,13 @@ fn workload_diag() {
 
 fn multicore_diag() {
     println!("== multicore mode-controller diagnostics (btree, interference machine) ==");
-    for scheme in [Scheme::Hastm, Scheme::NaiveAggressive, Scheme::Stm] {
+    for scheme in [
+        Scheme::HastmUnder(ModePolicy::AbortRatioWatermark),
+        Scheme::HastmUnder(ModePolicy::NaiveAggressive),
+        Scheme::Stm,
+    ] {
         for threads in [1usize, 2, 4] {
             let mut cfg = WorkloadConfig::paper_default(Structure::BTree, scheme, threads);
-            cfg.mode_policy_override = Some(hastm::ModePolicy::AbortRatioWatermark);
             cfg.ops_per_thread = 600 / threads as u64;
             cfg.prepopulate = 2048;
             cfg.key_range = 4096;
@@ -99,7 +103,7 @@ fn kernel_diag() {
         Scheme::Sequential,
         Scheme::Hytm,
         Scheme::Hastm,
-        Scheme::HastmCautious,
+        Scheme::HastmUnder(ModePolicy::AlwaysCautious),
         Scheme::Stm,
     ] {
         let r = run_kernel(scheme, &stream);

@@ -90,10 +90,6 @@ pub enum Cell {
         /// Structure-size multiplier (scaling figures use 16 so
         /// transactions are long enough for interference to land inside).
         size_mult: u64,
-        /// HASTM under the PhTM-style phased mode policy
-        /// ([`ModePolicy::phased`]) in place of the one `size_mult` and
-        /// the thread count select (the `phases` table).
-        phased: bool,
     },
     /// A synthetic critical-section kernel replay (Figure 15).
     Kernel {
@@ -113,8 +109,6 @@ pub enum Cell {
         scheme: Scheme,
         /// Experiment scale.
         scale: Scale,
-        /// As for [`Cell::Ds`].
-        phased: bool,
     },
     /// The single-core accumulator kernel of the write-filter ablation.
     WriteFilter {
@@ -135,7 +129,6 @@ impl Cell {
                 threads,
                 machine,
                 size_mult,
-                phased,
                 ..
             } => format!(
                 "{}/{} {}p{}{}{}",
@@ -152,7 +145,7 @@ impl Cell {
                 } else {
                     String::new()
                 },
-                if *phased { " phased" } else { "" }
+                phased_suffix(*scheme)
             ),
             Cell::Kernel {
                 scheme,
@@ -165,10 +158,10 @@ impl Cell {
                 load_pct,
                 miss_pct
             ),
-            Cell::Mill { scheme, phased, .. } => format!(
+            Cell::Mill { scheme, .. } => format!(
                 "mill/{}{}",
                 scheme.label().to_lowercase(),
-                if *phased { " phased" } else { "" }
+                phased_suffix(*scheme)
             ),
             Cell::WriteFilter {
                 filter_writes,
@@ -187,6 +180,15 @@ impl Cell {
             Cell::Mill { scale, .. } => mill_config(*scale, MILL_THETA).threads,
             Cell::Kernel { .. } | Cell::WriteFilter { .. } => 1,
         }
+    }
+}
+
+/// What a cell label adds for HASTM under the PhTM-style phased mode
+/// policy, whose scheme labels as plain "HASTM".
+fn phased_suffix(scheme: Scheme) -> &'static str {
+    match scheme {
+        Scheme::HastmUnder(ModePolicy::Phased(_)) => " phased",
+        _ => "",
     }
 }
 
@@ -251,7 +253,6 @@ pub fn run_cell(cell: &Cell) -> CellOutput {
             scale,
             machine,
             size_mult,
-            phased,
         } => {
             let mut cfg = WorkloadConfig::paper_default(structure, scheme, threads);
             // Total work is fixed across thread counts (scaling experiments
@@ -261,15 +262,6 @@ pub fn run_cell(cell: &Cell) -> CellOutput {
             cfg.prepopulate = scale.prepopulate() * size_mult;
             cfg.key_range = cfg.prepopulate * 2;
             cfg.machine = machine.config();
-            if phased {
-                cfg.mode_policy_override = Some(ModePolicy::phased());
-            } else if size_mult > 1 {
-                // Scaling experiments: the adaptive watermark policy
-                // governs HASTM at every thread count (the single-thread
-                // always-aggressive policy would thrash on the
-                // interference machine).
-                cfg.mode_policy_override = Some(ModePolicy::AbortRatioWatermark);
-            }
             CellOutput::Ds(run_workload(&cfg))
         }
         Cell::Kernel {
@@ -288,20 +280,13 @@ pub fn run_cell(cell: &Cell) -> CellOutput {
             let stream = generate_stream(&params);
             CellOutput::Kernel(run_kernel(scheme, &stream))
         }
-        Cell::Mill {
-            scheme,
-            scale,
-            phased,
-        } => {
+        Cell::Mill { scheme, scale } => {
             let mut cfg = OltpSimConfig::new(
                 mill_config(scale, MILL_THETA),
                 scheme,
                 Granularity::CacheLine,
             );
             cfg.oracle = OracleMode::Off;
-            if phased {
-                cfg.mode_policy_override = Some(ModePolicy::phased());
-            }
             let r = run_oltp_sim(&cfg);
             CellOutput::Txn {
                 cycles: r.metrics.elapsed,
@@ -368,7 +353,6 @@ fn ds_cell(structure: Structure, scheme: Scheme, threads: usize, scale: Scale) -
         scale,
         machine: MachinePreset::Default,
         size_mult: 1,
-        phased: false,
     }
 }
 
@@ -488,7 +472,7 @@ fn fig15(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
                 .cycles()
             };
             let stm = cycles(Scheme::Stm);
-            let cautious = cycles(Scheme::HastmCautious);
+            let cautious = cycles(Scheme::HastmUnder(ModePolicy::AlwaysCautious));
             let hastm = cycles(Scheme::Hastm);
             let hybrid = cycles(Scheme::Hytm);
             table.row(vec![
@@ -552,7 +536,7 @@ fn fig17(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
     );
     let schemes = [
         Scheme::Hastm,
-        Scheme::HastmCautious,
+        Scheme::HastmUnder(ModePolicy::AlwaysCautious),
         Scheme::HastmNoReuse,
         Scheme::Stm,
     ];
@@ -600,7 +584,6 @@ impl Scaling {
                 scale,
                 machine: self.machine,
                 size_mult: 16,
-                phased: false,
             })
             .cycles()
         };
@@ -658,36 +641,34 @@ fn phases(scale: Scale, run: &mut dyn FnMut(&Cell) -> CellOutput) -> Table {
         ("oltp mill", None),
     ];
     let policies = [
-        ("naive", Scheme::NaiveAggressive, false),
-        ("watermark", Scheme::Hastm, false),
-        ("phased", Scheme::Hastm, true),
+        ("naive", ModePolicy::NaiveAggressive),
+        ("watermark", ModePolicy::AbortRatioWatermark),
+        ("phased", ModePolicy::phased()),
     ];
     for (workload, ds) in workloads {
-        let cell = |scheme, phased| match ds {
+        let cell = |policy| match ds {
             Some((structure, machine, threads)) => Cell::Ds {
                 structure,
-                scheme,
+                scheme: Scheme::HastmUnder(policy),
                 threads,
                 scale,
                 machine,
                 size_mult: 16,
-                phased,
             },
             None => Cell::Mill {
-                scheme,
+                scheme: Scheme::HastmUnder(policy),
                 scale,
-                phased,
             },
         };
-        let naive = run(&cell(Scheme::NaiveAggressive, false)).cycles();
-        for (policy, scheme, phased) in policies {
-            let out = run(&cell(scheme, phased));
+        let naive = run(&cell(ModePolicy::NaiveAggressive)).cycles();
+        for (name, policy) in policies {
+            let out = run(&cell(policy));
             let txn = out.txn();
             let in_phase =
                 |phase: Phase| share(txn.phase_cycles[phase.idx()], txn.phase_cycles.iter().sum());
             table.row(vec![
                 workload.to_string(),
-                policy.to_string(),
+                name.to_string(),
                 out.cycles().to_string(),
                 ratio(out.cycles(), naive),
                 txn.commits.to_string(),
@@ -808,8 +789,16 @@ impl Figure {
     }
 }
 
-const SCALING_SCHEMES: &[Scheme] = &[Scheme::Hastm, Scheme::Stm, Scheme::Lock];
-const AGGRESSIVE_SCHEMES: &[Scheme] = &[Scheme::Hastm, Scheme::NaiveAggressive, Scheme::Stm];
+/// HASTM in the multi-core figures: the adaptive watermark policy governs
+/// it at every core count, 1 included (the single-thread always-aggressive
+/// policy would thrash on the interference machine).
+const HASTM_WATERMARK: Scheme = Scheme::HastmUnder(ModePolicy::AbortRatioWatermark);
+const SCALING_SCHEMES: &[Scheme] = &[HASTM_WATERMARK, Scheme::Stm, Scheme::Lock];
+const AGGRESSIVE_SCHEMES: &[Scheme] = &[
+    HASTM_WATERMARK,
+    Scheme::HastmUnder(ModePolicy::NaiveAggressive),
+    Scheme::Stm,
+];
 
 /// Every figure in presentation order, then the two tables of this
 /// reproduction's own. Figure 13 is pure trace analysis and requests no
@@ -834,7 +823,7 @@ pub const FIGURES: [Figure; 14] = [
         build: Build::Scaling(Scaling {
             title: "Figure 14: best-case HyTM scaling vs HASTM and STM (BST)",
             structure: Structure::Bst,
-            schemes: &[Scheme::Hytm, Scheme::Hastm, Scheme::Stm],
+            schemes: &[Scheme::Hytm, HASTM_WATERMARK, Scheme::Stm],
             machine: MachinePreset::Scaling,
             expected: "expected: best-case HyTM fastest (hardware barriers are free); HASTM lands between HyTM and STM",
         }),

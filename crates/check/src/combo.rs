@@ -20,8 +20,9 @@ pub struct Combo {
     pub granularity: Granularity,
     /// Mark-bit ISA implementation level of the simulated machine.
     pub isa: IsaLevel,
-    /// Mode policy override; `Some` only for [`Scheme::Hastm`], which is
-    /// the one scheme whose policy is not implied by the scheme itself.
+    /// Mode policy; `Some` only for [`Scheme::Hastm`], which
+    /// `Combo::stm_config` then runs as [`Scheme::HastmUnder`] that
+    /// policy. `None` leaves the thread count to choose it.
     pub policy: Option<ModePolicy>,
     /// Version retention of the STM runtime. Under [`Versioning::Multi`]
     /// the map workloads' lookups run as declared read-only snapshot
@@ -108,9 +109,9 @@ fn uses_marks(scheme: Scheme) -> bool {
 pub static AXES: [Axis; 5] = [
     Axis {
         name: "scheme",
-        // `hastm-cautious` and `naive-aggressive` only parse: each builds
-        // exactly the `hastm` runtime under the `cautious` or `naive`
-        // policy, which the policy axis sweeps.
+        // `hastm-cautious` and `naive-aggressive` only parse: each is
+        // `Scheme::HastmUnder` the `cautious` or `naive` policy, which the
+        // policy axis sweeps under `hastm`.
         values: &[
             ("seq", |c| c.scheme = Scheme::Sequential),
             ("lock", |c| c.scheme = Scheme::Lock),
@@ -118,8 +119,12 @@ pub static AXES: [Axis; 5] = [
             ("hastm", |c| c.scheme = Scheme::Hastm),
             ("hastm-noreuse", |c| c.scheme = Scheme::HastmNoReuse),
             ("hytm", |c| c.scheme = Scheme::Hytm),
-            ("hastm-cautious", |c| c.scheme = Scheme::HastmCautious),
-            ("naive-aggressive", |c| c.scheme = Scheme::NaiveAggressive),
+            ("hastm-cautious", |c| {
+                c.scheme = Scheme::HastmUnder(ModePolicy::AlwaysCautious)
+            }),
+            ("naive-aggressive", |c| {
+                c.scheme = Scheme::HastmUnder(ModePolicy::NaiveAggressive)
+            }),
         ],
         swept: 6,
         optional: false,
@@ -305,10 +310,12 @@ impl Combo {
         Ok(combo)
     }
 
-    /// The STM runtime configuration of this combination.
+    /// The STM runtime configuration of this combination: its scheme's,
+    /// or [`Scheme::HastmUnder`] its policy when it names one.
     pub(crate) fn stm_config(&self, threads: usize) -> StmConfig {
-        self.scheme
-            .stm_config_under(self.granularity, threads, self.policy)
+        self.policy
+            .map_or(self.scheme, Scheme::HastmUnder)
+            .stm_config(self.granularity, threads)
             .with_versioning(self.versioning)
     }
 }
@@ -356,13 +363,8 @@ mod tests {
         // The swept combo each old one maps to.
         let kept = |c: &Combo| {
             let mut k = *c;
-            let policy = match c.scheme {
-                Scheme::HastmCautious => Some(ModePolicy::AlwaysCautious),
-                Scheme::NaiveAggressive => Some(ModePolicy::NaiveAggressive),
-                _ => None,
-            };
-            if policy.is_some() {
-                (k.scheme, k.policy) = (Scheme::Hastm, policy);
+            if let Scheme::HastmUnder(policy) = c.scheme {
+                (k.scheme, k.policy) = (Scheme::Hastm, Some(policy));
             }
             if !reads_records(k.scheme) {
                 k.granularity = BASE.granularity;
@@ -390,8 +392,8 @@ mod tests {
                     };
                     let (fp, obs) =
                         run_trial_plan(&trial, &plan).unwrap_or_else(|e| panic!("{trial}: {e}"));
-                    let hash = schedule_hash(&obs.schedule());
-                    (fp, obs.stats, obs.abort_causes, hash, obs.report)
+                    let (hash, causes) = (schedule_hash(&obs.schedule()), obs.abort_causes());
+                    (fp, obs.stats, causes, hash, obs.report)
                 })
                 .collect()
         };
@@ -427,6 +429,100 @@ mod tests {
             }
         }
         assert_eq!(dropped, 84 - all.len());
+    }
+
+    /// The checker's public spelling: `--list-combos` prints these 56
+    /// slugs, in this order. Replay lines, CI rows and the docs quote them.
+    #[test]
+    fn the_swept_slugs_are_pinned_in_order() {
+        const SLUGS: [&str; 56] = [
+            "seq:obj:full",
+            "lock:obj:full",
+            "stm:obj:full",
+            "stm:obj:full:v3",
+            "stm:line:full",
+            "stm:line:full:v3",
+            "hastm:obj:full:cautious",
+            "hastm:obj:full:cautious:v3",
+            "hastm:obj:full:single",
+            "hastm:obj:full:single:v3",
+            "hastm:obj:full:watermark",
+            "hastm:obj:full:watermark:v3",
+            "hastm:obj:full:naive",
+            "hastm:obj:full:naive:v3",
+            "hastm:obj:full:ph",
+            "hastm:obj:full:ph:v3",
+            "hastm:obj:default:cautious",
+            "hastm:obj:default:cautious:v3",
+            "hastm:obj:default:single",
+            "hastm:obj:default:single:v3",
+            "hastm:obj:default:watermark",
+            "hastm:obj:default:watermark:v3",
+            "hastm:obj:default:naive",
+            "hastm:obj:default:naive:v3",
+            "hastm:obj:default:ph",
+            "hastm:obj:default:ph:v3",
+            "hastm:line:full:cautious",
+            "hastm:line:full:cautious:v3",
+            "hastm:line:full:single",
+            "hastm:line:full:single:v3",
+            "hastm:line:full:watermark",
+            "hastm:line:full:watermark:v3",
+            "hastm:line:full:naive",
+            "hastm:line:full:naive:v3",
+            "hastm:line:full:ph",
+            "hastm:line:full:ph:v3",
+            "hastm:line:default:cautious",
+            "hastm:line:default:cautious:v3",
+            "hastm:line:default:single",
+            "hastm:line:default:single:v3",
+            "hastm:line:default:watermark",
+            "hastm:line:default:watermark:v3",
+            "hastm:line:default:naive",
+            "hastm:line:default:naive:v3",
+            "hastm:line:default:ph",
+            "hastm:line:default:ph:v3",
+            "hastm-noreuse:obj:full",
+            "hastm-noreuse:obj:full:v3",
+            "hastm-noreuse:obj:default",
+            "hastm-noreuse:obj:default:v3",
+            "hastm-noreuse:line:full",
+            "hastm-noreuse:line:full:v3",
+            "hastm-noreuse:line:default",
+            "hastm-noreuse:line:default:v3",
+            "hytm:obj:full",
+            "hytm:line:full",
+        ];
+        let slugs: Vec<String> = Combo::all().iter().map(Combo::slug).collect();
+        assert_eq!(slugs, SLUGS);
+    }
+
+    /// The parse-only scheme names are `hastm` under the policy they name:
+    /// the same runtime at every granularity, ISA level and thread count.
+    #[test]
+    fn the_parse_only_schemes_build_the_policy_combos_config() {
+        for (scheme, policy) in [
+            ("hastm-cautious", "cautious"),
+            ("naive-aggressive", "naive"),
+        ] {
+            for gran in ["obj", "line"] {
+                for isa in ["full", "default"] {
+                    let alias = Combo::parse(&format!("{scheme}:{gran}:{isa}")).unwrap();
+                    let swept = Combo::parse(&format!("hastm:{gran}:{isa}:{policy}")).unwrap();
+                    assert_eq!(
+                        (alias.granularity, alias.isa),
+                        (swept.granularity, swept.isa)
+                    );
+                    for threads in [1, 2, 4] {
+                        assert_eq!(
+                            alias.stm_config(threads),
+                            swept.stm_config(threads),
+                            "{alias} vs {swept} at {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

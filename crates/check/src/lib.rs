@@ -47,7 +47,7 @@ use hastm_sim::words::WordTable;
 use hastm_sim::{
     MachineConfig, Preemption, RunReport, ScheduleEvent, SchedulePolicy, TraceConfig, TraceLog,
 };
-use hastm_workloads::{fnv1a, Definition, ExecStats, Scheme, SimRun, SimSession};
+use hastm_workloads::{Definition, ExecStats, Scheme, SimRun, SimSession};
 
 pub mod combo;
 pub mod explore;
@@ -226,13 +226,11 @@ pub fn parse_trace(s: &str) -> Result<Vec<Preemption>, String> {
     Ok(trace)
 }
 
-/// What one measured run exposed beyond its fingerprint: the abort
-/// causes the worker threads observed, their summed counters, and the
-/// event trace when the plan armed one.
+/// What one measured run exposed beyond its fingerprint: the worker
+/// threads' summed counters, the event trace when the plan armed one, and
+/// the machine report.
 #[derive(Clone, Debug, Default)]
 pub struct Observation {
-    /// Distinct abort causes observed across all worker threads.
-    pub abort_causes: BTreeSet<&'static str>,
     /// The worker threads' counters, summed. `stats.txn.ro_aborts` is
     /// nonzero only on a runtime bug (snapshot reads cannot
     /// conflict-abort), and the trial fails on it;
@@ -250,8 +248,18 @@ pub struct Observation {
 impl Observation {
     /// What a measured run exposed.
     fn of<T>(run: SimRun<T>) -> Self {
-        let st = run.stats;
-        let abort_causes = [
+        Observation {
+            stats: run.stats,
+            trace: run.trace,
+            report: Some(run.report),
+        }
+    }
+
+    /// Distinct abort causes observed across all worker threads, read
+    /// off [`Observation::stats`].
+    pub fn abort_causes(&self) -> BTreeSet<&'static str> {
+        let st = &self.stats;
+        [
             (st.txn.aborts_conflict, Abort::Conflict.slug()),
             (st.txn.aborts_mark_dirty, Abort::MarkCounterDirty.slug()),
             (st.txn.aborts_retry, Abort::Retry.slug()),
@@ -263,13 +271,7 @@ impl Observation {
         ]
         .into_iter()
         .filter_map(|(n, label)| (n > 0).then_some(label))
-        .collect();
-        Observation {
-            abort_causes,
-            stats: st,
-            trace: run.trace,
-            report: Some(run.report),
-        }
+        .collect()
     }
 
     /// The measured run's per-op schedule (op index, core, touched line),
@@ -414,27 +416,30 @@ pub struct Coverage {
     pub runs: u64,
 }
 
-/// FNV-1a hash of a run's schedule: the `(core, line, is_write)`
-/// sequence of every gated op. Two runs with equal hashes executed the
-/// same interleaving of the same per-core op streams, hence (the machine
-/// being deterministic) are the same run.
+/// Hash of a run's schedule: the `(core, line, is_write)` sequence of
+/// every gated op. Two runs with equal hashes executed the same
+/// interleaving of the same per-core op streams, hence (the machine being
+/// deterministic) are the same run. Each op folds in its core tagged "no
+/// line", "read" or "write", then its line if it has one, at one multiply
+/// per word (FxHash's step).
 pub fn schedule_hash(schedule: &[ScheduleEvent]) -> u64 {
-    fnv1a(schedule.iter().flat_map(|ev| {
-        let (line, write) = match ev.line {
-            Some((line, write)) => (line.0, Some(u64::from(write))),
-            None => (u64::MAX, None),
-        };
-        [Some(ev.core as u64), Some(line), write]
-            .into_iter()
-            .flatten()
-    }))
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let fold = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    schedule.iter().fold(SEED, |h, ev| {
+        let core = (ev.core as u64) << 2;
+        match ev.line {
+            Some((line, write)) => fold(fold(h, core | 2 | u64::from(write)), line.0),
+            None => fold(h, core),
+        }
+    })
 }
 
 impl Coverage {
     /// Folds one run's observation in.
     pub fn note(&mut self, obs: &Observation) {
         self.runs += 1;
-        self.abort_causes.extend(obs.abort_causes.iter());
+        self.abort_causes.extend(obs.abort_causes());
         let schedule = obs.schedule();
         if schedule.is_empty() {
             return;

@@ -27,7 +27,7 @@
 //! must report the damage — via the oracle and/or ledger divergence. The
 //! `mutants` integration test proves both directions.
 
-use hastm::Granularity;
+use hastm::{Granularity, ModePolicy};
 use hastm_sim::{FaultEvent, FaultKind, SchedulePolicy};
 use hastm_workloads::oltp::{
     check_ledger, expected_balances, run_oltp_sim, OltpConfig, OltpSimConfig,
@@ -39,8 +39,9 @@ use hastm_workloads::Scheme;
 /// interleaving and traffic.
 #[derive(Copy, Clone, Debug)]
 pub struct ZombieScenario {
-    /// Scheme under attack ([`Scheme::Stm`] or [`Scheme::HastmCautious`];
-    /// both route commit-time validation through the software walk).
+    /// Scheme under attack ([`Scheme::Stm`] or HASTM-Cautious,
+    /// [`Scheme::HastmUnder`]`(AlwaysCautious)`; both route commit-time
+    /// validation through the software walk).
     pub scheme: Scheme,
     /// Conflict-detection granularity.
     pub granularity: Granularity,
@@ -52,7 +53,7 @@ pub struct ZombieScenario {
 /// granularity (line granularity maximizes false-sharing-driven record
 /// churn, widening the zombie windows).
 pub fn scenarios(seed: u64) -> Vec<ZombieScenario> {
-    [Scheme::Stm, Scheme::HastmCautious]
+    [Scheme::Stm, Scheme::HastmUnder(ModePolicy::AlwaysCautious)]
         .into_iter()
         .map(|scheme| ZombieScenario {
             scheme,

@@ -269,8 +269,8 @@ mod tests {
 
     #[test]
     fn with_oracle_only_changes_oracle() {
-        let c = StmConfig::hastm_cautious(Granularity::Object).with_oracle(OracleMode::Panic);
-        assert_eq!(c.oracle, OracleMode::Panic);
+        let c = StmConfig::hastm_cautious(Granularity::Object).with_oracle(OracleMode::Record);
+        assert_eq!(c.oracle, OracleMode::Record);
         assert_eq!(
             StmConfig {
                 oracle: OracleMode::Off,

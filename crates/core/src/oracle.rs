@@ -59,17 +59,12 @@ pub enum OracleMode {
     /// of the reproduced system.
     #[default]
     Off,
-    /// Check and panic with full diagnostics on the first unserializable
-    /// commit (inline violations panic at the commit; deferred ones panic
-    /// inside [`crate::StmRuntime::verify_serializability`]). What the
-    /// integration tests use: a violation is a bug in the STM/HASTM
-    /// implementation, never a legal outcome.
-    Panic,
-    /// Check and record violations without panicking: inline ones in
+    /// Check and record violations: inline ones in
     /// [`crate::TxnStats::oracle_violations`], deferred ones in the return
-    /// value of [`crate::StmRuntime::verify_serializability`]. What the
-    /// `hastm-check` differential runner uses, so a violation can be
-    /// shrunk and replayed instead of tearing the harness down.
+    /// value of [`crate::StmRuntime::verify_serializability`]. A violation
+    /// is a bug in the STM/HASTM implementation, never a legal outcome:
+    /// the `hastm-check` differential runner fails the trial on one (so it
+    /// can be shrunk and replayed), and the tests assert there are none.
     Record,
 }
 
@@ -450,11 +445,6 @@ impl Oracle {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> OracleMode {
-        self.mode
-    }
-
     /// Whether the oracle is doing any work.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -651,7 +641,7 @@ mod tests {
 
     #[test]
     fn rollback_truncates_reads_and_rebuilds_writes() {
-        let mut o = Oracle::new(OracleMode::Panic);
+        let mut o = Oracle::new(OracleMode::Record);
         o.begin(3, 0);
         o.note_write(Addr(0x40));
         o.note_read(Addr(0x50), 3);

@@ -132,24 +132,11 @@ impl StmRuntime {
     /// Call after [`Machine::run`] returns (the journal is complete only
     /// once the machine quiesces). A no-op returning `[]` when the oracle
     /// is [`OracleMode::Off`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violation under [`OracleMode::Panic`].
     pub fn verify_serializability(&self, machine: &Machine) -> Vec<SerializationViolation> {
         if self.config.oracle == OracleMode::Off {
             return Vec::new();
         }
-        let violations = self.oracle_log.verify(|addr| machine.peek_u64(addr));
-        if self.config.oracle == OracleMode::Panic {
-            if let Some(v) = violations.first() {
-                panic!(
-                    "oracle: unserializable commit: {v} ({} violations total)",
-                    violations.len()
-                );
-            }
-        }
-        violations
+        self.oracle_log.verify(|addr| machine.peek_u64(addr))
     }
 
     /// Allocates an object shell (header + `data_words` words) and returns

@@ -134,8 +134,8 @@ counters! {
         oracle_commits_checked: "txn.oracle.commits_checked",
         /// Reads the oracle cross-checked against the pre-transaction image.
         oracle_reads_checked: "txn.oracle.reads_checked",
-        /// Unserializable reads the oracle found (only nonzero in
-        /// [`crate::OracleMode::Record`]; `Panic` mode dies on the first).
+        /// Unserializable reads the oracle found (only nonzero under
+        /// [`crate::OracleMode::Record`]).
         oracle_violations: "txn.oracle.violations",
         /// Snapshot read-only transactions committed
         /// ([`crate::Versioning::Multi`] only; a subset of `commits`).

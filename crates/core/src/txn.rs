@@ -10,7 +10,7 @@ use hastm_sim::{Addr, Cpu};
 use crate::config::{Abort, BarrierKind, Mode, ModePolicy, StmConfig, TxResult, TxnKind};
 use crate::log::{LogRegion, ReadEntry, Savepoint, UndoEntry, WriteEntry};
 use crate::mode::{AbortClass, ModeController};
-use crate::oracle::{Oracle, OracleMode, RoObligation};
+use crate::oracle::{Oracle, RoObligation};
 use crate::phase::{Access, Entry, Phase, PhaseEvent, Wait};
 use crate::record::RecValue;
 use crate::runtime::{ObjRef, StmRuntime};
@@ -77,7 +77,7 @@ pub struct TxThread<'c, 'm> {
     pub(crate) stats: TxnStats,
     pub(crate) rng_state: u64,
     /// Commit-time serializability oracle ([`crate::StmConfig::oracle`]);
-    /// a no-op in the default [`OracleMode::Off`].
+    /// a no-op in the default [`crate::OracleMode::Off`].
     pub(crate) oracle: Oracle,
     /// With `filter_writes`: addr -> undo index of its first entry in the
     /// current transaction (dedup within the innermost nesting scope).
@@ -556,31 +556,17 @@ impl<'c, 'm> TxThread<'c, 'm> {
             // is commit order. (Host-side peeks of lock-protected
             // addresses; no simulated cost — the oracle is a verification
             // aid, not part of the measured system.)
-            let (evidence, obligation) = {
-                let cpu = &mut *self.cpu;
-                let writes = Oracle::journal_writes(&self.undo_log, |addr| cpu.peek_u64(addr));
-                let (evidence, obligation) =
-                    self.oracle
-                        .commit_evidence(&self.undo_log, cpu.id(), cpu.now());
-                let log = self.runtime.oracle_log();
-                log.record_commit(obligation.epoch, obligation.t_end, &writes);
-                log.record_obligation(obligation.clone());
-                (evidence, obligation)
-            };
+            let cpu = &mut *self.cpu;
+            let writes = Oracle::journal_writes(&self.undo_log, |addr| cpu.peek_u64(addr));
+            let (evidence, obligation) =
+                self.oracle
+                    .commit_evidence(&self.undo_log, cpu.id(), cpu.now());
+            let log = self.runtime.oracle_log();
+            log.record_commit(obligation.epoch, obligation.t_end, &writes);
+            log.record_obligation(obligation);
             self.stats.oracle_commits_checked += 1;
             self.stats.oracle_reads_checked += evidence.reads_checked;
             self.stats.oracle_violations += evidence.violations.len() as u64;
-            if let Some(v) = evidence.violations.first() {
-                if self.oracle.mode() == OracleMode::Panic {
-                    panic!(
-                        "oracle: unserializable commit: {v} (mode {:?});\n read of an address this transaction wrote, checked against the oldest undo pre-image\n deferred reads: {}\n writes: {:?}\n counter={}",
-                        self.mode,
-                        obligation.reads.len(),
-                        self.write_set,
-                        self.cpu.read_mark_counter(),
-                    );
-                }
-            }
         }
     }
 

@@ -108,7 +108,7 @@ fn rollback_clears_write_filter_marks() {
 fn concurrent_increments_stay_atomic_with_write_filter() {
     let mut m = Machine::new(MachineConfig::with_cores(4));
     let mut c = StmConfig::hastm(Granularity::Object, ModePolicy::AbortRatioWatermark)
-        .with_oracle(OracleMode::Panic);
+        .with_oracle(OracleMode::Record);
     c.filter_writes = true;
     let rt = StmRuntime::new(&mut m, c);
     let (o, _) = m.run_one(|cpu| {
@@ -129,12 +129,13 @@ fn concurrent_increments_stay_atomic_with_write_filter() {
                             Ok(())
                         });
                     }
+                    assert_eq!(tx.stats().oracle_violations, 0);
                 }) as WorkerFn<'_>
             })
             .collect(),
     );
     assert_eq!(m.peek_u64(o.word(0)), 200);
-    rt.verify_serializability(&m);
+    assert_eq!(rt.verify_serializability(&m), []);
 }
 
 #[test]

@@ -135,9 +135,6 @@ pub struct WorkloadConfig {
     pub seed: u64,
     /// Machine description override (cores is forced to `threads`).
     pub machine: MachineConfig,
-    /// Overrides the HASTM mode policy chosen by the scheme (e.g. to use
-    /// the adaptive watermark policy even in single-thread runs).
-    pub mode_policy_override: Option<hastm::ModePolicy>,
     /// Serializability-oracle mode for the STM-based schemes (evidence
     /// lands in [`WorkloadResult::txn`]). Off in the measured runs.
     pub oracle: OracleMode,
@@ -159,7 +156,6 @@ impl WorkloadConfig {
             prepopulate: 512,
             seed: 0x5eed,
             machine: MachineConfig::default(),
-            mode_policy_override: None,
             oracle: OracleMode::Off,
         }
     }
@@ -263,7 +259,7 @@ pub fn run_workload_traced(
 
     // All phases are quiesced: settle the oracle's deferred serializability
     // obligations against the committed-write journal. (A no-op unless the
-    // oracle is on; panics here under `OracleMode::Panic`.)
+    // oracle is on.)
     let ExecStats { mut txn, hytm } = measured.stats;
     txn.oracle_violations += session.settle().len() as u64;
 
@@ -294,11 +290,7 @@ fn run_cell(
     );
     let stm_config = cfg
         .scheme
-        .stm_config_under(
-            Granularity::CacheLine,
-            cfg.threads,
-            cfg.mode_policy_override,
-        )
+        .stm_config(Granularity::CacheLine, cfg.threads)
         .with_oracle(cfg.oracle)
         .with_versioning(cfg.versioning);
     let machine = MachineConfig {

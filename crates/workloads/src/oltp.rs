@@ -555,9 +555,6 @@ pub struct OltpSimConfig {
     /// Machine geometry/schedule (`cores` is overridden to
     /// `oltp.threads`).
     pub machine: MachineConfig,
-    /// HASTM mode-policy override (applied only when `scheme` is
-    /// [`Scheme::Hastm`]).
-    pub mode_policy_override: Option<hastm::ModePolicy>,
     /// Serializability-oracle mode for the run.
     pub oracle: OracleMode,
     /// Overrides `StmConfig::validation_period`; the zombie scenarios use
@@ -579,7 +576,6 @@ impl OltpSimConfig {
             scheme,
             granularity,
             machine: MachineConfig::default(),
-            mode_policy_override: None,
             oracle: OracleMode::Record,
             validation_period: None,
             faults: Vec::new(),
@@ -621,7 +617,7 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
     let threads = cfg.oltp.threads;
     let mut stm_config = cfg
         .scheme
-        .stm_config_under(cfg.granularity, threads, cfg.mode_policy_override)
+        .stm_config(cfg.granularity, threads)
         .with_oracle(cfg.oracle);
     if let Some(period) = cfg.validation_period {
         stm_config.validation_period = period;

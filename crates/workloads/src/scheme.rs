@@ -23,16 +23,16 @@ pub enum Scheme {
     Lock,
     /// The base software TM (§4).
     Stm,
-    /// HASTM pinned to cautious mode (§5; "Cautious"/"HASTM-Cautious").
-    HastmCautious,
     /// Full HASTM: cautious/aggressive controlled per thread count (§6).
     Hastm,
+    /// HASTM under the named mode policy, whatever the thread count:
+    /// [`ModePolicy::AlwaysCautious`] is the paper's "HASTM-Cautious" (§5),
+    /// [`ModePolicy::NaiveAggressive`] the always-aggressive-first strawman
+    /// of Figures 21–22 ("Naïve Aggressive").
+    HastmUnder(ModePolicy),
     /// HASTM with the mark-bit filter disabled (Figure 17,
     /// "HASTM-NoReuse").
     HastmNoReuse,
-    /// Always-aggressive-first strawman (Figures 21–22,
-    /// "Naïve Aggressive").
-    NaiveAggressive,
     /// Best-case hybrid TM (hardware path with record checks, Figure 14).
     Hytm,
 }
@@ -43,10 +43,10 @@ impl Scheme {
         Scheme::Sequential,
         Scheme::Lock,
         Scheme::Stm,
-        Scheme::HastmCautious,
+        Scheme::HastmUnder(ModePolicy::AlwaysCautious),
         Scheme::Hastm,
         Scheme::HastmNoReuse,
-        Scheme::NaiveAggressive,
+        Scheme::HastmUnder(ModePolicy::NaiveAggressive),
         Scheme::Hytm,
     ];
 
@@ -56,18 +56,19 @@ impl Scheme {
             Scheme::Sequential => "Sequential",
             Scheme::Lock => "Lock",
             Scheme::Stm => "STM",
-            Scheme::HastmCautious => "HASTM-Cautious",
-            Scheme::Hastm => "HASTM",
+            Scheme::HastmUnder(ModePolicy::AlwaysCautious) => "HASTM-Cautious",
+            Scheme::HastmUnder(ModePolicy::NaiveAggressive) => "Naive-Aggressive",
+            Scheme::Hastm | Scheme::HastmUnder(_) => "HASTM",
             Scheme::HastmNoReuse => "HASTM-NoReuse",
-            Scheme::NaiveAggressive => "Naive-Aggressive",
             Scheme::Hytm => "Hybrid-TM",
         }
     }
 
-    /// The STM runtime configuration this scheme needs. `threads` selects
-    /// the HASTM mode policy: single-threaded runs use the
-    /// aggressive-after-commit policy, multi-threaded runs the abort-ratio
-    /// watermark (§6).
+    /// The STM runtime configuration this scheme needs: the one map from a
+    /// scheme to its runtime. `threads` selects the mode policy of
+    /// [`Scheme::Hastm`] and [`Scheme::HastmNoReuse`]: single-threaded runs
+    /// use the aggressive-after-commit policy, multi-threaded runs the
+    /// abort-ratio watermark (§6). [`Scheme::HastmUnder`] names its own.
     pub fn stm_config(self, granularity: Granularity, threads: usize) -> StmConfig {
         let hastm_policy = if threads <= 1 {
             ModePolicy::SingleThreadAggressive
@@ -78,42 +79,21 @@ impl Scheme {
             Scheme::Sequential | Scheme::Lock | Scheme::Stm | Scheme::Hytm => {
                 StmConfig::stm(granularity)
             }
-            Scheme::HastmCautious => StmConfig::hastm_cautious(granularity),
             Scheme::Hastm => StmConfig::hastm(granularity, hastm_policy),
+            Scheme::HastmUnder(policy) => StmConfig::hastm(granularity, policy),
             Scheme::HastmNoReuse => {
                 let mut c = StmConfig::hastm(granularity, hastm_policy);
                 c.no_reuse = true;
                 c
             }
-            Scheme::NaiveAggressive => StmConfig::hastm(granularity, ModePolicy::NaiveAggressive),
         }
-    }
-
-    /// [`Self::stm_config`] with `policy` in place of the mode policy the
-    /// thread count selects. The override applies to [`Scheme::Hastm`]
-    /// only: every other scheme's policy is what makes it that scheme.
-    pub fn stm_config_under(
-        self,
-        granularity: Granularity,
-        threads: usize,
-        policy: Option<ModePolicy>,
-    ) -> StmConfig {
-        let mut c = self.stm_config(granularity, threads);
-        if let (Some(p), Scheme::Hastm) = (policy, self) {
-            c.mode_policy = p;
-        }
-        c
     }
 
     /// Whether this scheme runs transactions through the STM/HASTM engine.
     pub fn is_stm_based(self) -> bool {
         matches!(
             self,
-            Scheme::Stm
-                | Scheme::HastmCautious
-                | Scheme::Hastm
-                | Scheme::HastmNoReuse
-                | Scheme::NaiveAggressive
+            Scheme::Stm | Scheme::Hastm | Scheme::HastmUnder(_) | Scheme::HastmNoReuse
         )
     }
 }
@@ -280,7 +260,10 @@ mod tests {
         let c = Scheme::HastmNoReuse.stm_config(Granularity::CacheLine, 1);
         assert!(c.no_reuse);
         assert!(!Scheme::Hytm.is_stm_based());
-        assert!(Scheme::NaiveAggressive.is_stm_based());
+        let naive = Scheme::HastmUnder(ModePolicy::NaiveAggressive);
+        assert!(naive.is_stm_based());
+        let c = naive.stm_config(Granularity::Object, 4);
+        assert_eq!(c.mode_policy, ModePolicy::NaiveAggressive);
     }
 
     #[test]

@@ -171,10 +171,6 @@ impl SimSession {
     /// Settles the oracle's deferred serializability obligations against
     /// the committed-write journal, with the machine at rest. Empty unless
     /// the runtime records for the oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violation under [`hastm::OracleMode::Panic`].
     pub fn settle(&self) -> Vec<SerializationViolation> {
         self.runtime.verify_serializability(&self.machine)
     }

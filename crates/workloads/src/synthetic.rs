@@ -369,7 +369,7 @@ mod tests {
         for scheme in [
             Scheme::Sequential,
             Scheme::Stm,
-            Scheme::HastmCautious,
+            Scheme::HastmUnder(hastm::ModePolicy::AlwaysCautious),
             Scheme::Hastm,
             Scheme::Hytm,
         ] {

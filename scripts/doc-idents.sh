@@ -16,13 +16,19 @@
 # named by a `pub use` there (at the crate root, an exported macro
 # counts). A brace list, `krate::module::{A, b}`, is checked name by name.
 #
+# A bare CamelCase name, a span that is one identifier starting with a
+# capital letter and holding a lowercase one (`SimSession`, `Multi`), must
+# be declared under crates/ or shims/ as a type or as an enum variant, or be
+# on the short allowlist below of std names the docs cite.
+#
 # Prints one line per unknown name and exits 1 if there is any. Run from
 # anywhere; pass a checkout's root to check another tree.
 set -eu
 cd "${1:-$(dirname "$0")/..}"
 
-# `T<TAB>file:line<TAB>Type<TAB>member` for every Type::member and
-# `P<TAB>file:line<TAB>path` for every lowercase-led path in an inline span.
+# `T<TAB>file:line<TAB>Type<TAB>member` for every Type::member,
+# `P<TAB>file:line<TAB>path` for every lowercase-led path and
+# `B<TAB>file:line<TAB>Name` for every bare CamelCase span.
 refs() {
     awk '
         FNR == 1 { inside = 0; fence = 0 }
@@ -44,6 +50,7 @@ refs() {
         # (`Versioning::{Single, Multi { k }}`); a member followed by `*`
         # is a pattern (`Machine::set_*`), not a name.
         function emit(s, where,    pre, ref, type, member, n, k, names) {
+            if (s ~ /^[A-Z][A-Za-z0-9_]*$/ && s ~ /[a-z]/) printf "B\t%s\t%s\n", where, s
             paths(s, where)
             while (match(s, /[A-Z][A-Za-z0-9_]*::(\{[^}]*\}|[A-Za-z_][A-Za-z0-9_]*\*?)/)) {
                 pre = RSTART > 1 ? substr(s, RSTART - 1, 1) : ""
@@ -132,8 +139,49 @@ check_path() {
     done
 }
 
+# Std names the docs cite bare (and `VmRSS`, the kernel's resident-set
+# field in /proc/self/status).
+STD_NAMES='Acquire AtomicU64 BTreeMap Debug Drop HashMap HashSet Mutex MutexGuard OnceLock RefCell RefMut Release Send SeqCst Vec VmRSS'
+
+# Every type and enum variant declared under crates/ and shims/, one a line:
+# a variant is a line indented one level inside a rustfmt-formatted
+# `enum Name {` block that starts with a capitalized identifier.
+declared() {
+    find crates shims -name '*.rs' -exec awk '
+        match($0, /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?(struct|enum|trait|type|union)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
+            decl = substr($0, RSTART, RLENGTH)
+            sub(/.*[[:space:]]/, "", decl)
+            print decl
+            if ($0 ~ /enum[[:space:]]/ && $0 ~ /\{[[:space:]]*$/) {
+                match($0, /^[[:space:]]*/)
+                indent = RLENGTH
+                body = 1
+                next
+            }
+        }
+        body {
+            match($0, /^[[:space:]]*/)
+            if (RLENGTH <= indent && $0 ~ /^[[:space:]]*\}/) { body = 0; next }
+            if (RLENGTH == indent + 4 && match($0, /^[[:space:]]*[A-Z][A-Za-z0-9_]*/)) {
+                variant = substr($0, 1, RLENGTH)
+                sub(/^[[:space:]]*/, "", variant)
+                print variant
+            }
+        }
+    ' {} + | sort -u
+}
+
 decl='(struct|enum|trait|type|union)[[:space:]]+'
 bad=0
+names=$(mktemp)
+trap 'rm -f "$names"' EXIT
+{ declared; printf '%s\n' $STD_NAMES; } >"$names"
+for ref in $(refs | grep '^B' | cut -f2- | tr '\t' '|'); do
+    if ! grep -qx -- "${ref#*|}" "$names"; then
+        echo "${ref%%|*}: \`${ref#*|}\`: no type or enum variant \`${ref#*|}\` is declared in crates/ or shims/"
+        bad=1
+    fi
+done
 for ref in $(refs | grep '^P' | cut -f2- | tr '\t' '|'); do
     check_path "${ref%%|*}" "${ref#*|}" || bad=1
 done

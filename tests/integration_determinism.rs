@@ -29,7 +29,7 @@ fn config(scheme: Scheme, threads: usize, schedule: SchedulePolicy) -> WorkloadC
         schedule,
         ..MachineConfig::default()
     };
-    cfg.oracle = OracleMode::Panic;
+    cfg.oracle = OracleMode::Record;
     cfg
 }
 
@@ -39,6 +39,7 @@ fn config(scheme: Scheme, threads: usize, schedule: SchedulePolicy) -> WorkloadC
 fn assert_reproducible(cfg: &WorkloadConfig, label: &str) {
     let a = run_workload(cfg);
     let b = run_workload(cfg);
+    assert_eq!(a.txn.oracle_violations, 0, "{label}: oracle violations");
     assert_eq!(a.cycles, b.cycles, "{label}: makespan diverged");
     assert_eq!(a.report, b.report, "{label}: simulator counters diverged");
     assert_eq!(a.txn, b.txn, "{label}: transaction stats diverged");

@@ -92,7 +92,7 @@ fn gc_pause_amid_concurrency() {
     let mut machine = Machine::new(MachineConfig::with_cores(2));
     let runtime = StmRuntime::new(
         &mut machine,
-        StmConfig::hastm_cautious(Granularity::Object).with_oracle(OracleMode::Panic),
+        StmConfig::hastm_cautious(Granularity::Object).with_oracle(OracleMode::Record),
     );
     let (objs, _) = machine.run_one(|cpu| {
         let mut tx = TxThread::new(&runtime, cpu);
@@ -123,6 +123,7 @@ fn gc_pause_amid_concurrency() {
             });
             assert_eq!(tx.stats().commits, 1);
             assert_eq!(tx.stats().aborts(), 0, "GC never aborts the mutator");
+            assert_eq!(tx.stats().oracle_violations, 0);
         }) as WorkerFn<'_>,
         Box::new(move |cpu: &mut hastm_sim::Cpu| {
             let mut tx = TxThread::new(rt, cpu);
@@ -133,10 +134,11 @@ fn gc_pause_amid_concurrency() {
                     tx.write_word(b, 0, v + 1)
                 });
             }
+            assert_eq!(tx.stats().oracle_violations, 0);
         }) as WorkerFn<'_>,
     ]);
     assert_eq!(machine.peek_u64(b.word(0)), 60);
-    runtime.verify_serializability(&machine);
+    assert_eq!(runtime.verify_serializability(&machine), []);
 }
 
 /// Transactions survive context switches on every core of a concurrent
@@ -222,7 +224,7 @@ fn watermark_policy_stays_cautious_under_interference() {
         ..MachineConfig::default()
     };
     let hastm = run_workload(&cfg);
-    cfg.scheme = Scheme::NaiveAggressive;
+    cfg.scheme = Scheme::HastmUnder(ModePolicy::NaiveAggressive);
     let naive = run_workload(&cfg);
     assert!(
         hastm.txn.aborts_mark_dirty < naive.txn.aborts_mark_dirty,

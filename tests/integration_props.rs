@@ -211,9 +211,9 @@ proptest! {
         let scheme = [
             Scheme::Lock,
             Scheme::Stm,
-            Scheme::HastmCautious,
+            Scheme::HastmUnder(ModePolicy::AlwaysCautious),
             Scheme::Hastm,
-            Scheme::NaiveAggressive,
+            Scheme::HastmUnder(ModePolicy::NaiveAggressive),
             Scheme::Hytm,
         ][scheme_idx];
         let mut machine = Machine::new(MachineConfig::with_cores(cores));
@@ -221,7 +221,7 @@ proptest! {
             &mut machine,
             scheme
                 .stm_config(Granularity::CacheLine, cores)
-                .with_oracle(OracleMode::Panic),
+                .with_oracle(OracleMode::Record),
         );
         let lock = SpinLock::alloc(runtime.heap());
         let rt = &runtime;
@@ -256,6 +256,7 @@ proptest! {
                             ctx.ctx_write(cell, 0, v + 1)
                         });
                     }
+                    assert_eq!(ex.stats().txn.oracle_violations, 0, "{scheme}");
                 }) as WorkerFn<'_>
             })
             .collect();

@@ -17,7 +17,7 @@ fn single_thread_results_identical_across_schemes() {
                 &mut machine,
                 scheme
                     .stm_config(granularity, 1)
-                    .with_oracle(OracleMode::Panic),
+                    .with_oracle(OracleMode::Record),
             );
             let lock = SpinLock::alloc(runtime.heap());
             let (values, _) = machine.run_one(|cpu| {
@@ -52,9 +52,10 @@ fn single_thread_results_identical_across_schemes() {
                         Ok(())
                     });
                 }
+                assert_eq!(ex.stats().txn.oracle_violations, 0, "{scheme}");
                 out
             });
-            runtime.verify_serializability(&machine);
+            assert_eq!(runtime.verify_serializability(&machine), []);
             match &reference {
                 None => reference = Some(values),
                 Some(r) => assert_eq!(
@@ -69,7 +70,8 @@ fn single_thread_results_identical_across_schemes() {
 /// The money-conservation stress from the examples, as a regression test
 /// for the nested-rollback/mark-filter interaction: `cfg`'s nested
 /// transfers on `cores` cores, the same transfers unnested, and the nested
-/// ones again on two cores, each under the oracle in `Panic` mode.
+/// ones again on two cores, each with the oracle recording and no
+/// violation recorded.
 fn conservation(cfg: StmConfig, cores: usize, transfers: u32) {
     for (cores, nested) in [(cores, true), (cores, false), (2, true)] {
         transfer_money(cfg.clone(), cores, transfers, nested);
@@ -78,7 +80,7 @@ fn conservation(cfg: StmConfig, cores: usize, transfers: u32) {
 
 fn transfer_money(scheme_cfg: StmConfig, cores: usize, transfers: u32, nested: bool) {
     let mut machine = Machine::new(MachineConfig::with_cores(cores));
-    let runtime = StmRuntime::new(&mut machine, scheme_cfg.with_oracle(OracleMode::Panic));
+    let runtime = StmRuntime::new(&mut machine, scheme_cfg.with_oracle(OracleMode::Record));
     let n_accts = 12u64;
     let (accounts, _) = machine.run_one(|cpu| {
         let mut tx = TxThread::new(&runtime, cpu);
@@ -129,11 +131,12 @@ fn transfer_money(scheme_cfg: StmConfig, cores: usize, transfers: u32, nested: b
                         }
                     });
                 }
+                assert_eq!(tx.stats().oracle_violations, 0, "teller {teller}");
             }) as WorkerFn<'_>
         })
         .collect();
     machine.run(workers);
-    runtime.verify_serializability(&machine);
+    assert_eq!(runtime.verify_serializability(&machine), []);
     let total: u64 = accounts.iter().map(|a| machine.peek_u64(a.word(0))).sum();
     assert_eq!(total, n_accts * 500, "money conserved");
 }

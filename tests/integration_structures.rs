@@ -1,7 +1,7 @@
 //! Cross-crate integration: the evaluation data structures stay correct
 //! under concurrent transactional mutation on every scheme.
 
-use hastm::{ObjRef, OracleMode, StmRuntime, TmContext, TmExec, TxResult};
+use hastm::{ModePolicy, ObjRef, OracleMode, StmRuntime, TmContext, TmExec, TxResult};
 use hastm_locks::SpinLock;
 use hastm_sim::{Machine, MachineConfig, WorkerFn};
 use hastm_workloads::{BTree, Bst, HashTable, Scheme, ThreadExec, TxMap};
@@ -76,7 +76,7 @@ fn concurrent_structure(kind: Kind, scheme: Scheme, cores: usize) {
         &mut machine,
         scheme
             .stm_config(hastm::Granularity::CacheLine, cores)
-            .with_oracle(OracleMode::Panic),
+            .with_oracle(OracleMode::Record),
     );
     let lock = SpinLock::alloc(runtime.heap());
     let rt = &runtime;
@@ -113,6 +113,7 @@ fn concurrent_structure(kind: Kind, scheme: Scheme, cores: usize) {
                         }
                     }
                 }
+                assert_eq!(ex.stats().txn.oracle_violations, 0, "{scheme}");
                 writes_ref.lock().unwrap().extend(mine);
             }) as WorkerFn<'_>
         })
@@ -140,9 +141,9 @@ fn concurrent_structure(kind: Kind, scheme: Scheme, cores: usize) {
         });
     });
 
-    // Settle the oracle's deferred serializability check (panics on any
-    // unserializable commit under `OracleMode::Panic`).
-    runtime.verify_serializability(&machine);
+    // Settle the oracle's deferred serializability check: no commit may be
+    // unserializable.
+    assert_eq!(runtime.verify_serializability(&machine), []);
 }
 
 #[test]
@@ -177,7 +178,11 @@ fn btree_concurrent_hastm() {
 
 #[test]
 fn btree_concurrent_naive_aggressive() {
-    concurrent_structure(Kind::BTree, Scheme::NaiveAggressive, 4);
+    concurrent_structure(
+        Kind::BTree,
+        Scheme::HastmUnder(ModePolicy::NaiveAggressive),
+        4,
+    );
 }
 
 #[test]
