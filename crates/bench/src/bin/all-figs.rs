@@ -1,6 +1,7 @@
 //! Regenerates the evaluation figures and the reproduction's own tables
-//! via the parallel cell sweep: all of them, or with `--fig N` (repeatable)
-//! just Figure N, or `--fig phases` / `--fig ablation` just that table.
+//! via the parallel cell sweep: all of them, or with `--fig N` (repeatable,
+//! each figure at most once) just Figure N, or `--fig phases` /
+//! `--fig ablation` just that table.
 //!
 //! Tables go to stdout in presentation order (bit-identical at any thread
 //! count — the simulator is deterministic per cell); progress and the
@@ -31,6 +32,10 @@ fn main() {
                     .iter()
                     .find(|f| f.name.strip_prefix("fig").unwrap_or(f.name) == n)
                 {
+                    // Named twice, it would print twice.
+                    Some(fig) if selected.contains(&fig.name) => {
+                        usage(&format!("--fig {n} given twice"))
+                    }
                     Some(fig) => selected.push(fig.name),
                     None => usage(&format!("no Figure {n}; have 11-22, phases and ablation")),
                 }

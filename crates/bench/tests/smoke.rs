@@ -129,6 +129,7 @@ fn bad_arguments_are_usage_errors() {
         &["--fig", "23"][..],
         &["--fig", "fig11"],
         &["--fig"],
+        &["--fig", "13", "--fig", "13"],
         &["--gate", "perop"],
         &["--serial"],
         &["--verify"],

@@ -2,7 +2,8 @@
 //! combo, workload, seed, threads, ops and sched), and the starts of the lines its output
 //! must contain. Native rows pin the count and verdict, not the timing-dependent counters.
 
-/// Name, arguments, expected line starts. The trace rows write what the validate rows read.
+/// Name, arguments, expected line starts. The `trace-*` rows leave their files in the
+/// working directory.
 const ROWS: &[(&str, &str, &[&str])] = &[
     ("suite", "--seeds 50 --quiet", &["OK: 14000 trials, 0 violations (determinism re-checked on seed 0)"]),
     ("pct", "--seeds 5 --sched pct:3 --coverage --quiet", &[
@@ -28,16 +29,15 @@ const ROWS: &[(&str, &str, &[&str])] = &[
         "OK: 896 trials, 0 violations (determinism re-checked on seed 0)",
         "OK: 128 native trials, 0 divergences from the simulated reference",
     ]),
-    ("trace-stm", "--replay --workload counter --combo hastm:obj:full --seed 0 --threads 2 --ops 4 --trace 4@1,9@0 --trace-out trace-stm.json", &[
+    ("trace-stm", "--replay --workload counter --combo hastm:obj:full --seed 0 --threads 2 --ops 4 --trace 4@1,9@0 --trace-out trace-stm.json --metrics-out metrics-stm.json", &[
         "  trace: 632 records -> trace-stm.json (valid Chrome trace JSON)",
         "  reconciled: per-phase trace sums equal the TimeBreakdown (755 cycles)",
         "  reconciled: MarkDiscard events equal marked_lines_lost (2 total)",
+        "  metrics: 86 counters -> metrics-stm.json",
     ]),
     ("trace-hytm", "--replay --workload map --combo hytm:obj:full --seed 1 --threads 2 --ops 8 --trace-out trace-hytm.json", &[
         "  trace: 1809 records -> trace-hytm.json (valid Chrome trace JSON)",
     ]),
-    ("validate-stm", "--validate-trace trace-stm.json", &["OK: trace-stm.json is well-formed Chrome trace JSON (632 records)"]),
-    ("validate-hytm", "--validate-trace trace-hytm.json", &["OK: trace-hytm.json is well-formed Chrome trace JSON (1809 records)"]),
     // Seeds 0-49 of this combo are the suite row's.
     ("snapshot-v3", "--combo stm:line:full:v3 --start-seed 50 --seeds 14 --quiet", &["OK: 70 trials, 0 violations (determinism re-checked on seed 50)"]),
 ];

@@ -18,7 +18,7 @@
 //! exhaustive for state-distinguishable interleavings at the given
 //! preemption bound.
 //!
-//! **Pruning.** Runs are fingerprinted by [`schedule_hash`] — the full
+//! **Pruning.** Runs are fingerprinted by [`crate::schedule_hash`] — the full
 //! `(core, line, is_write)` admission sequence. The workload's per-core op
 //! streams and the machine are deterministic, so two runs with equal
 //! hashes are *the same run*; when a trace reproduces an
@@ -30,8 +30,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use hastm_sim::{LineId, Preemption, ScheduleEvent, TraceConfig};
 
 use crate::{
-    replay_command, run_trial_observed, run_trial_plan, schedule_hash, trace_slug, Combo, Coverage,
-    Observation, RunPlan, Sched, Trial, Workload,
+    replay_command, run_trial_observed, run_trial_plan, trace_slug, Combo, Coverage, Observation,
+    RunPlan, Sched, Trial, Workload,
 };
 
 /// Parameters of one exploration campaign.
@@ -303,9 +303,8 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
             }
             Ok(obs) => obs,
         };
-        report.coverage.note(&obs);
         let schedule = obs.schedule();
-        if !expanded.insert(schedule_hash(&schedule)) {
+        if !expanded.insert(report.coverage.note(&obs, &schedule)) {
             report.pruned += 1;
             continue;
         }

@@ -241,8 +241,8 @@ pub struct Observation {
     /// armed [`RunPlan::trace`]); its [`TraceLog::schedule`] is the run's
     /// per-op schedule.
     pub trace: Option<TraceLog>,
-    /// The measured run's machine report (`None` until the run finishes).
-    pub report: Option<RunReport>,
+    /// The measured run's machine report.
+    pub report: RunReport,
 }
 
 impl Observation {
@@ -251,7 +251,7 @@ impl Observation {
         Observation {
             stats: run.stats,
             trace: run.trace,
-            report: Some(run.report),
+            report: run.report,
         }
     }
 
@@ -436,18 +436,18 @@ pub fn schedule_hash(schedule: &[ScheduleEvent]) -> u64 {
 }
 
 impl Coverage {
-    /// Folds one run's observation in.
-    pub fn note(&mut self, obs: &Observation) {
+    /// Folds one run in, given its `obs.schedule()` (derived once by a
+    /// caller that reads it too); returns the schedule's [`schedule_hash`].
+    pub fn note(&mut self, obs: &Observation, schedule: &[ScheduleEvent]) -> u64 {
         self.runs += 1;
         self.abort_causes.extend(obs.abort_causes());
-        let schedule = obs.schedule();
-        if schedule.is_empty() {
-            return;
+        let hash = schedule_hash(schedule);
+        if !schedule.is_empty() {
+            self.schedules.insert(hash);
         }
-        self.schedules.insert(schedule_hash(&schedule));
         // Per line, the core and kind of its latest access.
         let mut last: WordTable<(usize, bool)> = WordTable::default();
-        for ev in &schedule {
+        for ev in schedule {
             let Some((line, write)) = ev.line else {
                 continue;
             };
@@ -458,6 +458,7 @@ impl Coverage {
                     .insert((prev_core, ev.core, prev_write, write));
             }
         }
+        hash
     }
 
     /// One-line human summary.
@@ -699,7 +700,7 @@ pub fn run_suite(cfg: &CheckConfig, mut on_trial: impl FnMut(&Trial, bool)) -> S
                 let determinism = seed == cfg.start_seed;
                 let (outcome, obs) = check_trial_plan(&trial, &plan, determinism);
                 if outcome.is_ok() {
-                    report.coverage.note(&obs);
+                    report.coverage.note(&obs, &obs.schedule());
                 }
                 report.trials += 1;
                 on_trial(&trial, outcome.is_ok());

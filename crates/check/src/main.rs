@@ -11,10 +11,11 @@
 //! cargo run -p hastm-check --release -- --explore --combo stm:obj:full \
 //!     --threads 2 --ops 2 --bound 2
 //!
-//! # Reproduce one (possibly shrunk) failing trial exactly:
+//! # Reproduce one (possibly shrunk) failing trial, with its trace and metrics:
 //! cargo run -p hastm-check --release -- --replay \
 //!     --workload counter --combo hastm:obj:full:watermark \
-//!     --sched pct:3 --seed 17 --threads 3 --ops 8
+//!     --sched pct:3 --seed 17 --threads 3 --ops 8 \
+//!     --trace-out trace.json --metrics-out metrics.json
 //!
 //! # Every sweep CI runs, each checked against its expected result:
 //! cargo run -p hastm-check --release -- --ci
@@ -30,6 +31,7 @@ use hastm_check::{
     Trial, Workload,
 };
 use hastm_sim::{chrome_trace_json, reconcile_mark_discards, validate_chrome_trace, TraceConfig};
+use hastm_workloads::sim_registry;
 
 const USAGE: &str = "\
 hastm-check: seeded differential-testing harness for the HASTM reproduction
@@ -42,7 +44,7 @@ USAGE:
                 [--bound B] [--max-runs N] [--seed N]
     hastm-check --replay --workload W --combo C --seed N [--sched S]
                 [--threads N] [--ops N] [--trace T] [--trace-out FILE]
-    hastm-check --validate-trace FILE
+                [--metrics-out FILE]
     hastm-check --list-combos
     hastm-check --ci
 
@@ -91,9 +93,9 @@ OPTIONS:
                      trace_events JSON (open in Perfetto / chrome://tracing),
                      cross-checked against the run's TimeBreakdown and
                      mark-loss counters
-    --validate-trace FILE
-                     check that FILE is well-formed Chrome trace JSON, print
-                     its event count, and exit
+    --metrics-out FILE
+                     write the replayed run's metrics registry as one flat
+                     JSON object of dotted counter keys
     --list-combos    print every combination slug and exit
     --ci             run every sweep CI runs, each as a child process, and
                      check each one's output against its expected lines
@@ -147,7 +149,7 @@ struct Args {
     max_runs: u64,
     trace: Option<String>,
     trace_out: Option<String>,
-    validate_trace: Option<String>,
+    metrics_out: Option<String>,
     backend: Backend,
 }
 
@@ -179,7 +181,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--max-runs" => args.max_runs = num(&value("--max-runs")?)?,
             "--trace" => args.trace = Some(value("--trace")?),
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--validate-trace" => args.validate_trace = Some(value("--validate-trace")?),
+            "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--backend" => args.backend = Backend::parse(&value("--backend")?)?,
             "--workload" => args.workload = Some(Workload::parse(&value("--workload")?)?),
             "--combo" => args.combo = Some(Combo::parse(&value("--combo")?)?),
@@ -280,29 +282,22 @@ fn write_trace_out(path: &str, obs: &Observation) -> Result<(), String> {
             sums.total()
         );
     }
-    if let Some(report) = &obs.report {
-        let lost: Vec<u64> = report.cores.iter().map(|c| c.marked_lines_lost).collect();
-        reconcile_mark_discards(log, &lost)?;
-        println!(
-            "  reconciled: MarkDiscard events equal marked_lines_lost ({} total)",
-            lost.iter().sum::<u64>()
-        );
-    }
+    let cores = &obs.report.cores;
+    let lost: Vec<u64> = cores.iter().map(|c| c.marked_lines_lost).collect();
+    reconcile_mark_discards(log, &lost)?;
+    println!(
+        "  reconciled: MarkDiscard events equal marked_lines_lost ({} total)",
+        lost.iter().sum::<u64>()
+    );
     Ok(())
 }
 
-fn run_validate_trace(path: &str) -> Result<ExitCode, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    match validate_chrome_trace(&json) {
-        Ok(events) => {
-            println!("OK: {path} is well-formed Chrome trace JSON ({events} records)");
-            Ok(ExitCode::SUCCESS)
-        }
-        Err(e) => {
-            println!("FAIL: {path}: {e}");
-            Ok(ExitCode::FAILURE)
-        }
-    }
+/// Writes the observed run's metrics registry as flat JSON.
+fn write_metrics_out(path: &str, obs: &Observation) -> Result<(), String> {
+    let snapshot = sim_registry(&obs.stats.txn, &obs.stats.hytm, &obs.report);
+    std::fs::write(path, snapshot.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+    println!("  metrics: {} counters -> {path}", snapshot.entries().len());
+    Ok(())
 }
 
 /// The one trial `--replay` runs and its plan, checked before anything
@@ -336,11 +331,14 @@ fn replay(args: &Args) -> Result<ExitCode, String> {
     let (trial, plan) = replay_trial(args)?;
     println!("replaying {trial}");
     // The first run's observation comes back failing or not, so a failing
-    // replay still leaves a trace file behind (the whole point of
-    // replaying a shrunk repro).
+    // replay still leaves its trace and metrics files behind (the whole
+    // point of replaying a shrunk repro).
     let (verdict, obs) = check_trial_plan(&trial, &plan, true);
     if let Some(path) = &args.trace_out {
         write_trace_out(path, &obs)?;
+    }
+    if let Some(path) = &args.metrics_out {
+        write_metrics_out(path, &obs)?;
     }
     match verdict {
         Ok(_) => {
@@ -422,9 +420,6 @@ fn dispatch(args: &Args) -> Result<ExitCode, String> {
             println!("{combo}");
         }
         return Ok(ExitCode::SUCCESS);
-    }
-    if let Some(path) = &args.validate_trace {
-        return run_validate_trace(path);
     }
     if args.form == "--replay" {
         return replay(args);
@@ -628,11 +623,23 @@ mod tests {
             ("--replay --explore", "--replay", "--explore"),
             ("--list-combos --quiet", "--quiet", "--list-combos"),
             ("--ci --seeds 49", "--seeds", "--ci"),
+            // Only a replay has one run whose registry it could write.
             (
-                "--validate-trace t.json --seed 1",
-                "--seed",
-                "--validate-trace",
+                "--seeds 1 --metrics-out m.json",
+                "--metrics-out",
+                "the suite",
             ),
+            (
+                "--explore --metrics-out m.json",
+                "--metrics-out",
+                "--explore",
+            ),
+            (
+                "--list-combos --metrics-out m.json",
+                "--metrics-out",
+                "--list-combos",
+            ),
+            ("--ci --metrics-out m.json", "--metrics-out", "--ci"),
         ] {
             let err = parse(line).unwrap_err();
             assert_eq!(err, format!("{flag} does not apply to {form}"), "{line}");
@@ -648,9 +655,8 @@ mod tests {
             "--workload oltp --backend both --seeds 16 --quiet",
             "--explore --combo stm:obj:full --threads 2 --ops 2 --bound 2",
             "--replay --workload counter --combo hastm:obj:full --seed 0 --threads 2 \
-             --ops 4 --trace 4@1,9@0 --trace-out trace.json",
+             --ops 4 --trace 4@1,9@0 --trace-out trace.json --metrics-out metrics.json",
             "--replay --workload counter --combo hytm:obj:full --sched det --seed 0",
-            "--validate-trace trace.json",
             "--list-combos",
             "--ci",
         ] {

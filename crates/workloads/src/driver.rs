@@ -16,7 +16,7 @@ use crate::btree::BTree;
 use crate::fnv1a;
 use crate::hashtable::HashTable;
 use crate::map::TxMap;
-use crate::scheme::{ExecStats, Scheme, ThreadExec};
+use crate::scheme::{sim_registry, ExecStats, Scheme, ThreadExec};
 use crate::session::{RunPlan, SimRun, SimSession};
 
 /// Which evaluation data structure to run.
@@ -215,12 +215,9 @@ impl WorkloadResult {
         self.cycles as f64 / self.total_ops.max(1) as f64
     }
 
-    /// The run's whole registry: [`MetricsSnapshot::collect`]'s keys, then
-    /// `hytm.*`.
+    /// The run's whole registry, as [`sim_registry`] builds it.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snapshot = MetricsSnapshot::collect(&self.txn, &self.report);
-        snapshot.extend(self.hytm.entries());
-        snapshot
+        sim_registry(&self.txn, &self.hytm, &self.report)
     }
 }
 

@@ -43,7 +43,7 @@ pub use oltp::{
     run_oltp_native, run_oltp_sim, Mill, OltpConfig, OltpMetrics, OltpNativeConfig,
     OltpNativeResult, OltpSimConfig, OltpSimResult, OltpTxn,
 };
-pub use scheme::{ExecStats, Scheme, ThreadExec};
+pub use scheme::{sim_registry, ExecStats, Scheme, ThreadExec};
 pub use session::{
     AtRest, Definition, NativeRun, NativeSession, Peek, RunPlan, SimRun, SimSession,
 };
@@ -52,10 +52,8 @@ pub use synthetic::{
     WorkloadProfile, PROFILES,
 };
 
-/// FNV-1a over the little-endian bytes of `words`: the one hash behind
-/// every digest in the workspace (map and ledger state digests, which sum
-/// it per `(key, value)` pair so resident order does not matter, and the
-/// checker's schedule hash).
+/// FNV-1a over the little-endian bytes of `words`: the map and ledger state
+/// digests sum it per `(key, value)` pair, so resident order does not matter.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for word in words {

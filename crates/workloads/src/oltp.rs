@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fnv1a;
-use crate::scheme::{ExecStats, Scheme};
+use crate::scheme::{sim_registry, ExecStats, Scheme};
 use crate::session::{Definition, NativeSession, Peek, RunPlan, SimSession};
 
 /// Payload words per account object. Eight words plus the object header
@@ -597,8 +597,7 @@ pub struct OltpSimResult {
     pub per_thread: Vec<ThreadMillResult>,
     /// STM counters merged across threads (zeros for lock/sequential).
     pub txn: TxnStats,
-    /// Full metrics registry for the run, including the hybrid's `hytm.*`
-    /// and the `latency.*` serving entries.
+    /// The run's [`sim_registry`], then the `latency.*` serving entries.
     pub snapshot: MetricsSnapshot,
     /// Serializability violations: commit-time recordings plus the
     /// deferred post-run settlement. Nonzero means a zombie committed.
@@ -650,8 +649,7 @@ pub fn run_oltp_sim(cfg: &OltpSimConfig) -> OltpSimResult {
     // Settle the oracle's deferred obligations, then snapshot.
     txn.oracle_violations += session.settle().len() as u64;
     let balances = Mill::balances(&accounts, &|addr| session.peek(addr));
-    let mut snapshot = MetricsSnapshot::collect(&txn, &run.report);
-    snapshot.extend(hytm.entries());
+    let mut snapshot = sim_registry(&txn, &hytm, &run.report);
     snapshot.push_latency(&metrics.latency);
 
     OltpSimResult {

@@ -7,12 +7,12 @@
 //! over whichever machinery the scheme needs.
 
 use hastm::{
-    Granularity, ModePolicy, ObjRef, StmConfig, StmRuntime, TmContext, TmExec, TxResult, TxThread,
-    TxnStats,
+    Granularity, MetricsSnapshot, ModePolicy, ObjRef, StmConfig, StmRuntime, TmContext, TmExec,
+    TxResult, TxThread, TxnStats,
 };
 use hastm_htm::{HytmStats, HytmThread};
 use hastm_locks::{LockExec, SeqExec, SpinLock};
-use hastm_sim::{counters, Cpu};
+use hastm_sim::{counters, Cpu, RunReport};
 
 /// A concurrency-control scheme from the paper's evaluation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -128,6 +128,13 @@ impl ExecStats {
     pub fn aborts(&self) -> u64 {
         self.txn.aborts() + self.hytm.aborts()
     }
+}
+
+/// A simulator run's whole registry: [`MetricsSnapshot::collect`]'s keys, then `hytm.*`.
+pub fn sim_registry(txn: &TxnStats, hytm: &HytmStats, report: &RunReport) -> MetricsSnapshot {
+    let mut snapshot = MetricsSnapshot::collect(txn, report);
+    snapshot.extend(hytm.entries());
+    snapshot
 }
 
 enum Inner<'c, 'm> {
