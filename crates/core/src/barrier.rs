@@ -231,7 +231,7 @@ impl TxThread<'_, '_> {
             self.handle_contention(rec)?
         };
         loop {
-            let old = self.cpu.cas_u64(rec, v.0, self.desc.0);
+            let old = self.cpu.cas_u64(rec, v.0, RecValue::owned_by(self.desc).0);
             self.cpu.exec(1);
             if old == v.0 {
                 break;
@@ -633,8 +633,8 @@ mod tests {
                 o.header()
             })
             .0;
-        // Released with a bumped version: v1 -> v2 (raw 1 -> 3).
-        assert_eq!(m.peek_u64(header), 3);
+        // Released with a bumped version: v0 -> v1 (raw 0 -> 2).
+        assert_eq!(m.peek_u64(header), 2);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Transaction records (§4).
 //!
 //! A transaction record is one pointer-sized word associated with each
-//! datum. It is either **shared** — holding an odd version number, allowing
-//! any number of readers — or **exclusive** — holding the word-aligned
-//! address of the owning transaction's descriptor (even, so the low bit
-//! distinguishes the two states).
+//! datum. It is either **shared** — holding an even version number,
+//! allowing any number of readers — or **exclusive** — holding the
+//! word-aligned address of the owning transaction's descriptor with its low
+//! bit set, so the low bit distinguishes the two states.
+//!
+//! The paper's polarity is the other one (odd versions, the bare
+//! descriptor address as owner). Both cost the same `test eax,1`; this one
+//! makes zeroed memory a record at its initial version, so a fresh record
+//! table needs no writes and a record page materializes only at its first
+//! write.
 //!
 //! The datum→record mapping is flexible:
 //!
@@ -30,13 +36,14 @@ pub const REC_TABLE_BYTES: u64 = REC_TABLE_ENTRIES * 64;
 pub struct RecValue(pub u64);
 
 impl RecValue {
-    /// The initial version number of a fresh record.
-    pub const INITIAL: RecValue = RecValue(1);
+    /// The initial version number of a fresh record: what a never-written
+    /// word reads as.
+    pub const INITIAL: RecValue = RecValue(0);
 
     /// Whether this value is a version number (shared state).
     #[inline]
     pub fn is_version(self) -> bool {
-        self.0 & 1 == 1
+        self.0 & 1 == 0
     }
 
     /// Whether this value is an owner pointer (exclusive state).
@@ -53,7 +60,7 @@ impl RecValue {
     #[inline]
     pub fn owner(self) -> Addr {
         debug_assert!(self.is_owned(), "record is shared");
-        Addr(self.0)
+        Addr(self.0 & !1)
     }
 
     /// A record value owning the datum on behalf of descriptor `desc`.
@@ -64,10 +71,10 @@ impl RecValue {
     #[inline]
     pub fn owned_by(desc: Addr) -> RecValue {
         assert!(desc.0 & 1 == 0 && !desc.is_null(), "bad descriptor address");
-        RecValue(desc.0)
+        RecValue(desc.0 | 1)
     }
 
-    /// The next version after this one (still odd). Used when a committing
+    /// The next version after this one (still even). Used when a committing
     /// or aborting owner releases the record.
     ///
     /// # Panics
@@ -76,7 +83,7 @@ impl RecValue {
     #[inline]
     pub fn bump(self) -> RecValue {
         debug_assert!(self.is_version());
-        RecValue(self.0.wrapping_add(2) | 1)
+        RecValue(self.0.wrapping_add(2) & !1)
     }
 }
 
@@ -85,7 +92,7 @@ impl std::fmt::Display for RecValue {
         if self.is_version() {
             write!(f, "v{}", self.0 >> 1)
         } else {
-            write!(f, "owned by {:#x}", self.0)
+            write!(f, "owned by {:#x}", self.owner().0)
         }
     }
 }
@@ -97,9 +104,9 @@ pub struct RecordTable {
 }
 
 impl RecordTable {
-    /// Allocates the table from the simulated heap. The caller must
-    /// initialize it with [`RecordTable::initial_values`] (typically via
-    /// [`hastm_sim::Machine::poke_u64`] before the first run).
+    /// Allocates the table from the simulated heap. Fresh heap memory
+    /// reads as zero, which is [`RecValue::INITIAL`]: every record starts
+    /// shared at its initial version with nothing written.
     pub fn alloc(heap: &SimHeap) -> Self {
         // 64-byte alignment so the extracted hash bits double as the offset,
         // exactly as in the paper's three-instruction sequence. The table
@@ -119,11 +126,6 @@ impl RecordTable {
     pub fn record_for(&self, addr: Addr) -> Addr {
         Addr(self.base.0 + (addr.0 & REC_HASH_MASK))
     }
-
-    /// `(address, value)` pairs initializing every record to version 1.
-    pub fn initial_values(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        (0..REC_TABLE_ENTRIES).map(move |i| (Addr(self.base.0 + i * 64), RecValue::INITIAL.0))
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +137,7 @@ mod tests {
         let v = RecValue::INITIAL;
         assert!(v.is_version());
         assert!(!v.is_owned());
-        assert_eq!(v.bump().0, 3);
+        assert_eq!(v.bump().0, 2);
         assert!(v.bump().is_version());
     }
 
@@ -160,10 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn version_wraps_stay_odd() {
-        let near_max = RecValue(u64::MAX); // odd
+    fn version_wraps_stay_even() {
+        let near_max = RecValue(u64::MAX - 1); // even
         assert!(near_max.is_version());
-        assert!(near_max.bump().is_version());
+        assert_eq!(near_max.bump(), RecValue::INITIAL);
     }
 
     #[test]
@@ -187,21 +189,31 @@ mod tests {
 
     #[test]
     fn table_init_covers_all_entries() {
-        let heap = {
-            let m = hastm_sim::Machine::new(hastm_sim::MachineConfig::default());
-            m.heap()
-        };
-        let t = RecordTable::alloc(&heap);
-        let vals: Vec<_> = t.initial_values().collect();
-        assert_eq!(vals.len(), REC_TABLE_ENTRIES as usize);
-        assert!(vals.iter().all(|&(_, v)| RecValue(v).is_version()));
-        assert_eq!(vals[0].0, t.base());
+        let m = hastm_sim::Machine::new(hastm_sim::MachineConfig::default());
+        let t = RecordTable::alloc(&m.heap());
+        let recs: Vec<_> = (0..REC_TABLE_ENTRIES)
+            .map(|i| t.record_for(Addr(i * 64)))
+            .collect();
+        assert_eq!(recs[0], t.base());
+        for (i, rec) in recs.iter().enumerate() {
+            assert_eq!(rec.0, t.base().0 + i as u64 * 64);
+            assert_eq!(RecValue(m.peek_u64(*rec)), RecValue::INITIAL);
+        }
+    }
+
+    #[test]
+    fn never_written_record_decodes_as_initial() {
+        let v = RecValue(hastm_sim::mem::Memory::new().read_u64(Addr(0x40)));
+        assert_eq!(v, RecValue::INITIAL);
+        assert!(v.is_version());
+        assert_eq!(v.to_string(), "v0");
     }
 
     #[test]
     fn display_forms() {
-        assert_eq!(format!("{}", RecValue(3)), "v1");
+        assert_eq!(format!("{}", RecValue(2)), "v1");
         let owned = RecValue::owned_by(Addr(0x80));
+        assert_eq!(owned.0, 0x81);
         assert_eq!(format!("{owned}"), "owned by 0x80");
     }
 }

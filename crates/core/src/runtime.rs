@@ -66,14 +66,13 @@ pub struct StmRuntime {
 }
 
 impl StmRuntime {
-    /// Creates a runtime on `machine`, allocating and initializing the
-    /// global record table (all records start shared at version 1).
+    /// Creates a runtime on `machine`, allocating the global record table.
+    /// Its records start shared at [`RecValue::INITIAL`], which is what
+    /// fresh memory reads as: nothing is written, and no page of the table
+    /// is materialized until a transaction first writes a record on it.
     pub fn new(machine: &mut Machine, config: StmConfig) -> Self {
         let heap = machine.heap();
         let rec_table = RecordTable::alloc(&heap);
-        for (addr, value) in rec_table.initial_values() {
-            machine.poke_u64(addr, value);
-        }
         let versions = config
             .versioning
             .is_multi()
@@ -187,6 +186,14 @@ mod tests {
             (a, hv)
         });
         assert!(!a.is_null());
-        assert_eq!(hv, 1);
+        assert_eq!(hv, 0);
+    }
+
+    #[test]
+    fn new_runtime_writes_no_memory() {
+        let mut m = Machine::new(MachineConfig::default());
+        let before = m.resident_pages();
+        let _rt = StmRuntime::new(&mut m, StmConfig::default());
+        assert_eq!(m.resident_pages(), before);
     }
 }

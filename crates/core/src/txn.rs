@@ -248,7 +248,7 @@ impl<'c, 'm> TxThread<'c, 'm> {
         for (i, w) in self.write_set.iter().enumerate() {
             let cur = self.cpu.peek_u64(w.rec);
             assert!(
-                cur == self.desc.0,
+                cur == RecValue::owned_by(self.desc).0,
                 "ownership invariant broken at {site}: write_set[{i}] rec {} prev {:?} but memory holds {cur:#x} (desc {})",
                 w.rec,
                 w.prev,

@@ -135,14 +135,19 @@ impl Set {
     }
 }
 
+/// Sets per block of [`Cache::nth_resident`]'s occupancy counts.
+const SETS_PER_BLOCK: usize = 64;
+
 /// A tag-only set-associative cache with LRU replacement.
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Set>,
     tick: u64,
-    /// Resident lines, kept by `insert` and `remove`.
-    resident: usize,
+    /// Resident lines per block of [`SETS_PER_BLOCK`] consecutive sets,
+    /// kept by `insert` and `remove`: [`Cache::nth_resident`] steps over
+    /// whole blocks, then over the sets of one.
+    block_resident: Box<[u32]>,
     /// `(set, way)` of the line the last `lookup` hit or `insert` filled:
     /// what [`Cache::mark`] operates on.
     touched: (usize, usize),
@@ -157,10 +162,10 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         Cache {
             sets: (0..config.sets).map(|_| Set::default()).collect(),
+            block_resident: vec![0; config.sets.div_ceil(SETS_PER_BLOCK)].into_boxed_slice(),
             marked_sets: vec![0; NUM_FILTERS * config.sets.div_ceil(64)].into_boxed_slice(),
             config,
             tick: 0,
-            resident: 0,
             touched: (0, 0),
         }
     }
@@ -255,7 +260,7 @@ impl Cache {
                 .expect("non-empty full set");
             Some(set.swap_remove(vi))
         } else {
-            self.resident += 1;
+            self.block_resident[index / SETS_PER_BLOCK] += 1;
             None
         };
         self.touched = (index, set.tags.len());
@@ -271,10 +276,10 @@ impl Cache {
     /// Removes a line (snoop invalidation / back-invalidation), returning it
     /// if it was resident.
     pub fn remove(&mut self, id: LineId) -> Option<Line> {
-        let set = self.set_index(id);
-        let set = &mut self.sets[set];
+        let index = self.set_index(id);
+        let set = &mut self.sets[index];
         let way = set.way_of(id)?;
-        self.resident -= 1;
+        self.block_resident[index / SETS_PER_BLOCK] -= 1;
         Some(set.swap_remove(way))
     }
 
@@ -314,16 +319,27 @@ impl Cache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.resident
+        self.block_resident.iter().map(|&n| n as usize).sum()
     }
 
     /// The `n`th resident line in [`Cache::iter`]'s order, found by
-    /// stepping over whole sets.
+    /// stepping over whole blocks of sets, then over the sets of the block
+    /// that holds it.
     pub fn nth_resident(&self, mut n: usize) -> Option<LineId> {
-        for set in &self.sets {
-            match set.tags.get(n) {
-                Some(&id) => return Some(id),
-                None => n -= set.tags.len(),
+        let blocks = self
+            .block_resident
+            .iter()
+            .zip(self.sets.chunks(SETS_PER_BLOCK));
+        for (&count, sets) in blocks {
+            if n >= count as usize {
+                n -= count as usize;
+                continue;
+            }
+            for set in sets {
+                match set.tags.get(n) {
+                    Some(&id) => return Some(id),
+                    None => n -= set.tags.len(),
+                }
             }
         }
         None

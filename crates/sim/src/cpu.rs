@@ -205,16 +205,25 @@ impl<'a> Cpu<'a> {
     /// Adds the stalls deferred by [`Cpu::tick`] to this core's clock and
     /// to the op count.
     fn fold_stalls(&mut self, st: &mut SimState) {
-        st.clocks[self.id] += std::mem::take(&mut self.stalled_cycles);
-        st.op_count += std::mem::take(&mut self.stalled_ops);
+        let (cycles, ops) = self.take_stalls();
+        st.add_stalls(self.id, cycles, ops);
     }
 
-    /// Gate admission, out of line: a core that runs alone skips it.
+    /// The deferred stalls' cycles and count, leaving none deferred.
+    fn take_stalls(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.stalled_cycles),
+            std::mem::take(&mut self.stalled_ops),
+        )
+    }
+
+    /// Gate admission, out of line: a core that runs alone skips it. The
+    /// deferred stalls are folded in by the gate, under the borrow that
+    /// admits this core.
     #[inline(never)]
     fn admit(&mut self) -> StateGuard<'a> {
-        // The gate must decide on this core's true clock.
-        self.publish_stalls();
-        let mut st = self.shared.wait_turn(self.id);
+        let stalls = self.take_stalls();
+        let mut st = self.shared.wait_turn(self.id, stalls);
         if !self.plain {
             st.note_admission(self.id);
         }
@@ -222,10 +231,10 @@ impl<'a> Cpu<'a> {
         st
     }
 
-    /// Folds the stalls deferred with no guard kept into the shared state.
-    /// That moves the turn like any other clock advance, so it ends in a
-    /// handoff: on host threads a core parked behind the stale clock is
-    /// woken by nothing else.
+    /// Folds the stalls deferred with no guard kept into the shared state
+    /// at worker end. That moves the turn like any other clock advance, so
+    /// it ends in a handoff: on host threads a core parked behind the
+    /// stale clock is woken by nothing else.
     fn publish_stalls(&mut self) {
         if self.stalled_ops == 0 {
             return;

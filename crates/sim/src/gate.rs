@@ -91,9 +91,12 @@ mod imp {
         }
 
         /// Returns the state once the gate admits `core`, running the
-        /// cores ahead of it in the meantime.
-        pub(crate) fn wait_turn(&self, core: usize) -> StateGuard<'_> {
-            let st = self.state.lock();
+        /// cores ahead of it in the meantime. `stalls` — the cycles and
+        /// count of the stalls `core` deferred — reach its clock first,
+        /// under the same borrow, so the gate decides on its true clock.
+        pub(crate) fn wait_turn(&self, core: usize, stalls: (u64, u64)) -> StateGuard<'_> {
+            let mut st = self.state.lock();
+            st.add_stalls(core, stalls.0, stalls.1);
             let owner = match st.admission(core) {
                 Ok(()) => return st,
                 Err(owner) => owner,
@@ -112,9 +115,11 @@ mod imp {
             // active core, and nothing ran in between, so being resumed
             // *is* admission.
             let st = self.state.lock();
-            if let Err(owner) = st.admission(core) {
-                unreachable!("core {core} resumed in core {owner}'s turn");
-            }
+            debug_assert_eq!(
+                st.admission(core),
+                Ok(()),
+                "core {core} resumed in another core's turn"
+            );
             st
         }
 
@@ -189,9 +194,19 @@ mod imp {
         }
 
         /// Blocks until the gate admits `core`, then returns the locked
-        /// state.
-        pub(crate) fn wait_turn(&self, core: usize) -> StateGuard<'_> {
+        /// state. `stalls` — the cycles and count of the stalls `core`
+        /// deferred — reach its clock first, under the same lock; that
+        /// moves the turn like any other clock advance, so if it passes
+        /// the turn on, the core that gets it is woken here: a core parked
+        /// behind the stale clock is woken by nothing else.
+        pub(crate) fn wait_turn(&self, core: usize, stalls: (u64, u64)) -> StateGuard<'_> {
             let mut st = self.state.lock();
+            if stalls.1 != 0 {
+                st.add_stalls(core, stalls.0, stalls.1);
+                if let Err(owner) = st.admission(core) {
+                    self.turns.0[owner].notify_one();
+                }
+            }
             loop {
                 if st.admission(core).is_ok() {
                     return st;

@@ -251,30 +251,47 @@ impl SimState {
         !self.dynamic_schedule() && !self.sys.tracing()
     }
 
-    /// Minimal `(priority, id)` among the active cores, leaving out
-    /// `except`. `None` when there is none.
-    fn min_active_except(&self, except: Option<usize>) -> Option<(u64, usize)> {
-        let mut best = None;
-        for id in 0..self.clocks.len() {
-            if self.active[id] && Some(id) != except {
-                let t = (self.priority(id), id);
-                if best.is_none_or(|b| t < b) {
-                    best = Some(t);
+    /// Whether every priority is the core's clock: no favored pin, PCT
+    /// rank or fuzz jitter is installed. The pin can start and end within
+    /// a run; the other two are fixed from a run's first admission to its
+    /// last.
+    #[inline]
+    fn clock_priorities(&self) -> bool {
+        self.favored.is_none() && self.pct.is_none() && self.fuzz.is_none()
+    }
+
+    /// Minimal `(priority, id)` among active cores — the core the gate
+    /// admits next. `None` when no core is active. One pass, computing
+    /// each active core's priority once; on clock priorities it compares
+    /// `(clock, id)` directly.
+    #[inline(always)]
+    pub(crate) fn min_active(&self) -> Option<(u64, usize)> {
+        if self.clock_priorities() {
+            self.min_active_by(|id| self.clocks[id])
+        } else {
+            self.min_active_by(|id| self.priority(id))
+        }
+    }
+
+    /// Minimal `(priority(id), id)` over the active cores. Ids are visited
+    /// in increasing order, so a tie keeps the earlier core.
+    #[inline(always)]
+    fn min_active_by(&self, priority: impl Fn(usize) -> u64) -> Option<(u64, usize)> {
+        let mut best: Option<(u64, usize)> = None;
+        for (id, &active) in self.active.iter().enumerate() {
+            if active {
+                let p = priority(id);
+                if best.is_none_or(|(b, _)| p < b) {
+                    best = Some((p, id));
                 }
             }
         }
         best
     }
 
-    /// Minimal `(priority, id)` among active cores — the core the gate
-    /// admits next. `None` when no core is active.
-    pub(crate) fn min_active(&self) -> Option<(u64, usize)> {
-        self.min_active_except(None)
-    }
-
-    /// The gate's decision for active core `core`, from one scan of its
-    /// competitors: `Ok` when it is admitted, or `Err` with the core it
-    /// must wait for.
+    /// The gate's decision for active core `core`: `Ok` when it is the
+    /// minimal active core, or `Err` with the core it must wait for.
+    #[inline]
     pub(crate) fn admission(&self, core: usize) -> Result<(), usize> {
         debug_assert!(
             self.active[core],
@@ -284,10 +301,18 @@ impl SimState {
         if self.active_count == 1 {
             return Ok(());
         }
-        match self.min_active_except(Some(core)) {
-            Some(ahead) if ahead < (self.priority(core), core) => Err(ahead.1),
+        match self.min_active() {
+            Some((_, id)) if id != core => Err(id),
             _ => Ok(()),
         }
+    }
+
+    /// Adds `cycles` of stalls, `ops` of them, that `core` deferred to its
+    /// clock and to the op count.
+    #[inline]
+    pub(crate) fn add_stalls(&mut self, core: usize, cycles: u64, ops: u64) {
+        self.clocks[core] += cycles;
+        self.op_count += ops;
     }
 
     /// Admission hook: while cores are admitted by rank rather than clock
@@ -674,6 +699,12 @@ impl Machine {
         self.shared.state.lock().mem.read_u64(addr)
     }
 
+    /// Pages of simulated memory materialized so far: a page is only at
+    /// its first write.
+    pub fn resident_pages(&self) -> usize {
+        self.shared.state.lock().mem.resident_pages()
+    }
+
     /// Writes a `u64` to simulated memory without timing effects. Intended
     /// for test setup. Does not invalidate cached copies; use only before
     /// the first run touching `addr`.
@@ -686,6 +717,78 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::addr::Addr;
+
+    /// The gate's decision as the general rule states it, in two scans:
+    /// the minimal `(priority, id)` among `core`'s active competitors, and
+    /// whether it is ahead of `core`'s own.
+    fn admission_by_the_priority_rule(st: &SimState, core: usize) -> Result<(), usize> {
+        let others = (0..st.clocks.len()).filter(|&id| st.active[id] && id != core);
+        match others.map(|id| (st.priority(id), id)).min() {
+            Some(ahead) if ahead < (st.priority(core), core) => Err(ahead.1),
+            _ => Ok(()),
+        }
+    }
+
+    /// `SimState::admission` scans once and, with no favored pin, PCT rank
+    /// or jitter installed, compares clocks without asking `priority`.
+    /// Random states on 1–8 cores — clocks drawn from a narrow range so
+    /// ties are common, or a wide one; inactive cores; and each layer,
+    /// alone or under a pin — must reach the general rule's decision, for
+    /// every active core, and name the same next core.
+    #[test]
+    fn clock_only_admission_matches_the_priority_rule() {
+        let mut rng = 0x00ad_1551_0e0e_u64;
+        let mut layers_seen = [0u32; 4];
+        for case in 0..20_000u32 {
+            let cores = 1 + (splitmix64(&mut rng) % 8) as usize;
+            let mut m = Machine::new(MachineConfig::with_cores(cores));
+            let st = m.shared.state.get_mut();
+            let span = if case % 2 == 0 { 4 } else { 1 << 40 };
+            for c in 0..cores {
+                st.clocks[c] = splitmix64(&mut rng) % span;
+                st.active[c] = !splitmix64(&mut rng).is_multiple_of(4);
+            }
+            let first = (splitmix64(&mut rng) % cores as u64) as usize;
+            st.active[first] = true;
+            st.active_count = st.active.iter().filter(|&&a| a).count();
+            let layer = (splitmix64(&mut rng) % 4) as usize;
+            layers_seen[layer] += 1;
+            match layer {
+                0 => {}
+                1 => {
+                    let mut pct = PctState::new(splitmix64(&mut rng), 3, cores);
+                    for rank in &mut pct.ranks {
+                        *rank = splitmix64(&mut rng) % (cores as u64 + 2);
+                    }
+                    st.pct = Some(pct);
+                }
+                2 => st.fuzz = Some(FuzzState::new(splitmix64(&mut rng), cores)),
+                _ => {}
+            }
+            if layer == 3 || splitmix64(&mut rng).is_multiple_of(4) {
+                st.favored = Some(first);
+            }
+            let st = &*st;
+            let reference = (0..cores)
+                .filter(|&id| st.active[id])
+                .map(|id| (st.priority(id), id))
+                .min();
+            assert_eq!(
+                st.min_active().map(|(_, id)| id),
+                reference.map(|(_, id)| id)
+            );
+            for core in (0..cores).filter(|&c| st.active[c]) {
+                assert_eq!(
+                    st.admission(core),
+                    admission_by_the_priority_rule(st, core),
+                    "case {case}: core {core} of {cores}, clocks {:?}, active {:?}",
+                    st.clocks,
+                    st.active
+                );
+            }
+        }
+        assert!(layers_seen.iter().all(|&n| n > 4_000), "{layers_seen:?}");
+    }
 
     #[test]
     fn single_worker_runs_and_reports() {

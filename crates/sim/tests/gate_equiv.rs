@@ -15,7 +15,11 @@
 //! * A *plain* run — nothing traced, fuzzed or planned, which is what
 //!   every figure is made of — takes `Cpu`'s short epilogue and lets
 //!   stalls take no turn; a traced run of the same programs does neither,
-//!   and is the reference.
+//!   and is the reference for those two. It is not the reference for
+//!   admission: tracing installs no pin, rank or jitter, so the traced
+//!   run's gate compares clocks directly just as the plain run's does.
+//!   That shortcut is checked against the general priority rule by
+//!   `machine::tests::clock_only_admission_matches_the_priority_rule`.
 
 use std::sync::Mutex;
 
